@@ -131,14 +131,6 @@ class GradedAlgebra:
             raise ValueError(f"inhomogeneous element: degrees {sorted(degs)}")
         return degs.pop()
 
-    def element_weight(self, a: Element) -> int | None:
-        ws = {self.weights[i] for i, c in a.items() if c != 0}
-        if not ws:
-            return None
-        if len(ws) > 1:
-            raise ValueError(f"inhomogeneous element: weights {sorted(ws)}")
-        return ws.pop()
-
     def format_element(self, a: Element) -> str:
         if not a:
             return "0"

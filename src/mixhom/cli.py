@@ -316,7 +316,12 @@ def _gravity_structure(spec: JobSpecification):
     )
     vol = (0,) * spec.n + (1,) * spec.n
     piece = (spec.n, spec.n)
-    coords = sl.hh(piece).reduce(sl.element_vector(piece, {vol: Q(1)}))
+    vec = sl.element_vector(piece, {vol: Q(1)})
+    try:
+        coords = sl.hh(piece).reduce(vec)
+    except ValueError:
+        # the volume form is a Poisson cycle exactly when π is unimodular
+        raise DualityError("the volume form is not a cycle: π is not unimodular") from None
     eta = (piece, [i for i, c in enumerate(coords) if c][0])
     duality = attach_duality(bundle, eta, pd_twist=polyvector_pd_twist(1))
     # bracket tables stay inside the slice for low weights; out-of-window

@@ -26,6 +26,16 @@ Q = Fraction
 HCKey = tuple[Piece, int]
 
 
+def _accumulate(out: dict, terms: dict, scale) -> None:
+    """out += scale · terms, dropping coefficients that cancel."""
+    for k, v in terms.items():
+        s = out.get(k, Q(0)) + scale * v
+        if s == 0:
+            out.pop(k, None)
+        else:
+            out[k] = s
+
+
 class GravityStructure:
     """Bracket evaluator over a stable HC⁻ basis, with memoized tables.
 
@@ -75,12 +85,7 @@ class GravityStructure:
         out: dict[ClassKey, Fraction] = {}
         for ka, va in left.items():
             for kb, vb in right.items():
-                for kc, vc in self.dot_pair(ka, kb).items():
-                    s = out.get(kc, Q(0)) + va * vb * vc
-                    if s == 0:
-                        out.pop(kc, None)
-                    else:
-                        out[kc] = s
+                _accumulate(out, self.dot_pair(ka, kb), va * vb)
         return out
 
     def beta_class(self, key: ClassKey) -> dict[HCKey, Fraction]:
@@ -111,12 +116,7 @@ class GravityStructure:
             prod = self._dot_combo(prod, self.pi_star(k))
         out: dict[HCKey, Fraction] = {}
         for kc, vc in prod.items():
-            for kh, vh in self.beta_class(kc).items():
-                s = out.get(kh, Q(0)) + sign * vc * vh
-                if s == 0:
-                    out.pop(kh, None)
-                else:
-                    out[kh] = s
+            _accumulate(out, self.beta_class(kc), sign * vc)
         return out
 
     def bracket_combo(self, combos: list[dict[HCKey, Fraction]]) -> dict[HCKey, Fraction] | None:
@@ -136,12 +136,7 @@ class GravityStructure:
             got = self.table_lookup(keys)
             if got is None:
                 return None
-            for kh, vh in got.items():
-                s = out.get(kh, Q(0)) + coeff * vh
-                if s == 0:
-                    out.pop(kh, None)
-                else:
-                    out[kh] = s
+            _accumulate(out, got, coeff)
         return out
 
     def table_lookup(self, keys: list[HCKey]) -> dict[HCKey, Fraction] | None:
@@ -159,9 +154,32 @@ class GravityStructure:
         return table[tk]
 
     def build_table(self, arity: int) -> dict[tuple[int, ...], dict[HCKey, Fraction] | None]:
-        for tup in iproduct(range(len(self.basis)), repeat=arity):
-            self.table_lookup([self.basis[i] for i in tup])
+        self.entries(arity)
         return self._tables[arity]
+
+    def entries(
+        self, arity: int, first: HCKey | None = None
+    ) -> dict[tuple[int, ...], dict[HCKey, Fraction] | None]:
+        """The nonzero and the unavailable (``None``) entries of a table.
+
+        Without ``first``, every tuple of basis indices of the given arity is
+        a candidate; with it, only the rows whose first argument is that
+        class, keyed by the basis indices of the remaining arguments.  Zero
+        entries are left out.  Entries not tabled yet are computed through
+        ``table_lookup``, in lexicographic order.
+        """
+        table = self._tables.setdefault(arity, {})
+        head = () if first is None else (self.index.get(first, first),)
+        lead = [] if first is None else [first]
+        out = {}
+        for rest in iproduct(range(len(self.basis)), repeat=arity - len(head)):
+            tk = head + rest
+            if tk not in table:
+                self.table_lookup(lead + [self.basis[i] for i in rest])
+            got = table[tk]
+            if got is None or got:
+                out[rest] = got
+        return out
 
 
 @dataclass
@@ -178,54 +196,103 @@ class GravityReport:
         return not self.skew_failures and not self.jacobi_failures
 
 
-def verify_gravity_axioms(g: GravityStructure, n_max: int = 4, check_max: int = 5) -> GravityReport:
-    """Exhaustive skew-symmetry and generalized Jacobi over the basis.
+# a failure list stops growing after this many entries
+_FAILURE_LIMIT = 6
 
-    Skew-symmetry is checked on every adjacent transposition of every tuple
-    with arity <= n_max; the generalized Jacobi identity on all tuples with
-    n + m <= check_max (including the m = 0 vanishing case).  Tuples whose
-    brackets escape the window are counted and skipped.
+# verdicts besides a failure message and None (checked, holds)
+_SKIP = object()  # an entry the check needs is unavailable: a window skip
+_ABSENT = object()  # the skew check's own tuple is unavailable: not counted
+
+
+def _rank(tup: tuple[int, ...], K: int) -> int:
+    """Position of a tuple of basis indices in lexicographic order."""
+    r = 0
+    for t in tup:
+        r = r * K + t
+    return r
+
+
+def _tally(size: int, verdicts, failures: list[str]) -> tuple[int, int, bool]:
+    """Counts over one block of ``size`` instances in enumeration order.
+
+    ``verdicts`` yields (position, verdict) for the candidate instances only,
+    by increasing position; every other instance is checked and holds.  The
+    walk stops at the failure that brings ``failures`` to ``_FAILURE_LIMIT``
+    entries and then counts only the instances up to it.  Returns
+    (checked, skipped, stopped).
+    """
+    skipped = absent = 0
+    for pos, verdict in verdicts:
+        if verdict is _SKIP:
+            skipped += 1
+        elif verdict is _ABSENT:
+            absent += 1
+        elif verdict:
+            failures.append(verdict)
+            if len(failures) >= _FAILURE_LIMIT:
+                return pos + 1 - skipped - absent, skipped, True
+    return size - skipped - absent, skipped, False
+
+
+def verify_gravity_axioms(g: GravityStructure, n_max: int = 4, check_max: int = 5) -> GravityReport:
+    """Skew-symmetry and generalized Jacobi over every tuple of basis classes.
+
+    The tables of arity 2..n_max are filled first.  Their nonzero entries
+    are counted per arity, and their unavailable (``None``) entries, whose
+    brackets escape the window, are counted as window skips.
+
+    Skew-symmetry is checked at every adjacent transposition of every tuple
+    with arity <= n_max whose own entry is available; the generalized Jacobi
+    identity on every instance (xs, ys) with n + m <= check_max (including
+    the m = 0 vanishing case).  A check counts as *checked* when every entry
+    it reads is available, and then fails exactly when its signed sum is
+    nonzero; otherwise it is a window skip.
+
+    The tables are sparse, so the checks are a join over their nonzero and
+    unavailable entries rather than an enumeration of instances.  A skew
+    check can fail or skip only where the tuple or its transposition has
+    such an entry.  A Jacobi sum receives terms only from a nonzero binary
+    entry joined with the table rows led by a class in its output, or from a
+    nonzero entry on xs joined with the rows led by a class in its output,
+    and it skips only where an entry it reads is unavailable; these
+    instances are found from the sparse entries.  Every other instance is
+    an empty sum and is counted as checked without being visited.  Failures
+    are listed in enumeration order (arity, tuple, slot for skew; n, m, xs,
+    ys for Jacobi).  After the sixth, the report returns with the counts of
+    the instances enumerated up to it.
     """
     rep = GravityReport()
     K = len(g.basis)
     deg = [g.degree(k) for k in g.basis]
+    support: dict = {}
 
-    def tbl(idxs) -> dict | None:
-        return g.table_lookup([g.basis[i] for i in idxs])
+    def entries(arity: int, first: HCKey | None = None):
+        if (arity, first) not in support:
+            support[(arity, first)] = g.entries(arity, first)
+        return support[(arity, first)]
 
     # nonzero census per arity
     for n in range(2, n_max + 1):
-        count = 0
-        for tup in iproduct(range(K), repeat=n):
-            got = tbl(tup)
-            if got is None:
-                rep.window_skips += 1
-            elif got:
-                count += 1
-        rep.nonzero_brackets[n] = count
+        unavailable = sum(1 for v in entries(n).values() if v is None)
+        rep.window_skips += unavailable
+        rep.nonzero_brackets[n] = len(entries(n)) - unavailable
 
     # skew-symmetry under adjacent transpositions
     for n in range(2, n_max + 1):
-        for tup in iproduct(range(K), repeat=n):
-            base = tbl(tup)
-            if base is None:
-                continue
+        table = entries(n)
+        candidates = {}
+        for tup in table:
             for i in range(n - 1):
-                swapped = list(tup)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                other = tbl(swapped)
-                if other is None:
-                    rep.window_skips += 1
-                    continue
-                s = -1 if ((deg[tup[i]] + 1) % 2) and ((deg[tup[i + 1]] + 1) % 2) else 1
-                acc = dict(base)
-                for k, v in other.items():
-                    acc[k] = acc.get(k, Q(0)) + s * v
-                rep.skew_checked += 1
-                if any(v != 0 for v in acc.values()):
-                    rep.skew_failures.append(f"skew fails on {tup} at slot {i}")
-                    if len(rep.skew_failures) > 5:
-                        return rep
+                for t in (tup, _swap(tup, i)):
+                    candidates[_rank(t, K) * (n - 1) + i] = (t, i)
+        verdicts = (
+            (pos, _skew_verdict(table, deg, *candidates[pos])) for pos in sorted(candidates)
+        )
+        checked, skipped, stopped = _tally(K**n * (n - 1), verdicts, rep.skew_failures)
+        rep.skew_checked += checked
+        rep.window_skips += skipped
+        if stopped:
+            return rep
 
     # generalized Jacobi; the m = 0 case needs n >= 3 (an inner bracket of
     # arity n + m - 1 = 1 is not defined)
@@ -233,22 +300,48 @@ def verify_gravity_axioms(g: GravityStructure, n_max: int = 4, check_max: int = 
         for m in range(0, check_max - n + 1):
             if m == 0 and n < 3:
                 continue
-            for xs in iproduct(range(K), repeat=n):
-                for ys in iproduct(range(K), repeat=m):
-                    ok, value = _jacobi_instance(g, list(xs), list(ys), deg)
-                    if ok is None:
-                        rep.window_skips += 1
-                        continue
-                    rep.jacobi_checked += 1
-                    if not ok:
-                        rep.jacobi_failures.append(f"Jacobi fails on xs={xs}, ys={ys}")
-                        if len(rep.jacobi_failures) > 5:
-                            return rep
+            sums = _jacobi_sums(g, n, m, deg, entries)
+            verdicts = (
+                (_rank(flat, K), _jacobi_verdict(flat, n, sums[flat])) for flat in sorted(sums)
+            )
+            checked, skipped, stopped = _tally(K ** (n + m), verdicts, rep.jacobi_failures)
+            rep.jacobi_checked += checked
+            rep.window_skips += skipped
+            if stopped:
+                return rep
     return rep
 
 
-def _jacobi_instance(g: GravityStructure, xs: list[int], ys: list[int], deg):
-    """One generalized-Jacobi instance with the frozen sign dictionary.
+def _swap(tup: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return tup[:i] + (tup[i + 1], tup[i]) + tup[i + 2 :]
+
+
+def _skew_verdict(table, deg, tup: tuple[int, ...], i: int):
+    """Skew-symmetry of one tuple at one slot, against its sparse table."""
+    base = table.get(tup, {})
+    if base is None:
+        return _ABSENT
+    other = table.get(_swap(tup, i), {})
+    if other is None:
+        return _SKIP
+    s = -1 if ((deg[tup[i]] + 1) % 2) and ((deg[tup[i + 1]] + 1) % 2) else 1
+    acc = dict(base)
+    _accumulate(acc, other, s)
+    if any(v != 0 for v in acc.values()):
+        return f"skew fails on {tup} at slot {i}"
+    return None
+
+
+def _jacobi_verdict(flat: tuple[int, ...], n: int, total: dict | None):
+    if total is None:
+        return _SKIP
+    if total:
+        return f"Jacobi fails on xs={flat[:n]}, ys={flat[n:]}"
+    return None
+
+
+def _pull_sign(deg, xs: tuple[int, ...], i: int, j: int) -> int:
+    """The frozen sign ε_{ij} of the generalized Jacobi identity.
 
     ε_{ij} is the cost of pulling x_i then x_j to the front, one adjacent
     transposition at a time, where swapping homogeneous arguments costs
@@ -256,53 +349,66 @@ def _jacobi_instance(g: GravityStructure, xs: list[int], ys: list[int], deg):
     the double sum closes onto (-1)^n {{x_1..x_n}, y_1..y_m} (and vanishes
     for m = 0), as verified exhaustively on every computed structure.
     """
-    n = len(xs)
-    total: dict[HCKey, Fraction] = {}
-    basis = g.basis
     ds = [deg[x] for x in xs]
-    tail_keys = [basis[y] for y in ys]
-    for i in range(n):
-        for j in range(i + 1, n):
-            inner = g.table_lookup([basis[xs[i]], basis[xs[j]]])
+    eps = 0
+    for t in range(i):
+        eps += (ds[i] + 1) * (ds[t] + 1) + 1
+    for t in range(j):
+        if t != i:
+            eps += (ds[j] + 1) * (ds[t] + 1) + 1
+    return -1 if eps % 2 else 1
+
+
+def _jacobi_sums(g: GravityStructure, n: int, m: int, deg, entries):
+    """The generalized-Jacobi instances of shape (n, m) that skip or carry terms.
+
+    An instance is the flat tuple xs + ys of basis indices.  Its sum is
+
+        Σ_{i<j} ε_{ij} {{x_i, x_j}, x_1..x̂_i..x̂_j..x_n, y_1..y_m}
+            - (-1)^n {{x_1..x_n}, y_1..y_m}        (the last term if m > 0),
+
+    and it skips when any entry that sum reads is unavailable.  Joining the
+    nonzero and unavailable table entries finds every instance that skips
+    (mapped to None) or receives a term (mapped to its sum, which may have
+    cancelled to {}); every other instance sums to zero.
+    """
+    K = len(g.basis)
+    skips: set[tuple[int, ...]] = set()
+    sums: dict[tuple[int, ...], dict[HCKey, Fraction]] = {}
+
+    def place(rest, i, a, j, b):
+        xs = list(rest[: n - 2])
+        xs.insert(i, a)
+        xs.insert(j, b)
+        return tuple(xs) + rest[n - 2 :]
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (a, b), inner in entries(2).items():
+        for i, j in pairs:
             if inner is None:
-                return None, None
-            if not inner:
+                skips.update(place(r, i, a, j, b) for r in iproduct(range(K), repeat=n + m - 2))
                 continue
-            eps = 0
-            for t in range(i):
-                eps += (ds[i] + 1) * (ds[t] + 1) + 1
-            for t in range(j):
-                if t != i:
-                    eps += (ds[j] + 1) * (ds[t] + 1) + 1
-            rest = [basis[xs[t]] for t in range(n) if t not in (i, j)]
-            s = Q(-1) if eps % 2 else Q(1)
             for key_in, c_in in inner.items():
-                got = g.table_lookup([key_in] + rest + tail_keys)
-                if got is None:
-                    return None, None
-                for k, v in got.items():
-                    acc = total.get(k, Q(0)) + s * c_in * v
-                    if acc == 0:
-                        total.pop(k, None)
+                for rest, got in entries(n + m - 1, key_in).items():
+                    flat = place(rest, i, a, j, b)
+                    if got is None:
+                        skips.add(flat)
                     else:
-                        total[k] = acc
-    if ys:
-        outer = g.table_lookup([basis[x] for x in xs])
-        if outer is None:
-            return None, None
-        rhs_sign = Q(-1) if n % 2 else Q(1)
-        for key_out, c_out in outer.items():
-            got = g.table_lookup([key_out] + tail_keys)
-            if got is None:
-                return None, None
-            for k, v in got.items():
-                acc = total.get(k, Q(0)) - rhs_sign * c_out * v
-                if acc == 0:
-                    total.pop(k, None)
-                else:
-                    total[k] = acc
-    ok = all(v == 0 for v in total.values())
-    return ok, total
+                        scale = _pull_sign(deg, flat, i, j) * c_in
+                        _accumulate(sums.setdefault(flat, {}), got, scale)
+    if m:
+        rhs_sign = -1 if n % 2 else 1
+        for xs, outer in entries(n).items():
+            if outer is None:
+                skips.update(xs + ys for ys in iproduct(range(K), repeat=m))
+                continue
+            for key_out, c_out in outer.items():
+                for ys, got in entries(m + 1, key_out).items():
+                    if got is None:
+                        skips.add(xs + ys)
+                    else:
+                        _accumulate(sums.setdefault(xs + ys, {}), got, -rhs_sign * c_out)
+    return {**sums, **dict.fromkeys(skips)}
 
 
 @dataclass
@@ -325,12 +431,23 @@ def compare_across_iso(
     """Check that a degree-preserving map intertwines the bracket tables.
 
     ``iso`` maps a g1 basis key to a combination {g2 key: coefficient}; it
-    must be invertible on the compared window (checked by rank).  For every
-    tuple with arity <= arity_max present in both tables the images are
-    compared; mismatches are listed.
+    must be invertible on the compared window (checked by rank).  A tuple of
+    g1 basis classes with arity <= arity_max is *compared* when its g1 entry,
+    the images of its classes and of its entry's output, and every g2 entry
+    its image reads are available; otherwise it is *skipped*.  Compared
+    tuples whose two images differ are listed as mismatches, in enumeration
+    order, and after the sixth the report returns with the counts of the
+    tuples enumerated up to it.
+
+    Every g2 entry an image can read is still evaluated, but only tuples
+    with a nonzero or unavailable g1 entry, tuples that are preimages of a
+    nonzero or unavailable g2 entry, and tuples with a class outside the
+    map's domain are compared one by one: on every other tuple both sides
+    are zero.
     """
     rep = IsoReport()
     K = len(g1.basis)
+    images = [iso.get(k) for k in g1.basis]
 
     def push(table: dict[HCKey, Fraction]) -> dict[HCKey, Fraction] | None:
         out: dict[HCKey, Fraction] = {}
@@ -338,12 +455,7 @@ def compare_across_iso(
             img = iso.get(k)
             if img is None:
                 return None
-            for kk, vv in img.items():
-                s = out.get(kk, Q(0)) + v * vv
-                if s == 0:
-                    out.pop(kk, None)
-                else:
-                    out[kk] = s
+            _accumulate(out, img, v)
         return out
 
     # invertibility on the window: the pushed basis vectors must be
@@ -352,8 +464,7 @@ def compare_across_iso(
 
     cols = []
     g2_index = {k: i for i, k in enumerate(g2.basis)}
-    for k in g1.basis:
-        img = iso.get(k)
+    for img in images:
         if img is None:
             continue
         col = [Q(0)] * len(g2.basis)
@@ -363,34 +474,45 @@ def compare_across_iso(
     if cols and ExactMatrix.from_columns(cols).rank() != len(cols):
         raise ValueError("iso is not injective on the compared basis")
 
+    def verdict(tup: tuple[int, ...]):
+        t1 = g1.table_lookup([g1.basis[i] for i in tup])
+        if t1 is None:
+            return _SKIP
+        lhs = push(t1)
+        combos = [images[i] for i in tup]
+        if lhs is None or any(c is None for c in combos):
+            return _SKIP
+        rhs = g2.bracket_combo(combos)
+        if rhs is None:
+            return _SKIP
+        diff = dict(lhs)
+        _accumulate(diff, rhs, -1)
+        if any(v != 0 for v in diff.values()):
+            return f"bracket images differ on {tup}"
+        return None
+
+    # the g2 classes a combination of images can pick, with their preimages
+    preimages: dict[HCKey, list[int]] = {}
+    for i, img in enumerate(images):
+        for k, c in (img or {}).items():
+            if c:
+                preimages.setdefault(k, []).append(i)
+    outside = {i for i, img in enumerate(images) if img is None}
+
     for n in range(2, arity_max + 1):
-        for tup in iproduct(range(K), repeat=n):
-            t1 = g1.table_lookup([g1.basis[i] for i in tup])
-            if t1 is None:
-                rep.skipped += 1
-                continue
-            lhs = push(t1)
-            combos = []
-            escape = False
-            for i in tup:
-                img = iso.get(g1.basis[i])
-                if img is None:
-                    escape = True
-                    break
-                combos.append(img)
-            if escape or lhs is None:
-                rep.skipped += 1
-                continue
-            rhs = g2.bracket_combo(combos)
-            if rhs is None:
-                rep.skipped += 1
-                continue
-            diff = dict(lhs)
-            for k, v in rhs.items():
-                diff[k] = diff.get(k, Q(0)) - v
-            rep.compared += 1
-            if any(v != 0 for v in diff.values()):
-                rep.mismatches.append(f"bracket images differ on {tup}")
-                if len(rep.mismatches) > 5:
-                    return rep
+        candidates = set(g1.entries(n))
+        for picks in iproduct(preimages, repeat=n):
+            got = g2.table_lookup(list(picks))
+            if got is None or got:
+                candidates.update(iproduct(*(preimages[k] for k in picks)))
+        if outside:
+            candidates.update(
+                t for t in iproduct(range(K), repeat=n) if outside.intersection(t)
+            )
+        verdicts = ((_rank(t, K), verdict(t)) for t in sorted(candidates))
+        compared, skipped, stopped = _tally(K**n, verdicts, rep.mismatches)
+        rep.compared += compared
+        rep.skipped += skipped
+        if stopped:
+            return rep
     return rep

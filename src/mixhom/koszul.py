@@ -729,7 +729,7 @@ def fit_dual_product_twist(ident: PoissonIdentification, primal_duality, dual_bu
     volume itself).  The calibration is deterministic and is subsequently
     verified on every bracket comparison, far beyond the fitted cells.
     """
-    from .calculus import attach_duality
+    from .calculus import DualityError, WindowError, attach_duality
 
     sl = primal_duality.bundle.slice
     sld = dual_bundle.slice
@@ -746,7 +746,7 @@ def fit_dual_product_twist(ident: PoissonIdentification, primal_duality, dual_bu
         for b in hh_classes:
             try:
                 prod_p = primal_duality.dot(a, b)
-            except Exception:
+            except (WindowError, DualityError):
                 continue
             ia, ib = images[a], images[b]
             try:
@@ -756,7 +756,7 @@ def fit_dual_product_twist(ident: PoissonIdentification, primal_duality, dual_bu
                         if c1 and c2:
                             for k, v in dd0.dot((a[0], i1), (b[0], i2)).items():
                                 prod_d[k] = prod_d.get(k, Q(0)) + c1 * c2 * v
-            except Exception:
+            except (WindowError, DualityError):
                 continue
             pushed: dict = {}
             for (pc, i), v in prod_p.items():

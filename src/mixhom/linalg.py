@@ -311,8 +311,6 @@ class HomologyPresentation:
         nb = len(self.boundary_basis)
         return tuple(coeffs[nb:])
 
-    def is_zero_class(self, vec: Sequence[Fraction]) -> bool:
-        return all(c == 0 for c in self.reduce(vec))
 
 
 def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPresentation:

@@ -228,19 +228,6 @@ def slice_from_poisson_dual(dual: po.DualSide, name: str | None = None) -> Mixed
     return MixedComplexSlice(pieces, b_mats, B_mats, name or f"poisson-dual({dual.ctx.n})")
 
 
-def make_mixed(source: str, *, algebra=None, ctx=None, pi=None, dual=None, w_max: int = 4) -> MixedComplexSlice:
-    """Dispatch to one of the four mixed-complex constructions."""
-    if source == "hochschild":
-        return slice_from_hochschild(algebra, w_max)
-    if source == "hochschild-dual":
-        return slice_from_hochschild_dual(algebra, w_max)
-    if source == "poisson":
-        return slice_from_poisson(ctx, pi, w_max)
-    if source == "poisson-dual":
-        return slice_from_poisson_dual(dual)
-    raise ValueError(f"unknown mixed-complex source {source!r}")
-
-
 # -- negative cyclic homology ----------------------------------------------------
 
 

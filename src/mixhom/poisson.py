@@ -211,15 +211,6 @@ class PoissonContext:
     def make(cls, n: int, side: str = "poly") -> "PoissonContext":
         return cls(n, side, form_space(n, side), multivector_space(n, side))
 
-    def vector_arity(self, m: Monomial) -> int:
-        return sum(m[self.n :])
-
-    def form_arity(self, m: Monomial) -> int:
-        return sum(m[self.n :])
-
-    def coeff_part(self, m: Monomial) -> Monomial:
-        return m[: self.n] + (0,) * self.n
-
 
 # -- core operators ----------------------------------------------------------
 
@@ -595,29 +586,6 @@ def modular_vector_field(ctx: PoissonContext, pi: GCAElement) -> GCAElement:
     exactly when this vanishes.
     """
     return odd_laplacian(ctx, pi)
-
-
-# -- duals: functionals on the exterior-side forms -----------------------------
-
-
-def dual_functional_degree(ctx: PoissonContext, m: Monomial) -> int:
-    return -ctx.forms.degree(m)
-
-
-def twisted_transpose(op, degree_of, functional: dict[Monomial, Fraction], domain: list[Monomial]):
-    """T*(φ) = (-1)^{|φ|} φ∘T for a functional on form monomials."""
-    out: dict[Monomial, Fraction] = {}
-    for m in domain:
-        img = op({m: Q(1)})
-        total = Q(0)
-        for mm, c in img.items():
-            v = functional.get(mm)
-            if v:
-                total += c * v
-        if total:
-            deg = degree_of(functional)
-            out[m] = (Q(-1) if deg % 2 else Q(1)) * total
-    return out
 
 
 # -- the dual side: functionals on exterior-side forms ------------------------

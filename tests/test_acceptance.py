@@ -357,6 +357,23 @@ def test_criterion_07_gravity_suite(frobenius_gravity, poisson_pair):
            "; ".join(details))
 
 
+def test_gravity_check_counts(frobenius_gravity, poisson_pair):
+    """The exact counts behind criteria 7 and 8, as the enumeration gave them."""
+    ident, dp, dd, gp, gd = poisson_pair
+    poisson_nonzero = {2: 24, 3: 72, 4: 144}
+    expected = {
+        "frobenius-cyclic-cohomology": (frobenius_gravity, 7938, 75117, {2: 14, 3: 42, 4: 84}),
+        "negative-cyclic-poisson": (gp, 120932, 2272032, poisson_nonzero),
+        "frobenius-poisson-dual": (gd, 120932, 2272032, poisson_nonzero),
+    }
+    for name, (g, skew, jacobi, nonzero) in expected.items():
+        rep = verify_gravity_axioms(g, n_max=4, check_max=5)
+        got = (rep.passed, rep.skew_checked, rep.jacobi_checked, rep.window_skips, rep.nonzero_brackets)
+        assert got == (True, skew, jacobi, 0, nonzero), name
+    rep = compare_across_iso(gp, gd, poisson_hc_iso(ident, gp, gd), arity_max=4)
+    assert (rep.passed, rep.compared, rep.skipped) == (True, 41356, 0)
+
+
 def test_criterion_08_gravity_isomorphism(poisson_pair):
     ident, dp, dd, gp, gd = poisson_pair
     iso = poisson_hc_iso(ident, gp, gd)

@@ -119,3 +119,14 @@ class TestRun:
         bad.write_text("[algebra]\nkind exterior\n")
         assert main(["hh", "--input", str(bad), "--out", str(tmp_path / "o2")]) == 4
         assert main(["hh", "--input", str(tmp_path / "missing"), "--out", str(tmp_path / "o3")]) == 4
+
+    def test_gravity_on_non_unimodular_pi_reports_and_continues(self, tmp_path):
+        # POLY_POISSON_JOB's π is not unimodular: the volume form is no
+        # cycle, so the gravity task has no duality to work with
+        job = tmp_path / "job.txt"
+        job.write_text(POLY_POISSON_JOB.replace("[tasks]\npoisson\n", "[tasks]\ngravity\nhh\n"))
+        assert main(["run", "--input", str(job), "--out", str(tmp_path / "o")]) == 2
+        result = json.loads((tmp_path / "o" / "gravity.json").read_text())["result"]
+        assert result["error"] == "verification failure"
+        assert "not unimodular" in result["detail"]
+        assert (tmp_path / "o" / "hh.json").exists()

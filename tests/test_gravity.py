@@ -1,12 +1,18 @@
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
-from mixhom.calculus import attach_duality, poisson_bundle, polyvector_pd_twist
-from mixhom.gravity import GravityStructure, compare_across_iso, verify_gravity_axioms
+from mixhom.algebra import make_exterior_algebra
+from mixhom.calculus import (DualityData, attach_duality, hochschild_dual_bundle,
+    poisson_bundle, polyvector_pd_twist)
+from mixhom.gravity import (GravityReport, GravityStructure, HCKey, IsoReport,
+    compare_across_iso, verify_gravity_axioms)
+from mixhom.linalg import ExactMatrix
 from mixhom.koszul import (dual_bivector_coeffs, fit_dual_product_twist,
     koszul_poisson_identification, poisson_hc_iso)
-from mixhom.mixed import NegativeCyclic, default_truncation, slice_from_poisson
+from mixhom.mixed import (NegativeCyclic, default_truncation, slice_from_hochschild_dual,
+    slice_from_poisson)
 from mixhom.poisson import PoissonContext, quadratic_bivector
 
 Q = Fraction
@@ -143,3 +149,426 @@ class TestIso:
         }
         rep = compare_across_iso(gp, gd, flipped, arity_max=2)
         assert rep.mismatches, "sign flip must be reported as a mismatch"
+
+
+# -- the enumerating verifier, kept as the differential oracle ------------------
+#
+# These are the checks as they ran before the sparse join: every tuple and
+# every Jacobi instance is enumerated and evaluated from the tables.  The
+# join must reproduce their reports field for field.
+
+
+def enumerate_gravity_axioms(g: GravityStructure, n_max: int = 4, check_max: int = 5) -> GravityReport:
+    """Exhaustive skew-symmetry and generalized Jacobi over the basis.
+
+    Skew-symmetry is checked on every adjacent transposition of every tuple
+    with arity <= n_max; the generalized Jacobi identity on all tuples with
+    n + m <= check_max (including the m = 0 vanishing case).  Tuples whose
+    brackets escape the window are counted and skipped.
+    """
+    rep = GravityReport()
+    K = len(g.basis)
+    deg = [g.degree(k) for k in g.basis]
+
+    def tbl(idxs) -> dict | None:
+        return g.table_lookup([g.basis[i] for i in idxs])
+
+    # nonzero census per arity
+    for n in range(2, n_max + 1):
+        count = 0
+        for tup in iproduct(range(K), repeat=n):
+            got = tbl(tup)
+            if got is None:
+                rep.window_skips += 1
+            elif got:
+                count += 1
+        rep.nonzero_brackets[n] = count
+
+    # skew-symmetry under adjacent transpositions
+    for n in range(2, n_max + 1):
+        for tup in iproduct(range(K), repeat=n):
+            base = tbl(tup)
+            if base is None:
+                continue
+            for i in range(n - 1):
+                swapped = list(tup)
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+                other = tbl(swapped)
+                if other is None:
+                    rep.window_skips += 1
+                    continue
+                s = -1 if ((deg[tup[i]] + 1) % 2) and ((deg[tup[i + 1]] + 1) % 2) else 1
+                acc = dict(base)
+                for k, v in other.items():
+                    acc[k] = acc.get(k, Q(0)) + s * v
+                rep.skew_checked += 1
+                if any(v != 0 for v in acc.values()):
+                    rep.skew_failures.append(f"skew fails on {tup} at slot {i}")
+                    if len(rep.skew_failures) > 5:
+                        return rep
+
+    # generalized Jacobi; the m = 0 case needs n >= 3 (an inner bracket of
+    # arity n + m - 1 = 1 is not defined)
+    for n in range(2, check_max + 1):
+        for m in range(0, check_max - n + 1):
+            if m == 0 and n < 3:
+                continue
+            for xs in iproduct(range(K), repeat=n):
+                for ys in iproduct(range(K), repeat=m):
+                    ok, value = _jacobi_instance(g, list(xs), list(ys), deg)
+                    if ok is None:
+                        rep.window_skips += 1
+                        continue
+                    rep.jacobi_checked += 1
+                    if not ok:
+                        rep.jacobi_failures.append(f"Jacobi fails on xs={xs}, ys={ys}")
+                        if len(rep.jacobi_failures) > 5:
+                            return rep
+    return rep
+
+
+def _jacobi_instance(g: GravityStructure, xs: list[int], ys: list[int], deg):
+    """One generalized-Jacobi instance with the frozen sign dictionary.
+
+    ε_{ij} is the cost of pulling x_i then x_j to the front, one adjacent
+    transposition at a time, where swapping homogeneous arguments costs
+    exactly the table's skew sign -(-1)^{(d+1)(d'+1)}; with that dictionary
+    the double sum closes onto (-1)^n {{x_1..x_n}, y_1..y_m} (and vanishes
+    for m = 0), as verified exhaustively on every computed structure.
+    """
+    n = len(xs)
+    total: dict[HCKey, Fraction] = {}
+    basis = g.basis
+    ds = [deg[x] for x in xs]
+    tail_keys = [basis[y] for y in ys]
+    for i in range(n):
+        for j in range(i + 1, n):
+            inner = g.table_lookup([basis[xs[i]], basis[xs[j]]])
+            if inner is None:
+                return None, None
+            if not inner:
+                continue
+            eps = 0
+            for t in range(i):
+                eps += (ds[i] + 1) * (ds[t] + 1) + 1
+            for t in range(j):
+                if t != i:
+                    eps += (ds[j] + 1) * (ds[t] + 1) + 1
+            rest = [basis[xs[t]] for t in range(n) if t not in (i, j)]
+            s = Q(-1) if eps % 2 else Q(1)
+            for key_in, c_in in inner.items():
+                got = g.table_lookup([key_in] + rest + tail_keys)
+                if got is None:
+                    return None, None
+                for k, v in got.items():
+                    acc = total.get(k, Q(0)) + s * c_in * v
+                    if acc == 0:
+                        total.pop(k, None)
+                    else:
+                        total[k] = acc
+    if ys:
+        outer = g.table_lookup([basis[x] for x in xs])
+        if outer is None:
+            return None, None
+        rhs_sign = Q(-1) if n % 2 else Q(1)
+        for key_out, c_out in outer.items():
+            got = g.table_lookup([key_out] + tail_keys)
+            if got is None:
+                return None, None
+            for k, v in got.items():
+                acc = total.get(k, Q(0)) - rhs_sign * c_out * v
+                if acc == 0:
+                    total.pop(k, None)
+                else:
+                    total[k] = acc
+    ok = all(v == 0 for v in total.values())
+    return ok, total
+
+
+
+def enumerate_across_iso(
+    g1: GravityStructure,
+    g2: GravityStructure,
+    iso,
+    arity_max: int = 4,
+) -> IsoReport:
+    """Check that a degree-preserving map intertwines the bracket tables.
+
+    ``iso`` maps a g1 basis key to a combination {g2 key: coefficient}; it
+    must be invertible on the compared window (checked by rank).  For every
+    tuple with arity <= arity_max present in both tables the images are
+    compared; mismatches are listed.
+    """
+    rep = IsoReport()
+    K = len(g1.basis)
+
+    def push(table: dict[HCKey, Fraction]) -> dict[HCKey, Fraction] | None:
+        out: dict[HCKey, Fraction] = {}
+        for k, v in table.items():
+            img = iso.get(k)
+            if img is None:
+                return None
+            for kk, vv in img.items():
+                s = out.get(kk, Q(0)) + v * vv
+                if s == 0:
+                    out.pop(kk, None)
+                else:
+                    out[kk] = s
+        return out
+
+    # invertibility on the window: the pushed basis vectors must be
+    # linearly independent
+    cols = []
+    g2_index = {k: i for i, k in enumerate(g2.basis)}
+    for k in g1.basis:
+        img = iso.get(k)
+        if img is None:
+            continue
+        col = [Q(0)] * len(g2.basis)
+        for kk, vv in img.items():
+            col[g2_index[kk]] = vv
+        cols.append(tuple(col))
+    if cols and ExactMatrix.from_columns(cols).rank() != len(cols):
+        raise ValueError("iso is not injective on the compared basis")
+
+    for n in range(2, arity_max + 1):
+        for tup in iproduct(range(K), repeat=n):
+            t1 = g1.table_lookup([g1.basis[i] for i in tup])
+            if t1 is None:
+                rep.skipped += 1
+                continue
+            lhs = push(t1)
+            combos = []
+            escape = False
+            for i in tup:
+                img = iso.get(g1.basis[i])
+                if img is None:
+                    escape = True
+                    break
+                combos.append(img)
+            if escape or lhs is None:
+                rep.skipped += 1
+                continue
+            rhs = g2.bracket_combo(combos)
+            if rhs is None:
+                rep.skipped += 1
+                continue
+            diff = dict(lhs)
+            for k, v in rhs.items():
+                diff[k] = diff.get(k, Q(0)) - v
+            rep.compared += 1
+            if any(v != 0 for v in diff.values()):
+                rep.mismatches.append(f"bracket images differ on {tup}")
+                if len(rep.mismatches) > 5:
+                    return rep
+    return rep
+
+
+# -- the join against the oracle ----------------------------------------------------
+
+
+def assert_same_report(g, n_max=4, check_max=5):
+    new = verify_gravity_axioms(g, n_max=n_max, check_max=check_max)
+    old = enumerate_gravity_axioms(g, n_max=n_max, check_max=check_max)
+    assert new == old
+    return new
+
+
+@pytest.fixture(scope="module")
+def frobenius():
+    """The K=7 Λ(ξ1,ξ2) structure of the acceptance suite."""
+    A = make_exterior_algebra(2)
+    sl = slice_from_hochschild_dual(A, 5)
+    hc = NegativeCyclic(sl, default_truncation(sl))
+    bundle = hochschild_dual_bundle(
+        A, sl, q_max=6, coh_window=lambda p: -3 <= p[1] <= 2 and -3 <= p[0] <= 0
+    )
+    piece = (2, 2)
+    coords = sl.hh(piece).reduce(sl.element_vector(piece, {(A.index["ξ1ξ2"],): Q(1)}))
+    duality = attach_duality(bundle, (piece, [i for i, c in enumerate(coords) if c][0]))
+    basis = [k for k in GravityStructure(hc, duality).basis if k[0][1] <= 2 and k[0][0] >= 0]
+    return GravityStructure(hc, duality, basis)
+
+
+@pytest.fixture(scope="module")
+def truncated(pair):
+    """K=8 classes of the primal pair structure that carry brackets of every arity.
+
+    The (2, 3) classes pair with the weight-one and weight-two classes, and
+    the (3, 3) class enters every nonzero bracket of arity 3 and 4.
+    """
+    _, gp, _ = pair
+    pieces = ((0, 0), (1, 1), (2, 3), (3, 3))
+    basis = [k for k in gp.basis if k[0] in pieces] + [((1, 2), 0)]
+    assert len(basis) == 8
+    g = GravityStructure(gp.hc, gp.duality, basis)
+    for n in (2, 3, 4):
+        g.build_table(n)
+    return g
+
+
+def tables_copy(g):
+    """The same structure with its own copy of the tables, sharing the ingredients."""
+    h = GravityStructure(g.hc, g.duality, g.basis)
+    h._pi, h._dot, h._beta = g._pi, g._dot, g._beta
+    h._tables = {n: dict(t) for n, t in g._tables.items()}
+    return h
+
+
+def nonzero(g, arity):
+    return sorted(t for t, v in g.entries(arity).items() if v)
+
+
+def scale_entry(g, arity, tup, c):
+    table = g._tables[arity]
+    table[tup] = {k: c * v for k, v in table[tup].items()}
+
+
+def corrupt_scaled(arity):
+    def apply(g):
+        scale_entry(g, arity, nonzero(g, arity)[0], Q(2))
+    return apply
+
+
+def corrupt_outside(g):
+    # a binary output outside the basis: its Jacobi rows are computed on demand
+    outside = next(k for k in GravityStructure(g.hc, g.duality).basis if k not in g.index)
+    g._tables[2][nonzero(g, 2)[0]] = {outside: Q(1)}
+
+
+def corrupt_unavailable(arity, index=0):
+    def apply(g):
+        g._tables[arity][nonzero(g, arity)[index]] = None
+    return apply
+
+
+def corrupt_unavailable_zero(g):
+    # a zero binary entry read as an inner bracket by many instances
+    g._tables[2][next(t for t, v in sorted(g._tables[2].items()) if v == {})] = None
+
+
+def corrupt_many_binary(g):
+    # eight skew failures: the skew check stops after the sixth
+    for tup in nonzero(g, 2)[:4]:
+        scale_entry(g, 2, tup, Q(3))
+
+
+def corrupt_orbit(arity):
+    # every nonzero entry of one arity doubled: skew still holds, Jacobi fails
+    def apply(g):
+        for tup in nonzero(g, arity):
+            scale_entry(g, arity, tup, Q(2))
+    return apply
+
+
+def has_failures(rep):
+    return not rep.passed
+
+
+def has_skips(rep):
+    return rep.window_skips > 0
+
+
+def stops_in_skew(rep):
+    return len(rep.skew_failures) == 6 and rep.jacobi_checked == 0
+
+
+def stops_in_jacobi(rep):
+    return not rep.skew_failures and len(rep.jacobi_failures) == 6
+
+
+# name -> (corruption, what the report must show besides matching the oracle)
+CORRUPTIONS = {
+    "scaled-2": (corrupt_scaled(2), has_failures),
+    "scaled-3": (corrupt_scaled(3), has_failures),
+    "scaled-4": (corrupt_scaled(4), has_failures),
+    "outside-2": (corrupt_outside, has_failures),
+    "none-2": (corrupt_unavailable(2), has_skips),
+    "none-3": (corrupt_unavailable(3), has_skips),
+    "none-4": (corrupt_unavailable(4, index=-1), has_skips),
+    "none-zero-2": (corrupt_unavailable_zero, has_skips),
+    "many-2": (corrupt_many_binary, stops_in_skew),
+    "orbit-2": (corrupt_orbit(2), stops_in_jacobi),
+    "orbit-3": (corrupt_orbit(3), has_failures),
+}
+
+
+def corrupted(g, name):
+    h = tables_copy(g)
+    CORRUPTIONS[name][0](h)
+    return h
+
+
+class TestJoinAgainstOracle:
+    def test_zero_pi(self, zero_pi_structure):
+        rep = assert_same_report(zero_pi_structure, n_max=3, check_max=4)
+        assert rep.passed and rep.jacobi_checked > 0
+
+    def test_frobenius(self, frobenius):
+        rep = assert_same_report(frobenius)
+        assert (rep.skew_checked, rep.jacobi_checked, rep.window_skips) == (7938, 75117, 0)
+
+    def test_truncated_pair(self, truncated):
+        rep = assert_same_report(truncated)
+        assert rep.passed and all(rep.nonzero_brackets.values())
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_corrupted(self, truncated, name):
+        rep = assert_same_report(corrupted(truncated, name))
+        assert CORRUPTIONS[name][1](rep), rep
+
+
+class TestIsoJoinAgainstOracle:
+    def assert_same(self, g1, g2, iso, arity_max):
+        new = compare_across_iso(g1, g2, iso, arity_max=arity_max)
+        assert new == enumerate_across_iso(g1, g2, iso, arity_max=arity_max)
+        return new
+
+    def test_identity(self, zero_pi_structure):
+        g = zero_pi_structure
+        rep = self.assert_same(g, g, {k: {k: Q(1)} for k in g.basis}, 3)
+        assert rep.passed and rep.compared + rep.skipped == sum(len(g.basis) ** n for n in (2, 3))
+
+    def test_koszul_identification(self, pair):
+        ident, gp, gd = pair
+        rep = self.assert_same(gp, gd, poisson_hc_iso(ident, gp, gd), 3)
+        assert rep.passed
+
+    def test_sign_flips(self, pair):
+        # flipping each class in turn: some flips give more than six
+        # mismatches and stop early
+        ident, gp, gd = pair
+        iso = poisson_hc_iso(ident, gp, gd)
+        stopped = 0
+        for flip_key in gp.basis:
+            flipped = {
+                k: ({kk: -vv for kk, vv in v.items()} if k == flip_key else v)
+                for k, v in iso.items()
+            }
+            rep = self.assert_same(gp, gd, flipped, 2)
+            stopped += len(rep.mismatches) == 6
+        assert stopped
+
+    def test_unavailable_and_outside_the_map(self, truncated, pair):
+        ident, gp, gd = pair
+        g1 = corrupted(truncated, "none-2")
+        g2 = corrupted(truncated, "none-zero-2")
+        iso = {k: {k: Q(1)} for k in g1.basis[1:]}
+        rep = self.assert_same(g1, g2, iso, 3)
+        assert rep.skipped > 0
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_fit_dual_product_twist_lets_unrelated_errors_through(pair, monkeypatch, side):
+    # only window and duality errors mark a product as out of reach
+    ident, gp, gd = pair
+    dot = DualityData.dot
+
+    def guarded(self, a, b):
+        if (self is gp.duality) == (side == "primal"):
+            raise TypeError(f"unrelated error on the {side} side")
+        return dot(self, a, b)
+
+    monkeypatch.setattr(DualityData, "dot", guarded)
+    with pytest.raises(TypeError, match=side):
+        fit_dual_product_twist(ident, gp.duality, gd.duality.bundle, gd.duality.eta)
