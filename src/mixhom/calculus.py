@@ -25,14 +25,17 @@ from .hochschild import (
     all_tuples_up_to_weight,
     cap,
     cap_star,
+    chain_weight,
     coboundary,
     cup,
     gerstenhaber_bracket,
+    shifted_degree,
     unit_cochain,
 )
 from .linalg import (
     ExactMatrix,
     HomologyPresentation,
+    _accumulate,
     homology_presentation,
     solve_in_span,
 )
@@ -266,6 +269,19 @@ class MultivectorOps:
         return (0, 0), {self.ctx.vectors.one: Q(1)}
 
 
+def _expand(table, step):
+    """Σ v·step(k) over the entries k: v of table; None if table or any step is None."""
+    if table is None:
+        return None
+    out: dict = {}
+    for k, v in table.items():
+        got = step(k)
+        if got is None:
+            return None
+        _accumulate(out, got, v)
+    return out
+
+
 # -- the bundle -----------------------------------------------------------------
 
 
@@ -398,15 +414,11 @@ class CalculusBundle:
             vec = self.hom_rep_vector(z)
             try:
                 for c, lab in zip(vec, labels):
-                    if not c:
-                        continue
-                    img = self.act(rep, lab)
-                    for lab2, v in img.items():
-                        out_acc[lab2] = out_acc.get(lab2, Q(0)) + c * v
+                    if c:
+                        _accumulate(out_acc, self.act(rep, lab), c)
             except (WindowOverflowError, WindowError):
                 self._cap[key] = None
                 return self._cap[key]
-            out_acc = {k: v for k, v in out_acc.items() if v}
             if not out_acc:
                 self._cap[key] = {}
             else:
@@ -446,14 +458,6 @@ class CalculusBundle:
         hom = self.hom_classes()[:max_classes]
         deg = {k: k[0][0] for k in coh}
 
-        def add_table(t1, t2, s):
-            if t1 is None or t2 is None:
-                return None
-            out = dict(t1)
-            for k, v in t2.items():
-                out[k] = out.get(k, Q(0)) + s * v
-            return {k: v for k, v in out.items() if v}
-
         # cup: graded commutativity and associativity
         for a, b in iproduct(coh, repeat=2):
             ab = self.cup_classes(a, b)
@@ -462,19 +466,19 @@ class CalculusBundle:
                 continue
             rep.checked += 1
             s = -1 if (deg[a] % 2) and (deg[b] % 2) else 1
-            if add_table(ab, ba, Q(-s)):
+            if _accumulate(dict(ab), ba, -s):
                 rep.failures.append(f"cup not graded-commutative on {a}, {b}")
         for a, b, c in iproduct(coh[: max(8, len(coh) // 2)], repeat=3):
             ab = self.cup_classes(a, b)
             bc = self.cup_classes(b, c)
             if ab is None or bc is None:
                 continue
-            left = self._expand_cup(ab, c)
-            right = self._expand_cup_left(a, bc)
+            left = _expand(ab, lambda k: self.cup_classes(k, c))
+            right = _expand(bc, lambda k: self.cup_classes(a, k))
             if left is None or right is None:
                 continue
             rep.checked += 1
-            if add_table(left, right, Q(-1)):
+            if _accumulate(left, right, -1):
                 rep.failures.append(f"cup not associative on {a}, {b}, {c}")
         # bracket: antisymmetry and Jacobi
         for a, b in iproduct(coh, repeat=2):
@@ -484,33 +488,28 @@ class CalculusBundle:
                 continue
             rep.checked += 1
             s = -1 if ((deg[a] + 1) % 2) and ((deg[b] + 1) % 2) else 1
-            if add_table(ab, ba, Q(s)):
+            if _accumulate(dict(ab), ba, s):
                 rep.failures.append(f"bracket not antisymmetric on {a}, {b}")
         for a, b, c in iproduct(coh[: max(6, len(coh) // 3)], repeat=3):
-            ab_c = self._expand_bracket(self.bracket_classes(a, b), c)
-            a_bc = self._expand_bracket_left(a, self.bracket_classes(b, c))
-            b_ac = self._expand_bracket_left(b, self.bracket_classes(a, c))
+            ab_c = _expand(self.bracket_classes(a, b), lambda k: self.bracket_classes(k, c))
+            a_bc = _expand(self.bracket_classes(b, c), lambda k: self.bracket_classes(a, k))
+            b_ac = _expand(self.bracket_classes(a, c), lambda k: self.bracket_classes(b, k))
             if ab_c is None or a_bc is None or b_ac is None:
                 continue
             rep.checked += 1
             s = -1 if ((deg[a] + 1) % 2) and ((deg[b] + 1) % 2) else 1
-            total = add_table(a_bc, ab_c, Q(-1))
-            total = add_table(total, b_ac, Q(-s))
-            if total:
+            if _accumulate(_accumulate(a_bc, ab_c, -1), b_ac, -s):
                 rep.failures.append(f"bracket Jacobi fails on {a}, {b}, {c}")
         # biderivation: {a, b∪c} = {a,b}∪c + (-1)^{(|a|+1)|b|} b∪{a,c}
         for a, b, c in iproduct(coh[: max(6, len(coh) // 3)], repeat=3):
-            bc = self.cup_classes(b, c)
-            lhs = self._expand_bracket_left(a, bc)
-            t1 = self._expand_cup(self.bracket_classes(a, b), c)
-            t2 = self._expand_cup_left(b, self.bracket_classes(a, c))
+            lhs = _expand(self.cup_classes(b, c), lambda k: self.bracket_classes(a, k))
+            t1 = _expand(self.bracket_classes(a, b), lambda k: self.cup_classes(k, c))
+            t2 = _expand(self.bracket_classes(a, c), lambda k: self.cup_classes(b, k))
             if lhs is None or t1 is None or t2 is None:
                 continue
             rep.checked += 1
             s = -1 if ((deg[a] + 1) % 2) and (deg[b] % 2) else 1
-            total = add_table(lhs, t1, Q(-1))
-            total = add_table(total, t2, Q(-s))
-            if total:
+            if _accumulate(_accumulate(lhs, t1, -1), t2, -s):
                 rep.failures.append(f"biderivation fails on {a}, {b}, {c}")
         # contraction composition on homology
         for a, b in iproduct(coh, repeat=2):
@@ -521,27 +520,13 @@ class CalculusBundle:
                 inner = self.cap_classes(b, z)
                 if inner is None:
                     continue
-                lhs: dict[ClassKey, Fraction] | None = {}
-                for k, v in inner.items():
-                    step = self.cap_classes(a, k)
-                    if step is None:
-                        lhs = None
-                        break
-                    for kk, vv in step.items():
-                        lhs[kk] = lhs.get(kk, Q(0)) + v * vv
-                rhs: dict[ClassKey, Fraction] | None = {}
-                for k, v in ba.items():
-                    step = self.cap_classes(k, z)
-                    if step is None:
-                        rhs = None
-                        break
-                    for kk, vv in step.items():
-                        rhs[kk] = rhs.get(kk, Q(0)) + v * vv
+                lhs = _expand(inner, lambda k: self.cap_classes(a, k))
+                rhs = _expand(ba, lambda k: self.cap_classes(k, z))
                 if lhs is None or rhs is None:
                     continue
                 rep.checked += 1
                 s = -1 if (deg[a] % 2) and (deg[b] % 2) else 1
-                if add_table(lhs, rhs, Q(-s)):
+                if _accumulate(lhs, rhs, -s):
                     rep.failures.append(f"ι_f ι_g ≠ ±ι_(g∪f) on {a}, {b}, {z}")
         # unit acts as identity
         try:
@@ -559,114 +544,28 @@ class CalculusBundle:
 
     def _verify_lie_rules(self, rep: AxiomReport, coh, hom):
         def L(f: ClassKey, z: ClassKey):
-            first_in = self.cap_classes(f, z)
+            first_in = _expand(self.cap_classes(f, z), self.B_classes)
             if first_in is None:
                 return None
-            out: dict[ClassKey, Fraction] = {}
-            for k, v in first_in.items():
-                for kk, vv in self.B_classes(k).items():
-                    out[kk] = out.get(kk, Q(0)) + v * vv
-            s = -1 if f[0][0] % 2 else 1
-            for k, v in self.B_classes(z).items():
-                step = self.cap_classes(f, k)
-                if step is None:
-                    return None
-                for kk, vv in step.items():
-                    out[kk] = out.get(kk, Q(0)) - s * v * vv
-            return {k: v for k, v in out.items() if v}
+            second = _expand(self.B_classes(z), lambda k: self.cap_classes(f, k))
+            if second is None:
+                return None
+            return _accumulate(first_in, second, -1 if f[0][0] % 2 else 1)
 
         for a, b in iproduct(coh[: max(6, len(coh) // 3)], repeat=2):
             br = self.bracket_classes(a, b)
             if br is None:
                 continue
             for z in hom[: max(8, len(hom) // 2)]:
-                lab = L(b, z)
-                lba = None if lab is None else {}
-                if lab is not None:
-                    for k, v in lab.items():
-                        got = L(a, k)
-                        if got is None:
-                            lba = None
-                            break
-                        for kk, vv in got.items():
-                            lba[kk] = lba.get(kk, Q(0)) + v * vv
-                la = L(a, z)
-                lab2 = None if la is None else {}
-                if la is not None:
-                    for k, v in la.items():
-                        got = L(b, k)
-                        if got is None:
-                            lab2 = None
-                            break
-                        for kk, vv in got.items():
-                            lab2[kk] = lab2.get(kk, Q(0)) + v * vv
-                lbr = {}
-                for k, v in br.items():
-                    got = L(k, z)
-                    if got is None:
-                        lbr = None
-                        break
-                    for kk, vv in got.items():
-                        lbr[kk] = lbr.get(kk, Q(0)) + v * vv
+                lba = _expand(L(b, z), lambda k: L(a, k))
+                lab2 = _expand(L(a, z), lambda k: L(b, k))
+                lbr = _expand(br, lambda k: L(k, z))
                 if lba is None or lab2 is None or lbr is None:
                     continue
                 rep.checked += 1
                 s = -1 if ((a[0][0] + 1) % 2) and ((b[0][0] + 1) % 2) else 1
-                total = dict(lba)
-                for k, v in lab2.items():
-                    total[k] = total.get(k, Q(0)) - s * v
-                for k, v in lbr.items():
-                    total[k] = total.get(k, Q(0)) - v
-                if any(v != 0 for v in total.values()):
+                if _accumulate(_accumulate(lba, lab2, -s), lbr, -1):
                     rep.failures.append(f"[L_f, L_g] ≠ L_(f,g) on {a}, {b}, {z}")
-
-    def _expand_cup(self, table, c: ClassKey):
-        if table is None:
-            return None
-        out: dict[ClassKey, Fraction] = {}
-        for k, v in table.items():
-            step = self.cup_classes(k, c)
-            if step is None:
-                return None
-            for kk, vv in step.items():
-                out[kk] = out.get(kk, Q(0)) + v * vv
-        return {k: v for k, v in out.items() if v}
-
-    def _expand_cup_left(self, a: ClassKey, table):
-        if table is None:
-            return None
-        out: dict[ClassKey, Fraction] = {}
-        for k, v in table.items():
-            step = self.cup_classes(a, k)
-            if step is None:
-                return None
-            for kk, vv in step.items():
-                out[kk] = out.get(kk, Q(0)) + v * vv
-        return {k: v for k, v in out.items() if v}
-
-    def _expand_bracket(self, table, c: ClassKey):
-        if table is None:
-            return None
-        out: dict[ClassKey, Fraction] = {}
-        for k, v in table.items():
-            step = self.bracket_classes(k, c)
-            if step is None:
-                return None
-            for kk, vv in step.items():
-                out[kk] = out.get(kk, Q(0)) + v * vv
-        return {k: v for k, v in out.items() if v}
-
-    def _expand_bracket_left(self, a: ClassKey, table):
-        if table is None:
-            return None
-        out: dict[ClassKey, Fraction] = {}
-        for k, v in table.items():
-            step = self.bracket_classes(a, k)
-            if step is None:
-                return None
-            for kk, vv in step.items():
-                out[kk] = out.get(kk, Q(0)) + v * vv
-        return {k: v for k, v in out.items() if v}
 
 
 # -- duality -------------------------------------------------------------------
@@ -726,18 +625,16 @@ class DualityData:
                 if cupt is None:
                     raise WindowError(f"transported product escapes window on {a}·{b}")
                 for kc, vc in cupt.items():
-                    for kz, vz in self.pd_of(kc).items():
-                        out[kz] = out.get(kz, Q(0)) + va * vb * vc * vz
-        return {k: v for k, v in out.items() if v}
+                    _accumulate(out, self.pd_of(kc), va * vb * vc)
+        return out
 
     def delta_classes(self, key: ClassKey) -> dict[ClassKey, Fraction]:
         """Δ = PD⁻¹ ∘ B ∘ PD on cohomology classes."""
         out: dict[ClassKey, Fraction] = {}
         for kz, vz in self.pd_of(key).items():
             for kb, vb in self.bundle.B_classes(kz).items():
-                for kf, vf in self.pd_inverse(kb).items():
-                    out[kf] = out.get(kf, Q(0)) + vz * vb * vf
-        return {k: v for k, v in out.items() if v}
+                _accumulate(out, self.pd_inverse(kb), vz * vb)
+        return out
 
     def generated_bracket(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction] | None:
         """[a,b] = (-1)^{|a|+1} (Δ(a∪b) - Δa∪b - (-1)^{|a|} a∪Δb)."""
@@ -747,23 +644,20 @@ class DualityData:
             return None
         out: dict[ClassKey, Fraction] = {}
         for k, v in ab.items():
-            for kk, vv in self.delta_classes(k).items():
-                out[kk] = out.get(kk, Q(0)) + v * vv
+            _accumulate(out, self.delta_classes(k), v)
         for k, v in self.delta_classes(a).items():
             step = self.bundle.cup_classes(k, b)
             if step is None:
                 return None
-            for kk, vv in step.items():
-                out[kk] = out.get(kk, Q(0)) - v * vv
+            _accumulate(out, step, -v)
         s = -1 if da % 2 else 1
         for k, v in self.delta_classes(b).items():
             step = self.bundle.cup_classes(a, k)
             if step is None:
                 return None
-            for kk, vv in step.items():
-                out[kk] = out.get(kk, Q(0)) - s * v * vv
+            _accumulate(out, step, -s * v)
         lead = -1 if (da + 1) % 2 else 1
-        return {k: lead * v for k, v in out.items() if v}
+        return {k: lead * v for k, v in out.items()}
 
 
 def attach_duality(bundle: CalculusBundle, eta: ClassKey, pd_twist=None) -> DualityData:
@@ -856,40 +750,16 @@ def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: in
     coh = [k for k in bundle.coh_classes() if k[0] in data.pd][:max_classes]
     deg = {k: k[0][0] for k in coh}
 
-    def table_add(acc, table, s=Q(1)):
-        for k, v in table.items():
-            acc[k] = acc.get(k, Q(0)) + s * v
-
-    d2_ok = True
-    for a in coh:
-        out: dict[ClassKey, Fraction] = {}
-        for k, v in data.delta_classes(a).items():
-            table_add(out, data.delta_classes(k), v)
-        if any(v != 0 for v in out.values()):
-            d2_ok = False
-            break
+    d2_ok = not any(_expand(data.delta_classes(a), data.delta_classes) for a in coh)
 
     def cup2(a, b):
         return bundle.cup_classes(a, b)
 
     def cup_table(table, b, left=False):
-        if table is None:
-            return None
-        out: dict[ClassKey, Fraction] = {}
-        for k, v in table.items():
-            step = cup2(b, k) if left else cup2(k, b)
-            if step is None:
-                return None
-            table_add(out, step, v)
-        return out
+        return _expand(table, (lambda k: cup2(b, k)) if left else (lambda k: cup2(k, b)))
 
     def delta_table(table):
-        if table is None:
-            return None
-        out: dict[ClassKey, Fraction] = {}
-        for k, v in table.items():
-            table_add(out, data.delta_classes(k), v)
-        return out
+        return _expand(table, data.delta_classes)
 
     seven_checked = 0
     seven_failures: list[str] = []
@@ -910,36 +780,17 @@ def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: in
         t_b_ac = cup_table(delta_table(ac), b, left=True)
         t_da_bc = cup_table(cup_table(data.delta_classes(a), b), c)
         t_a_db_c = cup_table(cup_table(data.delta_classes(b), c), a, left=True)
-        abdc: dict[ClassKey, Fraction] | None = {}
-        for k, v in (ab or {}).items():
-            step = None
-            acc: dict[ClassKey, Fraction] = {}
-            okflag = True
-            for kc, vc in dc.items():
-                st = cup2(k, kc)
-                if st is None:
-                    okflag = False
-                    break
-                table_add(acc, st, v * vc)
-            if not okflag:
-                abdc = None
-                break
-            table_add(abdc, acc)
+        abdc = _expand(ab, lambda k: _expand(dc, lambda kc: cup2(k, kc)))
         if any(t is None for t in (t_ab_c, t_a_bc, t_b_ac, t_da_bc, t_a_db_c, abdc)):
             continue
         seven_checked += 1
         sa = -1 if deg[a] % 2 else 1
         sb = -1 if ((deg[a] + 1) * deg[b]) % 2 else 1
         sab = -1 if (deg[a] + deg[b]) % 2 else 1
-        total: dict[ClassKey, Fraction] = {}
-        table_add(total, lhs)
-        table_add(total, t_ab_c, Q(-1))
-        table_add(total, t_a_bc, Q(-sa))
-        table_add(total, t_b_ac, Q(-sb))
-        table_add(total, t_da_bc, Q(1))
-        table_add(total, t_a_db_c, Q(sa))
-        table_add(total, abdc, Q(sab))
-        if any(v != 0 for v in total.values()):
+        total = dict(lhs)
+        for term, s in ((t_ab_c, -1), (t_a_bc, -sa), (t_b_ac, -sb), (t_da_bc, 1), (t_a_db_c, sa), (abdc, sab)):
+            _accumulate(total, term, s)
+        if total:
             seven_failures.append(f"second-order identity fails on {a}, {b}, {c}")
             if len(seven_failures) > 5:
                 break
@@ -975,7 +826,7 @@ def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: in
                 if term is None:
                     ok = False
                     break
-                table_add(total, term, Q(-((-1) ** (eps % 2))))
+                _accumulate(total, term, -((-1) ** (eps % 2)))
             if not ok:
                 break
         if not ok:
@@ -997,11 +848,11 @@ def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: in
             if term is None:
                 ok = False
                 break
-            table_add(total, term, Q(2 * (-1) ** (pref % 2)))
+            _accumulate(total, term, 2 * (-1) ** (pref % 2))
         if not ok:
             continue
         quartic_checked += 1
-        if any(v != 0 for v in total.values()):
+        if total:
             quartic_failures.append(f"quartic expansion fails on {x}")
             if len(quartic_failures) > 5:
                 break
@@ -1013,10 +864,7 @@ def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: in
         gen = data.generated_bracket(a, b)
         if native is None or gen is None:
             continue
-        diff = dict(gen)
-        for k, v in native.items():
-            diff[k] = diff.get(k, Q(0)) - v
-        if any(v != 0 for v in diff.values()):
+        if _accumulate(dict(gen), native, -1):
             br_ok = False
             br_failures.append(f"generated ≠ native bracket on {a}, {b}")
             if len(br_failures) > 5:
@@ -1042,12 +890,18 @@ def hochschild_dual_bundle(A: GradedAlgebra, slice_, q_max: int, v_max: int | No
                            coh_window=None) -> CalculusBundle:
     """Calculus of (HH^•(A), HH^•(A; A*)) over the dual cochain slice."""
     ops = HochschildCochainOps(A, q_max, v_max)
-    all_chains = [t for labels in slice_.pieces.values() for t in labels]
-    from .hochschild import shifted_degree
 
     def act(f: Cochain, label):
-        phi = DualCochain(A, -shifted_degree(A, label), {label: Q(1)})
-        return cap_star(f, phi, all_chains).table
+        if not f.table:
+            return {}
+        # ι_f moves a chain's (degree, weight) by (|f|, ω): one dual piece of
+        # chains reaches the functional dual to label
+        key, val = next(iter(f.table.items()))
+        omega = A.weights[next(iter(val))] - chain_weight(A, key)
+        d = shifted_degree(A, label)
+        phi = DualCochain(A, -d, {label: Q(1)})
+        src = slice_.pieces.get((f.degree - d, chain_weight(A, label) - omega), [])
+        return cap_star(f, phi, src).table
 
     return CalculusBundle(f"hochschild-dual({A.name})", ops, slice_, act, coh_window,
                           weight_sign=-1)

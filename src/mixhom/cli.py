@@ -84,6 +84,16 @@ Q = Fraction
 SCHEMA = "mixhom-result@1"
 
 TASKS = ("hh", "hc-minus", "poisson", "gravity", "koszul", "check")
+KINDS = ("exterior", "polynomial", "quadratic")
+# the algebra kinds each task can run on
+TASK_KINDS = {
+    "hh": ("exterior", "polynomial"),
+    "hc-minus": ("exterior", "polynomial"),
+    "poisson": ("polynomial",),
+    "gravity": ("polynomial",),
+    "koszul": KINDS,
+    "check": KINDS,
+}
 
 
 class ParseError(Exception):
@@ -121,6 +131,7 @@ def parse_job(text: str) -> JobSpecification:
     window: dict = {}
     tasks: list[str] = []
     relations: list = []
+    relation_lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,7 +147,7 @@ def parse_job(text: str) -> JobSpecification:
         if section == "algebra":
             key = parts[0].lower()
             if key == "kind":
-                if len(parts) != 2 or parts[1] not in ("exterior", "polynomial", "quadratic"):
+                if len(parts) != 2 or parts[1] not in KINDS:
                     raise ParseError(line_no, "kind must be exterior | polynomial | quadratic")
                 algebra["kind"] = parts[1]
             elif key in ("n", "cutoff"):
@@ -151,10 +162,14 @@ def parse_job(text: str) -> JobSpecification:
                     raise ParseError(line_no, "relation takes triples: i j coeff")
                 terms = []
                 for t in range(0, len(body), 3):
-                    i, j = int(body[t]), int(body[t + 1])
+                    try:
+                        i, j = int(body[t]), int(body[t + 1])
+                    except ValueError:
+                        raise ParseError(line_no, f"bad generator index in {body[t]!r} {body[t + 1]!r}")
                     c = parse_rational(body[t + 2], line_no)
                     terms.append((i, j, c))
                 relations.append(terms)
+                relation_lines.append(line_no)
             else:
                 raise ParseError(line_no, f"unknown algebra key {key!r}")
         elif section == "poisson":
@@ -203,7 +218,26 @@ def parse_job(text: str) -> JobSpecification:
             for t in (i1, i2, j1, j2):
                 if not (1 <= t <= n):
                     raise ParseError(0, f"poisson coefficient index {t} out of range 1..{n}")
+    if spec.kind == "quadratic":
+        for terms, line_no in zip(relations, relation_lines):
+            for (i, j, _c) in terms:
+                if not (1 <= i <= n and 1 <= j <= n):
+                    raise ParseError(line_no, f"relation index ({i},{j}) out of range 1..{n}")
+        try:
+            _presentation(spec)
+        except ValueError as exc:
+            # no relation lines, or linearly dependent ones
+            raise ParseError(relation_lines[-1] if relation_lines else 0, str(exc))
+    check_tasks(spec)
     return spec
+
+
+def check_tasks(spec: JobSpecification):
+    """Raise ParseError for a task that cannot run on the job's algebra kind."""
+    for task in spec.tasks:
+        if spec.kind not in TASK_KINDS[task]:
+            kinds = " | ".join(TASK_KINDS[task])
+            raise ParseError(0, f"task {task} needs kind {kinds}, not {spec.kind}")
 
 
 # -- the runner -----------------------------------------------------------------
@@ -558,6 +592,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     try:
         spec = parse_job(text)
+        if args.command != "run":
+            spec.tasks = [args.command]
+            check_tasks(spec)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
@@ -569,9 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         spec.u_trunc = args.utrunc
     if args.nmax:
         spec.arity_max = args.nmax
-    if args.command != "run":
-        spec.tasks = [args.command]
-    elif not spec.tasks:
+    if not spec.tasks:
         print("job file lists no tasks", file=sys.stderr)
         return 4
     return run_job(spec, args.out)

@@ -19,21 +19,12 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .calculus import ClassKey, DualityData, WindowError
+from .linalg import _accumulate
 from .mixed import NegativeCyclic, Piece
 
 Q = Fraction
 
 HCKey = tuple[Piece, int]
-
-
-def _accumulate(out: dict, terms: dict, scale) -> None:
-    """out += scale · terms, dropping coefficients that cancel."""
-    for k, v in terms.items():
-        s = out.get(k, Q(0)) + scale * v
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
 
 
 class GravityStructure:

@@ -21,21 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .algebra import Element, GradedAlgebra, WindowOverflowError
+from .linalg import _accumulate
 
 Q = Fraction
 
 ChainKey = tuple[int, ...]  # (i0, i1, ..., ip) basis indices; i1.. in augmentation
 Chain = dict[ChainKey, Fraction]
-
-
-def _add_into(acc: dict, key, coeff: Fraction):
-    if coeff == 0:
-        return
-    s = acc.get(key, Q(0)) + coeff
-    if s == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = s
 
 
 def shifted_degree(A: GradedAlgebra, t: ChainKey) -> int:
@@ -97,22 +88,19 @@ def boundary_b(A: GradedAlgebra, chain: Chain) -> Chain:
             prod = A.mult_basis(t[i], t[i + 1])
             if not isinstance(prod, dict):
                 raise WindowOverflowError(A.weights[t[i]] + A.weights[t[i + 1]])
-            for k, c in prod.items():
-                if i == 0:
-                    _add_into(out, (k,) + t[2:], coeff * c * sign)
-                else:
-                    if k == A.unit:
-                        continue  # reduced complex: unit in a bar slot dies
-                    _add_into(out, t[:i] + (k,) + t[i + 2 :], coeff * c * sign)
+            if i == 0:
+                _accumulate(out, {(k,) + t[2:]: c for k, c in prod.items()}, coeff * sign)
+            else:
+                # reduced complex: unit in a bar slot dies
+                _accumulate(out, {t[:i] + (k,) + t[i + 2 :]: c for k, c in prod.items() if k != A.unit},
+                            coeff * sign)
             sgn_exp += A.degrees[t[i + 1]] + 1
         # rotation face d_p: (a_p a_0, ā_1, ..., ā_{p-1}); the constant -1 is
         # what survives of the classical (-1)^p after the Koszul block sign
         rest = A.degrees[t[0]] + sum(A.degrees[i] + 1 for i in t[1 : p])
         last = A.degrees[t[p]] + 1
         sign = -1 if (last * rest + 1) % 2 else 1
-        prod = A.mult_basis(t[p], t[0])
-        for k, c in prod.items():
-            _add_into(out, (k,) + t[1:p], coeff * c * sign)
+        _accumulate(out, {(k,) + t[1:p]: c for k, c in A.mult_basis(t[p], t[0]).items()}, coeff * sign)
     return out
 
 
@@ -135,7 +123,7 @@ def connes_B(A: GradedAlgebra, chain: Chain) -> Chain:
                 key = (A.unit,) + t
             else:
                 key = (A.unit,) + t[i:] + t[:i]
-            _add_into(out, key, coeff * sign)
+            _accumulate(out, {key: coeff}, sign)
     return out
 
 
@@ -242,10 +230,7 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
             if not val:
                 continue
             key = kf + kg
-            acc = table.setdefault(key, {})
-            for k, c in val.items():
-                _add_into(acc, k, sign * c)
-            if not acc:
+            if not _accumulate(table.setdefault(key, {}), val, sign):
                 table.pop(key, None)
     return Cochain(A, f.arity + g.arity, f.degree + g.degree, table)
 
@@ -275,9 +260,7 @@ def circle(f: Cochain, g: Cochain, tuples_by_arity: dict[int, list[tuple[int, ..
             gbar = _bar_project(A, gval)
             for gk, gc in gbar.items():
                 outer = key[:i] + (gk,) + key[i + m :]
-                fval = f.value(outer)
-                for fk, fc in fval.items():
-                    _add_into(acc, fk, sign * gc * fc)
+                _accumulate(acc, f.value(outer), sign * gc)
         if acc:
             table[key] = acc
     return Cochain(A, arity, f.degree + g.degree + 1, table)
@@ -292,10 +275,7 @@ def gerstenhaber_bracket(
     sign = -1 if ((f.degree + 1) % 2) and ((g.degree + 1) % 2) else 1
     table = {k: dict(v) for k, v in fg.table.items()}
     for key, val in gf.table.items():
-        acc = table.setdefault(key, {})
-        for k, c in val.items():
-            _add_into(acc, k, -sign * c)
-        if not acc:
+        if not _accumulate(table.setdefault(key, {}), val, -sign):
             table.pop(key, None)
     return Cochain(f.algebra, fg.arity, f.degree + g.degree + 1, table)
 
@@ -319,8 +299,7 @@ def coboundary(f: Cochain, tuples_by_arity: dict[int, list[tuple[int, ...]]]) ->
         fa = f.value(key[1:])
         if fa:
             sign = -1 if (A.degrees[key[0]] * f.degree) % 2 else 1
-            for k, c in A.multiply(A.basis_element(key[0]), fa).items():
-                _add_into(acc, k, sign * c)
+            _accumulate(acc, A.multiply(A.basis_element(key[0]), fa), sign)
         run = 0
         for i in range(1, q + 1):
             run += A.degrees[key[i - 1]] + 1
@@ -330,14 +309,12 @@ def coboundary(f: Cochain, tuples_by_arity: dict[int, list[tuple[int, ...]]]) ->
                 for m, cm in prod.items():
                     if m == A.unit:
                         continue
-                    for k, c in f.value(key[: i - 1] + (m,) + key[i + 1 :]).items():
-                        _add_into(acc, k, sign * cm * c)
+                    _accumulate(acc, f.value(key[: i - 1] + (m,) + key[i + 1 :]), sign * cm)
         fb = f.value(key[:q])
         if fb:
             run_all = sum(A.degrees[i] + 1 for i in key[:q])
             sign = -1 if (run_all + 1) % 2 else 1
-            for k, c in A.multiply(fb, A.basis_element(key[q])).items():
-                _add_into(acc, k, sign * c)
+            _accumulate(acc, A.multiply(fb, A.basis_element(key[q])), sign)
         if acc:
             table[key] = acc
     return Cochain(A, q + 1, f.degree - 1, table)
@@ -357,8 +334,7 @@ def cap(f: Cochain, chain: Chain) -> Chain:
             continue
         sign = -1 if (f.degree % 2) and (A.degrees[t[0]] % 2) else 1
         head = A.multiply(A.basis_element(t[0]), fval)
-        for k, c in head.items():
-            _add_into(out, (k,) + t[n + 1 :], coeff * c * sign)
+        _accumulate(out, {(k,) + t[n + 1 :]: c for k, c in head.items()}, coeff * sign)
     return out
 
 
@@ -368,10 +344,7 @@ def lie_derivative(f: Cochain, chain: Chain) -> Chain:
     first = connes_B(A, cap(f, chain))
     second = cap(f, connes_B(A, chain))
     sign = -1 if f.degree % 2 else 1
-    out = dict(first)
-    for k, c in second.items():
-        _add_into(out, k, -sign * c)
-    return out
+    return _accumulate(dict(first), second, -sign)
 
 
 # -- mode A-dual cochains ----------------------------------------------------
@@ -424,7 +397,12 @@ def B_star(g: DualCochain, chains: list[ChainKey]) -> DualCochain:
 
 
 def cap_star(f: Cochain, g: DualCochain, chains: list[ChainKey]) -> DualCochain:
-    """(f, g) ↦ (-1)^{|f||g|} g∘ι_f."""
+    """(f, g) ↦ (-1)^{|f||g|} g∘ι_f, tabulated on the given chains.
+
+    Only the chains that ι_f sends onto g's support contribute; for a
+    homogeneous f they form one (shifted degree, weight) piece, which is all
+    ``hochschild_dual_bundle`` passes.
+    """
     A = g.algebra
     sign = -1 if (f.degree % 2) and (g.degree % 2) else 1
     table: dict[ChainKey, Fraction] = {}

@@ -31,6 +31,17 @@ class DimensionMismatchError(Exception):
     pass
 
 
+def _accumulate(acc: dict, terms: dict, scale=ONE) -> dict:
+    """acc += scale · terms for sparse vectors, dropping coefficients that cancel; returns acc."""
+    for k, v in terms.items():
+        s = acc.get(k, ZERO) + scale * v
+        if s == 0:
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

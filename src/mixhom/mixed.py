@@ -6,11 +6,15 @@ are checked exhaustively at construction.  All four sources used here
 (Hochschild chains, dual Hochschild cochains of a Frobenius algebra,
 Poisson chains, dual Poisson cochains) preserve the weight, and each
 weight-w sub-slice is a complete bounded complex, so homology within the
-window is exact.
+window is exact.  The two chain sources are built by applying b and B to
+each basis chain once; the two cochain sources are their duals
+(:func:`dual_slice`), whose matrices are the signed transposes of the
+primal ones.
 
-Negative cyclic homology is computed from the u-truncated complex
-(C ⊗ k[u]/u^{N+1}, b + uB); a stabilization report compares truncations N
-and N+1 and flags unstable (degree, weight) pieces.  The connecting map β
+Negative cyclic, cyclic and periodic homology are the homology of one
+u-stacked complex (C ⊗ u-powers, b + uB) over the u-ranges [0, N], [-K, 0]
+and [-N, N].  For HC⁻ a stabilization report compares truncations N and
+N+1 and flags unstable (degree, weight) pieces.  The connecting map β
 follows the chain-level recipe: lift a b-cycle, apply b + uB, divide by u.
 """
 
@@ -20,16 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import GradedAlgebra
-from .hochschild import (
-    B_star,
-    DualCochain,
-    boundary_b,
-    chain_basis,
-    connes_B,
-    dual_coboundary,
-    shifted_degree,
-)
-from .linalg import ExactMatrix, HomologyPresentation, homology_presentation
+from .hochschild import boundary_b, chain_basis, connes_B, shifted_degree
+from .linalg import ExactMatrix, HomologyPresentation, _accumulate, homology_presentation
 from . import poisson as po
 
 Q = Fraction
@@ -93,12 +89,7 @@ class MixedComplexSlice:
                 bad = min(j for (_, j) in B2.matmul(B1).entries)
                 raise SliceAxiomError("B²=0", (d, w), self.pieces[(d, w)][bad])
             anti = self.b_matrix((d + 1, w)).matmul(B1)
-            for (i, j), v in self.B_matrix((d - 1, w)).matmul(b1).entries.items():
-                cur = anti.entries.get((i, j), Q(0)) + v
-                if cur == 0:
-                    anti.entries.pop((i, j), None)
-                else:
-                    anti.entries[(i, j)] = cur
+            _accumulate(anti.entries, self.B_matrix((d - 1, w)).matmul(b1).entries)
             if anti.entries:
                 bad = min(j for (_, j) in anti.entries)
                 raise SliceAxiomError("bB+Bb=0", (d, w), self.pieces[(d, w)][bad])
@@ -173,38 +164,16 @@ def slice_from_hochschild_dual(A: GradedAlgebra, w_max: int, name: str | None = 
     The piece (d, w) holds the dual basis of the chains of degree -d and
     weight w; the differentials are the twisted transposes of b and B.
     """
-    chain_pieces: dict[Piece, list] = {}
-    for w in range(w_max + 1):
-        for p in range(w + 1):
-            for t in chain_basis(A, p, w):
-                chain_pieces.setdefault((shifted_degree(A, t), w), []).append(t)
-    for labels in chain_pieces.values():
-        labels.sort()
-    pieces = {(-d, w): labels for (d, w), labels in chain_pieces.items()}
-    all_chains = [t for labels in chain_pieces.values() for t in labels]
-
-    def dual_b(t):
-        # functional degree of the dual basis vector of chain t
-        deg = -shifted_degree(A, t)
-        phi = DualCochain(A, deg, {t: Q(1)})
-        return dual_coboundary(phi, all_chains).table
-
-    def dual_B(t):
-        deg = -shifted_degree(A, t)
-        phi = DualCochain(A, deg, {t: Q(1)})
-        return B_star(phi, all_chains).table
-
-    b_mats = _mats_from_operator(pieces, dual_b, -1)
-    B_mats = _mats_from_operator(pieces, dual_B, +1)
-    return MixedComplexSlice(pieces, b_mats, B_mats, name or f"hochschild-dual({A.name})")
+    return dual_slice(slice_from_hochschild(A, w_max), name or f"hochschild-dual({A.name})")
 
 
 def slice_from_poisson(ctx: po.PoissonContext, pi: dict, w_max: int, name: str | None = None) -> MixedComplexSlice:
-    """Mixed Poisson chain complex (Ω, ∂, d) of a polynomial-side structure."""
+    """Mixed Poisson chain complex (Ω, ∂, d) of a structure on either side."""
     po.check_jacobi(ctx, pi)
     F = ctx.forms
     pieces: dict[Piece, list] = {}
-    for m in F.monomials([w_max] * ctx.n + [1] * ctx.n):
+    # odd generators are capped at exponent 1, so this lists either side's forms
+    for m in F.monomials([w_max] * (2 * ctx.n)):
         w = F.weight(m)
         if w <= w_max:
             pieces.setdefault((F.degree(m), w), []).append(m)
@@ -217,15 +186,31 @@ def slice_from_poisson(ctx: po.PoissonContext, pi: dict, w_max: int, name: str |
 
 def slice_from_poisson_dual(dual: po.DualSide, name: str | None = None) -> MixedComplexSlice:
     """Mixed dual Poisson cochain complex (functionals on exterior-side forms)."""
-    F = dual.ctx.forms
-    pieces: dict[Piece, list] = {}
-    for m in dual.domain:
-        pieces.setdefault((-F.degree(m), F.weight(m)), []).append(m)
-    for labels in pieces.values():
-        labels.sort()
-    b_mats = _mats_from_operator(pieces, lambda m: dual.coboundary({m: Q(1)}), -1)
-    B_mats = _mats_from_operator(pieces, lambda m: dual.d_star({m: Q(1)}), +1)
-    return MixedComplexSlice(pieces, b_mats, B_mats, name or f"poisson-dual({dual.ctx.n})")
+    return dual_slice(
+        slice_from_poisson(dual.ctx, dual.pi, dual.w_max), name or f"poisson-dual({dual.ctx.n})"
+    )
+
+
+def _signed_transpose(M: ExactMatrix, sign: int) -> ExactMatrix:
+    return ExactMatrix(M.cols, M.rows, {(j, i): sign * v for (i, j), v in M.entries.items()})
+
+
+def dual_slice(sl: MixedComplexSlice, name: str | None = None) -> MixedComplexSlice:
+    """The dual mixed complex: functionals on the chains of ``sl``.
+
+    The dual piece (-d, w) carries the labels of the chain piece (d, w), each
+    standing for its dual basis functional φ, of degree |φ| = -d.  The dual
+    operators are the twisted transposes T*(φ) = (-1)^{|φ|} φ∘T, so the dual
+    b on (-d, w) is (-1)^d b(d+1, w)ᵀ and the dual B is (-1)^d B(d-1, w)ᵀ.
+    """
+    pieces = {(-d, w): labels for (d, w), labels in sl.pieces.items()}
+    b_mats: dict[Piece, ExactMatrix] = {}
+    B_mats: dict[Piece, ExactMatrix] = {}
+    for (d, w) in sl.pieces:
+        sign = -1 if d % 2 else 1
+        b_mats[(-d, w)] = _signed_transpose(sl.b_matrix((d + 1, w)), sign)
+        B_mats[(-d, w)] = _signed_transpose(sl.B_matrix((d - 1, w)), sign)
+    return MixedComplexSlice(pieces, b_mats, B_mats, name or f"dual({sl.name})")
 
 
 # -- negative cyclic homology ----------------------------------------------------
@@ -255,46 +240,17 @@ class NegativeCyclic:
     # basis of the truncated complex in degree d: pairs (i, index into piece)
     def stacked_basis(self, d: int, w: int, N: int | None = None) -> list[tuple[int, int]]:
         N = self.N if N is None else N
-        out = []
-        for i in range(N + 1):
-            for k in range(self.slice.dim((d + 2 * i, w))):
-                out.append((i, k))
-        return out
-
-    def _matrix(self, d: int, w: int, N: int) -> ExactMatrix:
-        src = self.stacked_basis(d, w, N)
-        tgt = self.stacked_basis(d - 1, w, N)
-        tgt_idx = {t: i for i, t in enumerate(tgt)}
-        entries = {}
-        for j, (i, k) in enumerate(src):
-            bm = self.slice.b_matrix((d + 2 * i, w))
-            for (r, c), v in bm.entries.items():
-                if c == k and (i, r) in tgt_idx:
-                    entries[(tgt_idx[(i, r)], j)] = v
-            if i + 1 <= N:
-                Bm = self.slice.B_matrix((d + 2 * i, w))
-                for (r, c), v in Bm.entries.items():
-                    if c == k and (i + 1, r) in tgt_idx:
-                        entries[(tgt_idx[(i + 1, r)], j)] = v
-        return ExactMatrix(len(tgt), len(src), entries)
+        return [(i, k) for i in range(N + 1) for k in range(self.slice.dim((d + 2 * i, w)))]
 
     def _compute(self, N: int, presentations: bool = True) -> dict[Piece, int]:
         dims: dict[Piece, int] = {}
         degrees = self.slice.degrees()
-        weights = self.slice.weights()
         if not degrees:
             return dims
-        d_lo, d_hi = min(degrees), max(degrees)
-        for w in weights:
-            for d in range(d_lo - 2 * N, d_hi + 1):
-                if not self.stacked_basis(d, w, N):
-                    continue
-                d_in = self._matrix(d + 1, w, N)
-                d_out = self._matrix(d, w, N)
-                pres = homology_presentation(d_in, d_out)
-                dims[(d, w)] = pres.dim
-                if presentations:
-                    self.pres[(d, w)] = pres
+        for piece, pres in _u_homology(self.slice, 0, N, min(degrees) - 2 * N, max(degrees)):
+            dims[piece] = pres.dim
+            if presentations:
+                self.pres[piece] = pres
         return dims
 
     def dims(self) -> dict[Piece, int]:
@@ -427,48 +383,59 @@ def les_check(hc: NegativeCyclic) -> LESReport:
     return LESReport(ok_bp, ok_pb, ok_rank, failures)
 
 
-# -- cyclic and periodic ----------------------------------------------------------
+# -- the u-stacked complex ----------------------------------------------------------
+
+
+def _u_offsets(sl: MixedComplexSlice, d: int, w: int, lo: int, hi: int) -> tuple[dict[int, int], int]:
+    """Where each component i in [lo, hi] starts in the stacked degree-d basis, and its size."""
+    offsets: dict[int, int] = {}
+    size = 0
+    for i in range(lo, hi + 1):
+        offsets[i] = size
+        size += sl.dim((d + 2 * i, w))
+    return offsets, size
+
+
+def _u_complex(sl: MixedComplexSlice, d: int, w: int, lo: int, hi: int) -> ExactMatrix:
+    """b + uB from the stacked degree-d chains to the stacked degree-(d-1) ones.
+
+    Component i (lo <= i <= hi) is the slice piece (d + 2i, w): b acts on the
+    diagonal and B sends component i to i + 1; B out of component hi is
+    dropped.  HC⁻ stacks [0, N], HC [-K, 0] and HP [-N, N].
+    """
+    src, cols = _u_offsets(sl, d, w, lo, hi)
+    tgt, rows = _u_offsets(sl, d - 1, w, lo, hi)
+    entries = {}
+    for i in range(lo, hi + 1):
+        piece = (d + 2 * i, w)
+        for (r, c), v in sl.b_matrix(piece).entries.items():
+            entries[(tgt[i] + r, src[i] + c)] = v
+        if i < hi:
+            for (r, c), v in sl.B_matrix(piece).entries.items():
+                entries[(tgt[i + 1] + r, src[i] + c)] = v
+    return ExactMatrix(rows, cols, entries)
+
+
+def _u_homology(sl: MixedComplexSlice, lo: int, hi: int, d_from: int, d_to: int):
+    """(piece, presentation) of the u-stacked complex in degrees d_from..d_to, per weight."""
+    for w in sl.weights():
+        for d in range(d_from, d_to + 1):
+            if _u_offsets(sl, d, w, lo, hi)[1]:
+                yield (d, w), homology_presentation(
+                    _u_complex(sl, d + 1, w, lo, hi), _u_complex(sl, d, w, lo, hi)
+                )
 
 
 def cyclic_homology(sl: MixedComplexSlice) -> dict[Piece, int]:
     """HC of the slice: (C[u,u⁻¹]/uC[u], b + uB), exact since C is bounded."""
     degrees = sl.degrees()
-    weights = sl.weights()
-    dims: dict[Piece, int] = {}
     if not degrees:
-        return dims
+        return {}
     d_lo, d_hi = min(degrees), max(degrees)
-
-    def basis(d, w):
-        out = []
-        i = 0
-        while d - 2 * i >= d_lo:
-            for k in range(sl.dim((d - 2 * i, w))):
-                out.append((i, k))
-            i += 1
-        return out
-
-    def matrix(d, w):
-        src = basis(d, w)
-        tgt = basis(d - 1, w)
-        tgt_idx = {t: i for i, t in enumerate(tgt)}
-        entries = {}
-        for j, (i, k) in enumerate(src):
-            for (r, c), v in sl.b_matrix((d - 2 * i, w)).entries.items():
-                if c == k and (i, r) in tgt_idx:
-                    entries[(tgt_idx[(i, r)], j)] = v
-            if i - 1 >= 0:
-                for (r, c), v in sl.B_matrix((d - 2 * i, w)).entries.items():
-                    if c == k and (i - 1, r) in tgt_idx:
-                        entries[(tgt_idx[(i - 1, r)], j)] = v
-        return ExactMatrix(len(tgt), len(src), entries)
-
-    for w in weights:
-        for d in range(d_lo, d_hi + 2 * (d_hi - d_lo) + 1):
-            if not basis(d, w):
-                continue
-            dims[(d, w)] = homology_presentation(matrix(d + 1, w), matrix(d, w)).dim
-    return dims
+    d_top = d_hi + 2 * (d_hi - d_lo)
+    # u-powers down to -K reach the lowest degree from every degree up to d_top + 1
+    K = (d_top + 1 - d_lo) // 2
+    return {piece: pres.dim for piece, pres in _u_homology(sl, -K, 0, d_lo, d_top)}
 
 
 def periodic_homology(sl: MixedComplexSlice, N: int) -> tuple[dict[Piece, int], list[int]]:
@@ -479,39 +446,10 @@ def periodic_homology(sl: MixedComplexSlice, N: int) -> tuple[dict[Piece, int], 
     unbounded Laurent series.
     """
     degrees = sl.degrees()
-    weights = sl.weights()
-    dims: dict[Piece, int] = {}
     if not degrees:
-        return dims, []
+        return {}, []
     d_lo, d_hi = min(degrees), max(degrees)
-
-    def basis(d, w):
-        out = []
-        for i in range(-N, N + 1):
-            for k in range(sl.dim((d + 2 * i, w))):
-                out.append((i, k))
-        return out
-
-    def matrix(d, w):
-        src = basis(d, w)
-        tgt = basis(d - 1, w)
-        tgt_idx = {t: i for i, t in enumerate(tgt)}
-        entries = {}
-        for j, (i, k) in enumerate(src):
-            for (r, c), v in sl.b_matrix((d + 2 * i, w)).entries.items():
-                if c == k and (i, r) in tgt_idx:
-                    entries[(tgt_idx[(i, r)], j)] = v
-            if i + 1 <= N:
-                for (r, c), v in sl.B_matrix((d + 2 * i, w)).entries.items():
-                    if c == k and (i + 1, r) in tgt_idx:
-                        entries[(tgt_idx[(i + 1, r)], j)] = v
-        return ExactMatrix(len(tgt), len(src), entries)
-
-    for w in weights:
-        for d in range(d_lo - 2 * N, d_hi + 2 * N + 1):
-            if not basis(d, w):
-                continue
-            dims[(d, w)] = homology_presentation(matrix(d + 1, w), matrix(d, w)).dim
+    dims = {piece: pres.dim for piece, pres in _u_homology(sl, -N, N, d_lo - 2 * N, d_hi + 2 * N)}
     edge = [d for d in range(d_lo - 2 * N, d_hi + 2 * N + 1) if abs(d - d_lo) <= 2 or abs(d - d_hi) <= 2]
     return dims, edge
 

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from .linalg import _accumulate as add_into
+
 Q = Fraction
 
 Monomial = tuple[int, ...]  # exponents aligned with the generator list
@@ -154,15 +156,6 @@ class FreeGCA:
 
 def scale(el: GCAElement, c: Fraction) -> GCAElement:
     return {m: c * v for m, v in el.items()} if c else {}
-
-
-def add_into(acc: GCAElement, el: GCAElement, c: Fraction = Q(1)):
-    for m, v in el.items():
-        s = acc.get(m, Q(0)) + c * v
-        if s == 0:
-            acc.pop(m, None)
-        else:
-            acc[m] = s
 
 
 def sub(a: GCAElement, b: GCAElement) -> GCAElement:
@@ -440,11 +433,7 @@ def schouten_shuffle(ctx: PoissonContext, Pm: Monomial, Qm: Monomial) -> GCAElem
                 m_out = V.mul_monomials(mono[:n] + (0,) * n, tm)
                 if m_out is not None:
                     s, mo = m_out
-                    v = out.get(mo, Q(0)) + s * c
-                    if v == 0:
-                        out.pop(mo, None)
-                    else:
-                        out[mo] = v
+                    add_into(out, {mo: c}, s)
     return out
 
 
@@ -528,11 +517,7 @@ def poisson_coboundary_literal(ctx: PoissonContext, pi: GCAElement, Pm: Monomial
             got = V.mul_monomials(mono[:n] + (0,) * n, tm)
             if got is not None:
                 s, mo = got
-                v = out.get(mo, Q(0)) + s * c
-                if v == 0:
-                    out.pop(mo, None)
-                else:
-                    out[mo] = v
+                add_into(out, {mo: c}, s)
     return out
 
 
@@ -596,9 +581,14 @@ class DualSide:
 
     A functional is a dict keyed by form monomials of the exterior context.
     Its degree is minus the form degree of its support, its weight the form
-    weight; the Poisson coboundary with dual coefficients is the twisted
-    transpose of the Poisson boundary, and d* the twisted transpose of the
-    de Rham differential, so (δ, d*) is again a mixed pair.
+    weight.  Every dual operator is the twisted transpose
+    T*(φ) = (-1)^{|T||φ|} φ∘T of an operator T on the forms: δ transposes
+    the Poisson boundary, d* the de Rham differential, and the action of a
+    polyvector P the contraction ι_P, one monomial of P at a time.  T moves
+    a form's (degree, weight) by its own, so only one piece of forms can
+    reach each piece of φ, and T is applied to that piece alone.
+    ``slice_from_poisson_dual`` holds the same δ and d* as matrices,
+    transposed from the exterior-side Poisson slice on ``domain``.
     """
 
     def __init__(self, ctx: PoissonContext, pi: GCAElement, w_max: int):
@@ -613,55 +603,47 @@ class DualSide:
             for m in F.monomials([1] * ctx.n + [w_max] * ctx.n)
             if F.weight(m) <= w_max
         ]
-        # per-monomial operator images, computed once
-        self._boundary_img = {
-            m: poisson_boundary(self.ctx, self.pi, {m: Q(1)}) for m in self.domain
-        }
-        self._d_img = {m: de_rham(self.ctx, {m: Q(1)}) for m in self.domain}
-
-    def functional_degree(self, phi: dict[Monomial, Fraction]) -> int:
-        degs = {-self.ctx.forms.degree(m) for m, c in phi.items() if c}
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous functional")
-        return degs.pop() if degs else 0
-
-    def _twisted(self, images, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        deg = self.functional_degree(phi)
-        sign = Q(-1) if deg % 2 else Q(1)
-        out: dict[Monomial, Fraction] = {}
+        self._forms: dict[tuple[int, int], list[Monomial]] = {}  # (degree, weight) -> forms
         for m in self.domain:
-            total = Q(0)
-            for mm, c in images[m].items():
-                v = phi.get(mm)
-                if v:
-                    total += c * v
-            if total:
-                out[m] = sign * total
+            self._forms.setdefault((F.degree(m), F.weight(m)), []).append(m)
+
+    def _transpose(self, op, degree: int, weight: int, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        """(-1)^{|T||φ|} φ∘T for the operator T = op of the given (degree, weight)."""
+        F = self.ctx.forms
+        parts: dict[tuple[int, int], dict] = {}
+        for m, c in phi.items():
+            if c:
+                parts.setdefault((F.degree(m), F.weight(m)), {})[m] = c
+        out: dict[Monomial, Fraction] = {}
+        for (e, w), part in parts.items():
+            sign = -1 if (degree % 2) and (e % 2) else 1
+            for m in self._forms.get((e - degree, w - weight), ()):
+                total = sum((v * part[mm] for mm, v in op({m: Q(1)}).items() if mm in part), Q(0))
+                if total:
+                    out[m] = sign * total
         return out
 
     def coboundary(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """δ with values in the dual module: (-1)^{|φ|} φ∘∂."""
-        return self._twisted(self._boundary_img, phi)
+        return self._transpose(lambda om: poisson_boundary(self.ctx, self.pi, om), -1, 0, phi)
 
     def d_star(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """Dual de Rham differential: (-1)^{|φ|} φ∘d."""
-        return self._twisted(self._d_img, phi)
+        return self._transpose(lambda om: de_rham(self.ctx, om), 1, 0, phi)
 
     def contract(self, P: GCAElement, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        """Module action of polyvectors: (ι_P φ)(ω) = (-1)^{|P||φ|} φ(ι_P ω)."""
-        deg_p = {self.ctx.vectors.degree(m) for m, c in P.items() if c}
-        dp = deg_p.pop() if deg_p else 0
-        dphi = self.functional_degree(phi)
-        sign = Q(-1) if (dp % 2) and (dphi % 2) else Q(1)
+        """Module action of polyvectors: (ι_P φ)(ω) = (-1)^{|P||φ|} φ(ι_P ω).
+
+        The sign is taken per monomial of P, so the action is linear in P.
+        """
+        V = self.ctx.vectors
         out: dict[Monomial, Fraction] = {}
-        for m in self.domain:
-            total = Q(0)
-            for mm, c in contraction(self.ctx, P, {m: Q(1)}).items():
-                v = phi.get(mm)
-                if v:
-                    total += c * v
-            if total:
-                out[m] = sign * total
+        for pm, c in P.items():
+            if c:
+                img = self._transpose(
+                    lambda om: contract_monomial(self.ctx, pm, om), V.degree(pm), V.weight(pm), phi
+                )
+                add_into(out, img, c)
         return out
 
     def dual_volume(self) -> dict[Monomial, Fraction]:
@@ -704,10 +686,7 @@ def frobenius_poisson_check(dual: DualSide, eta_dual: dict[Monomial, Fraction] |
         P = {m: Q(1)}
         lhs = dual.contract(poisson_coboundary(ctx, dual.pi, P), eta_dual)
         rhs = dual.coboundary(dual.contract(P, eta_dual))
-        diff = dict(lhs)
-        for k, v in rhs.items():
-            diff[k] = diff.get(k, Q(0)) - v
-        if any(v != 0 for v in diff.values()):
+        if sub(lhs, rhs):
             diagram = False
             failures.append(f"dual diagram fails on {V.format_monomial(m)}")
             if len(failures) > 8:

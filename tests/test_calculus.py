@@ -164,3 +164,45 @@ class TestCalabiYauCase:
                     found = True
                     assert all(k[0][0] == 0 for k in img)
         assert found
+
+
+def _cap_star_full_domain(f, g, chains):
+    """The dual action as it was: g∘ι_f evaluated on every chain of the window."""
+    from mixhom.hochschild import DualCochain, cap
+
+    A = g.algebra
+    sign = -1 if (f.degree % 2) and (g.degree % 2) else 1
+    table = {}
+    for t in chains:
+        val = g.evaluate(cap(f, {t: Q(1)}))
+        if val:
+            table[t] = sign * val
+    return DualCochain(A, g.degree - f.degree, table)
+
+
+def test_dual_action_matches_full_domain_on_bv_check_bundle():
+    # the bv-check Frobenius bundle; every (class, label) pair that
+    # attach_duality evaluates goes through the one-source-piece action
+    from mixhom.hochschild import DualCochain, shifted_degree
+
+    A = make_exterior_algebra(2)
+    sl = slice_from_hochschild_dual(A, 5)
+    bundle = hochschild_dual_bundle(
+        A, sl, q_max=6, coh_window=lambda p: -3 <= p[1] <= 2 and -3 <= p[0] <= 0
+    )
+    coords = sl.hh((2, 2)).reduce(sl.element_vector((2, 2), {(A.index["ξ1ξ2"],): Q(1)}))
+    eta = ((2, 2), [i for i, c in enumerate(coords) if c][0])
+    pairs = []
+    act = bundle.act
+
+    def recording(f, label):
+        pairs.append((f, label))
+        return act(f, label)
+
+    bundle.act = recording
+    attach_duality(bundle, eta)
+    assert len(pairs) > 50
+    chains = [t for labels in sl.pieces.values() for t in labels]
+    for f, label in pairs:
+        phi = DualCochain(A, -shifted_degree(A, label), {label: Q(1)})
+        assert act(f, label) == _cap_star_full_domain(f, phi, chains).table

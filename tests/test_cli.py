@@ -130,3 +130,33 @@ class TestRun:
         assert result["error"] == "verification failure"
         assert "not unimodular" in result["detail"]
         assert (tmp_path / "o" / "hh.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, job",
+    [
+        ("run", "[algebra]\nkind quadratic\nn 2\nrelation 1 x 1\n[tasks]\nkoszul\n"),
+        ("run", "[algebra]\nkind exterior\nn 2\n[tasks]\npoisson\nhh\n"),
+        ("poisson", "[algebra]\nkind exterior\nn 2\n"),
+        ("run", "[algebra]\nkind quadratic\nn 2\nrelation 1 2 1\n[tasks]\nhh\n"),
+        ("hh", "[algebra]\nkind quadratic\nn 2\nrelation 1 2 1\n"),
+        ("run", "[algebra]\nkind quadratic\nn 2\nrelation 1 2 1\nrelation 1 2 -2\n[tasks]\nkoszul\n"),
+    ],
+    ids=["relation-index", "poisson-on-exterior", "poisson-subcommand", "hh-on-quadratic",
+         "hh-subcommand", "dependent-relations"],
+)
+def test_bad_jobs_are_parse_errors(tmp_path, command, job):
+    import subprocess
+    import sys
+
+    path = tmp_path / "job.txt"
+    path.write_text(job)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixhom.cli", command, "--input", str(path), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error: line ")
+    assert not (tmp_path / "o").exists()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mixhom.algebra import make_exterior_algebra, make_truncated_polynomial_algebra
-from mixhom.linalg import ExactMatrix
+from mixhom.linalg import ExactMatrix, homology_presentation
 from mixhom.mixed import (
     MixedComplexSlice,
     NegativeCyclic,
@@ -218,3 +218,257 @@ class TestCyclicPeriodic:
         assert dims[(0, 0)] == 1
         assert dims[(-2, 0)] == 1 and dims[(2, 0)] == 1
         assert 0 in edge  # a height-0 slice is all edge
+
+
+# -- differential oracles: the builders that dual_slice and _u_complex replaced --
+#
+# The dual slices used to be rebuilt functional by functional, applying the
+# primal operator to every chain, and HC⁻, HC and HP each had their own
+# u-stacked builder that scanned a block's entries once per column.  They are
+# kept here verbatim as references for the transposes and the one builder.
+
+
+def _hochschild_dual_by_functionals(A, w_max):
+    from mixhom.hochschild import B_star, DualCochain, chain_basis, dual_coboundary, shifted_degree
+    from mixhom.mixed import _mats_from_operator
+
+    chain_pieces = {}
+    for w in range(w_max + 1):
+        for p in range(w + 1):
+            for t in chain_basis(A, p, w):
+                chain_pieces.setdefault((shifted_degree(A, t), w), []).append(t)
+    for labels in chain_pieces.values():
+        labels.sort()
+    pieces = {(-d, w): labels for (d, w), labels in chain_pieces.items()}
+    all_chains = [t for labels in chain_pieces.values() for t in labels]
+
+    def dual_b(t):
+        deg = -shifted_degree(A, t)
+        phi = DualCochain(A, deg, {t: Q(1)})
+        return dual_coboundary(phi, all_chains).table
+
+    def dual_B(t):
+        deg = -shifted_degree(A, t)
+        phi = DualCochain(A, deg, {t: Q(1)})
+        return B_star(phi, all_chains).table
+
+    b_mats = _mats_from_operator(pieces, dual_b, -1)
+    B_mats = _mats_from_operator(pieces, dual_B, +1)
+    return MixedComplexSlice(pieces, b_mats, B_mats)
+
+
+def _poisson_dual_by_functionals(dual):
+    from mixhom.mixed import _mats_from_operator
+    from mixhom.poisson import de_rham, poisson_boundary
+
+    F = dual.ctx.forms
+    boundary_img = {m: poisson_boundary(dual.ctx, dual.pi, {m: Q(1)}) for m in dual.domain}
+    d_img = {m: de_rham(dual.ctx, {m: Q(1)}) for m in dual.domain}
+
+    def twisted(images, phi):
+        degs = {-F.degree(m) for m, c in phi.items() if c}
+        deg = degs.pop() if degs else 0
+        sign = Q(-1) if deg % 2 else Q(1)
+        out = {}
+        for m in dual.domain:
+            total = Q(0)
+            for mm, c in images[m].items():
+                v = phi.get(mm)
+                if v:
+                    total += c * v
+            if total:
+                out[m] = sign * total
+        return out
+
+    pieces = {}
+    for m in dual.domain:
+        pieces.setdefault((-F.degree(m), F.weight(m)), []).append(m)
+    for labels in pieces.values():
+        labels.sort()
+    b_mats = _mats_from_operator(pieces, lambda m: twisted(boundary_img, {m: Q(1)}), -1)
+    B_mats = _mats_from_operator(pieces, lambda m: twisted(d_img, {m: Q(1)}), +1)
+    return MixedComplexSlice(pieces, b_mats, B_mats)
+
+
+def _assert_same_slice(got, want):
+    assert got.pieces == want.pieces
+    for (d, w) in want.pieces:
+        for piece in ((d, w), (d - 1, w), (d + 1, w)):
+            assert got.b_matrix(piece) == want.b_matrix(piece), ("b", piece)
+            assert got.B_matrix(piece) == want.B_matrix(piece), ("B", piece)
+
+
+def _stacked_basis_oracle(sl, d, w, N):
+    return [(i, k) for i in range(N + 1) for k in range(sl.dim((d + 2 * i, w)))]
+
+
+def _hc_minus_matrix_oracle(sl, d, w, N):
+    src = _stacked_basis_oracle(sl, d, w, N)
+    tgt = _stacked_basis_oracle(sl, d - 1, w, N)
+    tgt_idx = {t: i for i, t in enumerate(tgt)}
+    entries = {}
+    for j, (i, k) in enumerate(src):
+        bm = sl.b_matrix((d + 2 * i, w))
+        for (r, c), v in bm.entries.items():
+            if c == k and (i, r) in tgt_idx:
+                entries[(tgt_idx[(i, r)], j)] = v
+        if i + 1 <= N:
+            Bm = sl.B_matrix((d + 2 * i, w))
+            for (r, c), v in Bm.entries.items():
+                if c == k and (i + 1, r) in tgt_idx:
+                    entries[(tgt_idx[(i + 1, r)], j)] = v
+    return ExactMatrix(len(tgt), len(src), entries)
+
+
+def _cyclic_homology_oracle(sl):
+    degrees = sl.degrees()
+    dims = {}
+    if not degrees:
+        return dims
+    d_lo, d_hi = min(degrees), max(degrees)
+
+    def basis(d, w):
+        out = []
+        i = 0
+        while d - 2 * i >= d_lo:
+            for k in range(sl.dim((d - 2 * i, w))):
+                out.append((i, k))
+            i += 1
+        return out
+
+    def matrix(d, w):
+        src = basis(d, w)
+        tgt = basis(d - 1, w)
+        tgt_idx = {t: i for i, t in enumerate(tgt)}
+        entries = {}
+        for j, (i, k) in enumerate(src):
+            for (r, c), v in sl.b_matrix((d - 2 * i, w)).entries.items():
+                if c == k and (i, r) in tgt_idx:
+                    entries[(tgt_idx[(i, r)], j)] = v
+            if i - 1 >= 0:
+                for (r, c), v in sl.B_matrix((d - 2 * i, w)).entries.items():
+                    if c == k and (i - 1, r) in tgt_idx:
+                        entries[(tgt_idx[(i - 1, r)], j)] = v
+        return ExactMatrix(len(tgt), len(src), entries)
+
+    for w in sl.weights():
+        for d in range(d_lo, d_hi + 2 * (d_hi - d_lo) + 1):
+            if not basis(d, w):
+                continue
+            dims[(d, w)] = homology_presentation(matrix(d + 1, w), matrix(d, w)).dim
+    return dims
+
+
+def _periodic_homology_oracle(sl, N):
+    degrees = sl.degrees()
+    dims = {}
+    if not degrees:
+        return dims, []
+    d_lo, d_hi = min(degrees), max(degrees)
+
+    def basis(d, w):
+        out = []
+        for i in range(-N, N + 1):
+            for k in range(sl.dim((d + 2 * i, w))):
+                out.append((i, k))
+        return out
+
+    def matrix(d, w):
+        src = basis(d, w)
+        tgt = basis(d - 1, w)
+        tgt_idx = {t: i for i, t in enumerate(tgt)}
+        entries = {}
+        for j, (i, k) in enumerate(src):
+            for (r, c), v in sl.b_matrix((d + 2 * i, w)).entries.items():
+                if c == k and (i, r) in tgt_idx:
+                    entries[(tgt_idx[(i, r)], j)] = v
+            if i + 1 <= N:
+                for (r, c), v in sl.B_matrix((d + 2 * i, w)).entries.items():
+                    if c == k and (i + 1, r) in tgt_idx:
+                        entries[(tgt_idx[(i + 1, r)], j)] = v
+        return ExactMatrix(len(tgt), len(src), entries)
+
+    for w in sl.weights():
+        for d in range(d_lo - 2 * N, d_hi + 2 * N + 1):
+            if not basis(d, w):
+                continue
+            dims[(d, w)] = homology_presentation(matrix(d + 1, w), matrix(d, w)).dim
+    edge = [d for d in range(d_lo - 2 * N, d_hi + 2 * N + 1) if abs(d - d_lo) <= 2 or abs(d - d_hi) <= 2]
+    return dims, edge
+
+
+def _circulant_sides(c, w_max):
+    ctx = PoissonContext.make(3, "poly")
+    pi = quadratic_bivector(ctx, {k: c * v for k, v in CIRCULANT.items()})
+    ctxe = PoissonContext.make(3, "ext")
+    pid = quadratic_bivector(ctxe, {(j1, j2, i1, i2): c * v for (i1, i2, j1, j2), v in CIRCULANT.items()})
+    return slice_from_poisson(ctx, pi, w_max), DualSide(ctxe, pid, w_max=w_max)
+
+
+class TestTransposeOracles:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_hochschild_dual_matches_functionals(self, n):
+        A = make_exterior_algebra(n)
+        _assert_same_slice(slice_from_hochschild_dual(A, 5), _hochschild_dual_by_functionals(A, 5))
+
+    @pytest.mark.parametrize("c", [Q(1), Q(-7, 3)])
+    def test_poisson_dual_matches_functionals(self, c):
+        _, dual = _circulant_sides(c, 8)
+        _assert_same_slice(slice_from_poisson_dual(dual), _poisson_dual_by_functionals(dual))
+
+    def test_dual_side_operators_match_functionals(self):
+        _, dual = _circulant_sides(Q(-7, 3), 5)
+        want = _poisson_dual_by_functionals(dual)
+        for (d, w), labels in want.pieces.items():
+            for j, m in enumerate(labels):
+                for got, matrix, shift in ((dual.coboundary({m: Q(1)}), want.b_matrix((d, w)), -1),
+                                           (dual.d_star({m: Q(1)}), want.B_matrix((d, w)), 1)):
+                    col = matrix.column(j)
+                    tgt = want.pieces.get((d + shift, w), [])
+                    assert got == {t: v for t, v in zip(tgt, col) if v}
+
+
+def _u_sources():
+    yield slice_from_hochschild(make_exterior_algebra(1), 4)
+    yield slice_from_hochschild(make_exterior_algebra(2), 4)
+    yield slice_from_hochschild(make_truncated_polynomial_algebra(2, 4), 4)
+    primal, dual = _circulant_sides(Q(1), 8)
+    yield primal
+    yield slice_from_poisson_dual(dual)
+
+
+class TestUComplexOracles:
+    @pytest.fixture(scope="class")
+    def sources(self):
+        return list(_u_sources())
+
+    def test_hc_minus_matrices_and_presentations(self, sources):
+        from mixhom.mixed import _u_complex
+
+        for sl in sources:
+            N = default_truncation(sl)
+            hc = NegativeCyclic(sl, N)
+            d_lo, d_hi = min(sl.degrees()), max(sl.degrees())
+            stable = {}
+            for w in sl.weights():
+                for d in range(d_lo - 2 * N - 1, d_hi + 2):
+                    for M in (N, N + 1):
+                        assert _u_complex(sl, d, w, 0, M) == _hc_minus_matrix_oracle(sl, d, w, M), (sl.name, d, w)
+                    assert hc.stacked_basis(d, w) == _stacked_basis_oracle(sl, d, w, N)
+                    if d < d_lo - 2 * N or d > d_hi or not _stacked_basis_oracle(sl, d, w, N):
+                        continue
+                    pres = homology_presentation(
+                        _hc_minus_matrix_oracle(sl, d + 1, w, N), _hc_minus_matrix_oracle(sl, d, w, N)
+                    )
+                    assert hc.pres[(d, w)] == pres, (sl.name, d, w)
+                    upper = homology_presentation(
+                        _hc_minus_matrix_oracle(sl, d + 1, w, N + 1), _hc_minus_matrix_oracle(sl, d, w, N + 1)
+                    )
+                    stable[(d, w)] = pres.dim == upper.dim
+            assert set(hc.pres) == set(stable)
+            assert hc.stable == stable
+
+    def test_cyclic_and_periodic_dims(self, sources):
+        for sl in sources:
+            assert cyclic_homology(sl) == _cyclic_homology_oracle(sl), sl.name
+            assert periodic_homology(sl, 2) == _periodic_homology_oracle(sl, 2), sl.name

@@ -342,6 +342,58 @@ class TestDualSide:
         assert rep.unimodular
 
 
+def _contract_full_domain(dual, P, phi):
+    """The dual action as it was: φ∘ι_P evaluated on every form of the domain,
+    with the sign taken from one degree of P."""
+    F = dual.ctx.forms
+    deg_p = {dual.ctx.vectors.degree(m) for m, c in P.items() if c}
+    dp = deg_p.pop() if deg_p else 0
+    degs = {-F.degree(m) for m, c in phi.items() if c}
+    dphi = degs.pop() if degs else 0
+    sign = Q(-1) if (dp % 2) and (dphi % 2) else Q(1)
+    out = {}
+    for m in dual.domain:
+        total = Q(0)
+        for mm, c in contraction(dual.ctx, P, {m: Q(1)}).items():
+            v = phi.get(mm)
+            if v:
+                total += c * v
+        if total:
+            out[m] = sign * total
+    return out
+
+
+class TestDualContractOracle:
+    def test_frobenius_check_pairs_match_full_domain(self):
+        n = 3
+        ctxe = PoissonContext.make(n, "ext")
+        pid = quadratic_bivector(ctxe, swap_roles(CIRCULANT))
+        dual = DualSide(ctxe, pid, w_max=n + 2)
+        eta = dual.dual_volume()
+        V = ctxe.vectors
+        checked = 0
+        for m in V.monomials([1] * n + [max(2, n)] * n):
+            for P in ({m: Q(1)}, poisson_coboundary(ctxe, pid, {m: Q(1)})):
+                assert dual.contract(P, eta) == _contract_full_domain(dual, P, eta)
+                checked += 1
+        assert checked == 2 * 8 * 64
+
+    def test_contract_is_linear_in_inhomogeneous_P(self):
+        # ξ1 (degree -1) and ∂ξ2 (degree 0) contract φ = (ξ1dξ2)* with
+        # opposite signs, so one sign for the whole of P is wrong
+        ctxe = PoissonContext.make(2, "ext")
+        dual = DualSide(ctxe, {}, w_max=4)
+        F, V = ctxe.forms, ctxe.vectors
+        phi = {mono(F, ξ1=1, dξ2=1): Q(1)}
+        xi1 = {mono(V, ξ1=1): Q(1)}
+        d2 = {mono(V, **{"∂ξ2": 1}): Q(1)}
+        got = dual.contract({**xi1, **d2}, phi)
+        parts = dual.contract(xi1, phi)
+        add_into(parts, dual.contract(d2, phi))
+        assert got == parts
+        assert got == {mono(F, dξ2=1): Q(-1), mono(F, ξ1=1, dξ2=2): Q(2)}
+
+
 class TestHomologyGolden:
     def test_hp_dims_log_canonical_two_vars(self):
         # golden file: HP of x1x2 ∂1∧∂2 on two variables, p <= 2, w <= 4
