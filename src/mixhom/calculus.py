@@ -321,6 +321,7 @@ class CalculusBundle:
         self._cup: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction] | None] = {}
         self._bracket: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction] | None] = {}
         self._cap: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction] | None] = {}
+        self._B: dict[ClassKey, dict[ClassKey, Fraction]] = {}
 
     # -- bases -------------------------------------------------------------
 
@@ -432,14 +433,18 @@ class CalculusBundle:
         return self._cap[key]
 
     def B_classes(self, z: ClassKey) -> dict[ClassKey, Fraction]:
-        (d, w), i = z
-        rep = self.hom_rep_vector(z)
-        img = self.slice.B_matrix((d, w)).apply(rep)
-        if not any(img):
-            return {}
-        target = (d + 1, w)
-        coords = self.slice.hh(target).reduce(img)
-        return {(target, j): c for j, c in enumerate(coords) if c}
+        """B on a homology class, memoized per class; returns a fresh dict."""
+        got = self._B.get(z)
+        if got is None:
+            (d, w), i = z
+            img = self.slice.B_matrix((d, w)).apply(self.hom_rep_vector(z))
+            target = (d + 1, w)
+            got = {}
+            if any(img):
+                coords = self.slice.hh(target).reduce(img)
+                got = {(target, j): c for j, c in enumerate(coords) if c}
+            self._B[z] = got
+        return dict(got)
 
     # -- Def-style axiom verification --------------------------------------
 
@@ -577,8 +582,13 @@ class DualityData:
     eta: ClassKey
     pd: dict[Piece, ExactMatrix] = field(default_factory=dict)
     pd_inv_cols: dict[Piece, list] = field(default_factory=dict)
-    delta_mats: dict[Piece, ExactMatrix] = field(default_factory=dict)
     pd_twist: object = None  # callable(piece) -> ±1 normalization of PD
+    # per-class memo tables; only successful results are stored, and callers
+    # get copies, so a failing class raises again and no caller can edit them
+    _pd_inv: dict[ClassKey, dict[ClassKey, Fraction]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _delta: dict[ClassKey, dict[ClassKey, Fraction]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def _twist(self, piece: Piece) -> Fraction:
         if self.pd_twist is None:
@@ -598,21 +608,23 @@ class DualityData:
         return {k: t * v for k, v in got.items()}
 
     def pd_inverse(self, key: ClassKey) -> dict[ClassKey, Fraction]:
-        """Homology class -> cohomology class with PD(result) = key."""
-        (d, w), i = key
-        (de, we) = self.eta[0]
-        s = self.bundle.weight_sign
-        src = (d - de, s * (w - we))
-        pres = self.bundle.coh_pres.get(src)
-        if pres is None or src not in self.pd:
-            raise DualityError(f"PD not invertible into piece {src}")
-        hh = self.bundle.slice.hh(key[0])
-        target = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
-        cols = self.pd_inv_cols[src]
-        coeffs = solve_in_span(cols, target)
-        if coeffs is None:
-            raise DualityError(f"PD not surjective onto {key}")
-        return {(src, j): c for j, c in enumerate(coeffs) if c}
+        """Homology class -> cohomology class with PD(result) = key, solved once per class."""
+        got = self._pd_inv.get(key)
+        if got is None:
+            (d, w), i = key
+            (de, we) = self.eta[0]
+            s = self.bundle.weight_sign
+            src = (d - de, s * (w - we))
+            pres = self.bundle.coh_pres.get(src)
+            if pres is None or src not in self.pd:
+                raise DualityError(f"PD not invertible into piece {src}")
+            hh = self.bundle.slice.hh(key[0])
+            target = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
+            coeffs = solve_in_span(self.pd_inv_cols[src], target)
+            if coeffs is None:
+                raise DualityError(f"PD not surjective onto {key}")
+            got = self._pd_inv[key] = {(src, j): c for j, c in enumerate(coeffs) if c}
+        return dict(got)
 
     # the transported product on the homology side
     def dot(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction]:
@@ -629,12 +641,15 @@ class DualityData:
         return out
 
     def delta_classes(self, key: ClassKey) -> dict[ClassKey, Fraction]:
-        """Δ = PD⁻¹ ∘ B ∘ PD on cohomology classes."""
-        out: dict[ClassKey, Fraction] = {}
-        for kz, vz in self.pd_of(key).items():
-            for kb, vb in self.bundle.B_classes(kz).items():
-                _accumulate(out, self.pd_inverse(kb), vz * vb)
-        return out
+        """Δ = PD⁻¹ ∘ B ∘ PD on cohomology classes, memoized per class."""
+        got = self._delta.get(key)
+        if got is None:
+            got = {}
+            for kz, vz in self.pd_of(key).items():
+                for kb, vb in self.bundle.B_classes(kz).items():
+                    _accumulate(got, self.pd_inverse(kb), vz * vb)
+            self._delta[key] = got
+        return dict(got)
 
     def generated_bracket(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction] | None:
         """[a,b] = (-1)^{|a|+1} (Δ(a∪b) - Δa∪b - (-1)^{|a|} a∪Δb)."""

@@ -155,6 +155,8 @@ def parse_job(text: str) -> JobSpecification:
                     algebra[key] = int(parts[1])
                 except (IndexError, ValueError):
                     raise ParseError(line_no, f"{key} takes one integer")
+                if key == "cutoff" and algebra[key] <= 0:
+                    raise ParseError(line_no, "cutoff must be positive")
             elif key == "relation":
                 # relation i j c [i j c ...]: a vector in the tensor basis
                 body = parts[1:]

@@ -41,31 +41,26 @@ def chain_weight(A: GradedAlgebra, t: ChainKey) -> int:
     return sum(A.weights[i] for i in t)
 
 
+def _bar_tuples(A: GradedAlgebra, aug: list[int], prefix: tuple[int, ...], remaining: int, slots: int,
+                out: list[tuple[int, ...]]) -> None:
+    """Append to out each prefix extended by ``slots`` augmentation indices of total weight ``remaining``."""
+    if slots == 0:
+        if remaining == 0:
+            out.append(prefix)
+        return
+    for i in aug:
+        wi = A.weights[i]
+        if wi <= remaining - (slots - 1):  # each further slot needs weight >= 1
+            _bar_tuples(A, aug, prefix + (i,), remaining - wi, slots - 1, out)
+
+
 def chain_basis(A: GradedAlgebra, p: int, w: int) -> list[ChainKey]:
     """All basis chains of tensor length p and total weight w, sorted."""
     aug = A.augmentation_indices()
     out: list[ChainKey] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 0:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        for i in aug:
-            wi = A.weights[i]
-            if wi <= remaining - (slots - 1):  # each further slot needs weight >= 1
-                extend(prefix + (i,), remaining - wi, slots - 1)
-
     for i0 in range(A.dim):
-        w0 = A.weights[i0]
-        if w0 > w:
-            continue
-        if p == 0:
-            if w0 == w:
-                out.append((i0,))
-        else:
-            if w - w0 >= p:
-                extend((i0,), w - w0, p)
+        if w - A.weights[i0] >= p:
+            _bar_tuples(A, aug, (i0,), w - A.weights[i0], p, out)
     return sorted(out)
 
 
@@ -184,23 +179,9 @@ def multiplication_cochain(A: GradedAlgebra) -> Cochain:
 
 
 def _tuples_of_weight(A: GradedAlgebra, q: int, w: int) -> list[tuple[int, ...]]:
-    aug = A.augmentation_indices()
     out: list[tuple[int, ...]] = []
-
-    def extend(prefix, remaining, slots):
-        if slots == 0:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        for i in aug:
-            wi = A.weights[i]
-            if wi <= remaining - (slots - 1):
-                extend(prefix + (i,), remaining - wi, slots - 1)
-
-    if q == 0:
-        return [()] if w == 0 else []
     if w >= q:
-        extend((), w, q)
+        _bar_tuples(A, A.augmentation_indices(), (), w, q, out)
     return sorted(out)
 
 
@@ -238,8 +219,10 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
 def circle(f: Cochain, g: Cochain, tuples_by_arity: dict[int, list[tuple[int, ...]]]) -> Cochain:
     """Insertion f∘g: sum of g plugged into each slot of f, with Koszul signs.
 
-    Needs the input tuples on which the result should be tabulated, supplied
-    as tuples_by_arity[f.arity + g.arity - 1].
+    Tabulated on the input tuples tuples_by_arity[f.arity + g.arity - 1],
+    in their order.  Evaluated as a join over nonzero entries: g's entries
+    are indexed by each bar-projected output, and every slot of every
+    nonzero f entry takes the g entries whose output it holds.
     """
     A = f.algebra
     n, m = f.arity, g.arity
@@ -247,22 +230,22 @@ def circle(f: Cochain, g: Cochain, tuples_by_arity: dict[int, list[tuple[int, ..
         return Cochain(A, 0, f.degree + g.degree + 1, {})
     arity = n + m - 1
     g_shift = (g.degree + 1) % 2
-    table: dict[tuple[int, ...], Element] = {}
-    for key in tuples_by_arity[arity]:
-        acc: Element = {}
-        for i in range(n):
-            inner = key[i : i + m]
-            gval = g.value(inner)
-            if not gval:
-                continue
-            passed = sum(A.degrees[k] + 1 for k in key[:i]) % 2
-            sign = -1 if (g_shift and passed) else 1
-            gbar = _bar_project(A, gval)
-            for gk, gc in gbar.items():
-                outer = key[:i] + (gk,) + key[i + m :]
-                _accumulate(acc, f.value(outer), sign * gc)
-        if acc:
-            table[key] = acc
+    by_output: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
+    for inner, gval in g.table.items():
+        if len(inner) == m:
+            for gk, gc in _bar_project(A, gval).items():
+                by_output.setdefault(gk, []).append((inner, gc))
+    acc: dict[tuple[int, ...], Element] = {}
+    for outer, fval in f.table.items():
+        if len(outer) != n or not fval:
+            continue
+        passed = 0
+        for i, gk in enumerate(outer):
+            sign = -1 if (g_shift and passed % 2) else 1
+            for inner, gc in by_output.get(gk, ()):
+                _accumulate(acc.setdefault(outer[:i] + inner + outer[i + 1 :], {}), fval, sign * gc)
+            passed += A.degrees[gk] + 1
+    table = {key: acc[key] for key in tuples_by_arity[arity] if acc.get(key)}
     return Cochain(A, arity, f.degree + g.degree + 1, table)
 
 

@@ -5,11 +5,17 @@ tables on homology bases) reduces to the routines here.  All arithmetic is
 over ``fractions.Fraction``; there is no floating point anywhere.  Outputs
 are deterministic: row reduction produces the (unique) reduced row echelon
 form, so kernels, images and homology presentations are canonical.
+
+A homology presentation is factored once, when it is built: its boundary
+and representative bases are kept in reduced row echelon form, so reducing
+a cycle to homology coordinates is a single elimination pass against them,
+with no new row reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -299,6 +305,9 @@ class HomologyPresentation:
     ``cycle_basis`` holds homology representatives, ``boundary_basis`` the
     canonical image basis; ``reduce`` maps any cycle to its coordinates in
     the homology basis (zero on boundaries, e_i on the i-th representative).
+    Both bases are in reduced row echelon form and every representative
+    vanishes on the boundary pivots, which is what lets ``reduce`` read the
+    coordinates off in one pass.
     """
 
     ambient_dim: int
@@ -309,23 +318,45 @@ class HomologyPresentation:
     def dim(self) -> int:
         return len(self.cycle_basis)
 
+    @cached_property
+    def _echelon(self) -> tuple[tuple[tuple[int, dict[int, Fraction]], ...], ...]:
+        """(pivot, sparse row) of the boundaries, then of the representatives."""
+        return tuple(
+            tuple((min(r), r) for r in ({j: c for j, c in enumerate(v) if c} for v in basis))
+            for basis in (self.boundary_basis, self.cycle_basis)
+        )
+
     def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Coordinates of a cycle in the homology basis.
 
-        Raises ValueError if vec is not in the cycle space modulo boundaries
-        (i.e. not expressible at all).
+        One elimination pass and no new factorization: each boundary row is
+        subtracted at its pivot, then each representative at its own pivot.
+        The representatives are independent modulo the boundaries, so these
+        coordinates are the unique ones.  Raises DimensionMismatchError if
+        vec does not have the ambient length, and ValueError if a remainder
+        is left (vec is not a cycle of this presentation).
         """
-        gens = list(self.boundary_basis) + list(self.cycle_basis)
-        coeffs = solve_in_span(gens, vec)
-        if coeffs is None:
+        if len(vec) != self.ambient_dim:
+            raise DimensionMismatchError("vector length != ambient dimension")
+        t = {j: _as_fraction(c) for j, c in enumerate(vec) if c != 0}
+        boundaries, reps = self._echelon
+        for p, row in boundaries:
+            c = t.get(p)
+            if c:
+                _accumulate(t, row, -c)
+        coords = []
+        for p, row in reps:
+            c = t.get(p, ZERO)
+            if c:
+                _accumulate(t, row, -c)
+            coords.append(c)
+        if t:
             raise ValueError("vector is not a cycle of this presentation")
-        nb = len(self.boundary_basis)
-        return tuple(coeffs[nb:])
+        return tuple(coords)
 
 
-
-def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPresentation:
-    """Presentation of ker(d_out)/im(d_in); checks d_out o d_in = 0 first."""
+def _check_complex(d_in: ExactMatrix, d_out: ExactMatrix) -> None:
+    """Raise unless d_in lands in d_out's source and d_out o d_in = 0."""
     if d_in.cols and d_out.rows is not None:
         if d_in.rows != d_out.cols:
             raise DimensionMismatchError("d_in target dimension != d_out source dimension")
@@ -333,6 +364,11 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
         if not comp.is_zero():
             bad = min(j for (_, j) in comp.entries)
             raise NotAComplexError(bad)
+
+
+def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPresentation:
+    """Presentation of ker(d_out)/im(d_in); checks d_out o d_in = 0 first."""
+    _check_complex(d_in, d_out)
     dim = d_out.cols
     kernel = kernel_basis(d_out)
     boundaries = image_basis(d_in)

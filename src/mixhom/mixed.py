@@ -14,7 +14,8 @@ primal ones.
 Negative cyclic, cyclic and periodic homology are the homology of one
 u-stacked complex (C ⊗ u-powers, b + uB) over the u-ranges [0, N], [-K, 0]
 and [-N, N].  For HC⁻ a stabilization report compares truncations N and
-N+1 and flags unstable (degree, weight) pieces.  The connecting map β
+N+1 and flags unstable (degree, weight) pieces; the N+1 dimensions come
+from ranks alone.  The connecting map β
 follows the chain-level recipe: lift a b-cycle, apply b + uB, divide by u.
 """
 
@@ -25,7 +26,13 @@ from fractions import Fraction
 
 from .algebra import GradedAlgebra
 from .hochschild import boundary_b, chain_basis, connes_B, shifted_degree
-from .linalg import ExactMatrix, HomologyPresentation, _accumulate, homology_presentation
+from .linalg import (
+    ExactMatrix,
+    HomologyPresentation,
+    _accumulate,
+    _check_complex,
+    homology_presentation,
+)
 from . import poisson as po
 
 Q = Fraction
@@ -232,26 +239,19 @@ class NegativeCyclic:
     stable: dict[Piece, bool] = field(default_factory=dict)
 
     def __post_init__(self):
-        dims_N = self._compute(self.N)
-        dims_N1 = self._compute(self.N + 1, presentations=False)
-        for piece in self.pres:
-            self.stable[piece] = dims_N[piece] == dims_N1.get(piece, 0)
+        degrees = self.slice.degrees()
+        if not degrees:
+            return
+        lo, hi = min(degrees), max(degrees)
+        self.pres.update(_u_homology(self.slice, 0, self.N, lo - 2 * self.N, hi))
+        upper = _u_dims(self.slice, 0, self.N + 1, lo - 2 * (self.N + 1), hi)
+        for piece, pres in self.pres.items():
+            self.stable[piece] = pres.dim == upper.get(piece, 0)
 
     # basis of the truncated complex in degree d: pairs (i, index into piece)
     def stacked_basis(self, d: int, w: int, N: int | None = None) -> list[tuple[int, int]]:
         N = self.N if N is None else N
         return [(i, k) for i in range(N + 1) for k in range(self.slice.dim((d + 2 * i, w)))]
-
-    def _compute(self, N: int, presentations: bool = True) -> dict[Piece, int]:
-        dims: dict[Piece, int] = {}
-        degrees = self.slice.degrees()
-        if not degrees:
-            return dims
-        for piece, pres in _u_homology(self.slice, 0, N, min(degrees) - 2 * N, max(degrees)):
-            dims[piece] = pres.dim
-            if presentations:
-                self.pres[piece] = pres
-        return dims
 
     def dims(self) -> dict[Piece, int]:
         return {p: v.dim for p, v in sorted(self.pres.items())}
@@ -416,14 +416,41 @@ def _u_complex(sl: MixedComplexSlice, d: int, w: int, lo: int, hi: int) -> Exact
     return ExactMatrix(rows, cols, entries)
 
 
+def _u_matrices(sl: MixedComplexSlice, lo: int, hi: int, d_from: int, d_to: int):
+    """(piece, d_in, d_out) of the u-stacked complex in degrees d_from..d_to, per weight.
+
+    Pieces with no chains are skipped; each matrix is built once, as d_in
+    of one degree and d_out of the next.
+    """
+    for w in sl.weights():
+        d_out = _u_complex(sl, d_from, w, lo, hi)
+        for d in range(d_from, d_to + 1):
+            d_in = _u_complex(sl, d + 1, w, lo, hi)
+            if d_out.cols:
+                yield (d, w), d_in, d_out
+            d_out = d_in
+
+
 def _u_homology(sl: MixedComplexSlice, lo: int, hi: int, d_from: int, d_to: int):
     """(piece, presentation) of the u-stacked complex in degrees d_from..d_to, per weight."""
-    for w in sl.weights():
-        for d in range(d_from, d_to + 1):
-            if _u_offsets(sl, d, w, lo, hi)[1]:
-                yield (d, w), homology_presentation(
-                    _u_complex(sl, d + 1, w, lo, hi), _u_complex(sl, d, w, lo, hi)
-                )
+    for piece, d_in, d_out in _u_matrices(sl, lo, hi, d_from, d_to):
+        yield piece, homology_presentation(d_in, d_out)
+
+
+def _u_dims(sl: MixedComplexSlice, lo: int, hi: int, d_from: int, d_to: int) -> dict[Piece, int]:
+    """Homology dimensions of the u-stacked complex, cols − rank(d_out) − rank(d_in).
+
+    Checks d_out∘d_in = 0 like a presentation would, but eliminates each
+    matrix only once, for its rank.
+    """
+    dims: dict[Piece, int] = {}
+    ranks: dict[Piece, int] = {}  # rank of the matrix out of each degree
+    for (d, w), d_in, d_out in _u_matrices(sl, lo, hi, d_from, d_to):
+        _check_complex(d_in, d_out)
+        r_out = ranks.pop((d, w)) if (d, w) in ranks else d_out.rank()
+        ranks[(d + 1, w)] = d_in.rank()
+        dims[(d, w)] = d_out.cols - r_out - ranks[(d + 1, w)]
+    return dims
 
 
 def cyclic_homology(sl: MixedComplexSlice) -> dict[Piece, int]:

@@ -21,6 +21,10 @@ CIRCULANT = {(1, 2, 1, 2): Q(1), (2, 3, 2, 3): Q(1), (3, 1, 3, 1): Q(1)}
 
 @pytest.fixture(scope="module")
 def frobenius_duality():
+    return _frobenius_duality()
+
+
+def _frobenius_duality():
     A = make_exterior_algebra(2)
     sl = slice_from_hochschild_dual(A, 4)
     bundle = hochschild_dual_bundle(
@@ -206,3 +210,43 @@ def test_dual_action_matches_full_domain_on_bv_check_bundle():
     for f, label in pairs:
         phi = DualCochain(A, -shifted_degree(A, label), {label: Q(1)})
         assert act(f, label) == _cap_star_full_domain(f, phi, chains).table
+
+
+def _memo_arguments(bundle, duality):
+    coh = [k for k in bundle.coh_classes() if k[0] in duality.pd]
+    hom = bundle.hom_classes()
+    return ((duality.delta_classes, coh), (bundle.B_classes, hom), (duality.pd_inverse, hom))
+
+
+def test_memo_results_are_copies(frobenius_duality):
+    bundle, duality = frobenius_duality
+    for method, keys in _memo_arguments(bundle, duality):
+        nonempty = 0
+        for key in keys:
+            try:
+                first = method(key)
+            except DualityError:
+                # failures are not memoized: the next call raises again
+                with pytest.raises(DualityError):
+                    method(key)
+                continue
+            want = dict(first)
+            nonempty += bool(want)
+            first.clear()
+            first[("junk", 0)] = Q(7)
+            assert method(key) == want
+        assert nonempty, method.__name__
+
+
+def test_fresh_dualities_share_no_cache():
+    (bundle1, duality1), (bundle2, duality2) = _frobenius_duality(), _frobenius_duality()
+    before = (dict(duality2._delta), dict(duality2._pd_inv), dict(bundle2._B))
+    for method, keys in _memo_arguments(bundle1, duality1):
+        for key in keys:
+            try:
+                method(key)
+            except DualityError:
+                pass
+    assert duality1._delta and duality1._pd_inv and len(bundle1._B) > len(before[2])
+    assert (duality2._delta, duality2._pd_inv, bundle2._B) == before
+    assert duality1._delta is not duality2._delta and bundle1._B is not bundle2._B

@@ -141,9 +141,11 @@ class TestRun:
         ("run", "[algebra]\nkind quadratic\nn 2\nrelation 1 2 1\n[tasks]\nhh\n"),
         ("hh", "[algebra]\nkind quadratic\nn 2\nrelation 1 2 1\n"),
         ("run", "[algebra]\nkind quadratic\nn 2\nrelation 1 2 1\nrelation 1 2 -2\n[tasks]\nkoszul\n"),
+        ("hh", "[algebra]\nkind polynomial\nn 1\ncutoff -2\n"),
+        ("hh", "[algebra]\nkind polynomial\nn 1\ncutoff 0\n"),
     ],
     ids=["relation-index", "poisson-on-exterior", "poisson-subcommand", "hh-on-quadratic",
-         "hh-subcommand", "dependent-relations"],
+         "hh-subcommand", "dependent-relations", "negative-cutoff", "zero-cutoff"],
 )
 def test_bad_jobs_are_parse_errors(tmp_path, command, job):
     import subprocess

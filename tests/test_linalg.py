@@ -10,6 +10,7 @@ from mixhom.linalg import (
     homology_presentation,
     image_basis,
     kernel_basis,
+    rref,
     solve_in_span,
 )
 
@@ -146,3 +147,153 @@ def test_image_basis_canonical():
     M = ExactMatrix.from_columns([(Q(1), Q(1)), (Q(2), Q(2)), (Q(0), Q(1))])
     basis = image_basis(M)
     assert basis == [(Q(1), Q(0)), (Q(0), Q(1))]
+
+
+# -- differential oracle: HomologyPresentation.reduce as it was ----------------
+
+
+def reduce_by_solve_in_span(pres, vec):
+    """The reduction as it was: one solve_in_span, with a fresh RREF, per call."""
+    gens = list(pres.boundary_basis) + list(pres.cycle_basis)
+    coeffs = solve_in_span(gens, vec)
+    if coeffs is None:
+        raise ValueError("vector is not a cycle of this presentation")
+    nb = len(pres.boundary_basis)
+    return tuple(coeffs[nb:])
+
+
+def _combine(coeffs, vectors, dim):
+    return tuple(sum((c * v[j] for c, v in zip(coeffs, vectors)), Q(0)) for j in range(dim))
+
+
+def assert_reduce_matches_oracle(pres, rng, combos=3):
+    """reduce = oracle on every representative and on random in-span vectors;
+    both paths raise ValueError on a vector outside the span."""
+    gens = list(pres.boundary_basis) + list(pres.cycle_basis)
+    n = pres.ambient_dim
+    vecs = list(pres.cycle_basis)
+    for _ in range(combos if gens else 0):
+        vecs.append(_combine([Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in gens], gens, n))
+    for v in vecs:
+        assert pres.reduce(v) == reduce_by_solve_in_span(pres, v)
+    if len(gens) < n:
+        base = vecs[-1] if vecs else (Q(0),) * n
+        for j in range(n):
+            unit = tuple(Q(int(k == j)) for k in range(n))
+            if solve_in_span(gens, unit) is None:
+                bad = tuple(a + b for a, b in zip(base, unit))
+                with pytest.raises(ValueError):
+                    pres.reduce(bad)
+                with pytest.raises(ValueError):
+                    reduce_by_solve_in_span(pres, bad)
+                break
+        else:
+            raise AssertionError("span is the whole space although it has fewer generators")
+    return len(vecs)
+
+
+def test_reduce_rejects_wrong_length():
+    pres = homology_presentation(ExactMatrix.zero(2, 0), ExactMatrix.zero(0, 2))
+    with pytest.raises(DimensionMismatchError):
+        pres.reduce((Q(1),))
+
+
+small_ints = st.integers(min_value=-3, max_value=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_reduce_matches_oracle_on_random_complexes(n, data):
+    rows = data.draw(st.lists(st.lists(small_fracs, min_size=n, max_size=n), min_size=1, max_size=4))
+    d_out = ExactMatrix.from_rows(rows)
+    kernel = kernel_basis(d_out)
+    # boundaries are combinations of kernel vectors, so d_out o d_in = 0
+    combos = data.draw(st.lists(st.lists(small_ints, min_size=len(kernel), max_size=len(kernel)), max_size=3))
+    boundaries = [_combine(cs, kernel, n) for cs in combos]
+    d_in = ExactMatrix.from_columns(boundaries, rows=n)
+    pres = homology_presentation(d_in, d_out)
+    for b in boundaries:
+        assert pres.reduce(b) == (Q(0),) * pres.dim
+    cycles = list(kernel)
+    cycles.append(_combine(data.draw(st.lists(small_fracs, min_size=len(kernel), max_size=len(kernel))), kernel, n))
+    for v in cycles:
+        assert pres.reduce(v) == reduce_by_solve_in_span(pres, v)
+    for j in range(n):
+        if any(d_out.column(j)):
+            unit = tuple(Q(int(k == j)) for k in range(n))
+            with pytest.raises(ValueError):
+                pres.reduce(unit)
+            with pytest.raises(ValueError):
+                reduce_by_solve_in_span(pres, unit)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_rref_matches_sympy(ncols, data):
+    import sympy
+
+    rows = data.draw(st.lists(st.lists(small_fracs, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+    reduced, pivots = rref([{j: c for j, c in enumerate(r) if c} for r in rows], ncols)
+    want, want_pivots = sympy.Matrix(
+        [[sympy.Rational(c.numerator, c.denominator) for c in r] for r in rows]
+    ).rref()
+    assert tuple(pivots) == tuple(want_pivots)
+    assert [[row.get(j, Q(0)) for j in range(ncols)] for row in reduced] == [
+        [Q(int(x.p), int(x.q)) for x in want.row(i)] for i in range(len(want_pivots))
+    ]
+
+
+def _bv_check_bundles():
+    """The two dualities the bv-check benchmark workload builds, at c = 1."""
+    from mixhom.algebra import make_exterior_algebra
+    from mixhom.calculus import (attach_duality, hochschild_dual_bundle, poisson_bundle,
+                                 polyvector_pd_twist)
+    from mixhom.mixed import slice_from_hochschild_dual, slice_from_poisson
+    from mixhom.poisson import PoissonContext, quadratic_bivector
+
+    def class_of(sl, piece, element):
+        coords = sl.hh(piece).reduce(sl.element_vector(piece, element))
+        return (piece, [i for i, v in enumerate(coords) if v][0])
+
+    A = make_exterior_algebra(2)
+    sl = slice_from_hochschild_dual(A, 5)
+    bundle = hochschild_dual_bundle(
+        A, sl, q_max=6, coh_window=lambda p: -3 <= p[1] <= 2 and -3 <= p[0] <= 0
+    )
+    frob = attach_duality(bundle, class_of(sl, (2, 2), {(A.index["ξ1ξ2"],): Q(1)}))
+    ctx = PoissonContext.make(3, "poly")
+    pi = quadratic_bivector(ctx, {(1, 2, 1, 2): Q(1), (2, 3, 2, 3): Q(1), (3, 1, 3, 1): Q(1)})
+    slp = slice_from_poisson(ctx, pi, 8)
+    bundle_p = poisson_bundle(ctx, pi, slp, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
+    eta = class_of(slp, (3, 3), {(0, 0, 0, 1, 1, 1): Q(1)})
+    pois = attach_duality(bundle_p, eta, pd_twist=polyvector_pd_twist(1))
+    return frob, pois
+
+
+def test_reduce_matches_oracle_on_bv_check_presentations():
+    import random
+
+    rng = random.Random(0)
+    checked = 0
+    for duality in _bv_check_bundles():
+        bundle = duality.bundle
+        for pres in bundle.coh_pres.values():
+            checked += assert_reduce_matches_oracle(pres, rng)
+        for piece in bundle.slice.pieces:
+            checked += assert_reduce_matches_oracle(bundle.slice.hh(piece), rng)
+    assert checked > 400
+
+
+def test_reduce_matches_oracle_on_hc_minus_presentations():
+    import random
+
+    from mixhom.mixed import NegativeCyclic, default_truncation, slice_from_poisson
+    from mixhom.poisson import PoissonContext, quadratic_bivector
+
+    rng = random.Random(1)
+    ctx = PoissonContext.make(3, "poly")
+    pi = quadratic_bivector(ctx, {(1, 2, 1, 2): Q(1), (2, 3, 2, 3): Q(1), (3, 1, 3, 1): Q(1)})
+    sl = slice_from_poisson(ctx, pi, 8)
+    hc = NegativeCyclic(sl, default_truncation(sl))
+    checked = sum(assert_reduce_matches_oracle(pres, rng) for pres in hc.pres.values())
+    assert checked > 100
