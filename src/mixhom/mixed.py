@@ -243,7 +243,8 @@ class NegativeCyclic:
         if not degrees:
             return
         lo, hi = min(degrees), max(degrees)
-        self.pres.update(_u_homology(self.slice, 0, self.N, lo - 2 * self.N, hi))
+        for piece, d_in, d_out in _u_matrices(self.slice, 0, self.N, lo - 2 * self.N, hi):
+            self.pres[piece] = homology_presentation(d_in, d_out)
         upper = _u_dims(self.slice, 0, self.N + 1, lo - 2 * (self.N + 1), hi)
         for piece, pres in self.pres.items():
             self.stable[piece] = pres.dim == upper.get(piece, 0)
@@ -431,12 +432,6 @@ def _u_matrices(sl: MixedComplexSlice, lo: int, hi: int, d_from: int, d_to: int)
             d_out = d_in
 
 
-def _u_homology(sl: MixedComplexSlice, lo: int, hi: int, d_from: int, d_to: int):
-    """(piece, presentation) of the u-stacked complex in degrees d_from..d_to, per weight."""
-    for piece, d_in, d_out in _u_matrices(sl, lo, hi, d_from, d_to):
-        yield piece, homology_presentation(d_in, d_out)
-
-
 def _u_dims(sl: MixedComplexSlice, lo: int, hi: int, d_from: int, d_to: int) -> dict[Piece, int]:
     """Homology dimensions of the u-stacked complex, cols − rank(d_out) − rank(d_in).
 
@@ -462,7 +457,7 @@ def cyclic_homology(sl: MixedComplexSlice) -> dict[Piece, int]:
     d_top = d_hi + 2 * (d_hi - d_lo)
     # u-powers down to -K reach the lowest degree from every degree up to d_top + 1
     K = (d_top + 1 - d_lo) // 2
-    return {piece: pres.dim for piece, pres in _u_homology(sl, -K, 0, d_lo, d_top)}
+    return _u_dims(sl, -K, 0, d_lo, d_top)
 
 
 def periodic_homology(sl: MixedComplexSlice, N: int) -> tuple[dict[Piece, int], list[int]]:
@@ -476,7 +471,7 @@ def periodic_homology(sl: MixedComplexSlice, N: int) -> tuple[dict[Piece, int], 
     if not degrees:
         return {}, []
     d_lo, d_hi = min(degrees), max(degrees)
-    dims = {piece: pres.dim for piece, pres in _u_homology(sl, -N, N, d_lo - 2 * N, d_hi + 2 * N)}
+    dims = _u_dims(sl, -N, N, d_lo - 2 * N, d_hi + 2 * N)
     edge = [d for d in range(d_lo - 2 * N, d_hi + 2 * N + 1) if abs(d - d_lo) <= 2 or abs(d - d_hi) <= 2]
     return dims, edge
 
