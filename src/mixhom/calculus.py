@@ -56,6 +56,22 @@ class DualityError(Exception):
 # -- cochain-side operation providers -----------------------------------------
 
 
+class _TuplesByArity(dict):
+    """Input tuples of weight <= v_max per arity, built on first lookup.
+
+    ``circle`` can ask for arities above the bundle's q_max + 1.
+    """
+
+    def __init__(self, A: GradedAlgebra, v_max: int):
+        super().__init__()
+        self.A = A
+        self.v_max = v_max
+
+    def __missing__(self, q: int) -> list[tuple[int, ...]]:
+        self[q] = all_tuples_up_to_weight(self.A, q, self.v_max)
+        return self[q]
+
+
 class HochschildCochainOps:
     """Mode-A Hochschild cochains of a graded algebra, windowed by arity/weight.
 
@@ -75,12 +91,7 @@ class HochschildCochainOps:
                 v_max = A.weight_cutoff
         self.v_max = v_max
 
-        class _LazyTuples(dict):
-            def __missing__(inner, q):
-                inner[q] = all_tuples_up_to_weight(A, q, v_max)
-                return inner[q]
-
-        self.tuples = _LazyTuples()
+        self.tuples = _TuplesByArity(A, v_max)
         for q in range(q_max + 2):
             _ = self.tuples[q]
         # the coboundary raises arity by exactly one, so each (degree, shift)

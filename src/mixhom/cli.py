@@ -5,6 +5,14 @@ requested computations, and writes one JSON result file plus a plain-text
 summary per task.  Every numeric value is an exact rational rendered
 canonically; two runs on the same input produce byte-identical artifacts.
 
+The tasks of one job share a :class:`JobContext`: the algebra, its
+Hochschild slice, HC⁻ with its long-exact-sequence report, the Poisson data
+with both unimodularity reports, and the Koszul dual with its verdict are
+each built once, by the first task that needs them, and dropped once no
+later task reads them.  A build that fails is not kept, so every task that
+needs it fails with its own error artifact.  Each task writes the same
+artifact it writes when run alone.
+
 Job file format::
 
     [algebra]
@@ -40,6 +48,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     WindowOverflowError,
@@ -253,14 +262,6 @@ def _sorted_dims(dims: dict) -> list:
     return [[d, w, dims[(d, w)]] for (d, w) in sorted(dims)]
 
 
-def _build_algebra(spec: JobSpecification):
-    if spec.kind == "exterior":
-        return make_exterior_algebra(spec.n)
-    if spec.kind == "polynomial":
-        return make_truncated_polynomial_algebra(spec.n, spec.cutoff or spec.w_max)
-    raise ValueError("structure-constant algebras are driven through presentations")
-
-
 def _presentation(spec: JobSpecification) -> QuadraticPresentation:
     if spec.kind == "polynomial":
         return polynomial_presentation(spec.n)
@@ -281,28 +282,125 @@ def _presentation(spec: JobSpecification) -> QuadraticPresentation:
     raise ValueError(f"no presentation for kind {spec.kind}")
 
 
-def task_hh(spec: JobSpecification) -> dict:
-    A = _build_algebra(spec)
-    sl = slice_from_hochschild(A, spec.w_max)
-    hh = {k: v for k, v in sl.hh_dims().items() if v}
+# the shared structures each task reads, and the ones each structure is built from
+TASK_READS = {
+    "hh": ("algebra", "slice"),
+    "hc-minus": ("algebra", "slice", "hc_minus", "les"),
+    "poisson": ("poisson", "unimodularity", "dual_frobenius"),
+    "gravity": ("poisson",),
+    "koszul": ("presentation", "koszul_dual", "koszul_verdict"),
+    "check": ("les", "poisson", "unimodularity", "dual_frobenius"),
+}
+BUILT_FROM = {
+    "slice": ("algebra",),
+    "hc_minus": ("slice",),
+    "les": ("hc_minus",),
+    "unimodularity": ("poisson",),
+    "koszul_dual": ("presentation",),
+    "koszul_verdict": ("presentation", "koszul_dual"),
+}
+
+
+class JobContext:
+    """The structures a job's tasks share, each built the first time a task asks.
+
+    A ``cached_property`` keeps a value only when its builder returns, so a
+    build that raises is attempted again, and raises again, for every task
+    that asks for it; each task still writes its own error artifact.  A
+    context lives for one ``run_job`` call.
+    """
+
+    def __init__(self, spec: JobSpecification):
+        self.spec = spec
+
+    def release(self, tasks) -> None:
+        """Drop every built structure that none of ``tasks`` will read.
+
+        A structure still to be built keeps the ones it is built from, so
+        nothing is built twice.  Without this, a job would hold its slice
+        and HC⁻ through every later task and raise its peak memory.
+        """
+        keep: set[str] = set()
+        todo = [name for task in tasks for name in TASK_READS[task]]
+        while todo:
+            name = todo.pop()
+            if name not in keep:
+                keep.add(name)
+                if name not in vars(self):
+                    todo.extend(BUILT_FROM.get(name, ()))
+        for name in [name for name in vars(self) if name not in keep | {"spec"}]:
+            delattr(self, name)
+
+    @cached_property
+    def algebra(self):
+        spec = self.spec
+        if spec.kind == "exterior":
+            return make_exterior_algebra(spec.n)
+        if spec.kind == "polynomial":
+            return make_truncated_polynomial_algebra(spec.n, spec.cutoff or spec.w_max)
+        raise ValueError("structure-constant algebras are driven through presentations")
+
+    @cached_property
+    def slice(self):
+        return slice_from_hochschild(self.algebra, self.spec.w_max)
+
+    @cached_property
+    def hc_minus(self):
+        return NegativeCyclic(self.slice, self.spec.u_trunc or default_truncation(self.slice))
+
+    @cached_property
+    def les(self):
+        return les_check(self.hc_minus)
+
+    @cached_property
+    def poisson(self):
+        """(ctx, π) on the polynomial side."""
+        if self.spec.kind != "polynomial":
+            raise ValueError("poisson tasks need a polynomial algebra")
+        ctx = po.PoissonContext.make(self.spec.n, "poly")
+        return ctx, po.quadratic_bivector(ctx, self.spec.poisson_coeffs or {})
+
+    @cached_property
+    def unimodularity(self):
+        ctx, pi = self.poisson
+        return po.unimodularity_check(ctx, pi, w_max=min(self.spec.w_max, 3))
+
+    @cached_property
+    def dual_frobenius(self):
+        """The Frobenius-side unimodularity report of the Koszul-dual bivector."""
+        ctxe = po.PoissonContext.make(self.spec.n, "ext")
+        pid = po.quadratic_bivector(ctxe, dual_bivector_coeffs(self.spec.poisson_coeffs or {}))
+        return po.frobenius_poisson_check(po.DualSide(ctxe, pid, w_max=self.spec.n + 2))
+
+    @cached_property
+    def presentation(self):
+        return _presentation(self.spec)
+
+    @cached_property
+    def koszul_dual(self):
+        return koszul_dual_algebra(self.presentation, self.spec.w_max)
+
+    @cached_property
+    def koszul_verdict(self):
+        return is_koszul(self.presentation, self.spec.w_max, self.koszul_dual)
+
+
+def task_hh(job: JobContext) -> dict:
+    hh = {k: v for k, v in job.slice.hh_dims().items() if v}
     return {
-        "algebra": A.name,
+        "algebra": job.algebra.name,
         "hochschild_homology_dims": _sorted_dims(hh),
     }
 
 
-def task_hc_minus(spec: JobSpecification) -> dict:
-    A = _build_algebra(spec)
-    sl = slice_from_hochschild(A, spec.w_max)
-    N = spec.u_trunc or default_truncation(sl)
-    hc = NegativeCyclic(sl, N)
-    les = les_check(hc)
+def task_hc_minus(job: JobContext) -> dict:
+    hc, les = job.hc_minus, job.les
     return {
-        "algebra": A.name,
-        "truncation": N,
+        "algebra": job.algebra.name,
+        "truncation": hc.N,
         "hc_minus_dims_stable": _sorted_dims({k: v for k, v in hc.stable_dims().items() if v}),
         "unstable_pieces": [[d, w] for (d, w) in sorted(hc.pres) if not hc.stable.get((d, w))],
-        "cyclic_dims": _sorted_dims({k: v for k, v in cyclic_homology(sl).items() if v}),
+        "cyclic_dims": _sorted_dims({k: v for k, v in cyclic_homology(job.slice).items() if v}),
         "les": {
             "beta_after_pi_zero": les.beta_after_pi_zero,
             "pi_after_beta_is_B": les.pi_after_beta_is_B,
@@ -312,17 +410,10 @@ def task_hc_minus(spec: JobSpecification) -> dict:
     }
 
 
-def _poisson_data(spec: JobSpecification):
-    if spec.kind != "polynomial":
-        raise ValueError("poisson tasks need a polynomial algebra")
-    ctx = po.PoissonContext.make(spec.n, "poly")
-    pi = po.quadratic_bivector(ctx, spec.poisson_coeffs or {})
-    return ctx, pi
-
-
-def task_poisson(spec: JobSpecification) -> dict:
-    ctx, pi = _poisson_data(spec)
-    rep = po.unimodularity_check(ctx, pi, w_max=min(spec.w_max, 3))
+def task_poisson(job: JobContext) -> dict:
+    spec = job.spec
+    ctx, pi = job.poisson
+    rep = job.unimodularity
     sl = slice_from_poisson(ctx, pi, spec.w_max)
     hp = {k: v for k, v in sl.hh_dims().items() if v}
     out = {
@@ -332,17 +423,15 @@ def task_poisson(spec: JobSpecification) -> dict:
         "diagram_commutes": rep.diagram_commutes,
         "modular_field_zero": rep.modular_field_zero,
     }
-    ctxe = po.PoissonContext.make(spec.n, "ext")
-    pid = po.quadratic_bivector(ctxe, dual_bivector_coeffs(spec.poisson_coeffs or {}))
-    dual = po.DualSide(ctxe, pid, w_max=spec.n + 2)
-    frep = po.frobenius_poisson_check(dual)
+    frep = job.dual_frobenius
     out["dual_unimodular_frobenius"] = frep.unimodular
     out["equivalence_holds"] = frep.unimodular == rep.unimodular
     return out
 
 
-def _gravity_structure(spec: JobSpecification):
-    ctx, pi = _poisson_data(spec)
+def _gravity_structure(job: JobContext):
+    spec = job.spec
+    ctx, pi = job.poisson
     w_slice = max(spec.w_max + 1, 2 * spec.n)
     sl = slice_from_poisson(ctx, pi, w_slice)
     N = spec.u_trunc or default_truncation(sl)
@@ -370,8 +459,9 @@ def _gravity_structure(spec: JobSpecification):
     return GravityStructure(hc, duality, basis)
 
 
-def task_gravity(spec: JobSpecification) -> dict:
-    g = _gravity_structure(spec)
+def task_gravity(job: JobContext) -> dict:
+    spec = job.spec
+    g = _gravity_structure(job)
     report = verify_gravity_axioms(g, n_max=min(spec.arity_max, 3), check_max=min(spec.arity_max + 1, 4))
     tables = {}
     for arity in range(2, min(spec.arity_max, 3) + 1):
@@ -402,19 +492,20 @@ def task_gravity(spec: JobSpecification) -> dict:
     }
 
 
-def task_koszul(spec: JobSpecification) -> dict:
-    pres = _presentation(spec)
+def task_koszul(job: JobContext) -> dict:
+    spec = job.spec
+    pres = job.presentation
     W = spec.w_max
-    verdict = is_koszul(pres, W)
+    verdict = job.koszul_verdict
     out = {
         "presentation": pres.name,
         "koszul_up_to_weight": {str(w): ok for w, ok in sorted(verdict.per_weight.items())},
         "koszul_up_to_cutoff": verdict.koszul_up_to_cutoff,
     }
-    data = koszul_dual_algebra(pres, W)
+    data = job.koszul_dual
     out["dual_piece_dims"] = {str(w): data.piece_dim(w) for w in range(W + 1)}
     if verdict.koszul_up_to_cutoff:
-        models = small_hochschild_models(pres, W)
+        models = small_hochschild_models(pres, W, data, verdict)
         out["small_model_chain_dims"] = [
             [s, t, d] for (s, t), d in sorted(models.chain_dims.items())
         ]
@@ -438,8 +529,9 @@ def task_koszul(spec: JobSpecification) -> dict:
     return out
 
 
-def task_check(spec: JobSpecification) -> dict:
+def task_check(job: JobContext) -> dict:
     """Run every verification relevant to the specified algebra."""
+    spec = job.spec
     out: dict = {"passed": True, "checks": {}}
 
     def record(name, ok, detail=None):
@@ -449,20 +541,19 @@ def task_check(spec: JobSpecification) -> dict:
         if not ok:
             out["passed"] = False
 
-    A = None
     if spec.kind in ("exterior", "polynomial"):
-        A = _build_algebra(spec)
-        sl = slice_from_hochschild(A, spec.w_max)
         record("mixed_complex_axioms", True)  # validated at construction
-        N = spec.u_trunc or default_truncation(sl)
-        hc = NegativeCyclic(sl, N)
-        les = les_check(hc)
+        les = job.les
         record("long_exact_sequence", les.passed, les.failures[:4] or None)
     if spec.kind == "exterior":
         Ae, pairing = exterior_pairing(spec.n)
         rep = check_frobenius_pairing(Ae, pairing)
         record("frobenius_pairing", rep.passed)
         if spec.n <= 2:
+            if spec.w_max < spec.n:
+                raise WindowError(
+                    f"the volume element has weight {spec.n}, above w_max {spec.w_max}"
+                )
             sld = slice_from_hochschild_dual(Ae, spec.w_max)
             # PD sends weight shift ω to hom weight n - ω, so ω stays above
             # n - w_max to keep every target inside the slice
@@ -490,20 +581,17 @@ def task_check(spec: JobSpecification) -> dict:
             except DualityError as exc:
                 record("bv_suite", False, str(exc))
     if spec.poisson_coeffs and spec.kind == "polynomial":
-        ctx, pi = _poisson_data(spec)
+        ctx, pi = job.poisson
         try:
             po.check_jacobi(ctx, pi)
             record("jacobi", True)
         except po.JacobiError as exc:
             record("jacobi", False, str(exc))
             return out
-        rep = po.unimodularity_check(ctx, pi, w_max=min(spec.w_max, 3))
+        rep = job.unimodularity
         agreement = rep.boundary_of_volume_zero == rep.diagram_commutes == rep.modular_field_zero
         record("unimodularity_diagnostics_agree", agreement)
-        ctxe = po.PoissonContext.make(spec.n, "ext")
-        pid = po.quadratic_bivector(ctxe, dual_bivector_coeffs(spec.poisson_coeffs))
-        frep = po.frobenius_poisson_check(po.DualSide(ctxe, pid, w_max=spec.n + 2))
-        record("primal_dual_unimodularity_equivalence", frep.unimodular == rep.unimodular)
+        record("primal_dual_unimodularity_equivalence", job.dual_frobenius.unimodular == rep.unimodular)
     return out
 
 
@@ -549,15 +637,18 @@ def run_job(spec: JobSpecification, out_dir: str) -> int:
     """Run the job's tasks, write artifacts, and return the exit code."""
     os.makedirs(out_dir, exist_ok=True)
     exit_code = 0
-    for task in spec.tasks or ["check"]:
+    job = JobContext(spec)
+    tasks = spec.tasks or ["check"]
+    for i, task in enumerate(tasks):
         try:
-            result = TASK_RUNNERS[task](spec)
+            result = TASK_RUNNERS[task](job)
         except (WindowOverflowError, WindowError) as exc:
             result = {"error": "window too small", "detail": str(exc)}
             exit_code = max(exit_code, 3)
         except (DualityError, po.JacobiError) as exc:
             result = {"error": "verification failure", "detail": str(exc)}
             exit_code = max(exit_code, 2)
+        job.release(tasks[i + 1:])
         payload = {"schema": SCHEMA, "task": task, "result": result}
         blob = json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n"
         _atomic_write(os.path.join(out_dir, f"{task}.json"), blob)

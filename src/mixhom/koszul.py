@@ -233,7 +233,7 @@ def quadratic_algebra(pres: QuadraticPresentation, W: int) -> tuple[GradedAlgebr
 
     Returns (algebra, sections) where sections[w] holds the canonical
     section vectors (in V^{⊗w} coordinates) of the chosen basis of A_w and
-    a reduction procedure for projecting arbitrary tensors.
+    sections["index_of"] maps (weight, local index) to the algebra's basis.
     """
     n = pres.n
     sections: dict[int, dict] = {}
@@ -322,7 +322,6 @@ def quadratic_algebra(pres: QuadraticPresentation, W: int) -> tuple[GradedAlgebr
         weight_cutoff=W,
         name=f"TV/R({pres.name})",
     )
-    sections["reduce"] = reduce_tensor
     sections["index_of"] = index_of
     return algebra, sections
 
@@ -450,7 +449,12 @@ class SmallModels:
     chain_pres: dict[tuple[int, int], HomologyPresentation] = field(default_factory=dict)
 
 
-def small_hochschild_models(pres: QuadraticPresentation, W: int) -> SmallModels:
+def small_hochschild_models(
+    pres: QuadraticPresentation,
+    W: int,
+    data: KoszulDualData | None = None,
+    verdict: KoszulVerdict | None = None,
+) -> SmallModels:
     """The two one-letter-transfer models of Hochschild (co)homology.
 
     Requires the presentation to be Koszul up to the cutoff (checked).  The
@@ -462,9 +466,14 @@ def small_hochschild_models(pres: QuadraticPresentation, W: int) -> SmallModels:
     |a| the algebra factor's degree.  For degree-zero generators these
     collapse to the ungraded (-1)^t and -(-1)^t; both choices are pinned by
     agreement with the bar complex on every overlapping piece.
+
+    ``data`` and ``verdict`` are the presentation's ``koszul_dual_algebra``
+    and ``is_koszul`` results up to W, when the caller already has them.
     """
-    data = koszul_dual_algebra(pres, W)
-    verdict = is_koszul(pres, W, data)
+    if data is None:
+        data = koszul_dual_algebra(pres, W)
+    if verdict is None:
+        verdict = is_koszul(pres, W, data)
     if not verdict.koszul_up_to_cutoff:
         bad = sorted(w for w, ok in verdict.per_weight.items() if not ok)
         raise NotKoszulError(f"presentation is not Koszul in weights {bad}")

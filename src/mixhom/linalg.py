@@ -133,6 +133,12 @@ class ExactMatrix:
             rows[i][j] = v
         return rows
 
+    def column_dicts(self) -> list[dict[int, Fraction]]:
+        cols: list[dict[int, Fraction]] = [dict() for _ in range(self.cols)]
+        for (i, j), v in self.entries.items():
+            cols[j][i] = v
+        return cols
+
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
@@ -214,26 +220,30 @@ def _row_to_vec(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
     return tuple(row.get(j, ZERO) for j in range(n))
 
 
-def kernel_basis(M: ExactMatrix) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of ker M, ordered by free column index.
-
-    Built from the RREF of M: one vector per free column, with unit entry at
-    the free column and the negated pivot-row coefficients above it.
-    """
+def _kernel_rows(M: ExactMatrix) -> list[dict[int, Fraction]]:
+    """``kernel_basis`` as sparse vectors."""
     reduced, pivots = rref(M.row_dicts(), M.cols)
     pivot_set = set(pivots)
     basis = []
     for f in range(M.cols):
         if f in pivot_set:
             continue
-        vec = [ZERO] * M.cols
-        vec[f] = ONE
+        vec = {f: ONE}
         for p, row in zip(pivots, reduced):
             c = row.get(f)
             if c:
                 vec[p] = -c
-        basis.append(tuple(vec))
+        basis.append(vec)
     return basis
+
+
+def kernel_basis(M: ExactMatrix) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of ker M, ordered by free column index.
+
+    Built from the RREF of M: one vector per free column, with unit entry at
+    the free column and the negated pivot-row coefficients above it.
+    """
+    return [_row_to_vec(v, M.cols) for v in _kernel_rows(M)]
 
 
 def span_basis(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
@@ -370,29 +380,21 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     """Presentation of ker(d_out)/im(d_in); checks d_out o d_in = 0 first."""
     _check_complex(d_in, d_out)
     dim = d_out.cols
-    kernel = kernel_basis(d_out)
-    boundaries = image_basis(d_in)
+    kernel = _kernel_rows(d_out)
+    # the image basis (the RREF of d_in's columns), kept sparse until stored
+    brows, bpivots = rref(d_in.column_dicts(), d_in.rows)
     # representatives: kernel vectors reduced mod boundaries, then RREF'd for
     # canonical, mutually reduced output
-    brows = [{j: c for j, c in enumerate(b) if c != 0} for b in boundaries]
-    bred, bpivots = rref(brows, dim)
     candidates = []
-    for v in kernel:
-        r = {j: c for j, c in enumerate(v) if c != 0}
-        for p, row in zip(bpivots, bred):
+    for r in kernel:
+        for p, row in zip(bpivots, brows):
             c = r.get(p)
             if c:
-                for j, w in row.items():
-                    s = r.get(j, ZERO) - c * w
-                    if s == 0:
-                        r.pop(j, None)
-                    else:
-                        r[j] = s
+                _accumulate(r, row, -c)
         if r:
             candidates.append(r)
     hred, _ = rref(candidates, dim)
     reps = tuple(_row_to_vec(r, dim) for r in hred)
-    rank_in = len(boundaries)
-    if len(reps) != len(kernel) - rank_in:
+    if len(reps) != len(kernel) - len(brows):
         raise AssertionError("homology dimension bookkeeping failed")
-    return HomologyPresentation(dim, reps, tuple(boundaries))
+    return HomologyPresentation(dim, reps, tuple(_row_to_vec(r, dim) for r in brows))

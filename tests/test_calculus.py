@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from mixhom.algebra import make_exterior_algebra
 from mixhom.calculus import (
     DualityError,
+    HochschildCochainOps,
     attach_duality,
     hochschild_dual_bundle,
     poisson_bundle,
@@ -250,3 +252,15 @@ def test_fresh_dualities_share_no_cache():
     assert duality1._delta and duality1._pd_inv and len(bundle1._B) > len(before[2])
     assert (duality2._delta, duality2._pd_inv, bundle2._B) == before
     assert duality1._delta is not duality2._delta and bundle1._B is not bundle2._B
+
+
+def test_cochain_ops_leave_no_reference_cycle():
+    A = make_exterior_algebra(2)
+    gc.collect()
+    gc.disable()
+    try:
+        ops = HochschildCochainOps(A, 3)
+        del ops
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

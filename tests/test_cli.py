@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from mixhom import cli, koszul
+from mixhom import poisson as po
 from mixhom.cli import ParseError, main, parse_job, run_job
 
 Q = Fraction
@@ -162,3 +166,119 @@ def test_bad_jobs_are_parse_errors(tmp_path, command, job):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("parse error: line ")
     assert not (tmp_path / "o").exists()
+
+
+def _run_cli(command, path, out):
+    """The CLI in a fresh interpreter, so a crash shows as a traceback on stderr."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run(
+        [sys.executable, "-m", "mixhom.cli", command, "--input", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+def test_exterior_check_below_the_volume_weight_is_a_window_error(tmp_path):
+    # the volume element of Λ(ξ1, ξ2) has weight 2, outside a w_max 1 slice
+    path = tmp_path / "job.txt"
+    path.write_text("[algebra]\nkind exterior\nn 2\n[window]\nw_max 1\n"
+                    "[tasks]\nhh\nhc-minus\ncheck\nkoszul\n")
+    proc = _run_cli("run", path, tmp_path / "o")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    result = json.loads((tmp_path / "o" / "check.json").read_text())["result"]
+    assert result["error"] == "window too small"
+    assert (tmp_path / "o" / "koszul.json").exists()
+
+
+# -- one build per job ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "tasks",
+    ["hh hc-minus poisson gravity koszul check", "check koszul gravity poisson hc-minus hh",
+     "hh check poisson koszul hc-minus gravity"],
+    ids=["listed", "reversed", "interleaved"],
+)
+def test_a_job_builds_each_shared_structure_once(tmp_path, monkeypatch, tasks):
+    built: dict[str, list] = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            built.setdefault(name, []).append(args[0])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in [(cli, "NegativeCyclic"), (cli, "les_check"), (po, "unimodularity_check"),
+                         (po, "frobenius_poisson_check"), (cli, "koszul_dual_algebra"),
+                         (cli, "is_koszul")]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # the small Hochschild models would rebuild both inside the koszul module
+    for name in ("koszul_dual_algebra", "is_koszul"):
+        monkeypatch.setattr(koszul, name, getattr(cli, name))
+    spec = parse_job(POLY_POISSON_JOB)
+    spec.tasks = tasks.split()
+    # π is not unimodular, so gravity stops with a verification failure
+    assert run_job(spec, str(tmp_path)) == 2
+    # gravity builds HC⁻ of its own, wider Poisson slice; the Hochschild
+    # slice's HC⁻ is shared by hc-minus and check
+    slices = built.pop("NegativeCyclic")
+    assert len(slices) == 2 and slices[0] is not slices[1]
+    assert {name: len(args) for name, args in built.items()} == {
+        "les_check": 1,
+        "unimodularity_check": 1,
+        "frobenius_poisson_check": 1,
+        "koszul_dual_algebra": 1,
+        "is_koszul": 1,
+    }
+
+
+def test_release_keeps_only_what_later_tasks_read():
+    job = cli.JobContext(parse_job(EXT_JOB))
+    job.les
+    job.presentation
+    job.release(["check"])
+    # check reads the LES report alone; the slice and HC⁻ it came from go
+    assert set(vars(job)) == {"spec", "les"}
+    job = cli.JobContext(parse_job(EXT_JOB))
+    job.slice
+    job.release(["check"])
+    # the LES report is still to be built, so the slice it needs stays
+    assert set(vars(job)) == {"spec", "slice"}
+
+
+POLY3_WINDOW = "[window]\np_max 2\nw_max 3\narity_max 2\n"
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        # acceptance criterion 10
+        POLY_POISSON_JOB.replace("p_max 2\n", "p_max 2\narity_max 2\n").replace(
+            "[tasks]\npoisson\n", "[tasks]\nhh\nhc-minus\npoisson\nkoszul\ncheck\n"
+        ),
+        "[algebra]\nkind exterior\nn 3\n[window]\np_max 3\nw_max 4\n"
+        "[tasks]\nhh\nhc-minus\nkoszul\ncheck\n",
+        "[algebra]\nkind polynomial\nn 3\n[poisson]\nc 1 2 1 3 1\n" + POLY3_WINDOW
+        + "[tasks]\npoisson\ngravity\ncheck\n",
+        "[algebra]\nkind polynomial\nn 3\n[poisson]\nc 1 2 1 2 1\nc 1 3 2 3 1\n" + POLY3_WINDOW
+        + "[tasks]\npoisson\ngravity\ncheck\n",
+        "[algebra]\nkind quadratic\nn 2\nrelation 1 1 1\n[window]\nw_max 4\n[tasks]\nkoszul\ncheck\n",
+        "[algebra]\nkind quadratic\nn 3\nrelation 1 1 1\nrelation 1 2 1\nrelation 1 3 1 3 3 1\n"
+        "[window]\nw_max 4\n[tasks]\nkoszul\ncheck\n",
+    ],
+    ids=["criterion-10", "exterior-3", "non-unimodular-pi", "non-jacobi-pi", "monomial-quadratic",
+         "non-koszul"],
+)
+def test_shared_job_writes_what_separate_tasks_write(tmp_path, job):
+    path = tmp_path / "job.txt"
+    path.write_text(job)
+    shared, alone = tmp_path / "shared", tmp_path / "alone"
+    code = main(["run", "--input", str(path), "--out", str(shared)])
+    # one fresh job per task, so nothing is shared between them
+    codes = [main([task, "--input", str(path), "--out", str(alone)]) for task in parse_job(job).tasks]
+    assert code == max(codes)
+    names = sorted(os.listdir(shared))
+    assert names == sorted(os.listdir(alone))
+    for name in names:
+        assert (shared / name).read_bytes() == (alone / name).read_bytes(), name
