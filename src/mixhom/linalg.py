@@ -124,20 +124,11 @@ class ExactMatrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.entries.get((i, j), ZERO) for i in range(self.rows))
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
     def row_dicts(self) -> list[dict[int, Fraction]]:
         rows: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         return rows
-
-    def column_dicts(self) -> list[dict[int, Fraction]]:
-        cols: list[dict[int, Fraction]] = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
-        return cols
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
@@ -257,9 +248,17 @@ def span_basis(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[tuple[Fr
     return [_row_to_vec(r, dim) for r in reduced]
 
 
+def _image_rows(M: ExactMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """``image_basis`` as sparse vectors, with their pivot columns."""
+    columns: list[dict[int, Fraction]] = [dict() for _ in range(M.cols)]
+    for (i, j), v in M.entries.items():
+        columns[j][i] = v
+    return rref(columns, M.rows)
+
+
 def image_basis(M: ExactMatrix) -> list[tuple[Fraction, ...]]:
     """Canonical basis of the column space of M."""
-    return span_basis(M.columns(), M.rows)
+    return [_row_to_vec(r, M.rows) for r in _image_rows(M)[0]]
 
 
 def solve_in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
@@ -381,8 +380,7 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     _check_complex(d_in, d_out)
     dim = d_out.cols
     kernel = _kernel_rows(d_out)
-    # the image basis (the RREF of d_in's columns), kept sparse until stored
-    brows, bpivots = rref(d_in.column_dicts(), d_in.rows)
+    brows, bpivots = _image_rows(d_in)
     # representatives: kernel vectors reduced mod boundaries, then RREF'd for
     # canonical, mutually reduced output
     candidates = []

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -193,6 +194,33 @@ def test_exterior_check_below_the_volume_weight_is_a_window_error(tmp_path):
 # -- one build per job ------------------------------------------------------------
 
 
+def _spy_on_job_reads(monkeypatch) -> dict[str, set]:
+    """Record which shared structures each task, and each structure's builder, reads."""
+    structures = {name for name, v in vars(cli.JobContext).items() if isinstance(v, cached_property)}
+    reads: dict[str, set] = {}
+    readers: list[str] = []
+
+    def read(reader, fn, *args):
+        readers.append(reader)
+        try:
+            return fn(*args)
+        finally:
+            readers.pop()
+
+    def spy(self, name):
+        if name not in structures:
+            return object.__getattribute__(self, name)
+        reads.setdefault(readers[-1], set()).add(name)
+        if name in object.__getattribute__(self, "__dict__"):
+            return object.__getattribute__(self, name)
+        return read(name, object.__getattribute__, self, name)
+
+    monkeypatch.setattr(cli.JobContext, "__getattribute__", spy)
+    for task, fn in cli.TASK_RUNNERS.items():
+        monkeypatch.setitem(cli.TASK_RUNNERS, task, lambda job, task=task, fn=fn: read(task, fn, job))
+    return reads
+
+
 @pytest.mark.parametrize(
     "tasks",
     ["hh hc-minus poisson gravity koszul check", "check koszul gravity poisson hc-minus hh",
@@ -216,10 +244,17 @@ def test_a_job_builds_each_shared_structure_once(tmp_path, monkeypatch, tasks):
     # the small Hochschild models would rebuild both inside the koszul module
     for name in ("koszul_dual_algebra", "is_koszul"):
         monkeypatch.setattr(koszul, name, getattr(cli, name))
+    reads = _spy_on_job_reads(monkeypatch)
     spec = parse_job(POLY_POISSON_JOB)
     spec.tasks = tasks.split()
     # π is not unimodular, so gravity stops with a verification failure
     assert run_job(spec, str(tmp_path)) == 2
+    # release keeps what TASK_READS and BUILT_FROM name, so they must list
+    # every structure a task or a builder really reads
+    for reader, names in reads.items():
+        listed = cli.TASK_READS[reader] if reader in cli.TASK_RUNNERS else cli.BUILT_FROM.get(reader, ())
+        assert names <= set(listed), reader
+    assert set(spec.tasks) <= set(reads)
     # gravity builds HC⁻ of its own, wider Poisson slice; the Hochschild
     # slice's HC⁻ is shared by hc-minus and check
     slices = built.pop("NegativeCyclic")
