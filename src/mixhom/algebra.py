@@ -123,14 +123,6 @@ class GradedAlgebra:
                         out[k] = s
         return out
 
-    def element_degree(self, a: Element) -> int | None:
-        degs = {self.degrees[i] for i, c in a.items() if c != 0}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous element: degrees {sorted(degs)}")
-        return degs.pop()
-
     def format_element(self, a: Element) -> str:
         if not a:
             return "0"

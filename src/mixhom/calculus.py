@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
+from typing import Iterator
 
 from .algebra import GradedAlgebra, WindowOverflowError
 from .hochschild import (
@@ -37,6 +38,7 @@ from .linalg import (
     HomologyPresentation,
     _accumulate,
     homology_presentation,
+    operator_matrix,
     solve_in_span,
 )
 from .mixed import MixedComplexSlice, Piece
@@ -149,50 +151,37 @@ class HochschildCochainOps:
                 vec[idx[key]] = c
         return tuple(vec)
 
-    def delta_matrix(self, piece: Piece, into_ext: bool = True, src_arity_cap: int | None = None) -> ExactMatrix:
+    def delta_matrix(self, piece: Piece) -> ExactMatrix:
+        """δ out of the piece, into the extended basis of (D - 1, ω)."""
         D, om = piece
-        src = self._pieces.get(piece, [])
-        tgt = (self._pieces_ext if into_ext else self._pieces).get((D - 1, om), [])
-        tgt_idx = {lab: i for i, lab in enumerate(tgt)}
-        entries = {}
-        for j, (t, k) in enumerate(src):
-            if src_arity_cap is not None and len(t) > src_arity_cap:
-                continue
-            f = Cochain(self.A, len(t), D, {t: {k: Q(1)}})
-            df = coboundary(f, self.tuples)
-            for tt, val in df.table.items():
-                for kk, c in val.items():
-                    key = (tt, kk)
-                    if c:
-                        if key not in tgt_idx:
-                            raise WindowError(f"coboundary escapes tables at {key!r}")
-                        entries[(tgt_idx[key], j)] = c
-        return ExactMatrix(len(tgt), len(src), entries)
 
-    def delta_pair(self, piece: Piece) -> tuple[ExactMatrix, ExactMatrix]:
-        """(incoming, outgoing) differentials for the piece's homology.
+        def delta(label):
+            t, k = label
+            df = coboundary(Cochain(self.A, len(t), D, {t: {k: Q(1)}}), self.tuples)
+            return {(tt, kk): c for tt, val in df.table.items() for kk, c in val.items()}
 
-        Outgoing goes into the extended basis so arity-ceiling kernels are
-        honest; incoming keeps only sources whose boundary stays at arity
-        <= q_max (higher sources bound classes outside this basis).
+        return operator_matrix(self._pieces.get(piece, []), self._pieces_ext.get((D - 1, om), []), delta,
+                               escape=WindowError)
+
+    def incoming(self, piece: Piece, above: ExactMatrix) -> ExactMatrix:
+        """δ into the piece, from ``above`` = δ out of (D + 1, ω).
+
+        The outgoing δ goes into the extended basis, so kernels at the arity
+        ceiling are honest.  The incoming one drops the sources of arity
+        q_max, whose coboundaries have arity q_max + 1 and bound classes
+        outside this basis, and keeps the rows of the piece's own basis.
         """
         D, om = piece
-        d_out = self.delta_matrix(piece, into_ext=True)
-        d_in = self.delta_matrix((D + 1, om), into_ext=True, src_arity_cap=self.q_max - 1)
-        # restrict incoming rows from the extended target to the piece basis
+        src = self._pieces.get((D + 1, om), [])
         ext = self._pieces_ext.get(piece, [])
-        keep = {i for i, lab in enumerate(ext) if len(lab[0]) <= self.q_max}
-        row_map = {}
-        for i in sorted(keep):
-            row_map[i] = len(row_map)
+        rows = {lab: i for i, lab in enumerate(self._pieces.get(piece, []))}
         entries = {}
-        for (i, j), v in d_in.entries.items():
-            if i not in keep:
-                raise WindowError("restricted incoming differential escapes the piece")
-            entries[(row_map[i], j)] = v
-        d_in_r = ExactMatrix(len(keep), d_in.cols, entries)
-        # likewise express d_out with piece-basis columns (they already are)
-        return d_in_r, d_out
+        for (i, j), v in above.entries.items():
+            if len(src[j][0]) < self.q_max:
+                if ext[i] not in rows:
+                    raise WindowError("restricted incoming differential escapes the piece")
+                entries[(rows[ext[i]], j)] = v
+        return ExactMatrix(len(rows), above.cols, entries)
 
     def cup(self, f: Cochain, g: Cochain) -> Cochain:
         return cup(f, g)
@@ -248,24 +237,15 @@ class MultivectorOps:
         return tuple(vec)
 
     def delta_matrix(self, piece: Piece) -> ExactMatrix:
+        """δ out of the piece, into (D - 1, ω)."""
         D, om = piece
-        src = self._pieces.get(piece, [])
-        tgt = self._pieces.get((D - 1, om), [])
-        tgt_idx = {m: i for i, m in enumerate(tgt)}
-        entries = {}
-        for j, m in enumerate(src):
-            img = po.poisson_coboundary(self.ctx, self.pi, {m: Q(1)})
-            for mm, c in img.items():
-                if c == 0:
-                    continue
-                if mm not in tgt_idx:
-                    raise WindowError(f"coboundary escapes the polyvector window at {mm!r}")
-                entries[(tgt_idx[mm], j)] = c
-        return ExactMatrix(len(tgt), len(src), entries)
+        return operator_matrix(self._pieces.get(piece, []), self._pieces.get((D - 1, om), []),
+                               lambda m: po.poisson_coboundary(self.ctx, self.pi, {m: Q(1)}),
+                               escape=WindowError)
 
-    def delta_pair(self, piece: Piece) -> tuple[ExactMatrix, ExactMatrix]:
-        D, om = piece
-        return self.delta_matrix((D + 1, om)), self.delta_matrix(piece)
+    def incoming(self, piece: Piece, above: ExactMatrix) -> ExactMatrix:
+        """δ into the piece: ``above``, δ out of (D + 1, ω), as it is."""
+        return above
 
     def cup(self, P, Q_):
         return po.wedge(self.ctx, P, Q_)
@@ -278,6 +258,22 @@ class MultivectorOps:
 
     def unit(self):
         return (0, 0), {self.ctx.vectors.one: Q(1)}
+
+
+def delta_pairs(ops, pieces) -> Iterator[tuple[Piece, ExactMatrix, ExactMatrix]]:
+    """(piece, incoming, outgoing) differentials for each piece, in sorted order.
+
+    Each δ is built once: δ out of (D + 1, ω) is the incoming map of (D, ω)
+    and, kept until then, the outgoing map of (D + 1, ω).
+    """
+    above: dict[Piece, ExactMatrix] = {}
+    for piece in sorted(pieces):
+        D, om = piece
+        d_out = above.pop(piece) if piece in above else ops.delta_matrix(piece)
+        up = ops.delta_matrix((D + 1, om))
+        if (D + 1, om) in pieces:
+            above[(D + 1, om)] = up
+        yield piece, ops.incoming(piece, up), d_out
 
 
 def _expand(table, step):
@@ -322,13 +318,10 @@ class CalculusBundle:
         # side, -1 for functional (dual) homology sides, which pair against
         # chains of complementary weight
         self.weight_sign = weight_sign
-        pieces = ops.pieces()
-        self.coh_pres: dict[Piece, HomologyPresentation] = {}
-        for piece in sorted(pieces):
-            if coh_window is not None and not coh_window(piece):
-                continue
-            d_in, d_out = ops.delta_pair(piece)
-            self.coh_pres[piece] = homology_presentation(d_in, d_out)
+        pieces = {p for p in ops.pieces() if coh_window is None or coh_window(p)}
+        self.coh_pres: dict[Piece, HomologyPresentation] = {
+            piece: homology_presentation(d_in, d_out) for piece, d_in, d_out in delta_pairs(ops, pieces)
+        }
         self._cup: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction] | None] = {}
         self._bracket: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction] | None] = {}
         self._cap: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction] | None] = {}
@@ -350,15 +343,6 @@ class CalculusBundle:
         piece, i = key
         pres = self.coh_pres[piece]
         return self.ops.rep(piece, pres.cycle_basis[i])
-
-    def coh_rep_of(self, piece: Piece, coords):
-        pres = self.coh_pres[piece]
-        vec = [Q(0)] * pres.ambient_dim
-        for c, rep in zip(coords, pres.cycle_basis):
-            if c:
-                for k, v in enumerate(rep):
-                    vec[k] += c * v
-        return self.ops.rep(piece, tuple(vec))
 
     def hom_rep_vector(self, key: ClassKey):
         piece, i = key
@@ -605,11 +589,6 @@ class DualityData:
         if self.pd_twist is None:
             return Q(1)
         return Q(self.pd_twist(piece))
-
-    def pd_image_piece(self, piece: Piece) -> Piece:
-        (de, we) = self.eta[0]
-        s = self.bundle.weight_sign
-        return (piece[0] + de, we + s * piece[1])
 
     def pd_of(self, key: ClassKey) -> dict[ClassKey, Fraction]:
         got = self.bundle.cap_classes(key, self.eta)

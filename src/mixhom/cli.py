@@ -75,6 +75,7 @@ from .koszul import (
     is_koszul,
     koszul_dual_algebra,
     koszul_poisson_identification,
+    quadratic_algebra,
     small_hochschild_models,
 )
 from .mixed import (
@@ -288,7 +289,7 @@ TASK_READS = {
     "hc-minus": ("algebra", "slice", "hc_minus", "les"),
     "poisson": ("poisson", "unimodularity", "dual_frobenius"),
     "gravity": ("poisson",),
-    "koszul": ("presentation", "koszul_dual", "koszul_verdict"),
+    "koszul": ("presentation", "koszul_dual", "quotient", "koszul_verdict"),
     "check": ("les", "poisson", "unimodularity", "dual_frobenius"),
 }
 BUILT_FROM = {
@@ -297,7 +298,8 @@ BUILT_FROM = {
     "les": ("hc_minus",),
     "unimodularity": ("poisson",),
     "koszul_dual": ("presentation",),
-    "koszul_verdict": ("presentation", "koszul_dual"),
+    "quotient": ("presentation",),
+    "koszul_verdict": ("presentation", "koszul_dual", "quotient"),
 }
 
 
@@ -381,8 +383,13 @@ class JobContext:
         return koszul_dual_algebra(self.presentation, self.spec.w_max)
 
     @cached_property
+    def quotient(self):
+        """The algebra TV/(R) of the presentation up to w_max, with its sections."""
+        return quadratic_algebra(self.presentation, self.spec.w_max)
+
+    @cached_property
     def koszul_verdict(self):
-        return is_koszul(self.presentation, self.spec.w_max, self.koszul_dual)
+        return is_koszul(self.presentation, self.spec.w_max, self.koszul_dual, self.quotient)
 
 
 def task_hh(job: JobContext) -> dict:
@@ -505,7 +512,7 @@ def task_koszul(job: JobContext) -> dict:
     data = job.koszul_dual
     out["dual_piece_dims"] = {str(w): data.piece_dim(w) for w in range(W + 1)}
     if verdict.koszul_up_to_cutoff:
-        models = small_hochschild_models(pres, W, data, verdict)
+        models = small_hochschild_models(pres, W, data, verdict, job.quotient)
         out["small_model_chain_dims"] = [
             [s, t, d] for (s, t), d in sorted(models.chain_dims.items())
         ]
@@ -688,17 +695,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command != "run":
             spec.tasks = [args.command]
             check_tasks(spec)
+        for flag, key in (("pmax", "p_max"), ("wmax", "w_max"), ("utrunc", "u_trunc"), ("nmax", "arity_max")):
+            value = getattr(args, flag)
+            if value is not None:
+                if value <= 0:
+                    raise ParseError(0, f"--{flag} must be positive")
+                setattr(spec, key, value)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
-    if args.pmax:
-        spec.p_max = args.pmax
-    if args.wmax:
-        spec.w_max = args.wmax
-    if args.utrunc:
-        spec.u_trunc = args.utrunc
-    if args.nmax:
-        spec.arity_max = args.nmax
     if not spec.tasks:
         print("job file lists no tasks", file=sys.stderr)
         return 4

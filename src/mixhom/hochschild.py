@@ -144,18 +144,6 @@ class Cochain:
     def value(self, key: tuple[int, ...]) -> Element:
         return self.table.get(key, {})
 
-    def check_homogeneous(self):
-        A = self.algebra
-        for key, val in self.table.items():
-            if not val:
-                continue
-            din = sum(A.degrees[i] + 1 for i in key)
-            dval = A.element_degree(val)
-            if dval is None:
-                continue
-            if dval - din != self.degree:
-                raise ValueError("inhomogeneous cochain table")
-
 
 def unit_cochain(A: GradedAlgebra) -> Cochain:
     return Cochain(A, 0, 0, {(): A.one()})

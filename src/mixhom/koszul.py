@@ -21,8 +21,10 @@ from .algebra import Element, GradedAlgebra, QuadraticPresentation
 from .linalg import (
     ExactMatrix,
     HomologyPresentation,
+    _accumulate,
     homology_presentation,
     kernel_basis,
+    operator_matrix,
     solve_in_span,
     span_basis,
 )
@@ -33,11 +35,33 @@ Q = Fraction
 Word = tuple[int, ...]
 
 
-def words(n: int, w: int) -> list[Word]:
-    out = [()]
+def _word(idx: int, n: int, w: int) -> Word:
+    """The word of length w at index idx of V^{⊗w}, whose first letter is the most significant digit."""
+    word = []
     for _ in range(w):
-        out = [m + (i,) for m in out for i in range(n)]
-    return out
+        idx, letter = divmod(idx, n)
+        word.append(letter)
+    return tuple(reversed(word))
+
+
+def _relation_layer(pres: QuadraticPresentation, w: int, i: int) -> list[tuple[Fraction, ...]]:
+    """The vectors e_pre ⊗ r ⊗ e_post spanning V^{⊗i} ⊗ R ⊗ V^{⊗(w-i-2)}, in V^{⊗w} coordinates.
+
+    A relation r is indexed like the two-letter words, so the word
+    pre·(a, b)·post sits at ((pre·n² + ab)·n^{w-i-2} + post).
+    """
+    n = pres.n
+    tail = n ** (w - i - 2)
+    vecs = []
+    for pre in range(n**i):
+        for rel in pres.relations:
+            for post in range(tail):
+                vec = [Q(0)] * n**w
+                for ab, c in enumerate(rel):
+                    if c:
+                        vec[(pre * n * n + ab) * tail + post] += c
+                vecs.append(tuple(vec))
+    return vecs
 
 
 def _subspace_intersection(bases: list[list[tuple[Fraction, ...]]], dim: int):
@@ -97,25 +121,7 @@ def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
     U[1] = [tuple(Q(1) if i == j else Q(0) for i in range(n)) for j in range(n)]
     for w in range(2, W + 1):
         dim = n**w
-        layers = []
-        for i in range(w - 1):
-            # V^{⊗i} ⊗ R ⊗ V^{⊗(w-i-2)}
-            vecs = []
-            for pre in words(n, i):
-                for rel in pres.relations:
-                    for post in words(n, w - i - 2):
-                        vec = [Q(0)] * dim
-                        for a in range(n):
-                            for b in range(n):
-                                c = rel[a * n + b]
-                                if c:
-                                    word = pre + (a, b) + post
-                                    idx = 0
-                                    for letter in word:
-                                        idx = idx * n + letter
-                                    vec[idx] += c
-                        vecs.append(tuple(vec))
-            layers.append(vecs)
+        layers = [_relation_layer(pres, w, i) for i in range(w - 1)]
         U[w] = _subspace_intersection(layers, dim)
 
     # assemble the dual algebra on the dual bases of the U_w
@@ -137,13 +143,7 @@ def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
                 deg = None
                 for idx, c in enumerate(vec):
                     if c:
-                        word = []
-                        k = idx
-                        for _ in range(w):
-                            word.append(k % n)
-                            k //= n
-                        word.reverse()
-                        d = _dual_generator_degree(pres, tuple(word))
+                        d = _dual_generator_degree(pres, _word(idx, n, w))
                         if deg is None:
                             deg = d
                         elif deg != d:
@@ -241,28 +241,10 @@ def quadratic_algebra(pres: QuadraticPresentation, W: int) -> tuple[GradedAlgebr
     degrees: list[int] = []
     weights: list[int] = []
     index_of: dict[tuple[int, int], int] = {}
-    basis_count: dict[int, int] = {}
-    rel_span: dict[int, list] = {}
     for w in range(W + 1):
         dim = n**w
-        vecs = []
-        for i in range(max(0, w - 1)):
-            for pre in words(n, i):
-                for rel in pres.relations:
-                    for post in words(n, w - i - 2):
-                        vec = [Q(0)] * dim
-                        for a in range(n):
-                            for b in range(n):
-                                c = rel[a * n + b]
-                                if c:
-                                    word = pre + (a, b) + post
-                                    idx = 0
-                                    for letter in word:
-                                        idx = idx * n + letter
-                                    vec[idx] += c
-                        vecs.append(tuple(vec))
+        vecs = [v for i in range(max(0, w - 1)) for v in _relation_layer(pres, w, i)]
         span = span_basis(vecs, dim) if vecs else []
-        rel_span[w] = span
         pivots = set()
         for v in span:
             for i, c in enumerate(v):
@@ -270,15 +252,9 @@ def quadratic_algebra(pres: QuadraticPresentation, W: int) -> tuple[GradedAlgebr
                     pivots.add(i)
                     break
         free = [i for i in range(dim) if i not in pivots]
-        basis_count[w] = len(free)
         sections[w] = {"free": free, "span": span, "dim": dim}
         for k, idx in enumerate(free):
-            word = []
-            m = idx
-            for _ in range(w):
-                word.append(m % n)
-                m //= n
-            word.reverse()
+            word = _word(idx, n, w)
             index_of[(w, k)] = len(labels)
             labels.append("·".join(f"e{i+1}" for i in word) if word else "1")
             degrees.append(sum(pres.generator_degrees[i] for i in word))
@@ -338,66 +314,62 @@ class KoszulVerdict:
         return all(self.per_weight.values())
 
 
-def koszul_complex(pres: QuadraticPresentation, W: int, data: KoszulDualData | None = None):
+def koszul_complex(pres: QuadraticPresentation, W: int, data: KoszulDualData | None = None,
+                   quotient: tuple[GradedAlgebra, dict] | None = None):
     """The weight-w pieces A_{w-m} ⊗ U_m with the one-letter transfer.
 
     δ(r ⊗ f) = Σ_i e_i r ⊗ (f with its last letter paired against e_i^*);
     squares to zero because the trailing two letters of every U_m lie in R.
     Returns {w: list of matrices} with matrices indexed by m decreasing.
+    ``data`` and ``quotient`` are the presentation's ``koszul_dual_algebra``
+    and ``quadratic_algebra`` up to W, when the caller already has them.
     """
     if data is None:
         data = koszul_dual_algebra(pres, W)
-    A, sections = quadratic_algebra(pres, W)
-    n = pres.n
-    out: dict[int, list[ExactMatrix]] = {}
+    A, sections = quotient or quadratic_algebra(pres, W)
     index_of = sections["index_of"]
+    U = data.dual_weight_pieces
 
-    def piece_basis(w, m):
-        return [
-            (a_idx, u_idx)
-            for a_idx in range(len([1 for key in index_of if key[0] == w - m]))
-            for u_idx in range(data.piece_dim(m))
-        ]
+    def delta(label, m):
+        a_g, u = label
+        out: dict = {}
+        for letter in range(pres.n):
+            _transfer(out, U.get(m - 1, []), _strip_last(U[m][u], pres.n, m, letter),
+                      A.mult_basis(index_of[(1, letter)], a_g), 1, "last")
+        return out
 
+    out: dict[int, list[ExactMatrix]] = {}
     for w in range(W + 1):
-        mats = []
-        for m in range(w, 0, -1):
-            src = piece_basis(w, m)
-            tgt = piece_basis(w, m - 1)
-            tgt_idx = {lab: i for i, lab in enumerate(tgt)}
-            entries = {}
-            for col, (a_idx, u_idx) in enumerate(src):
-                a_global = index_of[(w - m, a_idx)]
-                uvec = data.dual_weight_pieces[m][u_idx]
-                # strip the last letter of each word of u
-                for letter in range(n):
-                    stripped = _strip_last(uvec, n, m, letter)
-                    if all(c == 0 for c in stripped):
-                        continue
-                    coords = solve_in_span(
-                        data.dual_weight_pieces.get(m - 1, []), stripped
-                    )
-                    if coords is None:
-                        raise NotAComplex("stripped vector leaves U")
-                    prod = A.mult_basis(index_of[(1, letter)], a_global)
-                    if not isinstance(prod, dict):
-                        continue
-                    for k_global, c_a in prod.items():
-                        w_k = A.weights[k_global]
-                        local = next(
-                            k for (ww, k), gi in index_of.items() if gi == k_global
-                        )
-                        for j, c_u in enumerate(coords):
-                            if c_a and c_u:
-                                row = tgt_idx[(local, j)]
-                                cur = entries.get((row, col), Q(0)) + c_a * c_u
-                                if cur == 0:
-                                    entries.pop((row, col), None)
-                                else:
-                                    entries[(row, col)] = cur
-            mats.append(ExactMatrix(len(tgt), len(src), entries))
-        out[w] = mats
+        out[w] = [
+            operator_matrix(_tensor_basis(index_of, U, w - m, m), _tensor_basis(index_of, U, w - m + 1, m - 1),
+                            lambda label: delta(label, m))
+            for m in range(w, 0, -1)
+        ]
     return out, data
+
+
+def _tensor_basis(index_of: dict[tuple[int, int], int], U: dict, s: int, t: int) -> list[tuple[int, int]]:
+    """Labels (algebra basis index, U_t index) of A_s ⊗ U_t; empty for a negative weight."""
+    if s < 0 or t < 0:
+        return []
+    return [(gi, u) for (w, _k), gi in index_of.items() if w == s for u in range(len(U.get(t, ())))]
+
+
+def _transfer(out: dict, U_below: list, stripped, prod, scale, end: str) -> None:
+    """out += scale · prod ⊗ (stripped in the coordinates of the basis U_below).
+
+    ``stripped`` is a dual-coalgebra vector with one letter removed at
+    ``end``; it must lie in the span of U_below.  ``prod`` is a product of
+    algebra basis elements, or a non-dict marker when it leaves the window.
+    """
+    if not any(c != 0 for c in stripped):
+        return
+    coords = solve_in_span(U_below, stripped)
+    if coords is None:
+        raise NotAComplex(f"{end}-letter strip leaves U")
+    if isinstance(prod, dict):
+        for ka, ca in prod.items():
+            _accumulate(out, {(ka, j): cu for j, cu in enumerate(coords) if cu}, scale * ca)
 
 
 def _strip_last(uvec, n: int, m: int, letter: int):
@@ -410,12 +382,13 @@ def _strip_last(uvec, n: int, m: int, letter: int):
     return tuple(out)
 
 
-def is_koszul(pres: QuadraticPresentation, W: int, data: KoszulDualData | None = None) -> KoszulVerdict:
+def is_koszul(pres: QuadraticPresentation, W: int, data: KoszulDualData | None = None,
+              quotient: tuple[GradedAlgebra, dict] | None = None) -> KoszulVerdict:
     """Acyclicity of the Koszul complex in every positive weight <= W.
 
     The verdict is bounded: it certifies Koszulness up to the cutoff only.
     """
-    complexes, data = koszul_complex(pres, W, data)
+    complexes, data = koszul_complex(pres, W, data, quotient)
     per_weight: dict[int, bool] = {}
     for w in range(1, W + 1):
         mats = complexes[w]
@@ -454,6 +427,7 @@ def small_hochschild_models(
     W: int,
     data: KoszulDualData | None = None,
     verdict: KoszulVerdict | None = None,
+    quotient: tuple[GradedAlgebra, dict] | None = None,
 ) -> SmallModels:
     """The two one-letter-transfer models of Hochschild (co)homology.
 
@@ -467,117 +441,62 @@ def small_hochschild_models(
     collapse to the ungraded (-1)^t and -(-1)^t; both choices are pinned by
     agreement with the bar complex on every overlapping piece.
 
-    ``data`` and ``verdict`` are the presentation's ``koszul_dual_algebra``
-    and ``is_koszul`` results up to W, when the caller already has them.
+    ``data``, ``verdict`` and ``quotient`` are the presentation's
+    ``koszul_dual_algebra``, ``is_koszul`` and ``quadratic_algebra`` results
+    up to W, when the caller already has them.
     """
     if data is None:
         data = koszul_dual_algebra(pres, W)
     if verdict is None:
-        verdict = is_koszul(pres, W, data)
+        verdict = is_koszul(pres, W, data, quotient)
     if not verdict.koszul_up_to_cutoff:
         bad = sorted(w for w, ok in verdict.per_weight.items() if not ok)
         raise NotKoszulError(f"presentation is not Koszul in weights {bad}")
-    A, sections = quadratic_algebra(pres, W)
+    A, sections = quotient or quadratic_algebra(pres, W)
     index_of = sections["index_of"]
     n = pres.n
     g = pres.generator_degrees[0] % 2
     if any(d % 2 != g for d in pres.generator_degrees):
         raise ValueError("mixed generator-degree parity is not supported")
     dual = data.dual_algebra
+    U = data.dual_weight_pieces
     dual_index: dict[int, list[int]] = {}
     for i in range(dual.dim):
         dual_index.setdefault(dual.weights[i], []).append(i)
+    dual_local = {gi: j for gis in dual_index.values() for j, gi in enumerate(gis)}
 
     def piece(s2, t2):
-        if s2 < 0 or t2 < 0:
-            return []
-        return [
-            (gi, u)
-            for (w, k), gi in index_of.items()
-            if w == s2
-            for u in range(len(data.dual_weight_pieces.get(t2, ())))
-        ]
+        return _tensor_basis(index_of, U, s2, t2)
 
-    def b_matrix(s, t):
-        src = piece(s, t)
-        tgt = piece(s + 1, t - 1)
-        tgt_idx = {lab: i for i, lab in enumerate(tgt)}
-        entries: dict[tuple[int, int], Fraction] = {}
-        for col, (a_g, u) in enumerate(src):
-            uvec = data.dual_weight_pieces[t][u]
-            rel = (g + 1) * t + g * (1 + A.degrees[a_g])
-            sgn = -1 if rel % 2 else 1
-            for letter in range(n):
-                e_g = index_of[(1, letter)]
-                st1 = _strip_first(uvec, n, t, letter)
-                if any(c != 0 for c in st1):
-                    coords = solve_in_span(data.dual_weight_pieces[t - 1], st1)
-                    if coords is None:
-                        raise NotAComplex("first-letter strip leaves U")
-                    ra = A.mult_basis(a_g, e_g)
-                    if isinstance(ra, dict):
-                        for ka, ca in ra.items():
-                            for j, cu in enumerate(coords):
-                                if ca and cu:
-                                    row = tgt_idx[(ka, j)]
-                                    cur = entries.get((row, col), Q(0)) + ca * cu
-                                    if cur == 0:
-                                        entries.pop((row, col), None)
-                                    else:
-                                        entries[(row, col)] = cur
-                st2 = _strip_last(uvec, n, t, letter)
-                if any(c != 0 for c in st2):
-                    coords = solve_in_span(data.dual_weight_pieces[t - 1], st2)
-                    if coords is None:
-                        raise NotAComplex("last-letter strip leaves U")
-                    la = A.mult_basis(e_g, a_g)
-                    if isinstance(la, dict):
-                        for ka, ca in la.items():
-                            for j, cu in enumerate(coords):
-                                if ca and cu:
-                                    row = tgt_idx[(ka, j)]
-                                    cur = entries.get((row, col), Q(0)) + sgn * ca * cu
-                                    if cur == 0:
-                                        entries.pop((row, col), None)
-                                    else:
-                                        entries[(row, col)] = cur
-        return ExactMatrix(len(tgt), len(src), entries)
+    def b(label, t):
+        a_g, u = label
+        sgn = -1 if ((g + 1) * t + g * (1 + A.degrees[a_g])) % 2 else 1
+        out: dict = {}
+        for letter in range(n):
+            e_g = index_of[(1, letter)]
+            _transfer(out, U[t - 1], _strip_first(U[t][u], n, t, letter), A.mult_basis(a_g, e_g), 1, "first")
+            _transfer(out, U[t - 1], _strip_last(U[t][u], n, t, letter), A.mult_basis(e_g, a_g), sgn, "last")
+        return out
 
-    def delta_matrix(s, t):
-        src = piece(s, t)
-        tgt = piece(s + 1, t + 1)
-        tgt_idx = {lab: i for i, lab in enumerate(tgt)}
-        entries: dict[tuple[int, int], Fraction] = {}
-        for col, (a_g, u) in enumerate(src):
-            x_g = dual_index[t][u]
-            rel = 1 + (g + 1) * t + g * A.degrees[a_g]
-            sgn = -1 if rel % 2 else 1
-            for letter in range(n):
-                e_g = index_of[(1, letter)]
-                ei_d = dual_index[1][letter]
-                la = A.mult_basis(e_g, a_g)
-                lx = dual.mult_basis(ei_d, x_g)
+    def delta(label, t):
+        a_g, u = label
+        x_g = dual_index[t][u]
+        sgn = -1 if (1 + (g + 1) * t + g * A.degrees[a_g]) % 2 else 1
+        out: dict = {}
+        for letter in range(n):
+            e_g, ei_d = index_of[(1, letter)], dual_index[1][letter]
+            for la, lx, scale in ((A.mult_basis(e_g, a_g), dual.mult_basis(ei_d, x_g), 1),
+                                  (A.mult_basis(a_g, e_g), dual.mult_basis(x_g, ei_d), sgn)):
                 if isinstance(la, dict) and isinstance(lx, dict):
                     for ka, ca in la.items():
-                        for kx, cx in lx.items():
-                            row = tgt_idx[(ka, dual_index[t + 1].index(kx))]
-                            cur = entries.get((row, col), Q(0)) + ca * cx
-                            if cur == 0:
-                                entries.pop((row, col), None)
-                            else:
-                                entries[(row, col)] = cur
-                ra = A.mult_basis(a_g, e_g)
-                rx = dual.mult_basis(x_g, ei_d)
-                if isinstance(ra, dict) and isinstance(rx, dict):
-                    for ka, ca in ra.items():
-                        for kx, cx in rx.items():
-                            row = tgt_idx[(ka, dual_index[t + 1].index(kx))]
-                            cur = entries.get((row, col), Q(0)) + sgn * ca * cx
-                            if cur == 0:
-                                entries.pop((row, col), None)
-                            else:
-                                entries[(row, col)] = cur
-        return ExactMatrix(len(tgt), len(src), entries)
+                        _accumulate(out, {(ka, dual_local[kx]): cx for kx, cx in lx.items()}, scale * ca)
+        return out
+
+    def b_matrix(s, t):
+        return operator_matrix(piece(s, t), piece(s + 1, t - 1), lambda label: b(label, t))
+
+    def delta_matrix(s, t):
+        return operator_matrix(piece(s, t), piece(s + 1, t + 1), lambda label: delta(label, t))
 
     chain_dims: dict[tuple[int, int], int] = {}
     chain_pres: dict[tuple[int, int], HomologyPresentation] = {}
@@ -630,11 +549,6 @@ def dual_bivector_coeffs(coeffs: dict[tuple[int, int, int, int], Fraction]):
     return {(j1, j2, i1, i2): c for (i1, i2, j1, j2), c in coeffs.items()}
 
 
-def dual_bivector(ctx_ext: po.PoissonContext, coeffs) -> dict:
-    """The exterior-side bivector of a quadratic polynomial-side table."""
-    return po.quadratic_bivector(ctx_ext, dual_bivector_coeffs(coeffs))
-
-
 @dataclass
 class PoissonIdentification:
     """The mixed-complex isomorphism Ω(A) ≅ dual polyvectors of A^!.
@@ -657,16 +571,6 @@ class PoissonIdentification:
         a = m[: self.n]
         J = m[self.n :]
         return J + a
-
-    def dual_to_form(self, m):
-        J = m[: self.n]
-        a = m[self.n :]
-        return a + J
-
-    def vector_to_vector(self, m):
-        a = m[: self.n]
-        K = m[self.n :]
-        return K + a
 
     def coefficient(self, m) -> Fraction:
         from math import factorial

@@ -130,8 +130,9 @@ class ExactMatrix:
             rows[i][j] = v
         return rows
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+    def transpose(self, sign: int = 1) -> "ExactMatrix":
+        """The transpose, every entry multiplied by sign."""
+        return ExactMatrix(self.cols, self.rows, {(j, i): sign * v for (i, j), v in self.entries.items()})
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -164,6 +165,25 @@ class ExactMatrix:
     def rank(self) -> int:
         reduced, pivots = rref(self.row_dicts(), self.cols)
         return len(pivots)
+
+
+def operator_matrix(src_labels: Sequence, tgt_labels: Sequence, apply, escape=KeyError) -> ExactMatrix:
+    """The matrix of a linear operator from one labelled basis to another.
+
+    Column j holds ``apply(src_labels[j])``, a sparse combination
+    {target label: coefficient}.  A nonzero coefficient on a label outside
+    ``tgt_labels`` raises ``escape``: the operator leaves the window.
+    """
+    index = {t: i for i, t in enumerate(tgt_labels)}
+    entries = {}
+    for j, s in enumerate(src_labels):
+        for t, c in apply(s).items():
+            if c:
+                i = index.get(t)
+                if i is None:
+                    raise escape(f"operator image {t!r} of {s!r} leaves the target basis")
+                entries[(i, j)] = c
+    return ExactMatrix(len(tgt_labels), len(src_labels), entries)
 
 
 def rref(rows: Iterable[dict[int, Fraction]], ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:

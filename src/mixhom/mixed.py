@@ -7,9 +7,10 @@ are checked exhaustively at construction.  All four sources used here
 Poisson chains, dual Poisson cochains) preserve the weight, and each
 weight-w sub-slice is a complete bounded complex, so homology within the
 window is exact.  The two chain sources are built by applying b and B to
-each basis chain once; the two cochain sources are their duals
-(:func:`dual_slice`), whose matrices are the signed transposes of the
-primal ones.
+each basis chain once; the two cochain sources are their duals, whose
+matrices are the signed transposes of the primal ones: :func:`dual_slice`
+transposes the Hochschild slice, and the dual Poisson slice takes the
+matrices its :class:`~mixhom.poisson.DualSide` holds.
 
 Negative cyclic, cyclic and periodic homology are the homology of one
 u-stacked complex (C ⊗ u-powers, b + uB) over the u-ranges [0, N], [-K, 0]
@@ -32,6 +33,7 @@ from .linalg import (
     _accumulate,
     _check_complex,
     homology_presentation,
+    operator_matrix,
 )
 from . import poisson as po
 
@@ -131,24 +133,11 @@ class MixedComplexSlice:
 
 
 def _mats_from_operator(pieces: dict[Piece, list], apply_op, shift: int) -> dict[Piece, ExactMatrix]:
-    index = {piece: {t: i for i, t in enumerate(labels)} for piece, labels in pieces.items()}
-    mats: dict[Piece, ExactMatrix] = {}
-    for (d, w), labels in pieces.items():
-        tgt = (d + shift, w)
-        tgt_idx = index.get(tgt, {})
-        entries = {}
-        for j, t in enumerate(labels):
-            out = apply_op(t)
-            for s, c in out.items():
-                if c == 0:
-                    continue
-                if s not in tgt_idx:
-                    raise KeyError(
-                        f"operator image leaves the window: {s!r} from {t!r} at {(d, w)}"
-                    )
-                entries[(tgt_idx[s], j)] = c
-        mats[(d, w)] = ExactMatrix(len(pieces.get(tgt, ())), len(labels), entries)
-    return mats
+    """The matrix of apply_op out of every piece, into the piece ``shift`` degrees away."""
+    return {
+        (d, w): operator_matrix(labels, pieces.get((d + shift, w), []), apply_op)
+        for (d, w), labels in pieces.items()
+    }
 
 
 def slice_from_hochschild(A: GradedAlgebra, w_max: int, name: str | None = None) -> MixedComplexSlice:
@@ -192,14 +181,16 @@ def slice_from_poisson(ctx: po.PoissonContext, pi: dict, w_max: int, name: str |
 
 
 def slice_from_poisson_dual(dual: po.DualSide, name: str | None = None) -> MixedComplexSlice:
-    """Mixed dual Poisson cochain complex (functionals on exterior-side forms)."""
-    return dual_slice(
-        slice_from_poisson(dual.ctx, dual.pi, dual.w_max), name or f"poisson-dual({dual.ctx.n})"
-    )
+    """Mixed dual Poisson cochain complex (functionals on exterior-side forms).
 
-
-def _signed_transpose(M: ExactMatrix, sign: int) -> ExactMatrix:
-    return ExactMatrix(M.cols, M.rows, {(j, i): sign * v for (i, j), v in M.entries.items()})
+    Its b and B are the matrix objects of ``dual.coboundary_matrix`` and
+    ``dual.d_star_matrix``, the signed transposes of ∂ and d.
+    """
+    po.check_jacobi(dual.ctx, dual.pi)
+    pieces = dual.pieces()
+    b_mats = {piece: dual.coboundary_matrix(piece) for piece in pieces}
+    B_mats = {piece: dual.d_star_matrix(piece) for piece in pieces}
+    return MixedComplexSlice(pieces, b_mats, B_mats, name or f"poisson-dual({dual.ctx.n})")
 
 
 def dual_slice(sl: MixedComplexSlice, name: str | None = None) -> MixedComplexSlice:
@@ -215,8 +206,8 @@ def dual_slice(sl: MixedComplexSlice, name: str | None = None) -> MixedComplexSl
     B_mats: dict[Piece, ExactMatrix] = {}
     for (d, w) in sl.pieces:
         sign = -1 if d % 2 else 1
-        b_mats[(-d, w)] = _signed_transpose(sl.b_matrix((d + 1, w)), sign)
-        B_mats[(-d, w)] = _signed_transpose(sl.B_matrix((d - 1, w)), sign)
+        b_mats[(-d, w)] = sl.b_matrix((d + 1, w)).transpose(sign)
+        B_mats[(-d, w)] = sl.B_matrix((d - 1, w)).transpose(sign)
     return MixedComplexSlice(pieces, b_mats, B_mats, name or f"dual({sl.name})")
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from .linalg import ExactMatrix, operator_matrix
 from .linalg import _accumulate as add_into
 
 Q = Fraction
@@ -579,16 +580,20 @@ def modular_vector_field(ctx: PoissonContext, pi: GCAElement) -> GCAElement:
 class DualSide:
     """𝔛(A^!; A^¡) realized as linear functionals on the exterior-side forms.
 
-    A functional is a dict keyed by form monomials of the exterior context.
-    Its degree is minus the form degree of its support, its weight the form
-    weight.  Every dual operator is the twisted transpose
-    T*(φ) = (-1)^{|T||φ|} φ∘T of an operator T on the forms: δ transposes
-    the Poisson boundary, d* the de Rham differential, and the action of a
-    polyvector P the contraction ι_P, one monomial of P at a time.  T moves
-    a form's (degree, weight) by its own, so only one piece of forms can
-    reach each piece of φ, and T is applied to that piece alone.
-    ``slice_from_poisson_dual`` holds the same δ and d* as matrices,
-    transposed from the exterior-side Poisson slice on ``domain``.
+    A functional is a dict keyed by form monomials of ``domain``, the
+    exterior-side forms of weight <= w_max.  Its degree is minus the form
+    degree of its support, its weight the form weight.  Every dual operator
+    is the twisted transpose T*(φ) = (-1)^{|T||φ|} φ∘T of an operator T on
+    the forms, so each is a matrix: T moves a form's (degree, weight) by its
+    own, and the matrix of T from the one piece of forms that reaches a
+    piece of φ is transposed and signed.  The dual piece (-e, w) holds the
+    functionals dual to the forms of degree e and weight w; on it δ is
+    (-1)^e ∂(e+1, w)ᵀ and d* is (-1)^e d(e-1, w)ᵀ.  Each of those is built
+    the first time it is asked for and kept, and ``slice_from_poisson_dual``
+    assembles its slice from the same matrix objects.  The action of a
+    polyvector P transposes the contraction ι_m of one monomial m of P at a
+    time; its matrix is built afresh on every call, for the pieces that call
+    reaches alone.  A functional must be supported on ``domain``.
     """
 
     def __init__(self, ctx: PoissonContext, pi: GCAElement, w_max: int):
@@ -606,30 +611,61 @@ class DualSide:
         self._forms: dict[tuple[int, int], list[Monomial]] = {}  # (degree, weight) -> forms
         for m in self.domain:
             self._forms.setdefault((F.degree(m), F.weight(m)), []).append(m)
+        self._dual_mats: dict[tuple[str, tuple[int, int]], ExactMatrix] = {}
 
-    def _transpose(self, op, degree: int, weight: int, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        """(-1)^{|T||φ|} φ∘T for the operator T = op of the given (degree, weight)."""
+    def pieces(self) -> dict[tuple[int, int], list[Monomial]]:
+        """The dual pieces (-e, w), each labelled by the forms of degree e and weight w."""
+        return {(-e, w): labels for (e, w), labels in self._forms.items()}
+
+    def _dual_matrix(self, op, shift: tuple[int, int], e: int, w: int) -> ExactMatrix:
+        """(-1)^{|T| e} Tᵀ for the operator T = op of the given (degree, weight), into forms (e, w)."""
+        degree, weight = shift
+        src = self._forms.get((e - degree, w - weight), [])
+        M = operator_matrix(src, self._forms.get((e, w), []), lambda m: op({m: Q(1)}))
+        return M.transpose(-1 if (degree % 2) and (e % 2) else 1)
+
+    def _memo(self, name: str, op, shift: tuple[int, int], piece: tuple[int, int]) -> ExactMatrix:
+        got = self._dual_mats.get((name, piece))
+        if got is None:
+            got = self._dual_mats[(name, piece)] = self._dual_matrix(op, shift, -piece[0], piece[1])
+        return got
+
+    def coboundary_matrix(self, piece: tuple[int, int]) -> ExactMatrix:
+        """δ out of the dual piece (-e, w): (-1)^e ∂(e+1, w)ᵀ."""
+        return self._memo("δ", lambda om: poisson_boundary(self.ctx, self.pi, om), (-1, 0), piece)
+
+    def d_star_matrix(self, piece: tuple[int, int]) -> ExactMatrix:
+        """d* out of the dual piece (-e, w): (-1)^e d(e-1, w)ᵀ."""
+        return self._memo("d*", lambda om: de_rham(self.ctx, om), (1, 0), piece)
+
+    def _act(self, matrix_of, shift: tuple[int, int], phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        """T*(φ) for an operator T of (degree, weight) ``shift``, one piece (e, w) of φ at a time.
+
+        ``matrix_of(e, w)`` is (-1)^{|T| e} Tᵀ into forms (e, w); its rows are
+        the forms (e, w) - shift.
+        """
         F = self.ctx.forms
-        parts: dict[tuple[int, int], dict] = {}
+        parts: dict[tuple[int, int], dict[int, Fraction]] = {}
         for m, c in phi.items():
             if c:
-                parts.setdefault((F.degree(m), F.weight(m)), {})[m] = c
+                piece = (F.degree(m), F.weight(m))
+                parts.setdefault(piece, {})[self._forms[piece].index(m)] = c
         out: dict[Monomial, Fraction] = {}
         for (e, w), part in parts.items():
-            sign = -1 if (degree % 2) and (e % 2) else 1
-            for m in self._forms.get((e - degree, w - weight), ()):
-                total = sum((v * part[mm] for mm, v in op({m: Q(1)}).items() if mm in part), Q(0))
-                if total:
-                    out[m] = sign * total
-        return out
+            labels = self._forms.get((e - shift[0], w - shift[1]), [])
+            for (i, j), v in matrix_of(e, w).entries.items():
+                c = part.get(j)
+                if c:
+                    out[labels[i]] = out.get(labels[i], Q(0)) + v * c
+        return {m: c for m, c in out.items() if c}
 
     def coboundary(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """δ with values in the dual module: (-1)^{|φ|} φ∘∂."""
-        return self._transpose(lambda om: poisson_boundary(self.ctx, self.pi, om), -1, 0, phi)
+        return self._act(lambda e, w: self.coboundary_matrix((-e, w)), (-1, 0), phi)
 
     def d_star(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """Dual de Rham differential: (-1)^{|φ|} φ∘d."""
-        return self._transpose(lambda om: de_rham(self.ctx, om), 1, 0, phi)
+        return self._act(lambda e, w: self.d_star_matrix((-e, w)), (1, 0), phi)
 
     def contract(self, P: GCAElement, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """Module action of polyvectors: (ι_P φ)(ω) = (-1)^{|P||φ|} φ(ι_P ω).
@@ -640,10 +676,11 @@ class DualSide:
         out: dict[Monomial, Fraction] = {}
         for pm, c in P.items():
             if c:
-                img = self._transpose(
-                    lambda om: contract_monomial(self.ctx, pm, om), V.degree(pm), V.weight(pm), phi
-                )
-                add_into(out, img, c)
+                shift = (V.degree(pm), V.weight(pm))
+                def iota(om, pm=pm):
+                    return contract_monomial(self.ctx, pm, om)
+
+                add_into(out, self._act(lambda e, w: self._dual_matrix(iota, shift, e, w), shift, phi), c)
         return out
 
     def dual_volume(self) -> dict[Monomial, Fraction]:

@@ -3,18 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from mixhom.algebra import make_exterior_algebra
+from mixhom.algebra import QuadraticPresentation, make_exterior_algebra
 from mixhom.calculus import (
+    CalculusBundle,
     DualityError,
     HochschildCochainOps,
+    MultivectorOps,
+    WindowError,
     attach_duality,
+    delta_pairs,
     hochschild_dual_bundle,
     poisson_bundle,
     polyvector_pd_twist,
     verify_bv_axioms,
 )
+from mixhom.hochschild import Cochain, coboundary
+from mixhom.koszul import quadratic_algebra
+from mixhom.linalg import ExactMatrix
 from mixhom.mixed import slice_from_hochschild_dual, slice_from_poisson
-from mixhom.poisson import PoissonContext, quadratic_bivector
+from mixhom.poisson import PoissonContext, poisson_coboundary, quadratic_bivector
 
 Q = Fraction
 
@@ -264,3 +271,119 @@ def test_cochain_ops_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the build-once δ against the two-build delta_pair it replaced ----------------
+#
+# Each piece used to build its outgoing δ and, a second time, the incoming δ
+# out of the piece above, capped at arity q_max - 1.  That code is kept here
+# verbatim as the reference for ``delta_pairs``.
+
+
+def _hochschild_delta_matrix_oracle(self, piece, into_ext=True, src_arity_cap=None):
+    D, om = piece
+    src = self._pieces.get(piece, [])
+    tgt = (self._pieces_ext if into_ext else self._pieces).get((D - 1, om), [])
+    tgt_idx = {lab: i for i, lab in enumerate(tgt)}
+    entries = {}
+    for j, (t, k) in enumerate(src):
+        if src_arity_cap is not None and len(t) > src_arity_cap:
+            continue
+        f = Cochain(self.A, len(t), D, {t: {k: Q(1)}})
+        df = coboundary(f, self.tuples)
+        for tt, val in df.table.items():
+            for kk, c in val.items():
+                key = (tt, kk)
+                if c:
+                    if key not in tgt_idx:
+                        raise WindowError(f"coboundary escapes tables at {key!r}")
+                    entries[(tgt_idx[key], j)] = c
+    return ExactMatrix(len(tgt), len(src), entries)
+
+
+def _hochschild_delta_pair_oracle(self, piece):
+    D, om = piece
+    d_out = _hochschild_delta_matrix_oracle(self, piece, into_ext=True)
+    d_in = _hochschild_delta_matrix_oracle(self, (D + 1, om), into_ext=True, src_arity_cap=self.q_max - 1)
+    # restrict incoming rows from the extended target to the piece basis
+    ext = self._pieces_ext.get(piece, [])
+    keep = {i for i, lab in enumerate(ext) if len(lab[0]) <= self.q_max}
+    row_map = {}
+    for i in sorted(keep):
+        row_map[i] = len(row_map)
+    entries = {}
+    for (i, j), v in d_in.entries.items():
+        if i not in keep:
+            raise WindowError("restricted incoming differential escapes the piece")
+        entries[(row_map[i], j)] = v
+    d_in_r = ExactMatrix(len(keep), d_in.cols, entries)
+    return d_in_r, d_out
+
+
+def _multivector_delta_matrix_oracle(self, piece):
+    D, om = piece
+    src = self._pieces.get(piece, [])
+    tgt = self._pieces.get((D - 1, om), [])
+    tgt_idx = {m: i for i, m in enumerate(tgt)}
+    entries = {}
+    for j, m in enumerate(src):
+        img = poisson_coboundary(self.ctx, self.pi, {m: Q(1)})
+        for mm, c in img.items():
+            if c == 0:
+                continue
+            if mm not in tgt_idx:
+                raise WindowError(f"coboundary escapes the polyvector window at {mm!r}")
+            entries[(tgt_idx[mm], j)] = c
+    return ExactMatrix(len(tgt), len(src), entries)
+
+
+def _multivector_delta_pair_oracle(self, piece):
+    D, om = piece
+    return _multivector_delta_matrix_oracle(self, (D + 1, om)), _multivector_delta_matrix_oracle(self, piece)
+
+
+def _delta_case(case, q_max=6, coeff_wmax=8):
+    """(ops, pieces, two-build oracle) of the bv-check cochain sides, and of k[x] ⊗ Λ(ξ).
+
+    Every piece of Λ(ξ1, ξ2) holds cochains of one arity, so the arity cap
+    of the incoming map drops nothing there.  On k[x] ⊗ Λ(ξ) (weights <= 3)
+    it drops sources in every piece of degree < 0 and weight shift <= 0.
+    """
+    if case == "hochschild":
+        ops = HochschildCochainOps(make_exterior_algebra(2), q_max)
+        pieces = {p for p in ops.pieces() if -3 <= p[1] <= 2 and -3 <= p[0] <= 0}
+        return ops, pieces, _hochschild_delta_pair_oracle
+    if case == "capped":
+        # x of degree 0 and ξ of degree -1: xξ = ξx, ξξ = 0
+        rels = ((0, -1, 1, 0), (0, 0, 0, 1))
+        pres = QuadraticPresentation(2, (0, -1), tuple(tuple(Q(c) for c in r) for r in rels))
+        ops = HochschildCochainOps(quadratic_algebra(pres, 3)[0], 2)
+        return ops, {p for p in ops.pieces() if p[1] <= 0}, _hochschild_delta_pair_oracle
+    ctx = PoissonContext.make(3, "poly")
+    ops = MultivectorOps(ctx, quadratic_bivector(ctx, CIRCULANT), -3, coeff_wmax - 3, coeff_wmax)
+    return ops, set(ops.pieces()), _multivector_delta_pair_oracle
+
+
+@pytest.mark.parametrize("case", ["hochschild", "capped", "polyvectors"])
+def test_delta_pairs_match_the_two_build_oracle(case):
+    ops, pieces, oracle = _delta_case(case)
+    got = list(delta_pairs(ops, pieces))
+    assert [piece for piece, _, _ in got] == sorted(pieces)
+    for piece, d_in, d_out in got:
+        assert (d_in, d_out) == oracle(ops, piece), piece
+
+
+@pytest.mark.parametrize("case", ["hochschild", "polyvectors"])
+def test_a_bundle_builds_each_delta_once(monkeypatch, case):
+    ops, pieces, _ = _delta_case(case, q_max=4, coeff_wmax=5)
+    built = []
+    original = type(ops).delta_matrix
+
+    def counting(self, piece):
+        built.append(piece)
+        return original(self, piece)
+
+    monkeypatch.setattr(type(ops), "delta_matrix", counting)
+    bundle = CalculusBundle(case, ops, None, None, coh_window=lambda p: p in pieces)
+    assert set(bundle.coh_pres) == pieces
+    assert sorted(built) == sorted(pieces | {(D + 1, om) for (D, om) in pieces})

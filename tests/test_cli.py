@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from functools import cached_property
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixhom import cli, koszul
 from mixhom import poisson as po
@@ -169,6 +173,16 @@ def test_bad_jobs_are_parse_errors(tmp_path, command, job):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("flag", ["--pmax", "--wmax", "--utrunc", "--nmax"])
+def test_window_flags_must_be_positive(tmp_path, capsys, flag, value):
+    path = tmp_path / "job.txt"
+    path.write_text(EXT_JOB)
+    assert main(["hh", "--input", str(path), "--out", str(tmp_path / "o"), flag, str(value)]) == 4
+    assert capsys.readouterr().err == f"parse error: line 0: {flag} must be positive\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _run_cli(command, path, out):
     """The CLI in a fresh interpreter, so a crash shows as a traceback on stderr."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -239,10 +253,11 @@ def test_a_job_builds_each_shared_structure_once(tmp_path, monkeypatch, tasks):
 
     for module, name in [(cli, "NegativeCyclic"), (cli, "les_check"), (po, "unimodularity_check"),
                          (po, "frobenius_poisson_check"), (cli, "koszul_dual_algebra"),
-                         (cli, "is_koszul")]:
+                         (cli, "is_koszul"), (cli, "quadratic_algebra")]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    # the small Hochschild models would rebuild both inside the koszul module
-    for name in ("koszul_dual_algebra", "is_koszul"):
+    # the Koszul complex and the small Hochschild models would rebuild them
+    # inside the koszul module
+    for name in ("koszul_dual_algebra", "is_koszul", "quadratic_algebra"):
         monkeypatch.setattr(koszul, name, getattr(cli, name))
     reads = _spy_on_job_reads(monkeypatch)
     spec = parse_job(POLY_POISSON_JOB)
@@ -265,6 +280,7 @@ def test_a_job_builds_each_shared_structure_once(tmp_path, monkeypatch, tasks):
         "frobenius_poisson_check": 1,
         "koszul_dual_algebra": 1,
         "is_koszul": 1,
+        "quadratic_algebra": 1,
     }
 
 
@@ -317,3 +333,50 @@ def test_shared_job_writes_what_separate_tasks_write(tmp_path, job):
     assert names == sorted(os.listdir(alone))
     for name in names:
         assert (shared / name).read_bytes() == (alone / name).read_bytes(), name
+
+
+# -- the CLI contract under fuzzing --------------------------------------------------
+
+
+@st.composite
+def _small_jobs(draw):
+    """A job text and window flags: exterior or polynomial n <= 2, quadratic n = 1, windows <= 3."""
+    kind = draw(st.sampled_from(cli.KINDS))
+    n = 1 if kind == "quadratic" else draw(st.integers(1, 2))
+    lines = ["[algebra]", f"kind {kind}", f"n {n}"]
+    if kind == "polynomial" and draw(st.booleans()):
+        lines.append(f"cutoff {draw(st.integers(1, 3))}")
+    if kind == "quadratic":
+        lines.append(f"relation 1 1 {draw(st.sampled_from(['1', '-2/3']))}")
+    if kind == "polynomial" and draw(st.booleans()):
+        lines.append("[poisson]")
+        for _ in range(draw(st.integers(1, 2))):
+            idx = " ".join(str(draw(st.integers(1, n))) for _ in range(4))
+            lines.append(f"c {idx} {draw(st.sampled_from(['1', '-1', '1/2']))}")
+    lines += ["[window]", f"p_max {draw(st.integers(1, 3))}", f"w_max {draw(st.integers(1, 3))}"]
+    for key in ("u_trunc", "arity_max"):
+        if draw(st.booleans()):
+            lines.append(f"{key} {draw(st.integers(1, 3))}")
+    # tasks that do not fit the kind are parse errors, which test_bad_jobs_are_parse_errors covers
+    tasks = [task for task in cli.TASKS if kind in cli.TASK_KINDS[task]]
+    lines += ["[tasks]", *draw(st.lists(st.sampled_from(tasks), min_size=1, max_size=3, unique=True))]
+    flags = []
+    for flag in ("--pmax", "--wmax", "--utrunc", "--nmax"):
+        if draw(st.integers(0, 3)) == 0:
+            flags += [flag, str(draw(st.sampled_from([1, 2, 3, 0, -1])))]
+    return "\n".join(lines) + "\n", flags
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_jobs())
+def test_fuzzed_small_jobs_keep_the_exit_code_contract(job):
+    text, flags = job
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "job.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--input", path, "--out", os.path.join(tmp, "o"), *flags])
+    assert code in (0, 2, 3, 4), (code, text, flags)
+    assert "Traceback" not in err.getvalue()

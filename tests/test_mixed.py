@@ -428,6 +428,24 @@ class TestTransposeOracles:
                     assert got == {t: v for t, v in zip(tgt, col) if v}
 
 
+def test_dual_poisson_slice_is_made_of_the_dual_side_matrices(monkeypatch):
+    from mixhom import poisson as po
+
+    _, dual = _circulant_sides(Q(1), 4)
+    calls = []
+    boundary = po.poisson_boundary
+    monkeypatch.setattr(po, "poisson_boundary", lambda *args: calls.append(args) or boundary(*args))
+    sl = slice_from_poisson_dual(dual)
+    for piece in sl.pieces:
+        assert sl.b_matrix(piece) is dual.coboundary_matrix(piece)
+        assert sl.B_matrix(piece) is dual.d_star_matrix(piece)
+    for m in dual.domain:
+        dual.coboundary({m: Q(1)})
+    # ∂ of a form is taken at most once, for the one δ matrix it is a row of
+    forms = [next(iter(omega)) for _ctx, _pi, omega in calls]
+    assert len(forms) == len(set(forms)) > 0
+
+
 def _u_sources():
     yield slice_from_hochschild(make_exterior_algebra(1), 4)
     yield slice_from_hochschild(make_exterior_algebra(2), 4)
