@@ -42,6 +42,7 @@ Exit codes: 0 all checks pass, 2 verification failure, 3 window too small,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -624,20 +625,19 @@ def _atomic_write(path: str, content: str):
         raise
 
 
+def _summary_lines(prefix: str, value):
+    """``key.path: value`` lines of a result, keys sorted at every level."""
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from _summary_lines(f"{prefix}{k}.", value[k])
+    elif isinstance(value, list):
+        yield f"{prefix[:-1]}: {json.dumps(value, sort_keys=True)}"
+    else:
+        yield f"{prefix[:-1]}: {value}"
+
+
 def _summarize(task: str, result: dict) -> str:
-    lines = [f"task: {task}"]
-
-    def emit(prefix, value):
-        if isinstance(value, dict):
-            for k in sorted(value):
-                emit(f"{prefix}{k}.", value[k])
-        elif isinstance(value, list):
-            lines.append(f"{prefix[:-1]}: {json.dumps(value, sort_keys=True)}")
-        else:
-            lines.append(f"{prefix[:-1]}: {value}")
-
-    emit("", result)
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"task: {task}", *_summary_lines("", result)]) + "\n"
 
 
 def run_job(spec: JobSpecification, out_dir: str) -> int:
@@ -667,7 +667,7 @@ def run_job(spec: JobSpecification, out_dir: str) -> int:
     return exit_code
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="mixhom",
         description="Exact homological calculus for small graded algebras",
@@ -683,7 +683,11 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("run", parents=[common], help="run the task list from the job file")
     for task in TASKS:
         sub.add_parser(task, parents=[common], help=f"run the {task} task")
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_args(argv)
     try:
         with open(args.input) as fh:
             text = fh.read()
@@ -707,7 +711,14 @@ def main(argv: list[str] | None = None) -> int:
     if not spec.tasks:
         print("job file lists no tasks", file=sys.stderr)
         return 4
-    return run_job(spec, args.out)
+    code = run_job(spec, args.out)
+    # A job leaves reference cycles (argparse, json) and filled free lists
+    # that only a full collection releases.  Integer elimination allocates
+    # few collector-tracked objects, so without this one a full collection
+    # comes rarely, and a process that runs many jobs keeps raising its peak
+    # memory.
+    gc.collect()
+    return code
 
 
 if __name__ == "__main__":

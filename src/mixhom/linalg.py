@@ -1,10 +1,16 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything downstream (homology of complexes, solving in spans, operation
-tables on homology bases) reduces to the routines here.  All arithmetic is
-over ``fractions.Fraction``; there is no floating point anywhere.  Outputs
-are deterministic: row reduction produces the (unique) reduced row echelon
-form, so kernels, images and homology presentations are canonical.
+tables on homology bases) reduces to the routines here.  There is no
+floating point anywhere.  Matrices, vectors and every returned coefficient
+are ``fractions.Fraction``, but elimination and matrix products run on
+Python integers: each rational row is scaled to a primitive integer row
+(by the lcm of its denominators) on the way in, rows are combined by
+cross-multiplication and divided by their content after each step, and a
+``Fraction`` is built only for what is returned (fraction-free
+Gauss-Jordan elimination; cf. Bareiss 1968).  Outputs are deterministic:
+row reduction produces the (unique) reduced row echelon form, so kernels,
+images and homology presentations are canonical.
 
 A homology presentation is factored once, when it is built: its boundary
 and representative bases are kept in reduced row echelon form, so reducing
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -52,6 +59,94 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+# -- the integer kernel ----------------------------------------------------
+#
+# A sparse integer row {column: int} (no zeros) stands for the rational row
+# it is proportional to; echelon forms are lists of (pivot column, row).
+
+
+def _denominator(values: Iterable) -> int:
+    """The lcm of the denominators of some rationals."""
+    return lcm(*{v.denominator for v in values})
+
+
+def _primitive(r: dict[int, int]) -> None:
+    """Divide r in place by the gcd of its entries."""
+    g = gcd(*r.values())
+    if g > 1:
+        for j, v in r.items():
+            r[j] = v // g
+
+
+def _integer_row(row: dict) -> dict[int, int]:
+    """The primitive integer row proportional to a sparse rational row, zeros dropped."""
+    den = _denominator(row.values())
+    r = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+    if 0 in r.values():
+        r = {j: v for j, v in r.items() if v}
+    _primitive(r)
+    return r
+
+
+def _cancel(r: dict[int, int], row: dict[int, int], p: int) -> None:
+    """Replace r in place by the primitive integer row proportional to row[p]·r − r[p]·row (zero at p)."""
+    a, c = row[p], r[p]
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    if a != 1:
+        for j, v in r.items():
+            r[j] = a * v
+    for j, v in row.items():
+        s = r.get(j, 0) - c * v
+        if s:
+            r[j] = s
+        else:
+            del r[j]
+    _primitive(r)
+
+
+def _row_echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Forward elimination of integer rows (consumed): nonzero (pivot, row) in arrival order.
+
+    Each kept row vanishes at the pivots of the rows kept before it, and its
+    pivot is its least column.
+    """
+    echelon = []
+    for r in rows:
+        for p, pr in echelon:
+            if p in r:
+                _cancel(r, pr, p)
+        if r:
+            echelon.append((min(r), r))
+    return echelon
+
+
+def _integer_rref(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """The reduced row echelon form of integer rows (consumed), as (pivot, row) sorted by pivot.
+
+    Row i, divided by its pivot entry, is row i of the rational RREF.
+    """
+    out = sorted(_row_echelon(rows), key=lambda pr: pr[0])
+    for i in range(len(out) - 2, -1, -1):
+        r = out[i][1]
+        for p, row in out[i + 1:]:
+            if p in r:
+                _cancel(r, row, p)
+    return out
+
+
+def _rational_row(p: int, r: dict[int, int]) -> dict[int, Fraction]:
+    """The rational row proportional to r with 1 at its pivot p."""
+    a = r[p]
+    return {j: Fraction(v, a) for j, v in r.items()}
+
+
+def _rational_vec(p: int, r: dict[int, int], n: int) -> tuple[Fraction, ...]:
+    """``_rational_row`` as a dense vector of length n."""
+    a = r[p]
+    return tuple(Fraction(r[j], a) if j in r else ZERO for j in range(n))
 
 
 class ExactMatrix:
@@ -137,19 +232,27 @@ class ExactMatrix:
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # group other's entries by row for sparse accumulation
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        da = _denominator(self.entries.values())
+        db = _denominator(other.entries.values())
+        # group other's entries by row for sparse accumulation, scaled by db
+        by_row: dict[int, list[tuple[int, int]]] = {}
         for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append((j, v))
-        acc: dict[tuple[int, int], Fraction] = {}
+            by_row.setdefault(k, []).append((j, v.numerator * (db // v.denominator)))
+        acc: dict[tuple[int, int], int] = {}
         for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                key = (i, j)
-                s = acc.get(key, ZERO) + a * b
-                if s == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+            row = by_row.get(k)
+            if row:
+                a = a.numerator * (da // a.denominator)
+                for j, b in row:
+                    key = (i, j)
+                    s = acc.get(key, 0) + a * b
+                    if s:
+                        acc[key] = s
+                    else:
+                        del acc[key]
+        d = da * db
+        for key, s in acc.items():
+            acc[key] = Fraction(s, d)
         return ExactMatrix(self.rows, other.cols, acc)
 
     def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -163,8 +266,7 @@ class ExactMatrix:
         return tuple(out)
 
     def rank(self) -> int:
-        reduced, pivots = rref(self.row_dicts(), self.cols)
-        return len(pivots)
+        return len(_row_echelon(_integer_row(r) for r in self.row_dicts()))
 
 
 def operator_matrix(src_labels: Sequence, tgt_labels: Sequence, apply, escape=KeyError) -> ExactMatrix:
@@ -192,59 +294,25 @@ def rref(rows: Iterable[dict[int, Fraction]], ncols: int) -> tuple[list[dict[int
     Returns (nonzero reduced rows sorted by pivot column, pivot columns).
     The RREF is unique, hence the output is canonical for the row span.
     """
-    reduced: list[dict[int, Fraction]] = []  # rows with pivots, kept normalized
-    pivots: list[int] = []
-    for row in rows:
-        r = dict(row)
-        # eliminate against existing pivots
-        for p, pr in zip(pivots, reduced):
-            c = r.get(p)
-            if c:
-                for j, v in pr.items():
-                    s = r.get(j, ZERO) - c * v
-                    if s == 0:
-                        r.pop(j, None)
-                    else:
-                        r[j] = s
-        if not r:
-            continue
-        p = min(r)
-        inv = ONE / r[p]
-        r = {j: v * inv for j, v in r.items()}
-        # back-substitute into existing rows
-        for idx, (q, pr) in enumerate(zip(pivots, reduced)):
-            c = pr.get(p)
-            if c:
-                for j, v in r.items():
-                    s = pr.get(j, ZERO) - c * v
-                    if s == 0:
-                        pr.pop(j, None)
-                    else:
-                        pr[j] = s
-        pivots.append(p)
-        reduced.append(r)
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    return [reduced[k] for k in order], sorted(pivots)
+    reduced = _integer_rref(_integer_row(row) for row in rows)
+    return [_rational_row(p, r) for p, r in reduced], [p for p, _ in reduced]
 
 
-def _row_to_vec(row: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
-    return tuple(row.get(j, ZERO) for j in range(n))
-
-
-def _kernel_rows(M: ExactMatrix) -> list[dict[int, Fraction]]:
-    """``kernel_basis`` as sparse vectors."""
-    reduced, pivots = rref(M.row_dicts(), M.cols)
-    pivot_set = set(pivots)
+def _kernel_rows(M: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
+    """``kernel_basis`` as integer rows, each with its free column."""
+    reduced = _integer_rref(_integer_row(r) for r in M.row_dicts())
+    pivot_set = {p for p, _ in reduced}
     basis = []
     for f in range(M.cols):
         if f in pivot_set:
             continue
-        vec = {f: ONE}
-        for p, row in zip(pivots, reduced):
-            c = row.get(f)
-            if c:
-                vec[p] = -c
-        basis.append(vec)
+        hits = [(p, row) for p, row in reduced if f in row]
+        scale = lcm(*(row[p] for p, row in hits))
+        vec = {f: scale}
+        for p, row in hits:
+            vec[p] = -row[f] * (scale // row[p])
+        _primitive(vec)
+        basis.append((f, vec))
     return basis
 
 
@@ -254,7 +322,7 @@ def kernel_basis(M: ExactMatrix) -> list[tuple[Fraction, ...]]:
     Built from the RREF of M: one vector per free column, with unit entry at
     the free column and the negated pivot-row coefficients above it.
     """
-    return [_row_to_vec(v, M.cols) for v in _kernel_rows(M)]
+    return [_rational_vec(f, v, M.cols) for f, v in _kernel_rows(M)]
 
 
 def span_basis(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
@@ -264,21 +332,20 @@ def span_basis(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[tuple[Fr
         if len(v) != dim:
             raise DimensionMismatchError("vector length mismatch")
         rows.append({j: _as_fraction(c) for j, c in enumerate(v) if c != 0})
-    reduced, _ = rref(rows, dim)
-    return [_row_to_vec(r, dim) for r in reduced]
+    return [_rational_vec(p, r, dim) for p, r in _integer_rref(_integer_row(row) for row in rows)]
 
 
-def _image_rows(M: ExactMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """``image_basis`` as sparse vectors, with their pivot columns."""
+def _image_rows(M: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
+    """``image_basis`` as integer (pivot, row) pairs."""
     columns: list[dict[int, Fraction]] = [dict() for _ in range(M.cols)]
     for (i, j), v in M.entries.items():
         columns[j][i] = v
-    return rref(columns, M.rows)
+    return _integer_rref(_integer_row(c) for c in columns)
 
 
 def image_basis(M: ExactMatrix) -> list[tuple[Fraction, ...]]:
     """Canonical basis of the column space of M."""
-    return [_row_to_vec(r, M.rows) for r in _image_rows(M)[0]]
+    return [_rational_vec(p, r, M.rows) for p, r in _image_rows(M)]
 
 
 def solve_in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
@@ -400,19 +467,21 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     _check_complex(d_in, d_out)
     dim = d_out.cols
     kernel = _kernel_rows(d_out)
-    brows, bpivots = _image_rows(d_in)
+    boundaries = _image_rows(d_in)
     # representatives: kernel vectors reduced mod boundaries, then RREF'd for
     # canonical, mutually reduced output
     candidates = []
-    for r in kernel:
-        for p, row in zip(bpivots, brows):
-            c = r.get(p)
-            if c:
-                _accumulate(r, row, -c)
+    for _, r in kernel:
+        for p, row in boundaries:
+            if p in r:
+                _cancel(r, row, p)
         if r:
             candidates.append(r)
-    hred, _ = rref(candidates, dim)
-    reps = tuple(_row_to_vec(r, dim) for r in hred)
-    if len(reps) != len(kernel) - len(brows):
+    reps = _integer_rref(candidates)
+    if len(reps) != len(kernel) - len(boundaries):
         raise AssertionError("homology dimension bookkeeping failed")
-    return HomologyPresentation(dim, reps, tuple(_row_to_vec(r, dim) for r in brows))
+    return HomologyPresentation(
+        dim,
+        tuple(_rational_vec(p, r, dim) for p, r in reps),
+        tuple(_rational_vec(p, r, dim) for p, r in boundaries),
+    )

@@ -88,20 +88,15 @@ class MixedComplexSlice:
     def _validate(self):
         for (d, w) in self.pieces:
             b1 = self.b_matrix((d, w))
-            b2 = self.b_matrix((d - 1, w))
-            if not b2.matmul(b1).is_zero():
-                bad = min(j for (_, j) in b2.matmul(b1).entries)
-                raise SliceAxiomError("b²=0", (d, w), self.pieces[(d, w)][bad])
             B1 = self.B_matrix((d, w))
-            B2 = self.B_matrix((d + 1, w))
-            if not B2.matmul(B1).is_zero():
-                bad = min(j for (_, j) in B2.matmul(B1).entries)
-                raise SliceAxiomError("B²=0", (d, w), self.pieces[(d, w)][bad])
+            bb = self.b_matrix((d - 1, w)).matmul(b1)
+            BB = self.B_matrix((d + 1, w)).matmul(B1)
             anti = self.b_matrix((d + 1, w)).matmul(B1)
             _accumulate(anti.entries, self.B_matrix((d - 1, w)).matmul(b1).entries)
-            if anti.entries:
-                bad = min(j for (_, j) in anti.entries)
-                raise SliceAxiomError("bB+Bb=0", (d, w), self.pieces[(d, w)][bad])
+            for identity, comp in (("b²=0", bb), ("B²=0", BB), ("bB+Bb=0", anti)):
+                if comp.entries:
+                    bad = min(j for (_, j) in comp.entries)
+                    raise SliceAxiomError(identity, (d, w), self.pieces[(d, w)][bad])
 
     # -- b-homology ---------------------------------------------------------
 

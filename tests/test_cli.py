@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -380,3 +381,35 @@ def test_fuzzed_small_jobs_keep_the_exit_code_contract(job):
             code = main(["run", "--input", path, "--out", os.path.join(tmp, "o"), *flags])
     assert code in (0, 2, 3, 4), (code, text, flags)
     assert "Traceback" not in err.getvalue()
+
+
+NESTED_RESULT = {"b": {"y": [2, 1], "x": Fraction(1, 2), "z": {"deep": {"er": 1}}}, "a": 3, "passed": True}
+
+
+def test_summary_flattens_sorted_key_paths():
+    assert cli._summarize("t", NESTED_RESULT) == (
+        "task: t\na: 3\nb.x: 1/2\nb.y: [2, 1]\nb.z.deep.er: 1\npassed: True\n"
+    )
+
+
+def test_summary_leaves_no_reference_cycles():
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        cli._summarize("t", NESTED_RESULT)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def test_main_leaves_no_cyclic_garbage(tmp_path):
+    # many in-process jobs must not pile up garbage between full collections
+    job = tmp_path / "job.txt"
+    job.write_text(EXT_JOB)
+    gc.collect()
+    assert main(["run", "--input", str(job), "--out", str(tmp_path / "o")]) == 0
+    assert gc.collect() == 0

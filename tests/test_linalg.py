@@ -1,17 +1,23 @@
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mixhom.linalg as linalg
 from mixhom.linalg import (
     DimensionMismatchError,
     ExactMatrix,
+    HomologyPresentation,
     NotAComplexError,
+    _accumulate,
     homology_presentation,
     image_basis,
     kernel_basis,
     rref,
     solve_in_span,
+    span_basis,
 )
 
 Q = Fraction
@@ -297,3 +303,356 @@ def test_reduce_matches_oracle_on_hc_minus_presentations():
     hc = NegativeCyclic(sl, default_truncation(sl))
     checked = sum(assert_reduce_matches_oracle(pres, rng) for pres in hc.pres.values())
     assert checked > 100
+
+
+# -- differential oracle: the Fraction kernel as it was ------------------------
+#
+# mixhom.linalg eliminates and multiplies on integers.  Below is the kernel it
+# replaced, which did every step in Fraction arithmetic: rref and matmul
+# verbatim, and the routines built on them as they were.
+
+ZERO = Q(0)
+ONE = Q(1)
+
+
+def oracle_rref(rows, ncols):
+    """Reduced row echelon form of sparse rows, by Gauss-Jordan elimination over Q."""
+    reduced = []  # rows with pivots, kept normalized
+    pivots = []
+    for row in rows:
+        r = dict(row)
+        # eliminate against existing pivots
+        for p, pr in zip(pivots, reduced):
+            c = r.get(p)
+            if c:
+                for j, v in pr.items():
+                    s = r.get(j, ZERO) - c * v
+                    if s == 0:
+                        r.pop(j, None)
+                    else:
+                        r[j] = s
+        if not r:
+            continue
+        p = min(r)
+        inv = ONE / r[p]
+        r = {j: v * inv for j, v in r.items()}
+        # back-substitute into existing rows
+        for idx, (q, pr) in enumerate(zip(pivots, reduced)):
+            c = pr.get(p)
+            if c:
+                for j, v in r.items():
+                    s = pr.get(j, ZERO) - c * v
+                    if s == 0:
+                        pr.pop(j, None)
+                    else:
+                        pr[j] = s
+        pivots.append(p)
+        reduced.append(r)
+    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
+    return [reduced[k] for k in order], sorted(pivots)
+
+
+def oracle_matmul(self, other):
+    if self.cols != other.rows:
+        raise DimensionMismatchError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+    # group other's entries by row for sparse accumulation
+    by_row = {}
+    for (k, j), v in other.entries.items():
+        by_row.setdefault(k, []).append((j, v))
+    acc = {}
+    for (i, k), a in self.entries.items():
+        for j, b in by_row.get(k, ()):
+            key = (i, j)
+            s = acc.get(key, ZERO) + a * b
+            if s == 0:
+                acc.pop(key, None)
+            else:
+                acc[key] = s
+    return ExactMatrix(self.rows, other.cols, acc)
+
+
+def oracle_rank(self):
+    reduced, pivots = oracle_rref(self.row_dicts(), self.cols)
+    return len(pivots)
+
+
+def _row_to_vec(row, n):
+    return tuple(row.get(j, ZERO) for j in range(n))
+
+
+def _oracle_kernel_rows(M):
+    reduced, pivots = oracle_rref(M.row_dicts(), M.cols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(M.cols):
+        if f in pivot_set:
+            continue
+        vec = {f: ONE}
+        for p, row in zip(pivots, reduced):
+            c = row.get(f)
+            if c:
+                vec[p] = -c
+        basis.append(vec)
+    return basis
+
+
+def oracle_kernel_basis(M):
+    return [_row_to_vec(v, M.cols) for v in _oracle_kernel_rows(M)]
+
+
+def oracle_span_basis(vectors, dim):
+    rows = []
+    for v in vectors:
+        if len(v) != dim:
+            raise DimensionMismatchError("vector length mismatch")
+        rows.append({j: Q(c) for j, c in enumerate(v) if c != 0})
+    reduced, _ = oracle_rref(rows, dim)
+    return [_row_to_vec(r, dim) for r in reduced]
+
+
+def _oracle_image_rows(M):
+    columns = [dict() for _ in range(M.cols)]
+    for (i, j), v in M.entries.items():
+        columns[j][i] = v
+    return oracle_rref(columns, M.rows)
+
+
+def oracle_image_basis(M):
+    return [_row_to_vec(r, M.rows) for r in _oracle_image_rows(M)[0]]
+
+
+def oracle_homology_presentation(d_in, d_out):
+    if d_in.cols and d_out.rows is not None:
+        if d_in.rows != d_out.cols:
+            raise DimensionMismatchError("d_in target dimension != d_out source dimension")
+        comp = oracle_matmul(d_out, d_in)
+        if not comp.is_zero():
+            raise NotAComplexError(min(j for (_, j) in comp.entries))
+    dim = d_out.cols
+    kernel = _oracle_kernel_rows(d_out)
+    brows, bpivots = _oracle_image_rows(d_in)
+    candidates = []
+    for r in kernel:
+        for p, row in zip(bpivots, brows):
+            c = r.get(p)
+            if c:
+                _accumulate(r, row, -c)
+        if r:
+            candidates.append(r)
+    hred, _ = oracle_rref(candidates, dim)
+    reps = tuple(_row_to_vec(r, dim) for r in hred)
+    if len(reps) != len(kernel) - len(brows):
+        raise AssertionError("homology dimension bookkeeping failed")
+    return HomologyPresentation(dim, reps, tuple(_row_to_vec(r, dim) for r in brows))
+
+
+ORACLE = {
+    "rref": oracle_rref,
+    "kernel_basis": oracle_kernel_basis,
+    "image_basis": oracle_image_basis,
+    "span_basis": oracle_span_basis,
+    "homology_presentation": oracle_homology_presentation,
+}
+
+
+@contextmanager
+def oracle_kernel():
+    """mixhom with the Fraction kernel in place of the integer one, wherever it is bound."""
+    current = {name: getattr(linalg, name) for name in ORACLE}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExactMatrix, "matmul", oracle_matmul)
+        mp.setattr(ExactMatrix, "rank", oracle_rank)
+        for modname, mod in list(sys.modules.items()):
+            if modname == "mixhom" or modname.startswith("mixhom."):
+                for name, fn in current.items():
+                    if getattr(mod, name, None) is fn:
+                        mp.setattr(mod, name, ORACLE[name])
+        yield
+
+
+def assert_fractions(obj):
+    """Every number in a returned structure is a Fraction (an int would print as 2, not "2")."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            assert_fractions(x)
+    else:
+        assert type(obj) is Fraction, repr(obj)
+
+
+def _vectors(rows):
+    return [tuple(r) for r in rows]
+
+
+def _sparse(rows):
+    return [{j: c for j, c in enumerate(r) if c} for r in rows]
+
+
+def _matrix(rows, ncols):
+    return ExactMatrix(len(rows), ncols, {(i, j): c for i, r in enumerate(rows) for j, c in enumerate(r) if c})
+
+
+# entries with real denominators and both signs, zero about a third of the time
+rationals = st.one_of(
+    st.just(Q(0)),
+    st.builds(Fraction, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=7)),
+)
+nonzero_rationals = st.builds(
+    Fraction, st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=7)
+).map(lambda x: x if x.numerator % 2 else -x)
+
+
+@st.composite
+def rational_rows(draw, ncols, max_rows=5):
+    """Dense rows of length ncols: random rows plus zero rows, repeated rows and multiples."""
+    rows = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), max_size=max_rows))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        kind = draw(st.sampled_from(("zero", "repeat", "multiple")))
+        if kind == "zero" or not rows:
+            row = [Q(0)] * ncols
+        else:
+            scale = ONE if kind == "repeat" else draw(nonzero_rationals)
+            row = [scale * c for c in draw(st.sampled_from(rows))]
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
+    return rows
+
+
+ncols_st = st.integers(min_value=0, max_value=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ncols_st.flatmap(lambda n: st.tuples(st.just(n), rational_rows(n))))
+def test_rref_and_rank_match_oracle(drawn):
+    ncols, rows = drawn
+    got = rref(_sparse(rows), ncols)
+    assert got == oracle_rref(_sparse(rows), ncols)
+    assert_fractions(got[0])
+    M = _matrix(rows, ncols)
+    assert M.rank() == oracle_rank(M) == len(got[1])
+
+
+@st.composite
+def products(draw):
+    """A pair (A, B) of matrices with A·B defined."""
+    n = draw(ncols_st)
+    b_rows = draw(rational_rows(n))
+    a_rows = draw(rational_rows(len(b_rows)))
+    return _matrix(a_rows, len(b_rows)), _matrix(b_rows, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(products())
+def test_matmul_matches_oracle(pair):
+    A, B = pair
+    got = A.matmul(B)
+    want = oracle_matmul(A, B)
+    assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+    assert_fractions(got.entries)
+    # A·(a basis of ker A) = 0: the d∘d = 0 shape that _check_complex tests
+    kernel = kernel_basis(A)
+    assert A.matmul(ExactMatrix.from_columns(kernel, rows=A.cols)).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ncols_st.flatmap(lambda n: st.tuples(st.just(n), rational_rows(n))))
+def test_kernel_image_span_match_oracle(drawn):
+    ncols, rows = drawn
+    M = _matrix(rows, ncols)
+    for got, want in (
+        (kernel_basis(M), oracle_kernel_basis(M)),
+        (image_basis(M), oracle_image_basis(M)),
+        (span_basis(_vectors(rows), ncols), oracle_span_basis(_vectors(rows), ncols)),
+    ):
+        assert got == want
+        assert_fractions(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(rational_rows(n), st.lists(rationals, min_size=n, max_size=n),
+                        st.lists(rationals, min_size=7, max_size=7))
+))
+def test_solve_in_span_matches_oracle(drawn):
+    rows, noise, coeffs = drawn
+    vectors = _vectors(rows)
+    n = len(noise)
+    in_span = tuple(sum((c * v[j] for c, v in zip(coeffs, vectors)), ZERO) for j in range(n))
+    for target in (in_span, tuple(noise)):
+        got = solve_in_span(vectors, target)
+        with oracle_kernel():
+            want = solve_in_span(vectors, target)
+        assert got == want
+        if got is not None:
+            assert_fractions(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), rational_rows(n), st.lists(st.lists(rationals, min_size=6, max_size=6), max_size=4))
+))
+def test_homology_presentation_matches_oracle(drawn):
+    n, rows, combos = drawn
+    d_out = _matrix(rows, n)
+    kernel = kernel_basis(d_out)
+    # boundaries are combinations of kernel vectors (zero, repeated, dependent ones too)
+    boundaries = [tuple(sum((c * v[j] for c, v in zip(cs, kernel)), ZERO) for j in range(n)) for cs in combos]
+    d_in = ExactMatrix(n, len(boundaries), {(i, j): b[i] for j, b in enumerate(boundaries) for i in range(n) if b[i]})
+    got = homology_presentation(d_in, d_out)
+    want = oracle_homology_presentation(d_in, d_out)
+    assert got == want
+    assert_fractions([got.cycle_basis, got.boundary_basis])
+    if boundaries and d_out.rows and any(d_out.entries):
+        # a column outside ker d_out makes d_in no boundary map: both kernels name the same column
+        j = min(j for (_, j) in d_out.entries)
+        bad = ExactMatrix(n, 1, {(j, 0): ONE})
+        with pytest.raises(NotAComplexError) as got_exc:
+            homology_presentation(bad, d_out)
+        with pytest.raises(NotAComplexError) as want_exc:
+            oracle_homology_presentation(bad, d_out)
+        assert got_exc.value.column == want_exc.value.column == 0
+
+
+# -- the integer kernel against the oracle on the acceptance structures --------
+
+
+def _acceptance_slices():
+    from mixhom.algebra import make_exterior_algebra
+    from mixhom.koszul import dual_bivector_coeffs
+    from mixhom.mixed import slice_from_hochschild_dual, slice_from_poisson, slice_from_poisson_dual
+    from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
+
+    def circulant(c):
+        return {(1, 2, 1, 2): c, (2, 3, 2, 3): c, (3, 1, 3, 1): c}
+
+    yield "frobenius", lambda: slice_from_hochschild_dual(make_exterior_algebra(2), 5)
+    ctx = PoissonContext.make(3, "poly")
+    for name, c in (("poisson-c=1", Q(1)), ("poisson-c=-7_3", Q(-7, 3))):
+        yield name, lambda c=c: slice_from_poisson(ctx, quadratic_bivector(ctx, circulant(c)), 8)
+    ctx_ext = PoissonContext.make(3, "ext")
+    pi_dual = quadratic_bivector(ctx_ext, dual_bivector_coeffs(circulant(Q(1))))
+    yield "dual-poisson", lambda: slice_from_poisson_dual(DualSide(ctx_ext, pi_dual, w_max=8))
+
+
+def _slice_results(build):
+    from mixhom.mixed import NegativeCyclic, cyclic_homology, default_truncation
+
+    sl = build()
+    hh = {p: (pres.cycle_basis, pres.boundary_basis) for p in sorted(sl.pieces) for pres in [sl.hh(p)]}
+    return hh, NegativeCyclic(sl, default_truncation(sl)).dims(), cyclic_homology(sl)
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=name) for name, build in _acceptance_slices()])
+def test_integer_kernel_matches_oracle_on_acceptance_slices(build):
+    import mixhom.mixed
+
+    got = _slice_results(build)
+    with oracle_kernel():
+        assert mixhom.mixed.homology_presentation is oracle_homology_presentation
+        assert ExactMatrix.matmul is oracle_matmul and ExactMatrix.rank is oracle_rank
+        want = _slice_results(build)
+    assert linalg.rref is not oracle_rref
+    assert got == want
+    hh, hc_minus, hc = got
+    assert_fractions(list(hh.values()))
+    assert sum(len(reps) for reps, _ in hh.values()) > 0 and any(hc_minus.values()) and any(hc.values())

@@ -42,6 +42,30 @@ class TestSliceValidation:
         assert exc.value.identity == "b²=0"
         assert exc.value.label == "c"
 
+    @pytest.mark.parametrize("which,piece,identity,at,label", [
+        ("B", (-1, 2), "B²=0", (-2, 2), (3,)),
+        ("b", (0, 3), "bB+Bb=0", (-1, 3), (1, 1, 1)),
+    ], ids=["B-squared", "anticommutator"])
+    def test_corrupted_slice_reports_axiom_and_label(self, monkeypatch, which, piece, identity, at, label):
+        sl = slice_from_hochschild(make_exterior_algebra(2), 3)
+        b_mats, B_mats = dict(sl.b_mats), dict(sl.B_mats)
+        mats = b_mats if which == "b" else B_mats
+        m = mats[piece]
+        mats[piece] = ExactMatrix(m.rows, m.cols, {(i, j): 1 for i in range(m.rows) for j in range(m.cols)})
+        products = []  # every (left, right) pair multiplied, kept alive so that ids stay unique
+        matmul = ExactMatrix.matmul
+
+        def recorded(left, right):
+            products.append((left, right))
+            return matmul(left, right)
+
+        monkeypatch.setattr(ExactMatrix, "matmul", recorded)
+        with pytest.raises(SliceAxiomError) as exc:
+            MixedComplexSlice(sl.pieces, b_mats, B_mats)
+        assert (exc.value.identity, exc.value.piece, exc.value.label) == (identity, at, label)
+        pairs = [(id(left), id(right)) for left, right in products]
+        assert pairs and len(set(pairs)) == len(pairs)
+
     def test_all_four_sources_validate(self):
         slice_from_hochschild(make_exterior_algebra(1), 3)
         slice_from_hochschild_dual(make_exterior_algebra(2), 3)
