@@ -473,21 +473,13 @@ def task_gravity(job: JobContext) -> dict:
     report = verify_gravity_axioms(g, n_max=min(spec.arity_max, 3), check_max=min(spec.arity_max + 1, 4))
     tables = {}
     for arity in range(2, min(spec.arity_max, 3) + 1):
-        table = g.build_table(arity)
-        rendered = {}
-        # auxiliary lookups memoize under non-basis keys; render only the
-        # basis-indexed entries
-        entries = [
-            (tup, val)
-            for tup, val in table.items()
-            if all(isinstance(i, int) for i in tup)
-        ]
-        for tup, val in sorted(entries):
-            if val:
-                rendered[",".join(map(str, tup))] = {
-                    f"{k[0][0]},{k[0][1]},{k[1]}": _rat(v) for k, v in sorted(val.items())
-                }
-        tables[str(arity)] = rendered
+        tables[str(arity)] = {
+            ",".join(map(str, tup)): {
+                f"{k[0][0]},{k[0][1]},{k[1]}": _rat(v) for k, v in sorted(val.items())
+            }
+            for tup, val in g.entries(arity).items()
+            if val
+        }
     return {
         "basis": [[k[0][0], k[0][1], k[1]] for k in g.basis],
         "basis_degrees": [g.degree(k) for k in g.basis],

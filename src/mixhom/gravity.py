@@ -28,11 +28,20 @@ HCKey = tuple[Piece, int]
 
 
 class GravityStructure:
-    """Bracket evaluator over a stable HC⁻ basis, with memoized tables.
+    """Bracket evaluator over a stable HC⁻ basis, with memoized sparse tables.
 
     Degrees entering every sign are the volume-shifted ones (the class
     degree minus the volume degree): the transported product on the
     b-homology side is graded commutative exactly in that shifted grading.
+
+    The left-associated products π*(x_1)·…·π*(x_k) are memoized per prefix
+    (``None`` where the product escapes the window), so a bracket costs one
+    product with its last argument, and a row whose prefix product is zero
+    is zero throughout.  Every ordered tuple is computed from its own
+    prefix; none is filled in from a permutation.  A table of arity n holds
+    only its nonzero and unavailable (``None``) entries, keyed by tuples of
+    basis indices (a class outside the basis stands for itself); an entry
+    it lacks is zero once its row is filled.
     """
 
     def __init__(self, hc: NegativeCyclic, duality: DualityData, basis: list[HCKey] | None = None):
@@ -50,10 +59,15 @@ class GravityStructure:
         self._pi: dict[HCKey, dict[ClassKey, Fraction]] = {}
         self._dot: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction]] = {}
         self._beta: dict[ClassKey, dict[HCKey, Fraction] | None] = {}
-        self._tables: dict[int, dict[tuple[int, ...], dict[HCKey, Fraction] | None]] = {}
+        self._prefixes: dict[tuple, dict[ClassKey, Fraction] | None] = {}
+        self._tables: dict[int, dict[tuple, dict[HCKey, Fraction] | None]] = {}
+        self._filled: set[tuple] = set()  # the rows whose every entry is tabled
 
     def degree(self, key: HCKey) -> int:
         return key[0][0] - self.degree_shift
+
+    def _key(self, t) -> HCKey:
+        return self.basis[t] if type(t) is int else t
 
     # -- ingredients ---------------------------------------------------------
 
@@ -89,10 +103,28 @@ class GravityStructure:
             self._beta[key] = {(target, j): c for j, c in enumerate(img) if c}
         return self._beta[key]
 
+    def _prefix(self, tk: tuple) -> dict[ClassKey, Fraction] | None:
+        """π*(x_1)·…·π*(x_k) for a nonempty tuple of basis indices; None on escape."""
+        if tk not in self._prefixes:
+            try:
+                if len(tk) == 1:
+                    prod = self.pi_star(self._key(tk[0]))
+                else:
+                    # a zero or unavailable prefix stays zero or unavailable
+                    head = self._prefix(tk[:-1])
+                    prod = head and self._dot_combo(head, self.pi_star(self._key(tk[-1])))
+            except (WindowError, KeyError):
+                prod = None
+            self._prefixes[tk] = prod
+        return self._prefixes[tk]
+
     # -- brackets -------------------------------------------------------------
 
     def bracket(self, keys: list[HCKey]) -> dict[HCKey, Fraction]:
-        """The n-ary bracket of basis classes; raises WindowError on escape."""
+        """The n-ary bracket of classes; raises WindowError on escape.
+
+        One product of the memoized (n-1)-prefix with π* of the last class.
+        """
         n = len(keys)
         if n < 2:
             raise ValueError("brackets have arity >= 2")
@@ -100,13 +132,13 @@ class GravityStructure:
         for i, k in enumerate(keys[:-1]):
             exp += (n - 1 - i) * self.degree(k)
         sign = Q(-1) if exp % 2 else Q(1)
-        prod = self.pi_star(keys[0])
-        for k in keys[1:]:
-            if not prod:
-                return {}
-            prod = self._dot_combo(prod, self.pi_star(k))
+        head = self._prefix(tuple(self.index.get(k, k) for k in keys[:-1]))
+        if head is None:
+            raise WindowError("a prefix product of the bracket escapes the window")
+        if not head:
+            return {}
         out: dict[HCKey, Fraction] = {}
-        for kc, vc in prod.items():
+        for kc, vc in self._dot_combo(head, self.pi_star(keys[-1])).items():
             _accumulate(out, self.beta_class(kc), sign * vc)
         return out
 
@@ -130,23 +162,44 @@ class GravityStructure:
             _accumulate(out, got, coeff)
         return out
 
-    def table_lookup(self, keys: list[HCKey]) -> dict[HCKey, Fraction] | None:
-        # intermediate classes (bracket outputs) may lie outside the chosen
-        # basis; the evaluator works for any class with a presentation, so
-        # such keys are memoized by the key itself
-        n = len(keys)
-        table = self._tables.setdefault(n, {})
-        tk = tuple(self.index.get(k, k) for k in keys)
-        if tk not in table:
-            try:
-                table[tk] = self.bracket(list(keys))
-            except (WindowError, KeyError):
-                table[tk] = None
-        return table[tk]
+    def _tabulate(self, table: dict, tk: tuple, keys: list[HCKey]) -> dict[HCKey, Fraction] | None:
+        """Evaluate one entry; keep it in ``table`` unless it is zero."""
+        try:
+            got = self.bracket(keys)
+        except (WindowError, KeyError):
+            got = None
+        if got is None or got:
+            table[tk] = got
+        return got
 
-    def build_table(self, arity: int) -> dict[tuple[int, ...], dict[HCKey, Fraction] | None]:
-        self.entries(arity)
-        return self._tables[arity]
+    def table_lookup(self, keys: list[HCKey]) -> dict[HCKey, Fraction] | None:
+        """One table entry: the bracket, ``{}`` if zero, ``None`` if unavailable.
+
+        Intermediate classes (bracket outputs) may lie outside the chosen
+        basis; the evaluator works for any class with a presentation, so such
+        keys are memoized by the key itself.  An entry the table holds is
+        returned as it is; a zero entry is not stored, and is known to be
+        zero once its row is filled or its prefix product is zero.
+        """
+        tk = tuple(self.index.get(k, k) for k in keys)
+        table = self._tables.setdefault(len(tk), {})
+        if tk in table:
+            return table[tk]
+        row = tk[:-1]
+        if row and (row in self._filled or self._prefix(row) == {}):
+            return {}
+        return self._tabulate(table, tk, list(keys))
+
+    def _rows(self, head: tuple, length: int):
+        """The rows of the given length extending ``head`` whose prefix product
+        is not zero, in lexicographic order; a zero prefix prunes its subtree."""
+        if head and self._prefix(head) == {}:
+            return
+        if len(head) == length:
+            yield head
+            return
+        for i in range(len(self.basis)):
+            yield from self._rows(head + (i,), length)
 
     def entries(
         self, arity: int, first: HCKey | None = None
@@ -155,22 +208,26 @@ class GravityStructure:
 
         Without ``first``, every tuple of basis indices of the given arity is
         a candidate; with it, only the rows whose first argument is that
-        class, keyed by the basis indices of the remaining arguments.  Zero
-        entries are left out.  Entries not tabled yet are computed through
-        ``table_lookup``, in lexicographic order.
+        class, keyed by the basis indices of the remaining arguments.  The
+        rows are filled prefix by prefix, skipping every row whose prefix
+        product is zero; the result is what the table then holds for those
+        tuples, in lexicographic order.
         """
         table = self._tables.setdefault(arity, {})
         head = () if first is None else (self.index.get(first, first),)
-        lead = [] if first is None else [first]
-        out = {}
-        for rest in iproduct(range(len(self.basis)), repeat=arity - len(head)):
-            tk = head + rest
-            if tk not in table:
-                self.table_lookup(lead + [self.basis[i] for i in rest])
-            got = table[tk]
-            if got is None or got:
-                out[rest] = got
-        return out
+        for row in self._rows(head, arity - 1):
+            if row not in self._filled:
+                keys = [self._key(t) for t in row]
+                for i, last in enumerate(self.basis):
+                    if row + (i,) not in table:
+                        self._tabulate(table, row + (i,), keys + [last])
+                self._filled.add(row)
+        h = len(head)
+        return dict(sorted(
+            (tk[h:], v)
+            for tk, v in table.items()
+            if tk[:h] == head and all(type(t) is int for t in tk[h:])
+        ))
 
 
 @dataclass
@@ -430,11 +487,10 @@ def compare_across_iso(
     order, and after the sixth the report returns with the counts of the
     tuples enumerated up to it.
 
-    Every g2 entry an image can read is still evaluated, but only tuples
-    with a nonzero or unavailable g1 entry, tuples that are preimages of a
-    nonzero or unavailable g2 entry, and tuples with a class outside the
-    map's domain are compared one by one: on every other tuple both sides
-    are zero.
+    Only tuples with a nonzero or unavailable g1 entry, tuples that are
+    preimages of a nonzero or unavailable g2 entry (taken from
+    ``g2.entries``), and tuples with a class outside the map's domain are
+    compared one by one: on every other tuple both sides are zero.
     """
     rep = IsoReport()
     K = len(g1.basis)
@@ -492,9 +548,9 @@ def compare_across_iso(
 
     for n in range(2, arity_max + 1):
         candidates = set(g1.entries(n))
-        for picks in iproduct(preimages, repeat=n):
-            got = g2.table_lookup(list(picks))
-            if got is None or got:
+        for tup in g2.entries(n):
+            picks = [g2.basis[t] for t in tup]
+            if all(k in preimages for k in picks):
                 candidates.update(iproduct(*(preimages[k] for k in picks)))
         if outside:
             candidates.update(

@@ -374,6 +374,18 @@ def test_gravity_check_counts(frobenius_gravity, poisson_pair):
     assert (rep.passed, rep.compared, rep.skipped) == (True, 41356, 0)
 
 
+def test_gravity_tables_hold_only_their_support(poisson_pair):
+    """The K=14 primal tables keep their nonzero and unavailable entries only."""
+    ident, dp, dd, gp, gd = poisson_pair
+    g = GravityStructure(gp.hc, gp.duality, gp.basis)
+    rep = verify_gravity_axioms(g, n_max=4, check_max=5)
+    for n in (2, 3, 4):
+        table = g._tables[n]
+        unavailable = sum(1 for v in table.values() if v is None)
+        assert all(v is None or v for v in table.values()), n
+        assert len(table) == rep.nonzero_brackets[n] + unavailable, n
+
+
 def test_criterion_08_gravity_isomorphism(poisson_pair):
     ident, dp, dd, gp, gd = poisson_pair
     iso = poisson_hc_iso(ident, gp, gd)

@@ -4,11 +4,11 @@ from itertools import product as iproduct
 import pytest
 
 from mixhom.algebra import make_exterior_algebra
-from mixhom.calculus import (DualityData, attach_duality, hochschild_dual_bundle,
-    poisson_bundle, polyvector_pd_twist)
+from mixhom.calculus import (DualityData, WindowError, attach_duality,
+    hochschild_dual_bundle, poisson_bundle, polyvector_pd_twist)
 from mixhom.gravity import (GravityReport, GravityStructure, HCKey, IsoReport,
     compare_across_iso, verify_gravity_axioms)
-from mixhom.linalg import ExactMatrix
+from mixhom.linalg import ExactMatrix, _accumulate
 from mixhom.koszul import (dual_bivector_coeffs, fit_dual_product_twist,
     koszul_poisson_identification, poisson_hc_iso)
 from mixhom.mixed import (NegativeCyclic, default_truncation, slice_from_hochschild_dual,
@@ -403,15 +403,20 @@ def truncated(pair):
     assert len(basis) == 8
     g = GravityStructure(gp.hc, gp.duality, basis)
     for n in (2, 3, 4):
-        g.build_table(n)
+        g.entries(n)
     return g
 
 
 def tables_copy(g):
-    """The same structure with its own copy of the tables, sharing the ingredients."""
+    """The same structure with its own copy of the tables, sharing the ingredients.
+
+    The prefix products are ingredients too: the corruptions below change
+    table entries only, so the copy shares them with the original.
+    """
     h = GravityStructure(g.hc, g.duality, g.basis)
-    h._pi, h._dot, h._beta = g._pi, g._dot, g._beta
+    h._pi, h._dot, h._beta, h._prefixes = g._pi, g._dot, g._beta, g._prefixes
     h._tables = {n: dict(t) for n, t in g._tables.items()}
+    h._filled = set(g._filled)
     return h
 
 
@@ -443,8 +448,10 @@ def corrupt_unavailable(arity, index=0):
 
 
 def corrupt_unavailable_zero(g):
-    # a zero binary entry read as an inner bracket by many instances
-    g._tables[2][next(t for t, v in sorted(g._tables[2].items()) if v == {})] = None
+    # a zero binary entry read as an inner bracket by many instances; the
+    # sparse table holds no zero entry, so take the first tuple it lacks
+    support = g.entries(2)
+    g._tables[2][next(t for t in iproduct(range(len(g.basis)), repeat=2) if t not in support)] = None
 
 
 def corrupt_many_binary(g):
@@ -556,6 +563,127 @@ class TestIsoJoinAgainstOracle:
         iso = {k: {k: Q(1)} for k in g1.basis[1:]}
         rep = self.assert_same(g1, g2, iso, 3)
         assert rep.skipped > 0
+
+
+# -- the per-tuple brackets, kept as the differential oracle -------------------------
+#
+# The bracket and the table lookup as they ran before the prefix memo: every
+# tuple recomputes its whole product π*(x_1)·…·π*(x_n), and a zero entry is
+# stored as {}.  The memoized sparse tables must give the same entry on every
+# tuple.
+
+
+class PerTupleTables:
+    """Per-tuple bracket tables over the ingredients of a GravityStructure."""
+
+    def __init__(self, g: GravityStructure):
+        self.g = g
+        self.index = g.index
+        self._tables = {}
+
+    def bracket(self, keys: list[HCKey]) -> dict[HCKey, Fraction]:
+        """The n-ary bracket of basis classes; raises WindowError on escape."""
+        g = self.g
+        n = len(keys)
+        if n < 2:
+            raise ValueError("brackets have arity >= 2")
+        exp = 0
+        for i, k in enumerate(keys[:-1]):
+            exp += (n - 1 - i) * g.degree(k)
+        sign = Q(-1) if exp % 2 else Q(1)
+        prod = g.pi_star(keys[0])
+        for k in keys[1:]:
+            if not prod:
+                return {}
+            prod = g._dot_combo(prod, g.pi_star(k))
+        out: dict[HCKey, Fraction] = {}
+        for kc, vc in prod.items():
+            _accumulate(out, g.beta_class(kc), sign * vc)
+        return out
+
+    def table_lookup(self, keys: list[HCKey]) -> dict[HCKey, Fraction] | None:
+        # intermediate classes (bracket outputs) may lie outside the chosen
+        # basis; the evaluator works for any class with a presentation, so
+        # such keys are memoized by the key itself
+        n = len(keys)
+        table = self._tables.setdefault(n, {})
+        tk = tuple(self.index.get(k, k) for k in keys)
+        if tk not in table:
+            try:
+                table[tk] = self.bracket(list(keys))
+            except (WindowError, KeyError):
+                table[tk] = None
+        return table[tk]
+
+
+def fresh(g):
+    """The same structure with empty prefix memo and tables, sharing the ingredients."""
+    h = GravityStructure(g.hc, g.duality, g.basis)
+    h._pi, h._dot, h._beta = g._pi, g._dot, g._beta
+    return h
+
+
+def assert_lookups_match_oracle(g, arities):
+    oracle = PerTupleTables(g)
+    cold, filled = fresh(g), fresh(g)
+    K = len(g.basis)
+    for n in arities:
+        want = {
+            t: oracle.table_lookup([g.basis[i] for i in t])
+            for t in iproduct(range(K), repeat=n)
+        }
+        # one tuple at a time, before any row is filled, then from filled rows
+        got = {t: cold.table_lookup([g.basis[i] for i in t]) for t in want}
+        assert got == want, n
+        support = {t: v for t, v in want.items() if v is None or v}
+        assert filled.entries(n) == support, n
+        got = {t: filled.table_lookup([g.basis[i] for i in t]) for t in want}
+        assert got == want, n
+        for h in (cold, filled):
+            assert h._tables[n] == support, n
+
+
+class TestPrefixTablesAgainstOracle:
+    def test_zero_pi(self, zero_pi_structure):
+        assert_lookups_match_oracle(zero_pi_structure, (2, 3))
+
+    def test_frobenius(self, frobenius):
+        assert_lookups_match_oracle(frobenius, (2, 3, 4))
+
+    def test_truncated_pair(self, truncated):
+        assert_lookups_match_oracle(truncated, (2, 3, 4))
+
+    def test_unavailable_prefix(self, zero_pi_structure):
+        # a class outside the slice: π* of it raises, so every tuple it
+        # enters is unavailable, except where a zero prefix comes first
+        g = zero_pi_structure
+        stray = ((0, 99), 0)
+        zero = next(k for k in g.basis if g.pi_star(k) == {})
+        live = next(k for k in g.basis if g.pi_star(k))
+        oracle = PerTupleTables(g)
+        h = fresh(g)
+        for keys in ([stray, live], [live, stray], [stray, live, live], [live, stray, live],
+                     [zero, stray], [zero, stray, live]):
+            want = oracle.table_lookup(keys)
+            assert h.table_lookup(keys) == want, keys
+        assert oracle.table_lookup([stray, live]) is None
+        assert oracle.table_lookup([zero, stray]) == {}
+
+
+def test_skew_check_sees_one_corrupted_prefix(truncated):
+    # doubling the memoized product of one ordered pair (a, b) before the
+    # arity-3 table is filled doubles the entries that start with (a, b) and
+    # nothing else: the skew check must see them against (b, a, ·), which it
+    # would not if a tuple were filled in from a permutation
+    h = fresh(truncated)
+    a, b, _ = next(t for t, v in truncated.entries(3).items() if v and t[0] != t[1])
+    h.entries(2)
+    assert 3 not in h._tables
+    h._prefixes[(a, b)] = {k: 2 * v for k, v in h._prefix((a, b)).items()}
+    rep = assert_same_report(h)
+    # the binary table is intact, so the first failure is at arity 3
+    assert rep.skew_failures and rep.skew_failures[0].count(",") == 2
+    assert any(f.startswith(f"skew fails on ({a}, {b}, ") for f in rep.skew_failures)
 
 
 @pytest.mark.parametrize("side", ["primal", "dual"])

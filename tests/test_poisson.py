@@ -1,35 +1,230 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 from itertools import product as iproduct
 
 import pytest
 
 from mixhom.poisson import (
     DualSide,
+    GCAElement,
     JacobiError,
+    Monomial,
     PoissonContext,
     add_into,
+    bracket_of_functions,
     check_jacobi,
     contraction,
-    contraction_shuffle,
     de_rham,
     frobenius_poisson_check,
     is_zero,
     jacobi_obstruction,
     modular_vector_field,
     poisson_boundary,
-    poisson_boundary_literal,
     poisson_coboundary,
-    poisson_coboundary_literal,
     quadratic_bivector,
     scale,
     schouten,
-    schouten_shuffle,
     sub,
     unimodularity_check,
     wedge,
 )
 
 Q = Fraction
+
+
+# -- literal shuffle-sum formulas (ungraded oracles) ---------------------------
+#
+# The displayed shuffle sums, evaluated argument by argument.  The Koszul-signed
+# engine of mixhom.poisson must agree with them on the ungraded side.
+
+
+def _multider_eval(ctx: PoissonContext, P: Monomial, args: list[int]) -> GCAElement:
+    """Evaluate a polyvector monomial on coordinate generators (by index)."""
+    V = ctx.vectors
+    n = ctx.n
+    ks = [k for k in range(n) for _ in range(P[n + k])]
+    p = len(ks)
+    if p != len(args):
+        return {}
+    coeff = {P[:n] + (0,) * n: Q(1)}
+    total: GCAElement = {}
+    for tau in permutations(range(p)):
+        sgn = _perm_sign(tau)
+        ok = all(ks[tau[j]] == args[j] for j in range(p))
+        if ok:
+            add_into(total, coeff, Q(sgn))
+    return total
+
+
+def _perm_sign(tau) -> int:
+    sgn = 1
+    for i in range(len(tau)):
+        for j in range(i + 1, len(tau)):
+            if tau[i] > tau[j]:
+                sgn = -sgn
+    return sgn
+
+
+def contraction_shuffle(ctx: PoissonContext, P: Monomial, f0: Monomial, dargs: list[int]) -> GCAElement:
+    """ι_P(f_0 df_{a_1}∧..∧df_{a_m}) per the displayed shuffle sum (ungraded side)."""
+    F = ctx.forms
+    V = ctx.vectors
+    n = ctx.n
+    p = sum(P[n:])
+    m = len(dargs)
+    if m < p:
+        return {}
+    out: GCAElement = {}
+    for subset in combinations(range(m), p):
+        rest = [i for i in range(m) if i not in subset]
+        sgn = _shuffle_sign(subset, rest)
+        val = _multider_eval(ctx, P, [dargs[i] for i in subset])
+        if not val:
+            continue
+        # rebuild the remaining form part
+        tail = {tuple(0 for _ in range(2 * n)): Q(1)}
+        for i in rest:
+            dg = tuple(1 if j == n + dargs[i] else 0 for j in range(2 * n))
+            tail = F.multiply(tail, {dg: Q(1)})
+        # coefficient f0 and P's coefficients are x-monomials on the poly side
+        piece = F.multiply({f0 + (0,) * n: Q(1)}, F.multiply({k + (0,) * n: v for k2, v in val.items() for k in (k2[:n],)}, tail))
+        add_into(out, piece, Q(sgn))
+    return out
+
+
+def _shuffle_sign(first: tuple[int, ...], rest: list[int]) -> int:
+    seq = list(first) + list(rest)
+    return _perm_sign(tuple(seq))
+
+
+def schouten_shuffle(ctx: PoissonContext, Pm: Monomial, Qm: Monomial) -> GCAElement:
+    """[P, Q] per the displayed two-shuffle-sum formula (polynomial side).
+
+    Evaluated as a multiderivation on coordinate functions and re-assembled;
+    valid when all generators are even coordinates (the ungraded case).
+    """
+    V = ctx.vectors
+    n = ctx.n
+    p = sum(Pm[n:])
+    q = sum(Qm[n:])
+    r = p + q - 1
+    if r < 0:
+        return {}
+    out: GCAElement = {}
+    # evaluate on all argument tuples of coordinate functions; reconstruct by
+    # skew-symmetry: the value on (x_{k_1},..,x_{k_r}) with k_1<..<k_r gives
+    # the coefficient of ∂_{k_1}∧..∧∂_{k_r}
+    for ks in combinations(range(n), r):
+        val: GCAElement = {}
+        for subset in combinations(range(r), q):
+            rest = [i for i in range(r) if i not in subset]
+            sgn = _shuffle_sign(subset, rest)
+            inner = _multider_eval(ctx, Qm, [ks[i] for i in subset])
+            for mono, c in inner.items():
+                # P(Q(..), rest): first argument is a polynomial; expand by
+                # derivation-in-first-argument over its variables
+                outer = _multider_eval_first_poly(ctx, Pm, mono[:n], [ks[i] for i in rest])
+                add_into(val, outer, Q(sgn) * c)
+        sgn2 = -1 if ((p - 1) * (q - 1)) % 2 else 1
+        for subset in combinations(range(r), p):
+            rest = [i for i in range(r) if i not in subset]
+            sgn = _shuffle_sign(subset, rest)
+            inner = _multider_eval(ctx, Pm, [ks[i] for i in subset])
+            for mono, c in inner.items():
+                outer = _multider_eval_first_poly(ctx, Qm, mono[:n], [ks[i] for i in rest])
+                add_into(val, outer, -Q(sgn2 * sgn) * c)
+        if val:
+            tm = tuple(0 for _ in range(n)) + tuple(1 if k in ks else 0 for k in range(n))
+            for mono, c in val.items():
+                m_out = V.mul_monomials(mono[:n] + (0,) * n, tm)
+                if m_out is not None:
+                    s, mo = m_out
+                    add_into(out, {mo: c}, s)
+    return out
+
+
+def _multider_eval_first_poly(ctx: PoissonContext, Pm: Monomial, first_poly: tuple[int, ...], rest_args: list[int]) -> GCAElement:
+    """P(g, x_{rest}) with a polynomial first slot, expanded by Leibniz."""
+    V = ctx.vectors
+    n = ctx.n
+    out: GCAElement = {}
+    for k in range(n):
+        if first_poly[k] == 0:
+            continue
+        dg = list(first_poly)
+        dg[k] -= 1
+        coeff = Q(first_poly[k])
+        val = _multider_eval(ctx, Pm, [k] + rest_args)
+        piece = V.multiply({tuple(dg) + (0,) * n: coeff}, val)
+        add_into(out, piece, Q(1))
+    return out
+
+
+def poisson_boundary_literal(ctx: PoissonContext, pi: GCAElement, f0: Monomial, dargs: list[int]) -> GCAElement:
+    """Def-style ∂(f_0 df_{a_1}∧..∧df_{a_p}): the two displayed sums (ungraded)."""
+    F = ctx.forms
+    n = ctx.n
+    p = len(dargs)
+    out: GCAElement = {}
+    f0el = {f0 + (0,) * n: Q(1)}
+    for i in range(1, p + 1):
+        xi = {tuple(1 if j == dargs[i - 1] else 0 for j in range(n)) + (0,) * n: Q(1)}
+        br = bracket_of_functions(ctx, pi, f0el, xi)
+        tail = {F.one: Q(1)}
+        for j in range(1, p + 1):
+            if j == i:
+                continue
+            dg = tuple(1 if t == n + dargs[j - 1] else 0 for t in range(2 * n))
+            tail = F.multiply(tail, {dg: Q(1)})
+        add_into(out, F.multiply(br, tail), Q((-1) ** (i - 1)))
+    for i in range(1, p + 1):
+        for j in range(i + 1, p + 1):
+            xi = {tuple(1 if t == dargs[i - 1] else 0 for t in range(n)) + (0,) * n: Q(1)}
+            xj = {tuple(1 if t == dargs[j - 1] else 0 for t in range(n)) + (0,) * n: Q(1)}
+            br = bracket_of_functions(ctx, pi, xi, xj)
+            dbr = de_rham(ctx, br)
+            tail = {F.one: Q(1)}
+            for t in range(1, p + 1):
+                if t in (i, j):
+                    continue
+                dg = tuple(1 if s == n + dargs[t - 1] else 0 for s in range(2 * n))
+                tail = F.multiply(tail, {dg: Q(1)})
+            piece = F.multiply(f0el, F.multiply(dbr, tail))
+            add_into(out, piece, Q((-1) ** (j - i)))
+    return out
+
+
+def poisson_coboundary_literal(ctx: PoissonContext, pi: GCAElement, Pm: Monomial) -> GCAElement:
+    """Def-style δ(P)(f_0,..,f_p): the two displayed sums (ungraded side)."""
+    V = ctx.vectors
+    n = ctx.n
+    p = sum(Pm[n:])
+    out: GCAElement = {}
+    for ks in combinations(range(n), p + 1):
+        val: GCAElement = {}
+        for i in range(p + 1):
+            others = [ks[t] for t in range(p + 1) if t != i]
+            inner = _multider_eval(ctx, Pm, others)
+            xi = {tuple(1 if t == ks[i] else 0 for t in range(n)) + (0,) * n: Q(1)}
+            for mono, c in inner.items():
+                br = bracket_of_functions(ctx, pi, xi, {mono[:n] + (0,) * n: Q(1)})
+                add_into(val, {m[:n] + (0,) * n: v for m, v in br.items()}, Q((-1) ** i) * c)
+        for i in range(p + 1):
+            for j in range(i + 1, p + 1):
+                xi = {tuple(1 if t == ks[i] else 0 for t in range(n)) + (0,) * n: Q(1)}
+                xj = {tuple(1 if t == ks[j] else 0 for t in range(n)) + (0,) * n: Q(1)}
+                br = bracket_of_functions(ctx, pi, xi, xj)
+                others = [ks[t] for t in range(p + 1) if t not in (i, j)]
+                for mono, c in br.items():
+                    piece = _multider_eval_first_poly(ctx, Pm, mono[:n], others)
+                    add_into(val, piece, Q((-1) ** (i + j)) * c)
+        tm = tuple(0 for _ in range(n)) + tuple(1 if k in ks else 0 for k in range(n))
+        for mono, c in val.items():
+            got = V.mul_monomials(mono[:n] + (0,) * n, tm)
+            if got is not None:
+                s, mo = got
+                add_into(out, {mo: c}, s)
+    return out
 
 CIRCULANT = {(1, 2, 1, 2): Q(1), (2, 3, 2, 3): Q(1), (3, 1, 3, 1): Q(1)}
 
