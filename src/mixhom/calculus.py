@@ -123,19 +123,14 @@ class HochschildCochainOps:
 
     def rep(self, piece: Piece, coords) -> Cochain:
         D, om = piece
-        tables: dict[int, Cochain] = {}
-        by_arity: dict[int, dict] = {}
+        table: dict = {}
         for c, (t, k) in zip(coords, self._pieces[piece]):
             if c:
-                by_arity.setdefault(len(t), {}).setdefault(t, {})[k] = c
-        total = {}
-        for q, table in by_arity.items():
-            total.update(table)
-        arities = sorted(by_arity)
-        arity = arities[0] if len(arities) == 1 else None
-        if arity is None and arities:
+                table.setdefault(t, {})[k] = c
+        arities = {len(t) for t in table}
+        if len(arities) > 1:
             raise WindowError("mixed-arity representative; refine the piece")
-        return Cochain(self.A, arity if arity is not None else 0, D, total)
+        return Cochain(self.A, arities.pop() if arities else 0, D, table)
 
     def vector(self, piece: Piece, f: Cochain):
         labels = self._pieces.get(piece, [])
@@ -400,12 +395,8 @@ class CalculusBundle:
         if key not in self._cap:
             (D1, o1), (dz, wz) = f[0], z[0]
             target = (dz + D1, wz + self.weight_sign * o1)
-            if target not in self.slice.pieces and self.slice.dim(target) == 0:
-                # the action may legitimately land in an absent (zero) piece
-                pass
             rep = self.coh_rep(f)
             labels = self.slice.pieces[z[0]]
-            hh = self.slice.hh(z[0])
             out_acc: dict = {}
             vec = self.hom_rep_vector(z)
             try:
@@ -671,8 +662,9 @@ def attach_duality(bundle: CalculusBundle, eta: ClassKey, pd_twist=None) -> Dual
     Checks η∩1 = η, B(η) = 0, and invertibility of PD on every cohomology
     piece whose target piece lies in the window; failures are raised as
     DualityError naming the violated axiom.  ``pd_twist`` is an optional
-    per-piece unit normalizing the volume identification; the twist at the
-    unit's piece must be +1 so the duality axioms are unaffected.
+    per-piece unit normalizing the volume identification.  It is applied
+    after the axiom checks, so a -1 at the unit's piece is allowed: it
+    rescales the volume class itself, as the derived dual twist does.
     """
     try:
         u = bundle.unit_class()
@@ -693,10 +685,7 @@ def attach_duality(bundle: CalculusBundle, eta: ClassKey, pd_twist=None) -> Dual
         cols = []
         escaped = False
         for i in range(pres.dim):
-            try:
-                img = bundle.cap_classes((piece, i), eta)
-            except KeyError:
-                img = None
+            img = bundle.cap_classes((piece, i), eta)
             if img is None:
                 escaped = True
                 break

@@ -74,7 +74,9 @@ class GravityStructure:
     def pi_star(self, key: HCKey) -> dict[ClassKey, Fraction]:
         if key not in self._pi:
             piece, i = key
-            pres = self.hc.pres[piece]
+            pres = self.hc.pres.get(piece)
+            if pres is None:
+                raise WindowError(f"no HC⁻ presentation at {piece}")
             coords = tuple(Q(1) if j == i else Q(0) for j in range(pres.dim))
             hh_coords = self.hc.pi_star(piece, coords)
             self._pi[key] = {(piece, j): c for j, c in enumerate(hh_coords) if c}
@@ -113,7 +115,7 @@ class GravityStructure:
                     # a zero or unavailable prefix stays zero or unavailable
                     head = self._prefix(tk[:-1])
                     prod = head and self._dot_combo(head, self.pi_star(self._key(tk[-1])))
-            except (WindowError, KeyError):
+            except WindowError:
                 prod = None
             self._prefixes[tk] = prod
         return self._prefixes[tk]
@@ -166,7 +168,7 @@ class GravityStructure:
         """Evaluate one entry; keep it in ``table`` unless it is zero."""
         try:
             got = self.bracket(keys)
-        except (WindowError, KeyError):
+        except WindowError:
             got = None
         if got is None or got:
             table[tk] = got

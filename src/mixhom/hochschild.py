@@ -192,10 +192,7 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
         shift_f = sum(A.degrees[i] + 1 for i in kf)
         sign = -1 if (g.degree % 2) and (shift_f % 2) else 1
         for kg, vg in g.table.items():
-            try:
-                val = A.multiply(vf, vg)
-            except WindowOverflowError:
-                raise
+            val = A.multiply(vf, vg)
             if not val:
                 continue
             key = kf + kg

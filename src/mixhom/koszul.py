@@ -630,92 +630,26 @@ def hh_class_image(ident: PoissonIdentification, primal_slice, dual_slice, key):
     return dual_slice.hh((d, w)).reduce(tuple(out))
 
 
-def fit_dual_product_twist(ident: PoissonIdentification, primal_duality, dual_bundle, eta_dual,
-                           w_max: int = 4):
-    """Calibrate the dual side's volume identification against the primal.
+def fit_dual_product_twist(ident: PoissonIdentification, primal_duality, dual_bundle, eta_dual):
+    """The dual side's PD twist, derived from the identification.
 
-    The two sides carry independently frozen contraction orientations; their
-    transported products then agree through the identification only up to a
-    per-piece unit.  This measures that unit on every product of homology
-    classes in the window, solves the resulting GF(2) system, and returns a
-    PD twist realizing it (the value at the unit's piece rescales the dual
-    volume itself).  The calibration is deterministic and is subsequently
-    verified on every bracket comparison, far beyond the fitted cells.
+    The identification sends the primal volume class η to c·η^! with
+    c = ``ident.coefficient`` of the volume monomial = (-1)^{n(n-1)/2}, and
+    scaling a volume class by c scales its transported product by 1/c = c.
+    So the twist is the constant c on every piece: derived, not fitted from
+    products, and checked again by every bracket comparison across the iso.
+    Raises DualityError unless η maps to exactly ±1 times ``eta_dual``.
     """
-    from .calculus import DualityError, WindowError, attach_duality
+    from .calculus import DualityError
 
-    sl = primal_duality.bundle.slice
-    sld = dual_bundle.slice
-    dd0 = attach_duality(dual_bundle, eta_dual, pd_twist=None)
-    relations: set = set()
-    hh_classes = [
-        ((d, w), i)
-        for (d, w) in sorted(sl.pieces)
-        for i in range(sl.hh((d, w)).dim)
-        if w <= w_max
-    ]
-    images = {k: hh_class_image(ident, sl, sld, k) for k in hh_classes}
-    for a in hh_classes:
-        for b in hh_classes:
-            try:
-                prod_p = primal_duality.dot(a, b)
-            except (WindowError, DualityError):
-                continue
-            ia, ib = images[a], images[b]
-            try:
-                prod_d: dict = {}
-                for i1, c1 in enumerate(ia):
-                    for i2, c2 in enumerate(ib):
-                        if c1 and c2:
-                            for k, v in dd0.dot((a[0], i1), (b[0], i2)).items():
-                                prod_d[k] = prod_d.get(k, Q(0)) + c1 * c2 * v
-            except (WindowError, DualityError):
-                continue
-            pushed: dict = {}
-            for (pc, i), v in prod_p.items():
-                vec = hh_class_image(ident, sl, sld, (pc, i))
-                for j, c in enumerate(vec):
-                    if c:
-                        pushed[(pc, j)] = pushed.get((pc, j), Q(0)) + v * c
-            for k in set(pushed) | set(prod_d):
-                u, v = pushed.get(k, Q(0)), prod_d.get(k, Q(0))
-                if u and v and (u == v or u == -v):
-                    relations.add((a[0], b[0], k[0], 0 if u == v else 1))
-                elif u or v:
-                    raise ValueError(
-                        f"product discrepancy is not a unit at {a}, {b}, {k}"
-                    )
-    pieces_set = sorted({p for r in relations for p in r[:3]})
-    idx = {p: i for i, p in enumerate(pieces_set)}
-    mat = []
-    for (pa, pb, pc, bit) in sorted(relations):
-        vec = [0] * len(pieces_set)
-        for p in (pa, pb, pc):
-            vec[idx[p]] ^= 1
-        mat.append(vec + [bit])
-    piv = {}
-    r = 0
-    for c in range(len(pieces_set)):
-        sel = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                mat[i] = [x ^ y for x, y in zip(mat[i], mat[r])]
-        piv[c] = r
-        r += 1
-    if any(all(x == 0 for x in row[:-1]) and row[-1] for row in mat):
-        raise ValueError("product units are not consistently solvable")
-    h = {p: (mat[piv[i]][-1] if i in piv else 0) for p, i in idx.items()}
-    (de, we) = eta_dual[0]
-
-    def twist(piece):
-        D, om = piece
-        target = (D + de, we - om)
-        return -1 if h.get(target, 0) else 1
-
-    return twist
+    piece, i = eta_dual
+    if piece != primal_duality.eta[0]:
+        raise DualityError(f"dual volume class {eta_dual} is not in the primal volume piece")
+    img = hh_class_image(ident, primal_duality.bundle.slice, dual_bundle.slice, primal_duality.eta)
+    c = img[i]
+    if c not in (1, -1) or any(v for j, v in enumerate(img) if j != i):
+        raise DualityError(f"the identification sends η to {img}, not to ±{eta_dual}")
+    return lambda _piece: c
 
 
 def poisson_hc_iso(ident: PoissonIdentification, g_primal, g_dual):

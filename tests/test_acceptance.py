@@ -61,6 +61,7 @@ from mixhom.poisson import (
     quadratic_bivector,
     unimodularity_check,
 )
+from test_gravity import assert_derived_twist_matches_fitted
 
 Q = Fraction
 
@@ -384,6 +385,12 @@ def test_gravity_tables_hold_only_their_support(poisson_pair):
         unavailable = sum(1 for v in table.values() if v is None)
         assert all(v is None or v for v in table.values()), n
         assert len(table) == rep.nonzero_brackets[n] + unavailable, n
+
+
+def test_derived_dual_twist_matches_fitted(poisson_pair):
+    # the derived dual volume sign against the GF(2) fitter it replaced
+    ident, dp, dd, gp, gd = poisson_pair
+    assert assert_derived_twist_matches_fitted(ident, dp, dd) > 0
 
 
 def test_criterion_08_gravity_isomorphism(poisson_pair):
