@@ -14,6 +14,7 @@ entry against the native Gerstenhaber/Schouten table.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
@@ -58,22 +59,6 @@ class DualityError(Exception):
 # -- cochain-side operation providers -----------------------------------------
 
 
-class _TuplesByArity(dict):
-    """Input tuples of weight <= v_max per arity, built on first lookup.
-
-    ``circle`` can ask for arities above the bundle's q_max + 1.
-    """
-
-    def __init__(self, A: GradedAlgebra, v_max: int):
-        super().__init__()
-        self.A = A
-        self.v_max = v_max
-
-    def __missing__(self, q: int) -> list[tuple[int, ...]]:
-        self[q] = all_tuples_up_to_weight(self.A, q, self.v_max)
-        return self[q]
-
-
 class HochschildCochainOps:
     """Mode-A Hochschild cochains of a graded algebra, windowed by arity/weight.
 
@@ -93,9 +78,9 @@ class HochschildCochainOps:
                 v_max = A.weight_cutoff
         self.v_max = v_max
 
-        self.tuples = _TuplesByArity(A, v_max)
-        for q in range(q_max + 2):
-            _ = self.tuples[q]
+        # input tuples per arity, for the coboundary; brackets need only the weight bound
+        self.tuples = {q: all_tuples_up_to_weight(A, q, v_max) for q in range(q_max + 2)}
+        self.weight_bounds = defaultdict(lambda: v_max)
         # the coboundary raises arity by exactly one, so each (degree, shift)
         # piece splits by arity; kernels at the arity ceiling are computed
         # against an extended basis that includes arity q_max + 1
@@ -182,7 +167,7 @@ class HochschildCochainOps:
         return cup(f, g)
 
     def bracket(self, f: Cochain, g: Cochain) -> Cochain:
-        return gerstenhaber_bracket(f, g, self.tuples)
+        return gerstenhaber_bracket(f, g, self.weight_bounds)
 
     def is_zero(self, f: Cochain) -> bool:
         return not f.table or all(

@@ -18,6 +18,7 @@ complex again a mixed complex.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from .algebra import Element, GradedAlgebra, WindowOverflowError
@@ -201,13 +202,16 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
     return Cochain(A, f.arity + g.arity, f.degree + g.degree, table)
 
 
-def circle(f: Cochain, g: Cochain, tuples_by_arity: dict[int, list[tuple[int, ...]]]) -> Cochain:
+def circle(f: Cochain, g: Cochain, weight_bounds: Mapping[int, int]) -> Cochain:
     """Insertion f∘g: sum of g plugged into each slot of f, with Koszul signs.
 
-    Tabulated on the input tuples tuples_by_arity[f.arity + g.arity - 1],
-    in their order.  Evaluated as a join over nonzero entries: g's entries
-    are indexed by each bar-projected output, and every slot of every
-    nonzero f entry takes the g entries whose output it holds.
+    Tabulated on the input tuples of arity a = f.arity + g.arity - 1 and
+    chain weight at most weight_bounds[a], in the order of
+    ``all_tuples_up_to_weight``: by chain weight, then by tuple.  Evaluated
+    as a join over nonzero entries: g's entries are indexed by each
+    bar-projected output, and every slot of every nonzero f entry takes the
+    g entries whose output it holds; only the nonzero keys in the window
+    are sorted.
     """
     A = f.algebra
     n, m = f.arity, g.arity
@@ -230,16 +234,15 @@ def circle(f: Cochain, g: Cochain, tuples_by_arity: dict[int, list[tuple[int, ..
             for inner, gc in by_output.get(gk, ()):
                 _accumulate(acc.setdefault(outer[:i] + inner + outer[i + 1 :], {}), fval, sign * gc)
             passed += A.degrees[gk] + 1
-    table = {key: acc[key] for key in tuples_by_arity[arity] if acc.get(key)}
-    return Cochain(A, arity, f.degree + g.degree + 1, table)
+    bound = weight_bounds[arity]
+    window = sorted((w, key) for key, val in acc.items() if val and (w := chain_weight(A, key)) <= bound)
+    return Cochain(A, arity, f.degree + g.degree + 1, {key: acc[key] for _, key in window})
 
 
-def gerstenhaber_bracket(
-    f: Cochain, g: Cochain, tuples_by_arity: dict[int, list[tuple[int, ...]]]
-) -> Cochain:
-    """{f, g} = f∘g - (-1)^{(|f|+1)(|g|+1)} g∘f."""
-    fg = circle(f, g, tuples_by_arity)
-    gf = circle(g, f, tuples_by_arity)
+def gerstenhaber_bracket(f: Cochain, g: Cochain, weight_bounds: Mapping[int, int]) -> Cochain:
+    """{f, g} = f∘g - (-1)^{(|f|+1)(|g|+1)} g∘f, on the window of ``circle``."""
+    fg = circle(f, g, weight_bounds)
+    gf = circle(g, f, weight_bounds)
     sign = -1 if ((f.degree + 1) % 2) and ((g.degree + 1) % 2) else 1
     table = {k: dict(v) for k, v in fg.table.items()}
     for key, val in gf.table.items():

@@ -283,11 +283,11 @@ class NegativeCyclic:
             if not any(img):
                 return ()
             raise KeyError(f"no HC⁻ presentation at {(d + 1, w)}")
-        stacked = self.stacked_basis(d + 1, w)
-        vec = [Q(0)] * len(stacked)
+        # the u⁰ component comes first in the stacked basis
+        vec = [Q(0)] * target.ambient_dim
         for idx, val in enumerate(img):
             if val:
-                vec[stacked.index((0, idx))] = val
+                vec[idx] = val
         return target.reduce(tuple(vec))
 
     def hh_class_vector(self, piece: Piece, coords) -> tuple[Fraction, ...]:

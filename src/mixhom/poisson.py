@@ -17,10 +17,13 @@ Operators are built from one Koszul-signed engine: contraction by a
 polyvector monomial is coefficient multiplication after the form-side
 partial derivatives, the Poisson boundary is the contraction/de Rham
 commutator, the coboundary is the Schouten bracket with the bivector, and
-the Schouten bracket itself is generated by the odd Laplacian of the
-standard coordinates.  The displayed shuffle-sum formulas, evaluated
-argument by argument, live in the tests as independent oracles on the
-ungraded side.
+the Schouten bracket is the bracket generated by the odd Laplacian of the
+standard coordinates, computed as its first-order Leibniz expansion.  Each
+operator works one monomial at a time: derivative factors and Koszul signs
+are plain ints, multiplied into the coefficients once per term.  The
+odd-Laplacian form of the bracket, and the displayed shuffle-sum formulas
+evaluated argument by argument on the ungraded side, live in the tests as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -55,14 +58,21 @@ class FreeGCA:
     def __init__(self, generators: list[Generator]):
         self.gens = tuple(generators)
         self.n = len(self.gens)
-        self.odd = tuple(g.degree % 2 == 1 for g in self.gens)
+        self.degrees = tuple(g.degree for g in self.gens)
+        self.weights = tuple(g.weight for g in self.gens)
+        self.odd = tuple(d % 2 == 1 for d in self.degrees)
+        # the odd generators before position i, which an odd derivative passes
+        self.odd_before = tuple(tuple(j for j in range(i) if self.odd[j]) for i in range(self.n))
         self.one: Monomial = (0,) * self.n
+        self.units: tuple[Monomial, ...] = tuple(
+            tuple(int(j == i) for j in range(self.n)) for i in range(self.n)
+        )
 
     def degree(self, m: Monomial) -> int:
-        return sum(e * g.degree for e, g in zip(m, self.gens))
+        return sum(e * d for e, d in zip(m, self.degrees))
 
     def weight(self, m: Monomial) -> int:
-        return sum(e * g.weight for e, g in zip(m, self.gens))
+        return sum(e * w for e, w in zip(m, self.weights))
 
     def mul_monomials(self, a: Monomial, b: Monomial):
         """(sign, monomial) or None if an odd generator repeats."""
@@ -99,7 +109,7 @@ class FreeGCA:
                 if got is None:
                     continue
                 s, m = got
-                v = out.get(m, Q(0)) + s * ca * cb
+                v = out.get(m, 0) + s * ca * cb
                 if v == 0:
                     out.pop(m, None)
                 else:
@@ -107,30 +117,14 @@ class FreeGCA:
         return out
 
     def partial(self, i: int, m: Monomial):
-        """Left partial derivative by generator i: (coeff, monomial) or None."""
-        if m[i] == 0:
+        """Left partial derivative by generator i: (int coeff, monomial) or None."""
+        e = m[i]
+        if not e:
             return None
-        out = list(m)
-        out[i] -= 1
+        out = m[:i] + (e - 1,) + m[i + 1 :]
         if self.odd[i]:
-            # odd operator passes the generators before position i
-            passed = sum(m[j] * self.gens[j].degree for j in range(i)) % 2
-            return (Q(-1) if passed else Q(1)), tuple(out)
-        return Q(m[i]), tuple(out)
-
-    def partial_element(self, i: int, el: GCAElement) -> GCAElement:
-        out: GCAElement = {}
-        for m, c in el.items():
-            got = self.partial(i, m)
-            if got is None:
-                continue
-            coeff, mm = got
-            v = out.get(mm, Q(0)) + coeff * c
-            if v == 0:
-                out.pop(mm, None)
-            else:
-                out[mm] = v
-        return out
+            return (-1 if sum(m[j] for j in self.odd_before[i]) % 2 else 1), out
+        return e, out
 
     def monomials(self, max_exponents: list[int]) -> list[Monomial]:
         out = [()]
@@ -218,12 +212,11 @@ def de_rham(ctx: PoissonContext, omega: GCAElement) -> GCAElement:
             if got is None:
                 continue
             coeff, mm = got
-            dgen = tuple(1 if j == ctx.n + i else 0 for j in range(2 * ctx.n))
-            prod = F.mul_monomials(dgen, mm)
+            prod = F.mul_monomials(F.units[ctx.n + i], mm)
             if prod is None:
                 continue
             s, mo = prod
-            v = out.get(mo, Q(0)) + c * coeff * s
+            v = out.get(mo, 0) + coeff * s * c
             if v == 0:
                 out.pop(mo, None)
             else:
@@ -237,18 +230,30 @@ def contract_monomial(ctx: PoissonContext, P: Monomial, omega: GCAElement) -> GC
     ι for ∂_{k_1}∧..∧∂_{k_p} (k_1 < .. < k_p) applies the form-side partial
     with respect to dg_{k_1} first; the coefficient part multiplies on the
     left afterwards.  This matches the displayed shuffle-sum convention.
+    The iterated partial of a form monomial is one signed monomial, so ω is
+    contracted a monomial at a time, and distinct monomials of ω contract
+    to distinct monomials.
     """
     F = ctx.forms
     n = ctx.n
-    acc = omega
-    for k in range(n):
-        for _ in range(P[n + k]):
-            acc = F.partial_element(n + k, acc)
-            if not acc:
-                return {}
+    steps = [n + k for k in range(n) for _ in range(P[n + k])]
     coeff_m = P[:n] + (0,) * n
-    coeff = {coeff_m: Q(1)}
-    return F.multiply(coeff, acc)
+    out: GCAElement = {}
+    for m, c in omega.items():
+        if not c:
+            continue
+        k = 1
+        for i in steps:
+            got = F.partial(i, m)
+            if got is None:
+                break
+            k *= got[0]
+            m = got[1]
+        else:
+            prod = F.mul_monomials(coeff_m, m)
+            if prod is not None:
+                out[prod[1]] = k * prod[0] * c
+    return out
 
 
 def contraction(ctx: PoissonContext, P: GCAElement, omega: GCAElement) -> GCAElement:
@@ -271,7 +276,7 @@ def bracket_of_functions(ctx: PoissonContext, pi: GCAElement, f: GCAElement, g: 
     return contraction(ctx, pi, F.multiply(de_rham(ctx, f), de_rham(ctx, g)))
 
 
-# -- Schouten bracket via the odd Laplacian -----------------------------------
+# -- the Schouten bracket -------------------------------------------------------
 
 
 def odd_laplacian(ctx: PoissonContext, P: GCAElement) -> GCAElement:
@@ -288,7 +293,7 @@ def odd_laplacian(ctx: PoissonContext, P: GCAElement) -> GCAElement:
             if got2 is None:
                 continue
             c2, m2 = got2
-            v = out.get(m2, Q(0)) + c * c1 * c2
+            v = out.get(m2, 0) + c1 * c2 * c
             if v == 0:
                 out.pop(m2, None)
             else:
@@ -297,26 +302,49 @@ def odd_laplacian(ctx: PoissonContext, P: GCAElement) -> GCAElement:
 
 
 def schouten(ctx: PoissonContext, P: GCAElement, Q_: GCAElement) -> GCAElement:
-    """Schouten bracket, generated by the odd Laplacian:
+    """Schouten bracket, the bracket generated by the odd Laplacian:
 
     [P, Q] = -(-1)^{|P|} (Δ₀(PQ) - Δ₀(P)Q - (-1)^{|P|} P Δ₀(Q)).
+
+    Δ₀ = Σ_i ∂_{g_i}∂_{θ_i} is second order, so the Leibniz expansion of
+    Δ₀(PQ) leaves only the cross terms, and the bracket is computed as
+
+    [P, Q] = -(-1)^{|P|} Σ_i ((-1)^{|g_i|(|P|+|θ_i|)} ∂_{θ_i}P·∂_{g_i}Q
+                              + (-1)^{|θ_i||P|} ∂_{g_i}P·∂_{θ_i}Q),
+
+    one partial of each monomial and one monomial product per coordinate.
+    The odd-Laplacian form is the differential oracle in the tests.
 
     Calibrated against the displayed two-shuffle-sum bracket: [∂_i, f ∂_j]
     = ∂_i(f) ∂_j, with graded antisymmetry [P,Q] = -(-1)^{(p-1)(q-1)}[Q,P]
     in the polyvector grading.
     """
     V = ctx.vectors
+    n = ctx.n
+    g_odd = [V.degrees[i] % 2 for i in range(n)]
+    th_odd = [V.degrees[n + i] % 2 for i in range(n)]
+    # per monomial of Q and coordinate i: (∂_{g_i}Q, ∂_{θ_i}Q)
+    q_parts = [(cq, [(V.partial(i, mq), V.partial(n + i, mq)) for i in range(n)])
+               for mq, cq in Q_.items() if cq]
     out: GCAElement = {}
-    for m1, c1 in P.items():
-        s = -1 if V.degree(m1) % 2 else 1
-        for m2, c2 in Q_.items():
-            c = -c1 * c2
-            prod = V.mul_monomials(m1, m2)
-            if prod is not None:
-                sg, mm = prod
-                add_into(out, odd_laplacian(ctx, {mm: Q(1)}), s * sg * c)
-            add_into(out, V.multiply(odd_laplacian(ctx, {m1: Q(1)}), {m2: Q(1)}), -s * c)
-            add_into(out, V.multiply({m1: Q(1)}, odd_laplacian(ctx, {m2: Q(1)})), -c)
+    for mp, cp in P.items():
+        if not cp:
+            continue
+        p_odd = V.degree(mp) % 2
+        s = 1 if p_odd else -1  # -(-1)^{|P|}
+        # per coordinate i: the signs of the two cross terms, ∂_{θ_i}P and ∂_{g_i}P
+        terms = [(-s if g_odd[i] and (p_odd + th_odd[i]) % 2 else s, -s if th_odd[i] and p_odd else s,
+                  V.partial(n + i, mp), V.partial(i, mp)) for i in range(n)]
+        for cq, parts in q_parts:
+            acc: dict[Monomial, int] = {}
+            for (s_a, s_b, th_p, g_p), (g_q, th_q) in zip(terms, parts):
+                for sign, left, right in ((s_a, th_p, g_q), (s_b, g_p, th_q)):
+                    if left is None or right is None:
+                        continue
+                    prod = V.mul_monomials(left[1], right[1])
+                    if prod is not None:
+                        acc[prod[1]] = acc.get(prod[1], 0) + sign * left[0] * right[0] * prod[0]
+            add_into(out, acc, cp * cq)
     return out
 
 

@@ -62,6 +62,7 @@ from mixhom.poisson import (
     unimodularity_check,
 )
 from test_gravity import assert_derived_twist_matches_fitted
+from test_poisson import oracle_engine, schouten_odd_laplacian
 
 Q = Fraction
 
@@ -391,6 +392,40 @@ def test_derived_dual_twist_matches_fitted(poisson_pair):
     # the derived dual volume sign against the GF(2) fitter it replaced
     ident, dp, dd, gp, gd = poisson_pair
     assert assert_derived_twist_matches_fitted(ident, dp, dd) > 0
+
+
+def _poisson_pair_operators(derived_pi):
+    """The operator matrices under ``poisson_pair``: its w 8 slice, the δ of its
+    Poisson bundle and the δ and d* of its dual side, as (rows, cols, entries)."""
+    ident = koszul_poisson_identification(3)
+    ctx = ident.ctx_poly
+    pi = quadratic_bivector(ctx, derived_pi)
+    sl = slice_from_poisson(ctx, pi, 8)
+    ops = poisson_bundle(ctx, pi, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8).ops
+    duals = DualSide(ident.ctx_ext, quadratic_bivector(ident.ctx_ext, dual_bivector_coeffs(derived_pi)), w_max=8)
+    mats = {}
+    for piece in sorted(sl.pieces):
+        mats[("b", piece)], mats[("B", piece)] = sl.b_matrix(piece), sl.B_matrix(piece)
+    for piece in sorted(ops.pieces()):
+        mats[("δ", piece)] = ops.delta_matrix(piece)
+    for piece in sorted(duals.pieces()):
+        mats[("δ*", piece)], mats[("d*", piece)] = duals.coboundary_matrix(piece), duals.d_star_matrix(piece)
+    return {key: (M.rows, M.cols, M.entries) for key, M in mats.items()}
+
+
+def test_poisson_engine_matches_oracle_on_poisson_pair(derived_pi):
+    # the first-order Schouten bracket and one-pass contraction against the
+    # odd-Laplacian bracket and chained contraction they replaced
+    import mixhom.poisson
+
+    got = _poisson_pair_operators(derived_pi)
+    with oracle_engine():
+        assert mixhom.poisson.schouten is schouten_odd_laplacian
+        want = _poisson_pair_operators(derived_pi)
+    assert mixhom.poisson.schouten is not schouten_odd_laplacian
+    assert got == want
+    nonzero = {kind for (kind, _), (_, _, entries) in got.items() if entries}
+    assert nonzero == {"b", "B", "δ", "δ*", "d*"}
 
 
 def test_criterion_08_gravity_isomorphism(poisson_pair):

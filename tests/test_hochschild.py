@@ -135,18 +135,18 @@ class TestCupAndBracket:
 
     def test_bracket_mu_mu_zero(self, lam2):
         A = lam2
-        tba = {q: all_tuples_up_to_weight(A, q, 2 * q if q else 0) for q in range(6)}
+        bounds = {q: 2 * q for q in range(6)}
         mu = multiplication_cochain(A)
-        assert not gerstenhaber_bracket(mu, mu, tba).table
+        assert not gerstenhaber_bracket(mu, mu, bounds).table
 
     def test_bracket_antisymmetry_exhaustive(self, lam2):
         A = lam2
-        tba = {q: all_tuples_up_to_weight(A, q, 2 * q if q else 0) for q in range(6)}
-        cochains = [elementary(A, 1, t, k) for t in tba[1] for k in range(A.dim)]
+        bounds = {q: 2 * q for q in range(6)}
+        cochains = [elementary(A, 1, t, k) for t in all_tuples_up_to_weight(A, 1, 2) for k in range(A.dim)]
         cochains += [elementary(A, 0, (), k) for k in range(A.dim)]
         for f, g in iproduct(cochains, repeat=2):
-            fg = gerstenhaber_bracket(f, g, tba)
-            gf = gerstenhaber_bracket(g, f, tba)
+            fg = gerstenhaber_bracket(f, g, bounds)
+            gf = gerstenhaber_bracket(g, f, bounds)
             sign = -1 if ((f.degree + 1) % 2) and ((g.degree + 1) % 2) else 1
             merged = {k: dict(v) for k, v in fg.table.items()}
             for key, val in gf.table.items():
@@ -164,9 +164,9 @@ class TestCupAndBracket:
         f = elementary(A, 1, (x,), x)  # degree -1, shifted degree 0... use arity-2
         g = Cochain(A, 2, -2, {(x, x): {A.index["x1^2"]: Q(1)}})
         assert (g.degree + 1) % 2 == 1
-        tba = {q: all_tuples_up_to_weight(A, q, 5) for q in range(7)}
-        br = gerstenhaber_bracket(g, g, tba)
-        cc = circle(g, g, tba)
+        bounds = dict.fromkeys(range(7), 5)
+        br = gerstenhaber_bracket(g, g, bounds)
+        cc = circle(g, g, bounds)
         doubled = {k: {a: 2 * b for a, b in v.items()} for k, v in cc.table.items()}
         assert br.table == doubled
 
@@ -431,10 +431,12 @@ def test_sparse_circle_matches_dense_on_bv_check_brackets():
     bundle.ops.bracket = recording
     assert verify_bv_axioms(attach_duality(bundle, eta), max_classes=12, quartic_limit=60).passed
     assert len(pairs) > 100
-    tuples = bundle.ops.tuples
+    bounds = bundle.ops.weight_bounds
+    arities = {x.arity + y.arity - 1 for f, g in pairs for x, y in ((f, g), (g, f)) if x.arity}
+    tuples = {q: all_tuples_up_to_weight(A, q, bundle.ops.v_max) for q in arities}
     for f, g in pairs:
         for x, y in ((f, g), (g, f)):
-            got, want = circle(x, y, tuples), _circle_dense(x, y, tuples)
+            got, want = circle(x, y, bounds), _circle_dense(x, y, tuples)
             assert (got.arity, got.degree) == (want.arity, want.degree)
             assert list(got.table.items()) == list(want.table.items())
 
@@ -444,14 +446,32 @@ def test_sparse_circle_matches_dense_on_bv_check_brackets():
     ids=["lambda2", "k[x]"],
 )
 def test_sparse_circle_matches_dense_on_elementary_cochains(maker):
-    # circle is bilinear, so pairs of elementary cochains cover every entry
+    # circle is bilinear, so pairs of elementary cochains cover every entry;
+    # a flat weight bound, and per-arity bounds 2q that cut some products off
     A = maker()
-    tuples = {q: all_tuples_up_to_weight(A, q, 4) for q in range(4)}
-    cochains = [elementary(A, q, t, k) for q in range(3) for t in tuples[q] for k in range(A.dim)]
-    nonzero = 0
-    for f, g in iproduct(cochains, repeat=2):
-        got, want = circle(f, g, tuples), _circle_dense(f, g, tuples)
-        assert (got.arity, got.degree) == (want.arity, want.degree)
-        assert list(got.table.items()) == list(want.table.items())
-        nonzero += bool(want.table)
-    assert nonzero > 50
+    cochains = [elementary(A, q, t, k) for q in range(3) for t in all_tuples_up_to_weight(A, q, 4)
+                for k in range(A.dim)]
+    for bounds in (dict.fromkeys(range(4), 4), {q: 2 * q for q in range(4)}):
+        tuples = {q: all_tuples_up_to_weight(A, q, w) for q, w in bounds.items()}
+        nonzero = 0
+        for f, g in iproduct(cochains, repeat=2):
+            got, want = circle(f, g, bounds), _circle_dense(f, g, tuples)
+            assert (got.arity, got.degree) == (want.arity, want.degree)
+            assert list(got.table.items()) == list(want.table.items())
+            nonzero += bool(want.table)
+        assert nonzero > 50
+
+
+def test_sparse_circle_orders_keys_by_weight_then_tuple():
+    # f∘id = 2f; its keys (x, x⁴) and (x², x) are listed the way
+    # all_tuples_up_to_weight lists them, weight 3 before weight 5, which is
+    # not the order of the tuples alone
+    A = make_truncated_polynomial_algebra(1, 4)
+    x, x2, x4 = (A.index[label] for label in ("x1", "x1^2", "x1^4"))
+    f = Cochain(A, 2, -2, {(x, x4): {x: Q(1)}, (x2, x): {x: Q(1)}})
+    ident = Cochain(A, 1, -1, {(i,): {i: Q(1)} for i in A.augmentation_indices()})
+    bounds = dict.fromkeys(range(3), 5)
+    got = circle(f, ident, bounds)
+    assert list(got.table.items()) == [((x2, x), {x: Q(2)}), ((x, x4), {x: Q(2)})]
+    want = _circle_dense(f, ident, {q: all_tuples_up_to_weight(A, q, 5) for q in bounds})
+    assert list(got.table.items()) == list(want.table.items())
