@@ -38,18 +38,15 @@ from .linalg import (
     ExactMatrix,
     HomologyPresentation,
     _accumulate,
+    _expand,
     homology_presentation,
     operator_matrix,
     solve_in_span,
 )
-from .mixed import MixedComplexSlice, Piece
+from .mixed import ClassKey, MixedComplexSlice, Piece, WindowError
 from . import poisson as po
 
 Q = Fraction
-
-
-class WindowError(Exception):
-    pass
 
 
 class DualityError(Exception):
@@ -256,19 +253,6 @@ def delta_pairs(ops, pieces) -> Iterator[tuple[Piece, ExactMatrix, ExactMatrix]]
         yield piece, ops.incoming(piece, up), d_out
 
 
-def _expand(table, step):
-    """Σ v·step(k) over the entries k: v of table; None if table or any step is None."""
-    if table is None:
-        return None
-    out: dict = {}
-    for k, v in table.items():
-        got = step(k)
-        if got is None:
-            return None
-        _accumulate(out, got, v)
-    return out
-
-
 # -- the bundle -----------------------------------------------------------------
 
 
@@ -280,9 +264,6 @@ class AxiomReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-ClassKey = tuple[Piece, int]  # (piece, index within the piece's homology basis)
 
 
 class CalculusBundle:
@@ -305,7 +286,6 @@ class CalculusBundle:
         self._cup: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction] | None] = {}
         self._bracket: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction] | None] = {}
         self._cap: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction] | None] = {}
-        self._B: dict[ClassKey, dict[ClassKey, Fraction]] = {}
 
     # -- bases -------------------------------------------------------------
 
@@ -404,18 +384,8 @@ class CalculusBundle:
         return self._cap[key]
 
     def B_classes(self, z: ClassKey) -> dict[ClassKey, Fraction]:
-        """B on a homology class, memoized per class; returns a fresh dict."""
-        got = self._B.get(z)
-        if got is None:
-            (d, w), i = z
-            img = self.slice.B_matrix((d, w)).apply(self.hom_rep_vector(z))
-            target = (d + 1, w)
-            got = {}
-            if any(img):
-                coords = self.slice.hh(target).reduce(img)
-                got = {(target, j): c for j, c in enumerate(coords) if c}
-            self._B[z] = got
-        return dict(got)
+        """B on a homology class, memoized on the slice; returns a fresh dict."""
+        return dict(self.slice.B_class(z))
 
     # -- Def-style axiom verification --------------------------------------
 

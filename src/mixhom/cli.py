@@ -402,13 +402,17 @@ def task_hh(job: JobContext) -> dict:
 
 
 def task_hc_minus(job: JobContext) -> dict:
-    hc, les = job.hc_minus, job.les
+    hc = job.hc_minus
+    # HC before the LES check, so that its eliminations do not run while hc
+    # holds the π* and β columns the check memoizes
+    cyclic = cyclic_homology(job.slice)
+    les = job.les
     return {
         "algebra": job.algebra.name,
         "truncation": hc.N,
         "hc_minus_dims_stable": _sorted_dims({k: v for k, v in hc.stable_dims().items() if v}),
         "unstable_pieces": [[d, w] for (d, w) in sorted(hc.pres) if not hc.stable.get((d, w))],
-        "cyclic_dims": _sorted_dims({k: v for k, v in cyclic_homology(job.slice).items() if v}),
+        "cyclic_dims": _sorted_dims({k: v for k, v in cyclic.items() if v}),
         "les": {
             "beta_after_pi_zero": les.beta_after_pi_zero,
             "pi_after_beta_is_B": les.pi_after_beta_is_B,

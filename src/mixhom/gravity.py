@@ -34,10 +34,13 @@ class GravityStructure:
     degree minus the volume degree): the transported product on the
     b-homology side is graded commutative exactly in that shifted grading.
 
-    The left-associated products π*(x_1)·…·π*(x_k) are memoized per prefix
-    (``None`` where the product escapes the window), so a bracket costs one
-    product with its last argument, and a row whose prefix product is zero
-    is zero throughout.  Every ordered tuple is computed from its own
+    π* and β are the ``hc`` object's own, memoized there per basis class, so
+    structures over one HC⁻ share them; the transported product of each
+    pair of b-homology classes is memoized here.  The left-associated
+    products π*(x_1)·…·π*(x_k) are memoized per prefix (``None`` where the
+    product escapes the window), so a bracket costs one product with its
+    last argument, and a row whose prefix product is zero is zero
+    throughout.  Every ordered tuple is computed from its own
     prefix; none is filled in from a permutation.  A table of arity n holds
     only its nonzero and unavailable (``None``) entries, keyed by tuples of
     basis indices (a class outside the basis stands for itself); an entry
@@ -56,9 +59,7 @@ class GravityStructure:
             ]
         self.basis = basis
         self.index = {k: i for i, k in enumerate(basis)}
-        self._pi: dict[HCKey, dict[ClassKey, Fraction]] = {}
         self._dot: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction]] = {}
-        self._beta: dict[ClassKey, dict[HCKey, Fraction] | None] = {}
         self._prefixes: dict[tuple, dict[ClassKey, Fraction] | None] = {}
         self._tables: dict[int, dict[tuple, dict[HCKey, Fraction] | None]] = {}
         self._filled: set[tuple] = set()  # the rows whose every entry is tabled
@@ -70,17 +71,6 @@ class GravityStructure:
         return self.basis[t] if type(t) is int else t
 
     # -- ingredients ---------------------------------------------------------
-
-    def pi_star(self, key: HCKey) -> dict[ClassKey, Fraction]:
-        if key not in self._pi:
-            piece, i = key
-            pres = self.hc.pres.get(piece)
-            if pres is None:
-                raise WindowError(f"no HC⁻ presentation at {piece}")
-            coords = tuple(Q(1) if j == i else Q(0) for j in range(pres.dim))
-            hh_coords = self.hc.pi_star(piece, coords)
-            self._pi[key] = {(piece, j): c for j, c in enumerate(hh_coords) if c}
-        return self._pi[key]
 
     def dot_pair(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction]:
         key = (a, b)
@@ -95,26 +85,16 @@ class GravityStructure:
                 _accumulate(out, self.dot_pair(ka, kb), va * vb)
         return out
 
-    def beta_class(self, key: ClassKey) -> dict[HCKey, Fraction]:
-        if key not in self._beta:
-            piece, i = key
-            hh = self.hc.slice.hh(piece)
-            coords = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
-            img = self.hc.beta(piece, coords)
-            target = (piece[0] + 1, piece[1])
-            self._beta[key] = {(target, j): c for j, c in enumerate(img) if c}
-        return self._beta[key]
-
     def _prefix(self, tk: tuple) -> dict[ClassKey, Fraction] | None:
         """π*(x_1)·…·π*(x_k) for a nonempty tuple of basis indices; None on escape."""
         if tk not in self._prefixes:
             try:
                 if len(tk) == 1:
-                    prod = self.pi_star(self._key(tk[0]))
+                    prod = self.hc.pi_star(self._key(tk[0]))
                 else:
                     # a zero or unavailable prefix stays zero or unavailable
                     head = self._prefix(tk[:-1])
-                    prod = head and self._dot_combo(head, self.pi_star(self._key(tk[-1])))
+                    prod = head and self._dot_combo(head, self.hc.pi_star(self._key(tk[-1])))
             except WindowError:
                 prod = None
             self._prefixes[tk] = prod
@@ -140,8 +120,8 @@ class GravityStructure:
         if not head:
             return {}
         out: dict[HCKey, Fraction] = {}
-        for kc, vc in self._dot_combo(head, self.pi_star(keys[-1])).items():
-            _accumulate(out, self.beta_class(kc), sign * vc)
+        for kc, vc in self._dot_combo(head, self.hc.pi_star(keys[-1])).items():
+            _accumulate(out, self.hc.beta(kc), sign * vc)
         return out
 
     def bracket_combo(self, combos: list[dict[HCKey, Fraction]]) -> dict[HCKey, Fraction] | None:

@@ -25,7 +25,6 @@ from .linalg import (
     homology_presentation,
     kernel_basis,
     operator_matrix,
-    solve_in_span,
     span_basis,
 )
 from . import poisson as po
@@ -149,22 +148,22 @@ def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
                         elif deg != d:
                             raise ValueError("inhomogeneous dual piece")
                 degrees.append(deg if deg is not None else 0)
+    # the U bases are in reduced echelon form with unit pivots, so the dual
+    # basis functional u_i^* reads off u_i's pivot coordinate, and
+    # (u_i^* u_j^*)(c) = (u_i^* ⊗ u_j^*)(Δ_{p,q} c) is the entry of c at the
+    # word piv(u_i)·piv(u_j)
+    pivots = {w: [_pivot(u) for u in U[w]] for w in U}
     table: dict[tuple[int, int], Element] = {}
     for p in range(W + 1):
         for q in range(W + 1):
-            for i in range(len(U[p])):
-                for j in range(len(U[q])):
+            for i, piv_i in enumerate(pivots[p]):
+                for j, piv_j in enumerate(pivots[q]):
                     key = (index_of[(p, i)], index_of[(q, j)])
                     if p + q > W:
                         table[key] = {}
                         continue
-                    # (u_i^* u_j^*)(c) = (u_i^* ⊗ u_j^*)(Δ_{p,q} c)
-                    val: Element = {}
-                    for k, c_vec in enumerate(U[p + q]):
-                        coeff = _pair_deconcat(U[p][i], U[q][j], c_vec, n, p, q)
-                        if coeff:
-                            val[index_of[(p + q, k)]] = coeff
-                    table[key] = val
+                    at = piv_i * n**q + piv_j
+                    table[key] = {index_of[(p + q, k)]: c[at] for k, c in enumerate(U[p + q]) if c[at]}
     dual = GradedAlgebra(
         labels,
         degrees,
@@ -180,35 +179,9 @@ def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
     return data
 
 
-def _pair_deconcat(ui, uj, target, n: int, p: int, q: int) -> Fraction:
-    """(u_i^* ⊗ u_j^*) applied to the (p, q)-deconcatenation of target."""
-    # the U bases are reduced echelon with unit pivots, so the dual basis
-    # functional of u_i reads off u_i's pivot coordinate; both legs of the
-    # deconcatenation stay inside the respective spans
-    piv_i = _pivot_functional(ui)
-    piv_j = _pivot_functional(uj)
-    total = Q(0)
-    dim_q = n**q
-    for idx, c in enumerate(target):
-        if not c:
-            continue
-        left, right = divmod(idx, dim_q)
-        total += c * piv_i.get(left, Q(0)) * piv_j.get(right, Q(0))
-    return total
-
-
-def _pivot_functional(vec) -> dict[int, Fraction]:
-    """The dual functional of an echelon basis vector, as {word index: coeff}.
-
-    For reduced-echelon bases the dual basis functional of the k-th vector
-    reads off the k-th pivot coordinate; representing it sparsely as the
-    indicator of the pivot suffices because the other basis vectors vanish
-    there.
-    """
-    for i, c in enumerate(vec):
-        if c != 0:
-            return {i: Q(1) / c}
-    return {}
+def _pivot(vec) -> int:
+    """The index of the first nonzero coordinate of a vector."""
+    return next(i for i, c in enumerate(vec) if c)
 
 
 class NotAComplex(Exception):
@@ -216,7 +189,6 @@ class NotAComplex(Exception):
 
 
 def _check_annihilator_dimensions(pres: QuadraticPresentation, data: KoszulDualData):
-    n = pres.n
     if 2 in data.dual_weight_pieces:
         dim_u2 = len(data.dual_weight_pieces[2])
         if dim_u2 != len(pres.relations):
@@ -245,12 +217,7 @@ def quadratic_algebra(pres: QuadraticPresentation, W: int) -> tuple[GradedAlgebr
         dim = n**w
         vecs = [v for i in range(max(0, w - 1)) for v in _relation_layer(pres, w, i)]
         span = span_basis(vecs, dim) if vecs else []
-        pivots = set()
-        for v in span:
-            for i, c in enumerate(v):
-                if c != 0:
-                    pivots.add(i)
-                    break
+        pivots = {_pivot(v) for v in span}
         free = [i for i in range(dim) if i not in pivots]
         sections[w] = {"free": free, "span": span, "dim": dim}
         for k, idx in enumerate(free):
@@ -266,7 +233,7 @@ def quadratic_algebra(pres: QuadraticPresentation, W: int) -> tuple[GradedAlgebr
         free = sections[w]["free"]
         out = list(vec)
         for sv in span:
-            piv = next(i for i, c in enumerate(sv) if c != 0)
+            piv = _pivot(sv)
             c = out[piv]
             if c:
                 for i, x in enumerate(sv):
@@ -359,13 +326,22 @@ def _transfer(out: dict, U_below: list, stripped, prod, scale, end: str) -> None
     """out += scale · prod ⊗ (stripped in the coordinates of the basis U_below).
 
     ``stripped`` is a dual-coalgebra vector with one letter removed at
-    ``end``; it must lie in the span of U_below.  ``prod`` is a product of
-    algebra basis elements, or a non-dict marker when it leaves the window.
+    ``end``; it must lie in the span of U_below.  U_below is in reduced
+    echelon form with unit pivots, so those coordinates are the entries of
+    ``stripped`` at the pivots, and what they leave over must vanish.
+    ``prod`` is a product of algebra basis elements, or a non-dict marker
+    when it leaves the window.
     """
-    if not any(c != 0 for c in stripped):
+    if not any(stripped):
         return
-    coords = solve_in_span(U_below, stripped)
-    if coords is None:
+    coords = [stripped[_pivot(u)] for u in U_below]
+    rest = list(stripped)
+    for c, u in zip(coords, U_below):
+        if c:
+            for k, x in enumerate(u):
+                if x:
+                    rest[k] -= c * x
+    if any(rest):
         raise NotAComplex(f"{end}-letter strip leaves U")
     if isinstance(prod, dict):
         for ka, ca in prod.items():
@@ -396,8 +372,6 @@ def is_koszul(pres: QuadraticPresentation, W: int, data: KoszulDualData | None =
         for i in range(len(mats) + 1):
             d_out = mats[i] if i < len(mats) else ExactMatrix.zero(0, mats[-1].rows if mats else 0)
             d_in = mats[i - 1] if i >= 1 else ExactMatrix.zero(mats[0].cols if mats else 0, 0)
-            if i == 0:
-                d_in = ExactMatrix.zero(mats[0].cols, 0) if mats else ExactMatrix.zero(0, 0)
             pres_h = homology_presentation(d_in, d_out)
             if pres_h.dim:
                 acyclic = False

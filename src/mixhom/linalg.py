@@ -55,6 +55,19 @@ def _accumulate(acc: dict, terms: dict, scale=ONE) -> dict:
     return acc
 
 
+def _expand(table, step):
+    """Σ v·step(k) over the entries k: v of table; None if table or any step is None."""
+    if table is None:
+        return None
+    out: dict = {}
+    for k, v in table.items():
+        got = step(k)
+        if got is None:
+            return None
+        _accumulate(out, got, v)
+    return out
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -32,6 +32,9 @@ from .linalg import (
     HomologyPresentation,
     _accumulate,
     _check_complex,
+    _expand,
+    _integer_row,
+    _row_echelon,
     homology_presentation,
     operator_matrix,
 )
@@ -40,6 +43,11 @@ from . import poisson as po
 Q = Fraction
 
 Piece = tuple[int, int]  # (degree, weight)
+ClassKey = tuple[Piece, int]  # (piece, index within the piece's homology basis)
+
+
+class WindowError(Exception):
+    """A result leaves the computed window."""
 
 
 class SliceAxiomError(Exception):
@@ -60,6 +68,7 @@ class MixedComplexSlice:
         self.B_mats = B_mats
         self.name = name
         self._hh: dict[Piece, HomologyPresentation] = {}
+        self._B: dict[ClassKey, dict[ClassKey, Fraction]] = {}
         self._validate()
 
     def dim(self, piece: Piece) -> int:
@@ -110,6 +119,16 @@ class MixedComplexSlice:
 
     def hh_dims(self) -> dict[Piece, int]:
         return {p: self.hh(p).dim for p in sorted(self.pieces)}
+
+    def B_class(self, key: ClassKey) -> dict[ClassKey, Fraction]:
+        """B on one b-homology basis class, as {class key: coefficient}; memoized."""
+        got = self._B.get(key)
+        if got is None:
+            (d, w), i = key
+            img = self.B_matrix((d, w)).apply(self.hh((d, w)).cycle_basis[i])
+            target = (d + 1, w)
+            got = self._B[key] = _classes(target, self.hh(target).reduce(img)) if any(img) else {}
+        return got
 
     def element_vector(self, piece: Piece, element: dict) -> tuple[Fraction, ...]:
         labels = self.pieces.get(piece, [])
@@ -217,12 +236,18 @@ class NegativeCyclic:
     i <= N; the truncated differential drops the u^{N+1} overflow, and the
     stabilization report marks the (degree, weight) pieces whose dimension
     changes between truncation orders N and N+1.
+
+    π* and β of the long exact sequence HC⁻ → HH → HC⁻ are taken on one
+    basis class at a time and memoized here, so ``les_check`` and every
+    gravity structure over this HC⁻ share them.
     """
 
     slice: MixedComplexSlice
     N: int
     pres: dict[Piece, HomologyPresentation] = field(default_factory=dict)
     stable: dict[Piece, bool] = field(default_factory=dict)
+    _pi: dict[ClassKey, dict[ClassKey, Fraction]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _beta: dict[ClassKey, dict[ClassKey, Fraction]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         degrees = self.slice.degrees()
@@ -251,53 +276,56 @@ class NegativeCyclic:
 
     # -- the long exact sequence maps ---------------------------------------
 
-    def pi_star(self, piece: Piece, coords) -> tuple[Fraction, ...]:
-        """HC⁻ class (coordinates in pres) -> b-homology class of the u⁰ part."""
-        d, w = piece
-        pres = self.pres[piece]
-        vec = [Q(0)] * pres.ambient_dim
-        for c, rep in zip(coords, pres.cycle_basis):
-            if c:
-                for i, v in enumerate(rep):
-                    vec[i] += c * v
-        x0 = vec[: self.slice.dim((d, w))]
-        return self.slice.hh((d, w)).reduce(tuple(x0))
+    def pi_star(self, key: ClassKey) -> dict[ClassKey, Fraction]:
+        """HC⁻ basis class -> b-homology class of its u⁰ component, memoized.
 
-    def beta(self, piece: Piece, coords) -> tuple[Fraction, ...]:
-        """b-homology class -> HC⁻ class of B(representative) one degree up.
+        Raises WindowError if the class's piece has no HC⁻ presentation.
+        """
+        got = self._pi.get(key)
+        if got is None:
+            piece, i = key
+            pres = self.pres.get(piece)
+            if pres is None:
+                raise WindowError(f"no HC⁻ presentation at {piece}")
+            # the u⁰ component comes first in the stacked basis
+            x0 = pres.cycle_basis[i][: self.slice.dim(piece)]
+            got = self._pi[key] = _classes(piece, self.slice.hh(piece).reduce(x0))
+        return got
+
+    def beta(self, key: ClassKey) -> dict[ClassKey, Fraction]:
+        """b-homology basis class -> HC⁻ class of B(representative) one degree up, memoized.
 
         The chain-level recipe: lift the cycle, apply b + uB, divide by u;
         on a b-cycle x that is (b + uB)(x) = u·B(x), so the class of B(x)
         viewed as the constant term of an HC⁻ cycle in degree d + 1.
+        Raises KeyError if B(x) is nonzero and that piece has no HC⁻
+        presentation.
         """
-        d, w = piece
-        hh = self.slice.hh((d, w))
-        rep = [Q(0)] * hh.ambient_dim
-        for c, r in zip(coords, hh.cycle_basis):
-            if c:
-                for i, v in enumerate(r):
-                    rep[i] += c * v
-        img = self.slice.B_matrix((d, w)).apply(tuple(rep))
-        target = self.pres.get((d + 1, w))
-        if target is None:
-            if not any(img):
-                return ()
-            raise KeyError(f"no HC⁻ presentation at {(d + 1, w)}")
-        # the u⁰ component comes first in the stacked basis
-        vec = [Q(0)] * target.ambient_dim
-        for idx, val in enumerate(img):
-            if val:
-                vec[idx] = val
-        return target.reduce(tuple(vec))
+        got = self._beta.get(key)
+        if got is None:
+            (d, w), i = key
+            img = self.slice.B_matrix((d, w)).apply(self.slice.hh((d, w)).cycle_basis[i])
+            target = self.pres.get((d + 1, w))
+            if target is None:
+                if any(img):
+                    raise KeyError(f"no HC⁻ presentation at {(d + 1, w)}")
+                got = {}
+            else:
+                # the u⁰ component comes first in the stacked basis
+                vec = img + (Q(0),) * (target.ambient_dim - len(img))
+                got = _classes((d + 1, w), target.reduce(vec))
+            self._beta[key] = got
+        return got
 
-    def hh_class_vector(self, piece: Piece, coords) -> tuple[Fraction, ...]:
-        hh = self.slice.hh(piece)
-        rep = [Q(0)] * hh.ambient_dim
-        for c, r in zip(coords, hh.cycle_basis):
-            if c:
-                for i, v in enumerate(r):
-                    rep[i] += c * v
-        return tuple(rep)
+
+def _classes(piece: Piece, coords) -> dict[ClassKey, Fraction]:
+    """Coordinates in a piece's homology basis as a sparse {class key: coefficient}."""
+    return {(piece, j): c for j, c in enumerate(coords) if c}
+
+
+def _rank(columns: list[dict[ClassKey, Fraction]]) -> int:
+    """The rank of sparse columns, by the integer elimination kernel."""
+    return len(_row_echelon(_integer_row(col) for col in columns))
 
 
 @dataclass
@@ -316,57 +344,37 @@ def les_check(hc: NegativeCyclic) -> LESReport:
     """Long-exact-sequence diagnostics on every stable piece.
 
     β∘π* = 0, π*∘β = B (on b-homology classes), and rank bookkeeping
-    ker β = im π* per piece.  Pieces flagged unstable by the truncation
-    comparison are excluded: their coordinates are truncation artifacts.
+    ker β = im π* per piece, all read off the memoized π* and β columns of
+    the basis classes.  A piece is checked when it and the piece one degree
+    up are both stable: pieces flagged unstable by the truncation
+    comparison are excluded, since their coordinates are truncation
+    artifacts.
     """
     sl = hc.slice
     failures: list[str] = []
     ok_bp = ok_pb = ok_rank = True
     for piece in hc.stable_pieces():
         d, w = piece
-        if not hc.stable.get((d + 1, w), (d + 1, w) not in hc.pres):
+        if not hc.stable.get((d + 1, w)):
             continue
-        pres = hc.pres[piece]
+        hh_dim = sl.hh(piece).dim
+        pi_cols = [hc.pi_star((piece, i)) for i in range(hc.pres[piece].dim)]
+        beta_cols = [hc.beta((piece, i)) for i in range(hh_dim)]
         # β∘π* on every HC⁻ basis class
-        for i in range(pres.dim):
-            coords = tuple(Q(1) if j == i else Q(0) for j in range(pres.dim))
-            hh_coords = hc.pi_star(piece, coords)
-            if any(hh_coords) and (d + 1, w) in hc.pres:
-                img = hc.beta(piece, hh_coords)
-                if any(img):
-                    ok_bp = False
-                    failures.append(f"β∘π* ≠ 0 at {piece} class {i}")
+        for i, col in enumerate(pi_cols):
+            if _expand(col, hc.beta):
+                ok_bp = False
+                failures.append(f"β∘π* ≠ 0 at {piece} class {i}")
         # π*∘β = B on every HH basis class
-        hh = sl.hh(piece)
-        if (d + 1, w) in hc.pres:
-            for i in range(hh.dim):
-                coords = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
-                bcls = hc.beta(piece, coords)
-                lhs = hc.pi_star((d + 1, w), bcls)
-                rep = hc.hh_class_vector(piece, coords)
-                rhs = sl.hh((d + 1, w)).reduce(sl.B_matrix(piece).apply(rep))
-                if lhs != rhs:
-                    ok_pb = False
-                    failures.append(f"π*∘β ≠ B at {piece} class {i}")
+        for i, col in enumerate(beta_cols):
+            if _expand(col, hc.pi_star) != sl.B_class((piece, i)):
+                ok_pb = False
+                failures.append(f"π*∘β ≠ B at {piece} class {i}")
         # rank bookkeeping: dim ker β = rank π* on HH at this piece
-        if (d + 1, w) in hc.pres:
-            beta_cols = []
-            for i in range(hh.dim):
-                coords = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
-                beta_cols.append(hc.beta(piece, coords))
-            rank_beta = (
-                ExactMatrix.from_columns(beta_cols).rank() if beta_cols and any(any(c) for c in beta_cols) else 0
-            )
-            pi_cols = []
-            for i in range(pres.dim):
-                coords = tuple(Q(1) if j == i else Q(0) for j in range(pres.dim))
-                pi_cols.append(hc.pi_star(piece, coords))
-            rank_pi = (
-                ExactMatrix.from_columns(pi_cols).rank() if pi_cols and any(any(c) for c in pi_cols) else 0
-            )
-            if hh.dim - rank_beta != rank_pi:
-                ok_rank = False
-                failures.append(f"ker β ≠ im π* at {piece}: dim HH {hh.dim}, rk β {rank_beta}, rk π* {rank_pi}")
+        rank_beta, rank_pi = _rank(beta_cols), _rank(pi_cols)
+        if hh_dim - rank_beta != rank_pi:
+            ok_rank = False
+            failures.append(f"ker β ≠ im π* at {piece}: dim HH {hh_dim}, rk β {rank_beta}, rk π* {rank_pi}")
     return LESReport(ok_bp, ok_pb, ok_rank, failures)
 
 

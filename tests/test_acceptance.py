@@ -62,6 +62,7 @@ from mixhom.poisson import (
     unimodularity_check,
 )
 from test_gravity import assert_derived_twist_matches_fitted
+from test_mixed import assert_les_matches_oracle
 from test_poisson import oracle_engine, schouten_odd_laplacian
 
 Q = Fraction
@@ -316,7 +317,9 @@ def test_criterion_05_bv_suite(frobenius_gravity, poisson_pair, derived_pi):
     report(5, "BV suite: Δ²=0, second-order identity, bracket = native table", passed, detail)
 
 
-def test_criterion_06_les_suite(derived_pi):
+@pytest.fixture(scope="module")
+def les_sources(derived_pi):
+    """HC⁻ of one slice of each of the four sources, at its default truncation."""
     sources = []
     sources.append(slice_from_hochschild(make_exterior_algebra(2), 4))
     sources.append(slice_from_hochschild_dual(make_exterior_algebra(2), 4))
@@ -325,16 +328,26 @@ def test_criterion_06_les_suite(derived_pi):
     ctxe = PoissonContext.make(3, "ext")
     pid = quadratic_bivector(ctxe, dual_bivector_coeffs(derived_pi))
     sources.append(slice_from_poisson_dual(DualSide(ctxe, pid, w_max=4)))
+    return [NegativeCyclic(sl, default_truncation(sl)) for sl in sources]
+
+
+def test_criterion_06_les_suite(les_sources):
     ok = True
     details = []
-    for sl in sources:
-        hc = NegativeCyclic(sl, default_truncation(sl))
+    for hc in les_sources:
         rep = les_check(hc)
         stable = sum(1 for p in hc.stable_pieces())
         if not rep.passed or stable == 0:
             ok = False
-            details.append(f"{sl.name}: {rep.failures[:2]}")
+            details.append(f"{hc.slice.name}: {rep.failures[:2]}")
     report(6, "β∘π* = 0, π*∘β = B, ker β = im π*, truncation stable", ok, "; ".join(details))
+
+
+def test_les_matches_oracle_on_criterion_06_sources(les_sources):
+    # the memoized π*/β columns and the column-based les_check against the
+    # coordinate-taking maps they replaced, on every class of every piece
+    for hc in les_sources:
+        assert_les_matches_oracle(hc)
 
 
 def test_criterion_07_gravity_suite(frobenius_gravity, poisson_pair):

@@ -413,3 +413,24 @@ def test_main_leaves_no_cyclic_garbage(tmp_path):
     gc.collect()
     assert main(["run", "--input", str(job), "--out", str(tmp_path / "o")]) == 0
     assert gc.collect() == 0
+
+
+def test_no_module_catches_every_exception():
+    # no error may be hidden: no handler in the package is a bare ``except:``
+    # or names ``Exception``, alone or in a tuple
+    import ast
+    import mixhom
+
+    root = os.path.dirname(mixhom.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler):
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(t is None or isinstance(t, ast.Name) and t.id == "Exception" for t in types):
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []

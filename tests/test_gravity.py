@@ -410,11 +410,12 @@ def truncated(pair):
 def tables_copy(g):
     """The same structure with its own copy of the tables, sharing the ingredients.
 
-    The prefix products are ingredients too: the corruptions below change
-    table entries only, so the copy shares them with the original.
+    π* and β live on the shared ``hc``.  The prefix products are ingredients
+    too: the corruptions below change table entries only, so the copy shares
+    them with the original.
     """
     h = GravityStructure(g.hc, g.duality, g.basis)
-    h._pi, h._dot, h._beta, h._prefixes = g._pi, g._dot, g._beta, g._prefixes
+    h._dot, h._prefixes = g._dot, g._prefixes
     h._tables = {n: dict(t) for n, t in g._tables.items()}
     h._filled = set(g._filled)
     return h
@@ -591,14 +592,14 @@ class PerTupleTables:
         for i, k in enumerate(keys[:-1]):
             exp += (n - 1 - i) * g.degree(k)
         sign = Q(-1) if exp % 2 else Q(1)
-        prod = g.pi_star(keys[0])
+        prod = g.hc.pi_star(keys[0])
         for k in keys[1:]:
             if not prod:
                 return {}
-            prod = g._dot_combo(prod, g.pi_star(k))
+            prod = g._dot_combo(prod, g.hc.pi_star(k))
         out: dict[HCKey, Fraction] = {}
         for kc, vc in prod.items():
-            _accumulate(out, g.beta_class(kc), sign * vc)
+            _accumulate(out, g.hc.beta(kc), sign * vc)
         return out
 
     def table_lookup(self, keys: list[HCKey]) -> dict[HCKey, Fraction] | None:
@@ -617,9 +618,10 @@ class PerTupleTables:
 
 
 def fresh(g):
-    """The same structure with empty prefix memo and tables, sharing the ingredients."""
+    """The same structure with empty prefix memo and tables, sharing the
+    ingredients: the products here, π* and β on the shared ``hc``."""
     h = GravityStructure(g.hc, g.duality, g.basis)
-    h._pi, h._dot, h._beta = g._pi, g._dot, g._beta
+    h._dot = g._dot
     return h
 
 
@@ -658,8 +660,8 @@ class TestPrefixTablesAgainstOracle:
         # enters is unavailable, except where a zero prefix comes first
         g = zero_pi_structure
         stray = ((0, 99), 0)
-        zero = next(k for k in g.basis if g.pi_star(k) == {})
-        live = next(k for k in g.basis if g.pi_star(k))
+        zero = next(k for k in g.basis if g.hc.pi_star(k) == {})
+        live = next(k for k in g.basis if g.hc.pi_star(k))
         oracle = PerTupleTables(g)
         h = fresh(g)
         for keys in ([stray, live], [live, stray], [stray, live, live], [live, stray, live],

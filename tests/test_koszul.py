@@ -10,15 +10,18 @@ from mixhom.algebra import (
     make_truncated_polynomial_algebra,
     polynomial_presentation,
 )
+from mixhom import koszul as ko
 from mixhom.koszul import (
     NotKoszulError,
     dual_bivector_coeffs,
     is_koszul,
+    koszul_complex,
     koszul_dual_algebra,
     koszul_poisson_identification,
     quadratic_algebra,
     small_hochschild_models,
 )
+from mixhom.linalg import solve_in_span
 from mixhom.mixed import slice_from_hochschild
 
 Q = Fraction
@@ -178,3 +181,126 @@ class TestPoissonIdentification:
         ident = koszul_poisson_identification(3)
         circ = {(1, 2, 1, 2): Q(1), (2, 3, 2, 3): Q(1), (3, 1, 3, 1): Q(1)}
         assert ident.check_chain_map(circ, w_max=3) == []
+
+
+# -- differential oracles: the dual product by deconcatenation, the per-call solve --
+#
+# The dual product used to apply u_i^* ⊗ u_j^* to the whole deconcatenated
+# vector of each c_k, and every one-letter transfer solved for its
+# coordinates in U_below from scratch.  Both are kept here verbatim as
+# references for the pivot lookups that replaced them.
+
+
+def _pair_deconcat(ui, uj, target, n: int, p: int, q: int) -> Fraction:
+    """(u_i^* ⊗ u_j^*) applied to the (p, q)-deconcatenation of target."""
+    # the U bases are reduced echelon with unit pivots, so the dual basis
+    # functional of u_i reads off u_i's pivot coordinate; both legs of the
+    # deconcatenation stay inside the respective spans
+    piv_i = _pivot_functional(ui)
+    piv_j = _pivot_functional(uj)
+    total = Q(0)
+    dim_q = n**q
+    for idx, c in enumerate(target):
+        if not c:
+            continue
+        left, right = divmod(idx, dim_q)
+        total += c * piv_i.get(left, Q(0)) * piv_j.get(right, Q(0))
+    return total
+
+
+def _pivot_functional(vec) -> dict[int, Fraction]:
+    """The dual functional of an echelon basis vector, as {word index: coeff}.
+
+    For reduced-echelon bases the dual basis functional of the k-th vector
+    reads off the k-th pivot coordinate; representing it sparsely as the
+    indicator of the pivot suffices because the other basis vectors vanish
+    there.
+    """
+    for i, c in enumerate(vec):
+        if c != 0:
+            return {i: Q(1) / c}
+    return {}
+
+
+def dual_table_by_deconcatenation(data):
+    """The dual algebra's multiplication table, rebuilt from the U pieces."""
+    n, W, U = data.source.n, data.cutoff, data.dual_weight_pieces
+    index_of = {label: k for k, label in enumerate(data.dual_labels)}
+    table = {}
+    for p in range(W + 1):
+        for q in range(W + 1):
+            for i in range(len(U[p])):
+                for j in range(len(U[q])):
+                    key = (index_of[(p, i)], index_of[(q, j)])
+                    if p + q > W:
+                        table[key] = {}
+                        continue
+                    # (u_i^* u_j^*)(c) = (u_i^* ⊗ u_j^*)(Δ_{p,q} c)
+                    val = {}
+                    for k, c_vec in enumerate(U[p + q]):
+                        coeff = _pair_deconcat(U[p][i], U[q][j], c_vec, n, p, q)
+                        if coeff:
+                            val[index_of[(p + q, k)]] = coeff
+                    table[key] = val
+    return table
+
+
+def transfer_by_solve(out: dict, U_below: list, stripped, prod, scale, end: str) -> None:
+    """out += scale · prod ⊗ (stripped in the coordinates of the basis U_below).
+
+    ``stripped`` is a dual-coalgebra vector with one letter removed at
+    ``end``; it must lie in the span of U_below.  ``prod`` is a product of
+    algebra basis elements, or a non-dict marker when it leaves the window.
+    """
+    if not any(c != 0 for c in stripped):
+        return
+    coords = solve_in_span(U_below, stripped)
+    if coords is None:
+        raise ko.NotAComplex(f"{end}-letter strip leaves U")
+    if isinstance(prod, dict):
+        for ka, ca in prod.items():
+            ko._accumulate(out, {(ka, j): cu for j, cu in enumerate(coords) if cu}, scale * ca)
+
+
+# the presentations and cutoffs of the cli-batch jobs poly2, ext3, poly3 and quad2
+CLI_BATCH_PRESENTATIONS = {
+    "poly2": (lambda: polynomial_presentation(2), 3),
+    "ext3": (lambda: exterior_presentation(3), 4),
+    "poly3": (lambda: polynomial_presentation(3), 3),
+    "quad2": (lambda: QuadraticPresentation(2, (0, 0), (_vec(2, ((0, 1), 1), ((1, 0), -2)),), name="input"), 5),
+}
+
+
+# the dual product also on a presentation with every relation and on a non-Koszul one
+DUAL_PRODUCT_CASES = {
+    **CLI_BATCH_PRESENTATIONS,
+    "full": (lambda: QuadraticPresentation(2, (0, 0), tuple(_vec(2, ((i, j), 1)) for i in range(2) for j in range(2))), 3),
+    "nonkoszul3": (non_koszul_presentation, 4),
+}
+
+
+class TestPivotLookupsAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(DUAL_PRODUCT_CASES))
+    def test_dual_product_matches_deconcatenation(self, name):
+        make, W = DUAL_PRODUCT_CASES[name]
+        data = koszul_dual_algebra(make(), W)
+        assert data.dual_algebra.table == dual_table_by_deconcatenation(data)
+
+    @pytest.mark.parametrize("name", sorted(CLI_BATCH_PRESENTATIONS))
+    def test_transfers_match_the_per_call_solve(self, monkeypatch, name):
+        make, W = CLI_BATCH_PRESENTATIONS[name]
+        pres = make()
+        got = (koszul_complex(pres, W)[0], small_hochschild_models(pres, W))
+        monkeypatch.setattr(ko, "_transfer", transfer_by_solve)
+        want = (koszul_complex(pres, W)[0], small_hochschild_models(pres, W))
+        assert got == want
+
+    def test_a_strip_outside_the_span_is_not_a_complex(self):
+        U_below = [(Q(1), Q(0), Q(2)), (Q(0), Q(1), Q(-1))]
+        inside, outside = (Q(3), Q(1), Q(5)), (Q(0), Q(0), Q(1))
+        for transfer in (ko._transfer, transfer_by_solve):
+            out = {}
+            transfer(out, U_below, inside, {7: Q(2)}, -1, "last")
+            assert out == {(7, 0): Q(-6), (7, 1): Q(-2)}
+            with pytest.raises(ko.NotAComplex, match="last-letter strip leaves U"):
+                transfer({}, U_below, outside, {7: Q(1)}, 1, "last")

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from mixhom.algebra import make_exterior_algebra, make_truncated_polynomial_algebra
 from mixhom.linalg import ExactMatrix, homology_presentation
 from mixhom.mixed import (
+    LESReport,
     MixedComplexSlice,
     NegativeCyclic,
     SliceAxiomError,
@@ -16,6 +18,7 @@ from mixhom.mixed import (
     slice_from_hochschild_dual,
     slice_from_poisson,
     slice_from_poisson_dual,
+    WindowError,
 )
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
 
@@ -137,6 +140,12 @@ def hc_lambda1():
     return NegativeCyclic(sl, default_truncation(sl))
 
 
+@pytest.fixture(scope="module")
+def hc_poly2():
+    sl = slice_from_hochschild(make_truncated_polynomial_algebra(2, 4), 3)
+    return NegativeCyclic(sl, default_truncation(sl))
+
+
 class TestLESMaps:
 
     def test_pi_star_kills_u_multiples(self, hc_lambda1):
@@ -148,8 +157,7 @@ class TestLESMaps:
             for i in range(pres.dim):
                 rep = pres.cycle_basis[i]
                 if all(c == 0 for c in rep[:n0]):
-                    coords = tuple(Q(1) if j == i else Q(0) for j in range(pres.dim))
-                    assert not any(hc.pi_star(piece, coords))
+                    assert hc.pi_star((piece, i)) == {}
 
     def test_beta_of_unit_class_vanishes(self, hc_lambda1):
         hc = hc_lambda1
@@ -157,7 +165,7 @@ class TestLESMaps:
         piece = (0, 0)
         hh = hc.slice.hh(piece)
         assert hh.dim == 1
-        assert not any(hc.beta(piece, (Q(1),)))
+        assert hc.beta((piece, 0)) == {}
 
     def test_les_all_sources(self):
         sources = []
@@ -174,28 +182,114 @@ class TestLESMaps:
             report = les_check(hc)
             assert report.passed, (sl.name, report.failures[:4])
 
-    def test_beta_representative_independence(self, hc_lambda1):
-        hc = hc_lambda1
-        # β[x] = β[x + b(y)]: perturb each homology representative by boundaries
+    def test_beta_representative_independence(self, hc_poly2):
+        hc = hc_poly2
+        # β[x] = β[x + b(y)]: perturb each homology representative by the sum
+        # of its piece's boundary basis, apply B to the perturbed cycle and
+        # reduce it one degree up; the memoized column and the
+        # coordinate-taking oracle on the reduced perturbed cycle must both
+        # give that class, also where B moves the perturbation off zero
         sl = hc.slice
+        checked = moved = 0
         for piece in sorted(hc.pres):
             d, w = piece
-            if (d + 1, w) not in hc.pres:
+            up = (d + 1, w)
+            if up not in hc.pres:
                 continue
             hh = sl.hh(piece)
             if not hh.dim or not hh.boundary_basis:
                 continue
+            shift = [sum(col) for col in zip(*hh.boundary_basis)]
+            moved += any(sl.B_matrix(piece).apply(tuple(shift)))
+            target = hc.pres[up]
             for i in range(hh.dim):
-                coords = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
-                base = hc.beta(piece, coords)
-                # perturbation: reduce(rep + boundary) has the same coordinates,
-                # so β computed through the presentation is representative-free;
-                # verify by reducing the perturbed cycle first
-                rep = list(hc.hh_class_vector(piece, coords))
-                for k, v in enumerate(hh.boundary_basis[0]):
-                    rep[k] += v
-                again = hh.reduce(tuple(rep))
-                assert hc.beta(piece, again) == base
+                coords = _unit(i, hh.dim)
+                rep = tuple(x + y for x, y in zip(hh_class_vector_oracle(hc, piece, coords), shift))
+                img = sl.B_matrix(piece).apply(rep)
+                direct = target.reduce(img + (Q(0),) * (target.ambient_dim - len(img)))
+                assert _as_classes(up, direct) == hc.beta((piece, i))
+                assert beta_oracle(hc, piece, hh.reduce(rep)) == direct
+                checked += 1
+        assert checked and moved
+
+
+def _mutant(hc):
+    """A copy of ``hc`` and its slice with memos of their own, so that a
+    corrupted column stays in the copy."""
+    h = copy.copy(hc)
+    h.slice = copy.copy(hc.slice)
+    h.slice._B = dict(hc.slice._B)
+    h._pi, h._beta = dict(hc._pi), dict(hc._beta)
+    return h
+
+
+def _checked_classes(hc, dim_of):
+    """(piece, i) over the pieces les_check checks, with i < dim_of(piece)."""
+    return [
+        (piece, i)
+        for piece in hc.stable_pieces()
+        if hc.stable.get((piece[0] + 1, piece[1]))
+        for i in range(dim_of(piece))
+    ]
+
+
+def _column_rank(cols, piece, dim):
+    vecs = [tuple(col.get((piece, j), Q(0)) for j in range(dim)) for col in cols]
+    return ExactMatrix.from_columns(vecs).rank() if any(any(v) for v in vecs) else 0
+
+
+def _ranks(hc, piece):
+    """(dim HH, rank β, rank π*) at a piece, from dense columns."""
+    up = (piece[0] + 1, piece[1])
+    hh_dim = hc.slice.hh(piece).dim
+    beta = [hc.beta((piece, j)) for j in range(hh_dim)]
+    pi = [hc.pi_star((piece, j)) for j in range(hc.pres[piece].dim)]
+    return hh_dim, _column_rank(beta, up, hc.pres[up].dim), _column_rank(pi, piece, hh_dim)
+
+
+class TestLESNegativeControls:
+    """Each corrupted column must turn its LESReport flag false with its message."""
+
+    def test_beta_column_with_one_sign_flipped(self, hc_poly2):
+        hc = hc_poly2
+        sl = hc.slice
+        # a class whose β column has an entry that π* does not kill
+        (piece, i), k = next(
+            (key, k)
+            for key in _checked_classes(hc, lambda p: sl.hh(p).dim)
+            for k in hc.beta(key)
+            if hc.pi_star(k)
+        )
+        h = _mutant(hc)
+        col = dict(hc.beta((piece, i)))
+        col[k] = -col[k]
+        h._beta[(piece, i)] = col
+        rep = les_check(h)
+        assert not rep.pi_after_beta_is_B and not rep.passed
+        assert [f for f in rep.failures if f.startswith("π*∘β")] == [f"π*∘β ≠ B at {piece} class {i}"]
+
+    def test_B_with_a_dropped_sign(self, hc_poly2):
+        hc = hc_poly2
+        sl = hc.slice
+        piece, i = next(key for key in _checked_classes(hc, lambda p: sl.hh(p).dim) if sl.B_class(key))
+        h = _mutant(hc)
+        h.slice._B[(piece, i)] = {k: -v for k, v in sl.B_class((piece, i)).items()}
+        assert les_check(h) == LESReport(True, False, True, [f"π*∘β ≠ B at {piece} class {i}"])
+
+    def test_pi_star_column_zeroed(self, hc_poly2):
+        hc = hc_poly2
+        # a class whose π* column is not in the span of the others
+        for piece, i in _checked_classes(hc, lambda p: hc.pres[p].dim):
+            h = _mutant(hc)
+            h._pi[(piece, i)] = {}
+            if _ranks(h, piece)[2] < _ranks(hc, piece)[2]:
+                break
+        else:
+            pytest.fail("no π* column carries rank")
+        hh_dim, rank_beta, rank_pi = _ranks(h, piece)
+        rep = les_check(h)
+        assert not rep.kernel_beta_is_image_pi and not rep.passed
+        assert f"ker β ≠ im π* at {piece}: dim HH {hh_dim}, rk β {rank_beta}, rk π* {rank_pi}" in rep.failures
 
 
 class TestCyclicPeriodic:
@@ -514,3 +608,166 @@ class TestUComplexOracles:
         for sl in sources:
             assert cyclic_homology(sl) == _cyclic_homology_oracle(sl), sl.name
             assert periodic_homology(sl, 2) == _periodic_homology_oracle(sl, 2), sl.name
+
+
+# -- differential oracles: the coordinate-taking LES maps ---------------------------
+#
+# π*, β and the b-homology class vector used to take a coordinate tuple and
+# run a dense Fraction loop over a whole cycle basis; les_check called them
+# once per class and per check.  They are kept here verbatim as references for
+# NegativeCyclic's memoized per-class columns and the les_check built on them.
+
+
+def _unit(i, n):
+    return tuple(Q(1) if j == i else Q(0) for j in range(n))
+
+
+def _as_classes(piece, coords):
+    return {(piece, j): c for j, c in enumerate(coords) if c}
+
+
+def pi_star_oracle(hc, piece, coords):
+    """HC⁻ class (coordinates in pres) -> b-homology class of the u⁰ part."""
+    d, w = piece
+    pres = hc.pres[piece]
+    vec = [Q(0)] * pres.ambient_dim
+    for c, rep in zip(coords, pres.cycle_basis):
+        if c:
+            for i, v in enumerate(rep):
+                vec[i] += c * v
+    x0 = vec[: hc.slice.dim((d, w))]
+    return hc.slice.hh((d, w)).reduce(tuple(x0))
+
+
+def beta_oracle(hc, piece, coords):
+    """b-homology class -> HC⁻ class of B(representative) one degree up."""
+    d, w = piece
+    hh = hc.slice.hh((d, w))
+    rep = [Q(0)] * hh.ambient_dim
+    for c, r in zip(coords, hh.cycle_basis):
+        if c:
+            for i, v in enumerate(r):
+                rep[i] += c * v
+    img = hc.slice.B_matrix((d, w)).apply(tuple(rep))
+    target = hc.pres.get((d + 1, w))
+    if target is None:
+        if not any(img):
+            return ()
+        raise KeyError(f"no HC⁻ presentation at {(d + 1, w)}")
+    # the u⁰ component comes first in the stacked basis
+    vec = [Q(0)] * target.ambient_dim
+    for idx, val in enumerate(img):
+        if val:
+            vec[idx] = val
+    return target.reduce(tuple(vec))
+
+
+def hh_class_vector_oracle(hc, piece, coords):
+    hh = hc.slice.hh(piece)
+    rep = [Q(0)] * hh.ambient_dim
+    for c, r in zip(coords, hh.cycle_basis):
+        if c:
+            for i, v in enumerate(r):
+                rep[i] += c * v
+    return tuple(rep)
+
+
+def les_check_oracle(hc):
+    """Long-exact-sequence diagnostics on every stable piece, class by class."""
+    sl = hc.slice
+    failures: list[str] = []
+    ok_bp = ok_pb = ok_rank = True
+    for piece in hc.stable_pieces():
+        d, w = piece
+        if not hc.stable.get((d + 1, w), (d + 1, w) not in hc.pres):
+            continue
+        pres = hc.pres[piece]
+        # β∘π* on every HC⁻ basis class
+        for i in range(pres.dim):
+            coords = tuple(Q(1) if j == i else Q(0) for j in range(pres.dim))
+            hh_coords = pi_star_oracle(hc, piece, coords)
+            if any(hh_coords) and (d + 1, w) in hc.pres:
+                img = beta_oracle(hc, piece, hh_coords)
+                if any(img):
+                    ok_bp = False
+                    failures.append(f"β∘π* ≠ 0 at {piece} class {i}")
+        # π*∘β = B on every HH basis class
+        hh = sl.hh(piece)
+        if (d + 1, w) in hc.pres:
+            for i in range(hh.dim):
+                coords = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
+                bcls = beta_oracle(hc, piece, coords)
+                lhs = pi_star_oracle(hc, (d + 1, w), bcls)
+                rep = hh_class_vector_oracle(hc, piece, coords)
+                rhs = sl.hh((d + 1, w)).reduce(sl.B_matrix(piece).apply(rep))
+                if lhs != rhs:
+                    ok_pb = False
+                    failures.append(f"π*∘β ≠ B at {piece} class {i}")
+        # rank bookkeeping: dim ker β = rank π* on HH at this piece
+        if (d + 1, w) in hc.pres:
+            beta_cols = []
+            for i in range(hh.dim):
+                coords = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
+                beta_cols.append(beta_oracle(hc, piece, coords))
+            rank_beta = (
+                ExactMatrix.from_columns(beta_cols).rank() if beta_cols and any(any(c) for c in beta_cols) else 0
+            )
+            pi_cols = []
+            for i in range(pres.dim):
+                coords = tuple(Q(1) if j == i else Q(0) for j in range(pres.dim))
+                pi_cols.append(pi_star_oracle(hc, piece, coords))
+            rank_pi = (
+                ExactMatrix.from_columns(pi_cols).rank() if pi_cols and any(any(c) for c in pi_cols) else 0
+            )
+            if hh.dim - rank_beta != rank_pi:
+                ok_rank = False
+                failures.append(f"ker β ≠ im π* at {piece}: dim HH {hh.dim}, rk β {rank_beta}, rk π* {rank_pi}")
+    return LESReport(ok_bp, ok_pb, ok_rank, failures)
+
+
+def assert_les_matches_oracle(hc):
+    """π* on every HC⁻ class, β and B on every b-homology class, and the
+    whole report, against the oracles; returns the report."""
+    sl = hc.slice
+    for piece, pres in hc.pres.items():
+        for i in range(pres.dim):
+            assert hc.pi_star((piece, i)) == _as_classes(piece, pi_star_oracle(hc, piece, _unit(i, pres.dim)))
+    for piece in sl.pieces:
+        d, w = piece
+        hh = sl.hh(piece)
+        for i in range(hh.dim):
+            coords = _unit(i, hh.dim)
+            try:
+                want = _as_classes((d + 1, w), beta_oracle(hc, piece, coords))
+            except KeyError:
+                with pytest.raises(KeyError):
+                    hc.beta((piece, i))
+            else:
+                assert hc.beta((piece, i)) == want, (piece, i)
+            img = sl.B_matrix(piece).apply(hh_class_vector_oracle(hc, piece, coords))
+            assert sl.B_class((piece, i)) == _as_classes((d + 1, w), sl.hh((d + 1, w)).reduce(img))
+    report = les_check(hc)
+    assert report == les_check_oracle(hc)
+    return report
+
+
+# the Hochschild slices of the cli-batch jobs poly2, ext3 and poly3
+CLI_BATCH_SLICES = {
+    "poly2": lambda: slice_from_hochschild(make_truncated_polynomial_algebra(2, 4), 3),
+    "ext3": lambda: slice_from_hochschild(make_exterior_algebra(3), 4),
+    "poly3": lambda: slice_from_hochschild(make_truncated_polynomial_algebra(3, 4), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_BATCH_SLICES))
+def test_les_matches_oracle_on_cli_batch_slices(name):
+    sl = CLI_BATCH_SLICES[name]()
+    report = assert_les_matches_oracle(NegativeCyclic(sl, default_truncation(sl)))
+    assert report.passed
+
+
+def test_pi_star_outside_the_window_raises():
+    sl = slice_from_hochschild(make_exterior_algebra(1), 2)
+    hc = NegativeCyclic(sl, default_truncation(sl))
+    with pytest.raises(WindowError):
+        hc.pi_star(((0, 99), 0))
