@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .linalg import ExactMatrix
@@ -93,14 +94,24 @@ class GradedAlgebra:
     def augmentation_indices(self) -> list[int]:
         return [i for i in range(self.dim) if i != self.unit]
 
-    def indices_of_weight(self, w: int) -> list[int]:
-        return [i for i in range(self.dim) if self.weights[i] == w]
-
     def mult_basis(self, i: int, j: int) -> Element | _OutOfWindow:
         got = self.table.get((i, j))
         if got is None:
             return {}
         return got
+
+    @cached_property
+    def factorizations(self) -> dict[int, list[tuple[int, int]]]:
+        """{m: [(x, y), ...]}: the augmentation pairs whose in-window product holds m."""
+        out: dict[int, list[tuple[int, int]]] = {}
+        aug = self.augmentation_indices()
+        for x in aug:
+            for y in aug:
+                prod = self.mult_basis(x, y)
+                if prod is not OUT_OF_WINDOW:
+                    for m in prod:
+                        out.setdefault(m, []).append((x, y))
+        return out
 
     def multiply(self, a: Element, b: Element) -> Element:
         """Bilinear extension of the table; raises on out-of-window products."""

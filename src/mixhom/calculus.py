@@ -74,9 +74,7 @@ class HochschildCochainOps:
             else:
                 v_max = A.weight_cutoff
         self.v_max = v_max
-
-        # input tuples per arity, for the coboundary; brackets need only the weight bound
-        self.tuples = {q: all_tuples_up_to_weight(A, q, v_max) for q in range(q_max + 2)}
+        # one window for the coboundary and the bracket: chain weight <= v_max at every arity
         self.weight_bounds = defaultdict(lambda: v_max)
         # the coboundary raises arity by exactly one, so each (degree, shift)
         # piece splits by arity; kernels at the arity ceiling are computed
@@ -84,7 +82,7 @@ class HochschildCochainOps:
         self._pieces: dict[Piece, list] = {}
         self._pieces_ext: dict[Piece, list] = {}
         for q in range(q_max + 2):
-            for t in self.tuples[q]:
+            for t in all_tuples_up_to_weight(A, q, v_max):
                 wt = sum(A.weights[i] for i in t)
                 st = sum(A.degrees[i] + 1 for i in t)
                 for k in range(A.dim):
@@ -134,7 +132,7 @@ class HochschildCochainOps:
 
         def delta(label):
             t, k = label
-            df = coboundary(Cochain(self.A, len(t), D, {t: {k: Q(1)}}), self.tuples)
+            df = coboundary(Cochain(self.A, len(t), D, {t: {k: Q(1)}}), self.weight_bounds)
             return {(tt, kk): c for tt, val in df.table.items() for kk, c in val.items()}
 
         return operator_matrix(self._pieces.get(piece, []), self._pieces_ext.get((D - 1, om), []), delta,

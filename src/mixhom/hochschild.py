@@ -251,7 +251,7 @@ def gerstenhaber_bracket(f: Cochain, g: Cochain, weight_bounds: Mapping[int, int
     return Cochain(f.algebra, fg.arity, f.degree + g.degree + 1, table)
 
 
-def coboundary(f: Cochain, tuples_by_arity: dict[int, list[tuple[int, ...]]]) -> Cochain:
+def coboundary(f: Cochain, weight_bounds: Mapping[int, int]) -> Cochain:
     """Hochschild coboundary on mode-A cochains.
 
     δf(ā_1..ā_{q+1}) = (-1)^{|a_1||f|} a_1 f(ā_2..)
@@ -261,11 +261,35 @@ def coboundary(f: Cochain, tuples_by_arity: dict[int, list[tuple[int, ...]]]) ->
     The graded commutator with the contraction recovers the coboundary:
     b∘ι_f - (-1)^{|f|} ι_f∘b = -(-1)^{|f|} ι_{δf}, so cap descends to
     homology; the ungraded shadow is the classical normalized formula.
+
+    Tabulated on the input tuples of arity q + 1 and chain weight at most
+    weight_bounds[q + 1], in the order of ``all_tuples_up_to_weight``, as
+    ``circle`` is.  Only the tuples where δf can be nonzero are evaluated:
+    for each input tuple t of f, (a,) + t and t + (a,) for every
+    augmentation index a, and t with one entry m replaced by a pair (x, y)
+    whose product holds m (``GradedAlgebra.factorizations``).  They are
+    clipped to the window before any is evaluated, so an outer product that
+    escapes the algebra's weight cutoff raises ``WindowOverflowError`` at
+    the first such tuple of the window, and at no tuple outside it.
     """
     A = f.algebra
     q = f.arity
+    aug = A.augmentation_indices()
+    factorizations = A.factorizations
+    candidates: set[tuple[int, ...]] = set()
+    for t in f.table:
+        if len(t) != q or A.unit in t:  # never read by a tuple of the window
+            continue
+        for a in aug:
+            candidates.add((a,) + t)
+            candidates.add(t + (a,))
+        for j, m in enumerate(t):
+            for pair in factorizations.get(m, ()):
+                candidates.add(t[:j] + pair + t[j + 1 :])
+    bound = weight_bounds[q + 1]
+    window = sorted((w, key) for key in candidates if (w := chain_weight(A, key)) <= bound)
     table: dict[tuple[int, ...], Element] = {}
-    for key in tuples_by_arity[q + 1]:
+    for _, key in window:
         acc: Element = {}
         fa = f.value(key[1:])
         if fa:

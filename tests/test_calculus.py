@@ -17,11 +17,12 @@ from mixhom.calculus import (
     polyvector_pd_twist,
     verify_bv_axioms,
 )
-from mixhom.hochschild import Cochain, coboundary
+from mixhom.hochschild import Cochain, all_tuples_up_to_weight
 from mixhom.koszul import quadratic_algebra
 from mixhom.linalg import ExactMatrix
 from mixhom.mixed import slice_from_hochschild_dual, slice_from_poisson
 from mixhom.poisson import PoissonContext, poisson_coboundary, quadratic_bivector
+from test_hochschild import coboundary_scan
 
 Q = Fraction
 
@@ -275,6 +276,24 @@ def test_cochain_ops_leave_no_reference_cycle():
         gc.enable()
 
 
+def test_cochain_ops_keep_no_tuple_table():
+    # δ visits only the tuples a cochain's support reaches; the algebra's
+    # inverse multiplication table, filled by the first δ, holds no reference
+    # back to the algebra
+    A = make_exterior_algebra(2)
+    ops = HochschildCochainOps(A, 3)
+    assert not hasattr(ops, "tuples")
+    assert sum(len(ops.delta_matrix(piece).entries) for piece in ops.pieces()) > 0
+    assert A.factorizations
+    gc.collect()
+    gc.disable()
+    try:
+        del ops, A
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- the build-once δ against the two-build delta_pair it replaced ----------------
 #
 # Each piece used to build its outgoing δ and, a second time, the incoming δ
@@ -287,12 +306,13 @@ def _hochschild_delta_matrix_oracle(self, piece, into_ext=True, src_arity_cap=No
     src = self._pieces.get(piece, [])
     tgt = (self._pieces_ext if into_ext else self._pieces).get((D - 1, om), [])
     tgt_idx = {lab: i for i, lab in enumerate(tgt)}
+    tuples = {q: all_tuples_up_to_weight(self.A, q, self.v_max) for q in range(self.q_max + 2)}
     entries = {}
     for j, (t, k) in enumerate(src):
         if src_arity_cap is not None and len(t) > src_arity_cap:
             continue
         f = Cochain(self.A, len(t), D, {t: {k: Q(1)}})
-        df = coboundary(f, self.tuples)
+        df = coboundary_scan(f, tuples)
         for tt, val in df.table.items():
             for kk, c in val.items():
                 key = (tt, kk)

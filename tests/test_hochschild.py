@@ -2,8 +2,10 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixhom.algebra import (
+    WindowOverflowError,
     exterior_pairing,
     make_exterior_algebra,
     make_truncated_polynomial_algebra,
@@ -172,27 +174,27 @@ class TestCupAndBracket:
 
     def test_coboundary_squares_to_zero(self, lam2):
         A = lam2
-        tba = {q: all_tuples_up_to_weight(A, q, 2 * q if q else 0) for q in range(6)}
+        bounds = {q: 2 * q for q in range(6)}
         for q in (0, 1, 2):
-            for t in tba[q]:
+            for t in all_tuples_up_to_weight(A, q, bounds[q]):
                 for k in range(A.dim):
                     f = elementary(A, q, t, k)
-                    assert not coboundary(coboundary(f, tba), tba).table
+                    assert not coboundary(coboundary(f, bounds), bounds).table
 
     def test_cup_leibniz_right_convention(self, lam2):
         # δ(f∪g) = (-1)^{|g|} δf∪g + f∪δg, exhaustively on arity-1 pairs
         A = lam2
-        tba = {q: all_tuples_up_to_weight(A, q, 2 * q if q else 0) for q in range(7)}
-        cochains = [elementary(A, 1, t, k) for t in tba[1] for k in range(A.dim)]
+        bounds = {q: 2 * q for q in range(7)}
+        cochains = [elementary(A, 1, t, k) for t in all_tuples_up_to_weight(A, 1, 2) for k in range(A.dim)]
         for f, g in iproduct(cochains, repeat=2):
-            lhs = coboundary(cup(f, g), tba)
+            lhs = coboundary(cup(f, g), bounds)
             s = -1 if g.degree % 2 else 1
             acc = {k: dict(v) for k, v in lhs.table.items()}
-            for key, val in cup(coboundary(f, tba), g).table.items():
+            for key, val in cup(coboundary(f, bounds), g).table.items():
                 a = acc.setdefault(key, {})
                 for k, c in val.items():
                     a[k] = a.get(k, Q(0)) - s * c
-            for key, val in cup(f, coboundary(g, tba)).table.items():
+            for key, val in cup(f, coboundary(g, bounds)).table.items():
                 a = acc.setdefault(key, {})
                 for k, c in val.items():
                     a[k] = a.get(k, Q(0)) - c
@@ -235,13 +237,13 @@ class TestCap:
     def test_cap_descends_to_homology(self, lam2):
         # b(ι_f α) - (-1)^{|f|} ι_f(b α) = -(-1)^{|f|} ι_{δf} α
         A = lam2
-        tba = {q: all_tuples_up_to_weight(A, q, 2 * q if q else 0) for q in range(6)}
+        bounds = {q: 2 * q for q in range(6)}
         chains = chains_in_window(A, 3, 6)
         for q in (1, 2):
-            for t in tba[q]:
+            for t in all_tuples_up_to_weight(A, q, bounds[q]):
                 for k in range(A.dim):
                     f = elementary(A, q, t, k)
-                    df = coboundary(f, tba)
+                    df = coboundary(f, bounds)
                     s = -1 if f.degree % 2 else 1
                     for c in chains:
                         av = {c: Q(1)}
@@ -360,17 +362,17 @@ class TestFrobeniusPD:
 
     def test_pd_is_chain_map_and_eta_closed(self):
         A, pairing = exterior_pairing(2)
-        tba = {q: all_tuples_up_to_weight(A, q, 2 * q if q else 0) for q in range(5)}
+        bounds = {q: 2 * q for q in range(5)}
         chains = chains_in_window(A, 4, 8)
         for q in (0, 1, 2):
-            for t in tba[q]:
+            for t in all_tuples_up_to_weight(A, q, bounds[q]):
                 for k in range(A.dim):
                     f = elementary(A, q, t, k)
                     lhs = dual_coboundary(frobenius_pd(f, pairing, chains), chains).table
                     s = -1 if f.degree % 2 else 1
                     rhs = {
                         kk: s * v
-                        for kk, v in frobenius_pd(coboundary(f, tba), pairing, chains).table.items()
+                        for kk, v in frobenius_pd(coboundary(f, bounds), pairing, chains).table.items()
                     }
                     assert lhs == {kk: v for kk, v in rhs.items() if v}
         # δ(η) = 0 for the exterior pairing
@@ -475,3 +477,142 @@ def test_sparse_circle_orders_keys_by_weight_then_tuple():
     assert list(got.table.items()) == [((x2, x), {x: Q(2)}), ((x, x4), {x: Q(2)})]
     want = _circle_dense(f, ident, {q: all_tuples_up_to_weight(A, q, 5) for q in bounds})
     assert list(got.table.items()) == list(want.table.items())
+
+
+# -- the coboundary as a join over the cochain's support, against the scan ---------
+
+
+def coboundary_scan(f, tuples_by_arity):
+    """The coboundary as it was: every tabulated tuple of arity q + 1 is evaluated."""
+    from mixhom.linalg import _accumulate
+
+    A = f.algebra
+    q = f.arity
+    table = {}
+    for key in tuples_by_arity[q + 1]:
+        acc = {}
+        fa = f.value(key[1:])
+        if fa:
+            sign = -1 if (A.degrees[key[0]] * f.degree) % 2 else 1
+            _accumulate(acc, A.multiply(A.basis_element(key[0]), fa), sign)
+        run = 0
+        for i in range(1, q + 1):
+            run += A.degrees[key[i - 1]] + 1
+            prod = A.mult_basis(key[i - 1], key[i])
+            if isinstance(prod, dict):
+                sign = -1 if run % 2 else 1
+                for m, cm in prod.items():
+                    if m == A.unit:
+                        continue
+                    _accumulate(acc, f.value(key[: i - 1] + (m,) + key[i + 1 :]), sign * cm)
+        fb = f.value(key[:q])
+        if fb:
+            run_all = sum(A.degrees[i] + 1 for i in key[:q])
+            sign = -1 if (run_all + 1) % 2 else 1
+            _accumulate(acc, A.multiply(fb, A.basis_element(key[q])), sign)
+        if acc:
+            table[key] = acc
+    return Cochain(A, q + 1, f.degree - 1, table)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as (arity, degree, table items), or the type and message of its WindowOverflowError."""
+    try:
+        got = fn(*args)
+    except WindowOverflowError as e:
+        return type(e), str(e)
+    return got.arity, got.degree, list(got.table.items())
+
+
+def _scan_tuples(A, bounds):
+    return {q: all_tuples_up_to_weight(A, q, w) for q, w in bounds.items()}
+
+
+# Λ(ξ1, ξ2) at arity <= 3, and the window of TestCalabiYauCase (truncated k[x1, x2], W = 5, v_max 3)
+COBOUNDARY_CASES = {
+    "lambda2": (lambda: make_exterior_algebra(2), 3, 8),
+    "k[x1,x2]": (lambda: make_truncated_polynomial_algebra(2, 5), 3, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COBOUNDARY_CASES))
+@pytest.mark.parametrize("per_arity", [False, True], ids=["flat", "2q"])
+def test_sparse_coboundary_matches_scan_on_elementary_cochains(case, per_arity):
+    # δ is linear, so elementary cochains cover every entry; key order and
+    # every WindowOverflowError (type and message) are compared too
+    maker, q_max, v_max = COBOUNDARY_CASES[case]
+    A = maker()
+    cochains = [elementary(A, q, t, k) for q in range(q_max + 1) for t in all_tuples_up_to_weight(A, q, v_max)
+                for k in range(A.dim)]
+    bounds = {q: 2 * q for q in range(q_max + 2)} if per_arity else dict.fromkeys(range(q_max + 2), v_max)
+    tuples = _scan_tuples(A, bounds)
+    raised = nonzero = 0
+    for f in cochains:
+        want = _outcome(coboundary_scan, f, tuples)
+        assert _outcome(coboundary, f, bounds) == want
+        raised += want[0] is WindowOverflowError
+        nonzero += want[0] is not WindowOverflowError and bool(want[2])
+    assert nonzero > 50
+    assert raised > 0 if case == "k[x1,x2]" else raised == 0
+
+
+def _matrix_items(m):
+    return m.rows, m.cols, list(m.entries.items())
+
+
+@pytest.mark.parametrize("case", ["bv-check", "calabi-yau"])
+def test_sparse_coboundary_matches_scan_on_delta_pairs(monkeypatch, case):
+    # the δ matrices of the bv-check Frobenius bundle and of TestCalabiYauCase's bundle
+    from mixhom import calculus
+
+    if case == "bv-check":
+        ops = calculus.HochschildCochainOps(make_exterior_algebra(2), 6)
+        pieces = {p for p in ops.pieces() if -3 <= p[1] <= 2 and -3 <= p[0] <= 0}
+    else:
+        ops = calculus.HochschildCochainOps(make_truncated_polynomial_algebra(2, 5), 3, 3)
+        pieces = {p for p in ops.pieces() if -2 <= p[0] <= 0 and -1 <= p[1] <= 0}
+    got = [(p, _matrix_items(d_in), _matrix_items(d_out)) for p, d_in, d_out in calculus.delta_pairs(ops, pieces)]
+    tuples = _scan_tuples(ops.A, dict.fromkeys(range(ops.q_max + 2), ops.v_max))
+    monkeypatch.setattr(calculus, "coboundary", lambda f, bounds: coboundary_scan(f, tuples))
+    want = [(p, _matrix_items(d_in), _matrix_items(d_out)) for p, d_in, d_out in calculus.delta_pairs(ops, pieces)]
+    assert got == want
+    assert sum(len(d_out[2]) for _, _, d_out in want) > 100
+
+
+@pytest.mark.parametrize(
+    "maker, v_max", [(lambda: make_exterior_algebra(2), 8), (lambda: make_truncated_polynomial_algebra(2, 5), 5)],
+    ids=["lambda2", "k[x1,x2]"],
+)
+def test_sparse_coboundary_matches_scan_on_random_cochains(maker, v_max):
+    # 1-4 entries of one arity and one degree with random rational values;
+    # δf and δδf agree with the scan, raises included, and δδf = 0
+    A = maker()
+    q_max = 3
+    bounds = dict.fromkeys(range(q_max + 3), v_max)
+    tuples = _scan_tuples(A, bounds)
+    labels = {q: [(t, k) for t in all_tuples_up_to_weight(A, q, v_max) for k in range(A.dim)]
+              for q in range(q_max + 1)}
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def check(data):
+        q = data.draw(st.integers(0, q_max))
+        entries = data.draw(st.lists(st.tuples(st.sampled_from(labels[q]), values), min_size=1, max_size=4,
+                                     unique_by=lambda e: e[0]))
+        degree = elementary(A, q, *entries[0][0]).degree
+        table = {}
+        for (t, k), c in entries:
+            if elementary(A, q, t, k).degree == degree:
+                table.setdefault(t, {})[k] = c
+        f = Cochain(A, q, degree, table)
+        df = _outcome(coboundary, f, bounds)
+        assert df == _outcome(coboundary_scan, f, tuples)
+        if df[0] is WindowOverflowError:
+            return
+        df = coboundary(f, bounds)
+        ddf = _outcome(coboundary, df, bounds)
+        assert ddf == _outcome(coboundary_scan, df, tuples)
+        assert ddf[0] is WindowOverflowError or ddf[2] == []
+
+    check()
