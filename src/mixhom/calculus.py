@@ -101,21 +101,22 @@ class HochschildCochainOps:
     def pieces(self) -> dict[Piece, list]:
         return self._pieces
 
-    def rep(self, piece: Piece, coords) -> Cochain:
+    def rep(self, piece: Piece, vec: dict[int, Fraction]) -> Cochain:
         D, om = piece
+        labels = self._pieces[piece]
         table: dict = {}
-        for c, (t, k) in zip(coords, self._pieces[piece]):
+        for j, c in vec.items():
             if c:
+                t, k = labels[j]
                 table.setdefault(t, {})[k] = c
         arities = {len(t) for t in table}
         if len(arities) > 1:
             raise WindowError("mixed-arity representative; refine the piece")
         return Cochain(self.A, arities.pop() if arities else 0, D, table)
 
-    def vector(self, piece: Piece, f: Cochain):
-        labels = self._pieces.get(piece, [])
-        idx = {lab: i for i, lab in enumerate(labels)}
-        vec = [Q(0)] * len(labels)
+    def vector(self, piece: Piece, f: Cochain) -> dict[int, Fraction]:
+        idx = {lab: i for i, lab in enumerate(self._pieces.get(piece, []))}
+        vec = {}
         for t, val in f.table.items():
             for k, c in val.items():
                 if c == 0:
@@ -124,7 +125,7 @@ class HochschildCochainOps:
                 if key not in idx:
                     raise WindowError(f"cochain entry {key!r} escapes piece {piece}")
                 vec[idx[key]] = c
-        return tuple(vec)
+        return vec
 
     def delta_matrix(self, piece: Piece) -> ExactMatrix:
         """δ out of the piece, into the extended basis of (D - 1, ω)."""
@@ -192,24 +193,20 @@ class MultivectorOps:
     def pieces(self) -> dict[Piece, list]:
         return self._pieces
 
-    def rep(self, piece: Piece, coords):
-        out = {}
-        for c, m in zip(coords, self._pieces[piece]):
-            if c:
-                out[m] = c
-        return out
+    def rep(self, piece: Piece, vec: dict[int, Fraction]):
+        labels = self._pieces[piece]
+        return {labels[j]: c for j, c in vec.items() if c}
 
-    def vector(self, piece: Piece, P):
-        labels = self._pieces.get(piece, [])
-        idx = {m: i for i, m in enumerate(labels)}
-        vec = [Q(0)] * len(labels)
+    def vector(self, piece: Piece, P) -> dict[int, Fraction]:
+        idx = {m: i for i, m in enumerate(self._pieces.get(piece, []))}
+        vec = {}
         for m, c in P.items():
             if c == 0:
                 continue
             if m not in idx:
                 raise WindowError(f"polyvector monomial escapes piece {piece}")
             vec[idx[m]] = c
-        return tuple(vec)
+        return vec
 
     def delta_matrix(self, piece: Piece) -> ExactMatrix:
         """δ out of the piece, into (D - 1, ω)."""
@@ -299,12 +296,11 @@ class CalculusBundle:
 
     def coh_rep(self, key: ClassKey):
         piece, i = key
-        pres = self.coh_pres[piece]
-        return self.ops.rep(piece, pres.cycle_basis[i])
+        return self.ops.rep(piece, self.coh_pres[piece].cycle(i))
 
-    def hom_rep_vector(self, key: ClassKey):
+    def hom_rep_vector(self, key: ClassKey) -> dict[int, Fraction]:
         piece, i = key
-        return self.slice.hh(piece).cycle_basis[i]
+        return self.slice.hh(piece).cycle(i)
 
     def unit_class(self) -> ClassKey:
         piece, u = self.ops.unit()
@@ -361,11 +357,9 @@ class CalculusBundle:
             rep = self.coh_rep(f)
             labels = self.slice.pieces[z[0]]
             out_acc: dict = {}
-            vec = self.hom_rep_vector(z)
             try:
-                for c, lab in zip(vec, labels):
-                    if c:
-                        _accumulate(out_acc, self.act(rep, lab), c)
+                for j, c in self.hom_rep_vector(z).items():
+                    _accumulate(out_acc, self.act(rep, labels[j]), c)
             except (WindowOverflowError, WindowError):
                 self._cap[key] = None
                 return self._cap[key]

@@ -368,29 +368,6 @@ class DualCochain:
         return total
 
 
-def dual_of_operator(g: DualCochain, op, chains: list[ChainKey], op_degree: int) -> DualCochain:
-    """Twisted dual T*(g) = (-1)^{|g|} g∘T, tabulated on the given chains."""
-    A = g.algebra
-    sign = -1 if g.degree % 2 else 1
-    table: dict[ChainKey, Fraction] = {}
-    for t in chains:
-        img = op(A, {t: Q(1)})
-        val = g.evaluate(img)
-        if val:
-            table[t] = sign * val
-    return DualCochain(A, g.degree - op_degree, table)
-
-
-def dual_coboundary(g: DualCochain, chains: list[ChainKey]) -> DualCochain:
-    """δ on mode A-dual cochains: the twisted dual of the boundary b."""
-    return dual_of_operator(g, boundary_b, chains, op_degree=-1)
-
-
-def B_star(g: DualCochain, chains: list[ChainKey]) -> DualCochain:
-    """B*(g) = (-1)^{|g|} g∘B."""
-    return dual_of_operator(g, connes_B, chains, op_degree=+1)
-
-
 def cap_star(f: Cochain, g: DualCochain, chains: list[ChainKey]) -> DualCochain:
     """(f, g) ↦ (-1)^{|f||g|} g∘ι_f, tabulated on the given chains.
 

@@ -593,15 +593,13 @@ def koszul_poisson_identification(n: int) -> PoissonIdentification:
 def hh_class_image(ident: PoissonIdentification, primal_slice, dual_slice, key):
     """Push one b-homology class through the identification, as coordinates."""
     (d, w), i = key
-    rep = primal_slice.hh((d, w)).cycle_basis[i]
     labels = primal_slice.pieces[(d, w)]
     labels2 = dual_slice.pieces[(d, w)]
-    out = [Q(0)] * dual_slice.dim((d, w))
-    for c, lab in zip(rep, labels):
-        if c:
-            t = ident.form_to_dual(lab)
-            out[labels2.index(t)] += c * ident.coefficient(lab)
-    return dual_slice.hh((d, w)).reduce(tuple(out))
+    out = {}
+    for j, c in primal_slice.hh((d, w)).cycle(i).items():
+        k = labels2.index(ident.form_to_dual(labels[j]))
+        out[k] = out.get(k, Q(0)) + c * ident.coefficient(labels[j])
+    return dual_slice.hh((d, w)).reduce(out)
 
 
 def fit_dual_product_twist(ident: PoissonIdentification, primal_duality, dual_bundle, eta_dual):
@@ -639,19 +637,15 @@ def poisson_hc_iso(ident: PoissonIdentification, g_primal, g_dual):
     for key in g_primal.basis:
         piece, i = key
         d, w = piece
-        pres1 = hc1.pres[piece]
-        rep = pres1.cycle_basis[i]
         stacked1 = hc1.stacked_basis(d, w)
-        stacked2 = hc2.stacked_basis(d, w)
-        idx2 = {lab: k for k, lab in enumerate(stacked2)}
-        vec = [Q(0)] * len(stacked2)
-        for c, (u, j) in zip(rep, stacked1):
-            if not c:
-                continue
+        idx2 = {lab: k for k, lab in enumerate(hc2.stacked_basis(d, w))}
+        vec = {}
+        for k, c in hc1.pres[piece].cycle(i).items():
+            u, j = stacked1[k]
             label = hc1.slice.pieces[(d + 2 * u, w)][j]
             target = ident.form_to_dual(label)
-            j2 = hc2.slice.pieces[(d + 2 * u, w)].index(target)
-            vec[idx2[(u, j2)]] += c * ident.coefficient(label)
-        coords = hc2.pres[piece].reduce(tuple(vec))
+            k2 = idx2[(u, hc2.slice.pieces[(d + 2 * u, w)].index(target))]
+            vec[k2] = vec.get(k2, Q(0)) + c * ident.coefficient(label)
+        coords = hc2.pres[piece].reduce(vec)
         iso[key] = {(piece, k): c for k, c in enumerate(coords) if c}
     return iso

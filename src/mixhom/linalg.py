@@ -12,16 +12,18 @@ Gauss-Jordan elimination; cf. Bareiss 1968).  Outputs are deterministic:
 row reduction produces the (unique) reduced row echelon form, so kernels,
 images and homology presentations are canonical.
 
-A homology presentation is factored once, when it is built: its boundary
-and representative bases are kept in reduced row echelon form, so reducing
-a cycle to homology coordinates is a single elimination pass against them,
-with no new row reduction.
+Vectors that cross a module boundary are sparse, {index: coefficient}.
+A homology presentation is factored once, when it is built, and keeps the
+integer echelon rows the elimination produced: its boundary and
+representative bases stay in reduced row echelon form, so reducing a cycle
+to homology coordinates is a single elimination pass against them, with no
+new row reduction, and a representative becomes a rational vector only when
+it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -156,6 +158,12 @@ def _rational_row(p: int, r: dict[int, int]) -> dict[int, Fraction]:
     return {j: Fraction(v, a) for j, v in r.items()}
 
 
+def _positive(p: int, r: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """(p, ±r) with a positive entry at the pivot p and the keys in ascending order."""
+    s = 1 if r[p] > 0 else -1
+    return p, {j: s * r[j] for j in sorted(r)}
+
+
 def _rational_vec(p: int, r: dict[int, int], n: int) -> tuple[Fraction, ...]:
     """``_rational_row`` as a dense vector of length n."""
     a = r[p]
@@ -268,15 +276,19 @@ class ExactMatrix:
             acc[key] = Fraction(s, d)
         return ExactMatrix(self.rows, other.cols, acc)
 
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise DimensionMismatchError("vector length != cols")
-        out = [ZERO] * self.rows
+    def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """M·vec for a sparse vector {column: coefficient}, as a sparse vector without zeros.
+
+        Raises DimensionMismatchError on an index outside the columns.
+        """
+        if any(not 0 <= j < self.cols for j in vec):
+            raise DimensionMismatchError("vector index outside the columns")
+        out: dict[int, Fraction] = {}
         for (i, j), v in self.entries.items():
-            c = vec[j]
+            c = vec.get(j)
             if c:
-                out[i] += v * c
-        return tuple(out)
+                out[i] = out.get(i, ZERO) + v * c
+        return {i: c for i, c in out.items() if c}
 
     def rank(self) -> int:
         return len(_row_echelon(_integer_row(r) for r in self.row_dicts()))
@@ -411,53 +423,50 @@ def solve_in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fracti
 class HomologyPresentation:
     """A chosen basis of ker(d_out)/im(d_in) with a deterministic reduction.
 
-    ``cycle_basis`` holds homology representatives, ``boundary_basis`` the
-    canonical image basis; ``reduce`` maps any cycle to its coordinates in
-    the homology basis (zero on boundaries, e_i on the i-th representative).
-    Both bases are in reduced row echelon form and every representative
-    vanishes on the boundary pivots, which is what lets ``reduce`` read the
-    coordinates off in one pass.
+    ``boundaries`` is the canonical image basis and ``reps`` the homology
+    representatives, each a (pivot, primitive integer row) pair with a
+    positive entry at the pivot and its keys in ascending order; the
+    rational vector is the row divided by its pivot entry.  Both bases are
+    in reduced row echelon form and every representative vanishes on the
+    boundary pivots, which is what lets ``reduce`` read the coordinates off
+    in one pass.  The stored form is canonical, so ``==`` compares
+    presentations.
     """
 
     ambient_dim: int
-    cycle_basis: tuple[tuple[Fraction, ...], ...]
-    boundary_basis: tuple[tuple[Fraction, ...], ...]
+    boundaries: tuple[tuple[int, dict[int, int]], ...]
+    reps: tuple[tuple[int, dict[int, int]], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.cycle_basis)
+        return len(self.reps)
 
-    @cached_property
-    def _echelon(self) -> tuple[tuple[tuple[int, dict[int, Fraction]], ...], ...]:
-        """(pivot, sparse row) of the boundaries, then of the representatives."""
-        return tuple(
-            tuple((min(r), r) for r in ({j: c for j, c in enumerate(v) if c} for v in basis))
-            for basis in (self.boundary_basis, self.cycle_basis)
-        )
+    def cycle(self, i: int) -> dict[int, Fraction]:
+        """Representative i as a sparse rational vector with 1 at its pivot, keys ascending."""
+        return _rational_row(*self.reps[i])
 
-    def reduce(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of a cycle in the homology basis.
+    def reduce(self, vec: dict[int, Fraction]) -> tuple[Fraction, ...]:
+        """Coordinates of a sparse cycle in the homology basis.
 
         One elimination pass and no new factorization: each boundary row is
         subtracted at its pivot, then each representative at its own pivot.
         The representatives are independent modulo the boundaries, so these
-        coordinates are the unique ones.  Raises DimensionMismatchError if
-        vec does not have the ambient length, and ValueError if a remainder
+        coordinates are the unique ones.  Raises DimensionMismatchError on an
+        index outside the ambient dimension, and ValueError if a remainder
         is left (vec is not a cycle of this presentation).
         """
-        if len(vec) != self.ambient_dim:
-            raise DimensionMismatchError("vector length != ambient dimension")
-        t = {j: _as_fraction(c) for j, c in enumerate(vec) if c != 0}
-        boundaries, reps = self._echelon
-        for p, row in boundaries:
+        if any(not 0 <= j < self.ambient_dim for j in vec):
+            raise DimensionMismatchError("vector index outside the ambient dimension")
+        t = {j: _as_fraction(c) for j, c in vec.items() if c}
+        for p, row in self.boundaries:
             c = t.get(p)
             if c:
-                _accumulate(t, row, -c)
+                _accumulate(t, row, -c / row[p])
         coords = []
-        for p, row in reps:
+        for p, row in self.reps:
             c = t.get(p, ZERO)
             if c:
-                _accumulate(t, row, -c)
+                _accumulate(t, row, -c / row[p])
             coords.append(c)
         if t:
             raise ValueError("vector is not a cycle of this presentation")
@@ -494,7 +503,5 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     if len(reps) != len(kernel) - len(boundaries):
         raise AssertionError("homology dimension bookkeeping failed")
     return HomologyPresentation(
-        dim,
-        tuple(_rational_vec(p, r, dim) for p, r in reps),
-        tuple(_rational_vec(p, r, dim) for p, r in boundaries),
+        dim, tuple(_positive(p, r) for p, r in boundaries), tuple(_positive(p, r) for p, r in reps)
     )

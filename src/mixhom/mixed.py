@@ -125,22 +125,22 @@ class MixedComplexSlice:
         got = self._B.get(key)
         if got is None:
             (d, w), i = key
-            img = self.B_matrix((d, w)).apply(self.hh((d, w)).cycle_basis[i])
+            img = self.B_matrix((d, w)).apply(self.hh((d, w)).cycle(i))
             target = (d + 1, w)
-            got = self._B[key] = _classes(target, self.hh(target).reduce(img)) if any(img) else {}
+            got = self._B[key] = _classes(target, self.hh(target).reduce(img)) if img else {}
         return got
 
-    def element_vector(self, piece: Piece, element: dict) -> tuple[Fraction, ...]:
-        labels = self.pieces.get(piece, [])
-        idx = {t: i for i, t in enumerate(labels)}
-        vec = [Q(0)] * len(labels)
+    def element_vector(self, piece: Piece, element: dict) -> dict[int, Fraction]:
+        """A {label: coefficient} element of a piece as a sparse vector over its basis."""
+        idx = {t: i for i, t in enumerate(self.pieces.get(piece, []))}
+        vec = {}
         for t, c in element.items():
             if c == 0:
                 continue
             if t not in idx:
                 raise KeyError(f"label {t!r} not in piece {piece}")
             vec[idx[t]] = c
-        return tuple(vec)
+        return vec
 
 
 # -- slice builders ------------------------------------------------------------
@@ -288,7 +288,8 @@ class NegativeCyclic:
             if pres is None:
                 raise WindowError(f"no HC⁻ presentation at {piece}")
             # the u⁰ component comes first in the stacked basis
-            x0 = pres.cycle_basis[i][: self.slice.dim(piece)]
+            n0 = self.slice.dim(piece)
+            x0 = {j: c for j, c in pres.cycle(i).items() if j < n0}
             got = self._pi[key] = _classes(piece, self.slice.hh(piece).reduce(x0))
         return got
 
@@ -304,16 +305,15 @@ class NegativeCyclic:
         got = self._beta.get(key)
         if got is None:
             (d, w), i = key
-            img = self.slice.B_matrix((d, w)).apply(self.slice.hh((d, w)).cycle_basis[i])
+            img = self.slice.B_matrix((d, w)).apply(self.slice.hh((d, w)).cycle(i))
             target = self.pres.get((d + 1, w))
             if target is None:
-                if any(img):
+                if img:
                     raise KeyError(f"no HC⁻ presentation at {(d + 1, w)}")
                 got = {}
             else:
                 # the u⁰ component comes first in the stacked basis
-                vec = img + (Q(0),) * (target.ambient_dim - len(img))
-                got = _classes((d + 1, w), target.reduce(vec))
+                got = _classes((d + 1, w), target.reduce(img))
             self._beta[key] = got
         return got
 
@@ -345,17 +345,21 @@ def les_check(hc: NegativeCyclic) -> LESReport:
 
     β∘π* = 0, π*∘β = B (on b-homology classes), and rank bookkeeping
     ker β = im π* per piece, all read off the memoized π* and β columns of
-    the basis classes.  A piece is checked when it and the piece one degree
-    up are both stable: pieces flagged unstable by the truncation
-    comparison are excluded, since their coordinates are truncation
-    artifacts.
+    the basis classes.  A piece is checked when it is stable and the piece
+    one degree up is stable too, or has no chains at truncation N or N + 1
+    (there HC⁻ is 0, so β = 0 and π* must be onto HH): pieces flagged
+    unstable by the truncation comparison are excluded, since their
+    coordinates are truncation artifacts.
     """
     sl = hc.slice
     failures: list[str] = []
     ok_bp = ok_pb = ok_rank = True
     for piece in hc.stable_pieces():
         d, w = piece
-        if not hc.stable.get((d + 1, w)):
+        if (d + 1, w) in hc.pres:
+            if not hc.stable[(d + 1, w)]:
+                continue
+        elif hc.stacked_basis(d + 1, w, hc.N + 1):
             continue
         hh_dim = sl.hh(piece).dim
         pi_cols = [hc.pi_star((piece, i)) for i in range(hc.pres[piece].dim)]

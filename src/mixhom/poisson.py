@@ -487,12 +487,11 @@ class DualSide:
                 parts.setdefault(piece, {})[self._forms[piece].index(m)] = c
         out: dict[Monomial, Fraction] = {}
         for (e, w), part in parts.items():
+            # each piece of φ lands in a piece of its own, so no two parts share a label
             labels = self._forms.get((e - shift[0], w - shift[1]), [])
-            for (i, j), v in matrix_of(e, w).entries.items():
-                c = part.get(j)
-                if c:
-                    out[labels[i]] = out.get(labels[i], Q(0)) + v * c
-        return {m: c for m, c in out.items() if c}
+            for i, c in matrix_of(e, w).apply(part).items():
+                out[labels[i]] = c
+        return out
 
     def coboundary(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """δ with values in the dual module: (-1)^{|φ|} φ∘∂."""

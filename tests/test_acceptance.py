@@ -31,7 +31,6 @@ from mixhom.hochschild import (
     boundary_b,
     chain_basis,
     connes_B,
-    dual_coboundary,
     frobenius_pd,
     unit_cochain,
 )
@@ -62,6 +61,7 @@ from mixhom.poisson import (
     unimodularity_check,
 )
 from test_gravity import assert_derived_twist_matches_fitted
+from test_hochschild import dual_coboundary
 from test_mixed import assert_les_matches_oracle
 from test_poisson import oracle_engine, schouten_odd_laplacian
 

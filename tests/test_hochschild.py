@@ -11,7 +11,7 @@ from mixhom.algebra import (
     make_truncated_polynomial_algebra,
 )
 from mixhom.hochschild import (
-    B_star,
+    ChainKey,
     Cochain,
     DualCochain,
     all_tuples_up_to_weight,
@@ -23,7 +23,6 @@ from mixhom.hochschild import (
     coboundary,
     connes_B,
     cup,
-    dual_coboundary,
     frobenius_pd,
     gerstenhaber_bracket,
     lie_derivative,
@@ -308,6 +307,37 @@ class TestLieDerivative:
                         assert solve_in_span(img_cols, vec) is not None
                     else:
                         assert all(v == 0 for v in vec)
+
+
+# -- dual cochains by evaluation ----------------------------------------------------
+#
+# The dual Hochschild slice is the signed transpose of the primal one
+# (mixed.dual_slice).  The functional-by-functional duals it replaced are kept
+# here verbatim as references, for these tests and for the slice oracle in
+# test_mixed.py.
+
+
+def dual_of_operator(g: DualCochain, op, chains: list[ChainKey], op_degree: int) -> DualCochain:
+    """Twisted dual T*(g) = (-1)^{|g|} g∘T, tabulated on the given chains."""
+    A = g.algebra
+    sign = -1 if g.degree % 2 else 1
+    table: dict[ChainKey, Fraction] = {}
+    for t in chains:
+        img = op(A, {t: Q(1)})
+        val = g.evaluate(img)
+        if val:
+            table[t] = sign * val
+    return DualCochain(A, g.degree - op_degree, table)
+
+
+def dual_coboundary(g: DualCochain, chains: list[ChainKey]) -> DualCochain:
+    """δ on mode A-dual cochains: the twisted dual of the boundary b."""
+    return dual_of_operator(g, boundary_b, chains, op_degree=-1)
+
+
+def B_star(g: DualCochain, chains: list[ChainKey]) -> DualCochain:
+    """B*(g) = (-1)^{|g|} g∘B."""
+    return dual_of_operator(g, connes_B, chains, op_degree=+1)
 
 
 class TestDualCochains:

@@ -1,6 +1,7 @@
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,34 @@ from mixhom.linalg import (
 )
 
 Q = Fraction
+
+
+def sparse_vec(v):
+    """A dense vector as the sparse {index: coefficient} that crosses module boundaries."""
+    return {j: c for j, c in enumerate(v) if c}
+
+
+def dense_rows(rows, n):
+    """Stored (pivot, integer row) pairs as dense Fraction vectors with 1 at the pivot."""
+    return [tuple(Q(r.get(j, 0), r[p]) for j in range(n)) for p, r in rows]
+
+
+def dense_cycles(pres):
+    """The homology representatives of a presentation as dense vectors."""
+    return dense_rows(pres.reps, pres.ambient_dim)
+
+
+def dense_boundaries(pres):
+    """The boundary basis of a presentation as dense vectors."""
+    return dense_rows(pres.boundaries, pres.ambient_dim)
+
+
+def assert_integer_rows(pres):
+    """Every stored row is a primitive row of ints, keys ascending from a positive pivot entry."""
+    for p, row in pres.boundaries + pres.reps:
+        assert all(type(v) is int for v in row.values()), row
+        assert list(row) == sorted(row) and min(row) == p and row[p] > 0, (p, row)
+        assert gcd(*row.values()) == 1, row
 
 
 def test_kernel_of_zero_map_is_identity_basis():
@@ -98,11 +127,27 @@ def test_presentation_reduction_properties():
     d_out = ExactMatrix.zero(0, 3)
     pres = homology_presentation(d_in, d_out)
     assert pres.dim == 2
-    for b in pres.boundary_basis:
-        assert all(c == 0 for c in pres.reduce(b))
-    for i, rep in enumerate(pres.cycle_basis):
-        coords = pres.reduce(rep)
+    for b in dense_boundaries(pres):
+        assert all(c == 0 for c in pres.reduce(sparse_vec(b)))
+    for i in range(pres.dim):
+        coords = pres.reduce(pres.cycle(i))
         assert coords == tuple(Q(int(j == i)) for j in range(pres.dim))
+    assert [sparse_vec(v) for v in dense_cycles(pres)] == [pres.cycle(i) for i in range(pres.dim)]
+
+
+def test_stored_rows_are_integers_with_positive_pivots():
+    # the image of (-2, 4, 0) is spanned by (1, -2, 0): stored as the row {0: 1, 1: -2}
+    d_in = ExactMatrix.from_columns([(Q(-2), Q(4), Q(0)), (Q(0), Q(0), Q(-3, 2))])
+    d_out = ExactMatrix.zero(0, 3)
+    pres = homology_presentation(d_in, d_out)
+    assert pres.boundaries == ((0, {0: 1, 1: -2}), (2, {2: 1}))
+    assert pres.reps == ((1, {1: 1}),)
+    assert_integer_rows(pres)
+    # a representative with a negative leading kernel entry is stored with a positive pivot
+    pres = homology_presentation(ExactMatrix.zero(2, 0), ExactMatrix.from_rows([[2, 6]]))
+    assert pres.reps == ((0, {0: 3, 1: -1}),)
+    assert pres.cycle(0) == {0: Q(1), 1: Q(-1, 3)}
+    assert_integer_rows(pres)
 
 
 def test_rank_nullity_checked():
@@ -128,7 +173,7 @@ small_fracs = st.builds(
 def test_kernel_vectors_really_in_kernel(rows):
     M = ExactMatrix.from_rows(rows)
     for v in kernel_basis(M):
-        assert all(c == 0 for c in M.apply(v))
+        assert M.apply(sparse_vec(v)) == {}
     # determinism: same input, same output
     assert kernel_basis(M) == kernel_basis(ExactMatrix.from_rows(rows))
 
@@ -159,13 +204,16 @@ def test_image_basis_canonical():
 
 
 def reduce_by_solve_in_span(pres, vec):
-    """The reduction as it was: one solve_in_span, with a fresh RREF, per call."""
-    gens = list(pres.boundary_basis) + list(pres.cycle_basis)
-    coeffs = solve_in_span(gens, vec)
+    """The reduction as it was: one solve_in_span, with a fresh RREF, per call, on the
+    dense form of a sparse vector."""
+    n = pres.ambient_dim
+    if any(not 0 <= j < n for j in vec):
+        raise DimensionMismatchError("vector index outside the ambient dimension")
+    boundaries = dense_boundaries(pres)
+    coeffs = solve_in_span(boundaries + dense_cycles(pres), tuple(Q(vec.get(j, 0)) for j in range(n)))
     if coeffs is None:
         raise ValueError("vector is not a cycle of this presentation")
-    nb = len(pres.boundary_basis)
-    return tuple(coeffs[nb:])
+    return tuple(coeffs[len(boundaries):])
 
 
 def _combine(coeffs, vectors, dim):
@@ -175,19 +223,19 @@ def _combine(coeffs, vectors, dim):
 def assert_reduce_matches_oracle(pres, rng, combos=3):
     """reduce = oracle on every representative and on random in-span vectors;
     both paths raise ValueError on a vector outside the span."""
-    gens = list(pres.boundary_basis) + list(pres.cycle_basis)
+    gens = dense_boundaries(pres) + dense_cycles(pres)
     n = pres.ambient_dim
-    vecs = list(pres.cycle_basis)
+    vecs = dense_cycles(pres)
     for _ in range(combos if gens else 0):
         vecs.append(_combine([Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in gens], gens, n))
     for v in vecs:
-        assert pres.reduce(v) == reduce_by_solve_in_span(pres, v)
+        assert pres.reduce(sparse_vec(v)) == reduce_by_solve_in_span(pres, sparse_vec(v))
     if len(gens) < n:
         base = vecs[-1] if vecs else (Q(0),) * n
         for j in range(n):
             unit = tuple(Q(int(k == j)) for k in range(n))
             if solve_in_span(gens, unit) is None:
-                bad = tuple(a + b for a, b in zip(base, unit))
+                bad = sparse_vec(a + b for a, b in zip(base, unit))
                 with pytest.raises(ValueError):
                     pres.reduce(bad)
                 with pytest.raises(ValueError):
@@ -200,8 +248,11 @@ def assert_reduce_matches_oracle(pres, rng, combos=3):
 
 def test_reduce_rejects_wrong_length():
     pres = homology_presentation(ExactMatrix.zero(2, 0), ExactMatrix.zero(0, 2))
+    for bad in ({2: Q(1)}, {-1: Q(1)}, {0: Q(1), 5: Q(0)}):
+        with pytest.raises(DimensionMismatchError):
+            pres.reduce(bad)
     with pytest.raises(DimensionMismatchError):
-        pres.reduce((Q(1),))
+        ExactMatrix.identity(2).apply({2: Q(1)})
 
 
 small_ints = st.integers(min_value=-3, max_value=3)
@@ -219,18 +270,48 @@ def test_reduce_matches_oracle_on_random_complexes(n, data):
     d_in = ExactMatrix.from_columns(boundaries, rows=n)
     pres = homology_presentation(d_in, d_out)
     for b in boundaries:
-        assert pres.reduce(b) == (Q(0),) * pres.dim
+        assert pres.reduce(sparse_vec(b)) == (Q(0),) * pres.dim
     cycles = list(kernel)
     cycles.append(_combine(data.draw(st.lists(small_fracs, min_size=len(kernel), max_size=len(kernel))), kernel, n))
     for v in cycles:
-        assert pres.reduce(v) == reduce_by_solve_in_span(pres, v)
+        assert pres.reduce(sparse_vec(v)) == reduce_by_solve_in_span(pres, sparse_vec(v))
     for j in range(n):
         if any(d_out.column(j)):
-            unit = tuple(Q(int(k == j)) for k in range(n))
+            unit = {j: Q(1)}
             with pytest.raises(ValueError):
                 pres.reduce(unit)
             with pytest.raises(ValueError):
                 reduce_by_solve_in_span(pres, unit)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the ValueError or DimensionMismatchError it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, DimensionMismatchError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_sparse_reduce_matches_oracle_raises_included(n, data):
+    rows = data.draw(st.lists(st.lists(small_fracs, min_size=n, max_size=n), min_size=1, max_size=4))
+    d_out = ExactMatrix.from_rows(rows)
+    kernel = kernel_basis(d_out)
+    combos = data.draw(st.lists(st.lists(small_ints, min_size=len(kernel), max_size=len(kernel)), max_size=3))
+    d_in = ExactMatrix.from_columns([_combine(cs, kernel, n) for cs in combos], rows=n)
+    pres = homology_presentation(d_in, d_out)
+    cycle = sparse_vec(_combine(data.draw(st.lists(small_fracs, min_size=len(kernel), max_size=len(kernel))), kernel, n))
+    # noise on indices -1..n: off the cycles, or outside the ambient dimension (zero coefficients too)
+    noise = data.draw(st.dictionaries(st.integers(min_value=-1, max_value=n), small_fracs, max_size=3))
+    noisy = dict(cycle)
+    for j, c in noise.items():
+        noisy[j] = noisy.get(j, Q(0)) + c
+    for vec in (cycle, noisy, noise):
+        got = _outcome(pres.reduce, vec)
+        assert got == _outcome(reduce_by_solve_in_span, pres, vec)
+        if not isinstance(got, type):
+            assert_fractions(got)
 
 
 @settings(max_examples=80, deadline=None)
@@ -410,6 +491,17 @@ def oracle_span_basis(vectors, dim):
     return [_row_to_vec(r, dim) for r in reduced]
 
 
+def _stored_rows(rows, pivots):
+    """Rational RREF rows as (pivot, primitive integer row) pairs, keys ascending."""
+    out = []
+    for p, r in zip(pivots, rows):
+        den = lcm(*(v.denominator for v in r.values()))
+        ints = {j: r[j].numerator * (den // r[j].denominator) for j in sorted(r)}
+        g = gcd(*ints.values())
+        out.append((p, {j: v // g for j, v in ints.items()}))
+    return tuple(out)
+
+
 def _oracle_image_rows(M):
     columns = [dict() for _ in range(M.cols)]
     for (i, j), v in M.entries.items():
@@ -439,11 +531,10 @@ def oracle_homology_presentation(d_in, d_out):
                 _accumulate(r, row, -c)
         if r:
             candidates.append(r)
-    hred, _ = oracle_rref(candidates, dim)
-    reps = tuple(_row_to_vec(r, dim) for r in hred)
+    reps = _stored_rows(*oracle_rref(candidates, dim))
     if len(reps) != len(kernel) - len(brows):
         raise AssertionError("homology dimension bookkeeping failed")
-    return HomologyPresentation(dim, reps, tuple(_row_to_vec(r, dim) for r in brows))
+    return HomologyPresentation(dim, _stored_rows(brows, bpivots), reps)
 
 
 ORACLE = {
@@ -601,7 +692,8 @@ def test_homology_presentation_matches_oracle(drawn):
     got = homology_presentation(d_in, d_out)
     want = oracle_homology_presentation(d_in, d_out)
     assert got == want
-    assert_fractions([got.cycle_basis, got.boundary_basis])
+    assert_integer_rows(got)
+    assert_fractions([got.cycle(i) for i in range(got.dim)])
     if boundaries and d_out.rows and any(d_out.entries):
         # a column outside ker d_out makes d_in no boundary map: both kernels name the same column
         j = min(j for (_, j) in d_out.entries)
@@ -638,7 +730,7 @@ def _slice_results(build):
     from mixhom.mixed import NegativeCyclic, cyclic_homology, default_truncation
 
     sl = build()
-    hh = {p: (pres.cycle_basis, pres.boundary_basis) for p in sorted(sl.pieces) for pres in [sl.hh(p)]}
+    hh = {p: sl.hh(p) for p in sorted(sl.pieces)}
     return hh, NegativeCyclic(sl, default_truncation(sl)).dims(), cyclic_homology(sl)
 
 
@@ -654,5 +746,6 @@ def test_integer_kernel_matches_oracle_on_acceptance_slices(build):
     assert linalg.rref is not oracle_rref
     assert got == want
     hh, hc_minus, hc = got
-    assert_fractions(list(hh.values()))
-    assert sum(len(reps) for reps, _ in hh.values()) > 0 and any(hc_minus.values()) and any(hc.values())
+    for pres in hh.values():
+        assert_integer_rows(pres)
+    assert sum(pres.dim for pres in hh.values()) > 0 and any(hc_minus.values()) and any(hc.values())

@@ -21,6 +21,7 @@ from mixhom.mixed import (
     WindowError,
 )
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
+from test_linalg import dense_boundaries, dense_cycles, sparse_vec
 
 Q = Fraction
 
@@ -155,8 +156,7 @@ class TestLESMaps:
             d, w = piece
             n0 = hc.slice.dim((d, w))
             for i in range(pres.dim):
-                rep = pres.cycle_basis[i]
-                if all(c == 0 for c in rep[:n0]):
+                if all(j >= n0 for j in pres.cycle(i)):
                     assert hc.pi_star((piece, i)) == {}
 
     def test_beta_of_unit_class_vanishes(self, hc_lambda1):
@@ -197,16 +197,15 @@ class TestLESMaps:
             if up not in hc.pres:
                 continue
             hh = sl.hh(piece)
-            if not hh.dim or not hh.boundary_basis:
+            if not hh.dim or not hh.boundaries:
                 continue
-            shift = [sum(col) for col in zip(*hh.boundary_basis)]
-            moved += any(sl.B_matrix(piece).apply(tuple(shift)))
+            shift = [sum(col) for col in zip(*dense_boundaries(hh))]
+            moved += bool(sl.B_matrix(piece).apply(sparse_vec(shift)))
             target = hc.pres[up]
             for i in range(hh.dim):
                 coords = _unit(i, hh.dim)
-                rep = tuple(x + y for x, y in zip(hh_class_vector_oracle(hc, piece, coords), shift))
-                img = sl.B_matrix(piece).apply(rep)
-                direct = target.reduce(img + (Q(0),) * (target.ambient_dim - len(img)))
+                rep = sparse_vec(x + y for x, y in zip(hh_class_vector_oracle(hc, piece, coords), shift))
+                direct = target.reduce(sl.B_matrix(piece).apply(rep))
                 assert _as_classes(up, direct) == hc.beta((piece, i))
                 assert beta_oracle(hc, piece, hh.reduce(rep)) == direct
                 checked += 1
@@ -291,6 +290,31 @@ class TestLESNegativeControls:
         assert not rep.kernel_beta_is_image_pi and not rep.passed
         assert f"ker β ≠ im π* at {piece}: dim HH {hh_dim}, rk β {rank_beta}, rk π* {rank_pi}" in rep.failures
 
+    def test_pi_star_column_zeroed_at_a_top_piece(self, hc_poly2):
+        hc = hc_poly2
+        sl = hc.slice
+        # stable pieces with no chains one degree up at N or N + 1: HC⁻ is 0 there,
+        # so β = 0 and exactness says π* is onto HH
+        top = [p for p in hc.stable_pieces() if not _stacked_basis_oracle(sl, p[0] + 1, p[1], hc.N + 1)]
+        assert len(top) == 7 and any(sl.hh(p).dim for p in top)
+        for piece in top:
+            hh_dim = sl.hh(piece).dim
+            assert all(hc.beta((piece, i)) == {} for i in range(hh_dim))
+            assert _column_rank([hc.pi_star((piece, i)) for i in range(hc.pres[piece].dim)], piece, hh_dim) == hh_dim
+        # a π* column not in the span of the others
+        for piece, i in ((p, i) for p in top for i in range(hc.pres[p].dim)):
+            h = _mutant(hc)
+            h._pi[(piece, i)] = {}
+            hh_dim = sl.hh(piece).dim
+            rank_pi = _column_rank([h.pi_star((piece, j)) for j in range(hc.pres[piece].dim)], piece, hh_dim)
+            if rank_pi < hh_dim:
+                break
+        else:
+            pytest.fail("no π* column carries rank at a top piece")
+        rep = les_check(h)
+        assert not rep.kernel_beta_is_image_pi and not rep.passed
+        assert rep.failures == [f"ker β ≠ im π* at {piece}: dim HH {hh_dim}, rk β 0, rk π* {rank_pi}"]
+
 
 class TestCyclicPeriodic:
     def test_zero_differential_cyclic_dims(self):
@@ -347,8 +371,9 @@ class TestCyclicPeriodic:
 
 
 def _hochschild_dual_by_functionals(A, w_max):
-    from mixhom.hochschild import B_star, DualCochain, chain_basis, dual_coboundary, shifted_degree
+    from mixhom.hochschild import DualCochain, chain_basis, shifted_degree
     from mixhom.mixed import _mats_from_operator
+    from test_hochschild import B_star, dual_coboundary
 
     chain_pieces = {}
     for w in range(w_max + 1):
@@ -614,8 +639,11 @@ class TestUComplexOracles:
 #
 # π*, β and the b-homology class vector used to take a coordinate tuple and
 # run a dense Fraction loop over a whole cycle basis; les_check called them
-# once per class and per check.  They are kept here verbatim as references for
-# NegativeCyclic's memoized per-class columns and the les_check built on them.
+# once per class and per check.  They are kept here as references for
+# NegativeCyclic's memoized per-class columns and the les_check built on them,
+# on dense cycle bases densified from the stored rows (test_linalg.dense_cycles).
+# les_check_oracle also checks the rank at the stable top pieces, whose piece
+# one degree up has no chains at N or N + 1.
 
 
 def _unit(i, n):
@@ -631,12 +659,12 @@ def pi_star_oracle(hc, piece, coords):
     d, w = piece
     pres = hc.pres[piece]
     vec = [Q(0)] * pres.ambient_dim
-    for c, rep in zip(coords, pres.cycle_basis):
+    for c, rep in zip(coords, dense_cycles(pres)):
         if c:
             for i, v in enumerate(rep):
                 vec[i] += c * v
     x0 = vec[: hc.slice.dim((d, w))]
-    return hc.slice.hh((d, w)).reduce(tuple(x0))
+    return hc.slice.hh((d, w)).reduce(sparse_vec(x0))
 
 
 def beta_oracle(hc, piece, coords):
@@ -644,28 +672,27 @@ def beta_oracle(hc, piece, coords):
     d, w = piece
     hh = hc.slice.hh((d, w))
     rep = [Q(0)] * hh.ambient_dim
-    for c, r in zip(coords, hh.cycle_basis):
+    for c, r in zip(coords, dense_cycles(hh)):
         if c:
             for i, v in enumerate(r):
                 rep[i] += c * v
-    img = hc.slice.B_matrix((d, w)).apply(tuple(rep))
+    img = hc.slice.B_matrix((d, w)).apply(sparse_vec(rep))
     target = hc.pres.get((d + 1, w))
     if target is None:
-        if not any(img):
+        if not img:
             return ()
         raise KeyError(f"no HC⁻ presentation at {(d + 1, w)}")
     # the u⁰ component comes first in the stacked basis
     vec = [Q(0)] * target.ambient_dim
-    for idx, val in enumerate(img):
-        if val:
-            vec[idx] = val
-    return target.reduce(tuple(vec))
+    for idx, val in img.items():
+        vec[idx] = val
+    return target.reduce(sparse_vec(vec))
 
 
 def hh_class_vector_oracle(hc, piece, coords):
     hh = hc.slice.hh(piece)
     rep = [Q(0)] * hh.ambient_dim
-    for c, r in zip(coords, hh.cycle_basis):
+    for c, r in zip(coords, dense_cycles(hh)):
         if c:
             for i, v in enumerate(r):
                 rep[i] += c * v
@@ -679,7 +706,9 @@ def les_check_oracle(hc):
     ok_bp = ok_pb = ok_rank = True
     for piece in hc.stable_pieces():
         d, w = piece
-        if not hc.stable.get((d + 1, w), (d + 1, w) not in hc.pres):
+        # no chains one degree up at N or N + 1: HC⁻ is 0 there, so only the rank check applies
+        top = not _stacked_basis_oracle(sl, d + 1, w, hc.N + 1)
+        if not hc.stable.get((d + 1, w), top):
             continue
         pres = hc.pres[piece]
         # β∘π* on every HC⁻ basis class
@@ -699,12 +728,12 @@ def les_check_oracle(hc):
                 bcls = beta_oracle(hc, piece, coords)
                 lhs = pi_star_oracle(hc, (d + 1, w), bcls)
                 rep = hh_class_vector_oracle(hc, piece, coords)
-                rhs = sl.hh((d + 1, w)).reduce(sl.B_matrix(piece).apply(rep))
+                rhs = sl.hh((d + 1, w)).reduce(sl.B_matrix(piece).apply(sparse_vec(rep)))
                 if lhs != rhs:
                     ok_pb = False
                     failures.append(f"π*∘β ≠ B at {piece} class {i}")
         # rank bookkeeping: dim ker β = rank π* on HH at this piece
-        if (d + 1, w) in hc.pres:
+        if (d + 1, w) in hc.pres or top:
             beta_cols = []
             for i in range(hh.dim):
                 coords = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
@@ -744,7 +773,7 @@ def assert_les_matches_oracle(hc):
                     hc.beta((piece, i))
             else:
                 assert hc.beta((piece, i)) == want, (piece, i)
-            img = sl.B_matrix(piece).apply(hh_class_vector_oracle(hc, piece, coords))
+            img = sl.B_matrix(piece).apply(sparse_vec(hh_class_vector_oracle(hc, piece, coords)))
             assert sl.B_class((piece, i)) == _as_classes((d + 1, w), sl.hh((d + 1, w)).reduce(img))
     report = les_check(hc)
     assert report == les_check_oracle(hc)
