@@ -351,29 +351,21 @@ class QuadraticPresentation:
                 raise ValueError("relation vectors must be linearly independent")
 
 
+def _relation_vector(n: int, terms: dict[tuple[int, int], Fraction]) -> tuple[Fraction, ...]:
+    """Σ c·e_i⊗e_j over the entries (i, j): c of terms, in the n^2 tensor basis (0-based letters)."""
+    return tuple(Q(terms.get(divmod(k, n), 0)) for k in range(n * n))
+
+
 def polynomial_presentation(n: int) -> QuadraticPresentation:
     """k[x_1..x_n]: commutators x_i⊗x_j - x_j⊗x_i span the relations."""
-    rels = []
-    for i, j in combinations(range(n), 2):
-        v = [Q(0)] * (n * n)
-        v[i * n + j] = Q(1)
-        v[j * n + i] = Q(-1)
-        rels.append(tuple(v))
-    return QuadraticPresentation(n, (0,) * n, tuple(rels), name=f"poly({n})")
+    rels = tuple(_relation_vector(n, {(i, j): 1, (j, i): -1}) for i, j in combinations(range(n), 2))
+    return QuadraticPresentation(n, (0,) * n, rels, name=f"poly({n})")
 
 
 def exterior_presentation(n: int) -> QuadraticPresentation:
     """Exterior algebra on degree -1 generators: symmetric tensors as relations."""
-    rels = []
-    for i in range(n):
-        v = [Q(0)] * (n * n)
-        v[i * n + i] = Q(1)
-        rels.append(tuple(v))
-    for i, j in combinations(range(n), 2):
-        v = [Q(0)] * (n * n)
-        v[i * n + j] = Q(1)
-        v[j * n + i] = Q(1)
-        rels.append(tuple(v))
+    rels = [_relation_vector(n, {(i, i): 1}) for i in range(n)]
+    rels += [_relation_vector(n, {(i, j): 1, (j, i): 1}) for i, j in combinations(range(n), 2)]
     return QuadraticPresentation(n, (-1,) * n, tuple(rels), name=f"exterior_pres({n})")
 
 
@@ -447,11 +439,5 @@ def exterior_pairing(n: int) -> tuple[GradedAlgebra, FrobeniusPairing]:
     """The pairing (α, β) -> coefficient of ξ_1…ξ_n in α∧β on exterior(n)."""
     A = make_exterior_algebra(n)
     top = A.dim - 1  # full mask sorts last
-    rows = []
-    for i in range(A.dim):
-        row = [Q(0)] * A.dim
-        for j in range(A.dim):
-            prod = A.mult_basis(i, j)
-            row[j] = prod.get(top, Q(0))
-        rows.append(tuple(row))
-    return A, FrobeniusPairing(tuple(rows), degree=n)
+    rows = tuple(tuple(A.mult_basis(i, j).get(top, Q(0)) for j in range(A.dim)) for i in range(A.dim))
+    return A, FrobeniusPairing(rows, degree=n)

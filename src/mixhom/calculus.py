@@ -6,8 +6,8 @@ bracket tables), the homology side (a mixed-complex slice with its B
 matrices) and the contraction action between them, everything tabulated on
 chosen homology bases in exact arithmetic.
 
-Attaching a volume class produces Poincaré-duality matrices per piece, the
-operator Δ = PD⁻¹∘B∘PD, the transported product on the homology side, and
+Attaching a volume class inverts Poincaré duality piece by piece and gives
+the operator Δ = PD⁻¹∘B∘PD, the transported product on the homology side, and
 the bracket generated by Δ; the generated bracket is compared entry by
 entry against the native Gerstenhaber/Schouten table.
 """
@@ -39,9 +39,12 @@ from .linalg import (
     HomologyPresentation,
     _accumulate,
     _expand,
+    _integer_row,
+    _integer_rref,
+    _positive,
+    _rational_row,
     homology_presentation,
     operator_matrix,
-    solve_in_span,
 )
 from .mixed import ClassKey, MixedComplexSlice, Piece, WindowError
 from . import poisson as po
@@ -513,13 +516,12 @@ class CalculusBundle:
 class DualityData:
     bundle: CalculusBundle
     eta: ClassKey
-    pd: dict[Piece, ExactMatrix] = field(default_factory=dict)
-    pd_inv_cols: dict[Piece, list] = field(default_factory=dict)
+    # per cohomology piece where PD is invertible: column i of PD⁻¹, the
+    # cohomology class that PD sends to homology class i of the target piece
+    pd: dict[Piece, list[dict[ClassKey, Fraction]]] = field(default_factory=dict)
     pd_twist: object = None  # callable(piece) -> ±1 normalization of PD
-    # per-class memo tables; only successful results are stored, and callers
-    # get copies, so a failing class raises again and no caller can edit them
-    _pd_inv: dict[ClassKey, dict[ClassKey, Fraction]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    # per-class memo table; only successful results are stored, and callers
+    # get copies, so a failing class raises again and no caller can edit it
     _delta: dict[ClassKey, dict[ClassKey, Fraction]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -536,23 +538,14 @@ class DualityData:
         return {k: t * v for k, v in got.items()}
 
     def pd_inverse(self, key: ClassKey) -> dict[ClassKey, Fraction]:
-        """Homology class -> cohomology class with PD(result) = key, solved once per class."""
-        got = self._pd_inv.get(key)
-        if got is None:
-            (d, w), i = key
-            (de, we) = self.eta[0]
-            s = self.bundle.weight_sign
-            src = (d - de, s * (w - we))
-            pres = self.bundle.coh_pres.get(src)
-            if pres is None or src not in self.pd:
-                raise DualityError(f"PD not invertible into piece {src}")
-            hh = self.bundle.slice.hh(key[0])
-            target = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
-            coeffs = solve_in_span(self.pd_inv_cols[src], target)
-            if coeffs is None:
-                raise DualityError(f"PD not surjective onto {key}")
-            got = self._pd_inv[key] = {(src, j): c for j, c in enumerate(coeffs) if c}
-        return dict(got)
+        """Homology class -> cohomology class with PD(result) = key: one column of PD⁻¹."""
+        (d, w), i = key
+        (de, we) = self.eta[0]
+        src = (d - de, self.bundle.weight_sign * (w - we))
+        inverse = self.pd.get(src)
+        if inverse is None:
+            raise DualityError(f"PD not invertible into piece {src}")
+        return dict(inverse[i])
 
     # the transported product on the homology side
     def dot(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction]:
@@ -629,36 +622,32 @@ def attach_duality(bundle: CalculusBundle, eta: ClassKey, pd_twist=None) -> Dual
     for piece, pres in sorted(bundle.coh_pres.items()):
         target = (piece[0] + de, we + bundle.weight_sign * piece[1])
         tgt_dim = bundle.slice.hh(target).dim if bundle.slice.dim(target) else 0
-        cols = []
-        escaped = False
-        for i in range(pres.dim):
+        m = pres.dim
+        t = data._twist(piece)
+        # row i of [PDᵀ | I]: the twisted image of class i, then 1 in column m + i
+        rows = []
+        for i in range(m):
             img = bundle.cap_classes((piece, i), eta)
             if img is None:
-                escaped = True
                 break
-            col = [Q(0)] * tgt_dim
+            row = {m + i: Q(1)}
             for (tp, j), v in img.items():
                 if tp != target:
                     raise DualityError(f"PD image off-piece at {piece}")
-                col[j] = v
-            cols.append(tuple(col))
-        if escaped:
-            continue
-        if pres.dim != tgt_dim:
-            raise DualityError(
-                f"PD singular in piece {piece}: dim {pres.dim} vs {tgt_dim}"
-            )
-        if pres.dim:
-            t = data._twist(piece)
-            cols = [tuple(t * v for v in col) for col in cols]
-            M = ExactMatrix.from_columns(cols)
-            if M.rank() != pres.dim:
-                raise DualityError(f"PD singular in piece {piece}")
-            data.pd[piece] = M
-            data.pd_inv_cols[piece] = cols
+                row[j] = t * v
+            rows.append(row)
         else:
-            data.pd[piece] = ExactMatrix.zero(0, 0)
-            data.pd_inv_cols[piece] = []
+            if m != tgt_dim:
+                raise DualityError(f"PD singular in piece {piece}: dim {m} vs {tgt_dim}")
+            # the RREF is [I | (PDᵀ)⁻¹], whose row j is column j of PD⁻¹,
+            # unless PD is singular: then a pivot falls in the identity block
+            reduced = _integer_rref(_integer_row(r) for r in rows)
+            if any(p >= m for p, _ in reduced):
+                raise DualityError(f"PD singular in piece {piece}")
+            data.pd[piece] = [
+                {(piece, j - m): c for j, c in _rational_row(*_positive(p, r)).items() if j >= m}
+                for p, r in reduced
+            ]
     return data
 
 

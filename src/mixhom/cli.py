@@ -53,6 +53,7 @@ from functools import cached_property
 
 from .algebra import (
     WindowOverflowError,
+    _relation_vector,
     check_frobenius_pairing,
     exterior_pairing,
     exterior_presentation,
@@ -274,12 +275,12 @@ def _presentation(spec: JobSpecification) -> QuadraticPresentation:
             raise ValueError("quadratic algebras need relation lines")
         rels = []
         for terms in spec.relations:
-            vec = [Q(0)] * (spec.n * spec.n)
+            acc = {}
             for (i, j, c) in terms:
                 if not (1 <= i <= spec.n and 1 <= j <= spec.n):
                     raise ValueError(f"relation index ({i},{j}) out of range")
-                vec[(i - 1) * spec.n + (j - 1)] += c
-            rels.append(tuple(vec))
+                acc[(i - 1, j - 1)] = acc.get((i - 1, j - 1), 0) + c
+            rels.append(_relation_vector(spec.n, acc))
         return QuadraticPresentation(spec.n, (0,) * spec.n, tuple(rels), name="input")
     raise ValueError(f"no presentation for kind {spec.kind}")
 
@@ -385,7 +386,7 @@ class JobContext:
 
     @cached_property
     def quotient(self):
-        """The algebra TV/(R) of the presentation up to w_max, with its sections."""
+        """The algebra TV/(R) of the presentation up to w_max, with its basis index."""
         return quadratic_algebra(self.presentation, self.spec.w_max)
 
     @cached_property

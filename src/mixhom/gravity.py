@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .calculus import ClassKey, DualityData, WindowError
-from .linalg import _accumulate
+from .linalg import _accumulate, _sparse_rank
 from .mixed import NegativeCyclic, Piece
 
 Q = Fraction
@@ -489,18 +489,8 @@ def compare_across_iso(
 
     # invertibility on the window: the pushed basis vectors must be
     # linearly independent
-    from .linalg import ExactMatrix
-
-    cols = []
-    g2_index = {k: i for i, k in enumerate(g2.basis)}
-    for img in images:
-        if img is None:
-            continue
-        col = [Q(0)] * len(g2.basis)
-        for kk, vv in img.items():
-            col[g2_index[kk]] = vv
-        cols.append(tuple(col))
-    if cols and ExactMatrix.from_columns(cols).rank() != len(cols):
+    cols = [img for img in images if img is not None]
+    if _sparse_rank(cols) != len(cols):
         raise ValueError("iso is not injective on the compared basis")
 
     def verdict(tup: tuple[int, ...]):

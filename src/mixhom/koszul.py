@@ -1,11 +1,15 @@
 """Quadratic duality: dual algebras, Koszul complexes, small models.
 
 For a quadratic presentation TV/(R) the dual coalgebra pieces are the
-intersections U_w = ∩ V^i ⊗ R ⊗ V^j inside V^{⊗w}; the dual algebra is
-their graded dual, with multiplication dual to deconcatenation.  The
-Koszul complex and the two small Hochschild models are weight-homogeneous
-complexes built from one-letter transfers between the algebra and the
-(co)algebra sides; all differentials are validated to square to zero.
+intersections U_w = ∩ V^i ⊗ R ⊗ V^j inside V^{⊗w}, computed as one common
+kernel: the vectors annihilated by every V^i ⊗ R^⊥ ⊗ V^j, where R^⊥ is the
+annihilator of R under the standard pairing of V ⊗ V.  The dual algebra is
+their graded dual, with multiplication dual to deconcatenation.  Vectors in
+V^{⊗w} are sparse rows {word index: coefficient}, and U_w is kept as the
+reduced row echelon basis with unit pivots.  The Koszul complex and the two
+small Hochschild models are weight-homogeneous complexes built from
+one-letter transfers between the algebra and the (co)algebra sides; all
+differentials are validated to square to zero.
 
 The correspondence between quadratic bivectors on the polynomial side and
 on the exterior side swaps coefficient roles, and the basis
@@ -17,15 +21,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .algebra import Element, GradedAlgebra, QuadraticPresentation
+from .algebra import OUT_OF_WINDOW, Element, GradedAlgebra, QuadraticPresentation
 from .linalg import (
     ExactMatrix,
-    HomologyPresentation,
+    ZERO,
     _accumulate,
+    _integer_row,
+    _integer_rref,
+    _kernel_rows,
+    _positive,
+    _rational_row,
     homology_presentation,
-    kernel_basis,
     operator_matrix,
-    span_basis,
 )
 from . import poisson as po
 
@@ -43,48 +50,30 @@ def _word(idx: int, n: int, w: int) -> Word:
     return tuple(reversed(word))
 
 
-def _relation_layer(pres: QuadraticPresentation, w: int, i: int) -> list[tuple[Fraction, ...]]:
-    """The vectors e_pre ⊗ r ⊗ e_post spanning V^{⊗i} ⊗ R ⊗ V^{⊗(w-i-2)}, in V^{⊗w} coordinates.
+def _relation_layers(n: int, rels: list[dict], w: int) -> list[dict]:
+    """The vectors e_pre ⊗ r ⊗ e_post spanning Σ_i V^{⊗i} ⊗ span(rels) ⊗ V^{⊗(w-i-2)}, in V^{⊗w} coordinates.
 
-    A relation r is indexed like the two-letter words, so the word
+    A two-letter vector r is indexed like the two-letter words, so the word
     pre·(a, b)·post sits at ((pre·n² + ab)·n^{w-i-2} + post).
     """
-    n = pres.n
-    tail = n ** (w - i - 2)
     vecs = []
-    for pre in range(n**i):
-        for rel in pres.relations:
-            for post in range(tail):
-                vec = [Q(0)] * n**w
-                for ab, c in enumerate(rel):
-                    if c:
-                        vec[(pre * n * n + ab) * tail + post] += c
-                vecs.append(tuple(vec))
+    for i in range(w - 1):
+        tail = n ** (w - i - 2)
+        for pre in range(n**i):
+            for rel in rels:
+                for post in range(tail):
+                    vecs.append({(pre * n * n + ab) * tail + post: c for ab, c in rel.items()})
     return vecs
 
 
-def _subspace_intersection(bases: list[list[tuple[Fraction, ...]]], dim: int):
-    """Canonical basis of the intersection of spans (each given by vectors)."""
-    if not bases:
-        return [tuple(Q(1) if i == j else Q(0) for i in range(dim)) for j in range(dim)]
-    current = span_basis(bases[0], dim)
-    for nxt in bases[1:]:
-        other = span_basis(nxt, dim)
-        if not current or not other:
-            return []
-        # x in span(current) ∩ span(other): kernel of [current | -other]
-        cols = [list(v) for v in current] + [[-c for c in v] for v in other]
-        M = ExactMatrix.from_columns([tuple(c) for c in cols])
-        inter = []
-        for kv in kernel_basis(M):
-            vec = [Q(0)] * dim
-            for c, v in zip(kv[: len(current)], current):
-                if c:
-                    for i, x in enumerate(v):
-                        vec[i] += c * x
-            inter.append(tuple(vec))
-        current = span_basis(inter, dim)
-    return current
+def _echelon_basis(rows) -> list[dict[int, Fraction]]:
+    """The reduced row echelon basis of the span of integer rows (consumed), with unit pivots and keys ascending."""
+    return [_rational_row(*_positive(p, r)) for p, r in _integer_rref(rows)]
+
+
+def _relations(pres: QuadraticPresentation) -> list[dict[int, Fraction]]:
+    """The relations as sparse two-letter vectors."""
+    return [{ab: c for ab, c in enumerate(rel) if c} for rel in pres.relations]
 
 
 @dataclass
@@ -93,7 +82,7 @@ class KoszulDualData:
 
     source: QuadraticPresentation
     cutoff: int
-    dual_weight_pieces: dict[int, list[tuple[Fraction, ...]]]
+    dual_weight_pieces: dict[int, list[dict[int, Fraction]]]
     dual_algebra: GradedAlgebra
     # label (w, index) per dual algebra basis element, in order
     dual_labels: list[tuple[int, int]] = field(default_factory=list)
@@ -109,19 +98,18 @@ def _dual_generator_degree(pres: QuadraticPresentation, word: Word) -> int:
 def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
     """Dual weight pieces and the dual algebra, by exact linear algebra.
 
-    U_0 = k, U_1 = V, U_w = ∩_{i+j+2=w} V^i⊗R⊗V^j; the dual algebra's
-    weight-w piece is the dual of U_w, with product dual to deconcatenation
+    U_w = ∩_{i+j+2=w} V^i⊗R⊗V^j is the common kernel of the vectors
+    V^i⊗R^⊥⊗V^j (so U_0 = k and U_1 = V); the dual algebra's weight-w piece
+    is the dual of U_w, with product dual to deconcatenation
     (U_{p+q} ⊆ U_p ⊗ U_q).  A weight-w element built on generators of
     degrees d_i carries homological degree Σ(-d_i - 1) over its word.
     """
     n = pres.n
-    U: dict[int, list[tuple[Fraction, ...]]] = {}
-    U[0] = [(Q(1),)]
-    U[1] = [tuple(Q(1) if i == j else Q(0) for i in range(n)) for j in range(n)]
-    for w in range(2, W + 1):
-        dim = n**w
-        layers = [_relation_layer(pres, w, i) for i in range(w - 1)]
-        U[w] = _subspace_intersection(layers, dim)
+    perp = [v for _, v in _kernel_rows(_relations(pres), n * n)]
+    U = {
+        w: _echelon_basis(v for _, v in _kernel_rows(_relation_layers(n, perp, w), n**w))
+        for w in range(W + 1)
+    }
 
     # assemble the dual algebra on the dual bases of the U_w
     labels = []
@@ -129,30 +117,21 @@ def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
     weights = []
     index_of = {}
     for w in range(W + 1):
-        for i in range(len(U[w])):
+        for i, vec in enumerate(U[w]):
             index_of[(w, i)] = len(labels)
             labels.append(f"u{w}.{i}")
             weights.append(w)
-            if w == 0:
-                degrees.append(0)
-            else:
-                # degree from any word in the support (all agree when the
-                # generators are degree-homogeneous per letter count)
-                vec = U[w][i]
-                deg = None
-                for idx, c in enumerate(vec):
-                    if c:
-                        d = _dual_generator_degree(pres, _word(idx, n, w))
-                        if deg is None:
-                            deg = d
-                        elif deg != d:
-                            raise ValueError("inhomogeneous dual piece")
-                degrees.append(deg if deg is not None else 0)
+            # degree from the words in the support (all agree when the
+            # generators are degree-homogeneous per letter count)
+            degs = {_dual_generator_degree(pres, _word(idx, n, w)) for idx in vec}
+            if len(degs) > 1:
+                raise ValueError("inhomogeneous dual piece")
+            degrees.append(degs.pop())
     # the U bases are in reduced echelon form with unit pivots, so the dual
     # basis functional u_i^* reads off u_i's pivot coordinate, and
     # (u_i^* u_j^*)(c) = (u_i^* ⊗ u_j^*)(Δ_{p,q} c) is the entry of c at the
     # word piv(u_i)·piv(u_j)
-    pivots = {w: [_pivot(u) for u in U[w]] for w in U}
+    pivots = {w: [min(u) for u in U[w]] for w in U}
     table: dict[tuple[int, int], Element] = {}
     for p in range(W + 1):
         for q in range(W + 1):
@@ -163,7 +142,7 @@ def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
                         table[key] = {}
                         continue
                     at = piv_i * n**q + piv_j
-                    table[key] = {index_of[(p + q, k)]: c[at] for k, c in enumerate(U[p + q]) if c[at]}
+                    table[key] = {index_of[(p + q, k)]: c[at] for k, c in enumerate(U[p + q]) if at in c}
     dual = GradedAlgebra(
         labels,
         degrees,
@@ -177,11 +156,6 @@ def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
     data = KoszulDualData(pres, W, U, dual, [lbl for lbl in index_of])
     _check_annihilator_dimensions(pres, data)
     return data
-
-
-def _pivot(vec) -> int:
-    """The index of the first nonzero coordinate of a vector."""
-    return next(i for i, c in enumerate(vec) if c)
 
 
 class NotAComplex(Exception):
@@ -201,59 +175,43 @@ def _check_annihilator_dimensions(pres: QuadraticPresentation, data: KoszulDualD
 
 
 def quadratic_algebra(pres: QuadraticPresentation, W: int) -> tuple[GradedAlgebra, dict]:
-    """The algebra TV/(R) up to weight W, with projection data per weight.
+    """The algebra TV/(R) up to weight W.
 
-    Returns (algebra, sections) where sections[w] holds the canonical
-    section vectors (in V^{⊗w} coordinates) of the chosen basis of A_w and
-    sections["index_of"] maps (weight, local index) to the algebra's basis.
+    The basis of A_w is the free words: those that are not a pivot of the
+    reduced row echelon basis of (R) in V^{⊗w}.  A free word is its own
+    normal form, and a pivot word reduces to minus its echelon row on the
+    free words.  Returns (algebra, index_of), where index_of maps (weight,
+    local index) to the algebra's basis.
     """
     n = pres.n
-    sections: dict[int, dict] = {}
+    rels = _relations(pres)
     labels: list[str] = []
     degrees: list[int] = []
     weights: list[int] = []
     index_of: dict[tuple[int, int], int] = {}
+    free: dict[int, list[int]] = {}
+    normal_form: dict[int, dict[int, Element]] = {}
     for w in range(W + 1):
-        dim = n**w
-        vecs = [v for i in range(max(0, w - 1)) for v in _relation_layer(pres, w, i)]
-        span = span_basis(vecs, dim) if vecs else []
-        pivots = {_pivot(v) for v in span}
-        free = [i for i in range(dim) if i not in pivots]
-        sections[w] = {"free": free, "span": span, "dim": dim}
-        for k, idx in enumerate(free):
+        rows = {min(r): r for r in _echelon_basis(_integer_row(v) for v in _relation_layers(n, rels, w))}
+        free[w] = [idx for idx in range(n**w) if idx not in rows]
+        for k, idx in enumerate(free[w]):
             word = _word(idx, n, w)
             index_of[(w, k)] = len(labels)
             labels.append("·".join(f"e{i+1}" for i in word) if word else "1")
             degrees.append(sum(pres.generator_degrees[i] for i in word))
             weights.append(w)
-
-    def reduce_tensor(w: int, vec):
-        """Project a tensor to quotient coordinates over the free words."""
-        span = sections[w]["span"]
-        free = sections[w]["free"]
-        out = list(vec)
-        for sv in span:
-            piv = _pivot(sv)
-            c = out[piv]
-            if c:
-                for i, x in enumerate(sv):
-                    out[i] -= c * x
-        return {k: out[idx] for k, idx in enumerate(free) if out[idx]}
+        basis = {idx: index_of[(w, k)] for k, idx in enumerate(free[w])}
+        normal_form[w] = {idx: {gi: Q(1)} for idx, gi in basis.items()}
+        for p, row in rows.items():
+            normal_form[w][p] = {basis[j]: -c for j, c in row.items() if j != p}
 
     table: dict[tuple[int, int], Element] = {}
-    from .algebra import OUT_OF_WINDOW
-
     for (w1, k1), i1 in index_of.items():
         for (w2, k2), i2 in index_of.items():
             if w1 + w2 > W:
                 table[(i1, i2)] = OUT_OF_WINDOW
-                continue
-            dim2 = n**w2
-            idx = sections[w1]["free"][k1] * dim2 + sections[w2]["free"][k2]
-            vec = [Q(0)] * (n ** (w1 + w2))
-            vec[idx] = Q(1)
-            red = reduce_tensor(w1 + w2, vec)
-            table[(i1, i2)] = {index_of[(w1 + w2, k)]: c for k, c in red.items()}
+            else:
+                table[(i1, i2)] = dict(normal_form[w1 + w2][free[w1][k1] * n**w2 + free[w2][k2]])
 
     algebra = GradedAlgebra(
         labels,
@@ -265,8 +223,7 @@ def quadratic_algebra(pres: QuadraticPresentation, W: int) -> tuple[GradedAlgebr
         weight_cutoff=W,
         name=f"TV/R({pres.name})",
     )
-    sections["index_of"] = index_of
-    return algebra, sections
+    return algebra, index_of
 
 
 # -- Koszul complex and Koszulness ----------------------------------------------
@@ -293,15 +250,14 @@ def koszul_complex(pres: QuadraticPresentation, W: int, data: KoszulDualData | N
     """
     if data is None:
         data = koszul_dual_algebra(pres, W)
-    A, sections = quotient or quadratic_algebra(pres, W)
-    index_of = sections["index_of"]
+    A, index_of = quotient or quadratic_algebra(pres, W)
     U = data.dual_weight_pieces
 
     def delta(label, m):
         a_g, u = label
         out: dict = {}
         for letter in range(pres.n):
-            _transfer(out, U.get(m - 1, []), _strip_last(U[m][u], pres.n, m, letter),
+            _transfer(out, U.get(m - 1, []), _strip_last(U[m][u], pres.n, letter),
                       A.mult_basis(index_of[(1, letter)], a_g), 1, "last")
         return out
 
@@ -325,37 +281,36 @@ def _tensor_basis(index_of: dict[tuple[int, int], int], U: dict, s: int, t: int)
 def _transfer(out: dict, U_below: list, stripped, prod, scale, end: str) -> None:
     """out += scale · prod ⊗ (stripped in the coordinates of the basis U_below).
 
-    ``stripped`` is a dual-coalgebra vector with one letter removed at
-    ``end``; it must lie in the span of U_below.  U_below is in reduced
+    ``stripped`` is a sparse dual-coalgebra vector with one letter removed
+    at ``end``; it must lie in the span of U_below.  U_below is in reduced
     echelon form with unit pivots, so those coordinates are the entries of
     ``stripped`` at the pivots, and what they leave over must vanish.
     ``prod`` is a product of algebra basis elements, or a non-dict marker
     when it leaves the window.
     """
-    if not any(stripped):
+    if not stripped:
         return
-    coords = [stripped[_pivot(u)] for u in U_below]
-    rest = list(stripped)
+    coords = [stripped.get(min(u), ZERO) for u in U_below]
+    rest = dict(stripped)
     for c, u in zip(coords, U_below):
         if c:
-            for k, x in enumerate(u):
-                if x:
-                    rest[k] -= c * x
-    if any(rest):
+            _accumulate(rest, u, -c)
+    if rest:
         raise NotAComplex(f"{end}-letter strip leaves U")
     if isinstance(prod, dict):
         for ka, ca in prod.items():
             _accumulate(out, {(ka, j): cu for j, cu in enumerate(coords) if cu}, scale * ca)
 
 
-def _strip_last(uvec, n: int, m: int, letter: int):
+def _strip_last(u: dict[int, Fraction], n: int, letter: int) -> dict[int, Fraction]:
     """(id ⊗ e_letter^*)(u): drop words not ending in the letter."""
+    return {idx // n: c for idx, c in u.items() if idx % n == letter}
+
+
+def _strip_first(u: dict[int, Fraction], n: int, m: int, letter: int) -> dict[int, Fraction]:
+    """(e_letter^* ⊗ id)(u): drop words not starting with the letter."""
     dim_out = n ** (m - 1)
-    out = [Q(0)] * dim_out
-    for idx, c in enumerate(uvec):
-        if c and idx % n == letter:
-            out[idx // n] += c
-    return tuple(out)
+    return {idx % dim_out: c for idx, c in u.items() if idx // dim_out == letter}
 
 
 def is_koszul(pres: QuadraticPresentation, W: int, data: KoszulDualData | None = None,
@@ -393,7 +348,6 @@ class SmallModels:
 
     cochain_dims: dict[tuple[int, int], int]
     chain_dims: dict[tuple[int, int], int]
-    chain_pres: dict[tuple[int, int], HomologyPresentation] = field(default_factory=dict)
 
 
 def small_hochschild_models(
@@ -426,8 +380,7 @@ def small_hochschild_models(
     if not verdict.koszul_up_to_cutoff:
         bad = sorted(w for w, ok in verdict.per_weight.items() if not ok)
         raise NotKoszulError(f"presentation is not Koszul in weights {bad}")
-    A, sections = quotient or quadratic_algebra(pres, W)
-    index_of = sections["index_of"]
+    A, index_of = quotient or quadratic_algebra(pres, W)
     n = pres.n
     g = pres.generator_degrees[0] % 2
     if any(d % 2 != g for d in pres.generator_degrees):
@@ -449,7 +402,7 @@ def small_hochschild_models(
         for letter in range(n):
             e_g = index_of[(1, letter)]
             _transfer(out, U[t - 1], _strip_first(U[t][u], n, t, letter), A.mult_basis(a_g, e_g), 1, "first")
-            _transfer(out, U[t - 1], _strip_last(U[t][u], n, t, letter), A.mult_basis(e_g, a_g), sgn, "last")
+            _transfer(out, U[t - 1], _strip_last(U[t][u], n, letter), A.mult_basis(e_g, a_g), sgn, "last")
         return out
 
     def delta(label, t):
@@ -473,7 +426,6 @@ def small_hochschild_models(
         return operator_matrix(piece(s, t), piece(s + 1, t + 1), lambda label: delta(label, t))
 
     chain_dims: dict[tuple[int, int], int] = {}
-    chain_pres: dict[tuple[int, int], HomologyPresentation] = {}
     cochain_dims: dict[tuple[int, int], int] = {}
     for s in range(W + 1):
         for t in range(W + 1 - s):
@@ -482,7 +434,6 @@ def small_hochschild_models(
             p = homology_presentation(d_in, d_out)
             if p.dim:
                 chain_dims[(s, t)] = p.dim
-                chain_pres[(s, t)] = p
     for s in range(W):
         for t in range(W):
             if not piece(s, t):
@@ -496,20 +447,7 @@ def small_hochschild_models(
             p = homology_presentation(d_in, d_out)
             if p.dim:
                 cochain_dims[(s, t)] = p.dim
-    return SmallModels(cochain_dims, chain_dims, chain_pres)
-
-
-def _strip_first(uvec, n: int, m: int, letter: int):
-    """(e_letter^* ⊗ id)(u): drop words not starting with the letter."""
-    dim_out = n ** (m - 1)
-    out = [Q(0)] * dim_out
-    for idx, c in enumerate(uvec):
-        if not c:
-            continue
-        first = idx // dim_out
-        if first == letter:
-            out[idx % dim_out] += c
-    return tuple(out)
+    return SmallModels(cochain_dims, chain_dims)
 
 
 # -- bivector duality and Poisson identification -----------------------------------

@@ -1,7 +1,7 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything downstream (homology of complexes, solving in spans, operation
-tables on homology bases) reduces to the routines here.  There is no
+Everything downstream (homology of complexes, operation tables on
+homology bases, ranks) reduces to the routines here.  There is no
 floating point anywhere.  Matrices, vectors and every returned coefficient
 are ``fractions.Fraction``, but elimination and matrix products run on
 Python integers: each rational row is scaled to a primitive integer row
@@ -164,12 +164,6 @@ def _positive(p: int, r: dict[int, int]) -> tuple[int, dict[int, int]]:
     return p, {j: s * r[j] for j in sorted(r)}
 
 
-def _rational_vec(p: int, r: dict[int, int], n: int) -> tuple[Fraction, ...]:
-    """``_rational_row`` as a dense vector of length n."""
-    a = r[p]
-    return tuple(Fraction(r[j], a) if j in r else ZERO for j in range(n))
-
-
 class ExactMatrix:
     """Sparse matrix over Q; entries stored as {(row, col): Fraction}, no zeros."""
 
@@ -202,20 +196,6 @@ class ExactMatrix:
         return cls(rows, cols, entries)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "ExactMatrix":
-        if rows is None:
-            rows = len(columns[0]) if columns else 0
-        entries = {}
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise DimensionMismatchError("ragged columns")
-            for i, v in enumerate(col):
-                v = _as_fraction(v)
-                if v != 0:
-                    entries[(i, j)] = v
-        return cls(rows, len(columns), entries)
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols, {})
 
@@ -236,9 +216,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries.get((i, j), ZERO) for i in range(self.rows))
 
     def row_dicts(self) -> list[dict[int, Fraction]]:
         rows: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
@@ -291,7 +268,12 @@ class ExactMatrix:
         return {i: c for i, c in out.items() if c}
 
     def rank(self) -> int:
-        return len(_row_echelon(_integer_row(r) for r in self.row_dicts()))
+        return _sparse_rank(self.row_dicts())
+
+
+def _sparse_rank(vectors: Iterable[dict]) -> int:
+    """The rank of sparse vectors {key: coefficient} with ordered keys of any kind, by the integer kernel."""
+    return len(_row_echelon(_integer_row(v) for v in vectors))
 
 
 def operator_matrix(src_labels: Sequence, tgt_labels: Sequence, apply, escape=KeyError) -> ExactMatrix:
@@ -313,22 +295,17 @@ def operator_matrix(src_labels: Sequence, tgt_labels: Sequence, apply, escape=Ke
     return ExactMatrix(len(tgt_labels), len(src_labels), entries)
 
 
-def rref(rows: Iterable[dict[int, Fraction]], ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Reduced row echelon form of sparse rows.
+def _kernel_rows(rows: Iterable[dict], ncols: int) -> list[tuple[int, dict[int, int]]]:
+    """The canonical basis of the null space of sparse rows on ncols columns, as (free column, integer row).
 
-    Returns (nonzero reduced rows sorted by pivot column, pivot columns).
-    The RREF is unique, hence the output is canonical for the row span.
+    One vector per free column f of the rows' RREF, ordered by f: 1 at f
+    and, at each pivot, minus that pivot row's entry at f, scaled to a
+    primitive integer row.
     """
-    reduced = _integer_rref(_integer_row(row) for row in rows)
-    return [_rational_row(p, r) for p, r in reduced], [p for p, _ in reduced]
-
-
-def _kernel_rows(M: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
-    """``kernel_basis`` as integer rows, each with its free column."""
-    reduced = _integer_rref(_integer_row(r) for r in M.row_dicts())
+    reduced = _integer_rref(_integer_row(r) for r in rows)
     pivot_set = {p for p, _ in reduced}
     basis = []
-    for f in range(M.cols):
+    for f in range(ncols):
         if f in pivot_set:
             continue
         hits = [(p, row) for p, row in reduced if f in row]
@@ -341,82 +318,12 @@ def _kernel_rows(M: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
     return basis
 
 
-def kernel_basis(M: ExactMatrix) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of ker M, ordered by free column index.
-
-    Built from the RREF of M: one vector per free column, with unit entry at
-    the free column and the negated pivot-row coefficients above it.
-    """
-    return [_rational_vec(f, v, M.cols) for f, v in _kernel_rows(M)]
-
-
-def span_basis(vectors: Iterable[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
-    """Canonical (RREF) basis of the span of the given vectors."""
-    rows = []
-    for v in vectors:
-        if len(v) != dim:
-            raise DimensionMismatchError("vector length mismatch")
-        rows.append({j: _as_fraction(c) for j, c in enumerate(v) if c != 0})
-    return [_rational_vec(p, r, dim) for p, r in _integer_rref(_integer_row(row) for row in rows)]
-
-
 def _image_rows(M: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
-    """``image_basis`` as integer (pivot, row) pairs."""
+    """The RREF basis of the column space of M, as integer (pivot, row) pairs."""
     columns: list[dict[int, Fraction]] = [dict() for _ in range(M.cols)]
     for (i, j), v in M.entries.items():
         columns[j][i] = v
     return _integer_rref(_integer_row(c) for c in columns)
-
-
-def image_basis(M: ExactMatrix) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of the column space of M."""
-    return [_rational_vec(p, r, M.rows) for p, r in _image_rows(M)]
-
-
-def solve_in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
-    """Coefficients expressing target in the span of vectors, or None.
-
-    Raises DimensionMismatchError if the vectors and target do not share a
-    dimension.  The returned coefficients reproduce the target exactly.
-    """
-    if not vectors:
-        if any(_as_fraction(c) != 0 for c in target):
-            return None
-        return ()
-    dim = len(vectors[0])
-    for v in vectors:
-        if len(v) != dim:
-            raise DimensionMismatchError("span vectors of unequal dimension")
-    if len(target) != dim:
-        raise DimensionMismatchError("target dimension mismatch")
-    # eliminate rows of [v | e_k] so the augmented part tracks coefficients
-    n = len(vectors)
-    rows = []
-    for k, v in enumerate(vectors):
-        r = {j: _as_fraction(c) for j, c in enumerate(v) if c != 0}
-        r[dim + k] = ONE
-        rows.append(r)
-    reduced, pivots = rref(rows, dim + n)
-    t = {j: _as_fraction(c) for j, c in enumerate(target) if c != 0}
-    coeffs = [ZERO] * n
-    for p, row in zip(pivots, reduced):
-        if p >= dim:
-            continue
-        c = t.get(p)
-        if not c:
-            continue
-        for j, v in row.items():
-            if j < dim:
-                s = t.get(j, ZERO) - c * v
-                if s == 0:
-                    t.pop(j, None)
-                else:
-                    t[j] = s
-            else:
-                coeffs[j - dim] += c * v
-    if t:
-        return None
-    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -488,7 +395,7 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     """Presentation of ker(d_out)/im(d_in); checks d_out o d_in = 0 first."""
     _check_complex(d_in, d_out)
     dim = d_out.cols
-    kernel = _kernel_rows(d_out)
+    kernel = _kernel_rows(d_out.row_dicts(), dim)
     boundaries = _image_rows(d_in)
     # representatives: kernel vectors reduced mod boundaries, then RREF'd for
     # canonical, mutually reduced output

@@ -33,8 +33,7 @@ from .linalg import (
     _accumulate,
     _check_complex,
     _expand,
-    _integer_row,
-    _row_echelon,
+    _sparse_rank,
     homology_presentation,
     operator_matrix,
 )
@@ -323,11 +322,6 @@ def _classes(piece: Piece, coords) -> dict[ClassKey, Fraction]:
     return {(piece, j): c for j, c in enumerate(coords) if c}
 
 
-def _rank(columns: list[dict[ClassKey, Fraction]]) -> int:
-    """The rank of sparse columns, by the integer elimination kernel."""
-    return len(_row_echelon(_integer_row(col) for col in columns))
-
-
 @dataclass
 class LESReport:
     beta_after_pi_zero: bool
@@ -375,7 +369,7 @@ def les_check(hc: NegativeCyclic) -> LESReport:
                 ok_pb = False
                 failures.append(f"π*∘β ≠ B at {piece} class {i}")
         # rank bookkeeping: dim ker β = rank π* on HH at this piece
-        rank_beta, rank_pi = _rank(beta_cols), _rank(pi_cols)
+        rank_beta, rank_pi = _sparse_rank(beta_cols), _sparse_rank(pi_cols)
         if hh_dim - rank_beta != rank_pi:
             ok_rank = False
             failures.append(f"ker β ≠ im π* at {piece}: dim HH {hh_dim}, rk β {rank_beta}, rk π* {rank_pi}")

@@ -41,7 +41,6 @@ from mixhom.koszul import (
     poisson_hc_iso,
     small_hochschild_models,
 )
-from mixhom.linalg import ExactMatrix, kernel_basis
 from mixhom.mixed import (
     NegativeCyclic,
     default_truncation,
@@ -60,8 +59,10 @@ from mixhom.poisson import (
     quadratic_bivector,
     unimodularity_check,
 )
+from test_calculus import assert_pd_inverse_matches_solve
 from test_gravity import assert_derived_twist_matches_fitted
 from test_hochschild import dual_coboundary
+from test_linalg import from_columns, kernel_basis
 from test_mixed import assert_les_matches_oracle
 from test_poisson import oracle_engine, schouten_odd_laplacian
 
@@ -129,7 +130,7 @@ def derive_unimodular_bivector():
     support = sorted(support)
     for mod in images:
         columns.append(tuple(mod.get(m, Q(0)) for m in support))
-    M = ExactMatrix.from_columns(columns)
+    M = from_columns(columns)
     kernel = kernel_basis(M)
     assert kernel, "the divergence-free solve found no unimodular member"
     lam = kernel[0]
@@ -315,6 +316,11 @@ def test_criterion_05_bv_suite(frobenius_gravity, poisson_pair, derived_pi):
         and rep_b.quartic_checked > 50
     )
     report(5, "BV suite: Δ²=0, second-order identity, bracket = native table", passed, detail)
+
+
+def test_pd_inverse_matches_per_class_solve_on_criterion_05_dualities(frobenius_gravity, poisson_pair):
+    assert assert_pd_inverse_matches_solve(frobenius_gravity.duality) > 10
+    assert assert_pd_inverse_matches_solve(poisson_pair[1]) > 10
 
 
 @pytest.fixture(scope="module")

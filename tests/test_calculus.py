@@ -1,4 +1,5 @@
 import gc
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,11 @@ from mixhom.calculus import (
 )
 from mixhom.hochschild import Cochain, all_tuples_up_to_weight
 from mixhom.koszul import quadratic_algebra
-from mixhom.linalg import ExactMatrix
+from mixhom.linalg import ExactMatrix, _accumulate
 from mixhom.mixed import slice_from_hochschild_dual, slice_from_poisson
 from mixhom.poisson import PoissonContext, poisson_coboundary, quadratic_bivector
 from test_hochschild import coboundary_scan
+from test_linalg import _bv_check_bundles, solve_in_span
 
 Q = Fraction
 
@@ -252,16 +254,85 @@ def test_fresh_dualities_share_no_cache():
     (bundle1, duality1), (bundle2, duality2) = _frobenius_duality(), _frobenius_duality()
     # B on homology classes is memoized on the bundle's slice
     B1, B2 = bundle1.slice._B, bundle2.slice._B
-    before = (dict(duality2._delta), dict(duality2._pd_inv), dict(B2))
+    # the per-piece PD⁻¹ tables are built by attach_duality, equal and unshared
+    assert duality1.pd == duality2.pd and duality1.pd is not duality2.pd
+    assert not any(a is b for p in duality1.pd for a, b in zip(duality1.pd[p], duality2.pd[p]))
+    before = (dict(duality2._delta), {p: [dict(c) for c in cols] for p, cols in duality2.pd.items()}, dict(B2))
     for method, keys in _memo_arguments(bundle1, duality1):
         for key in keys:
             try:
                 method(key)
             except DualityError:
                 pass
-    assert duality1._delta and duality1._pd_inv and len(B1) > len(before[2])
-    assert (duality2._delta, duality2._pd_inv, B2) == before
+    assert duality1._delta and len(B1) > len(before[2])
+    assert (duality2._delta, duality2.pd, B2) == before
     assert duality1._delta is not duality2._delta and B1 is not B2
+
+
+# -- PD⁻¹ against the per-class solve ---------------------------------------------
+
+
+def pd_inverse_by_solve(duality, key):
+    """PD⁻¹ of a homology class as it was: one solve_in_span per class, on the dense twisted PD columns."""
+    (d, w), i = key
+    (de, we) = duality.eta[0]
+    src = (d - de, duality.bundle.weight_sign * (w - we))
+    if src not in duality.pd:
+        raise DualityError(f"PD not invertible into piece {src}")
+    dim = duality.bundle.slice.hh(key[0]).dim
+    cols = []
+    for j in range(duality.bundle.coh_pres[src].dim):
+        img = duality.pd_of((src, j))
+        cols.append(tuple(img.get((key[0], k), Q(0)) for k in range(dim)))
+    coeffs = solve_in_span(cols, tuple(Q(int(k == i)) for k in range(dim)))
+    if coeffs is None:
+        raise DualityError(f"PD not surjective onto {key}")
+    return {(src, j): c for j, c in enumerate(coeffs) if c}
+
+
+def assert_pd_inverse_matches_solve(duality) -> int:
+    """On every homology class, pd_inverse equals the per-class solve and PD(pd_inverse(z)) = z.
+
+    Returns the number of classes with an inverse; on the others both raise DualityError.
+    """
+    checked = 0
+    for key in duality.bundle.hom_classes():
+        try:
+            want = pd_inverse_by_solve(duality, key)
+        except DualityError:
+            with pytest.raises(DualityError):
+                duality.pd_inverse(key)
+            continue
+        got = duality.pd_inverse(key)
+        assert got == want, key
+        back = {}
+        for k, v in got.items():
+            _accumulate(back, duality.pd_of(k), v)
+        assert back == {key: 1}, key
+        checked += 1
+    return checked
+
+
+def test_pd_inverse_matches_per_class_solve_on_bv_check_dualities():
+    frob, pois = _bv_check_bundles()
+    assert assert_pd_inverse_matches_solve(frob) > 10
+    assert assert_pd_inverse_matches_solve(pois) > 10
+
+
+@pytest.mark.parametrize("which", ["frobenius", "poisson"])
+def test_equal_pd_images_make_the_piece_singular(request, monkeypatch, which):
+    bundle, duality = request.getfixturevalue(f"{which}_duality")
+    unit_piece = bundle.unit_class()[0]
+    piece = next(p for p in sorted(duality.pd) if len(duality.pd[p]) >= 2 and p != unit_piece)
+    cap = CalculusBundle.cap_classes
+
+    def doubled(self, f, z):
+        # class 1 of the piece gets the image of class 0
+        return cap(self, (piece, 0) if self is bundle and f == (piece, 1) else f, z)
+
+    monkeypatch.setattr(CalculusBundle, "cap_classes", doubled)
+    with pytest.raises(DualityError, match=re.escape(f"PD singular in piece {piece}")):
+        attach_duality(bundle, duality.eta, pd_twist=duality.pd_twist)
 
 
 def test_cochain_ops_leave_no_reference_cycle():

@@ -8,12 +8,13 @@ from mixhom.calculus import (DualityData, DualityError, WindowError, attach_dual
     hochschild_dual_bundle, poisson_bundle, polyvector_pd_twist, verify_bv_axioms)
 from mixhom.gravity import (GravityReport, GravityStructure, HCKey, IsoReport,
     compare_across_iso, verify_gravity_axioms)
-from mixhom.linalg import ExactMatrix, _accumulate
+from mixhom.linalg import _accumulate
 from mixhom.koszul import (dual_bivector_coeffs, fit_dual_product_twist, hh_class_image,
     koszul_poisson_identification, poisson_hc_iso)
 from mixhom.mixed import (NegativeCyclic, default_truncation, slice_from_hochschild_dual,
     slice_from_poisson)
 from mixhom.poisson import PoissonContext, quadratic_bivector
+from test_linalg import from_columns
 
 Q = Fraction
 
@@ -328,7 +329,7 @@ def enumerate_across_iso(
         for kk, vv in img.items():
             col[g2_index[kk]] = vv
         cols.append(tuple(col))
-    if cols and ExactMatrix.from_columns(cols).rank() != len(cols):
+    if cols and from_columns(cols).rank() != len(cols):
         raise ValueError("iso is not injective on the compared basis")
 
     for n in range(2, arity_max + 1):

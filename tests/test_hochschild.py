@@ -30,7 +30,8 @@ from mixhom.hochschild import (
     shifted_degree,
     unit_cochain,
 )
-from mixhom.linalg import ExactMatrix, solve_in_span
+from mixhom.linalg import ExactMatrix
+from test_linalg import from_columns, kernel_basis, solve_in_span
 
 Q = Fraction
 
@@ -291,8 +292,7 @@ class TestLieDerivative:
                         col[bidx[k]] = v
                     cols.append(col)
                 # kernel of b on this piece
-                M = ExactMatrix.from_columns(cols) if below else ExactMatrix.zero(0, len(basis))
-                from mixhom.linalg import kernel_basis
+                M = from_columns(cols) if below else ExactMatrix.zero(0, len(basis))
 
                 # L_mu has degree -1: on a cycle z in (p, w), L_mu(z) lives in
                 # (p-1, w) and must be a boundary of this piece

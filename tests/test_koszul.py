@@ -2,8 +2,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixhom.algebra import (
+    OUT_OF_WINDOW,
+    GradedAlgebra,
     QuadraticPresentation,
     exterior_presentation,
     make_exterior_algebra,
@@ -21,8 +24,9 @@ from mixhom.koszul import (
     quadratic_algebra,
     small_hochschild_models,
 )
-from mixhom.linalg import solve_in_span
+from mixhom.linalg import ExactMatrix, homology_presentation
 from mixhom.mixed import slice_from_hochschild
+from test_linalg import from_columns, kernel_basis, solve_in_span, span_basis
 
 Q = Fraction
 
@@ -188,7 +192,19 @@ class TestPoissonIdentification:
 # The dual product used to apply u_i^* ⊗ u_j^* to the whole deconcatenated
 # vector of each c_k, and every one-letter transfer solved for its
 # coordinates in U_below from scratch.  Both are kept here verbatim as
-# references for the pivot lookups that replaced them.
+# references for the pivot lookups that replaced them.  They read the
+# sparse U rows densified.
+
+
+def dense(vec, dim):
+    """A sparse vector {index: coefficient} as a dense tuple of length dim."""
+    return tuple(vec.get(j, Q(0)) for j in range(dim))
+
+
+def dense_pieces(data):
+    """The dual weight pieces U_w as dense vectors of length n^w."""
+    n = data.source.n
+    return {w: [dense(u, n**w) for u in rows] for w, rows in data.dual_weight_pieces.items()}
 
 
 def _pair_deconcat(ui, uj, target, n: int, p: int, q: int) -> Fraction:
@@ -222,9 +238,10 @@ def _pivot_functional(vec) -> dict[int, Fraction]:
     return {}
 
 
-def dual_table_by_deconcatenation(data):
-    """The dual algebra's multiplication table, rebuilt from the U pieces."""
-    n, W, U = data.source.n, data.cutoff, data.dual_weight_pieces
+def dual_table_by_deconcatenation(data, U=None):
+    """The dual algebra's multiplication table, rebuilt from the U pieces (dense; data's by default)."""
+    n, W = data.source.n, data.cutoff
+    U = dense_pieces(data) if U is None else U
     index_of = {label: k for k, label in enumerate(data.dual_labels)}
     table = {}
     for p in range(W + 1):
@@ -251,7 +268,10 @@ def transfer_by_solve(out: dict, U_below: list, stripped, prod, scale, end: str)
     ``stripped`` is a dual-coalgebra vector with one letter removed at
     ``end``; it must lie in the span of U_below.  ``prod`` is a product of
     algebra basis elements, or a non-dict marker when it leaves the window.
+    The sparse rows are densified on the indices they use.
     """
+    dim = 1 + max((j for v in [stripped, *U_below] for j in v), default=-1)
+    U_below, stripped = [dense(u, dim) for u in U_below], dense(stripped, dim)
     if not any(c != 0 for c in stripped):
         return
     coords = solve_in_span(U_below, stripped)
@@ -290,17 +310,206 @@ class TestPivotLookupsAgainstOracle:
     def test_transfers_match_the_per_call_solve(self, monkeypatch, name):
         make, W = CLI_BATCH_PRESENTATIONS[name]
         pres = make()
-        got = (koszul_complex(pres, W)[0], small_hochschild_models(pres, W))
+
+        def run():
+            # every (d_in, d_out) pair the Koszul and small-model complexes present
+            seen = []
+
+            def recording(d_in, d_out):
+                seen.append((d_in, d_out))
+                return homology_presentation(d_in, d_out)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ko, "homology_presentation", recording)
+                return koszul_complex(pres, W)[0], small_hochschild_models(pres, W), seen
+
+        got = run()
         monkeypatch.setattr(ko, "_transfer", transfer_by_solve)
-        want = (koszul_complex(pres, W)[0], small_hochschild_models(pres, W))
+        want = run()
+        assert len(got[2]) > 10
         assert got == want
 
     def test_a_strip_outside_the_span_is_not_a_complex(self):
-        U_below = [(Q(1), Q(0), Q(2)), (Q(0), Q(1), Q(-1))]
-        inside, outside = (Q(3), Q(1), Q(5)), (Q(0), Q(0), Q(1))
+        U_below = [{0: Q(1), 2: Q(2)}, {1: Q(1), 2: Q(-1)}]
+        inside, outside = {0: Q(3), 1: Q(1), 2: Q(5)}, {2: Q(1)}
         for transfer in (ko._transfer, transfer_by_solve):
             out = {}
             transfer(out, U_below, inside, {7: Q(2)}, -1, "last")
             assert out == {(7, 0): Q(-6), (7, 1): Q(-2)}
             with pytest.raises(ko.NotAComplex, match="last-letter strip leaves U"):
                 transfer({}, U_below, outside, {7: Q(1)}, 1, "last")
+
+
+# -- differential oracles: the dense Koszul layer ---------------------------------
+#
+# U_w used to be the pairwise intersection of the relation layers, span by
+# span, and TV/(R) reduced each product as a dense tensor against the RREF
+# of the relation layers.  Both are kept here verbatim as references for the
+# common kernel and the normal forms that replaced them.
+
+
+def _pivot(vec) -> int:
+    """The index of the first nonzero coordinate of a vector."""
+    return next(i for i, c in enumerate(vec) if c)
+
+
+def _relation_layer(pres: QuadraticPresentation, w: int, i: int) -> list[tuple[Fraction, ...]]:
+    """The vectors e_pre ⊗ r ⊗ e_post spanning V^{⊗i} ⊗ R ⊗ V^{⊗(w-i-2)}, in V^{⊗w} coordinates.
+
+    A relation r is indexed like the two-letter words, so the word
+    pre·(a, b)·post sits at ((pre·n² + ab)·n^{w-i-2} + post).
+    """
+    n = pres.n
+    tail = n ** (w - i - 2)
+    vecs = []
+    for pre in range(n**i):
+        for rel in pres.relations:
+            for post in range(tail):
+                vec = [Q(0)] * n**w
+                for ab, c in enumerate(rel):
+                    if c:
+                        vec[(pre * n * n + ab) * tail + post] += c
+                vecs.append(tuple(vec))
+    return vecs
+
+
+def _subspace_intersection(bases: list[list[tuple[Fraction, ...]]], dim: int):
+    """Canonical basis of the intersection of spans (each given by vectors)."""
+    if not bases:
+        return [tuple(Q(1) if i == j else Q(0) for i in range(dim)) for j in range(dim)]
+    current = span_basis(bases[0], dim)
+    for nxt in bases[1:]:
+        other = span_basis(nxt, dim)
+        if not current or not other:
+            return []
+        # x in span(current) ∩ span(other): kernel of [current | -other]
+        cols = [list(v) for v in current] + [[-c for c in v] for v in other]
+        M = from_columns([tuple(c) for c in cols])
+        inter = []
+        for kv in kernel_basis(M):
+            vec = [Q(0)] * dim
+            for c, v in zip(kv[: len(current)], current):
+                if c:
+                    for i, x in enumerate(v):
+                        vec[i] += c * x
+            inter.append(tuple(vec))
+        current = span_basis(inter, dim)
+    return current
+
+
+def quadratic_algebra_oracle(pres: QuadraticPresentation, W: int) -> tuple[GradedAlgebra, dict]:
+    """The algebra TV/(R) up to weight W, with projection data per weight.
+
+    Returns (algebra, sections) where sections[w] holds the canonical
+    section vectors (in V^{⊗w} coordinates) of the chosen basis of A_w and
+    sections["index_of"] maps (weight, local index) to the algebra's basis.
+    """
+    n = pres.n
+    sections: dict[int, dict] = {}
+    labels: list[str] = []
+    degrees: list[int] = []
+    weights: list[int] = []
+    index_of: dict[tuple[int, int], int] = {}
+    for w in range(W + 1):
+        dim = n**w
+        vecs = [v for i in range(max(0, w - 1)) for v in _relation_layer(pres, w, i)]
+        span = span_basis(vecs, dim) if vecs else []
+        pivots = {_pivot(v) for v in span}
+        free = [i for i in range(dim) if i not in pivots]
+        sections[w] = {"free": free, "span": span, "dim": dim}
+        for k, idx in enumerate(free):
+            word = ko._word(idx, n, w)
+            index_of[(w, k)] = len(labels)
+            labels.append("·".join(f"e{i+1}" for i in word) if word else "1")
+            degrees.append(sum(pres.generator_degrees[i] for i in word))
+            weights.append(w)
+
+    def reduce_tensor(w: int, vec):
+        """Project a tensor to quotient coordinates over the free words."""
+        span = sections[w]["span"]
+        free = sections[w]["free"]
+        out = list(vec)
+        for sv in span:
+            piv = _pivot(sv)
+            c = out[piv]
+            if c:
+                for i, x in enumerate(sv):
+                    out[i] -= c * x
+        return {k: out[idx] for k, idx in enumerate(free) if out[idx]}
+
+    table: dict[tuple[int, int], dict] = {}
+
+    for (w1, k1), i1 in index_of.items():
+        for (w2, k2), i2 in index_of.items():
+            if w1 + w2 > W:
+                table[(i1, i2)] = OUT_OF_WINDOW
+                continue
+            dim2 = n**w2
+            idx = sections[w1]["free"][k1] * dim2 + sections[w2]["free"][k2]
+            vec = [Q(0)] * (n ** (w1 + w2))
+            vec[idx] = Q(1)
+            red = reduce_tensor(w1 + w2, vec)
+            table[(i1, i2)] = {index_of[(w1 + w2, k)]: c for k, c in red.items()}
+
+    algebra = GradedAlgebra(
+        labels,
+        degrees,
+        weights,
+        unit=index_of[(0, 0)],
+        table=table,
+        commutativity=None,
+        weight_cutoff=W,
+        name=f"TV/R({pres.name})",
+    )
+    sections["index_of"] = index_of
+    return algebra, sections
+
+
+def dual_pieces_oracle(pres: QuadraticPresentation, W: int):
+    """U_w for w <= W, as the pairwise intersection of the relation layers."""
+    return {w: _subspace_intersection([_relation_layer(pres, w, i) for i in range(w - 1)], pres.n**w)
+            for w in range(W + 1)}
+
+
+@st.composite
+def quadratic_presentations(draw):
+    """A random presentation with independent relations: n = 2 with W <= 4, or n = 3 with W <= 3."""
+    n, W = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]))
+    coeffs = st.sampled_from([Q(0), Q(0), Q(0), Q(1), Q(-1), Q(2), Q(-1, 3)])
+    rels = []
+    for row in draw(st.lists(st.lists(coeffs, min_size=n * n, max_size=n * n), max_size=n * n)):
+        if ExactMatrix.from_rows(rels + [row]).rank() == len(rels) + 1:
+            rels.append(tuple(row))
+    degree = draw(st.sampled_from([0, -1, 1]))
+    return QuadraticPresentation(n, (degree,) * n, tuple(rels), name="random"), W
+
+
+def _algebra_data(A):
+    return A.labels, A.degrees, A.weights, A.unit, A.table
+
+
+def assert_koszul_layer_matches_oracle(pres, W):
+    """U pieces, dual table and quotient algebra equal the dense pipeline's."""
+    data = koszul_dual_algebra(pres, W)
+    U = dual_pieces_oracle(pres, W)
+    assert dense_pieces(data) == U
+    for rows in data.dual_weight_pieces.values():
+        # reduced echelon rows with unit pivots, no zeros, keys ascending
+        assert all(list(u) == sorted(u) and u[min(u)] == 1 and all(u.values()) for u in rows)
+    assert data.dual_algebra.table == dual_table_by_deconcatenation(data, U)
+    A, index_of = quadratic_algebra(pres, W)
+    want, sections = quadratic_algebra_oracle(pres, W)
+    assert index_of == sections["index_of"]
+    assert _algebra_data(A) == _algebra_data(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadratic_presentations())
+def test_koszul_layer_matches_dense_oracle_on_random_presentations(drawn):
+    assert_koszul_layer_matches_oracle(*drawn)
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_PRODUCT_CASES))
+def test_koszul_layer_matches_dense_oracle_on_named_presentations(name):
+    make, W = DUAL_PRODUCT_CASES[name]
+    assert_koszul_layer_matches_oracle(make(), W)

@@ -21,7 +21,7 @@ from mixhom.mixed import (
     WindowError,
 )
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
-from test_linalg import dense_boundaries, dense_cycles, sparse_vec
+from test_linalg import column, dense_boundaries, dense_cycles, from_columns, sparse_vec
 
 Q = Fraction
 
@@ -234,7 +234,7 @@ def _checked_classes(hc, dim_of):
 
 def _column_rank(cols, piece, dim):
     vecs = [tuple(col.get((piece, j), Q(0)) for j in range(dim)) for col in cols]
-    return ExactMatrix.from_columns(vecs).rank() if any(any(v) for v in vecs) else 0
+    return from_columns(vecs).rank() if any(any(v) for v in vecs) else 0
 
 
 def _ranks(hc, piece):
@@ -566,7 +566,7 @@ class TestTransposeOracles:
             for j, m in enumerate(labels):
                 for got, matrix, shift in ((dual.coboundary({m: Q(1)}), want.b_matrix((d, w)), -1),
                                            (dual.d_star({m: Q(1)}), want.B_matrix((d, w)), 1)):
-                    col = matrix.column(j)
+                    col = column(matrix, j)
                     tgt = want.pieces.get((d + shift, w), [])
                     assert got == {t: v for t, v in zip(tgt, col) if v}
 
@@ -739,14 +739,14 @@ def les_check_oracle(hc):
                 coords = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
                 beta_cols.append(beta_oracle(hc, piece, coords))
             rank_beta = (
-                ExactMatrix.from_columns(beta_cols).rank() if beta_cols and any(any(c) for c in beta_cols) else 0
+                from_columns(beta_cols).rank() if beta_cols and any(any(c) for c in beta_cols) else 0
             )
             pi_cols = []
             for i in range(pres.dim):
                 coords = tuple(Q(1) if j == i else Q(0) for j in range(pres.dim))
                 pi_cols.append(pi_star_oracle(hc, piece, coords))
             rank_pi = (
-                ExactMatrix.from_columns(pi_cols).rank() if pi_cols and any(any(c) for c in pi_cols) else 0
+                from_columns(pi_cols).rank() if pi_cols and any(any(c) for c in pi_cols) else 0
             )
             if hh.dim - rank_beta != rank_pi:
                 ok_rank = False
