@@ -17,21 +17,18 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product as iproduct
 from typing import Iterator
 
 from .algebra import GradedAlgebra, WindowOverflowError
 from .hochschild import (
     Cochain,
-    DualCochain,
     all_tuples_up_to_weight,
     cap,
-    cap_star,
-    chain_weight,
     coboundary,
     cup,
     gerstenhaber_bracket,
-    shifted_degree,
     unit_cochain,
 )
 from .linalg import (
@@ -42,11 +39,12 @@ from .linalg import (
     _integer_row,
     _integer_rref,
     _positive,
+    _pullback,
     _rational_row,
     homology_presentation,
     operator_matrix,
 )
-from .mixed import ClassKey, MixedComplexSlice, Piece, WindowError
+from .mixed import ClassKey, MixedComplexSlice, Piece, WindowError, _classes
 from . import poisson as po
 
 Q = Fraction
@@ -265,17 +263,23 @@ class AxiomReport:
 
 
 class CalculusBundle:
-    """Cohomology/homology operation tables over one mixed-complex slice."""
+    """Cohomology/homology operation tables over one mixed-complex slice.
+
+    ``act(cochain_rep, label)`` is the primal contraction of one basis chain,
+    a {label: coefficient} combination.  ``weight_sign`` is +1 when the
+    homology side is the chains, where ι_f adds the cochain's weight shift.
+    It is -1 on a functional (dual) side, whose labels stand for the dual
+    basis functionals of chains of complementary weight: there the action
+    is not applied but pulled back, as the signed transpose
+    ι_f φ = (-1)^{|f||φ|} φ∘ι_f (see ``cap_classes``).
+    """
 
     def __init__(self, name: str, ops, slice_: MixedComplexSlice, act, coh_window=None,
                  weight_sign: int = 1):
         self.name = name
         self.ops = ops
         self.slice = slice_
-        self.act = act  # act(cochain_rep, hom_label) -> dict[hom_label -> Q]
-        # +1 when the action adds the cochain's weight shift to the homology
-        # side, -1 for functional (dual) homology sides, which pair against
-        # chains of complementary weight
+        self.act = act
         self.weight_sign = weight_sign
         pieces = {p for p in ops.pieces() if coh_window is None or coh_window(p)}
         self.coh_pres: dict[Piece, HomologyPresentation] = {
@@ -325,57 +329,54 @@ class CalculusBundle:
             vec = self.ops.vector(piece, cochain)
         except WindowError:
             return None
-        coords = pres.reduce(vec)
-        return {(piece, i): c for i, c in enumerate(coords) if c}
+        return _classes(piece, pres.reduce(vec))
+
+    def _product_classes(self, memo: dict, op, degree: int, a: ClassKey, b: ClassKey):
+        """op(a, b) of degree |a| + |b| + ``degree`` on homology classes, memoized; None on a window escape."""
+        key = (a, b)
+        if key not in memo:
+            (D1, o1), (D2, o2) = a[0], b[0]
+            try:
+                val = op(self.coh_rep(a), self.coh_rep(b))
+            except (WindowOverflowError, WindowError):
+                memo[key] = None
+            else:
+                memo[key] = self._reduce_coh((D1 + D2 + degree, o1 + o2), val)
+        return memo[key]
 
     def cup_classes(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction] | None:
-        key = (a, b)
-        if key not in self._cup:
-            (D1, o1), (D2, o2) = a[0], b[0]
-            try:
-                val = self.ops.cup(self.coh_rep(a), self.coh_rep(b))
-            except (WindowOverflowError, WindowError):
-                self._cup[key] = None
-                return None
-            self._cup[key] = self._reduce_coh((D1 + D2, o1 + o2), val)
-        return self._cup[key]
+        return self._product_classes(self._cup, self.ops.cup, 0, a, b)
 
     def bracket_classes(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction] | None:
-        key = (a, b)
-        if key not in self._bracket:
-            (D1, o1), (D2, o2) = a[0], b[0]
-            try:
-                val = self.ops.bracket(self.coh_rep(a), self.coh_rep(b))
-            except (WindowOverflowError, WindowError):
-                self._bracket[key] = None
-                return None
-            self._bracket[key] = self._reduce_coh((D1 + D2 + 1, o1 + o2), val)
-        return self._bracket[key]
+        return self._product_classes(self._bracket, self.ops.bracket, 1, a, b)
 
     def cap_classes(self, f: ClassKey, z: ClassKey) -> dict[ClassKey, Fraction] | None:
+        """ι_f on a homology class, memoized; None on a window escape.
+
+        On chains (``weight_sign == 1``) the action is applied to the
+        representative of z.  On a functional side the representative is
+        φ, and ι_f φ = (-1)^{|f||φ|} φ∘ι_f is φ pulled back through the
+        primal action over the one piece of chains that ι_f sends onto φ's.
+        """
         key = (f, z)
         if key not in self._cap:
             (D1, o1), (dz, wz) = f[0], z[0]
             target = (dz + D1, wz + self.weight_sign * o1)
-            rep = self.coh_rep(f)
+            act = partial(self.act, self.coh_rep(f))
             labels = self.slice.pieces[z[0]]
-            out_acc: dict = {}
+            z_rep = {labels[j]: c for j, c in self.hom_rep_vector(z).items()}
             try:
-                for j, c in self.hom_rep_vector(z).items():
-                    _accumulate(out_acc, self.act(rep, labels[j]), c)
-            except (WindowOverflowError, WindowError):
-                self._cap[key] = None
-                return self._cap[key]
-            if not out_acc:
-                self._cap[key] = {}
-            else:
-                tgt_pres = self.slice.hh(target) if self.slice.dim(target) else None
-                if tgt_pres is None:
-                    self._cap[key] = None
+                if self.weight_sign == 1:
+                    out = _expand(z_rep, act)
                 else:
-                    tvec = self.slice.element_vector(target, out_acc)
-                    coords = tgt_pres.reduce(tvec)
-                    self._cap[key] = {(target, i): c for i, c in enumerate(coords) if c}
+                    out = _pullback(z_rep, self.slice.pieces.get(target, ()), act, -1 if (D1 * dz) % 2 else 1)
+            except (WindowOverflowError, WindowError):
+                out = None
+            if out and self.slice.dim(target):
+                out = _classes(target, self.slice.hh(target).reduce(self.slice.element_vector(target, out)))
+            elif out:
+                out = None
+            self._cap[key] = out
         return self._cap[key]
 
     def B_classes(self, z: ClassKey) -> dict[ClassKey, Fraction]:
@@ -805,59 +806,42 @@ def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: in
 # -- bundle builders for the four sources ----------------------------------------
 
 
+def _cap_label(f: Cochain, label) -> dict:
+    """The cap action on one basis chain; the primal action of both Hochschild bundles."""
+    return cap(f, {label: Q(1)})
+
+
+def _contraction_of(ctx: po.PoissonContext):
+    """The contraction action on one basis form; the primal action of both Poisson bundles."""
+    return lambda P, label: po.contraction(ctx, P, {label: Q(1)})
+
+
 def hochschild_bundle(A: GradedAlgebra, slice_, q_max: int, v_max: int | None = None,
                       coh_window=None) -> CalculusBundle:
     """Calculus of (HH^•, HH_•) over the Hochschild chain slice."""
-    ops = HochschildCochainOps(A, q_max, v_max)
-
-    def act(f: Cochain, label):
-        return cap(f, {label: Q(1)})
-
-    return CalculusBundle(f"hochschild({A.name})", ops, slice_, act, coh_window)
+    return CalculusBundle(f"hochschild({A.name})", HochschildCochainOps(A, q_max, v_max), slice_, _cap_label,
+                          coh_window)
 
 
 def hochschild_dual_bundle(A: GradedAlgebra, slice_, q_max: int, v_max: int | None = None,
                            coh_window=None) -> CalculusBundle:
     """Calculus of (HH^•(A), HH^•(A; A*)) over the dual cochain slice."""
-    ops = HochschildCochainOps(A, q_max, v_max)
-
-    def act(f: Cochain, label):
-        if not f.table:
-            return {}
-        # ι_f moves a chain's (degree, weight) by (|f|, ω): one dual piece of
-        # chains reaches the functional dual to label
-        key, val = next(iter(f.table.items()))
-        omega = A.weights[next(iter(val))] - chain_weight(A, key)
-        d = shifted_degree(A, label)
-        phi = DualCochain(A, -d, {label: Q(1)})
-        src = slice_.pieces.get((f.degree - d, chain_weight(A, label) - omega), [])
-        return cap_star(f, phi, src).table
-
-    return CalculusBundle(f"hochschild-dual({A.name})", ops, slice_, act, coh_window,
-                          weight_sign=-1)
+    return CalculusBundle(f"hochschild-dual({A.name})", HochschildCochainOps(A, q_max, v_max), slice_, _cap_label,
+                          coh_window, weight_sign=-1)
 
 
 def poisson_bundle(ctx: po.PoissonContext, pi, slice_, w_shift_min: int, w_shift_max: int,
                    coeff_wmax: int, coh_window=None) -> CalculusBundle:
     """Calculus of (HP^•, HP_•) over the Poisson chain slice."""
     ops = MultivectorOps(ctx, pi, w_shift_min, w_shift_max, coeff_wmax)
-
-    def act(P, label):
-        return po.contraction(ctx, P, {label: Q(1)})
-
-    return CalculusBundle(f"poisson({ctx.n})", ops, slice_, act, coh_window)
+    return CalculusBundle(f"poisson({ctx.n})", ops, slice_, _contraction_of(ctx), coh_window)
 
 
 def poisson_dual_bundle(dual: po.DualSide, slice_, w_shift_min: int, w_shift_max: int,
                         coeff_wmax: int, coh_window=None) -> CalculusBundle:
     """Calculus of (HP^•(A^!), HP^•(A^!; A^¡)) over the dual Poisson slice."""
     ops = MultivectorOps(dual.ctx, dual.pi, w_shift_min, w_shift_max, coeff_wmax)
-
-    def act(P, label):
-        phi = {label: Q(1)}
-        return dual.contract(P, phi)
-
-    return CalculusBundle(f"poisson-dual({dual.ctx.n})", ops, slice_, act, coh_window,
+    return CalculusBundle(f"poisson-dual({dual.ctx.n})", ops, slice_, _contraction_of(dual.ctx), coh_window,
                           weight_sign=-1)
 
 

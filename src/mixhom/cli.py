@@ -164,8 +164,9 @@ def parse_job(text: str) -> JobSpecification:
                 algebra["kind"] = parts[1]
             elif key in ("n", "cutoff"):
                 try:
-                    algebra[key] = int(parts[1])
-                except (IndexError, ValueError):
+                    (token,) = parts[1:]
+                    algebra[key] = int(token)
+                except ValueError:
                     raise ParseError(line_no, f"{key} takes one integer")
                 if key == "cutoff" and algebra[key] <= 0:
                     raise ParseError(line_no, "cutoff must be positive")
@@ -201,8 +202,9 @@ def parse_job(text: str) -> JobSpecification:
             if key not in ("p_max", "w_max", "u_trunc", "arity_max"):
                 raise ParseError(line_no, f"unknown window key {key!r}")
             try:
-                val = int(parts[1])
-            except (IndexError, ValueError):
+                (token,) = parts[1:]
+                val = int(token)
+            except ValueError:
                 raise ParseError(line_no, f"{key} takes one integer")
             if val <= 0:
                 raise ParseError(line_no, f"{key} must be positive")
@@ -211,6 +213,8 @@ def parse_job(text: str) -> JobSpecification:
             task = parts[0].lower()
             if task not in TASKS:
                 raise ParseError(line_no, f"unknown task {task!r}")
+            if len(parts) > 1:
+                raise ParseError(line_no, "a task line names one task")
             tasks.append(task)
     if "kind" not in algebra:
         raise ParseError(0, "missing [algebra] kind")

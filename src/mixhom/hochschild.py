@@ -9,11 +9,12 @@ displayed ungraded signs ((-1)^i faces, (-1)^{mi} cyclic rotations,
 when all internal degrees vanish, and the mixed-complex identities
 b^2 = B^2 = bB + Bb = 0 hold exactly in every computed window.
 
-Cochains come in two coefficient modes: mode A (values in the algebra,
-supporting cup / circle / bracket / cap) and mode A-dual (linear functionals
-on chains, supporting the dualized operators).  Dual operators follow the
-uniform twisted rule T*(g) = (-1)^{|g|} g∘T, which makes the dual of a mixed
-complex again a mixed complex.
+Cochains here are mode A: tables with values in the algebra, supporting
+cup / circle / bracket / cap.  Mode A-dual cochains, linear functionals on
+chains, are not a type of their own: ``mixed.dual_slice`` transposes the
+chain operators with the twisted rule T*(g) = (-1)^{|g|} g∘T, which makes
+the dual of a mixed complex again a mixed complex, and the calculus pulls
+the cap action back the same way (``CalculusBundle.cap_classes``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .algebra import Element, GradedAlgebra, WindowOverflowError
 from .linalg import _accumulate
-
-Q = Fraction
 
 ChainKey = tuple[int, ...]  # (i0, i1, ..., ip) basis indices; i1.. in augmentation
 Chain = dict[ChainKey, Fraction]
@@ -341,75 +340,3 @@ def lie_derivative(f: Cochain, chain: Chain) -> Chain:
     sign = -1 if f.degree % 2 else 1
     return _accumulate(dict(first), second, -sign)
 
-
-# -- mode A-dual cochains ----------------------------------------------------
-
-
-@dataclass
-class DualCochain:
-    """Mode A-dual cochain: a linear functional on chains.
-
-    ``table`` maps chain basis tuples to rationals; ``degree`` is the
-    functional degree (minus the shifted degree of the chains it pairs
-    with).  Under the identification Hom(Ā^q, A*) = Hom(A ⊗ Ā^q, k) this is
-    exactly a reduced cochain with values in the dual bimodule.
-    """
-
-    algebra: GradedAlgebra
-    degree: int
-    table: dict[ChainKey, Fraction]
-
-    def evaluate(self, chain: Chain) -> Fraction:
-        total = Q(0)
-        for t, c in chain.items():
-            v = self.table.get(t)
-            if v:
-                total += c * v
-        return total
-
-
-def cap_star(f: Cochain, g: DualCochain, chains: list[ChainKey]) -> DualCochain:
-    """(f, g) ↦ (-1)^{|f||g|} g∘ι_f, tabulated on the given chains.
-
-    Only the chains that ι_f sends onto g's support contribute; for a
-    homogeneous f they form one (shifted degree, weight) piece, which is all
-    ``hochschild_dual_bundle`` passes.
-    """
-    A = g.algebra
-    sign = -1 if (f.degree % 2) and (g.degree % 2) else 1
-    table: dict[ChainKey, Fraction] = {}
-    for t in chains:
-        val = g.evaluate(cap(f, {t: Q(1)}))
-        if val:
-            table[t] = sign * val
-    return DualCochain(A, g.degree - f.degree, table)
-
-
-def frobenius_pd(f: Cochain, pairing, chains: list[ChainKey]) -> DualCochain:
-    """Composition with the Frobenius pairing: mode A -> mode A-dual.
-
-    (PD f)(a_0, ā_1, .., ā_q) = (-1)^{|f||a_0|} <a_0, f(ā_1..ā_q)>.
-
-    Satisfies δ(PD f) = (-1)^{|f|} PD(δf), so cocycles map to cocycles and
-    the map descends to cohomology.  PD of the unit cochain is the pairing
-    itself, viewed as a functional on 0-chains.
-    """
-    A = f.algebra
-    q = f.arity
-    table: dict[ChainKey, Fraction] = {}
-    for t in chains:
-        if len(t) - 1 != q:
-            continue
-        val = f.value(t[1:])
-        if not val:
-            continue
-        a0 = t[0]
-        tot = Q(0)
-        for k, c in val.items():
-            tot += c * pairing.value(a0, k)
-        if tot:
-            sign = -1 if (f.degree % 2) and (A.degrees[a0] % 2) else 1
-            table[t] = sign * tot
-    # a chain it pairs with has degree -(|f| + n), so the functional degree
-    # is |f| + n regardless of the table being empty
-    return DualCochain(A, f.degree + pairing.degree, table)

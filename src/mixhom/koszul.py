@@ -35,6 +35,7 @@ from .linalg import (
     operator_matrix,
 )
 from . import poisson as po
+from .mixed import _classes
 
 Q = Fraction
 
@@ -530,14 +531,12 @@ def koszul_poisson_identification(n: int) -> PoissonIdentification:
 
 def hh_class_image(ident: PoissonIdentification, primal_slice, dual_slice, key):
     """Push one b-homology class through the identification, as coordinates."""
-    (d, w), i = key
-    labels = primal_slice.pieces[(d, w)]
-    labels2 = dual_slice.pieces[(d, w)]
-    out = {}
-    for j, c in primal_slice.hh((d, w)).cycle(i).items():
-        k = labels2.index(ident.form_to_dual(labels[j]))
-        out[k] = out.get(k, Q(0)) + c * ident.coefficient(labels[j])
-    return dual_slice.hh((d, w)).reduce(out)
+    piece, i = key
+    labels = primal_slice.pieces[piece]
+    image: dict = {}
+    for j, c in primal_slice.hh(piece).cycle(i).items():
+        _accumulate(image, {ident.form_to_dual(labels[j]): ident.coefficient(labels[j])}, c)
+    return dual_slice.hh(piece).reduce(dual_slice.element_vector(piece, image))
 
 
 def fit_dual_product_twist(ident: PoissonIdentification, primal_duality, dual_bundle, eta_dual):
@@ -572,18 +571,19 @@ def poisson_hc_iso(ident: PoissonIdentification, g_primal, g_dual):
     """
     iso = {}
     hc1, hc2 = g_primal.hc, g_dual.hc
+    index2 = {p: {lab: k for k, lab in enumerate(labels)} for p, labels in hc2.slice.pieces.items()}
+    stacked2: dict = {}  # HC⁻ piece -> {(u, index in the slice piece): index in the stacked basis}
     for key in g_primal.basis:
         piece, i = key
         d, w = piece
         stacked1 = hc1.stacked_basis(d, w)
-        idx2 = {lab: k for k, lab in enumerate(hc2.stacked_basis(d, w))}
-        vec = {}
+        if piece not in stacked2:
+            stacked2[piece] = {lab: k for k, lab in enumerate(hc2.stacked_basis(d, w))}
+        vec: dict = {}
         for k, c in hc1.pres[piece].cycle(i).items():
             u, j = stacked1[k]
             label = hc1.slice.pieces[(d + 2 * u, w)][j]
-            target = ident.form_to_dual(label)
-            k2 = idx2[(u, hc2.slice.pieces[(d + 2 * u, w)].index(target))]
-            vec[k2] = vec.get(k2, Q(0)) + c * ident.coefficient(label)
-        coords = hc2.pres[piece].reduce(vec)
-        iso[key] = {(piece, k): c for k, c in enumerate(coords) if c}
+            k2 = stacked2[piece][(u, index2[(d + 2 * u, w)][ident.form_to_dual(label)])]
+            _accumulate(vec, {k2: ident.coefficient(label)}, c)
+        iso[key] = _classes(piece, hc2.pres[piece].reduce(vec))
     return iso

@@ -70,6 +70,20 @@ def _expand(table, step):
     return out
 
 
+def _pullback(phi: dict, sources: Iterable, apply, sign: int) -> dict:
+    """The signed transpose of an operator on a functional: {s: sign·φ(apply(s))} over sources, zeros dropped.
+
+    ``apply(s)`` is a sparse vector {label: coefficient}; only its labels in
+    φ's support count, and no matrix is built.
+    """
+    out = {}
+    for s in sources:
+        v = sum(phi[t] * c for t, c in apply(s).items() if t in phi)
+        if v:
+            out[s] = sign * v
+    return out
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ExactMatrix, operator_matrix
+from .linalg import ExactMatrix, _pullback, operator_matrix
 from .linalg import _accumulate as add_into
 
 Q = Fraction
@@ -419,16 +419,17 @@ class DualSide:
     exterior-side forms of weight <= w_max.  Its degree is minus the form
     degree of its support, its weight the form weight.  Every dual operator
     is the twisted transpose T*(φ) = (-1)^{|T||φ|} φ∘T of an operator T on
-    the forms, so each is a matrix: T moves a form's (degree, weight) by its
-    own, and the matrix of T from the one piece of forms that reaches a
-    piece of φ is transposed and signed.  The dual piece (-e, w) holds the
-    functionals dual to the forms of degree e and weight w; on it δ is
-    (-1)^e ∂(e+1, w)ᵀ and d* is (-1)^e d(e-1, w)ᵀ.  Each of those is built
-    the first time it is asked for and kept, and ``slice_from_poisson_dual``
-    assembles its slice from the same matrix objects.  The action of a
-    polyvector P transposes the contraction ι_m of one monomial m of P at a
-    time; its matrix is built afresh on every call, for the pieces that call
-    reaches alone.  A functional must be supported on ``domain``.
+    the forms: T moves a form's (degree, weight) by its own, so only the
+    one piece of forms that T sends onto a piece of φ contributes.  The dual
+    piece (-e, w) holds the functionals dual to the forms of degree e and
+    weight w.  The differentials preserve weight and are matrices, built the
+    first time they are asked for and kept: on (-e, w), δ is
+    (-1)^e ∂(e+1, w)ᵀ and d* is (-1)^e d(e-1, w)ᵀ, and
+    ``slice_from_poisson_dual`` assembles its slice from the same matrix
+    objects.  The action of a polyvector P builds no matrix: φ is pulled
+    back through the contraction ι_m of one monomial m of P at a time
+    (``linalg._pullback``), the rule ``CalculusBundle.cap_classes`` uses on
+    every functional side.  A functional must be supported on ``domain``.
     """
 
     def __init__(self, ctx: PoissonContext, pi: GCAElement, w_max: int):
@@ -452,32 +453,29 @@ class DualSide:
         """The dual pieces (-e, w), each labelled by the forms of degree e and weight w."""
         return {(-e, w): labels for (e, w), labels in self._forms.items()}
 
-    def _dual_matrix(self, op, shift: tuple[int, int], e: int, w: int) -> ExactMatrix:
-        """(-1)^{|T| e} Tᵀ for the operator T = op of the given (degree, weight), into forms (e, w)."""
-        degree, weight = shift
-        src = self._forms.get((e - degree, w - weight), [])
-        M = operator_matrix(src, self._forms.get((e, w), []), lambda m: op({m: Q(1)}))
-        return M.transpose(-1 if (degree % 2) and (e % 2) else 1)
-
-    def _memo(self, name: str, op, shift: tuple[int, int], piece: tuple[int, int]) -> ExactMatrix:
+    def _dual_matrix(self, name: str, op, degree: int, piece: tuple[int, int]) -> ExactMatrix:
+        """(-1)^{|T| e} Tᵀ out of the dual piece (-e, w), for a weight-preserving T = op of the given degree; kept."""
         got = self._dual_mats.get((name, piece))
         if got is None:
-            got = self._dual_mats[(name, piece)] = self._dual_matrix(op, shift, -piece[0], piece[1])
+            e, w = -piece[0], piece[1]
+            M = operator_matrix(self._forms.get((e - degree, w), []), self._forms.get((e, w), []),
+                                lambda m: op({m: Q(1)}))
+            got = self._dual_mats[(name, piece)] = M.transpose(-1 if (degree % 2) and (e % 2) else 1)
         return got
 
     def coboundary_matrix(self, piece: tuple[int, int]) -> ExactMatrix:
         """δ out of the dual piece (-e, w): (-1)^e ∂(e+1, w)ᵀ."""
-        return self._memo("δ", lambda om: poisson_boundary(self.ctx, self.pi, om), (-1, 0), piece)
+        return self._dual_matrix("δ", lambda om: poisson_boundary(self.ctx, self.pi, om), -1, piece)
 
     def d_star_matrix(self, piece: tuple[int, int]) -> ExactMatrix:
         """d* out of the dual piece (-e, w): (-1)^e d(e-1, w)ᵀ."""
-        return self._memo("d*", lambda om: de_rham(self.ctx, om), (1, 0), piece)
+        return self._dual_matrix("d*", lambda om: de_rham(self.ctx, om), 1, piece)
 
-    def _act(self, matrix_of, shift: tuple[int, int], phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        """T*(φ) for an operator T of (degree, weight) ``shift``, one piece (e, w) of φ at a time.
+    def _act(self, matrix_of, degree: int, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        """T*(φ) for a weight-preserving operator T of the given degree, one piece (e, w) of φ at a time.
 
-        ``matrix_of(e, w)`` is (-1)^{|T| e} Tᵀ into forms (e, w); its rows are
-        the forms (e, w) - shift.
+        ``matrix_of((-e, w))`` is (-1)^{|T| e} Tᵀ out of the dual piece (-e, w);
+        its rows are the forms (e - degree, w).
         """
         F = self.ctx.forms
         parts: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -488,33 +486,36 @@ class DualSide:
         out: dict[Monomial, Fraction] = {}
         for (e, w), part in parts.items():
             # each piece of φ lands in a piece of its own, so no two parts share a label
-            labels = self._forms.get((e - shift[0], w - shift[1]), [])
-            for i, c in matrix_of(e, w).apply(part).items():
+            labels = self._forms.get((e - degree, w), [])
+            for i, c in matrix_of((-e, w)).apply(part).items():
                 out[labels[i]] = c
         return out
 
     def coboundary(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """δ with values in the dual module: (-1)^{|φ|} φ∘∂."""
-        return self._act(lambda e, w: self.coboundary_matrix((-e, w)), (-1, 0), phi)
+        return self._act(self.coboundary_matrix, -1, phi)
 
     def d_star(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """Dual de Rham differential: (-1)^{|φ|} φ∘d."""
-        return self._act(lambda e, w: self.d_star_matrix((-e, w)), (1, 0), phi)
+        return self._act(self.d_star_matrix, 1, phi)
 
     def contract(self, P: GCAElement, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """Module action of polyvectors: (ι_P φ)(ω) = (-1)^{|P||φ|} φ(ι_P ω).
 
-        The sign is taken per monomial of P, so the action is linear in P.
+        φ is pulled back through ι_m for each monomial m of P, over the one
+        piece of forms that ι_m sends onto each piece of φ.  The sign is
+        taken per monomial of P, so the action is linear in P.
         """
-        V = self.ctx.vectors
+        F, V = self.ctx.forms, self.ctx.vectors
+        pieces = {(F.degree(m), F.weight(m)) for m, c in phi.items() if c}
         out: dict[Monomial, Fraction] = {}
         for pm, c in P.items():
             if c:
-                shift = (V.degree(pm), V.weight(pm))
-                def iota(om, pm=pm):
-                    return contract_monomial(self.ctx, pm, om)
-
-                add_into(out, self._act(lambda e, w: self._dual_matrix(iota, shift, e, w), shift, phi), c)
+                dp, wp = V.degree(pm), V.weight(pm)
+                for e, w in pieces:
+                    add_into(out, _pullback(phi, self._forms.get((e - dp, w - wp), ()),
+                                            lambda om: contract_monomial(self.ctx, pm, {om: Q(1)}),
+                                            -1 if (dp % 2) and (e % 2) else 1), c)
         return out
 
     def dual_volume(self) -> dict[Monomial, Fraction]:

@@ -31,7 +31,6 @@ from mixhom.hochschild import (
     boundary_b,
     chain_basis,
     connes_B,
-    frobenius_pd,
     unit_cochain,
 )
 from mixhom.koszul import (
@@ -61,7 +60,7 @@ from mixhom.poisson import (
 )
 from test_calculus import assert_pd_inverse_matches_solve
 from test_gravity import assert_derived_twist_matches_fitted
-from test_hochschild import dual_coboundary
+from test_hochschild import dual_coboundary, frobenius_pd
 from test_linalg import from_columns, kernel_basis
 from test_mixed import assert_les_matches_oracle
 from test_poisson import oracle_engine, schouten_odd_laplacian

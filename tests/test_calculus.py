@@ -184,7 +184,8 @@ class TestCalabiYauCase:
 
 def _cap_star_full_domain(f, g, chains):
     """The dual action as it was: g∘ι_f evaluated on every chain of the window."""
-    from mixhom.hochschild import DualCochain, cap
+    from mixhom.hochschild import cap
+    from test_hochschild import DualCochain
 
     A = g.algebra
     sign = -1 if (f.degree % 2) and (g.degree % 2) else 1
@@ -196,10 +197,51 @@ def _cap_star_full_domain(f, g, chains):
     return DualCochain(A, g.degree - f.degree, table)
 
 
+def _recorded_cap_pairs(bundle, attach):
+    """The (f, z) pairs that ``cap_classes`` sees while ``attach(bundle)`` runs."""
+    pairs = []
+    cap_classes = bundle.cap_classes
+
+    def recording(f, z):
+        pairs.append((f, z))
+        return cap_classes(f, z)
+
+    bundle.cap_classes = recording
+    try:
+        attach(bundle)
+    finally:
+        del bundle.cap_classes
+    return pairs
+
+
+def assert_dual_action_matches(bundle, pairs, oracle):
+    """cap_classes(f, z) is the class of Σ_j c_j·oracle(rep of f, label j) for z = Σ_j c_j·(label j)*.
+
+    Returns the number of pairs with a nonzero image.
+    """
+    nonzero = 0
+    for f, z in pairs:
+        rep = bundle.coh_rep(f)
+        labels = bundle.slice.pieces[z[0]]
+        want = {}
+        for j, c in bundle.hom_rep_vector(z).items():
+            _accumulate(want, oracle(rep, labels[j]), c)
+        target = (z[0][0] + f[0][0], z[0][1] - f[0][1])
+        got = bundle.cap_classes(f, z)
+        if want:
+            coords = bundle.slice.hh(target).reduce(bundle.slice.element_vector(target, want))
+            want = {(target, i): c for i, c in enumerate(coords) if c}
+        assert got == want, (f, z)
+        nonzero += bool(want)
+    return nonzero
+
+
 def test_dual_action_matches_full_domain_on_bv_check_bundle():
-    # the bv-check Frobenius bundle; every (class, label) pair that
-    # attach_duality evaluates goes through the one-source-piece action
-    from mixhom.hochschild import DualCochain, shifted_degree
+    # the bv-check Frobenius bundle: the pairs attach_duality evaluates, where
+    # |φ| = 2, and every pair of odd-degree classes, where the sign
+    # (-1)^{|f||φ|} is -1; against g∘ι_f on every chain of the window
+    from mixhom.hochschild import shifted_degree
+    from test_hochschild import DualCochain
 
     A = make_exterior_algebra(2)
     sl = slice_from_hochschild_dual(A, 5)
@@ -208,20 +250,42 @@ def test_dual_action_matches_full_domain_on_bv_check_bundle():
     )
     coords = sl.hh((2, 2)).reduce(sl.element_vector((2, 2), {(A.index["ξ1ξ2"],): Q(1)}))
     eta = ((2, 2), [i for i, c in enumerate(coords) if c][0])
-    pairs = []
-    act = bundle.act
-
-    def recording(f, label):
-        pairs.append((f, label))
-        return act(f, label)
-
-    bundle.act = recording
-    attach_duality(bundle, eta)
+    pairs = _recorded_cap_pairs(bundle, lambda b: attach_duality(b, eta))
     assert len(pairs) > 50
+    pairs += [(f, z) for f in bundle.coh_classes() if f[0][0] % 2
+              for z in bundle.hom_classes() if z[0][0] % 2]
     chains = [t for labels in sl.pieces.values() for t in labels]
-    for f, label in pairs:
-        phi = DualCochain(A, -shifted_degree(A, label), {label: Q(1)})
-        assert act(f, label) == _cap_star_full_domain(f, phi, chains).table
+
+    def oracle(f, label):
+        return _cap_star_full_domain(f, DualCochain(A, -shifted_degree(A, label), {label: Q(1)}), chains).table
+
+    assert assert_dual_action_matches(bundle, pairs, oracle) > 300
+
+
+def test_dual_action_matches_full_domain_on_gravity_check_bundle():
+    # the gravity-check Poisson-dual bundle: the pairs attach_duality
+    # evaluates and those of the first 12 × 12 classes, against φ∘ι_P on
+    # every form of the domain
+    from mixhom.calculus import poisson_dual_bundle
+    from mixhom.koszul import dual_bivector_coeffs
+    from mixhom.mixed import slice_from_poisson_dual
+    from mixhom.poisson import DualSide
+    from test_poisson import _contract_full_domain
+
+    ctx = PoissonContext.make(3, "ext")
+    dual = DualSide(ctx, quadratic_bivector(ctx, dual_bivector_coeffs(CIRCULANT)), w_max=8)
+    sl = slice_from_poisson_dual(dual)
+    bundle = poisson_dual_bundle(dual, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
+    coords = sl.hh((3, 3)).reduce(sl.element_vector((3, 3), {(1, 1, 1, 0, 0, 0): Q(1)}))
+    eta = ((3, 3), [i for i, c in enumerate(coords) if c][0])
+    pairs = _recorded_cap_pairs(bundle, lambda b: attach_duality(b, eta))
+    assert len(pairs) > 50
+    pairs += [(f, z) for f in bundle.coh_classes()[:12] for z in bundle.hom_classes()[:12]]
+
+    def oracle(P, label):
+        return _contract_full_domain(dual, P, {label: Q(1)})
+
+    assert assert_dual_action_matches(bundle, pairs, oracle) > 20
 
 
 def _memo_arguments(bundle, duality):

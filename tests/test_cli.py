@@ -174,6 +174,29 @@ def test_bad_jobs_are_parse_errors(tmp_path, command, job):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "job, line_no",
+    [
+        ("[algebra]\nkind exterior\nn 2 7\n[tasks]\nhh\n", 3),
+        ("[algebra]\nkind polynomial\nn 1\ncutoff 4 5\n[tasks]\nhh\n", 4),
+        ("[algebra]\nkind exterior\nn 2\n[window]\nw_max 3 9\n[tasks]\nhh\n", 5),
+        ("[algebra]\nkind exterior\nn 2\n[tasks]\nhh extra\n", 5),
+        ("[algebra]\nkind exterior\nn 2 7\n[window]\nw_max 3 9\n[tasks]\nhh extra\n", 3),
+    ],
+    ids=["n", "cutoff", "window", "task", "all-three"],
+)
+def test_trailing_tokens_are_parse_errors(tmp_path, capsys, job, line_no):
+    # a token after the value is an error on its line, not silently dropped
+    with pytest.raises(ParseError) as exc:
+        parse_job(job)
+    assert exc.value.line_no == line_no
+    path = tmp_path / "job.txt"
+    path.write_text(job)
+    assert main(["run", "--input", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.startswith(f"parse error: line {line_no}: ")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value", [0, -1])
 @pytest.mark.parametrize("flag", ["--pmax", "--wmax", "--utrunc", "--nmax"])
 def test_window_flags_must_be_positive(tmp_path, capsys, flag, value):

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -13,17 +14,14 @@ from mixhom.algebra import (
 from mixhom.hochschild import (
     ChainKey,
     Cochain,
-    DualCochain,
     all_tuples_up_to_weight,
     boundary_b,
     cap,
-    cap_star,
     chain_basis,
     circle,
     coboundary,
     connes_B,
     cup,
-    frobenius_pd,
     gerstenhaber_bracket,
     lie_derivative,
     multiplication_cochain,
@@ -312,9 +310,76 @@ class TestLieDerivative:
 # -- dual cochains by evaluation ----------------------------------------------------
 #
 # The dual Hochschild slice is the signed transpose of the primal one
-# (mixed.dual_slice).  The functional-by-functional duals it replaced are kept
-# here verbatim as references, for these tests and for the slice oracle in
-# test_mixed.py.
+# (mixed.dual_slice), and the dual cap action is the pullback of the primal
+# one (calculus.CalculusBundle.cap_classes).  The functional-by-functional
+# duals they replaced are kept here as references, for these tests, for the
+# slice oracle in test_mixed.py and for the dual-action oracle in
+# test_calculus.py.
+
+
+@dataclass
+class DualCochain:
+    """Mode A-dual cochain: a linear functional on chains.
+
+    ``table`` maps chain basis tuples to rationals; ``degree`` is the
+    functional degree (minus the shifted degree of the chains it pairs
+    with).  Under the identification Hom(Ā^q, A*) = Hom(A ⊗ Ā^q, k) this is
+    exactly a reduced cochain with values in the dual bimodule.
+    """
+
+    algebra: object
+    degree: int
+    table: dict[ChainKey, Fraction]
+
+    def evaluate(self, chain) -> Fraction:
+        total = Q(0)
+        for t, c in chain.items():
+            v = self.table.get(t)
+            if v:
+                total += c * v
+        return total
+
+
+def cap_star(f: Cochain, g: DualCochain, chains: list[ChainKey]) -> DualCochain:
+    """(f, g) ↦ (-1)^{|f||g|} g∘ι_f, tabulated on the given chains."""
+    A = g.algebra
+    sign = -1 if (f.degree % 2) and (g.degree % 2) else 1
+    table: dict[ChainKey, Fraction] = {}
+    for t in chains:
+        val = g.evaluate(cap(f, {t: Q(1)}))
+        if val:
+            table[t] = sign * val
+    return DualCochain(A, g.degree - f.degree, table)
+
+
+def frobenius_pd(f: Cochain, pairing, chains: list[ChainKey]) -> DualCochain:
+    """Composition with the Frobenius pairing: mode A -> mode A-dual.
+
+    (PD f)(a_0, ā_1, .., ā_q) = (-1)^{|f||a_0|} <a_0, f(ā_1..ā_q)>.
+
+    Satisfies δ(PD f) = (-1)^{|f|} PD(δf), so cocycles map to cocycles and
+    the map descends to cohomology.  PD of the unit cochain is the pairing
+    itself, viewed as a functional on 0-chains.
+    """
+    A = f.algebra
+    q = f.arity
+    table: dict[ChainKey, Fraction] = {}
+    for t in chains:
+        if len(t) - 1 != q:
+            continue
+        val = f.value(t[1:])
+        if not val:
+            continue
+        a0 = t[0]
+        tot = Q(0)
+        for k, c in val.items():
+            tot += c * pairing.value(a0, k)
+        if tot:
+            sign = -1 if (f.degree % 2) and (A.degrees[a0] % 2) else 1
+            table[t] = sign * tot
+    # a chain it pairs with has degree -(|f| + n), so the functional degree
+    # is |f| + n regardless of the table being empty
+    return DualCochain(A, f.degree + pairing.degree, table)
 
 
 def dual_of_operator(g: DualCochain, op, chains: list[ChainKey], op_degree: int) -> DualCochain:

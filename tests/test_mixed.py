@@ -371,9 +371,9 @@ class TestCyclicPeriodic:
 
 
 def _hochschild_dual_by_functionals(A, w_max):
-    from mixhom.hochschild import DualCochain, chain_basis, shifted_degree
+    from mixhom.hochschild import chain_basis, shifted_degree
     from mixhom.mixed import _mats_from_operator
-    from test_hochschild import B_star, dual_coboundary
+    from test_hochschild import B_star, DualCochain, dual_coboundary
 
     chain_pieces = {}
     for w in range(w_max + 1):
