@@ -330,6 +330,8 @@ class JobContext:
         """
         keep: set[str] = set()
         todo = [name for task in tasks for name in TASK_READS[task]]
+        if "koszul" in tasks and _bar_reads_the_slice(self.spec):
+            todo.append("slice")
         while todo:
             name = todo.pop()
             if name not in keep:
@@ -416,7 +418,7 @@ def task_hc_minus(job: JobContext) -> dict:
         "algebra": job.algebra.name,
         "truncation": hc.N,
         "hc_minus_dims_stable": _sorted_dims({k: v for k, v in hc.stable_dims().items() if v}),
-        "unstable_pieces": [[d, w] for (d, w) in sorted(hc.pres) if not hc.stable.get((d, w))],
+        "unstable_pieces": [[d, w] for (d, w), ok in sorted(hc.stable.items()) if not ok],
         "cyclic_dims": _sorted_dims({k: v for k, v in cyclic.items() if v}),
         "les": {
             "beta_after_pi_zero": les.beta_after_pi_zero,
@@ -501,6 +503,11 @@ def task_gravity(job: JobContext) -> dict:
     }
 
 
+def _bar_reads_the_slice(spec: JobSpecification) -> bool:
+    """Whether the koszul task's bar dims are those of the job's own slice: the same truncated algebra."""
+    return spec.kind == "polynomial" and (spec.cutoff or spec.w_max) == spec.w_max
+
+
 def task_koszul(job: JobContext) -> dict:
     spec = job.spec
     pres = job.presentation
@@ -522,8 +529,7 @@ def task_koszul(job: JobContext) -> dict:
             [s, t, d] for (s, t), d in sorted(models.cochain_dims.items())
         ]
         if spec.kind == "polynomial":
-            A = make_truncated_polynomial_algebra(spec.n, W)
-            sl = slice_from_hochschild(A, W)
+            sl = job.slice if _bar_reads_the_slice(spec) else slice_from_hochschild(make_truncated_polynomial_algebra(spec.n, W), W)
             bar = {k: v for k, v in sl.hh_dims().items() if v}
             conv = {}
             for (s, t), d in models.chain_dims.items():

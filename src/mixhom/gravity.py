@@ -52,11 +52,7 @@ class GravityStructure:
         self.duality = duality
         self.degree_shift = duality.eta[0][0]
         if basis is None:
-            basis = [
-                ((d, w), i)
-                for (d, w) in hc.stable_pieces()
-                for i in range(hc.pres[(d, w)].dim)
-            ]
+            basis = [(piece, i) for piece, dim in hc.stable_dims().items() for i in range(dim)]
         self.basis = basis
         self.index = {k: i for i, k in enumerate(basis)}
         self._dot: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction]] = {}

@@ -580,10 +580,10 @@ def poisson_hc_iso(ident: PoissonIdentification, g_primal, g_dual):
         if piece not in stacked2:
             stacked2[piece] = {lab: k for k, lab in enumerate(hc2.stacked_basis(d, w))}
         vec: dict = {}
-        for k, c in hc1.pres[piece].cycle(i).items():
+        for k, c in hc1.presentation(piece).cycle(i).items():
             u, j = stacked1[k]
             label = hc1.slice.pieces[(d + 2 * u, w)][j]
             k2 = stacked2[piece][(u, index2[(d + 2 * u, w)][ident.form_to_dual(label)])]
             _accumulate(vec, {k2: ident.coefficient(label)}, c)
-        iso[key] = _classes(piece, hc2.pres[piece].reduce(vec))
+        iso[key] = _classes(piece, hc2.presentation(piece).reduce(vec))
     return iso

@@ -136,13 +136,13 @@ def _cancel(r: dict[int, int], row: dict[int, int], p: int) -> None:
     _primitive(r)
 
 
-def _row_echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """Forward elimination of integer rows (consumed): nonzero (pivot, row) in arrival order.
+def _row_echelon(rows: Iterable[dict[int, int]], echelon: list | None = None) -> list[tuple[int, dict[int, int]]]:
+    """Forward elimination of integer rows (consumed): nonzero (pivot, row) in arrival order, after ``echelon``'s.
 
     Each kept row vanishes at the pivots of the rows kept before it, and its
-    pivot is its least column.
+    pivot is its least column.  A given ``echelon`` is extended in place.
     """
-    echelon = []
+    echelon = [] if echelon is None else echelon
     for r in rows:
         for p, pr in echelon:
             if p in r:
@@ -396,7 +396,7 @@ class HomologyPresentation:
 
 def _check_complex(d_in: ExactMatrix, d_out: ExactMatrix) -> None:
     """Raise unless d_in lands in d_out's source and d_out o d_in = 0."""
-    if d_in.cols and d_out.rows is not None:
+    if d_in.cols:
         if d_in.rows != d_out.cols:
             raise DimensionMismatchError("d_in target dimension != d_out source dimension")
         comp = d_out.matmul(d_in)

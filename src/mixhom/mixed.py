@@ -14,9 +14,11 @@ matrices its :class:`~mixhom.poisson.DualSide` holds.
 
 Negative cyclic, cyclic and periodic homology are the homology of one
 u-stacked complex (C ⊗ u-powers, b + uB) over the u-ranges [0, N], [-K, 0]
-and [-N, N].  For HC⁻ a stabilization report compares truncations N and
-N+1 and flags unstable (degree, weight) pieces; the N+1 dimensions come
-from ranks alone.  The connecting map β
+and [-N, N].  Every dimension comes from ranks: one forward elimination
+of each u-stacked matrix at N + 1 gives its rank at N on the way, so HC⁻
+compares truncations N and N + 1 and flags unstable (degree, weight)
+pieces without a second elimination.  An HC⁻ piece gets a homology
+presentation only when a class in it is read.  The connecting map β
 follows the chain-level recipe: lift a b-cycle, apply b + uB, divide by u.
 """
 
@@ -33,6 +35,8 @@ from .linalg import (
     _accumulate,
     _check_complex,
     _expand,
+    _integer_row,
+    _row_echelon,
     _sparse_rank,
     homology_presentation,
     operator_matrix,
@@ -80,18 +84,15 @@ class MixedComplexSlice:
         return sorted({w for (_d, w) in self.pieces})
 
     def b_matrix(self, piece: Piece) -> ExactMatrix:
-        got = self.b_mats.get(piece)
-        if got is None:
-            d, w = piece
-            return ExactMatrix.zero(self.dim((d - 1, w)), self.dim(piece))
-        return got
+        return self._matrix(self.b_mats, piece, -1)
 
     def B_matrix(self, piece: Piece) -> ExactMatrix:
-        got = self.B_mats.get(piece)
-        if got is None:
-            d, w = piece
-            return ExactMatrix.zero(self.dim((d + 1, w)), self.dim(piece))
-        return got
+        return self._matrix(self.B_mats, piece, +1)
+
+    def _matrix(self, mats: dict[Piece, ExactMatrix], piece: Piece, shift: int) -> ExactMatrix:
+        """The stored matrix out of a piece, or the zero map into the piece ``shift`` degrees away."""
+        got = mats.get(piece)
+        return got if got is not None else ExactMatrix.zero(self.dim((piece[0] + shift, piece[1])), self.dim(piece))
 
     def _validate(self):
         for (d, w) in self.pieces:
@@ -111,9 +112,7 @@ class MixedComplexSlice:
     def hh(self, piece: Piece) -> HomologyPresentation:
         if piece not in self._hh:
             d, w = piece
-            self._hh[piece] = homology_presentation(
-                self.b_matrix((d + 1, w)), self.b_matrix(piece)
-            )
+            self._hh[piece] = homology_presentation(self.b_matrix((d + 1, w)), self.b_matrix(piece))
         return self._hh[piece]
 
     def hh_dims(self) -> dict[Piece, int]:
@@ -234,7 +233,9 @@ class NegativeCyclic:
     A degree-d class has components x_i in degree d + 2i for u-powers
     i <= N; the truncated differential drops the u^{N+1} overflow, and the
     stabilization report marks the (degree, weight) pieces whose dimension
-    changes between truncation orders N and N+1.
+    changes between truncation orders N and N+1; both come from ranks, in
+    one elimination per matrix (``_u_dims``).  A piece's presentation is
+    built the first time a class in it is read.
 
     π* and β of the long exact sequence HC⁻ → HH → HC⁻ are taken on one
     basis class at a time and memoized here, so ``les_check`` and every
@@ -243,8 +244,9 @@ class NegativeCyclic:
 
     slice: MixedComplexSlice
     N: int
-    pres: dict[Piece, HomologyPresentation] = field(default_factory=dict)
-    stable: dict[Piece, bool] = field(default_factory=dict)
+    stable: dict[Piece, bool] = field(default_factory=dict, init=False)
+    _dims: dict[Piece, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pres: dict[Piece, HomologyPresentation] = field(default_factory=dict, init=False, repr=False, compare=False)
     _pi: dict[ClassKey, dict[ClassKey, Fraction]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _beta: dict[ClassKey, dict[ClassKey, Fraction]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -253,11 +255,19 @@ class NegativeCyclic:
         if not degrees:
             return
         lo, hi = min(degrees), max(degrees)
-        for piece, d_in, d_out in _u_matrices(self.slice, 0, self.N, lo - 2 * self.N, hi):
-            self.pres[piece] = homology_presentation(d_in, d_out)
-        upper = _u_dims(self.slice, 0, self.N + 1, lo - 2 * (self.N + 1), hi)
-        for piece, pres in self.pres.items():
-            self.stable[piece] = pres.dim == upper.get(piece, 0)
+        self._dims, upper = _u_dims(self.slice, 0, self.N + 1, lo - 2 * (self.N + 1), hi)
+        self.stable = {piece: dim == upper[piece] for piece, dim in self._dims.items()}
+
+    def presentation(self, piece: Piece) -> HomologyPresentation:
+        """The HC⁻ presentation of a piece, built on first read; WindowError if it has no chains at N."""
+        if piece not in self._pres:
+            if piece not in self._dims:
+                raise WindowError(f"no HC⁻ presentation at {piece}")
+            d, w = piece
+            self._pres[piece] = homology_presentation(
+                _u_complex(self.slice, d + 1, w, 0, self.N), _u_complex(self.slice, d, w, 0, self.N)
+            )
+        return self._pres[piece]
 
     # basis of the truncated complex in degree d: pairs (i, index into piece)
     def stacked_basis(self, d: int, w: int, N: int | None = None) -> list[tuple[int, int]]:
@@ -265,13 +275,13 @@ class NegativeCyclic:
         return [(i, k) for i in range(N + 1) for k in range(self.slice.dim((d + 2 * i, w)))]
 
     def dims(self) -> dict[Piece, int]:
-        return {p: v.dim for p, v in sorted(self.pres.items())}
+        return dict(sorted(self._dims.items()))
 
     def stable_dims(self) -> dict[Piece, int]:
-        return {p: v.dim for p, v in sorted(self.pres.items()) if self.stable.get(p)}
+        return {p: v for p, v in sorted(self._dims.items()) if self.stable[p]}
 
     def stable_pieces(self) -> list[Piece]:
-        return [p for p in sorted(self.pres) if self.stable.get(p)]
+        return [p for p in sorted(self._dims) if self.stable[p]]
 
     # -- the long exact sequence maps ---------------------------------------
 
@@ -283,12 +293,9 @@ class NegativeCyclic:
         got = self._pi.get(key)
         if got is None:
             piece, i = key
-            pres = self.pres.get(piece)
-            if pres is None:
-                raise WindowError(f"no HC⁻ presentation at {piece}")
             # the u⁰ component comes first in the stacked basis
             n0 = self.slice.dim(piece)
-            x0 = {j: c for j, c in pres.cycle(i).items() if j < n0}
+            x0 = {j: c for j, c in self.presentation(piece).cycle(i).items() if j < n0}
             got = self._pi[key] = _classes(piece, self.slice.hh(piece).reduce(x0))
         return got
 
@@ -305,15 +312,10 @@ class NegativeCyclic:
         if got is None:
             (d, w), i = key
             img = self.slice.B_matrix((d, w)).apply(self.slice.hh((d, w)).cycle(i))
-            target = self.pres.get((d + 1, w))
-            if target is None:
-                if img:
-                    raise KeyError(f"no HC⁻ presentation at {(d + 1, w)}")
-                got = {}
-            else:
-                # the u⁰ component comes first in the stacked basis
-                got = _classes((d + 1, w), target.reduce(img))
-            self._beta[key] = got
+            if img and (d + 1, w) not in self._dims:
+                raise KeyError(f"no HC⁻ presentation at {(d + 1, w)}")
+            # the u⁰ component comes first in the stacked basis
+            got = self._beta[key] = _classes((d + 1, w), self.presentation((d + 1, w)).reduce(img)) if img else {}
         return got
 
 
@@ -348,15 +350,12 @@ def les_check(hc: NegativeCyclic) -> LESReport:
     sl = hc.slice
     failures: list[str] = []
     ok_bp = ok_pb = ok_rank = True
-    for piece in hc.stable_pieces():
+    for piece, dim in hc.stable_dims().items():
         d, w = piece
-        if (d + 1, w) in hc.pres:
-            if not hc.stable[(d + 1, w)]:
-                continue
-        elif hc.stacked_basis(d + 1, w, hc.N + 1):
+        if not hc.stable.get((d + 1, w), not hc.stacked_basis(d + 1, w, hc.N + 1)):
             continue
         hh_dim = sl.hh(piece).dim
-        pi_cols = [hc.pi_star((piece, i)) for i in range(hc.pres[piece].dim)]
+        pi_cols = [hc.pi_star((piece, i)) for i in range(dim)]
         beta_cols = [hc.beta((piece, i)) for i in range(hh_dim)]
         # β∘π* on every HC⁻ basis class
         for i, col in enumerate(pi_cols):
@@ -379,65 +378,64 @@ def les_check(hc: NegativeCyclic) -> LESReport:
 # -- the u-stacked complex ----------------------------------------------------------
 
 
-def _u_offsets(sl: MixedComplexSlice, d: int, w: int, lo: int, hi: int) -> tuple[dict[int, int], int]:
-    """Where each component i in [lo, hi] starts in the stacked degree-d basis, and its size."""
-    offsets: dict[int, int] = {}
-    size = 0
-    for i in range(lo, hi + 1):
-        offsets[i] = size
-        size += sl.dim((d + 2 * i, w))
-    return offsets, size
-
-
 def _u_complex(sl: MixedComplexSlice, d: int, w: int, lo: int, hi: int) -> ExactMatrix:
     """b + uB from the stacked degree-d chains to the stacked degree-(d-1) ones.
 
-    Component i (lo <= i <= hi) is the slice piece (d + 2i, w): b acts on the
-    diagonal and B sends component i to i + 1; B out of component hi is
-    dropped.  HC⁻ stacks [0, N], HC [-K, 0] and HP [-N, N].
+    Component i (lo <= i <= hi) is the slice piece (d + 2i, w), stacked in
+    order of i, so component hi comes last: b acts on the diagonal and B
+    sends component i to i + 1; B out of component hi is dropped.  HC⁻
+    stacks [0, N], HC [-K, 0] and HP [-N, N].
     """
-    src, cols = _u_offsets(sl, d, w, lo, hi)
-    tgt, rows = _u_offsets(sl, d - 1, w, lo, hi)
+    rows = cols = 0  # where component i starts in the target and source bases
     entries = {}
     for i in range(lo, hi + 1):
         piece = (d + 2 * i, w)
         for (r, c), v in sl.b_matrix(piece).entries.items():
-            entries[(tgt[i] + r, src[i] + c)] = v
+            entries[(rows + r, cols + c)] = v
+        rows += sl.dim((d - 1 + 2 * i, w))
         if i < hi:
             for (r, c), v in sl.B_matrix(piece).entries.items():
-                entries[(tgt[i + 1] + r, src[i] + c)] = v
+                entries[(rows + r, cols + c)] = v
+        cols += sl.dim(piece)
     return ExactMatrix(rows, cols, entries)
 
 
-def _u_matrices(sl: MixedComplexSlice, lo: int, hi: int, d_from: int, d_to: int):
-    """(piece, d_in, d_out) of the u-stacked complex in degrees d_from..d_to, per weight.
+def _u_dims(
+    sl: MixedComplexSlice, lo: int, hi: int, d_from: int, d_to: int
+) -> tuple[dict[Piece, int], dict[Piece, int]]:
+    """Homology dimensions cols − rank(d_out) − rank(d_in) of the u-stacked complex over [lo, hi - 1] and [lo, hi].
 
-    Pieces with no chains are skipped; each matrix is built once, as d_in
-    of one degree and d_out of the next.
+    Each matrix is built and eliminated forward once, for both ranks.  In
+    ``_u_complex`` component hi comes last and nothing leaves it for a lower
+    one, so the rows of the [lo, hi] matrix in components lo..hi − 1 are the
+    [lo, hi − 1] matrix padded with zero columns: eliminating them first
+    gives the rank at hi − 1, and going on with the rows of component hi the
+    rank at hi.  d∘d = 0 is checked at [lo, hi] only; its top-left block is
+    d∘d at [lo, hi − 1], so every entry a presentation there checks is checked.
     """
+    lower, upper = {}, {}  # {piece: dimension} over [lo, hi - 1] and over [lo, hi]
+
+    def ranks(M: ExactMatrix, d: int, w: int) -> tuple[int, int]:
+        rows = M.row_dicts()
+        split = M.rows - sl.dim((d - 1 + 2 * hi, w))
+        echelon = _row_echelon(_integer_row(r) for r in rows[:split])
+        r_lower = len(echelon)
+        return r_lower, len(_row_echelon((_integer_row(r) for r in rows[split:]), echelon))
+
     for w in sl.weights():
         d_out = _u_complex(sl, d_from, w, lo, hi)
+        r_out = ranks(d_out, d_from, w)
         for d in range(d_from, d_to + 1):
             d_in = _u_complex(sl, d + 1, w, lo, hi)
+            r_in = ranks(d_in, d + 1, w)
             if d_out.cols:
-                yield (d, w), d_in, d_out
-            d_out = d_in
-
-
-def _u_dims(sl: MixedComplexSlice, lo: int, hi: int, d_from: int, d_to: int) -> dict[Piece, int]:
-    """Homology dimensions of the u-stacked complex, cols − rank(d_out) − rank(d_in).
-
-    Checks d_out∘d_in = 0 like a presentation would, but eliminates each
-    matrix only once, for its rank.
-    """
-    dims: dict[Piece, int] = {}
-    ranks: dict[Piece, int] = {}  # rank of the matrix out of each degree
-    for (d, w), d_in, d_out in _u_matrices(sl, lo, hi, d_from, d_to):
-        _check_complex(d_in, d_out)
-        r_out = ranks.pop((d, w)) if (d, w) in ranks else d_out.rank()
-        ranks[(d + 1, w)] = d_in.rank()
-        dims[(d, w)] = d_out.cols - r_out - ranks[(d + 1, w)]
-    return dims
+                _check_complex(d_in, d_out)
+                upper[(d, w)] = d_out.cols - r_out[1] - r_in[1]
+                cols = d_out.cols - sl.dim((d + 2 * hi, w))
+                if cols:
+                    lower[(d, w)] = cols - r_out[0] - r_in[0]
+            d_out, r_out = d_in, r_in
+    return lower, upper
 
 
 def cyclic_homology(sl: MixedComplexSlice) -> dict[Piece, int]:
@@ -449,7 +447,7 @@ def cyclic_homology(sl: MixedComplexSlice) -> dict[Piece, int]:
     d_top = d_hi + 2 * (d_hi - d_lo)
     # u-powers down to -K reach the lowest degree from every degree up to d_top + 1
     K = (d_top + 1 - d_lo) // 2
-    return _u_dims(sl, -K, 0, d_lo, d_top)
+    return _u_dims(sl, -K, 0, d_lo, d_top)[1]
 
 
 def periodic_homology(sl: MixedComplexSlice, N: int) -> tuple[dict[Piece, int], list[int]]:
@@ -463,7 +461,7 @@ def periodic_homology(sl: MixedComplexSlice, N: int) -> tuple[dict[Piece, int], 
     if not degrees:
         return {}, []
     d_lo, d_hi = min(degrees), max(degrees)
-    dims = _u_dims(sl, -N, N, d_lo - 2 * N, d_hi + 2 * N)
+    dims = _u_dims(sl, -N, N, d_lo - 2 * N, d_hi + 2 * N)[1]
     edge = [d for d in range(d_lo - 2 * N, d_hi + 2 * N + 1) if abs(d - d_lo) <= 2 or abs(d - d_hi) <= 2]
     return dims, edge
 

@@ -147,6 +147,10 @@ def derived_pi():
 
 @pytest.fixture(scope="module")
 def poisson_pair(derived_pi):
+    return _poisson_pair(derived_pi)
+
+
+def _poisson_pair(derived_pi):
     """Primal and dual gravity structures for the derived unimodular π."""
     ident = koszul_poisson_identification(3)
     ctx = ident.ctx_poly
@@ -404,6 +408,23 @@ def test_gravity_tables_hold_only_their_support(poisson_pair):
         unavailable = sum(1 for v in table.values() if v is None)
         assert all(v is None or v for v in table.values()), n
         assert len(table) == rep.nonzero_brackets[n] + unavailable, n
+
+
+def test_hc_minus_presentations_are_built_for_read_pieces_only(derived_pi):
+    """Each HC⁻ of a fresh pair holds the presentations of the pieces it was read in, and no other."""
+    ident, dp, dd, gp, gd = _poisson_pair(derived_pi)
+    assert [len(g.hc._pres) for g in (gp, gd)] == [0, 0]
+    # the iso reads a representative (primal) and reduces (dual) in every basis piece
+    poisson_hc_iso(ident, gp, gd)
+    for g in (gp, gd):
+        assert set(g.hc._pres) == {piece for piece, _ in g.basis}
+        assert (len(g.hc._pres), len(g.hc.dims()), len(g.basis)) == (6, 81, 14)
+    # β reduces in the piece one degree above each class whose B image is nonzero
+    verify_gravity_axioms(gp, n_max=3, check_max=3)
+    hc, sl = gp.hc, gp.hc.slice
+    targets = {(d + 1, w) for ((d, w), i) in hc._beta if sl.B_matrix((d, w)).apply(sl.hh((d, w)).cycle(i))}
+    assert set(hc._pres) == {piece for piece, _ in gp.basis} | targets
+    assert (len(hc._beta), len(targets), len(hc._pres)) == (26, 5, 6)
 
 
 def test_derived_dual_twist_matches_fitted(poisson_pair):

@@ -308,6 +308,24 @@ def test_a_job_builds_each_shared_structure_once(tmp_path, monkeypatch, tasks):
     }
 
 
+def test_koszul_bar_dims_reuse_the_jobs_slice_when_the_algebra_is_the_same(tmp_path, monkeypatch):
+    built = []
+    build = cli.slice_from_hochschild
+    monkeypatch.setattr(cli, "slice_from_hochschild", lambda *args: built.append(args) or build(*args))
+    job = "[algebra]\nkind polynomial\nn 2\n{}\n[window]\np_max 2\nw_max 3\n[tasks]\nhh\nhc-minus\nkoszul\n"
+    results = {}
+    for name, cutoff in (("own", ""), ("cutoff", "cutoff 4")):
+        built.clear()
+        assert run_job(parse_job(job.format(cutoff)), str(tmp_path / name)) == 0
+        results[name] = json.loads((tmp_path / name / "koszul.json").read_text())["result"]
+        # without a cutoff the algebra is k[x1, x2] truncated at w_max, the
+        # job's own: its slice is kept past hc-minus for koszul, not rebuilt
+        assert len(built) == (1 if name == "own" else 2), name
+    assert results["own"]["cross_model_dims_match"] is True
+    for key in ("bar_dims", "cross_model_dims_match"):
+        assert results["own"][key] == results["cutoff"][key]
+
+
 def test_release_keeps_only_what_later_tasks_read():
     job = cli.JobContext(parse_job(EXT_JOB))
     job.les

@@ -488,7 +488,7 @@ def test_reduce_matches_oracle_on_hc_minus_presentations():
     pi = quadratic_bivector(ctx, {(1, 2, 1, 2): Q(1), (2, 3, 2, 3): Q(1), (3, 1, 3, 1): Q(1)})
     sl = slice_from_poisson(ctx, pi, 8)
     hc = NegativeCyclic(sl, default_truncation(sl))
-    checked = sum(assert_reduce_matches_oracle(pres, rng) for pres in hc.pres.values())
+    checked = sum(assert_reduce_matches_oracle(hc.presentation(piece), rng) for piece in hc.dims())
     assert checked > 100
 
 

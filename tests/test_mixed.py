@@ -21,7 +21,7 @@ from mixhom.mixed import (
     WindowError,
 )
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
-from test_linalg import column, dense_boundaries, dense_cycles, from_columns, sparse_vec
+from test_linalg import column, dense_boundaries, dense_cycles, from_columns, oracle_rank, sparse_vec
 
 Q = Fraction
 
@@ -152,9 +152,10 @@ class TestLESMaps:
     def test_pi_star_kills_u_multiples(self, hc_lambda1):
         hc = hc_lambda1
         # a class with zero constant term maps to zero
-        for piece, pres in hc.pres.items():
+        for piece in hc.dims():
             d, w = piece
             n0 = hc.slice.dim((d, w))
+            pres = hc.presentation(piece)
             for i in range(pres.dim):
                 if all(j >= n0 for j in pres.cycle(i)):
                     assert hc.pi_star((piece, i)) == {}
@@ -191,17 +192,17 @@ class TestLESMaps:
         # give that class, also where B moves the perturbation off zero
         sl = hc.slice
         checked = moved = 0
-        for piece in sorted(hc.pres):
+        for piece in hc.dims():
             d, w = piece
             up = (d + 1, w)
-            if up not in hc.pres:
+            if up not in hc.dims():
                 continue
             hh = sl.hh(piece)
             if not hh.dim or not hh.boundaries:
                 continue
             shift = [sum(col) for col in zip(*dense_boundaries(hh))]
             moved += bool(sl.B_matrix(piece).apply(sparse_vec(shift)))
-            target = hc.pres[up]
+            target = hc.presentation(up)
             for i in range(hh.dim):
                 coords = _unit(i, hh.dim)
                 rep = sparse_vec(x + y for x, y in zip(hh_class_vector_oracle(hc, piece, coords), shift))
@@ -242,8 +243,8 @@ def _ranks(hc, piece):
     up = (piece[0] + 1, piece[1])
     hh_dim = hc.slice.hh(piece).dim
     beta = [hc.beta((piece, j)) for j in range(hh_dim)]
-    pi = [hc.pi_star((piece, j)) for j in range(hc.pres[piece].dim)]
-    return hh_dim, _column_rank(beta, up, hc.pres[up].dim), _column_rank(pi, piece, hh_dim)
+    pi = [hc.pi_star((piece, j)) for j in range(hc.dims()[piece])]
+    return hh_dim, _column_rank(beta, up, hc.dims()[up]), _column_rank(pi, piece, hh_dim)
 
 
 class TestLESNegativeControls:
@@ -278,7 +279,7 @@ class TestLESNegativeControls:
     def test_pi_star_column_zeroed(self, hc_poly2):
         hc = hc_poly2
         # a class whose π* column is not in the span of the others
-        for piece, i in _checked_classes(hc, lambda p: hc.pres[p].dim):
+        for piece, i in _checked_classes(hc, lambda p: hc.dims()[p]):
             h = _mutant(hc)
             h._pi[(piece, i)] = {}
             if _ranks(h, piece)[2] < _ranks(hc, piece)[2]:
@@ -300,13 +301,13 @@ class TestLESNegativeControls:
         for piece in top:
             hh_dim = sl.hh(piece).dim
             assert all(hc.beta((piece, i)) == {} for i in range(hh_dim))
-            assert _column_rank([hc.pi_star((piece, i)) for i in range(hc.pres[piece].dim)], piece, hh_dim) == hh_dim
+            assert _column_rank([hc.pi_star((piece, i)) for i in range(hc.dims()[piece])], piece, hh_dim) == hh_dim
         # a π* column not in the span of the others
-        for piece, i in ((p, i) for p in top for i in range(hc.pres[p].dim)):
+        for piece, i in ((p, i) for p in top for i in range(hc.dims()[p])):
             h = _mutant(hc)
             h._pi[(piece, i)] = {}
             hh_dim = sl.hh(piece).dim
-            rank_pi = _column_rank([h.pi_star((piece, j)) for j in range(hc.pres[piece].dim)], piece, hh_dim)
+            rank_pi = _column_rank([h.pi_star((piece, j)) for j in range(hc.dims()[piece])], piece, hh_dim)
             if rank_pi < hh_dim:
                 break
         else:
@@ -598,6 +599,22 @@ def _u_sources():
     yield slice_from_poisson_dual(dual)
 
 
+def _u_dims_oracle(sl, lo, hi, d_from, d_to):
+    """Homology dimensions of the u-stacked complex over [lo, hi] alone, by Fraction elimination.
+
+    The [lo, hi] matrix out of degree d is the HC⁻ matrix over [0, hi - lo]
+    out of degree d + 2·lo.
+    """
+    dims = {}
+    for w in sl.weights():
+        for d in range(d_from, d_to + 1):
+            d_out = _hc_minus_matrix_oracle(sl, d + 2 * lo, w, hi - lo)
+            if d_out.cols:
+                d_in = _hc_minus_matrix_oracle(sl, d + 1 + 2 * lo, w, hi - lo)
+                dims[(d, w)] = d_out.cols - oracle_rank(d_out) - oracle_rank(d_in)
+    return dims
+
+
 class TestUComplexOracles:
     @pytest.fixture(scope="class")
     def sources(self):
@@ -610,29 +627,68 @@ class TestUComplexOracles:
             N = default_truncation(sl)
             hc = NegativeCyclic(sl, N)
             d_lo, d_hi = min(sl.degrees()), max(sl.degrees())
-            stable = {}
+            dims, stable = {}, {}
             for w in sl.weights():
                 for d in range(d_lo - 2 * N - 1, d_hi + 2):
                     for M in (N, N + 1):
                         assert _u_complex(sl, d, w, 0, M) == _hc_minus_matrix_oracle(sl, d, w, M), (sl.name, d, w)
                     assert hc.stacked_basis(d, w) == _stacked_basis_oracle(sl, d, w, N)
                     if d < d_lo - 2 * N or d > d_hi or not _stacked_basis_oracle(sl, d, w, N):
+                        with pytest.raises(WindowError):
+                            hc.presentation((d, w))
                         continue
                     pres = homology_presentation(
                         _hc_minus_matrix_oracle(sl, d + 1, w, N), _hc_minus_matrix_oracle(sl, d, w, N)
                     )
-                    assert hc.pres[(d, w)] == pres, (sl.name, d, w)
+                    assert hc.presentation((d, w)) == pres, (sl.name, d, w)
                     upper = homology_presentation(
                         _hc_minus_matrix_oracle(sl, d + 1, w, N + 1), _hc_minus_matrix_oracle(sl, d, w, N + 1)
                     )
+                    dims[(d, w)] = pres.dim
                     stable[(d, w)] = pres.dim == upper.dim
-            assert set(hc.pres) == set(stable)
-            assert hc.stable == stable
+            assert hc.dims() == dims, sl.name
+            assert hc.stable == stable, sl.name
+
+    def test_u_dims_halves_match_two_eliminations(self, sources):
+        # both truncations from one elimination per matrix, against each
+        # truncation eliminated on its own, over the HC⁻, HC and HP ranges
+        from mixhom.mixed import _u_dims
+
+        for sl in sources:
+            N = default_truncation(sl)
+            d_lo, d_hi = min(sl.degrees()), max(sl.degrees())
+            d_top = d_hi + 2 * (d_hi - d_lo)
+            K = (d_top + 1 - d_lo) // 2
+            ranges = {
+                "HC⁻": (0, N + 1, d_lo - 2 * (N + 1), d_hi),
+                "HC": (-K, 0, d_lo, d_top),
+                "HP": (-N, N, d_lo - 2 * N, d_hi + 2 * N),
+            }
+            for name, (lo, hi, d_from, d_to) in ranges.items():
+                lower, upper = _u_dims(sl, lo, hi, d_from, d_to)
+                assert lower == _u_dims_oracle(sl, lo, hi - 1, d_from, d_to), (sl.name, name)
+                assert upper == _u_dims_oracle(sl, lo, hi, d_from, d_to), (sl.name, name)
+                assert any(lower.values()), (sl.name, name)
 
     def test_cyclic_and_periodic_dims(self, sources):
         for sl in sources:
             assert cyclic_homology(sl) == _cyclic_homology_oracle(sl), sl.name
             assert periodic_homology(sl, 2) == _periodic_homology_oracle(sl, 2), sl.name
+
+
+def test_reading_dims_builds_no_presentation(monkeypatch):
+    from mixhom import mixed
+
+    built = []
+    build = mixed.homology_presentation
+    monkeypatch.setattr(mixed, "homology_presentation", lambda *args: built.append(args) or build(*args))
+    sl = slice_from_hochschild(make_truncated_polynomial_algebra(2, 4), 3)
+    hc = NegativeCyclic(sl, default_truncation(sl))
+    assert hc.dims() and hc.stable_dims() and hc.stable_pieces()
+    assert built == [] and hc._pres == {}
+    piece = next(p for p, dim in hc.stable_dims().items() if dim)
+    hc.pi_star((piece, 0))
+    assert set(hc._pres) == {piece}
 
 
 # -- differential oracles: the coordinate-taking LES maps ---------------------------
@@ -657,7 +713,7 @@ def _as_classes(piece, coords):
 def pi_star_oracle(hc, piece, coords):
     """HC⁻ class (coordinates in pres) -> b-homology class of the u⁰ part."""
     d, w = piece
-    pres = hc.pres[piece]
+    pres = hc.presentation(piece)
     vec = [Q(0)] * pres.ambient_dim
     for c, rep in zip(coords, dense_cycles(pres)):
         if c:
@@ -677,12 +733,12 @@ def beta_oracle(hc, piece, coords):
             for i, v in enumerate(r):
                 rep[i] += c * v
     img = hc.slice.B_matrix((d, w)).apply(sparse_vec(rep))
-    target = hc.pres.get((d + 1, w))
-    if target is None:
+    if (d + 1, w) not in hc.dims():
         if not img:
             return ()
         raise KeyError(f"no HC⁻ presentation at {(d + 1, w)}")
     # the u⁰ component comes first in the stacked basis
+    target = hc.presentation((d + 1, w))
     vec = [Q(0)] * target.ambient_dim
     for idx, val in img.items():
         vec[idx] = val
@@ -710,19 +766,19 @@ def les_check_oracle(hc):
         top = not _stacked_basis_oracle(sl, d + 1, w, hc.N + 1)
         if not hc.stable.get((d + 1, w), top):
             continue
-        pres = hc.pres[piece]
+        pres = hc.presentation(piece)
         # β∘π* on every HC⁻ basis class
         for i in range(pres.dim):
             coords = tuple(Q(1) if j == i else Q(0) for j in range(pres.dim))
             hh_coords = pi_star_oracle(hc, piece, coords)
-            if any(hh_coords) and (d + 1, w) in hc.pres:
+            if any(hh_coords) and (d + 1, w) in hc.dims():
                 img = beta_oracle(hc, piece, hh_coords)
                 if any(img):
                     ok_bp = False
                     failures.append(f"β∘π* ≠ 0 at {piece} class {i}")
         # π*∘β = B on every HH basis class
         hh = sl.hh(piece)
-        if (d + 1, w) in hc.pres:
+        if (d + 1, w) in hc.dims():
             for i in range(hh.dim):
                 coords = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
                 bcls = beta_oracle(hc, piece, coords)
@@ -733,7 +789,7 @@ def les_check_oracle(hc):
                     ok_pb = False
                     failures.append(f"π*∘β ≠ B at {piece} class {i}")
         # rank bookkeeping: dim ker β = rank π* on HH at this piece
-        if (d + 1, w) in hc.pres or top:
+        if (d + 1, w) in hc.dims() or top:
             beta_cols = []
             for i in range(hh.dim):
                 coords = tuple(Q(1) if j == i else Q(0) for j in range(hh.dim))
@@ -758,9 +814,9 @@ def assert_les_matches_oracle(hc):
     """π* on every HC⁻ class, β and B on every b-homology class, and the
     whole report, against the oracles; returns the report."""
     sl = hc.slice
-    for piece, pres in hc.pres.items():
-        for i in range(pres.dim):
-            assert hc.pi_star((piece, i)) == _as_classes(piece, pi_star_oracle(hc, piece, _unit(i, pres.dim)))
+    for piece, dim in hc.dims().items():
+        for i in range(dim):
+            assert hc.pi_star((piece, i)) == _as_classes(piece, pi_star_oracle(hc, piece, _unit(i, dim)))
     for piece in sl.pieces:
         d, w = piece
         hh = sl.hh(piece)
