@@ -823,25 +823,24 @@ def hochschild_bundle(A: GradedAlgebra, slice_, q_max: int, v_max: int | None = 
                           coh_window)
 
 
-def hochschild_dual_bundle(A: GradedAlgebra, slice_, q_max: int, v_max: int | None = None,
-                           coh_window=None) -> CalculusBundle:
+def hochschild_dual_bundle(A: GradedAlgebra, slice_, q_max: int, coh_window=None) -> CalculusBundle:
     """Calculus of (HH^•(A), HH^•(A; A*)) over the dual cochain slice."""
-    return CalculusBundle(f"hochschild-dual({A.name})", HochschildCochainOps(A, q_max, v_max), slice_, _cap_label,
+    return CalculusBundle(f"hochschild-dual({A.name})", HochschildCochainOps(A, q_max), slice_, _cap_label,
                           coh_window, weight_sign=-1)
 
 
 def poisson_bundle(ctx: po.PoissonContext, pi, slice_, w_shift_min: int, w_shift_max: int,
-                   coeff_wmax: int, coh_window=None) -> CalculusBundle:
+                   coeff_wmax: int) -> CalculusBundle:
     """Calculus of (HP^•, HP_•) over the Poisson chain slice."""
     ops = MultivectorOps(ctx, pi, w_shift_min, w_shift_max, coeff_wmax)
-    return CalculusBundle(f"poisson({ctx.n})", ops, slice_, _contraction_of(ctx), coh_window)
+    return CalculusBundle(f"poisson({ctx.n})", ops, slice_, _contraction_of(ctx))
 
 
 def poisson_dual_bundle(dual: po.DualSide, slice_, w_shift_min: int, w_shift_max: int,
-                        coeff_wmax: int, coh_window=None) -> CalculusBundle:
+                        coeff_wmax: int) -> CalculusBundle:
     """Calculus of (HP^•(A^!), HP^•(A^!; A^¡)) over the dual Poisson slice."""
     ops = MultivectorOps(dual.ctx, dual.pi, w_shift_min, w_shift_max, coeff_wmax)
-    return CalculusBundle(f"poisson-dual({dual.ctx.n})", ops, slice_, _contraction_of(dual.ctx), coh_window,
+    return CalculusBundle(f"poisson-dual({dual.ctx.n})", ops, slice_, _contraction_of(dual.ctx),
                           weight_sign=-1)
 
 

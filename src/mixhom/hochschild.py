@@ -11,10 +11,11 @@ b^2 = B^2 = bB + Bb = 0 hold exactly in every computed window.
 
 Cochains here are mode A: tables with values in the algebra, supporting
 cup / circle / bracket / cap.  Mode A-dual cochains, linear functionals on
-chains, are not a type of their own: ``mixed.dual_slice`` transposes the
-chain operators with the twisted rule T*(g) = (-1)^{|g|} g∘T, which makes
-the dual of a mixed complex again a mixed complex, and the calculus pulls
-the cap action back the same way (``CalculusBundle.cap_classes``).
+chains, are not a type of their own: ``mixed._transpose`` transposes the
+raw b and B matrices of the chains with the twisted rule
+T*(g) = (-1)^{|g|} g∘T, which makes the dual of a mixed complex again a
+mixed complex, validated once as the dual; the calculus pulls the cap
+action back the same way (``CalculusBundle.cap_classes``).
 """
 
 from __future__ import annotations

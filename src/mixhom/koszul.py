@@ -496,10 +496,13 @@ class PoissonIdentification:
         return -c if (p * (p - 1) // 2) % 2 else c
 
     def check_chain_map(self, pi_coeffs, w_max: int = 4) -> list[str]:
-        """Verify the intertwining on every monomial in the window."""
+        """Verify the intertwining on every monomial in the window; π need not be Poisson.
+
+        ∂, d and form_to_dual preserve weight, so the dual side stops at w_max.
+        """
         pi = po.quadratic_bivector(self.ctx_poly, pi_coeffs)
         pid = po.quadratic_bivector(self.ctx_ext, dual_bivector_coeffs(pi_coeffs))
-        dual = po.DualSide(self.ctx_ext, pid, w_max=w_max + 2)
+        dual = po.DualSide(self.ctx_ext, pid, w_max=w_max)
         F = self.ctx_poly.forms
         failures = []
         for m in F.monomials([w_max] * self.n + [1] * self.n):

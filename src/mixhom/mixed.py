@@ -6,11 +6,11 @@ are checked exhaustively at construction.  All four sources used here
 (Hochschild chains, dual Hochschild cochains of a Frobenius algebra,
 Poisson chains, dual Poisson cochains) preserve the weight, and each
 weight-w sub-slice is a complete bounded complex, so homology within the
-window is exact.  The two chain sources are built by applying b and B to
-each basis chain once; the two cochain sources are their duals, whose
-matrices are the signed transposes of the primal ones: :func:`dual_slice`
-transposes the Hochschild slice, and the dual Poisson slice takes the
-matrices its :class:`~mixhom.poisson.DualSide` holds.
+window is exact.  Each chain source has one raw builder (``_hochschild_complex``,
+``_poisson_complex``): its labelled pieces and the b and B matrices, applied
+to each basis chain once and not validated.  A cochain source is the dual of
+that triple, its signed transpose (``_transpose``), validated once as the
+dual; :class:`~mixhom.poisson.DualSide` holds the dual Poisson triple.
 
 Negative cyclic, cyclic and periodic homology are the homology of one
 u-stacked complex (C ⊗ u-powers, b + uB) over the u-ranges [0, N], [-K, 0]
@@ -47,6 +47,7 @@ Q = Fraction
 
 Piece = tuple[int, int]  # (degree, weight)
 ClassKey = tuple[Piece, int]  # (piece, index within the piece's homology basis)
+RawComplex = tuple[dict[Piece, list], dict[Piece, ExactMatrix], dict[Piece, ExactMatrix]]  # (pieces, b, B)
 
 
 class WindowError(Exception):
@@ -145,15 +146,19 @@ class MixedComplexSlice:
 
 
 def _mats_from_operator(pieces: dict[Piece, list], apply_op, shift: int) -> dict[Piece, ExactMatrix]:
-    """The matrix of apply_op out of every piece, into the piece ``shift`` degrees away."""
+    """The matrix of apply_op out of each piece into the one ``shift`` degrees away, where that has chains.
+
+    The pieces hold every chain of their weights, so a map into no chains is zero and is not built.
+    """
     return {
-        (d, w): operator_matrix(labels, pieces.get((d + shift, w), []), apply_op)
+        (d, w): operator_matrix(labels, pieces[(d + shift, w)], apply_op)
         for (d, w), labels in pieces.items()
+        if (d + shift, w) in pieces
     }
 
 
-def slice_from_hochschild(A: GradedAlgebra, w_max: int, name: str | None = None) -> MixedComplexSlice:
-    """Mixed complex of reduced Hochschild chains, weights <= w_max."""
+def _hochschild_complex(A: GradedAlgebra, w_max: int) -> RawComplex:
+    """Reduced Hochschild chains of weight <= w_max: labelled pieces and the b and B matrices out of each."""
     pieces: dict[Piece, list] = {}
     for w in range(w_max + 1):
         for p in range(w + 1):
@@ -163,21 +168,11 @@ def slice_from_hochschild(A: GradedAlgebra, w_max: int, name: str | None = None)
         labels.sort()
     b_mats = _mats_from_operator(pieces, lambda t: boundary_b(A, {t: Q(1)}), -1)
     B_mats = _mats_from_operator(pieces, lambda t: connes_B(A, {t: Q(1)}), +1)
-    return MixedComplexSlice(pieces, b_mats, B_mats, name or f"hochschild({A.name})")
+    return pieces, b_mats, B_mats
 
 
-def slice_from_hochschild_dual(A: GradedAlgebra, w_max: int, name: str | None = None) -> MixedComplexSlice:
-    """Mixed complex of dual Hochschild cochains (functionals on chains).
-
-    The piece (d, w) holds the dual basis of the chains of degree -d and
-    weight w; the differentials are the twisted transposes of b and B.
-    """
-    return dual_slice(slice_from_hochschild(A, w_max), name or f"hochschild-dual({A.name})")
-
-
-def slice_from_poisson(ctx: po.PoissonContext, pi: dict, w_max: int, name: str | None = None) -> MixedComplexSlice:
-    """Mixed Poisson chain complex (Ω, ∂, d) of a structure on either side."""
-    po.check_jacobi(ctx, pi)
+def _poisson_complex(ctx: po.PoissonContext, pi: dict, w_max: int) -> RawComplex:
+    """Forms of weight <= w_max on either side with ∂ and d out of each piece; π need not be Poisson."""
     F = ctx.forms
     pieces: dict[Piece, list] = {}
     # odd generators are capped at exponent 1, so this lists either side's forms
@@ -189,38 +184,56 @@ def slice_from_poisson(ctx: po.PoissonContext, pi: dict, w_max: int, name: str |
         labels.sort()
     b_mats = _mats_from_operator(pieces, lambda m: po.poisson_boundary(ctx, pi, {m: Q(1)}), -1)
     B_mats = _mats_from_operator(pieces, lambda m: po.de_rham(ctx, {m: Q(1)}), +1)
-    return MixedComplexSlice(pieces, b_mats, B_mats, name or f"poisson({ctx.n})")
+    return pieces, b_mats, B_mats
 
 
-def slice_from_poisson_dual(dual: po.DualSide, name: str | None = None) -> MixedComplexSlice:
-    """Mixed dual Poisson cochain complex (functionals on exterior-side forms).
+def _transpose(pieces: dict[Piece, list], b_mats: dict[Piece, ExactMatrix],
+               B_mats: dict[Piece, ExactMatrix]) -> RawComplex:
+    """The dual of a raw (pieces, b, B) triple: functionals on its chains.
 
-    Its b and B are the matrix objects of ``dual.coboundary_matrix`` and
-    ``dual.d_star_matrix``, the signed transposes of ∂ and d.
+    The dual piece (-d, w) carries the labels of the chain piece (d, w), its
+    dual basis functionals φ of degree -d.  The dual operators are the twisted
+    transposes T*(φ) = (-1)^{|T||φ|} φ∘T of the odd b and B: with
+    s_d = (-1)^d, b* out of (-d, w) is s_d·b(d+1, w)ᵀ and B* is s_d·B(d-1, w)ᵀ.
+
+    Validating the dual checks the primal too.  As s_d·s_{d±1} = -1 and
+    (XY)ᵀ = YᵀXᵀ, out of the dual piece (-d, w)
+      b*b* = -(b(d+1)·b(d+2))ᵀ,  B*B* = -(B(d-1)·B(d-2))ᵀ,
+      b*B* + B*b* = -(B(d-1)·b(d) + b(d+1)·B(d))ᵀ:
+    -1 times the transposes of b² and B² into the chain piece (d, w) and of
+    bB + Bb on it.  A primal identity that fails is nonzero in some chain
+    piece it lands in, so it fails exactly when a dual one does.
     """
-    po.check_jacobi(dual.ctx, dual.pi)
-    pieces = dual.pieces()
-    b_mats = {piece: dual.coboundary_matrix(piece) for piece in pieces}
-    B_mats = {piece: dual.d_star_matrix(piece) for piece in pieces}
-    return MixedComplexSlice(pieces, b_mats, B_mats, name or f"poisson-dual({dual.ctx.n})")
-
-
-def dual_slice(sl: MixedComplexSlice, name: str | None = None) -> MixedComplexSlice:
-    """The dual mixed complex: functionals on the chains of ``sl``.
-
-    The dual piece (-d, w) carries the labels of the chain piece (d, w), each
-    standing for its dual basis functional φ, of degree |φ| = -d.  The dual
-    operators are the twisted transposes T*(φ) = (-1)^{|φ|} φ∘T, so the dual
-    b on (-d, w) is (-1)^d b(d+1, w)ᵀ and the dual B is (-1)^d B(d-1, w)ᵀ.
-    """
-    pieces = {(-d, w): labels for (d, w), labels in sl.pieces.items()}
-    b_mats: dict[Piece, ExactMatrix] = {}
-    B_mats: dict[Piece, ExactMatrix] = {}
-    for (d, w) in sl.pieces:
+    b_dual, B_dual = {}, {}
+    for (d, w) in pieces:
         sign = -1 if d % 2 else 1
-        b_mats[(-d, w)] = sl.b_matrix((d + 1, w)).transpose(sign)
-        B_mats[(-d, w)] = sl.B_matrix((d - 1, w)).transpose(sign)
-    return MixedComplexSlice(pieces, b_mats, B_mats, name or f"dual({sl.name})")
+        if (d + 1, w) in b_mats:
+            b_dual[(-d, w)] = b_mats[(d + 1, w)].transpose(sign)
+        if (d - 1, w) in B_mats:
+            B_dual[(-d, w)] = B_mats[(d - 1, w)].transpose(sign)
+    return {(-d, w): labels for (d, w), labels in pieces.items()}, b_dual, B_dual
+
+
+def slice_from_hochschild(A: GradedAlgebra, w_max: int) -> MixedComplexSlice:
+    """Mixed complex of reduced Hochschild chains, weights <= w_max."""
+    return MixedComplexSlice(*_hochschild_complex(A, w_max), f"hochschild({A.name})")
+
+
+def slice_from_hochschild_dual(A: GradedAlgebra, w_max: int) -> MixedComplexSlice:
+    """Mixed complex of dual Hochschild cochains: the transposed chain triple, validated once."""
+    return MixedComplexSlice(*_transpose(*_hochschild_complex(A, w_max)), f"hochschild-dual({A.name})")
+
+
+def slice_from_poisson(ctx: po.PoissonContext, pi: dict, w_max: int) -> MixedComplexSlice:
+    """Mixed Poisson chain complex (Ω, ∂, d) of a structure on either side."""
+    po.check_jacobi(ctx, pi)
+    return MixedComplexSlice(*_poisson_complex(ctx, pi, w_max), f"poisson({ctx.n})")
+
+
+def slice_from_poisson_dual(dual: po.DualSide) -> MixedComplexSlice:
+    """Mixed dual Poisson cochain complex: the transposed triple ``dual`` holds, Jacobi-checked and validated."""
+    po.check_jacobi(dual.ctx, dual.pi)
+    return MixedComplexSlice(dual.pieces, dual.b_mats, dual.B_mats, f"poisson-dual({dual.ctx.n})")
 
 
 # -- negative cyclic homology ----------------------------------------------------

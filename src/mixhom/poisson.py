@@ -20,10 +20,12 @@ commutator, the coboundary is the Schouten bracket with the bivector, and
 the Schouten bracket is the bracket generated by the odd Laplacian of the
 standard coordinates, computed as its first-order Leibniz expansion.  Each
 operator works one monomial at a time: derivative factors and Koszul signs
-are plain ints, multiplied into the coefficients once per term.  The
-odd-Laplacian form of the bracket, and the displayed shuffle-sum formulas
-evaluated argument by argument on the ungraded side, live in the tests as
-independent oracles.
+are plain ints, summed per input monomial and added into the result with
+its coefficient once (``add_into``).  The odd-Laplacian form of the
+bracket, and the displayed shuffle-sum formulas evaluated argument by
+argument on the ungraded side, live in the tests as independent oracles.
+The dual side (:class:`DualSide`) holds the signed transposes of ∂ and d
+that ``mixed._transpose`` makes, and pulls functionals back through ι.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ExactMatrix, _pullback, operator_matrix
+from .linalg import _pullback
 from .linalg import _accumulate as add_into
 
 Q = Fraction
@@ -104,16 +106,13 @@ class FreeGCA:
     def multiply(self, a: GCAElement, b: GCAElement) -> GCAElement:
         out: GCAElement = {}
         for ma, ca in a.items():
+            # distinct monomials of b give distinct products with ma
+            acc: GCAElement = {}
             for mb, cb in b.items():
                 got = self.mul_monomials(ma, mb)
-                if got is None:
-                    continue
-                s, m = got
-                v = out.get(m, 0) + s * ca * cb
-                if v == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = v
+                if got is not None:
+                    acc[got[1]] = got[0] * cb
+            add_into(out, acc, ca)
         return out
 
     def partial(self, i: int, m: Monomial):
@@ -207,20 +206,14 @@ def de_rham(ctx: PoissonContext, omega: GCAElement) -> GCAElement:
     F = ctx.forms
     out: GCAElement = {}
     for m, c in omega.items():
+        acc: dict[Monomial, int] = {}
         for i in range(ctx.n):
             got = F.partial(i, m)
-            if got is None:
-                continue
-            coeff, mm = got
-            prod = F.mul_monomials(F.units[ctx.n + i], mm)
-            if prod is None:
-                continue
-            s, mo = prod
-            v = out.get(mo, 0) + coeff * s * c
-            if v == 0:
-                out.pop(mo, None)
-            else:
-                out[mo] = v
+            if got is not None:
+                prod = F.mul_monomials(F.units[ctx.n + i], got[1])
+                if prod is not None:
+                    acc[prod[1]] = acc.get(prod[1], 0) + got[0] * prod[0]
+        add_into(out, acc, c)
     return out
 
 
@@ -284,20 +277,13 @@ def odd_laplacian(ctx: PoissonContext, P: GCAElement) -> GCAElement:
     V = ctx.vectors
     out: GCAElement = {}
     for m, c in P.items():
+        acc: dict[Monomial, int] = {}
         for i in range(ctx.n):
             got = V.partial(ctx.n + i, m)
-            if got is None:
-                continue
-            c1, m1 = got
-            got2 = V.partial(i, m1)
-            if got2 is None:
-                continue
-            c2, m2 = got2
-            v = out.get(m2, 0) + c1 * c2 * c
-            if v == 0:
-                out.pop(m2, None)
-            else:
-                out[m2] = v
+            got2 = V.partial(i, got[1]) if got is not None else None
+            if got2 is not None:
+                acc[got2[1]] = acc.get(got2[1], 0) + got[0] * got2[0]
+        add_into(out, acc, c)
     return out
 
 
@@ -415,89 +401,67 @@ def modular_vector_field(ctx: PoissonContext, pi: GCAElement) -> GCAElement:
 class DualSide:
     """𝔛(A^!; A^¡) realized as linear functionals on the exterior-side forms.
 
-    A functional is a dict keyed by form monomials of ``domain``, the
-    exterior-side forms of weight <= w_max.  Its degree is minus the form
-    degree of its support, its weight the form weight.  Every dual operator
-    is the twisted transpose T*(φ) = (-1)^{|T||φ|} φ∘T of an operator T on
-    the forms: T moves a form's (degree, weight) by its own, so only the
-    one piece of forms that T sends onto a piece of φ contributes.  The dual
-    piece (-e, w) holds the functionals dual to the forms of degree e and
-    weight w.  The differentials preserve weight and are matrices, built the
-    first time they are asked for and kept: on (-e, w), δ is
-    (-1)^e ∂(e+1, w)ᵀ and d* is (-1)^e d(e-1, w)ᵀ, and
-    ``slice_from_poisson_dual`` assembles its slice from the same matrix
-    objects.  The action of a polyvector P builds no matrix: φ is pulled
+    A functional is a dict keyed by exterior-side form monomials of weight
+    <= w_max.  Its degree is minus the form degree of its support, its
+    weight the form weight.  Every dual operator is the twisted transpose
+    T*(φ) = (-1)^{|T||φ|} φ∘T of an operator T on the forms: T moves a
+    form's (degree, weight) by its own, so only the one piece of forms that
+    T sends onto a piece of φ contributes.  δ and d* are held as the raw
+    triple ``pieces``, ``b_mats``, ``B_mats`` that ``mixed._transpose`` makes
+    of the forms' ∂ and d: the dual piece (-e, w) holds the functionals dual
+    to the forms (e, w), and δ out of it is (-1)^e ∂(e+1, w)ᵀ, d* is
+    (-1)^e d(e-1, w)ᵀ.  Nothing is validated or Jacobi-checked, so a π that
+    is not Poisson has a dual side too (``check_chain_map`` reads one);
+    ``slice_from_poisson_dual`` makes both checks on the same matrices.
+    The action of a polyvector P builds no matrix: φ is pulled
     back through the contraction ι_m of one monomial m of P at a time
     (``linalg._pullback``), the rule ``CalculusBundle.cap_classes`` uses on
     every functional side.  A functional must be supported on ``domain``.
     """
 
     def __init__(self, ctx: PoissonContext, pi: GCAElement, w_max: int):
+        from .mixed import _poisson_complex, _transpose
+
         if ctx.side != "ext":
             raise ValueError("dual side is built over an exterior context")
         self.ctx = ctx
         self.pi = pi
-        self.w_max = w_max
-        F = ctx.forms
-        self.domain = [
-            m
-            for m in F.monomials([1] * ctx.n + [w_max] * ctx.n)
-            if F.weight(m) <= w_max
-        ]
-        self._forms: dict[tuple[int, int], list[Monomial]] = {}  # (degree, weight) -> forms
-        for m in self.domain:
-            self._forms.setdefault((F.degree(m), F.weight(m)), []).append(m)
-        self._dual_mats: dict[tuple[str, tuple[int, int]], ExactMatrix] = {}
+        self.pieces, self.b_mats, self.B_mats = _transpose(*_poisson_complex(ctx, pi, w_max))
+        # form -> its index in the dual piece that carries it
+        self._index = {m: i for labels in self.pieces.values() for i, m in enumerate(labels)}
 
-    def pieces(self) -> dict[tuple[int, int], list[Monomial]]:
-        """The dual pieces (-e, w), each labelled by the forms of degree e and weight w."""
-        return {(-e, w): labels for (e, w), labels in self._forms.items()}
+    @property
+    def domain(self) -> list[Monomial]:
+        """Every form a functional may be supported on."""
+        return list(self._index)
 
-    def _dual_matrix(self, name: str, op, degree: int, piece: tuple[int, int]) -> ExactMatrix:
-        """(-1)^{|T| e} Tᵀ out of the dual piece (-e, w), for a weight-preserving T = op of the given degree; kept."""
-        got = self._dual_mats.get((name, piece))
-        if got is None:
-            e, w = -piece[0], piece[1]
-            M = operator_matrix(self._forms.get((e - degree, w), []), self._forms.get((e, w), []),
-                                lambda m: op({m: Q(1)}))
-            got = self._dual_mats[(name, piece)] = M.transpose(-1 if (degree % 2) and (e % 2) else 1)
-        return got
+    def _act(self, mats: dict, shift: int, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        """T*(φ) for a weight-preserving T, one dual piece of φ at a time.
 
-    def coboundary_matrix(self, piece: tuple[int, int]) -> ExactMatrix:
-        """δ out of the dual piece (-e, w): (-1)^e ∂(e+1, w)ᵀ."""
-        return self._dual_matrix("δ", lambda om: poisson_boundary(self.ctx, self.pi, om), -1, piece)
-
-    def d_star_matrix(self, piece: tuple[int, int]) -> ExactMatrix:
-        """d* out of the dual piece (-e, w): (-1)^e d(e-1, w)ᵀ."""
-        return self._dual_matrix("d*", lambda om: de_rham(self.ctx, om), 1, piece)
-
-    def _act(self, matrix_of, degree: int, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        """T*(φ) for a weight-preserving operator T of the given degree, one piece (e, w) of φ at a time.
-
-        ``matrix_of((-e, w))`` is (-1)^{|T| e} Tᵀ out of the dual piece (-e, w);
-        its rows are the forms (e - degree, w).
+        ``mats`` holds T*'s matrix out of each dual piece (d, w), into the
+        dual piece (d + shift, w).
         """
         F = self.ctx.forms
         parts: dict[tuple[int, int], dict[int, Fraction]] = {}
         for m, c in phi.items():
             if c:
-                piece = (F.degree(m), F.weight(m))
-                parts.setdefault(piece, {})[self._forms[piece].index(m)] = c
+                parts.setdefault((-F.degree(m), F.weight(m)), {})[self._index[m]] = c
         out: dict[Monomial, Fraction] = {}
-        for (e, w), part in parts.items():
-            # each piece of φ lands in a piece of its own, so no two parts share a label
-            labels = self._forms.get((e - degree, w), [])
-            for i, c in matrix_of((-e, w)).apply(part).items():
-                out[labels[i]] = c
+        for (d, w), part in parts.items():
+            if (d, w) in mats:
+                # each piece of φ lands in a piece of its own, so no two parts share a label
+                labels = self.pieces[(d + shift, w)]
+                for i, c in mats[(d, w)].apply(part).items():
+                    out[labels[i]] = c
         return out
 
     def coboundary(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """δ with values in the dual module: (-1)^{|φ|} φ∘∂."""
-        return self._act(self.coboundary_matrix, -1, phi)
+        return self._act(self.b_mats, -1, phi)
 
     def d_star(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """Dual de Rham differential: (-1)^{|φ|} φ∘d."""
-        return self._act(self.d_star_matrix, 1, phi)
+        return self._act(self.B_mats, 1, phi)
 
     def contract(self, P: GCAElement, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
         """Module action of polyvectors: (ι_P φ)(ω) = (-1)^{|P||φ|} φ(ι_P ω).
@@ -507,15 +471,16 @@ class DualSide:
         taken per monomial of P, so the action is linear in P.
         """
         F, V = self.ctx.forms, self.ctx.vectors
-        pieces = {(F.degree(m), F.weight(m)) for m, c in phi.items() if c}
+        pieces = {(-F.degree(m), F.weight(m)) for m, c in phi.items() if c}
         out: dict[Monomial, Fraction] = {}
         for pm, c in P.items():
             if c:
                 dp, wp = V.degree(pm), V.weight(pm)
-                for e, w in pieces:
-                    add_into(out, _pullback(phi, self._forms.get((e - dp, w - wp), ()),
+                for d, w in pieces:
+                    # φ on forms of degree -d pulls back from the forms ι_pm sends there
+                    add_into(out, _pullback(phi, self.pieces.get((d + dp, w - wp), ()),
                                             lambda om: contract_monomial(self.ctx, pm, {om: Q(1)}),
-                                            -1 if (dp % 2) and (e % 2) else 1), c)
+                                            -1 if (dp % 2) and (d % 2) else 1), c)
         return out
 
     def dual_volume(self) -> dict[Monomial, Fraction]:
@@ -535,8 +500,7 @@ class FrobeniusPoissonReport:
         return self.volume_is_cycle and self.diagram_commutes
 
 
-def frobenius_poisson_check(dual: DualSide, eta_dual: dict[Monomial, Fraction] | None = None,
-                            w_max: int | None = None) -> FrobeniusPoissonReport:
+def frobenius_poisson_check(dual: DualSide) -> FrobeniusPoissonReport:
     """Unimodular-Frobenius diagnostics on the exterior side.
 
     Checks that the dual volume functional is a Poisson cycle (δη^! = 0) and
@@ -545,10 +509,7 @@ def frobenius_poisson_check(dual: DualSide, eta_dual: dict[Monomial, Fraction] |
     the nose (no sign), unlike the primal one.
     """
     ctx = dual.ctx
-    if eta_dual is None:
-        eta_dual = dual.dual_volume()
-    if w_max is None:
-        w_max = dual.w_max
+    eta_dual = dual.dual_volume()
     failures: list[str] = []
     cycle = not dual.coboundary(eta_dual)
     V = ctx.vectors
@@ -586,13 +547,7 @@ def volume_form(ctx: PoissonContext) -> GCAElement:
     return {m: Q(1)}
 
 
-def unimodularity_check(
-    ctx: PoissonContext,
-    pi: GCAElement,
-    eta: GCAElement | None = None,
-    w_max: int = 4,
-    p_max: int | None = None,
-) -> UnimodularityReport:
+def unimodularity_check(ctx: PoissonContext, pi: GCAElement, w_max: int = 4) -> UnimodularityReport:
     """Three unimodularity diagnostics for a polynomial-side Poisson structure.
 
     (1) ∂η = 0; (2) the contraction diagram ∂(ι_P η) = (-1)^{p+1} ι_{δP} η
@@ -603,18 +558,13 @@ def unimodularity_check(
     verdicts must agree for honest π and η; discrepancies are reported.
     """
     check_jacobi(ctx, pi)
-    if eta is None:
-        eta = volume_form(ctx)
-    if p_max is None:
-        p_max = ctx.n
+    eta = volume_form(ctx)
     failures: list[str] = []
     closed = is_zero(poisson_boundary(ctx, pi, eta))
     V = ctx.vectors
     diagram = True
     for m in V.monomials([w_max] * ctx.n + [1] * ctx.n):
         p = sum(m[ctx.n :])
-        if p > p_max:
-            continue
         P = {m: Q(1)}
         lhs = poisson_boundary(ctx, pi, contraction(ctx, P, eta))
         rhs = contraction(ctx, poisson_coboundary(ctx, pi, P), eta)

@@ -435,7 +435,8 @@ def test_derived_dual_twist_matches_fitted(poisson_pair):
 
 def _poisson_pair_operators(derived_pi):
     """The operator matrices under ``poisson_pair``: its w 8 slice, the δ of its
-    Poisson bundle and the δ and d* of its dual side, as (rows, cols, entries)."""
+    Poisson bundle and the δ and d* of its dual side's transposed triple, as
+    (rows, cols, entries)."""
     ident = koszul_poisson_identification(3)
     ctx = ident.ctx_poly
     pi = quadratic_bivector(ctx, derived_pi)
@@ -447,8 +448,9 @@ def _poisson_pair_operators(derived_pi):
         mats[("b", piece)], mats[("B", piece)] = sl.b_matrix(piece), sl.B_matrix(piece)
     for piece in sorted(ops.pieces()):
         mats[("δ", piece)] = ops.delta_matrix(piece)
-    for piece in sorted(duals.pieces()):
-        mats[("δ*", piece)], mats[("d*", piece)] = duals.coboundary_matrix(piece), duals.d_star_matrix(piece)
+    for kind, dual_mats in (("δ*", duals.b_mats), ("d*", duals.B_mats)):
+        for piece in sorted(dual_mats):
+            mats[(kind, piece)] = dual_mats[piece]
     return {key: (M.rows, M.cols, M.entries) for key, M in mats.items()}
 
 

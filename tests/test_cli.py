@@ -308,6 +308,18 @@ def test_a_job_builds_each_shared_structure_once(tmp_path, monkeypatch, tasks):
     }
 
 
+def test_koszul_chain_map_holds_for_a_pi_that_is_not_poisson(tmp_path):
+    # [π, π] ≠ 0 here, so no validated or Jacobi-checked dual slice may stand
+    # between the identification and its check
+    path = tmp_path / "job.txt"
+    path.write_text("[algebra]\nkind polynomial\nn 3\n[poisson]\nc 1 1 1 2 1\nc 2 2 2 3 1\n"
+                    "[window]\nw_max 3\n[tasks]\nkoszul\n")
+    assert main(["run", "--input", str(path), "--out", str(tmp_path / "o")]) == 0
+    result = json.loads((tmp_path / "o" / "koszul.json").read_text())["result"]
+    assert "error" not in result
+    assert result["poisson_identification_chain_map"] is True
+
+
 def test_koszul_bar_dims_reuse_the_jobs_slice_when_the_algebra_is_the_same(tmp_path, monkeypatch):
     built = []
     build = cli.slice_from_hochschild

@@ -309,8 +309,8 @@ class TestLieDerivative:
 
 # -- dual cochains by evaluation ----------------------------------------------------
 #
-# The dual Hochschild slice is the signed transpose of the primal one
-# (mixed.dual_slice), and the dual cap action is the pullback of the primal
+# The dual Hochschild slice is the signed transpose of the primal matrices
+# (mixed._transpose), and the dual cap action is the pullback of the primal
 # one (calculus.CalculusBundle.cap_classes).  The functional-by-functional
 # duals they replaced are kept here as references, for these tests, for the
 # slice oracle in test_mixed.py and for the dual-action oracle in

@@ -1,8 +1,11 @@
 """Static hygiene of the package source, read with the standard ``ast`` module only.
 
-Two rules: every name a module imports is used in that module, and every
+Three rules: every name a module imports is used in that module, every
 private function or method is referenced somewhere in the package outside
-its own body.  Code that nothing reads is deleted, not kept.
+its own body, and every defaulted parameter of a package function or method
+is passed, by keyword or by position, by some call in the package, the
+tests or the benchmark scripts.  Code that nothing reads is deleted, not
+kept, and a knob that only ever takes its default is not a knob.
 """
 
 import ast
@@ -11,15 +14,28 @@ import os
 import mixhom
 
 ROOT = os.path.dirname(mixhom.__file__)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _parse_dir(path: str) -> dict[str, ast.Module]:
+    out = {}
+    for name in sorted(os.listdir(path)):
+        if name.endswith(".py"):
+            with open(os.path.join(path, name), encoding="utf-8") as fh:
+                out[name] = ast.parse(fh.read(), name)
+    return out
 
 
 def _modules() -> dict[str, ast.Module]:
-    out = {}
-    for name in sorted(os.listdir(ROOT)):
-        if name.endswith(".py"):
-            with open(os.path.join(ROOT, name), encoding="utf-8") as fh:
-                out[name] = ast.parse(fh.read(), name)
-    return out
+    return _parse_dir(ROOT)
+
+
+def _callers() -> list[ast.Module]:
+    """Every module whose calls may pass a package parameter: the package, the tests and the benchmark scripts."""
+    trees = list(_modules().values())
+    for sub in ("tests", "perfbench"):
+        trees += _parse_dir(os.path.join(REPO, sub)).values()
+    return trees
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -98,12 +114,69 @@ def _unreferenced_private(modules: dict[str, ast.Module]) -> list[str]:
     return unreferenced
 
 
+def _passed(calls: list[ast.Module]) -> dict[str, tuple[set[str], int]]:
+    """For each called name: the keywords some call passes it, and the most positional arguments one passes.
+
+    A call with ``*args`` or ``**kwargs`` counts as passing everything.
+    """
+    out: dict[str, tuple[set[str], int]] = {}
+    for tree in calls:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else fn.attr if isinstance(fn, ast.Attribute) else None
+            if name is None:
+                continue
+            keywords, most = out.get(name, (set(), 0))
+            if any(k.arg is None for k in node.keywords):
+                keywords = keywords | {"**"}
+            keywords = keywords | {k.arg for k in node.keywords if k.arg}
+            positional = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            out[name] = (keywords, max(most, positional))
+    return out
+
+
+def _unpassed_defaults(modules: dict[str, ast.Module], calls: list[ast.Module]) -> list[str]:
+    """Defaulted parameters of package functions and methods that no call passes, by keyword or by position.
+
+    A method is called through an attribute, so its first parameter (self
+    or cls) takes no positional argument; ``__init__`` is called by its
+    class's name.  Calls are matched by name alone, so a call to any
+    function of the same name counts.
+    """
+    passed = _passed(calls)
+    unpassed = []
+    for name, tree in modules.items():
+        methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            offset = 1 if id(node) in methods and not static else 0
+            called = methods[id(node)] if node.name == "__init__" and id(node) in methods else node.name
+            keywords, most = passed.get(called, (set(), 0))
+            positional = node.args.posonlyargs + node.args.args
+            defaulted = [(a, i) for i, a in enumerate(positional) if i >= len(positional) - len(node.args.defaults)]
+            defaulted += [(a, None) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+            for arg, i in defaulted:
+                by_position = i is not None and most > i - offset
+                if not (by_position or arg.arg in keywords or "**" in keywords):
+                    unpassed.append(f"{name}:{node.lineno} {node.name}({arg.arg})")
+    return unpassed
+
+
 def test_every_import_is_used():
     assert _unused_imports(_modules()) == []
 
 
 def test_every_private_function_is_referenced():
     assert _unreferenced_private(_modules()) == []
+
+
+def test_every_default_is_passed_somewhere():
+    assert _unpassed_defaults(_modules(), _callers()) == []
 
 
 def test_the_rules_find_what_they_claim():
@@ -124,3 +197,14 @@ def test_the_rules_find_what_they_claim():
     )
     assert _unused_imports({"m.py": tree}) == ["m.py:1 _cancel", "m.py:2 math"]
     assert _unreferenced_private({"m.py": tree}) == ["m.py:3 _loop", "m.py:8 _method"]
+    package = ast.parse(
+        "def f(a, b=1, c=2, *, d=3):\n"
+        "    return a\n"
+        "class K:\n"
+        "    def __init__(self, x=0, y=0):\n"
+        "        pass\n"
+        "    def m(self, p=0, q=0):\n"
+        "        return f(p, d=q)\n"
+    )
+    calls = ast.parse("K(1)\nK(y=2).m(5)\nf(1, 2)\n")
+    assert _unpassed_defaults({"m.py": package}, [package, calls]) == ["m.py:1 f(c)", "m.py:6 m(q)"]

@@ -186,6 +186,20 @@ class TestPoissonIdentification:
         circ = {(1, 2, 1, 2): Q(1), (2, 3, 2, 3): Q(1), (3, 1, 3, 1): Q(1)}
         assert ident.check_chain_map(circ, w_max=3) == []
 
+    def test_chain_map_check_sees_one_flipped_coefficient(self, monkeypatch):
+        # the dual side is read at w_max, not w_max + 2: a wrong coefficient
+        # on a form of the top weight must still show
+        ident = koszul_poisson_identification(3)
+        circ = {(1, 2, 1, 2): Q(1), (2, 3, 2, 3): Q(1), (3, 1, 3, 1): Q(1)}
+        top = (2, 0, 0, 0, 0, 1)  # x1²dx3, weight 3
+        coefficient = ko.PoissonIdentification.coefficient
+        monkeypatch.setattr(ko.PoissonIdentification, "coefficient",
+                            lambda self, m: -coefficient(self, m) if m == top else coefficient(self, m))
+        failures = ident.check_chain_map(circ, w_max=3)
+        # δ and d* on the functional of x1²dx3, and on those that ∂ and d send onto it
+        assert failures == ["boundary fails at x1dx1dx3", "boundary fails at x1^2dx3",
+                            "de Rham fails at x1^2dx3", "de Rham fails at x1^2x3"]
+
 
 # -- differential oracles: the dual product by deconcatenation, the per-call solve --
 #

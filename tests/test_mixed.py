@@ -363,7 +363,7 @@ class TestCyclicPeriodic:
         assert 0 in edge  # a height-0 slice is all edge
 
 
-# -- differential oracles: the builders that dual_slice and _u_complex replaced --
+# -- differential oracles: the builders that _transpose and _u_complex replaced --
 #
 # The dual slices used to be rebuilt functional by functional, applying the
 # primal operator to every chain, and HC⁻, HC and HP each had their own
@@ -580,14 +580,90 @@ def test_dual_poisson_slice_is_made_of_the_dual_side_matrices(monkeypatch):
     boundary = po.poisson_boundary
     monkeypatch.setattr(po, "poisson_boundary", lambda *args: calls.append(args) or boundary(*args))
     sl = slice_from_poisson_dual(dual)
+    assert sl.pieces == dual.pieces
+    assert sl.b_mats is dual.b_mats and sl.B_mats is dual.B_mats
     for piece in sl.pieces:
-        assert sl.b_matrix(piece) is dual.coboundary_matrix(piece)
-        assert sl.B_matrix(piece) is dual.d_star_matrix(piece)
+        for got, held in ((sl.b_matrix(piece), dual.b_mats), (sl.B_matrix(piece), dual.B_mats)):
+            assert got is held[piece] if piece in held else not got.entries
     for m in dual.domain:
         dual.coboundary({m: Q(1)})
-    # ∂ of a form is taken at most once, for the one δ matrix it is a row of
+    # the slice and the operators read the matrices the dual side already holds
+    assert calls == []
+
+
+def _circulant_dual_bivector(ctxe):
+    return quadratic_bivector(ctxe, {(j1, j2, i1, i2): c for (i1, i2, j1, j2), c in CIRCULANT.items()})
+
+
+def _one_entry(B_mats, m):
+    return ExactMatrix(m.rows, m.cols, {(0, 0): 1})
+
+
+def _exact_column(B_mats, m):
+    # d(ξ1ξ2ξ3) added to the column of ξ3dξ2dξ3, which ∂ reaches: since
+    # d∘d = 0, bB + Bb out of the dual piece (1, 3), checked first, still
+    # vanishes, and b² out of (2, 3) is the first identity that fails
+    return B_mats[(-3, 3)].matmul(ExactMatrix(1, m.cols, {(0, 1): 1}))
+
+
+@pytest.mark.parametrize("source,which,piece,extra,identity,at,label", [
+    ("hochschild", "b", (-1, 2), _one_entry, "b²=0", (2, 2), (3,)),
+    ("hochschild", "B", (-1, 2), _one_entry, "B²=0", (0, 2), (0, 1, 1)),
+    ("hochschild", "b", (0, 1), _one_entry, "bB+Bb=0", (1, 1), (1,)),
+    ("poisson", "b", (-1, 3), _exact_column, "b²=0", (2, 3), (0, 1, 1, 1, 0, 0)),
+    ("poisson", "B", (-3, 3), _one_entry, "B²=0", (1, 3), (0, 0, 1, 0, 1, 1)),
+    ("poisson", "b", (0, 1), _one_entry, "bB+Bb=0", (0, 1), (0, 0, 0, 0, 0, 1)),
+], ids=["hochschild-b2", "hochschild-B2", "hochschild-anti", "poisson-b2", "poisson-B2", "poisson-anti"])
+def test_corrupted_raw_triple_fails_its_dual(monkeypatch, source, which, piece, extra, identity, at, label):
+    # the primal triple is never validated on its own: a broken primal matrix
+    # must surface in the one validation of the dual, at the dual piece
+    from mixhom import mixed
+    from mixhom.linalg import _accumulate
+
+    raw = getattr(mixed, f"_{source}_complex")
+
+    def corrupted(*args):
+        pieces, b_mats, B_mats = raw(*args)
+        mats = b_mats if which == "b" else B_mats
+        m = mats[piece]
+        mats[piece] = ExactMatrix(m.rows, m.cols, _accumulate(dict(m.entries), extra(B_mats, m).entries))
+        return pieces, b_mats, B_mats
+
+    monkeypatch.setattr(mixed, f"_{source}_complex", corrupted)
+    if source == "hochschild":
+        with pytest.raises(SliceAxiomError) as exc:
+            slice_from_hochschild_dual(make_exterior_algebra(2), 3)
+    else:
+        ctxe = PoissonContext.make(3, "ext")
+        dual = DualSide(ctxe, _circulant_dual_bivector(ctxe), w_max=3)  # holds the triple, checks nothing
+        with pytest.raises(SliceAxiomError) as exc:
+            slice_from_poisson_dual(dual)
+    assert (exc.value.identity, exc.value.piece, exc.value.label) == (identity, at, label)
+
+
+def test_each_dual_is_validated_once_and_each_boundary_taken_once(monkeypatch):
+    from mixhom import poisson as po
+
+    validated = []
+    validate = MixedComplexSlice._validate
+    monkeypatch.setattr(MixedComplexSlice, "_validate", lambda self: validated.append(self.name) or validate(self))
+    calls = []
+    boundary = po.poisson_boundary
+    monkeypatch.setattr(po, "poisson_boundary", lambda *args: calls.append(args) or boundary(*args))
+
+    A = make_exterior_algebra(2)
+    slice_from_hochschild_dual(A, 4)
+    assert validated == [f"hochschild-dual({A.name})"]
+    ctxe = PoissonContext.make(3, "ext")
+    dual = DualSide(ctxe, _circulant_dual_bivector(ctxe), w_max=4)
+    assert len(validated) == 1
     forms = [next(iter(omega)) for _ctx, _pi, omega in calls]
-    assert len(forms) == len(set(forms)) > 0
+    # once each, on every form with forms one degree below (the dual piece one degree up)
+    reached = [m for (d, w), labels in dual.pieces.items() if (d + 1, w) in dual.pieces for m in labels]
+    assert sorted(forms) == sorted(reached) and len(reached) > 0
+    slice_from_poisson_dual(dual)
+    assert validated == [f"hochschild-dual({A.name})", "poisson-dual(3)"]
+    assert len(calls) == len(forms)
 
 
 def _u_sources():
