@@ -176,11 +176,15 @@ class HochschildCochainOps:
 
 
 class MultivectorOps:
-    """Polyvector fields with the Lichnerowicz coboundary, for either side."""
+    """Polyvector fields with the Lichnerowicz coboundary δ = [π, -], for either side.
+
+    δ is ``bracket_op(ctx, π)``, which tabulates π once here for every δ matrix.
+    """
 
     def __init__(self, ctx: po.PoissonContext, pi, w_shift_min: int, w_shift_max: int, coeff_wmax: int):
         self.ctx = ctx
         self.pi = pi
+        self._delta = po.bracket_op(ctx, pi)
         V = ctx.vectors
         theta_cap = max(2, ctx.n, ctx.n - w_shift_min)
         self._pieces: dict[Piece, list] = {}
@@ -212,8 +216,7 @@ class MultivectorOps:
     def delta_matrix(self, piece: Piece) -> ExactMatrix:
         """δ out of the piece, into (D - 1, ω)."""
         D, om = piece
-        return operator_matrix(self._pieces.get(piece, []), self._pieces.get((D - 1, om), []),
-                               lambda m: po.poisson_coboundary(self.ctx, self.pi, {m: Q(1)}),
+        return operator_matrix(self._pieces.get(piece, []), self._pieces.get((D - 1, om), []), self._delta,
                                escape=WindowError)
 
     def incoming(self, piece: Piece, above: ExactMatrix) -> ExactMatrix:

@@ -16,14 +16,12 @@ side, and for a quadratic bivector all four differentials preserve weight.
 Operators are built from one Koszul-signed engine: contraction by a
 polyvector monomial is coefficient multiplication after the form-side
 partial derivatives, the Poisson boundary is the contraction/de Rham
-commutator, the coboundary is the Schouten bracket with the bivector, and
-the Schouten bracket is the bracket generated by the odd Laplacian of the
-standard coordinates, computed as its first-order Leibniz expansion.  Each
-operator works one monomial at a time: derivative factors and Koszul signs
-are plain ints, summed per input monomial and added into the result with
-its coefficient once (``add_into``).  The odd-Laplacian form of the
-bracket, and the displayed shuffle-sum formulas evaluated argument by
-argument on the ungraded side, live in the tests as independent oracles.
+commutator (the slices take it as a product of the ι_π and d matrices), and
+the coboundary δ = [π, -] is the Schouten bracket, the first-order Leibniz
+expansion of the bracket the odd Laplacian generates.  Derivative factors
+and Koszul signs are plain ints; ``bracket_op`` tabulates π once for every
+δ.  The odd-Laplacian bracket, ∂ taken form by form and the shuffle-sum
+formulas on the ungraded side live in the tests as independent oracles.
 The dual side (:class:`DualSide`) holds the signed transposes of ∂ and d
 that ``mixed._transpose`` makes, and pulls functionals back through ι.
 """
@@ -33,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import _pullback
+from .linalg import _denominator, _pullback
 from .linalg import _accumulate as add_into
 
 Q = Fraction
@@ -263,12 +261,6 @@ def poisson_boundary(ctx: PoissonContext, pi: GCAElement, omega: GCAElement) -> 
     return sub(first, second)
 
 
-def bracket_of_functions(ctx: PoissonContext, pi: GCAElement, f: GCAElement, g: GCAElement) -> GCAElement:
-    """{f, g} = ι_π(df ∧ dg) for coefficient-only elements f, g."""
-    F = ctx.forms
-    return contraction(ctx, pi, F.multiply(de_rham(ctx, f), de_rham(ctx, g)))
-
-
 # -- the Schouten bracket -------------------------------------------------------
 
 
@@ -287,56 +279,60 @@ def odd_laplacian(ctx: PoissonContext, P: GCAElement) -> GCAElement:
     return out
 
 
-def schouten(ctx: PoissonContext, P: GCAElement, Q_: GCAElement) -> GCAElement:
-    """Schouten bracket, the bracket generated by the odd Laplacian:
+def bracket_op(ctx: PoissonContext, P: GCAElement):
+    """The operator m ↦ [P, m] on polyvector monomials, with P tabulated once.
 
-    [P, Q] = -(-1)^{|P|} (Δ₀(PQ) - Δ₀(P)Q - (-1)^{|P|} P Δ₀(Q)).
-
-    Δ₀ = Σ_i ∂_{g_i}∂_{θ_i} is second order, so the Leibniz expansion of
-    Δ₀(PQ) leaves only the cross terms, and the bracket is computed as
+    The bracket is generated by the odd Laplacian Δ₀ = Σ_i ∂_{g_i}∂_{θ_i}:
+    [P, Q] = -(-1)^{|P|} (Δ₀(PQ) - Δ₀(P)Q - (-1)^{|P|} P Δ₀(Q)).  Δ₀ is second
+    order, so only the cross terms of the Leibniz expansion of Δ₀(PQ) remain:
 
     [P, Q] = -(-1)^{|P|} Σ_i ((-1)^{|g_i|(|P|+|θ_i|)} ∂_{θ_i}P·∂_{g_i}Q
-                              + (-1)^{|θ_i||P|} ∂_{g_i}P·∂_{θ_i}Q),
+                              + (-1)^{|θ_i||P|} ∂_{g_i}P·∂_{θ_i}Q).
 
-    one partial of each monomial and one monomial product per coordinate.
-    The odd-Laplacian form is the differential oracle in the tests.
-
-    Calibrated against the displayed two-shuffle-sum bracket: [∂_i, f ∂_j]
-    = ∂_i(f) ∂_j, with graded antisymmetry [P,Q] = -(-1)^{(p-1)(q-1)}[Q,P]
-    in the polyvector grading.
+    P's partials and signs are tabulated here, over integer coefficients with
+    one denominator, and one Fraction is built per output monomial.  This
+    matches the displayed two-shuffle-sum bracket: [∂_i, f ∂_j] = ∂_i(f) ∂_j.
     """
     V = ctx.vectors
     n = ctx.n
-    g_odd = [V.degrees[i] % 2 for i in range(n)]
-    th_odd = [V.degrees[n + i] % 2 for i in range(n)]
-    # per monomial of Q and coordinate i: (∂_{g_i}Q, ∂_{θ_i}Q)
-    q_parts = [(cq, [(V.partial(i, mq), V.partial(n + i, mq)) for i in range(n)])
-               for mq, cq in Q_.items() if cq]
-    out: GCAElement = {}
+    den = _denominator(P.values())
+    # per coordinate i: the (signed integer, monomial) terms ∂_{θ_i}P meeting ∂_{g_i}m and ∂_{g_i}P meeting ∂_{θ_i}m
+    table: list[tuple[list, list]] = [([], []) for _ in range(n)]
     for mp, cp in P.items():
         if not cp:
             continue
+        k = cp.numerator * (den // cp.denominator)
         p_odd = V.degree(mp) % 2
-        s = 1 if p_odd else -1  # -(-1)^{|P|}
-        # per coordinate i: the signs of the two cross terms, ∂_{θ_i}P and ∂_{g_i}P
-        terms = [(-s if g_odd[i] and (p_odd + th_odd[i]) % 2 else s, -s if th_odd[i] and p_odd else s,
-                  V.partial(n + i, mp), V.partial(i, mp)) for i in range(n)]
-        for cq, parts in q_parts:
-            acc: dict[Monomial, int] = {}
-            for (s_a, s_b, th_p, g_p), (g_q, th_q) in zip(terms, parts):
-                for sign, left, right in ((s_a, th_p, g_q), (s_b, g_p, th_q)):
-                    if left is None or right is None:
-                        continue
-                    prod = V.mul_monomials(left[1], right[1])
+        s = k if p_odd else -k  # -(-1)^{|P|}
+        for i, (with_g, with_th) in enumerate(table):
+            th_p, g_p = V.partial(n + i, mp), V.partial(i, mp)
+            if th_p is not None:
+                with_g.append(((-s if V.odd[i] and (p_odd + V.odd[n + i]) % 2 else s) * th_p[0], th_p[1]))
+            if g_p is not None:
+                with_th.append(((-s if V.odd[n + i] and p_odd else s) * g_p[0], g_p[1]))
+
+    def apply(m: Monomial) -> GCAElement:
+        acc: dict[Monomial, int] = {}
+        for i, (with_g, with_th) in enumerate(table):
+            for terms, right in ((with_g, V.partial(i, m)), (with_th, V.partial(n + i, m))):
+                if right is None:
+                    continue
+                kr, mr = right
+                for kl, ml in terms:
+                    prod = V.mul_monomials(ml, mr)
                     if prod is not None:
-                        acc[prod[1]] = acc.get(prod[1], 0) + sign * left[0] * right[0] * prod[0]
-            add_into(out, acc, cp * cq)
+                        acc[prod[1]] = acc.get(prod[1], 0) + kl * kr * prod[0]
+        return {mm: Q(v, den) for mm, v in acc.items() if v}
+
+    return apply
+
+
+def schouten(ctx: PoissonContext, P: GCAElement, Q_: GCAElement) -> GCAElement:
+    """Schouten bracket [P, Q] = Σ_q c_q [P, m_q] over the monomials of Q (see ``bracket_op``)."""
+    op, out = bracket_op(ctx, P), {}
+    for mq, cq in Q_.items():
+        add_into(out, op(mq), cq)
     return out
-
-
-def poisson_coboundary(ctx: PoissonContext, pi: GCAElement, P: GCAElement) -> GCAElement:
-    """δ = [π, -] (Lichnerowicz); degree -1 in the total grading."""
-    return schouten(ctx, pi, P)
 
 
 def wedge(ctx: PoissonContext, P: GCAElement, Q_: GCAElement) -> GCAElement:
@@ -513,12 +509,12 @@ def frobenius_poisson_check(dual: DualSide) -> FrobeniusPoissonReport:
     failures: list[str] = []
     cycle = not dual.coboundary(eta_dual)
     V = ctx.vectors
+    delta = bracket_op(ctx, dual.pi)
     diagram = True
     cap = max(2, ctx.n)
     for m in V.monomials([1] * ctx.n + [cap] * ctx.n):
-        P = {m: Q(1)}
-        lhs = dual.contract(poisson_coboundary(ctx, dual.pi, P), eta_dual)
-        rhs = dual.coboundary(dual.contract(P, eta_dual))
+        lhs = dual.contract(delta(m), eta_dual)
+        rhs = dual.coboundary(dual.contract({m: Q(1)}, eta_dual))
         if sub(lhs, rhs):
             diagram = False
             failures.append(f"dual diagram fails on {V.format_monomial(m)}")
@@ -562,13 +558,12 @@ def unimodularity_check(ctx: PoissonContext, pi: GCAElement, w_max: int = 4) -> 
     failures: list[str] = []
     closed = is_zero(poisson_boundary(ctx, pi, eta))
     V = ctx.vectors
+    delta = bracket_op(ctx, pi)
     diagram = True
     for m in V.monomials([w_max] * ctx.n + [1] * ctx.n):
-        p = sum(m[ctx.n :])
-        P = {m: Q(1)}
-        lhs = poisson_boundary(ctx, pi, contraction(ctx, P, eta))
-        rhs = contraction(ctx, poisson_coboundary(ctx, pi, P), eta)
-        eps = Q(1) if (p + 1) % 2 == 0 else Q(-1)
+        lhs = poisson_boundary(ctx, pi, contract_monomial(ctx, m, eta))
+        rhs = contraction(ctx, delta(m), eta)
+        eps = Q(1) if sum(m[ctx.n :]) % 2 else Q(-1)  # (-1)^{p+1}
         if not is_zero(sub(lhs, scale(rhs, eps))):
             diagram = False
             failures.append(f"diagram fails on {V.format_monomial(m)}")

@@ -18,6 +18,7 @@ from mixhom.algebra import (
     polynomial_presentation,
 )
 from mixhom.calculus import (
+    MultivectorOps,
     attach_duality,
     hochschild_dual_bundle,
     poisson_bundle,
@@ -41,7 +42,9 @@ from mixhom.koszul import (
     small_hochschild_models,
 )
 from mixhom.mixed import (
+    MixedComplexSlice,
     NegativeCyclic,
+    _transpose,
     default_truncation,
     les_check,
     slice_from_hochschild,
@@ -63,7 +66,7 @@ from test_gravity import assert_derived_twist_matches_fitted
 from test_hochschild import dual_coboundary, frobenius_pd
 from test_linalg import from_columns, kernel_basis
 from test_mixed import assert_les_matches_oracle
-from test_poisson import oracle_engine, schouten_odd_laplacian
+from test_poisson import FastPathError, delta_by_monomials, oracle_engine, poisson_complex_by_forms
 
 Q = Fraction
 
@@ -433,15 +436,20 @@ def test_derived_dual_twist_matches_fitted(poisson_pair):
     assert assert_derived_twist_matches_fitted(ident, dp, dd) > 0
 
 
+def _as_triples(mats: dict) -> dict:
+    return {key: (M.rows, M.cols, M.entries) for key, M in mats.items()}
+
+
 def _poisson_pair_operators(derived_pi):
     """The operator matrices under ``poisson_pair``: its w 8 slice, the δ of its
-    Poisson bundle and the δ and d* of its dual side's transposed triple, as
-    (rows, cols, entries)."""
+    Poisson bundle's polyvectors and the δ and d* of its dual side's transposed
+    triple, and the polyvector pieces."""
     ident = koszul_poisson_identification(3)
     ctx = ident.ctx_poly
     pi = quadratic_bivector(ctx, derived_pi)
     sl = slice_from_poisson(ctx, pi, 8)
-    ops = poisson_bundle(ctx, pi, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8).ops
+    # the ops of its Poisson bundle, whose construction would reject a δ with δ² ≠ 0
+    ops = MultivectorOps(ctx, pi, -3, 5, 8)
     duals = DualSide(ident.ctx_ext, quadratic_bivector(ident.ctx_ext, dual_bivector_coeffs(derived_pi)), w_max=8)
     mats = {}
     for piece in sorted(sl.pieces):
@@ -451,19 +459,45 @@ def _poisson_pair_operators(derived_pi):
     for kind, dual_mats in (("δ*", duals.b_mats), ("d*", duals.B_mats)):
         for piece in sorted(dual_mats):
             mats[(kind, piece)] = dual_mats[piece]
-    return {key: (M.rows, M.cols, M.entries) for key, M in mats.items()}
+    return _as_triples(mats), ops.pieces()
+
+
+def _poisson_pair_operators_by_monomials(derived_pi, polyvector_pieces):
+    """The same matrices from the per-form ∂ and the per-monomial odd-Laplacian δ."""
+    ident = koszul_poisson_identification(3)
+    ctx = ident.ctx_poly
+    pi = quadratic_bivector(ctx, derived_pi)
+    pieces, b_mats, B_mats = poisson_complex_by_forms(ctx, pi, 8)
+    sl = MixedComplexSlice(pieces, b_mats, B_mats)
+    mats = {}
+    for piece in sorted(sl.pieces):
+        mats[("b", piece)], mats[("B", piece)] = sl.b_matrix(piece), sl.B_matrix(piece)
+    for piece in sorted(polyvector_pieces):
+        mats[("δ", piece)] = delta_by_monomials(ctx, pi, polyvector_pieces, piece)
+    pid = quadratic_bivector(ident.ctx_ext, dual_bivector_coeffs(derived_pi))
+    _, db_mats, dB_mats = _transpose(*poisson_complex_by_forms(ident.ctx_ext, pid, 8))
+    for kind, dual_mats in (("δ*", db_mats), ("d*", dB_mats)):
+        for piece in sorted(dual_mats):
+            mats[(kind, piece)] = dual_mats[piece]
+    return _as_triples(mats)
 
 
 def test_poisson_engine_matches_oracle_on_poisson_pair(derived_pi):
-    # the first-order Schouten bracket and one-pass contraction against the
-    # odd-Laplacian bracket and chained contraction they replaced
+    # the matrix-product ∂, the tabulated δ = [π, -] and the one-pass
+    # contraction against the per-form ∂, the odd-Laplacian bracket and the
+    # chained contraction they replaced
     import mixhom.poisson
 
-    got = _poisson_pair_operators(derived_pi)
+    got, polyvector_pieces = _poisson_pair_operators(derived_pi)
+    ctx = koszul_poisson_identification(3).ctx_poly
     with oracle_engine():
-        assert mixhom.poisson.schouten is schouten_odd_laplacian
-        want = _poisson_pair_operators(derived_pi)
-    assert mixhom.poisson.schouten is not schouten_odd_laplacian
+        # the fast paths cannot run on the oracle side
+        with pytest.raises(FastPathError):
+            mixhom.poisson.bracket_op(ctx, {})
+        with pytest.raises(FastPathError):
+            slice_from_poisson(ctx, {}, 2)
+        want = _poisson_pair_operators_by_monomials(derived_pi, polyvector_pieces)
+    mixhom.poisson.bracket_op(ctx, {})
     assert got == want
     nonzero = {kind for (kind, _), (_, _, entries) in got.items() if entries}
     assert nonzero == {"b", "B", "δ", "δ*", "d*"}

@@ -22,9 +22,10 @@ from mixhom.hochschild import Cochain, all_tuples_up_to_weight
 from mixhom.koszul import quadratic_algebra
 from mixhom.linalg import ExactMatrix, _accumulate
 from mixhom.mixed import slice_from_hochschild_dual, slice_from_poisson
-from mixhom.poisson import PoissonContext, poisson_coboundary, quadratic_bivector
+from mixhom.poisson import PoissonContext, quadratic_bivector
 from test_hochschild import coboundary_scan
 from test_linalg import _bv_check_bundles, solve_in_span
+from test_poisson import delta_by_monomials
 
 Q = Fraction
 
@@ -477,26 +478,10 @@ def _hochschild_delta_pair_oracle(self, piece):
     return d_in_r, d_out
 
 
-def _multivector_delta_matrix_oracle(self, piece):
-    D, om = piece
-    src = self._pieces.get(piece, [])
-    tgt = self._pieces.get((D - 1, om), [])
-    tgt_idx = {m: i for i, m in enumerate(tgt)}
-    entries = {}
-    for j, m in enumerate(src):
-        img = poisson_coboundary(self.ctx, self.pi, {m: Q(1)})
-        for mm, c in img.items():
-            if c == 0:
-                continue
-            if mm not in tgt_idx:
-                raise WindowError(f"coboundary escapes the polyvector window at {mm!r}")
-            entries[(tgt_idx[mm], j)] = c
-    return ExactMatrix(len(tgt), len(src), entries)
-
-
 def _multivector_delta_pair_oracle(self, piece):
     D, om = piece
-    return _multivector_delta_matrix_oracle(self, (D + 1, om)), _multivector_delta_matrix_oracle(self, piece)
+    return (delta_by_monomials(self.ctx, self.pi, self._pieces, (D + 1, om)),
+            delta_by_monomials(self.ctx, self.pi, self._pieces, piece))
 
 
 def _delta_case(case, q_max=6, coeff_wmax=8):

@@ -22,6 +22,7 @@ from mixhom.mixed import (
 )
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
 from test_linalg import column, dense_boundaries, dense_cycles, from_columns, oracle_rank, sparse_vec
+from test_poisson import delta_by_monomials, poisson_complex_by_forms
 
 Q = Fraction
 
@@ -572,13 +573,20 @@ class TestTransposeOracles:
                     assert got == {t: v for t, v in zip(tgt, col) if v}
 
 
+def _counting(monkeypatch, module, names):
+    """Replace each named function of a module by one that logs its arguments; {name: log}."""
+    logs = {name: [] for name in names}
+    for name, log in logs.items():
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, log=log: log.append(args) or fn(*args))
+    return logs
+
+
 def test_dual_poisson_slice_is_made_of_the_dual_side_matrices(monkeypatch):
     from mixhom import poisson as po
 
     _, dual = _circulant_sides(Q(1), 4)
-    calls = []
-    boundary = po.poisson_boundary
-    monkeypatch.setattr(po, "poisson_boundary", lambda *args: calls.append(args) or boundary(*args))
+    calls = _counting(monkeypatch, po, ("poisson_boundary", "schouten", "bracket_op", "contraction", "de_rham"))
     sl = slice_from_poisson_dual(dual)
     assert sl.pieces == dual.pieces
     assert sl.b_mats is dual.b_mats and sl.B_mats is dual.B_mats
@@ -587,8 +595,67 @@ def test_dual_poisson_slice_is_made_of_the_dual_side_matrices(monkeypatch):
             assert got is held[piece] if piece in held else not got.entries
     for m in dual.domain:
         dual.coboundary({m: Q(1)})
-    # the slice and the operators read the matrices the dual side already holds
-    assert calls == []
+    # the slice and the operators read the matrices the dual side already holds;
+    # the one bracket taken is the Jacobi check [π, π]
+    assert calls["schouten"] == [(dual.ctx, dual.pi, dual.pi)]
+    assert len(calls["bracket_op"]) == 1
+    assert calls["poisson_boundary"] == calls["contraction"] == calls["de_rham"] == []
+
+
+_POISSON_ORACLE_CASES = {
+    "poly2-c1": (2, "poly", {(1, 2, 1, 2): Q(1)}),
+    "poly2-c-7/3": (2, "poly", {(1, 2, 1, 2): Q(-7, 3)}),
+    "poly3-c1": (3, "poly", CIRCULANT),
+    "poly3-c-7/3": (3, "poly", {k: Q(-7, 3) * v for k, v in CIRCULANT.items()}),
+    "ext3-c1": (3, "ext", {(j1, j2, i1, i2): v for (i1, i2, j1, j2), v in CIRCULANT.items()}),
+    "ext3-c-7/3": (3, "ext", {(j1, j2, i1, i2): Q(-7, 3) * v for (i1, i2, j1, j2), v in CIRCULANT.items()}),
+    "zero": (3, "poly", {}),
+    "not-poisson": (3, "poly", {(1, 1, 1, 2): Q(1), (2, 2, 2, 3): Q(1)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POISSON_ORACLE_CASES))
+def test_poisson_operator_matrices_match_the_per_monomial_builds(case):
+    # ∂ as the ι_π·d - d·ι_π product against ∂ form by form, and δ from the
+    # tabulated bracket against the odd-Laplacian bracket monomial by monomial
+    from mixhom.calculus import MultivectorOps
+    from mixhom.mixed import _poisson_complex
+
+    n, side, coeffs = _POISSON_ORACLE_CASES[case]
+    ctx = PoissonContext.make(n, side)
+    pi = quadratic_bivector(ctx, coeffs)
+    got, want = _poisson_complex(ctx, pi, 8), poisson_complex_by_forms(ctx, pi, 8)
+    assert got == want
+    ops = MultivectorOps(ctx, pi, -3, 5, 8)
+    deltas = {piece: ops.delta_matrix(piece) for piece in ops.pieces()}
+    assert deltas == {piece: delta_by_monomials(ctx, pi, ops.pieces(), piece) for piece in ops.pieces()}
+    nonzero = any(M.entries for M in got[1].values()), any(M.entries for M in deltas.values())
+    assert nonzero == ((False, False) if case == "zero" else (True, True))
+
+
+def test_poisson_operator_matrices_count_their_work(monkeypatch):
+    # exact work counts, so a return to per-column builds fails without timing:
+    # δ tabulates π once for every piece, and ∂ contracts each form by each
+    # monomial of π once and takes no form through poisson_boundary
+    from mixhom import poisson as po
+    from mixhom.calculus import MultivectorOps, poisson_bundle
+
+    ctx = PoissonContext.make(3, "poly")
+    pi = quadratic_bivector(ctx, CIRCULANT)
+    calls = _counting(monkeypatch, po, ("bracket_op", "schouten", "poisson_boundary", "contract_monomial"))
+    ops = MultivectorOps(ctx, pi, -3, 5, 8)
+    for piece in ops.pieces():
+        ops.delta_matrix(piece)
+    assert [len(calls[name]) for name in ("bracket_op", "schouten")] == [1, 0]
+    sl = slice_from_poisson(ctx, pi, 8)
+    # ι_π is applied to every form with forms two degrees below it, and is 0 on the others
+    contracted = [m for (e, w), labels in sl.pieces.items() if (e - 2, w) in sl.pieces for m in labels]
+    assert len(calls["contract_monomial"]) == len(pi) * len(contracted) > 0
+    assert sorted(next(iter(omega)) for _ctx, _m, omega in calls["contract_monomial"][::len(pi)]) == sorted(contracted)
+    # the one bracket taken is the Jacobi check [π, π]
+    assert calls["schouten"] == [(ctx, pi, pi)] and len(calls["bracket_op"]) == 2
+    poisson_bundle(ctx, pi, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
+    assert (len(calls["bracket_op"]), len(calls["schouten"]), calls["poisson_boundary"]) == (3, 1, [])
 
 
 def _circulant_dual_bivector(ctxe):
@@ -647,9 +714,7 @@ def test_each_dual_is_validated_once_and_each_boundary_taken_once(monkeypatch):
     validated = []
     validate = MixedComplexSlice._validate
     monkeypatch.setattr(MixedComplexSlice, "_validate", lambda self: validated.append(self.name) or validate(self))
-    calls = []
-    boundary = po.poisson_boundary
-    monkeypatch.setattr(po, "poisson_boundary", lambda *args: calls.append(args) or boundary(*args))
+    calls = _counting(monkeypatch, po, ("poisson_boundary", "schouten", "contraction", "de_rham"))
 
     A = make_exterior_algebra(2)
     slice_from_hochschild_dual(A, 4)
@@ -657,13 +722,20 @@ def test_each_dual_is_validated_once_and_each_boundary_taken_once(monkeypatch):
     ctxe = PoissonContext.make(3, "ext")
     dual = DualSide(ctxe, _circulant_dual_bivector(ctxe), w_max=4)
     assert len(validated) == 1
-    forms = [next(iter(omega)) for _ctx, _pi, omega in calls]
-    # once each, on every form with forms one degree below (the dual piece one degree up)
-    reached = [m for (d, w), labels in dual.pieces.items() if (d + 1, w) in dual.pieces for m in labels]
-    assert sorted(forms) == sorted(reached) and len(reached) > 0
+    # ∂ is the product of the d and ι_π matrices, each applied to a form once:
+    # d to every form with forms one degree up, ι_π to every form with forms
+    # two degrees down (the dual pieces one and two degrees down)
+    differentiated = [next(iter(omega)) for _ctx, omega in calls["de_rham"]]
+    contracted = [next(iter(omega)) for _ctx, _pi, omega in calls["contraction"]]
+    for got, shift in ((differentiated, -1), (contracted, 2)):
+        reached = [m for (d, w), labels in dual.pieces.items() if (d + shift, w) in dual.pieces for m in labels]
+        assert sorted(got) == sorted(reached) and len(reached) > 0
+    assert calls["poisson_boundary"] == calls["schouten"] == []
     slice_from_poisson_dual(dual)
     assert validated == [f"hochschild-dual({A.name})", "poisson-dual(3)"]
-    assert len(calls) == len(forms)
+    # validating reads the held matrices; the one bracket is the Jacobi check [π, π]
+    assert (len(calls["de_rham"]), len(calls["contraction"])) == (len(differentiated), len(contracted))
+    assert calls["poisson_boundary"] == [] and calls["schouten"] == [(ctxe, dual.pi, dual.pi)]
 
 
 def _u_sources():
