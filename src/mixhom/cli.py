@@ -7,11 +7,11 @@ canonically; two runs on the same input produce byte-identical artifacts.
 
 The tasks of one job share a :class:`JobContext`: the algebra, its
 Hochschild slice, HC⁻ with its long-exact-sequence report, the Poisson data
-with both unimodularity reports, and the Koszul dual with its verdict are
-each built once, by the first task that needs them, and dropped once no
-later task reads them.  A build that fails is not kept, so every task that
-needs it fails with its own error artifact.  Each task writes the same
-artifact it writes when run alone.
+with both unimodularity reports, and the Koszul structure (dual data, TV/(R)
+and verdict) are each built once, by the first task that needs them, and
+dropped once no later task reads them.  A build that fails is not kept, so
+every task that needs it fails with its own error artifact.  Each task
+writes the same artifact it writes when run alone.
 
 Job file format::
 
@@ -74,10 +74,8 @@ from .calculus import (
 from .gravity import GravityStructure, verify_gravity_axioms
 from .koszul import (
     dual_bivector_coeffs,
-    is_koszul,
     koszul_dual_algebra,
     koszul_poisson_identification,
-    quadratic_algebra,
     small_hochschild_models,
 )
 from .mixed import (
@@ -279,10 +277,9 @@ def _presentation(spec: JobSpecification) -> QuadraticPresentation:
             raise ValueError("quadratic algebras need relation lines")
         rels = []
         for terms in spec.relations:
+            # parse_job has checked every index against n
             acc = {}
             for (i, j, c) in terms:
-                if not (1 <= i <= spec.n and 1 <= j <= spec.n):
-                    raise ValueError(f"relation index ({i},{j}) out of range")
                 acc[(i - 1, j - 1)] = acc.get((i - 1, j - 1), 0) + c
             rels.append(_relation_vector(spec.n, acc))
         return QuadraticPresentation(spec.n, (0,) * spec.n, tuple(rels), name="input")
@@ -295,7 +292,7 @@ TASK_READS = {
     "hc-minus": ("algebra", "slice", "hc_minus", "les"),
     "poisson": ("poisson", "unimodularity", "dual_frobenius"),
     "gravity": ("poisson",),
-    "koszul": ("presentation", "koszul_dual", "quotient", "koszul_verdict"),
+    "koszul": ("koszul",),
     "check": ("les", "poisson", "unimodularity", "dual_frobenius"),
 }
 BUILT_FROM = {
@@ -303,9 +300,6 @@ BUILT_FROM = {
     "hc_minus": ("slice",),
     "les": ("hc_minus",),
     "unimodularity": ("poisson",),
-    "koszul_dual": ("presentation",),
-    "quotient": ("presentation",),
-    "koszul_verdict": ("presentation", "koszul_dual", "quotient"),
 }
 
 
@@ -383,21 +377,9 @@ class JobContext:
         return po.frobenius_poisson_check(po.DualSide(ctxe, pid, w_max=self.spec.n + 2))
 
     @cached_property
-    def presentation(self):
-        return _presentation(self.spec)
-
-    @cached_property
-    def koszul_dual(self):
-        return koszul_dual_algebra(self.presentation, self.spec.w_max)
-
-    @cached_property
-    def quotient(self):
-        """The algebra TV/(R) of the presentation up to w_max, with its basis index."""
-        return quadratic_algebra(self.presentation, self.spec.w_max)
-
-    @cached_property
-    def koszul_verdict(self):
-        return is_koszul(self.presentation, self.spec.w_max, self.koszul_dual, self.quotient)
+    def koszul(self):
+        """The presentation's Koszul structure up to w_max; it builds TV/(R) and the verdict on first read."""
+        return koszul_dual_algebra(_presentation(self.spec), self.spec.w_max)
 
 
 def task_hh(job: JobContext) -> dict:
@@ -481,9 +463,9 @@ def _gravity_structure(job: JobContext):
 def task_gravity(job: JobContext) -> dict:
     spec = job.spec
     g = _gravity_structure(job)
-    report = verify_gravity_axioms(g, n_max=min(spec.arity_max, 3), check_max=min(spec.arity_max + 1, 4))
+    report = verify_gravity_axioms(g, n_max=spec.arity_max, check_max=spec.arity_max + 1)
     tables = {}
-    for arity in range(2, min(spec.arity_max, 3) + 1):
+    for arity in range(2, spec.arity_max + 1):
         tables[str(arity)] = {
             ",".join(map(str, tup)): {
                 f"{k[0][0]},{k[0][1]},{k[1]}": _rat(v) for k, v in sorted(val.items())
@@ -510,18 +492,17 @@ def _bar_reads_the_slice(spec: JobSpecification) -> bool:
 
 def task_koszul(job: JobContext) -> dict:
     spec = job.spec
-    pres = job.presentation
+    data = job.koszul
     W = spec.w_max
-    verdict = job.koszul_verdict
+    verdict = data.verdict
     out = {
-        "presentation": pres.name,
+        "presentation": data.source.name,
         "koszul_up_to_weight": {str(w): ok for w, ok in sorted(verdict.per_weight.items())},
         "koszul_up_to_cutoff": verdict.koszul_up_to_cutoff,
     }
-    data = job.koszul_dual
     out["dual_piece_dims"] = {str(w): data.piece_dim(w) for w in range(W + 1)}
     if verdict.koszul_up_to_cutoff:
-        models = small_hochschild_models(pres, W, data, verdict, job.quotient)
+        models = small_hochschild_models(data)
         out["small_model_chain_dims"] = [
             [s, t, d] for (s, t), d in sorted(models.chain_dims.items())
         ]

@@ -351,9 +351,7 @@ def _skew_verdict(table, deg, tup: tuple[int, ...], i: int):
     if other is None:
         return _SKIP
     s = -1 if ((deg[tup[i]] + 1) % 2) and ((deg[tup[i + 1]] + 1) % 2) else 1
-    acc = dict(base)
-    _accumulate(acc, other, s)
-    if any(v != 0 for v in acc.values()):
+    if _accumulate(dict(base), other, s):
         return f"skew fails on {tup} at slot {i}"
     return None
 
@@ -500,9 +498,7 @@ def compare_across_iso(
         rhs = g2.bracket_combo(combos)
         if rhs is None:
             return _SKIP
-        diff = dict(lhs)
-        _accumulate(diff, rhs, -1)
-        if any(v != 0 for v in diff.values()):
+        if _accumulate(lhs, rhs, -1):
             return f"bracket images differ on {tup}"
         return None
 

@@ -17,8 +17,9 @@ u-stacked complex (C ⊗ u-powers, b + uB) over the u-ranges [0, N], [-K, 0]
 and [-N, N].  Every dimension comes from ranks: one forward elimination
 of each u-stacked matrix at N + 1 gives its rank at N on the way, so HC⁻
 compares truncations N and N + 1 and flags unstable (degree, weight)
-pieces without a second elimination.  An HC⁻ piece gets a homology
-presentation only when a class in it is read.  The connecting map β
+pieces without a second elimination; the b-homology dimensions are the
+u-range [0, 0].  A b-homology or HC⁻ piece gets a homology presentation
+only when a class in it is read.  The connecting map β
 follows the chain-level recipe: lift a b-cycle, apply b + uB, divide by u.
 """
 
@@ -117,7 +118,9 @@ class MixedComplexSlice:
         return self._hh[piece]
 
     def hh_dims(self) -> dict[Piece, int]:
-        return {p: self.hh(p).dim for p in sorted(self.pieces)}
+        """The b-homology dimension of every piece, from ranks: the u-range [0, 0] of ``_u_dims``."""
+        degrees = self.degrees()
+        return dict(sorted(_u_dims(self, 0, 0, min(degrees), max(degrees))[1].items())) if degrees else {}
 
     def B_class(self, key: ClassKey) -> dict[ClassKey, Fraction]:
         """B on one b-homology basis class, as {class key: coefficient}; memoized."""
@@ -331,15 +334,11 @@ class NegativeCyclic:
         The chain-level recipe: lift the cycle, apply b + uB, divide by u;
         on a b-cycle x that is (b + uB)(x) = u·B(x), so the class of B(x)
         viewed as the constant term of an HC⁻ cycle in degree d + 1.
-        Raises KeyError if B(x) is nonzero and that piece has no HC⁻
-        presentation.
         """
         got = self._beta.get(key)
         if got is None:
             (d, w), i = key
             img = self.slice.B_matrix((d, w)).apply(self.slice.hh((d, w)).cycle(i))
-            if img and (d + 1, w) not in self._dims:
-                raise KeyError(f"no HC⁻ presentation at {(d + 1, w)}")
             # the u⁰ component comes first in the stacked basis
             got = self._beta[key] = _classes((d + 1, w), self.presentation((d + 1, w)).reduce(img)) if img else {}
         return got

@@ -37,6 +37,7 @@ from mixhom.hochschild import (
 from mixhom.koszul import (
     dual_bivector_coeffs,
     fit_dual_product_twist,
+    koszul_dual_algebra,
     koszul_poisson_identification,
     poisson_hc_iso,
     small_hochschild_models,
@@ -65,7 +66,7 @@ from test_calculus import assert_pd_inverse_matches_solve
 from test_gravity import assert_derived_twist_matches_fitted
 from test_hochschild import dual_coboundary, frobenius_pd
 from test_linalg import from_columns, kernel_basis
-from test_mixed import assert_les_matches_oracle
+from test_mixed import assert_les_matches_oracle, hh_dims_oracle
 from test_poisson import FastPathError, delta_by_monomials, oracle_engine, poisson_complex_by_forms
 
 Q = Fraction
@@ -247,8 +248,8 @@ def test_criterion_02_hkr_dimension_oracle():
 
 
 def test_criterion_03_koszul_cross_model():
-    mp = small_hochschild_models(polynomial_presentation(2), 4)
-    me = small_hochschild_models(exterior_presentation(2), 4)
+    mp = small_hochschild_models(koszul_dual_algebra(polynomial_presentation(2), 4))
+    me = small_hochschild_models(koszul_dual_algebra(exterior_presentation(2), 4))
     bar_p = {
         k: v
         for k, v in slice_from_hochschild(make_truncated_polynomial_algebra(2, 4), 4)
@@ -360,6 +361,14 @@ def test_les_matches_oracle_on_criterion_06_sources(les_sources):
     # coordinate-taking maps they replaced, on every class of every piece
     for hc in les_sources:
         assert_les_matches_oracle(hc)
+
+
+def test_hh_dims_match_presentations_on_acceptance_slices(les_sources, frobenius_gravity, poisson_pair):
+    # the rank dimensions against one presentation per piece, on every
+    # slice of criteria 05 to 08
+    gp, gd = poisson_pair[3:]
+    for sl in [*(hc.slice for hc in les_sources), frobenius_gravity.hc.slice, gp.hc.slice, gd.hc.slice]:
+        assert sl.hh_dims() == hh_dims_oracle(sl), sl.name
 
 
 def test_criterion_07_gravity_suite(frobenius_gravity, poisson_pair):

@@ -12,7 +12,7 @@ from functools import cached_property
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixhom import cli, koszul
+from mixhom import cli
 from mixhom import poisson as po
 from mixhom.cli import ParseError, main, parse_job, run_job
 
@@ -174,6 +174,15 @@ def test_bad_jobs_are_parse_errors(tmp_path, command, job):
     assert not (tmp_path / "o").exists()
 
 
+def test_relation_index_out_of_range_names_its_line(tmp_path):
+    path = tmp_path / "job.txt"
+    path.write_text("[algebra]\nkind quadratic\nn 2\nrelation 1 2 1\nrelation 1 3 1\n[tasks]\nkoszul\n")
+    proc = _run_cli("run", path, tmp_path / "o")
+    assert proc.returncode == 4
+    assert proc.stderr == "parse error: line 5: relation index (1,3) out of range 1..2\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "job, line_no",
     [
@@ -276,13 +285,11 @@ def test_a_job_builds_each_shared_structure_once(tmp_path, monkeypatch, tasks):
         return wrapper
 
     for module, name in [(cli, "NegativeCyclic"), (cli, "les_check"), (po, "unimodularity_check"),
-                         (po, "frobenius_poisson_check"), (cli, "koszul_dual_algebra"),
-                         (cli, "is_koszul"), (cli, "quadratic_algebra")]:
+                         (po, "frobenius_poisson_check")]:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    # the Koszul complex and the small Hochschild models would rebuild them
-    # inside the koszul module
-    for name in ("koszul_dual_algebra", "is_koszul", "quadratic_algebra"):
-        monkeypatch.setattr(koszul, name, getattr(cli, name))
+    structures = []
+    build = cli.koszul_dual_algebra
+    monkeypatch.setattr(cli, "koszul_dual_algebra", lambda *args: structures.append(build(*args)) or structures[-1])
     reads = _spy_on_job_reads(monkeypatch)
     spec = parse_job(POLY_POISSON_JOB)
     spec.tasks = tasks.split()
@@ -302,10 +309,30 @@ def test_a_job_builds_each_shared_structure_once(tmp_path, monkeypatch, tasks):
         "les_check": 1,
         "unimodularity_check": 1,
         "frobenius_poisson_check": 1,
-        "koszul_dual_algebra": 1,
-        "is_koszul": 1,
-        "quadratic_algebra": 1,
     }
+    # one Koszul structure, which built TV/(R) and the verdict on itself:
+    # the Koszul functions take no structure that they could rebuild
+    (data,) = structures
+    assert {"quotient", "verdict"} <= set(vars(data))
+
+
+def test_gravity_runs_to_arity_max(tmp_path):
+    # the circulant π on k[x1, x2, x3] is unimodular, and at w_max 4 its
+    # brackets are nonzero up to arity 4; arity_max is not clamped at 3
+    job = ("[algebra]\nkind polynomial\nn 3\n[poisson]\nc 1 2 1 2 1\nc 2 3 2 3 1\nc 3 1 3 1 1\n"
+           "[window]\np_max 3\nw_max 4\narity_max {}\n[tasks]\ngravity\n")
+    results = {}
+    for arity in (3, 4):
+        path = tmp_path / f"job{arity}.txt"
+        path.write_text(job.format(arity))
+        assert main(["run", "--input", str(path), "--out", str(tmp_path / str(arity))]) == 0
+        results[arity] = json.loads((tmp_path / str(arity) / "gravity.json").read_text())["result"]
+    assert sorted(results[3]["tables"]) == ["2", "3"]
+    assert sorted(results[4]["tables"]) == ["2", "3", "4"] and results[4]["tables"]["4"]
+    for arity in ("2", "3"):
+        assert results[4]["tables"][arity] == results[3]["tables"][arity]
+    assert results[4]["skew_checked"] > results[3]["skew_checked"]
+    assert results[4]["violations"] == [] and results[4]["window_skips"] == 0
 
 
 def test_koszul_chain_map_holds_for_a_pi_that_is_not_poisson(tmp_path):
@@ -341,7 +368,7 @@ def test_koszul_bar_dims_reuse_the_jobs_slice_when_the_algebra_is_the_same(tmp_p
 def test_release_keeps_only_what_later_tasks_read():
     job = cli.JobContext(parse_job(EXT_JOB))
     job.les
-    job.presentation
+    job.koszul
     job.release(["check"])
     # check reads the LES report alone; the slice and HC⁻ it came from go
     assert set(vars(job)) == {"spec", "les"}

@@ -18,13 +18,12 @@ from mixhom.koszul import (
     NotKoszulError,
     dual_bivector_coeffs,
     is_koszul,
-    koszul_complex,
     koszul_dual_algebra,
     koszul_poisson_identification,
     quadratic_algebra,
     small_hochschild_models,
 )
-from mixhom.linalg import ExactMatrix, homology_presentation
+from mixhom.linalg import ExactMatrix, homology_presentation, operator_matrix
 from mixhom.mixed import slice_from_hochschild
 from test_linalg import from_columns, kernel_basis, solve_in_span, span_basis
 
@@ -40,6 +39,10 @@ def _vec(n, *terms):
     for (i, j), c in terms:
         v[i * n + j] += Q(c)
     return tuple(v)
+
+
+def kx_presentation() -> QuadraticPresentation:
+    return QuadraticPresentation(1, (0,), (), name="kx")
 
 
 def non_koszul_presentation() -> QuadraticPresentation:
@@ -91,31 +94,39 @@ class TestDualAlgebra:
         assert all(D.degrees[i] == 0 for i in gens)
 
 
+def verdict(pres, W):
+    return koszul_dual_algebra(pres, W).verdict
+
+
+def small_models(pres, W):
+    return small_hochschild_models(koszul_dual_algebra(pres, W))
+
+
 class TestKoszulness:
     def test_polynomials_are_koszul(self):
-        assert is_koszul(polynomial_presentation(2), 4).koszul_up_to_cutoff
+        assert verdict(polynomial_presentation(2), 4).koszul_up_to_cutoff
 
     def test_exterior_is_koszul(self):
-        assert is_koszul(exterior_presentation(2), 4).koszul_up_to_cutoff
+        assert verdict(exterior_presentation(2), 4).koszul_up_to_cutoff
 
     def test_weight_one_piece_always_exact(self):
-        v = is_koszul(non_koszul_presentation(), 2)
+        v = verdict(non_koszul_presentation(), 2)
         assert v.per_weight[1]
 
     def test_non_koszul_witness_fails_at_weight_four(self):
-        v = is_koszul(non_koszul_presentation(), 4)
+        v = is_koszul(koszul_dual_algebra(non_koszul_presentation(), 4))
         assert v.per_weight[1] and v.per_weight[2] and v.per_weight[3]
         assert not v.per_weight[4]
         assert not v.koszul_up_to_cutoff
 
     def test_small_models_refuse_non_koszul(self):
         with pytest.raises(NotKoszulError):
-            small_hochschild_models(non_koszul_presentation(), 4)
+            small_models(non_koszul_presentation(), 4)
 
 
 class TestSmallModels:
     def test_polynomial_chain_model_matches_bar_and_hkr(self):
-        models = small_hochschild_models(polynomial_presentation(2), 4)
+        models = small_models(polynomial_presentation(2), 4)
         A = make_truncated_polynomial_algebra(2, 4)
         bar = {k: v for k, v in slice_from_hochschild(A, 4).hh_dims().items() if v}
         conv = {}
@@ -128,7 +139,7 @@ class TestSmallModels:
                 assert conv.get((p, w), 0) == want
 
     def test_exterior_chain_model_matches_bar(self):
-        models = small_hochschild_models(exterior_presentation(2), 4)
+        models = small_models(exterior_presentation(2), 4)
         bar = {k: v for k, v in slice_from_hochschild(make_exterior_algebra(2), 4).hh_dims().items() if v}
         conv = {}
         for (s, t), d in models.chain_dims.items():
@@ -136,14 +147,14 @@ class TestSmallModels:
         assert conv == bar
 
     def test_cochain_models_flip_symmetric(self):
-        mp = small_hochschild_models(polynomial_presentation(2), 4)
-        me = small_hochschild_models(exterior_presentation(2), 4)
+        mp = small_models(polynomial_presentation(2), 4)
+        me = small_models(exterior_presentation(2), 4)
         for s in range(3):
             for t in range(3):
                 assert me.cochain_dims.get((t, s), 0) == mp.cochain_dims.get((s, t), 0)
 
     def test_kx_small_model_hkr_line(self):
-        models = small_hochschild_models(QuadraticPresentation(1, (0,), (), name="kx"), 4)
+        models = small_models(kx_presentation(), 4)
         # HH^0 weight-s dims are 1 (powers of x); HH^1 similarly
         assert models.cochain_dims.get((1, 0)) == 1
         assert models.cochain_dims.get((1, 1)) == 1
@@ -276,24 +287,24 @@ def dual_table_by_deconcatenation(data, U=None):
     return table
 
 
-def transfer_by_solve(out: dict, U_below: list, stripped, prod, scale, end: str) -> None:
-    """out += scale · prod ⊗ (stripped in the coordinates of the basis U_below).
+def transfer_by_solve(out: dict, below: list, stripped, prod, scale, end: str) -> None:
+    """out += scale · prod ⊗ (stripped in the basis ``below`` of a U piece).
 
-    ``stripped`` is a dual-coalgebra vector with one letter removed at
-    ``end``; it must lie in the span of U_below.  ``prod`` is a product of
-    algebra basis elements, or a non-dict marker when it leaves the window.
-    The sparse rows are densified on the indices they use.
+    ``below`` lists (key, U row) pairs; ``stripped`` is a dual-coalgebra
+    vector with one letter removed at ``end`` and must lie in the span of
+    the rows.  ``prod`` is a product of algebra basis elements.  The sparse
+    rows are densified on the indices they use.
     """
-    dim = 1 + max((j for v in [stripped, *U_below] for j in v), default=-1)
-    U_below, stripped = [dense(u, dim) for u in U_below], dense(stripped, dim)
+    keys, rows = [x for x, _ in below], [u for _, u in below]
+    dim = 1 + max((j for v in [stripped, *rows] for j in v), default=-1)
+    rows, stripped = [dense(u, dim) for u in rows], dense(stripped, dim)
     if not any(c != 0 for c in stripped):
         return
-    coords = solve_in_span(U_below, stripped)
+    coords = solve_in_span(rows, stripped)
     if coords is None:
         raise ko.NotAComplex(f"{end}-letter strip leaves U")
-    if isinstance(prod, dict):
-        for ka, ca in prod.items():
-            ko._accumulate(out, {(ka, j): cu for j, cu in enumerate(coords) if cu}, scale * ca)
+    for ka, ca in prod.items():
+        ko._accumulate(out, {(ka, x): cu for x, cu in zip(keys, coords) if cu}, scale * ca)
 
 
 # the presentations and cutoffs of the cli-batch jobs poly2, ext3, poly3 and quad2
@@ -326,25 +337,29 @@ class TestPivotLookupsAgainstOracle:
         pres = make()
 
         def run():
-            # every (d_in, d_out) pair the Koszul and small-model complexes present
-            seen = []
+            # the pieces and matrices of the Koszul complex and both small models
+            built = []
+            build = ko._tensor_slice
 
-            def recording(d_in, d_out):
-                seen.append((d_in, d_out))
-                return homology_presentation(d_in, d_out)
+            def recording(*args):
+                built.append(build(*args))
+                return built[-1]
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ko, "homology_presentation", recording)
-                return koszul_complex(pres, W)[0], small_hochschild_models(pres, W), seen
+                mp.setattr(ko, "_tensor_slice", recording)
+                data = koszul_dual_algebra(pres, W)
+                small_hochschild_models(data)
+            return [(sl.name, sl.pieces, sl.b_mats) for sl in built]
 
         got = run()
         monkeypatch.setattr(ko, "_transfer", transfer_by_solve)
         want = run()
-        assert len(got[2]) > 10
+        assert [name for name, _, _ in got] == [f"{k}({pres.name})" for k in ("koszul", "chain-model", "cochain-model")]
+        assert sum(len(mats) for _, _, mats in got) > 10
         assert got == want
 
     def test_a_strip_outside_the_span_is_not_a_complex(self):
-        U_below = [{0: Q(1), 2: Q(2)}, {1: Q(1), 2: Q(-1)}]
+        U_below = [(0, {0: Q(1), 2: Q(2)}), (1, {1: Q(1), 2: Q(-1)})]
         inside, outside = {0: Q(3), 1: Q(1), 2: Q(5)}, {2: Q(1)}
         for transfer in (ko._transfer, transfer_by_solve):
             out = {}
@@ -352,6 +367,174 @@ class TestPivotLookupsAgainstOracle:
             assert out == {(7, 0): Q(-6), (7, 1): Q(-2)}
             with pytest.raises(ko.NotAComplex, match="last-letter strip leaves U"):
                 transfer({}, U_below, outside, {7: Q(1)}, 1, "last")
+
+
+# -- differential oracles: the presentation-based Koszul dimensions -----------------
+#
+# The Koszul verdict and both small models used to build a homology
+# presentation per piece, from a d_in and a d_out built for that piece (so a
+# map was built again as the d_out of its neighbour), with zero maps padded
+# by ExactMatrix.zero.  That route is kept here as the reference for the
+# rank dimensions of the slices that replaced it.  It keeps its own labels
+# (algebra basis index, index within U_t) and solves every transfer.
+
+
+def _tensor_basis(index_of, U, s: int, t: int) -> list[tuple[int, int]]:
+    """Labels (algebra basis index, U_t index) of A_s ⊗ U_t; empty for a negative weight."""
+    if s < 0 or t < 0:
+        return []
+    return [(gi, u) for (w, _k), gi in index_of.items() if w == s for u in range(len(U.get(t, ())))]
+
+
+def _presented_dim(d_in, d_out) -> int:
+    return homology_presentation(d_in, d_out).dim
+
+
+def koszul_dims_oracle(pres: QuadraticPresentation, W: int):
+    """(Koszul verdict per weight, chain dims, cochain dims), the dims None unless Koszul up to W."""
+    data = koszul_dual_algebra(pres, W)
+    A, index_of = quadratic_algebra(pres, W)
+    n, U, dual = pres.n, data.dual_weight_pieces, data.dual_algebra
+    below = {t: list(enumerate(rows)) for t, rows in U.items()}
+
+    def piece(s, t):
+        return _tensor_basis(index_of, U, s, t)
+
+    def koszul_delta(label, m):
+        a_g, u = label
+        out = {}
+        for letter in range(n):
+            transfer_by_solve(out, below.get(m - 1, []), ko._strip_last(U[m][u], n, letter),
+                              A.mult_basis(index_of[(1, letter)], a_g), 1, "last")
+        return out
+
+    per_weight = {}
+    for w in range(1, W + 1):
+        mats = [operator_matrix(piece(w - m, m), piece(w - m + 1, m - 1), lambda label: koszul_delta(label, m))
+                for m in range(w, 0, -1)]
+        per_weight[w] = not any(
+            _presented_dim(mats[i - 1] if i else ExactMatrix.zero(mats[0].cols, 0),
+                           mats[i] if i < len(mats) else ExactMatrix.zero(0, mats[-1].rows))
+            for i in range(len(mats) + 1)
+        )
+    if not all(per_weight.values()):
+        return per_weight, None, None
+    g = pres.generator_degrees[0] % 2
+    dual_index = {}
+    for i in range(dual.dim):
+        dual_index.setdefault(dual.weights[i], []).append(i)
+    dual_local = {gi: j for gis in dual_index.values() for j, gi in enumerate(gis)}
+
+    def b(label, t):
+        a_g, u = label
+        sgn = -1 if ((g + 1) * t + g * (1 + A.degrees[a_g])) % 2 else 1
+        out = {}
+        for letter in range(n):
+            e_g = index_of[(1, letter)]
+            transfer_by_solve(out, below[t - 1], ko._strip_first(U[t][u], n, t, letter), A.mult_basis(a_g, e_g), 1, "first")
+            transfer_by_solve(out, below[t - 1], ko._strip_last(U[t][u], n, letter), A.mult_basis(e_g, a_g), sgn, "last")
+        return out
+
+    def delta(label, t):
+        a_g, u = label
+        x_g = dual_index[t][u]
+        sgn = -1 if (1 + (g + 1) * t + g * A.degrees[a_g]) % 2 else 1
+        out = {}
+        for letter in range(n):
+            e_g, ei_d = index_of[(1, letter)], dual_index[1][letter]
+            for la, lx, scale in ((A.mult_basis(e_g, a_g), dual.mult_basis(ei_d, x_g), 1),
+                                  (A.mult_basis(a_g, e_g), dual.mult_basis(x_g, ei_d), sgn)):
+                for ka, ca in la.items():
+                    ko._accumulate(out, {(ka, dual_local[kx]): cx for kx, cx in lx.items()}, scale * ca)
+        return out
+
+    def b_matrix(s, t):
+        return operator_matrix(piece(s, t), piece(s + 1, t - 1), lambda label: b(label, t))
+
+    def delta_matrix(s, t):
+        return operator_matrix(piece(s, t), piece(s + 1, t + 1), lambda label: delta(label, t))
+
+    chain, cochain = {}, {}
+    for s in range(W + 1):
+        for t in range(W + 1 - s):
+            d_out = b_matrix(s, t) if t >= 1 else ExactMatrix.zero(0, len(piece(s, t)))
+            d_in = b_matrix(s - 1, t + 1) if s >= 1 else ExactMatrix.zero(len(piece(s, t)), 0)
+            if dim := _presented_dim(d_in, d_out):
+                chain[(s, t)] = dim
+    for s in range(W):
+        for t in range(W):
+            if piece(s, t):
+                d_out = delta_matrix(s, t)
+                d_in = delta_matrix(s - 1, t - 1) if s >= 1 and t >= 1 else ExactMatrix.zero(len(piece(s, t)), 0)
+                if dim := _presented_dim(d_in, d_out):
+                    cochain[(s, t)] = dim
+    return per_weight, chain, cochain
+
+
+# every presentation the tests above use, and those of the cli-batch jobs
+ORACLE_CASES = {
+    **CLI_BATCH_PRESENTATIONS,
+    "poly2-w4": (lambda: polynomial_presentation(2), 4),
+    "ext2": (lambda: exterior_presentation(2), 4),
+    "nonkoszul3": (non_koszul_presentation, 4),
+    "nonkoszul3-w2": (non_koszul_presentation, 2),
+    "kx": (kx_presentation, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_rank_dims_match_the_presentation_oracle(name):
+    make, W = ORACLE_CASES[name]
+    per_weight, chain, cochain = koszul_dims_oracle(make(), W)
+    data = koszul_dual_algebra(make(), W)
+    assert data.verdict.per_weight == per_weight
+    if chain is None:
+        with pytest.raises(NotKoszulError):
+            small_hochschild_models(data)
+    else:
+        got = small_hochschild_models(data)
+        assert (got.chain_dims, got.cochain_dims) == (chain, cochain)
+        assert chain and cochain
+
+
+def _expected_map_count(data) -> int:
+    """The maps the Koszul layer needs, one per source piece whose target has chains.
+
+    The Koszul complex and the chain model both send A_s ⊗ U_t to
+    A_{s+1} ⊗ U_{t-1} (s + t <= W); the cochain model sends it to
+    A_{s+1} ⊗ U_{t+1} (s, t < W).
+    """
+    W = data.cutoff
+    A, _ = data.quotient
+    dim = {(s, t): A.weights.count(s) * data.piece_dim(t) for s in range(W + 1) for t in range(W + 1)}
+    down = sum(1 for s in range(W) for t in range(1, W + 1 - s) if dim[(s, t)] and dim[(s + 1, t - 1)])
+    up = sum(1 for s in range(W) for t in range(W) if dim[(s, t)] and dim[(s + 1, t + 1)])
+    return 2 * down + up
+
+
+@pytest.mark.parametrize("name", sorted(CLI_BATCH_PRESENTATIONS))
+def test_a_koszul_task_builds_each_map_once_and_no_presentation(tmp_path, monkeypatch, name):
+    from mixhom import cli, linalg, mixed
+
+    jobs = {
+        "poly2": "kind polynomial\nn 2\n[window]\nw_max 3\n",
+        "ext3": "kind exterior\nn 3\n[window]\nw_max 4\n",
+        "poly3": "kind polynomial\nn 3\n[window]\nw_max 3\n",
+        "quad2": "kind quadratic\nn 2\nrelation 1 2 1 2 1 -2\n[window]\nw_max 5\n",
+    }
+    job = cli.JobContext(cli.parse_job(f"[algebra]\n{jobs[name]}[tasks]\nkoszul\n"))
+    if cli._bar_reads_the_slice(job.spec):
+        job.slice  # the job's hh task would have built it
+    calls = {"operator_matrix": [], "homology_presentation": []}
+    for module in (mixed, linalg):
+        for fn in calls:
+            build = getattr(module, fn)
+            monkeypatch.setattr(module, fn, lambda *args, fn=fn, build=build: calls[fn].append(args) or build(*args))
+    result = cli.task_koszul(job)
+    assert result["koszul_up_to_cutoff"] and "small_model_chain_dims" in result
+    assert result.get("cross_model_dims_match", True)
+    assert len(calls["operator_matrix"]) == _expected_map_count(job.koszul)
+    assert calls["homology_presentation"] == []
 
 
 # -- differential oracles: the dense Koszul layer ---------------------------------
