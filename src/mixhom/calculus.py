@@ -35,6 +35,7 @@ from .linalg import (
     ExactMatrix,
     HomologyPresentation,
     _accumulate,
+    _check_complex,
     _expand,
     _integer_row,
     _integer_rref,
@@ -240,7 +241,8 @@ def delta_pairs(ops, pieces) -> Iterator[tuple[Piece, ExactMatrix, ExactMatrix]]
     """(piece, incoming, outgoing) differentials for each piece, in sorted order.
 
     Each δ is built once: δ out of (D + 1, ω) is the incoming map of (D, ω)
-    and, kept until then, the outgoing map of (D + 1, ω).
+    and, kept until then, the outgoing map of (D + 1, ω).  No slice validates
+    a δ, so each pair is checked here: NotAComplexError unless d∘d = 0.
     """
     above: dict[Piece, ExactMatrix] = {}
     for piece in sorted(pieces):
@@ -249,7 +251,9 @@ def delta_pairs(ops, pieces) -> Iterator[tuple[Piece, ExactMatrix, ExactMatrix]]
         up = ops.delta_matrix((D + 1, om))
         if (D + 1, om) in pieces:
             above[(D + 1, om)] = up
-        yield piece, ops.incoming(piece, up), d_out
+        d_in = ops.incoming(piece, up)
+        _check_complex(d_in, d_out)
+        yield piece, d_in, d_out
 
 
 # -- the bundle -----------------------------------------------------------------

@@ -259,10 +259,6 @@ def check_tasks(spec: JobSpecification):
 # -- the runner -----------------------------------------------------------------
 
 
-def _rat(x) -> str:
-    return str(x)
-
-
 def _sorted_dims(dims: dict) -> list:
     return [[d, w, dims[(d, w)]] for (d, w) in sorted(dims)]
 
@@ -288,7 +284,7 @@ def _presentation(spec: JobSpecification) -> QuadraticPresentation:
 
 # the shared structures each task reads, and the ones each structure is built from
 TASK_READS = {
-    "hh": ("algebra", "slice"),
+    "hh": ("algebra", "hh_dims"),
     "hc-minus": ("algebra", "slice", "hc_minus", "les"),
     "poisson": ("poisson", "unimodularity", "dual_frobenius"),
     "gravity": ("poisson",),
@@ -297,6 +293,7 @@ TASK_READS = {
 }
 BUILT_FROM = {
     "slice": ("algebra",),
+    "hh_dims": ("slice",),
     "hc_minus": ("slice",),
     "les": ("hc_minus",),
     "unimodularity": ("poisson",),
@@ -325,7 +322,7 @@ class JobContext:
         keep: set[str] = set()
         todo = [name for task in tasks for name in TASK_READS[task]]
         if "koszul" in tasks and _bar_reads_the_slice(self.spec):
-            todo.append("slice")
+            todo.append("hh_dims")
         while todo:
             name = todo.pop()
             if name not in keep:
@@ -347,6 +344,10 @@ class JobContext:
     @cached_property
     def slice(self):
         return slice_from_hochschild(self.algebra, self.spec.w_max)
+
+    @cached_property
+    def hh_dims(self):
+        return self.slice.hh_dims()
 
     @cached_property
     def hc_minus(self):
@@ -383,7 +384,7 @@ class JobContext:
 
 
 def task_hh(job: JobContext) -> dict:
-    hh = {k: v for k, v in job.slice.hh_dims().items() if v}
+    hh = {k: v for k, v in job.hh_dims.items() if v}
     return {
         "algebra": job.algebra.name,
         "hochschild_homology_dims": _sorted_dims(hh),
@@ -468,7 +469,7 @@ def task_gravity(job: JobContext) -> dict:
     for arity in range(2, spec.arity_max + 1):
         tables[str(arity)] = {
             ",".join(map(str, tup)): {
-                f"{k[0][0]},{k[0][1]},{k[1]}": _rat(v) for k, v in sorted(val.items())
+                f"{k[0][0]},{k[0][1]},{k[1]}": str(v) for k, v in sorted(val.items())
             }
             for tup, val in g.entries(arity).items()
             if val
@@ -486,8 +487,9 @@ def task_gravity(job: JobContext) -> dict:
 
 
 def _bar_reads_the_slice(spec: JobSpecification) -> bool:
-    """Whether the koszul task's bar dims are those of the job's own slice: the same truncated algebra."""
-    return spec.kind == "polynomial" and (spec.cutoff or spec.w_max) == spec.w_max
+    """Whether the koszul task's bar dims are the job's HH dims: chains of weight <= w_max never meet an
+    element above w_max, so k[x1..xn] truncated at any cutoff >= w_max gives the same complex."""
+    return spec.kind == "polynomial" and (spec.cutoff or spec.w_max) >= spec.w_max
 
 
 def task_koszul(job: JobContext) -> dict:
@@ -510,8 +512,9 @@ def task_koszul(job: JobContext) -> dict:
             [s, t, d] for (s, t), d in sorted(models.cochain_dims.items())
         ]
         if spec.kind == "polynomial":
-            sl = job.slice if _bar_reads_the_slice(spec) else slice_from_hochschild(make_truncated_polynomial_algebra(spec.n, W), W)
-            bar = {k: v for k, v in sl.hh_dims().items() if v}
+            hh = job.hh_dims if _bar_reads_the_slice(spec) else (
+                slice_from_hochschild(make_truncated_polynomial_algebra(spec.n, W), W).hh_dims())
+            bar = {k: v for k, v in hh.items() if v}
             conv = {}
             for (s, t), d in models.chain_dims.items():
                 key = (t, s + t)

@@ -26,8 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import factorial
 
 from .algebra import OUT_OF_WINDOW, Element, GradedAlgebra, QuadraticPresentation
+from .calculus import DualityError
 from .linalg import (
     _accumulate,
     _integer_row,
@@ -107,10 +109,6 @@ class KoszulDualData:
         return is_koszul(self)
 
 
-def _dual_generator_degree(pres: QuadraticPresentation, word: Word) -> int:
-    return sum(-pres.generator_degrees[i] - 1 for i in word)
-
-
 def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
     """Dual weight pieces and the dual algebra, by exact linear algebra.
 
@@ -139,7 +137,7 @@ def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
             weights.append(w)
             # degree from the words in the support (all agree when the
             # generators are degree-homogeneous per letter count)
-            degs = {_dual_generator_degree(pres, _word(idx, n, w)) for idx in vec}
+            degs = {sum(-pres.generator_degrees[i] - 1 for i in _word(idx, n, w)) for idx in vec}
             if len(degs) > 1:
                 raise ValueError("inhomogeneous dual piece")
             degrees.append(degs.pop())
@@ -465,8 +463,6 @@ class PoissonIdentification:
         return J + a
 
     def coefficient(self, m) -> Fraction:
-        from math import factorial
-
         a = m[: self.n]
         p = sum(m[self.n :])
         c = Q(1)
@@ -528,8 +524,6 @@ def fit_dual_product_twist(ident: PoissonIdentification, primal_duality, dual_bu
     products, and checked again by every bracket comparison across the iso.
     Raises DualityError unless η maps to exactly ±1 times ``eta_dual``.
     """
-    from .calculus import DualityError
-
     piece, i = eta_dual
     if piece != primal_duality.eta[0]:
         raise DualityError(f"dual volume class {eta_dual} is not in the primal volume piece")

@@ -34,7 +34,6 @@ from .linalg import (
     ExactMatrix,
     HomologyPresentation,
     _accumulate,
-    _check_complex,
     _expand,
     _integer_row,
     _row_echelon,
@@ -435,8 +434,10 @@ def _u_dims(
     one, so the rows of the [lo, hi] matrix in components lo..hi − 1 are the
     [lo, hi − 1] matrix padded with zero columns: eliminating them first
     gives the rank at hi − 1, and going on with the rows of component hi the
-    rank at hi.  d∘d = 0 is checked at [lo, hi] only; its top-left block is
-    d∘d at [lo, hi − 1], so every entry a presentation there checks is checked.
+    rank at hi.  d∘d = 0 needs no check: out of component i, (b + uB)² has
+    the blocks b², bB + Bb and B², each zero by ``_validate`` (or out of a
+    piece with no chains).  Truncation drops only B out of the top component:
+    it deletes whole blocks (bB with Bb) and makes none, on every u-range.
     """
     lower, upper = {}, {}  # {piece: dimension} over [lo, hi - 1] and over [lo, hi]
 
@@ -454,7 +455,6 @@ def _u_dims(
             d_in = _u_complex(sl, d + 1, w, lo, hi)
             r_in = ranks(d_in, d + 1, w)
             if d_out.cols:
-                _check_complex(d_in, d_out)
                 upper[(d, w)] = d_out.cols - r_out[1] - r_in[1]
                 cols = d_out.cols - sl.dim((d + 2 * hi, w))
                 if cols:

@@ -66,7 +66,7 @@ from test_calculus import assert_pd_inverse_matches_solve
 from test_gravity import assert_derived_twist_matches_fitted
 from test_hochschild import dual_coboundary, frobenius_pd
 from test_linalg import from_columns, kernel_basis
-from test_mixed import assert_les_matches_oracle, hh_dims_oracle
+from test_mixed import assert_les_matches_oracle, assert_u_stacked_squares_to_zero, hh_dims_oracle
 from test_poisson import FastPathError, delta_by_monomials, oracle_engine, poisson_complex_by_forms
 
 Q = Fraction
@@ -369,6 +369,14 @@ def test_hh_dims_match_presentations_on_acceptance_slices(les_sources, frobenius
     gp, gd = poisson_pair[3:]
     for sl in [*(hc.slice for hc in les_sources), frobenius_gravity.hc.slice, gp.hc.slice, gd.hc.slice]:
         assert sl.hh_dims() == hh_dims_oracle(sl), sl.name
+
+
+def test_u_stacked_complexes_square_to_zero_on_acceptance_slices(les_sources, frobenius_gravity, poisson_pair):
+    # the proof that lets _u_dims and every presentation skip the d∘d check,
+    # checked by products on every slice of criteria 05 to 08 at its truncation
+    gp, gd = poisson_pair[3:]
+    for hc in [*les_sources, frobenius_gravity.hc, gp.hc, gd.hc]:
+        assert_u_stacked_squares_to_zero(hc.slice, hc.N)
 
 
 def test_criterion_07_gravity_suite(frobenius_gravity, poisson_pair):

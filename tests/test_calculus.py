@@ -20,7 +20,7 @@ from mixhom.calculus import (
 )
 from mixhom.hochschild import Cochain, all_tuples_up_to_weight
 from mixhom.koszul import quadratic_algebra
-from mixhom.linalg import ExactMatrix, _accumulate
+from mixhom.linalg import ExactMatrix, NotAComplexError, _accumulate
 from mixhom.mixed import slice_from_hochschild_dual, slice_from_poisson
 from mixhom.poisson import PoissonContext, quadratic_bivector
 from test_hochschild import coboundary_scan
@@ -513,6 +513,32 @@ def test_delta_pairs_match_the_two_build_oracle(case):
     assert [piece for piece, _, _ in got] == sorted(pieces)
     for piece, d_in, d_out in got:
         assert (d_in, d_out) == oracle(ops, piece), piece
+
+
+def test_a_flipped_delta_entry_is_not_a_complex(monkeypatch):
+    # no slice validates a cochain δ, so delta_pairs checks each pair: one
+    # entry of δ out of (D + 1, ω) with its sign flipped, in a row that δ
+    # out of (D, ω) reads, makes d∘d nonzero on that entry's column alone
+    ops, pieces, _ = _delta_case("polyvectors", coeff_wmax=5)
+    delta = {p: ops.delta_matrix(p) for p in pieces}
+    above, (i, j) = next(
+        ((D + 1, om), (i, j))
+        for (D, om) in sorted(pieces)
+        for (i, j) in sorted(ops.delta_matrix((D + 1, om)).entries)
+        if any(c == i for (_, c) in delta[(D, om)].entries)
+    )
+    build = MultivectorOps.delta_matrix
+
+    def flipped(self, piece):
+        M = build(self, piece)
+        if piece == above:
+            M.entries[(i, j)] = -M.entries[(i, j)]
+        return M
+
+    monkeypatch.setattr(MultivectorOps, "delta_matrix", flipped)
+    with pytest.raises(NotAComplexError) as exc:
+        CalculusBundle("flipped", ops, None, None, coh_window=lambda p: p in pieces)
+    assert exc.value.column == j
 
 
 @pytest.mark.parametrize("case", ["hochschild", "polyvectors"])

@@ -299,6 +299,8 @@ def test_a_job_builds_each_shared_structure_once(tmp_path, monkeypatch, tasks):
     # every structure a task or a builder really reads
     for reader, names in reads.items():
         listed = cli.TASK_READS[reader] if reader in cli.TASK_RUNNERS else cli.BUILT_FROM.get(reader, ())
+        if reader == "koszul" and cli._bar_reads_the_slice(spec):
+            listed += ("hh_dims",)  # the one conditional read, which release adds the same way
         assert names <= set(listed), reader
     assert set(spec.tasks) <= set(reads)
     # gravity builds HC⁻ of its own, wider Poisson slice; the Hochschild
@@ -353,16 +355,19 @@ def test_koszul_bar_dims_reuse_the_jobs_slice_when_the_algebra_is_the_same(tmp_p
     monkeypatch.setattr(cli, "slice_from_hochschild", lambda *args: built.append(args) or build(*args))
     job = "[algebra]\nkind polynomial\nn 2\n{}\n[window]\np_max 2\nw_max 3\n[tasks]\nhh\nhc-minus\nkoszul\n"
     results = {}
-    for name, cutoff in (("own", ""), ("cutoff", "cutoff 4")):
+    for name, cutoff, code, builds in (("own", "", 0, 1), ("cutoff", "cutoff 4", 0, 1), ("below", "cutoff 2", 3, 3)):
         built.clear()
-        assert run_job(parse_job(job.format(cutoff)), str(tmp_path / name)) == 0
+        assert run_job(parse_job(job.format(cutoff)), str(tmp_path / name)) == code
         results[name] = json.loads((tmp_path / name / "koszul.json").read_text())["result"]
-        # without a cutoff the algebra is k[x1, x2] truncated at w_max, the
-        # job's own: its slice is kept past hc-minus for koszul, not rebuilt
-        assert len(built) == (1 if name == "own" else 2), name
+        # at any cutoff >= w_max the job's slice is the complex of k[x1, x2]
+        # truncated at w_max, and koszul reads the HH dims the hh task kept;
+        # at cutoff 2 hh and hc-minus cannot build the job's slice (exit 3)
+        # and koszul builds its own, at w_max
+        assert len(built) == builds, name
+    assert built[-1][0].weight_cutoff == 3
     assert results["own"]["cross_model_dims_match"] is True
     for key in ("bar_dims", "cross_model_dims_match"):
-        assert results["own"][key] == results["cutoff"][key]
+        assert results["own"][key] == results["cutoff"][key] == results["below"][key]
 
 
 def test_release_keeps_only_what_later_tasks_read():
@@ -377,6 +382,11 @@ def test_release_keeps_only_what_later_tasks_read():
     job.release(["check"])
     # the LES report is still to be built, so the slice it needs stays
     assert set(vars(job)) == {"spec", "slice"}
+    job = cli.JobContext(parse_job(POLY_POISSON_JOB))
+    job.hh_dims
+    job.release(["koszul"])
+    # at cutoff 4 >= w_max 3 the bar dims are the job's HH dims: those stay, not the slice
+    assert set(vars(job)) == {"spec", "hh_dims"}
 
 
 POLY3_WINDOW = "[window]\np_max 2\nw_max 3\narity_max 2\n"

@@ -524,7 +524,7 @@ def test_a_koszul_task_builds_each_map_once_and_no_presentation(tmp_path, monkey
     }
     job = cli.JobContext(cli.parse_job(f"[algebra]\n{jobs[name]}[tasks]\nkoszul\n"))
     if cli._bar_reads_the_slice(job.spec):
-        job.slice  # the job's hh task would have built it
+        job.hh_dims  # the job's hh task would have built them
     calls = {"operator_matrix": [], "homology_presentation": []}
     for module in (mixed, linalg):
         for fn in calls:

@@ -13,6 +13,7 @@ from mixhom.linalg import (
     HomologyPresentation,
     NotAComplexError,
     _accumulate,
+    _check_complex,
     _image_rows,
     _integer_row,
     _integer_rref,
@@ -220,10 +221,11 @@ def test_two_step_complex():
 
 
 def test_not_a_complex_reports_column():
+    # homology_presentation trusts its inputs; the check lives where a complex is built
     d_in = ExactMatrix.identity(2)
     d_out = ExactMatrix.from_rows([[1, 0]])
     with pytest.raises(NotAComplexError) as exc:
-        homology_presentation(d_in, d_out)
+        _check_complex(d_in, d_out)
     assert exc.value.column == 0
 
 
@@ -616,13 +618,16 @@ def oracle_image_basis(M):
     return [_row_to_vec(r, M.rows) for r in _oracle_image_rows(M)[0]]
 
 
-def oracle_homology_presentation(d_in, d_out):
+def oracle_check_complex(d_in, d_out):
     if d_in.cols and d_out.rows is not None:
         if d_in.rows != d_out.cols:
             raise DimensionMismatchError("d_in target dimension != d_out source dimension")
         comp = oracle_matmul(d_out, d_in)
         if not comp.is_zero():
             raise NotAComplexError(min(j for (_, j) in comp.entries))
+
+
+def oracle_homology_presentation(d_in, d_out):
     dim = d_out.cols
     kernel = _oracle_kernel_rows(d_out)
     brows, bpivots = _oracle_image_rows(d_in)
@@ -793,6 +798,7 @@ def test_homology_presentation_matches_oracle(drawn):
     # boundaries are combinations of kernel vectors (zero, repeated, dependent ones too)
     boundaries = [tuple(sum((c * v[j] for c, v in zip(cs, kernel)), ZERO) for j in range(n)) for cs in combos]
     d_in = ExactMatrix(n, len(boundaries), {(i, j): b[i] for j, b in enumerate(boundaries) for i in range(n) if b[i]})
+    _check_complex(d_in, d_out)
     got = homology_presentation(d_in, d_out)
     want = oracle_homology_presentation(d_in, d_out)
     assert got == want
@@ -803,9 +809,9 @@ def test_homology_presentation_matches_oracle(drawn):
         j = min(j for (_, j) in d_out.entries)
         bad = ExactMatrix(n, 1, {(j, 0): ONE})
         with pytest.raises(NotAComplexError) as got_exc:
-            homology_presentation(bad, d_out)
+            _check_complex(bad, d_out)
         with pytest.raises(NotAComplexError) as want_exc:
-            oracle_homology_presentation(bad, d_out)
+            oracle_check_complex(bad, d_out)
         assert got_exc.value.column == want_exc.value.column == 0
 
 

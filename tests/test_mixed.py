@@ -19,6 +19,7 @@ from mixhom.mixed import (
     slice_from_poisson,
     slice_from_poisson_dual,
     WindowError,
+    _u_complex,
 )
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
 from test_linalg import column, dense_boundaries, dense_cycles, from_columns, oracle_rank, sparse_vec
@@ -849,6 +850,44 @@ def test_reading_dims_builds_no_presentation(monkeypatch):
     piece = next(p for p, dim in hc.stable_dims().items() if dim)
     hc.pi_star((piece, 0))
     assert set(hc._pres) == {piece}
+
+
+def u_ranges(sl, N):
+    """The u-ranges [lo, hi] that ``_u_dims`` reads: HC⁻ [0, N + 1], HC [-K, 0], HP [-N, N] and HH [0, 0]."""
+    d_lo, d_hi = min(sl.degrees()), max(sl.degrees())
+    K = (d_hi + 2 * (d_hi - d_lo) + 1 - d_lo) // 2  # as in cyclic_homology
+    return [(0, N + 1), (-K, 0), (-N, N), (0, 0)]
+
+
+def assert_u_stacked_squares_to_zero(sl, N):
+    """(b + uB)² = 0 by products, on every u-range and stacked degree: the proof in ``mixed._u_dims``, checked."""
+    d_lo, d_hi = min(sl.degrees()), max(sl.degrees())
+    for lo, hi in u_ranges(sl, N):
+        for w in sl.weights():
+            # component i of stacked degree d is the slice degree d + 2i
+            for d in range(d_lo - 2 * hi - 1, d_hi - 2 * lo + 1):
+                square = _u_complex(sl, d, w, lo, hi).matmul(_u_complex(sl, d + 1, w, lo, hi))
+                assert square.is_zero(), (sl.name, (lo, hi), d, w)
+
+
+def test_u_stacked_homology_multiplies_no_matrices(monkeypatch):
+    # d∘d = 0 is checked once, when the slice is validated: the dimensions,
+    # presentations, HC and HP read off it multiply no matrix
+    primal, dual = _circulant_sides(Q(1), 5)
+    slices = [slice_from_hochschild(make_truncated_polynomial_algebra(2, 4), 3), primal, slice_from_poisson_dual(dual)]
+    products = []
+    matmul = ExactMatrix.matmul
+    monkeypatch.setattr(ExactMatrix, "matmul", lambda *args: products.append(args) or matmul(*args))
+    for sl in slices:
+        N = default_truncation(sl)
+        hc = NegativeCyclic(sl, N)
+        assert any(hc.dims().values()) and any(sl.hh_dims().values())
+        for piece in sorted(sl.pieces):
+            sl.hh(piece)
+        for piece in hc.dims():
+            hc.presentation(piece)
+        assert any(cyclic_homology(sl).values()) and any(periodic_homology(sl, N)[0].values())
+        assert products == [], sl.name
 
 
 # -- differential oracles: the coordinate-taking LES maps ---------------------------
