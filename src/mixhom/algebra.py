@@ -435,9 +435,8 @@ def check_frobenius_pairing(A: GradedAlgebra, pairing: FrobeniusPairing) -> Pair
     return report
 
 
-def exterior_pairing(n: int) -> tuple[GradedAlgebra, FrobeniusPairing]:
-    """The pairing (α, β) -> coefficient of ξ_1…ξ_n in α∧β on exterior(n)."""
-    A = make_exterior_algebra(n)
+def exterior_pairing(A: GradedAlgebra) -> FrobeniusPairing:
+    """The pairing (α, β) -> coefficient of ξ_1…ξ_n in α∧β on A = ``make_exterior_algebra(n)``."""
     top = A.dim - 1  # full mask sorts last
     rows = tuple(tuple(A.mult_basis(i, j).get(top, Q(0)) for j in range(A.dim)) for i in range(A.dim))
-    return A, FrobeniusPairing(rows, degree=n)
+    return FrobeniusPairing(rows, degree=-A.degrees[top])

@@ -289,7 +289,7 @@ TASK_READS = {
     "poisson": ("poisson", "unimodularity", "dual_frobenius"),
     "gravity": ("poisson",),
     "koszul": ("koszul",),
-    "check": ("les", "poisson", "unimodularity", "dual_frobenius"),
+    "check": ("algebra", "les", "poisson", "unimodularity", "dual_frobenius"),
 }
 BUILT_FROM = {
     "slice": ("algebra",),
@@ -545,7 +545,8 @@ def task_check(job: JobContext) -> dict:
         les = job.les
         record("long_exact_sequence", les.passed, les.failures[:4] or None)
     if spec.kind == "exterior":
-        Ae, pairing = exterior_pairing(spec.n)
+        Ae = job.algebra
+        pairing = exterior_pairing(Ae)
         rep = check_frobenius_pairing(Ae, pairing)
         record("frobenius_pairing", rep.passed)
         if spec.n <= 2:

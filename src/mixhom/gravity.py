@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .calculus import ClassKey, DualityData, WindowError
+from .calculus import ClassKey, DualityData, DualityError, WindowError
 from .linalg import _accumulate, _sparse_rank
 from .mixed import NegativeCyclic, Piece
 
@@ -91,7 +91,7 @@ class GravityStructure:
                     # a zero or unavailable prefix stays zero or unavailable
                     head = self._prefix(tk[:-1])
                     prod = head and self._dot_combo(head, self.hc.pi_star(self._key(tk[-1])))
-            except WindowError:
+            except (WindowError, DualityError):
                 prod = None
             self._prefixes[tk] = prod
         return self._prefixes[tk]
@@ -144,7 +144,7 @@ class GravityStructure:
         """Evaluate one entry; keep it in ``table`` unless it is zero."""
         try:
             got = self.bracket(keys)
-        except WindowError:
+        except (WindowError, DualityError):
             got = None
         if got is None or got:
             table[tk] = got

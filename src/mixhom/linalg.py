@@ -101,6 +101,17 @@ def _denominator(values: Iterable) -> int:
     return lcm(*{v.denominator for v in values})
 
 
+def _iaccumulate(acc: dict, terms: dict, scale: int) -> dict:
+    """acc += scale · terms for sparse integer vectors, dropping entries that cancel; returns acc."""
+    for k, v in terms.items():
+        s = acc.get(k, 0) + scale * v
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+    return acc
+
+
 def _primitive(r: dict[int, int]) -> None:
     """Divide r in place by the gcd of its entries."""
     g = gcd(*r.values())
@@ -127,12 +138,7 @@ def _cancel(r: dict[int, int], row: dict[int, int], p: int) -> None:
     if a != 1:
         for j, v in r.items():
             r[j] = a * v
-    for j, v in row.items():
-        s = r.get(j, 0) - c * v
-        if s:
-            r[j] = s
-        else:
-            del r[j]
+    _iaccumulate(r, row, -c)
     _primitive(r)
 
 

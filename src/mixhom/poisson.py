@@ -19,19 +19,20 @@ partial derivatives, the Poisson boundary is the contraction/de Rham
 commutator (the slices take it as a product of the ι_π and d matrices), and
 the coboundary δ = [π, -] is the Schouten bracket, the first-order Leibniz
 expansion of the bracket the odd Laplacian generates.  Derivative factors
-and Koszul signs are plain ints; ``bracket_op`` tabulates π once for every
-δ.  The odd-Laplacian bracket, ∂ taken form by form and the shuffle-sum
-formulas on the ungraded side live in the tests as independent oracles.
-The dual side (:class:`DualSide`) holds the signed transposes of ∂ and d
-that ``mixed._transpose`` makes, and pulls functionals back through ι.
+and Koszul signs are plain ints; ``_bracket_columns`` tabulates π once for
+every δ.  :class:`DualSide` holds the signed transposes of ∂ and d.  The
+chain-map squares are identities of integer columns (``_square``).  The
+odd-Laplacian bracket, per-form ∂, per-functional dual actions, per-monomial
+squares and ungraded shuffle sums live in the tests as oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .linalg import _denominator, _pullback
+from .linalg import _denominator, _iaccumulate, _pullback
 from .linalg import _accumulate as add_into
 
 Q = Fraction
@@ -145,16 +146,6 @@ class FreeGCA:
         return " + ".join(f"{c}*{self.format_monomial(m)}" for m, c in sorted(el.items()))
 
 
-def scale(el: GCAElement, c: Fraction) -> GCAElement:
-    return {m: c * v for m, v in el.items()} if c else {}
-
-
-def sub(a: GCAElement, b: GCAElement) -> GCAElement:
-    out = dict(a)
-    add_into(out, b, Q(-1))
-    return out
-
-
 def is_zero(el: GCAElement) -> bool:
     return all(v == 0 for v in el.values())
 
@@ -199,19 +190,24 @@ class PoissonContext:
 # -- core operators ----------------------------------------------------------
 
 
+def _d(ctx: PoissonContext, m: Monomial) -> dict[Monomial, int]:
+    """d of one form monomial, with integer coefficients; each coordinate gives its own monomial."""
+    F = ctx.forms
+    acc: dict[Monomial, int] = {}
+    for i in range(ctx.n):
+        got = F.partial(i, m)
+        if got is not None:
+            prod = F.mul_monomials(F.units[ctx.n + i], got[1])
+            if prod is not None:
+                acc[prod[1]] = got[0] * prod[0]
+    return acc
+
+
 def de_rham(ctx: PoissonContext, omega: GCAElement) -> GCAElement:
     """d: sends each coordinate generator to its differential (odd derivation)."""
-    F = ctx.forms
     out: GCAElement = {}
     for m, c in omega.items():
-        acc: dict[Monomial, int] = {}
-        for i in range(ctx.n):
-            got = F.partial(i, m)
-            if got is not None:
-                prod = F.mul_monomials(F.units[ctx.n + i], got[1])
-                if prod is not None:
-                    acc[prod[1]] = acc.get(prod[1], 0) + got[0] * prod[0]
-        add_into(out, acc, c)
+        add_into(out, _d(ctx, m), c)
     return out
 
 
@@ -254,13 +250,6 @@ def contraction(ctx: PoissonContext, P: GCAElement, omega: GCAElement) -> GCAEle
     return out
 
 
-def poisson_boundary(ctx: PoissonContext, pi: GCAElement, omega: GCAElement) -> GCAElement:
-    """∂ = ι_π∘d - d∘ι_π (for the even-degree bivectors used here)."""
-    first = contraction(ctx, pi, de_rham(ctx, omega))
-    second = de_rham(ctx, contraction(ctx, pi, omega))
-    return sub(first, second)
-
-
 # -- the Schouten bracket -------------------------------------------------------
 
 
@@ -280,7 +269,13 @@ def odd_laplacian(ctx: PoissonContext, P: GCAElement) -> GCAElement:
 
 
 def bracket_op(ctx: PoissonContext, P: GCAElement):
-    """The operator m ↦ [P, m] on polyvector monomials, with P tabulated once.
+    """The operator m ↦ [P, m] on polyvector monomials, with P tabulated once (``_bracket_columns``)."""
+    den, apply = _bracket_columns(ctx, P)
+    return lambda m: {mm: Q(v, den) for mm, v in apply(m).items() if v}
+
+
+def _bracket_columns(ctx: PoissonContext, P: GCAElement):
+    """(den, m ↦ den·[P, m]): the bracket as integer columns, over one denominator den of P.
 
     The bracket is generated by the odd Laplacian Δ₀ = Σ_i ∂_{g_i}∂_{θ_i}:
     [P, Q] = -(-1)^{|P|} (Δ₀(PQ) - Δ₀(P)Q - (-1)^{|P|} P Δ₀(Q)).  Δ₀ is second
@@ -289,9 +284,9 @@ def bracket_op(ctx: PoissonContext, P: GCAElement):
     [P, Q] = -(-1)^{|P|} Σ_i ((-1)^{|g_i|(|P|+|θ_i|)} ∂_{θ_i}P·∂_{g_i}Q
                               + (-1)^{|θ_i||P|} ∂_{g_i}P·∂_{θ_i}Q).
 
-    P's partials and signs are tabulated here, over integer coefficients with
-    one denominator, and one Fraction is built per output monomial.  This
-    matches the displayed two-shuffle-sum bracket: [∂_i, f ∂_j] = ∂_i(f) ∂_j.
+    P's partials and signs are tabulated here, over integer coefficients; a
+    column may hold zeros where terms cancel.  This matches the displayed
+    two-shuffle-sum bracket: [∂_i, f ∂_j] = ∂_i(f) ∂_j.
     """
     V = ctx.vectors
     n = ctx.n
@@ -311,7 +306,7 @@ def bracket_op(ctx: PoissonContext, P: GCAElement):
             if g_p is not None:
                 with_th.append(((-s if V.odd[n + i] and p_odd else s) * g_p[0], g_p[1]))
 
-    def apply(m: Monomial) -> GCAElement:
+    def apply(m: Monomial) -> dict[Monomial, int]:
         acc: dict[Monomial, int] = {}
         for i, (with_g, with_th) in enumerate(table):
             for terms, right in ((with_g, V.partial(i, m)), (with_th, V.partial(n + i, m))):
@@ -322,9 +317,9 @@ def bracket_op(ctx: PoissonContext, P: GCAElement):
                     prod = V.mul_monomials(ml, mr)
                     if prod is not None:
                         acc[prod[1]] = acc.get(prod[1], 0) + kl * kr * prod[0]
-        return {mm: Q(v, den) for mm, v in acc.items() if v}
+        return acc
 
-    return apply
+    return den, apply
 
 
 def schouten(ctx: PoissonContext, P: GCAElement, Q_: GCAElement) -> GCAElement:
@@ -397,22 +392,16 @@ def modular_vector_field(ctx: PoissonContext, pi: GCAElement) -> GCAElement:
 class DualSide:
     """𝔛(A^!; A^¡) realized as linear functionals on the exterior-side forms.
 
-    A functional is a dict keyed by exterior-side form monomials of weight
-    <= w_max.  Its degree is minus the form degree of its support, its
-    weight the form weight.  Every dual operator is the twisted transpose
-    T*(φ) = (-1)^{|T||φ|} φ∘T of an operator T on the forms: T moves a
-    form's (degree, weight) by its own, so only the one piece of forms that
-    T sends onto a piece of φ contributes.  δ and d* are held as the raw
-    triple ``pieces``, ``b_mats``, ``B_mats`` that ``mixed._transpose`` makes
-    of the forms' ∂ and d: the dual piece (-e, w) holds the functionals dual
-    to the forms (e, w), and δ out of it is (-1)^e ∂(e+1, w)ᵀ, d* is
-    (-1)^e d(e-1, w)ᵀ.  Nothing is validated or Jacobi-checked, so a π that
-    is not Poisson has a dual side too (``check_chain_map`` reads one);
-    ``slice_from_poisson_dual`` makes both checks on the same matrices.
-    The action of a polyvector P builds no matrix: φ is pulled
-    back through the contraction ι_m of one monomial m of P at a time
-    (``linalg._pullback``), the rule ``CalculusBundle.cap_classes`` uses on
-    every functional side.  A functional must be supported on ``domain``.
+    A functional is supported on form monomials of weight <= w_max; its
+    degree is minus their form degree.  A dual operator is the twisted
+    transpose T*(φ) = (-1)^{|T||φ|} φ∘T of T on the forms: δ and d* are the
+    raw triple ``pieces``, ``b_mats``, ``B_mats`` that ``mixed._transpose``
+    makes of ∂ and d, where the dual piece (-e, w) holds the functionals
+    dual to the forms (e, w).  Nothing is validated or Jacobi-checked, so a
+    π that is not Poisson has a dual side too (``check_chain_map`` reads
+    one); ``slice_from_poisson_dual`` checks both.  The squares read δ and d*
+    as integer columns (``_columns``); δ, d* and the action of polyvectors
+    on one functional at a time are test oracles.
     """
 
     def __init__(self, ctx: PoissonContext, pi: GCAElement, w_max: int):
@@ -423,66 +412,78 @@ class DualSide:
         self.ctx = ctx
         self.pi = pi
         self.pieces, self.b_mats, self.B_mats = _transpose(*_poisson_complex(ctx, pi, w_max))
-        # form -> its index in the dual piece that carries it
-        self._index = {m: i for labels in self.pieces.values() for i, m in enumerate(labels)}
 
     @property
     def domain(self) -> list[Monomial]:
         """Every form a functional may be supported on."""
-        return list(self._index)
+        return [m for labels in self.pieces.values() for m in labels]
 
-    def _act(self, mats: dict, shift: int, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        """T*(φ) for a weight-preserving T, one dual piece of φ at a time.
+    def _columns(self, mats: dict, shift: int, den: int):
+        """den·T* as integer columns keyed by form, each matrix read once; ``mats`` maps (d, w) to (d + shift, w)."""
+        cols: dict[Monomial, dict[Monomial, int]] = {}
+        for (d, w), M in mats.items():
+            src, tgt = self.pieces[(d, w)], self.pieces[(d + shift, w)]
+            for (i, j), v in M.entries.items():
+                cols.setdefault(src[j], {})[tgt[i]] = v.numerator * (den // v.denominator)
+        return lambda m: cols.get(m, {})
 
-        ``mats`` holds T*'s matrix out of each dual piece (d, w), into the
-        dual piece (d + shift, w).
-        """
-        F = self.ctx.forms
-        parts: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for m, c in phi.items():
-            if c:
-                parts.setdefault((-F.degree(m), F.weight(m)), {})[self._index[m]] = c
-        out: dict[Monomial, Fraction] = {}
-        for (d, w), part in parts.items():
-            if (d, w) in mats:
-                # each piece of φ lands in a piece of its own, so no two parts share a label
-                labels = self.pieces[(d + shift, w)]
-                for i, c in mats[(d, w)].apply(part).items():
-                    out[labels[i]] = c
+
+# -- chain-map squares ---------------------------------------------------------
+
+
+def _square(labels, weight, maps, stop: int | None = None) -> list:
+    """The first ``stop`` failures (s, k), labels in order, of squares k: d_tgt(F(s)) ≠ sign(s)·F(d_src(s)).
+
+    ``maps()`` gives each square's (F, d_src, d_tgt, sign), maps to integer
+    columns {label: int} with d_src, d_tgt scaled alike and F, d_tgt cached.
+    They preserve ``weight``, so each weight gets fresh maps: an operator
+    meets a label once, and no column outlives its weight.
+    """
+    groups: dict = {}
+    for i, s in enumerate(labels):
+        groups.setdefault(weight(s), []).append((i, s))
+    bad = []
+    for group in groups.values():
+        squares = maps()
+        for i, s in group:
+            for k, (F, d_src, d_tgt, sign) in enumerate(squares):
+                diff: dict = {}
+                for t, c in F(s).items():
+                    _iaccumulate(diff, d_tgt(t), c)
+                e = -sign(s)
+                for u, c in d_src(s).items():
+                    _iaccumulate(diff, F(u), e * c)
+                if diff:
+                    bad.append((i, k, s))
+    return [(s, k) for _, k, s in sorted(bad)[:stop]]
+
+
+def _form_columns(ctx: PoissonContext, pi: GCAElement, den: int):
+    """Cached integer columns on forms: (ι_P ω for a polyvector monomial P, dω, den·∂ω).
+
+    ∂ = ι_π∘d - d∘ι_π as in ``mixed._poisson_complex``, over the integer
+    bivector den·π, so d and each ι_P meet a form at most once.
+    """
+    scaled = {P: c.numerator * (den // c.denominator) for P, c in pi.items()}
+    contract = cache(lambda P, m: contract_monomial(ctx, P, {m: 1}))
+    d = cache(lambda m: _d(ctx, m))
+
+    @cache
+    def iota(m):
+        out: dict[Monomial, int] = {}
+        for P, k in scaled.items():
+            _iaccumulate(out, contract(P, m), k)
         return out
 
-    def coboundary(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        """δ with values in the dual module: (-1)^{|φ|} φ∘∂."""
-        return self._act(self.b_mats, -1, phi)
-
-    def d_star(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        """Dual de Rham differential: (-1)^{|φ|} φ∘d."""
-        return self._act(self.B_mats, 1, phi)
-
-    def contract(self, P: GCAElement, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        """Module action of polyvectors: (ι_P φ)(ω) = (-1)^{|P||φ|} φ(ι_P ω).
-
-        φ is pulled back through ι_m for each monomial m of P, over the one
-        piece of forms that ι_m sends onto each piece of φ.  The sign is
-        taken per monomial of P, so the action is linear in P.
-        """
-        F, V = self.ctx.forms, self.ctx.vectors
-        pieces = {(-F.degree(m), F.weight(m)) for m, c in phi.items() if c}
-        out: dict[Monomial, Fraction] = {}
-        for pm, c in P.items():
-            if c:
-                dp, wp = V.degree(pm), V.weight(pm)
-                for d, w in pieces:
-                    # φ on forms of degree -d pulls back from the forms ι_pm sends there
-                    add_into(out, _pullback(phi, self.pieces.get((d + dp, w - wp), ()),
-                                            lambda om: contract_monomial(self.ctx, pm, {om: Q(1)}),
-                                            -1 if (dp % 2) and (d % 2) else 1), c)
+    def boundary(m):
+        out: dict[Monomial, int] = {}
+        for t, c in d(m).items():
+            _iaccumulate(out, iota(t), c)
+        for t, c in iota(m).items():
+            _iaccumulate(out, d(t), -c)
         return out
 
-    def dual_volume(self) -> dict[Monomial, Fraction]:
-        """η^!: the functional picking the top ξ-coefficient of A^!."""
-        top = (1,) * self.ctx.n + (0,) * self.ctx.n
-        return {top: Q(1)}
+    return contract, d, boundary
 
 
 @dataclass
@@ -501,26 +502,29 @@ def frobenius_poisson_check(dual: DualSide) -> FrobeniusPoissonReport:
 
     Checks that the dual volume functional is a Poisson cycle (δη^! = 0) and
     that contraction into η^! intertwines δ on polyvectors with δ on the
-    dual module.  With the frozen conventions the dual square commutes on
-    the nose (no sign), unlike the primal one.
+    dual module, δ(η^!∘ι_m) = η^!∘ι_{[π, m]} on each polyvector monomial m
+    of the window, as integer columns (``_square``) over den·π.  With the
+    frozen conventions this square commutes on the nose, unlike the primal.
     """
     ctx = dual.ctx
-    eta_dual = dual.dual_volume()
-    failures: list[str] = []
-    cycle = not dual.coboundary(eta_dual)
-    V = ctx.vectors
-    delta = bracket_op(ctx, dual.pi)
-    diagram = True
-    cap = max(2, ctx.n)
-    for m in V.monomials([1] * ctx.n + [cap] * ctx.n):
-        lhs = dual.contract(delta(m), eta_dual)
-        rhs = dual.coboundary(dual.contract({m: Q(1)}, eta_dual))
-        if sub(lhs, rhs):
-            diagram = False
-            failures.append(f"dual diagram fails on {V.format_monomial(m)}")
-            if len(failures) > 8:
-                break
-    return FrobeniusPoissonReport(cycle, diagram, failures)
+    V, n = ctx.vectors, ctx.n
+    top = (1,) * n + (0,) * n  # η^! picks the coefficient of ξ_1…ξ_n
+    if (n, n) not in dual.pieces:
+        raise ValueError(f"the dual side stops below the weight {n} of η^!")
+    den, delta = _bracket_columns(ctx, dual.pi)
+    coboundary = dual._columns(dual.b_mats, -1, den)
+
+    def contract(m):
+        # (-1)^{|m||η^!|} η^!∘ι_m, pulled back from the one piece of forms ι_m sends onto η^!
+        dp = V.degree(m)
+        return _pullback({top: 1}, dual.pieces.get((n + dp, n - V.weight(m)), ()),
+                         lambda om: contract_monomial(ctx, m, {om: 1}), -1 if dp % 2 and n % 2 else 1)
+
+    bad = [m for m, _ in _square(V.monomials([1] * n + [max(2, n)] * n), V.weight,
+                                 lambda: [(cache(contract), delta, coboundary, lambda m: 1)], stop=9)]
+    # η^!∘ι_1 = η^! and [π, 1] = 0: the unit, the first label, fails exactly when δη^! ≠ 0
+    return FrobeniusPoissonReport(V.one not in bad, not bad,
+                                  [f"dual diagram fails on {V.format_monomial(m)}" for m in bad])
 
 
 # -- unimodularity -------------------------------------------------------------
@@ -538,36 +542,27 @@ class UnimodularityReport:
         return self.boundary_of_volume_zero and self.diagram_commutes and self.modular_field_zero
 
 
-def volume_form(ctx: PoissonContext) -> GCAElement:
-    m = (0,) * ctx.n + (1,) * ctx.n
-    return {m: Q(1)}
-
-
 def unimodularity_check(ctx: PoissonContext, pi: GCAElement, w_max: int = 4) -> UnimodularityReport:
     """Three unimodularity diagnostics for a polynomial-side Poisson structure.
 
     (1) ∂η = 0; (2) the contraction diagram ∂(ι_P η) = (-1)^{p+1} ι_{δP} η
-    on every polyvector monomial in the window (the sign is what the frozen
-    contraction and coboundary conventions put into the square; it is
-    recorded here once and is the same on every tested structure);
-    (3) the divergence oracle (modular vector field vanishes).  All three
-    verdicts must agree for honest π and η; discrepancies are reported.
+    on every polyvector monomial in the window, as integer columns
+    (``_square``) over den·π (the sign is what the frozen contraction and
+    coboundary conventions put into the square, the same on every tested
+    structure); (3) the divergence oracle (modular vector field vanishes).
+    All three verdicts must agree for honest π and η; discrepancies are
+    reported.
     """
     check_jacobi(ctx, pi)
-    eta = volume_form(ctx)
-    failures: list[str] = []
-    closed = is_zero(poisson_boundary(ctx, pi, eta))
-    V = ctx.vectors
-    delta = bracket_op(ctx, pi)
-    diagram = True
-    for m in V.monomials([w_max] * ctx.n + [1] * ctx.n):
-        lhs = poisson_boundary(ctx, pi, contract_monomial(ctx, m, eta))
-        rhs = contraction(ctx, delta(m), eta)
-        eps = Q(1) if sum(m[ctx.n :]) % 2 else Q(-1)  # (-1)^{p+1}
-        if not is_zero(sub(lhs, scale(rhs, eps))):
-            diagram = False
-            failures.append(f"diagram fails on {V.format_monomial(m)}")
-            if len(failures) > 8:
-                break
-    mod = modular_vector_field(ctx, pi)
-    return UnimodularityReport(closed, diagram, is_zero(mod), failures)
+    V, n = ctx.vectors, ctx.n
+    eta = (0,) * n + (1,) * n  # the volume form dx_1…dx_n
+    den, delta = _bracket_columns(ctx, pi)
+
+    def maps():
+        contract, _, boundary = _form_columns(ctx, pi, den)
+        return [(lambda m: contract(m, eta), delta, boundary, lambda m: 1 if sum(m[n:]) % 2 else -1)]
+
+    bad = [m for m, _ in _square(V.monomials([w_max] * n + [1] * n), V.weight, maps, stop=9)]
+    # ι_1 η = η and [π, 1] = 0: the unit, the first label, fails exactly when ∂η ≠ 0
+    return UnimodularityReport(V.one not in bad, not bad, is_zero(modular_vector_field(ctx, pi)),
+                               [f"diagram fails on {V.format_monomial(m)}" for m in bad])

@@ -67,7 +67,8 @@ from test_gravity import assert_derived_twist_matches_fitted
 from test_hochschild import dual_coboundary, frobenius_pd
 from test_linalg import from_columns, kernel_basis
 from test_mixed import assert_les_matches_oracle, assert_u_stacked_squares_to_zero, hh_dims_oracle
-from test_poisson import FastPathError, delta_by_monomials, oracle_engine, poisson_complex_by_forms
+from test_poisson import (FastPathError, assert_squares_match_the_monomial_loops, delta_by_monomials, oracle_engine,
+    poisson_complex_by_forms)
 
 Q = Fraction
 
@@ -288,7 +289,8 @@ def test_criterion_04_frobenius_validation():
 
     ok = True
     for n in (1, 2, 3):
-        A, pairing = exterior_pairing(n)
+        A = make_exterior_algebra(n)
+        pairing = exterior_pairing(A)
         rep = check_frobenius_pairing(A, pairing)
         if not rep.passed:
             ok = False
@@ -566,6 +568,14 @@ def test_criterion_09_unimodularity_equivalence(derived_pi):
             ok = False
     report(9, "primal, dual, and divergence unimodularity verdicts agree", ok,
            f"{len(cases)} bivectors")
+
+
+def test_criterion_09_squares_match_the_monomial_loops(derived_pi):
+    # the integer-column squares behind criterion 09 against the per-monomial
+    # loops they replaced, on the same bivectors: reports and failure lists
+    failures = [assert_squares_match_the_monomial_loops(n, coeffs)
+                for n, coeffs in [(3, derived_pi)] + [(2, t) for t in NON_UNIMODULAR]]
+    assert failures == [0, 18, 18]
 
 
 def test_criterion_10_cli_determinism(tmp_path):

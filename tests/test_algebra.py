@@ -104,7 +104,8 @@ class TestPresentations:
 class TestFrobenius:
     def test_exterior_pairing_passes(self):
         for n in (1, 2, 3):
-            A, p = exterior_pairing(n)
+            A = make_exterior_algebra(n)
+            p = exterior_pairing(A)
             report = check_frobenius_pairing(A, p)
             assert report.passed, (n, report.cyclic_violations[:3])
 

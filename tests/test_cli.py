@@ -318,6 +318,22 @@ def test_a_job_builds_each_shared_structure_once(tmp_path, monkeypatch, tasks):
     assert {"quotient", "verdict"} <= set(vars(data))
 
 
+def test_check_pairs_the_jobs_exterior_algebra(tmp_path, monkeypatch):
+    # task_check takes the job's exterior(n) for the Frobenius pairing: the
+    # algebra is built and validated once, wherever it is built from
+    from mixhom import algebra
+
+    built = []
+    build = algebra.make_exterior_algebra
+    for module in (algebra, cli):
+        monkeypatch.setattr(module, "make_exterior_algebra", lambda n: built.append(n) or build(n))
+    spec = parse_job("[algebra]\nkind exterior\nn 3\n[window]\np_max 3\nw_max 4\n[tasks]\ncheck\n")
+    assert run_job(spec, str(tmp_path)) == 0
+    checks = json.loads((tmp_path / "check.json").read_text())["result"]["checks"]
+    assert checks["frobenius_pairing"] == {"passed": True}
+    assert built == [3]
+
+
 def test_gravity_runs_to_arity_max(tmp_path):
     # the circulant π on k[x1, x2, x3] is unimodular, and at w_max 4 its
     # brackets are nonzero up to arity 4; arity_max is not clamped at 3
@@ -375,13 +391,14 @@ def test_release_keeps_only_what_later_tasks_read():
     job.les
     job.koszul
     job.release(["check"])
-    # check reads the LES report alone; the slice and HC⁻ it came from go
-    assert set(vars(job)) == {"spec", "les"}
+    # check reads the LES report and the algebra, which its Frobenius
+    # pairing takes; the slice and HC⁻ the report came from go
+    assert set(vars(job)) == {"spec", "algebra", "les"}
     job = cli.JobContext(parse_job(EXT_JOB))
     job.slice
     job.release(["check"])
     # the LES report is still to be built, so the slice it needs stays
-    assert set(vars(job)) == {"spec", "slice"}
+    assert set(vars(job)) == {"spec", "algebra", "slice"}
     job = cli.JobContext(parse_job(POLY_POISSON_JOB))
     job.hh_dims
     job.release(["koszul"])

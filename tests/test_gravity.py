@@ -880,3 +880,31 @@ def test_fit_dual_product_twist_lets_unrelated_errors_through(pair, monkeypatch,
     monkeypatch.setattr(DualityData, "dot", guarded)
     with pytest.raises(TypeError, match=side):
         fitted_dual_product_twist(ident, gp.duality, gd.duality.bundle, gd.duality.eta)
+
+
+def test_a_product_without_a_pd_preimage_is_a_window_skip():
+    # k[x1, x2] on the windows of TestCalabiYauCase: most transported products
+    # of the K = 35 basis have no PD preimage in the cochain window, so
+    # pd_inverse raises DualityError; that entry is unavailable, as one that
+    # escapes with WindowError is, and the verifier counts it as a skip
+    from mixhom.algebra import make_truncated_polynomial_algebra
+    from mixhom.calculus import hochschild_bundle
+    from mixhom.mixed import slice_from_hochschild
+
+    A = make_truncated_polynomial_algebra(2, 5)
+    sl = slice_from_hochschild(A, 5)
+    bundle = hochschild_bundle(A, sl, q_max=3, v_max=3,
+                               coh_window=lambda p: -2 <= p[0] <= 0 and -1 <= p[1] <= 0)
+    x1, x2 = A.index["x1"], A.index["x2"]
+    piece = (2, 2)
+    coords = sl.hh(piece).reduce(sl.element_vector(piece, {(A.unit, x1, x2): Q(1), (A.unit, x2, x1): Q(-1)}))
+    duality = attach_duality(bundle, (piece, [i for i, c in enumerate(coords) if c][0]))
+    g = GravityStructure(NegativeCyclic(sl, default_truncation(sl)), duality)
+    assert len(g.basis) == 35
+    unit = ((0, 0), 0)
+    with pytest.raises(DualityError, match=r"PD not invertible into piece \(-2, -2\)"):
+        g._dot_combo(g.hc.pi_star(unit), g.hc.pi_star(unit))
+    assert g.table_lookup([unit, unit]) is None
+    rep = verify_gravity_axioms(g, n_max=3, check_max=3)
+    assert rep.passed and rep.window_skips == 112750
+    assert (rep.skew_checked, rep.jacobi_checked, rep.nonzero_brackets) == (15075, 11325, {2: 0, 3: 0})

@@ -449,14 +449,16 @@ class TestDualCochains:
 
 class TestFrobeniusPD:
     def test_pd_of_unit_is_pairing_functional(self):
-        A, pairing = exterior_pairing(2)
+        A = make_exterior_algebra(2)
+        pairing = exterior_pairing(A)
         chains = chains_in_window(A, 0, 2)
         eta = frobenius_pd(unit_cochain(A), pairing, chains)
         top = A.index["ξ1ξ2"]
         assert eta.table == {(top,): Q(1)}
 
     def test_pd_is_chain_map_and_eta_closed(self):
-        A, pairing = exterior_pairing(2)
+        A = make_exterior_algebra(2)
+        pairing = exterior_pairing(A)
         bounds = {q: 2 * q for q in range(5)}
         chains = chains_in_window(A, 4, 8)
         for q in (0, 1, 2):

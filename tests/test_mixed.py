@@ -23,7 +23,7 @@ from mixhom.mixed import (
 )
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
 from test_linalg import column, dense_boundaries, dense_cycles, from_columns, oracle_rank, sparse_vec
-from test_poisson import delta_by_monomials, poisson_complex_by_forms
+from test_poisson import DualSideByFunctionals, delta_by_monomials, poisson_boundary, poisson_complex_by_forms
 
 Q = Fraction
 
@@ -405,7 +405,7 @@ def _hochschild_dual_by_functionals(A, w_max):
 
 def _poisson_dual_by_functionals(dual):
     from mixhom.mixed import _mats_from_operator
-    from mixhom.poisson import de_rham, poisson_boundary
+    from mixhom.poisson import de_rham
 
     F = dual.ctx.forms
     boundary_img = {m: poisson_boundary(dual.ctx, dual.pi, {m: Q(1)}) for m in dual.domain}
@@ -548,7 +548,7 @@ def _circulant_sides(c, w_max):
     pi = quadratic_bivector(ctx, {k: c * v for k, v in CIRCULANT.items()})
     ctxe = PoissonContext.make(3, "ext")
     pid = quadratic_bivector(ctxe, {(j1, j2, i1, i2): c * v for (i1, i2, j1, j2), v in CIRCULANT.items()})
-    return slice_from_poisson(ctx, pi, w_max), DualSide(ctxe, pid, w_max=w_max)
+    return slice_from_poisson(ctx, pi, w_max), DualSideByFunctionals(ctxe, pid, w_max=w_max)
 
 
 class TestTransposeOracles:
@@ -587,20 +587,19 @@ def test_dual_poisson_slice_is_made_of_the_dual_side_matrices(monkeypatch):
     from mixhom import poisson as po
 
     _, dual = _circulant_sides(Q(1), 4)
-    calls = _counting(monkeypatch, po, ("poisson_boundary", "schouten", "bracket_op", "contraction", "de_rham"))
+    calls = _counting(monkeypatch, po, ("schouten", "bracket_op", "contraction", "de_rham"))
     sl = slice_from_poisson_dual(dual)
     assert sl.pieces == dual.pieces
     assert sl.b_mats is dual.b_mats and sl.B_mats is dual.B_mats
     for piece in sl.pieces:
         for got, held in ((sl.b_matrix(piece), dual.b_mats), (sl.B_matrix(piece), dual.B_mats)):
             assert got is held[piece] if piece in held else not got.entries
-    for m in dual.domain:
-        dual.coboundary({m: Q(1)})
-    # the slice and the operators read the matrices the dual side already holds;
-    # the one bracket taken is the Jacobi check [π, π]
+    po.frobenius_poisson_check(dual)
+    # the slice and the Frobenius square read the matrices the dual side
+    # already holds; the one bracket taken is the Jacobi check [π, π]
     assert calls["schouten"] == [(dual.ctx, dual.pi, dual.pi)]
     assert len(calls["bracket_op"]) == 1
-    assert calls["poisson_boundary"] == calls["contraction"] == calls["de_rham"] == []
+    assert calls["contraction"] == calls["de_rham"] == []
 
 
 _POISSON_ORACLE_CASES = {
@@ -637,13 +636,13 @@ def test_poisson_operator_matrices_match_the_per_monomial_builds(case):
 def test_poisson_operator_matrices_count_their_work(monkeypatch):
     # exact work counts, so a return to per-column builds fails without timing:
     # δ tabulates π once for every piece, and ∂ contracts each form by each
-    # monomial of π once and takes no form through poisson_boundary
+    # monomial of π once
     from mixhom import poisson as po
     from mixhom.calculus import MultivectorOps, poisson_bundle
 
     ctx = PoissonContext.make(3, "poly")
     pi = quadratic_bivector(ctx, CIRCULANT)
-    calls = _counting(monkeypatch, po, ("bracket_op", "schouten", "poisson_boundary", "contract_monomial"))
+    calls = _counting(monkeypatch, po, ("bracket_op", "schouten", "contract_monomial"))
     ops = MultivectorOps(ctx, pi, -3, 5, 8)
     for piece in ops.pieces():
         ops.delta_matrix(piece)
@@ -656,7 +655,7 @@ def test_poisson_operator_matrices_count_their_work(monkeypatch):
     # the one bracket taken is the Jacobi check [π, π]
     assert calls["schouten"] == [(ctx, pi, pi)] and len(calls["bracket_op"]) == 2
     poisson_bundle(ctx, pi, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
-    assert (len(calls["bracket_op"]), len(calls["schouten"]), calls["poisson_boundary"]) == (3, 1, [])
+    assert (len(calls["bracket_op"]), len(calls["schouten"])) == (3, 1)
 
 
 def _circulant_dual_bivector(ctxe):
@@ -715,7 +714,7 @@ def test_each_dual_is_validated_once_and_each_boundary_taken_once(monkeypatch):
     validated = []
     validate = MixedComplexSlice._validate
     monkeypatch.setattr(MixedComplexSlice, "_validate", lambda self: validated.append(self.name) or validate(self))
-    calls = _counting(monkeypatch, po, ("poisson_boundary", "schouten", "contraction", "de_rham"))
+    calls = _counting(monkeypatch, po, ("schouten", "contraction", "de_rham"))
 
     A = make_exterior_algebra(2)
     slice_from_hochschild_dual(A, 4)
@@ -731,12 +730,12 @@ def test_each_dual_is_validated_once_and_each_boundary_taken_once(monkeypatch):
     for got, shift in ((differentiated, -1), (contracted, 2)):
         reached = [m for (d, w), labels in dual.pieces.items() if (d + shift, w) in dual.pieces for m in labels]
         assert sorted(got) == sorted(reached) and len(reached) > 0
-    assert calls["poisson_boundary"] == calls["schouten"] == []
+    assert calls["schouten"] == []
     slice_from_poisson_dual(dual)
     assert validated == [f"hochschild-dual({A.name})", "poisson-dual(3)"]
     # validating reads the held matrices; the one bracket is the Jacobi check [π, π]
     assert (len(calls["de_rham"]), len(calls["contraction"])) == (len(differentiated), len(contracted))
-    assert calls["poisson_boundary"] == [] and calls["schouten"] == [(ctxe, dual.pi, dual.pi)]
+    assert calls["schouten"] == [(ctxe, dual.pi, dual.pi)]
 
 
 def _u_sources():

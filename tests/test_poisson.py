@@ -7,14 +7,16 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixhom.linalg import ExactMatrix
+from mixhom.linalg import ExactMatrix, _pullback
 from mixhom.mixed import WindowError, _mats_from_operator
 from mixhom.poisson import (
     DualSide,
+    FrobeniusPoissonReport,
     GCAElement,
     JacobiError,
     Monomial,
     PoissonContext,
+    UnimodularityReport,
     add_into,
     bracket_op,
     check_jacobi,
@@ -26,11 +28,8 @@ from mixhom.poisson import (
     jacobi_obstruction,
     modular_vector_field,
     odd_laplacian,
-    poisson_boundary,
     quadratic_bivector,
-    scale,
     schouten,
-    sub,
     unimodularity_check,
     wedge,
 )
@@ -343,6 +342,170 @@ def oracle_engine():
                     if getattr(mod, name, None) is fn:
                         mp.setattr(mod, name, ORACLE[name][1])
         yield
+
+
+# -- the chain-map squares monomial by monomial (oracles) ------------------------
+#
+# Before the squares became identities of integer columns (``poisson._square``),
+# ∂ was taken one form at a time, the dual module acted one functional at a
+# time, and each square was compared on Fraction vectors, monomial by monomial.
+# That code is kept here verbatim as the differential oracle; the dual actions
+# live on a subclass of DualSide, which builds the form index they read.
+
+
+def scale(el: GCAElement, c: Fraction) -> GCAElement:
+    return {m: c * v for m, v in el.items()} if c else {}
+
+
+def sub(a: GCAElement, b: GCAElement) -> GCAElement:
+    out = dict(a)
+    add_into(out, b, Q(-1))
+    return out
+
+
+def poisson_boundary(ctx: PoissonContext, pi: GCAElement, omega: GCAElement) -> GCAElement:
+    """∂ = ι_π∘d - d∘ι_π (for the even-degree bivectors used here)."""
+    first = contraction(ctx, pi, de_rham(ctx, omega))
+    second = de_rham(ctx, contraction(ctx, pi, omega))
+    return sub(first, second)
+
+
+class DualSideByFunctionals(DualSide):
+    """A DualSide whose δ, d* and polyvector action take one functional at a time, with η^! as a functional."""
+
+    def __init__(self, ctx: PoissonContext, pi: GCAElement, w_max: int):
+        super().__init__(ctx, pi, w_max)
+        # form -> its index in the dual piece that carries it
+        self._index = {m: i for labels in self.pieces.values() for i, m in enumerate(labels)}
+
+    def dual_volume(self) -> dict[Monomial, Fraction]:
+        """η^!: the functional picking the top ξ-coefficient of A^!."""
+        top = (1,) * self.ctx.n + (0,) * self.ctx.n
+        return {top: Q(1)}
+
+    def _act(self, mats: dict, shift: int, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        """T*(φ) for a weight-preserving T, one dual piece of φ at a time.
+
+        ``mats`` holds T*'s matrix out of each dual piece (d, w), into the
+        dual piece (d + shift, w).
+        """
+        F = self.ctx.forms
+        parts: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for m, c in phi.items():
+            if c:
+                parts.setdefault((-F.degree(m), F.weight(m)), {})[self._index[m]] = c
+        out: dict[Monomial, Fraction] = {}
+        for (d, w), part in parts.items():
+            if (d, w) in mats:
+                # each piece of φ lands in a piece of its own, so no two parts share a label
+                labels = self.pieces[(d + shift, w)]
+                for i, c in mats[(d, w)].apply(part).items():
+                    out[labels[i]] = c
+        return out
+
+    def coboundary(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        """δ with values in the dual module: (-1)^{|φ|} φ∘∂."""
+        return self._act(self.b_mats, -1, phi)
+
+    def d_star(self, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        """Dual de Rham differential: (-1)^{|φ|} φ∘d."""
+        return self._act(self.B_mats, 1, phi)
+
+    def contract(self, P: GCAElement, phi: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        """Module action of polyvectors: (ι_P φ)(ω) = (-1)^{|P||φ|} φ(ι_P ω).
+
+        φ is pulled back through ι_m for each monomial m of P, over the one
+        piece of forms that ι_m sends onto each piece of φ.  The sign is
+        taken per monomial of P, so the action is linear in P.
+        """
+        F, V = self.ctx.forms, self.ctx.vectors
+        pieces = {(-F.degree(m), F.weight(m)) for m, c in phi.items() if c}
+        out: dict[Monomial, Fraction] = {}
+        for pm, c in P.items():
+            if c:
+                dp, wp = V.degree(pm), V.weight(pm)
+                for d, w in pieces:
+                    # φ on forms of degree -d pulls back from the forms ι_pm sends there
+                    add_into(out, _pullback(phi, self.pieces.get((d + dp, w - wp), ()),
+                                            lambda om: contract_monomial(self.ctx, pm, {om: Q(1)}),
+                                            -1 if (dp % 2) and (d % 2) else 1), c)
+        return out
+
+
+def frobenius_poisson_check_by_monomials(dual: DualSideByFunctionals) -> FrobeniusPoissonReport:
+    ctx = dual.ctx
+    eta_dual = dual.dual_volume()
+    failures: list[str] = []
+    cycle = not dual.coboundary(eta_dual)
+    V = ctx.vectors
+    delta = bracket_op(ctx, dual.pi)
+    diagram = True
+    cap = max(2, ctx.n)
+    for m in V.monomials([1] * ctx.n + [cap] * ctx.n):
+        lhs = dual.contract(delta(m), eta_dual)
+        rhs = dual.coboundary(dual.contract({m: Q(1)}, eta_dual))
+        if sub(lhs, rhs):
+            diagram = False
+            failures.append(f"dual diagram fails on {V.format_monomial(m)}")
+            if len(failures) > 8:
+                break
+    return FrobeniusPoissonReport(cycle, diagram, failures)
+
+
+def volume_form(ctx: PoissonContext) -> GCAElement:
+    m = (0,) * ctx.n + (1,) * ctx.n
+    return {m: Q(1)}
+
+
+def unimodularity_check_by_monomials(ctx: PoissonContext, pi: GCAElement, w_max: int = 4) -> UnimodularityReport:
+    check_jacobi(ctx, pi)
+    eta = volume_form(ctx)
+    failures: list[str] = []
+    closed = is_zero(poisson_boundary(ctx, pi, eta))
+    V = ctx.vectors
+    delta = bracket_op(ctx, pi)
+    diagram = True
+    for m in V.monomials([w_max] * ctx.n + [1] * ctx.n):
+        lhs = poisson_boundary(ctx, pi, contract_monomial(ctx, m, eta))
+        rhs = contraction(ctx, delta(m), eta)
+        eps = Q(1) if sum(m[ctx.n :]) % 2 else Q(-1)  # (-1)^{p+1}
+        if not is_zero(sub(lhs, scale(rhs, eps))):
+            diagram = False
+            failures.append(f"diagram fails on {V.format_monomial(m)}")
+            if len(failures) > 8:
+                break
+    mod = modular_vector_field(ctx, pi)
+    return UnimodularityReport(closed, diagram, is_zero(mod), failures)
+
+
+def check_chain_map_by_monomials(self, pi_coeffs, w_max: int = 4) -> list[str]:
+    """``PoissonIdentification.check_chain_map`` as it was; ``self`` is the identification."""
+    from mixhom import poisson as po
+    from mixhom.koszul import _accumulate, dual_bivector_coeffs
+
+    pi = po.quadratic_bivector(self.ctx_poly, pi_coeffs)
+    pid = po.quadratic_bivector(self.ctx_ext, dual_bivector_coeffs(pi_coeffs))
+    dual = DualSideByFunctionals(self.ctx_ext, pid, w_max=w_max)
+    F = self.ctx_poly.forms
+    failures = []
+    for m in F.monomials([w_max] * self.n + [1] * self.n):
+        if F.weight(m) > w_max:
+            continue
+        for op_primal, op_dual, name in (
+            (lambda x: poisson_boundary(self.ctx_poly, pi, x),
+             dual.coboundary, "boundary"),
+            (lambda x: po.de_rham(self.ctx_poly, x), dual.d_star, "de Rham"),
+        ):
+            img = op_primal({m: Q(1)})
+            phi = {self.form_to_dual(m): self.coefficient(m)}
+            dphi = op_dual(phi)
+            expect = {
+                self.form_to_dual(m2): self.coefficient(m2) * c
+                for m2, c in img.items()
+            }
+            if _accumulate(expect, dphi, -1):
+                failures.append(f"{name} fails at {F.format_monomial(m)}")
+    return failures
 
 
 def poisson_complex_by_forms(ctx: PoissonContext, pi: GCAElement, w_max: int):
@@ -723,7 +886,7 @@ class TestDualSide:
     def test_dual_mixed_axioms(self):
         ctxe = PoissonContext.make(3, "ext")
         pid = quadratic_bivector(ctxe, swap_roles(CIRCULANT))
-        dual = DualSide(ctxe, pid, w_max=5)
+        dual = DualSideByFunctionals(ctxe, pid, w_max=5)
         for m in dual.domain:
             phi = {m: Q(1)}
             assert not dual.coboundary(dual.coboundary(phi))
@@ -735,14 +898,14 @@ class TestDualSide:
 
     def test_dual_contract_unit(self):
         ctxe = PoissonContext.make(2, "ext")
-        dual = DualSide(ctxe, {}, w_max=4)
+        dual = DualSideByFunctionals(ctxe, {}, w_max=4)
         phi = {m: Q(i + 1) for i, m in enumerate(dual.domain[:3])}
         got = dual.contract({ctxe.vectors.one: Q(1)}, phi)
         assert got == {m: v for m, v in phi.items() if v}
 
     def test_dual_contract_degree_mismatch_zero(self):
         ctxe = PoissonContext.make(2, "ext")
-        dual = DualSide(ctxe, {}, w_max=4)
+        dual = DualSideByFunctionals(ctxe, {}, w_max=4)
         V = ctxe.vectors
         # contracting the degree-0 dual volume by a 2-vector lands in
         # functionals on 2-forms; against a functional supported on A^! it dies
@@ -766,6 +929,13 @@ class TestDualSide:
             pid = quadratic_bivector(ctxe, swap_roles(coeffs))
             rep = frobenius_poisson_check(DualSide(ctxe, pid, w_max=n + 2))
             assert prim.unimodular == rep.unimodular == expect
+
+    def test_frobenius_check_needs_the_dual_volume_in_its_window(self):
+        # below weight n the window holds no η^!, and no verdict is made
+        ctxe = PoissonContext.make(2, "ext")
+        with pytest.raises(ValueError, match="weight 2 of η"):
+            frobenius_poisson_check(DualSide(ctxe, {}, w_max=1))
+        assert frobenius_poisson_check(DualSide(ctxe, {}, w_max=2)).unimodular
 
     def test_zero_bracket_dual_unimodular(self):
         ctxe = PoissonContext.make(2, "ext")
@@ -799,7 +969,7 @@ class TestDualContractOracle:
         n = 3
         ctxe = PoissonContext.make(n, "ext")
         pid = quadratic_bivector(ctxe, swap_roles(CIRCULANT))
-        dual = DualSide(ctxe, pid, w_max=n + 2)
+        dual = DualSideByFunctionals(ctxe, pid, w_max=n + 2)
         eta = dual.dual_volume()
         V = ctxe.vectors
         checked = 0
@@ -813,7 +983,7 @@ class TestDualContractOracle:
         # ξ1 (degree -1) and ∂ξ2 (degree 0) contract φ = (ξ1dξ2)* with
         # opposite signs, so one sign for the whole of P is wrong
         ctxe = PoissonContext.make(2, "ext")
-        dual = DualSide(ctxe, {}, w_max=4)
+        dual = DualSideByFunctionals(ctxe, {}, w_max=4)
         F, V = ctxe.forms, ctxe.vectors
         phi = {mono(F, ξ1=1, dξ2=1): Q(1)}
         xi1 = {mono(V, ξ1=1): Q(1)}
@@ -823,6 +993,125 @@ class TestDualContractOracle:
         add_into(parts, dual.contract(d2, phi))
         assert got == parts
         assert got == {mono(F, dξ2=1): Q(-1), mono(F, ξ1=1, dξ2=2): Q(2)}
+
+
+# -- the integer squares against the monomial loops they replaced --------------
+
+# the cli-batch bivectors at three scales, zero π, a non-unimodular π and one
+# that is not Poisson (unimodularity_check raises JacobiError on it)
+SQUARE_CASES = {
+    **{f"poly2-c{c.numerator}_{c.denominator}": (2, {(1, 2, 1, 2): c}) for c in (Q(1), Q(-5, 6), Q(2))},
+    **{f"poly3-c{c.numerator}_{c.denominator}": (3, {k: c * v for k, v in CIRCULANT.items()})
+       for c in (Q(1), Q(-5, 6), Q(2))},
+    "zero-n2": (2, {}),
+    "zero-n3": (3, {}),
+    "not-unimodular": (2, {(1, 1, 1, 2): Q(1)}),
+    "not-poisson": (3, {(1, 1, 1, 2): Q(1), (2, 2, 2, 3): Q(1)}),
+    "mixed-n3": (3, {(1, 2, 1, 3): Q(2, 3), (3, 3, 1, 2): Q(-1), (2, 3, 2, 3): Q(1, 4)}),
+}
+
+
+def assert_squares_match_the_monomial_loops(n: int, coeffs, w_max: int = 3):
+    """The three squares against the loops they replaced: whole reports, failure lists included.
+
+    The windows are the CLI's: unimodularity and the identification at w_max,
+    the Frobenius square on a dual side of weight n + 2.  Returns the number
+    of failures listed.
+    """
+    from mixhom.koszul import koszul_poisson_identification
+
+    ctx, ctxe = PoissonContext.make(n, "poly"), PoissonContext.make(n, "ext")
+    pi = quadratic_bivector(ctx, coeffs)
+    try:
+        want = unimodularity_check_by_monomials(ctx, pi, w_max=w_max)
+    except JacobiError as exc:
+        with pytest.raises(JacobiError) as got:
+            unimodularity_check(ctx, pi, w_max=w_max)
+        assert str(got.value) == str(exc)
+        primal = []
+    else:
+        assert unimodularity_check(ctx, pi, w_max=w_max) == want
+        primal = want.failures
+    dual = DualSideByFunctionals(ctxe, quadratic_bivector(ctxe, swap_roles(coeffs)), w_max=n + 2)
+    want_dual = frobenius_poisson_check_by_monomials(dual)
+    assert frobenius_poisson_check(dual) == want_dual
+    ident = koszul_poisson_identification(n)
+    want_ident = check_chain_map_by_monomials(ident, coeffs, w_max=w_max)
+    assert ident.check_chain_map(coeffs, w_max=w_max) == want_ident
+    return len(primal) + len(want_dual.failures) + len(want_ident)
+
+
+@pytest.mark.parametrize("case", sorted(SQUARE_CASES))
+def test_squares_match_the_monomial_loops(case):
+    n, coeffs = SQUARE_CASES[case]
+    failures = assert_squares_match_the_monomial_loops(n, coeffs)
+    # the loops stop after nine failures per square; the unimodular cases have none
+    assert failures == (0 if case.startswith(("poly3", "zero")) else 9 if "n3" in case or "poisson" in case else 18)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(1, 2)] * 4), rationals, max_size=4), st.integers(2, 4))
+def test_squares_match_the_monomial_loops_on_random_bivectors(coeffs, w_max):
+    assert_squares_match_the_monomial_loops(2, coeffs, w_max)
+
+
+def test_chain_map_check_sees_one_flipped_coefficient_like_its_loop(monkeypatch):
+    from mixhom import koszul as ko
+
+    ident = ko.koszul_poisson_identification(3)
+    top = (2, 0, 0, 0, 0, 1)
+    coefficient = ko.PoissonIdentification.coefficient
+    monkeypatch.setattr(ko.PoissonIdentification, "coefficient",
+                        lambda self, m: -coefficient(self, m) if m == top else coefficient(self, m))
+    got = ident.check_chain_map(CIRCULANT, w_max=3)
+    assert got == check_chain_map_by_monomials(ident, CIRCULANT, w_max=3) and len(got) == 4
+
+
+def test_each_square_applies_each_operator_once_per_label(monkeypatch):
+    # noise-free work counts on the poly3 circulant π: a contraction ι_P ω
+    # (into η, into η^!, or a term of ι_π), d and each bracket table meet
+    # every label at most once, so no operator is applied to a sum again
+    import mixhom.poisson as po
+    from mixhom.koszul import koszul_poisson_identification
+
+    applied = []  # (operator, side, label, ω's labels for a contraction)
+    tables = iter(range(100))
+
+    def counting(name, fn):
+        def wrapper(ctx, m, *omega):
+            applied.append((name, ctx.side, m, *(tuple(w) for w in omega)))
+            return fn(ctx, m, *omega)
+
+        return wrapper
+
+    def bracket_columns(ctx, P, build=po._bracket_columns):
+        den, apply = build(ctx, P)
+        return den, (lambda m, op=counting(f"δ{next(tables)}", lambda ctx, m: apply(m)): op(ctx, m))
+
+    monkeypatch.setattr(po, "contract_monomial", counting("ι", po.contract_monomial))
+    monkeypatch.setattr(po, "_d", counting("d", po._d))
+    monkeypatch.setattr(po, "_bracket_columns", bracket_columns)
+    ctx, ctxe = PoissonContext.make(3, "poly"), PoissonContext.make(3, "ext")
+    pi = quadratic_bivector(ctx, CIRCULANT)
+    dual = DualSide(ctxe, quadratic_bivector(ctxe, swap_roles(CIRCULANT)), w_max=5)
+    ident = koszul_poisson_identification(3)
+    squares = {
+        "unimodularity": lambda: unimodularity_check(ctx, pi, w_max=3).unimodular,
+        "frobenius": lambda: frobenius_poisson_check(dual).unimodular,
+        "identification": lambda: ident.check_chain_map(CIRCULANT, w_max=3) == [],
+    }
+    work = {}
+    for name, square in squares.items():
+        applied.clear()
+        assert square(), name
+        assert len(applied) == len(set(applied)), name
+        work[name] = {op: sum(1 for key in applied if key[0] == op) for op in {key[0] for key in applied}}
+    # one table per square, applied to each of the 512 window monomials once;
+    # the unimodularity check's other table is the Jacobi check [π, π]
+    assert sorted(work["unimodularity"]) == ["d", "δ0", "δ1", "ι"] and work["unimodularity"]["δ1"] == 512
+    assert sorted(work["frobenius"]) == ["δ2", "ι"] and work["frobenius"]["δ2"] == 512
+    # the identification reads ∂ and d on its forms and δ, d* from its dual side
+    assert sorted(work["identification"]) == ["d", "ι"]
 
 
 class TestHomologyGolden:
