@@ -14,7 +14,6 @@ entry against the native Gerstenhaber/Schouten table.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -75,9 +74,8 @@ class HochschildCochainOps:
                 v_max = (q_max + 1) * max(A.weights)
             else:
                 v_max = A.weight_cutoff
-        self.v_max = v_max
         # one window for the coboundary and the bracket: chain weight <= v_max at every arity
-        self.weight_bounds = defaultdict(lambda: v_max)
+        self.v_max = v_max
         # the coboundary raises arity by exactly one, so each (degree, shift)
         # piece splits by arity; kernels at the arity ceiling are computed
         # against an extended basis that includes arity q_max + 1
@@ -135,7 +133,7 @@ class HochschildCochainOps:
 
         def delta(label):
             t, k = label
-            df = coboundary(Cochain(self.A, len(t), D, {t: {k: Q(1)}}), self.weight_bounds)
+            df = coboundary(Cochain(self.A, len(t), D, {t: {k: Q(1)}}), self.v_max)
             return {(tt, kk): c for tt, val in df.table.items() for kk, c in val.items()}
 
         return operator_matrix(self._pieces.get(piece, []), self._pieces_ext.get((D - 1, om), []), delta,
@@ -165,7 +163,7 @@ class HochschildCochainOps:
         return cup(f, g)
 
     def bracket(self, f: Cochain, g: Cochain) -> Cochain:
-        return gerstenhaber_bracket(f, g, self.weight_bounds)
+        return gerstenhaber_bracket(f, g, self.v_max)
 
     def is_zero(self, f: Cochain) -> bool:
         return not f.table or all(
@@ -225,7 +223,7 @@ class MultivectorOps:
         return above
 
     def cup(self, P, Q_):
-        return po.wedge(self.ctx, P, Q_)
+        return self.ctx.vectors.multiply(P, Q_)
 
     def bracket(self, P, Q_):
         return po.schouten(self.ctx, P, Q_)

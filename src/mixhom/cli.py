@@ -282,14 +282,15 @@ def _presentation(spec: JobSpecification) -> QuadraticPresentation:
     raise ValueError(f"no presentation for kind {spec.kind}")
 
 
-# the shared structures each task reads, and the ones each structure is built from
+# the shared structures each task reads, and the ones each structure is built from;
+# check also reads the algebra of an exterior job (``JobContext.release``)
 TASK_READS = {
     "hh": ("algebra", "hh_dims"),
     "hc-minus": ("algebra", "slice", "hc_minus", "les"),
     "poisson": ("poisson", "unimodularity", "dual_frobenius"),
     "gravity": ("poisson",),
     "koszul": ("koszul",),
-    "check": ("algebra", "les", "poisson", "unimodularity", "dual_frobenius"),
+    "check": ("les", "poisson", "unimodularity", "dual_frobenius"),
 }
 BUILT_FROM = {
     "slice": ("algebra",),
@@ -323,6 +324,8 @@ class JobContext:
         todo = [name for task in tasks for name in TASK_READS[task]]
         if "koszul" in tasks and _bar_reads_the_slice(self.spec):
             todo.append("hh_dims")
+        if "check" in tasks and self.spec.kind == "exterior":
+            todo.append("algebra")
         while todo:
             name = todo.pop()
             if name not in keep:
@@ -703,7 +706,11 @@ def main(argv: list[str] | None = None) -> int:
     if not spec.tasks:
         print("job file lists no tasks", file=sys.stderr)
         return 4
-    code = run_job(spec, args.out)
+    try:
+        code = run_job(spec, args.out)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 4
     # A job leaves reference cycles (argparse, json) and filled free lists
     # that only a full collection releases.  Integer elimination allocates
     # few collector-tracked objects, so without this one a full collection

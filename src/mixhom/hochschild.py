@@ -20,7 +20,6 @@ action back the same way (``CalculusBundle.cap_classes``).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from .algebra import Element, GradedAlgebra, WindowOverflowError
@@ -202,11 +201,11 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
     return Cochain(A, f.arity + g.arity, f.degree + g.degree, table)
 
 
-def circle(f: Cochain, g: Cochain, weight_bounds: Mapping[int, int]) -> Cochain:
+def circle(f: Cochain, g: Cochain, v_max: int) -> Cochain:
     """Insertion f∘g: sum of g plugged into each slot of f, with Koszul signs.
 
     Tabulated on the input tuples of arity a = f.arity + g.arity - 1 and
-    chain weight at most weight_bounds[a], in the order of
+    chain weight at most v_max, in the order of
     ``all_tuples_up_to_weight``: by chain weight, then by tuple.  Evaluated
     as a join over nonzero entries: g's entries are indexed by each
     bar-projected output, and every slot of every nonzero f entry takes the
@@ -234,15 +233,14 @@ def circle(f: Cochain, g: Cochain, weight_bounds: Mapping[int, int]) -> Cochain:
             for inner, gc in by_output.get(gk, ()):
                 _accumulate(acc.setdefault(outer[:i] + inner + outer[i + 1 :], {}), fval, sign * gc)
             passed += A.degrees[gk] + 1
-    bound = weight_bounds[arity]
-    window = sorted((w, key) for key, val in acc.items() if val and (w := chain_weight(A, key)) <= bound)
+    window = sorted((w, key) for key, val in acc.items() if val and (w := chain_weight(A, key)) <= v_max)
     return Cochain(A, arity, f.degree + g.degree + 1, {key: acc[key] for _, key in window})
 
 
-def gerstenhaber_bracket(f: Cochain, g: Cochain, weight_bounds: Mapping[int, int]) -> Cochain:
+def gerstenhaber_bracket(f: Cochain, g: Cochain, v_max: int) -> Cochain:
     """{f, g} = f∘g - (-1)^{(|f|+1)(|g|+1)} g∘f, on the window of ``circle``."""
-    fg = circle(f, g, weight_bounds)
-    gf = circle(g, f, weight_bounds)
+    fg = circle(f, g, v_max)
+    gf = circle(g, f, v_max)
     sign = -1 if ((f.degree + 1) % 2) and ((g.degree + 1) % 2) else 1
     table = {k: dict(v) for k, v in fg.table.items()}
     for key, val in gf.table.items():
@@ -251,7 +249,7 @@ def gerstenhaber_bracket(f: Cochain, g: Cochain, weight_bounds: Mapping[int, int
     return Cochain(f.algebra, fg.arity, f.degree + g.degree + 1, table)
 
 
-def coboundary(f: Cochain, weight_bounds: Mapping[int, int]) -> Cochain:
+def coboundary(f: Cochain, v_max: int) -> Cochain:
     """Hochschild coboundary on mode-A cochains.
 
     δf(ā_1..ā_{q+1}) = (-1)^{|a_1||f|} a_1 f(ā_2..)
@@ -263,7 +261,7 @@ def coboundary(f: Cochain, weight_bounds: Mapping[int, int]) -> Cochain:
     homology; the ungraded shadow is the classical normalized formula.
 
     Tabulated on the input tuples of arity q + 1 and chain weight at most
-    weight_bounds[q + 1], in the order of ``all_tuples_up_to_weight``, as
+    v_max, in the order of ``all_tuples_up_to_weight``, as
     ``circle`` is.  Only the tuples where δf can be nonzero are evaluated:
     for each input tuple t of f, (a,) + t and t + (a,) for every
     augmentation index a, and t with one entry m replaced by a pair (x, y)
@@ -286,8 +284,7 @@ def coboundary(f: Cochain, weight_bounds: Mapping[int, int]) -> Cochain:
         for j, m in enumerate(t):
             for pair in factorizations.get(m, ()):
                 candidates.add(t[:j] + pair + t[j + 1 :])
-    bound = weight_bounds[q + 1]
-    window = sorted((w, key) for key in candidates if (w := chain_weight(A, key)) <= bound)
+    window = sorted((w, key) for key in candidates if (w := chain_weight(A, key)) <= v_max)
     table: dict[tuple[int, ...], Element] = {}
     for _, key in window:
         acc: Element = {}

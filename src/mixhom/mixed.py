@@ -8,7 +8,9 @@ Poisson chains, dual Poisson cochains) preserve the weight, and each
 weight-w sub-slice is a complete bounded complex, so homology within the
 window is exact.  Each chain source has one raw builder (``_hochschild_complex``,
 ``_poisson_complex``): its labelled pieces and the b and B matrices, each
-operator applied to each basis chain once, not validated.  A cochain source is the dual of
+operator applied to each basis chain once, not validated; the Poisson one
+reads ∂ and d off the integer form columns that the chain-map squares read
+too (``poisson._form_columns``).  A cochain source is the dual of
 that triple, its signed transpose (``_transpose``), validated once as the
 dual; :class:`~mixhom.poisson.DualSide` holds the dual Poisson triple.
 
@@ -34,6 +36,7 @@ from .linalg import (
     ExactMatrix,
     HomologyPresentation,
     _accumulate,
+    _denominator,
     _expand,
     _integer_row,
     _row_echelon,
@@ -176,10 +179,9 @@ def _hochschild_complex(A: GradedAlgebra, w_max: int) -> RawComplex:
 def _poisson_complex(ctx: po.PoissonContext, pi: dict, w_max: int) -> RawComplex:
     """Forms of weight <= w_max on either side with ∂ and d out of each piece; π need not be Poisson.
 
-    d and ι_π: (e, w) -> (e - 2, w) are applied to each form once, and ∂ = ι_π∘d - d∘ι_π out of
-    (e, w) is I(e + 1, w)·d(e, w) - d(e - 2, w)·I(e, w).  This is exact: d and ι_π of a quadratic π
-    preserve the weight, so every form it passes through is in a piece, and a factor is 0 where
-    its piece has no forms to map into.
+    The columns are ``po._form_columns``: d, and den·∂ over the lcm den of π's denominators.  d and ∂
+    preserve the weight, so each weight gets fresh columns, as in ``po._square``: ι_π and d meet a form
+    once, and no column outlives its weight.
     """
     F = ctx.forms
     pieces: dict[Piece, list] = {}
@@ -190,15 +192,13 @@ def _poisson_complex(ctx: po.PoissonContext, pi: dict, w_max: int) -> RawComplex
             pieces.setdefault((F.degree(m), w), []).append(m)
     for labels in pieces.values():
         labels.sort()
-    B_mats = _mats_from_operator(pieces, lambda m: po.de_rham(ctx, {m: Q(1)}), +1)
-    I_mats = _mats_from_operator(pieces, lambda m: po.contraction(ctx, pi, {m: Q(1)}), -2)
-    b_mats = {}
-    for (e, w), labels in pieces.items():
-        if (e - 1, w) in pieces:
-            entries = I_mats[(e + 1, w)].matmul(B_mats[(e, w)]).entries if (e + 1, w) in pieces else {}
-            if (e - 2, w) in pieces:
-                _accumulate(entries, B_mats[(e - 2, w)].matmul(I_mats[(e, w)]).entries, -1)
-            b_mats[(e, w)] = ExactMatrix(len(pieces[(e - 1, w)]), len(labels), entries)
+    den = _denominator(pi.values())
+    b_mats, B_mats = {}, {}
+    for w in range(w_max + 1):
+        layer = {piece: labels for piece, labels in pieces.items() if piece[1] == w}
+        _, d, boundary = po._form_columns(ctx, pi, den)
+        B_mats.update(_mats_from_operator(layer, d, +1))
+        b_mats.update(_mats_from_operator(layer, lambda m: {t: Q(c, den) for t, c in boundary(m).items()}, -1))
     return pieces, b_mats, B_mats
 
 

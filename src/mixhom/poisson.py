@@ -16,14 +16,15 @@ side, and for a quadratic bivector all four differentials preserve weight.
 Operators are built from one Koszul-signed engine: contraction by a
 polyvector monomial is coefficient multiplication after the form-side
 partial derivatives, the Poisson boundary is the contraction/de Rham
-commutator (the slices take it as a product of the ι_π and d matrices), and
-the coboundary δ = [π, -] is the Schouten bracket, the first-order Leibniz
-expansion of the bracket the odd Laplacian generates.  Derivative factors
-and Koszul signs are plain ints; ``_bracket_columns`` tabulates π once for
-every δ.  :class:`DualSide` holds the signed transposes of ∂ and d.  The
-chain-map squares are identities of integer columns (``_square``).  The
-odd-Laplacian bracket, per-form ∂, per-functional dual actions, per-monomial
-squares and ungraded shuffle sums live in the tests as oracles.
+commutator ∂ = ι_π∘d - d∘ι_π, and the coboundary δ = [π, -] is the Schouten
+bracket, the first-order Leibniz expansion of the bracket the odd Laplacian
+generates.  Derivative factors and Koszul signs are plain ints.  d, ι and ∂
+on forms are written once, as integer columns (``_form_columns``), which the
+slices' matrices and the chain-map squares (``_square``) both read;
+``_bracket_columns`` tabulates π once for every δ.  :class:`DualSide` holds
+the signed transposes of ∂ and d.  The odd-Laplacian bracket, element-level
+d and ∂, per-functional dual actions, per-monomial squares and ungraded
+shuffle sums live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -203,14 +204,6 @@ def _d(ctx: PoissonContext, m: Monomial) -> dict[Monomial, int]:
     return acc
 
 
-def de_rham(ctx: PoissonContext, omega: GCAElement) -> GCAElement:
-    """d: sends each coordinate generator to its differential (odd derivation)."""
-    out: GCAElement = {}
-    for m, c in omega.items():
-        add_into(out, _d(ctx, m), c)
-    return out
-
-
 def contract_monomial(ctx: PoissonContext, P: Monomial, omega: GCAElement) -> GCAElement:
     """Contraction by one polyvector monomial.
 
@@ -330,10 +323,6 @@ def schouten(ctx: PoissonContext, P: GCAElement, Q_: GCAElement) -> GCAElement:
     return out
 
 
-def wedge(ctx: PoissonContext, P: GCAElement, Q_: GCAElement) -> GCAElement:
-    return ctx.vectors.multiply(P, Q_)
-
-
 # -- quadratic bivectors -------------------------------------------------------
 
 
@@ -367,12 +356,8 @@ def quadratic_bivector(ctx: PoissonContext, coeffs: dict[tuple[int, int, int, in
     return out
 
 
-def jacobi_obstruction(ctx: PoissonContext, pi: GCAElement) -> GCAElement:
-    return schouten(ctx, pi, pi)
-
-
 def check_jacobi(ctx: PoissonContext, pi: GCAElement):
-    ob = jacobi_obstruction(ctx, pi)
+    ob = schouten(ctx, pi, pi)
     if not is_zero(ob):
         raise JacobiError(f"[π, π] ≠ 0: {ctx.vectors.format_element(ob)}")
 
@@ -461,8 +446,9 @@ def _square(labels, weight, maps, stop: int | None = None) -> list:
 def _form_columns(ctx: PoissonContext, pi: GCAElement, den: int):
     """Cached integer columns on forms: (ι_P ω for a polyvector monomial P, dω, den·∂ω).
 
-    ∂ = ι_π∘d - d∘ι_π as in ``mixed._poisson_complex``, over the integer
-    bivector den·π, so d and each ι_P meet a form at most once.
+    The one definition of d and ∂ = ι_π∘d - d∘ι_π on forms, over the
+    integer bivector den·π, so d and each ι_P meet a form at most once; the
+    slices (``mixed._poisson_complex``) and the squares read it per weight.
     """
     scaled = {P: c.numerator * (den // c.denominator) for P, c in pi.items()}
     contract = cache(lambda P, m: contract_monomial(ctx, P, {m: 1}))

@@ -225,6 +225,18 @@ def _run_cli(command, path, out):
     )
 
 
+@pytest.mark.parametrize("under", ["", "x"], ids=["out-is-a-file", "out-under-a-file"])
+def test_unwritable_out_is_exit_4_without_a_traceback(tmp_path, under):
+    path = tmp_path / "job.txt"
+    path.write_text(EXT_JOB)
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    proc = _run_cli("run", path, blocker / under if under else blocker)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("cannot write output: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert blocker.read_text() == ""
+
+
 def test_exterior_check_below_the_volume_weight_is_a_window_error(tmp_path):
     # the volume element of Λ(ξ1, ξ2) has weight 2, outside a w_max 1 slice
     path = tmp_path / "job.txt"
@@ -404,6 +416,11 @@ def test_release_keeps_only_what_later_tasks_read():
     job.release(["koszul"])
     # at cutoff 4 >= w_max 3 the bar dims are the job's HH dims: those stay, not the slice
     assert set(vars(job)) == {"spec", "hh_dims"}
+    job = cli.JobContext(parse_job(POLY_POISSON_JOB))
+    job.les
+    job.release(["check"])
+    # check reads a polynomial job's algebra through nothing but the LES report, which is built
+    assert set(vars(job)) == {"spec", "les"}
 
 
 POLY3_WINDOW = "[window]\np_max 2\nw_max 3\narity_max 2\n"

@@ -52,6 +52,7 @@ def elementary(A, q, t, k):
 
 @pytest.fixture(scope="module")
 def lam2():
+    # bar entries have weight <= 2, so a weight bound 2a keeps every tuple of arity <= a
     return make_exterior_algebra(2)
 
 
@@ -135,18 +136,16 @@ class TestCupAndBracket:
 
     def test_bracket_mu_mu_zero(self, lam2):
         A = lam2
-        bounds = {q: 2 * q for q in range(6)}
         mu = multiplication_cochain(A)
-        assert not gerstenhaber_bracket(mu, mu, bounds).table
+        assert not gerstenhaber_bracket(mu, mu, 10).table
 
     def test_bracket_antisymmetry_exhaustive(self, lam2):
         A = lam2
-        bounds = {q: 2 * q for q in range(6)}
         cochains = [elementary(A, 1, t, k) for t in all_tuples_up_to_weight(A, 1, 2) for k in range(A.dim)]
         cochains += [elementary(A, 0, (), k) for k in range(A.dim)]
         for f, g in iproduct(cochains, repeat=2):
-            fg = gerstenhaber_bracket(f, g, bounds)
-            gf = gerstenhaber_bracket(g, f, bounds)
+            fg = gerstenhaber_bracket(f, g, 10)
+            gf = gerstenhaber_bracket(g, f, 10)
             sign = -1 if ((f.degree + 1) % 2) and ((g.degree + 1) % 2) else 1
             merged = {k: dict(v) for k, v in fg.table.items()}
             for key, val in gf.table.items():
@@ -164,35 +163,32 @@ class TestCupAndBracket:
         f = elementary(A, 1, (x,), x)  # degree -1, shifted degree 0... use arity-2
         g = Cochain(A, 2, -2, {(x, x): {A.index["x1^2"]: Q(1)}})
         assert (g.degree + 1) % 2 == 1
-        bounds = dict.fromkeys(range(7), 5)
-        br = gerstenhaber_bracket(g, g, bounds)
-        cc = circle(g, g, bounds)
+        br = gerstenhaber_bracket(g, g, 5)
+        cc = circle(g, g, 5)
         doubled = {k: {a: 2 * b for a, b in v.items()} for k, v in cc.table.items()}
         assert br.table == doubled
 
     def test_coboundary_squares_to_zero(self, lam2):
         A = lam2
-        bounds = {q: 2 * q for q in range(6)}
         for q in (0, 1, 2):
-            for t in all_tuples_up_to_weight(A, q, bounds[q]):
+            for t in all_tuples_up_to_weight(A, q, 2 * q):
                 for k in range(A.dim):
                     f = elementary(A, q, t, k)
-                    assert not coboundary(coboundary(f, bounds), bounds).table
+                    assert not coboundary(coboundary(f, 10), 10).table
 
     def test_cup_leibniz_right_convention(self, lam2):
         # δ(f∪g) = (-1)^{|g|} δf∪g + f∪δg, exhaustively on arity-1 pairs
         A = lam2
-        bounds = {q: 2 * q for q in range(7)}
         cochains = [elementary(A, 1, t, k) for t in all_tuples_up_to_weight(A, 1, 2) for k in range(A.dim)]
         for f, g in iproduct(cochains, repeat=2):
-            lhs = coboundary(cup(f, g), bounds)
+            lhs = coboundary(cup(f, g), 12)
             s = -1 if g.degree % 2 else 1
             acc = {k: dict(v) for k, v in lhs.table.items()}
-            for key, val in cup(coboundary(f, bounds), g).table.items():
+            for key, val in cup(coboundary(f, 12), g).table.items():
                 a = acc.setdefault(key, {})
                 for k, c in val.items():
                     a[k] = a.get(k, Q(0)) - s * c
-            for key, val in cup(f, coboundary(g, bounds)).table.items():
+            for key, val in cup(f, coboundary(g, 12)).table.items():
                 a = acc.setdefault(key, {})
                 for k, c in val.items():
                     a[k] = a.get(k, Q(0)) - c
@@ -235,13 +231,12 @@ class TestCap:
     def test_cap_descends_to_homology(self, lam2):
         # b(ι_f α) - (-1)^{|f|} ι_f(b α) = -(-1)^{|f|} ι_{δf} α
         A = lam2
-        bounds = {q: 2 * q for q in range(6)}
         chains = chains_in_window(A, 3, 6)
         for q in (1, 2):
-            for t in all_tuples_up_to_weight(A, q, bounds[q]):
+            for t in all_tuples_up_to_weight(A, q, 2 * q):
                 for k in range(A.dim):
                     f = elementary(A, q, t, k)
-                    df = coboundary(f, bounds)
+                    df = coboundary(f, 10)
                     s = -1 if f.degree % 2 else 1
                     for c in chains:
                         av = {c: Q(1)}
@@ -459,17 +454,16 @@ class TestFrobeniusPD:
     def test_pd_is_chain_map_and_eta_closed(self):
         A = make_exterior_algebra(2)
         pairing = exterior_pairing(A)
-        bounds = {q: 2 * q for q in range(5)}
         chains = chains_in_window(A, 4, 8)
         for q in (0, 1, 2):
-            for t in all_tuples_up_to_weight(A, q, bounds[q]):
+            for t in all_tuples_up_to_weight(A, q, 2 * q):
                 for k in range(A.dim):
                     f = elementary(A, q, t, k)
                     lhs = dual_coboundary(frobenius_pd(f, pairing, chains), chains).table
                     s = -1 if f.degree % 2 else 1
                     rhs = {
                         kk: s * v
-                        for kk, v in frobenius_pd(coboundary(f, bounds), pairing, chains).table.items()
+                        for kk, v in frobenius_pd(coboundary(f, 8), pairing, chains).table.items()
                     }
                     assert lhs == {kk: v for kk, v in rhs.items() if v}
         # δ(η) = 0 for the exterior pairing
@@ -530,12 +524,11 @@ def test_sparse_circle_matches_dense_on_bv_check_brackets():
     bundle.ops.bracket = recording
     assert verify_bv_axioms(attach_duality(bundle, eta), max_classes=12, quartic_limit=60).passed
     assert len(pairs) > 100
-    bounds = bundle.ops.weight_bounds
     arities = {x.arity + y.arity - 1 for f, g in pairs for x, y in ((f, g), (g, f)) if x.arity}
     tuples = {q: all_tuples_up_to_weight(A, q, bundle.ops.v_max) for q in arities}
     for f, g in pairs:
         for x, y in ((f, g), (g, f)):
-            got, want = circle(x, y, bounds), _circle_dense(x, y, tuples)
+            got, want = circle(x, y, bundle.ops.v_max), _circle_dense(x, y, tuples)
             assert (got.arity, got.degree) == (want.arity, want.degree)
             assert list(got.table.items()) == list(want.table.items())
 
@@ -546,15 +539,15 @@ def test_sparse_circle_matches_dense_on_bv_check_brackets():
 )
 def test_sparse_circle_matches_dense_on_elementary_cochains(maker):
     # circle is bilinear, so pairs of elementary cochains cover every entry;
-    # a flat weight bound, and per-arity bounds 2q that cut some products off
+    # the bound of the cochains' own tuples, and a lower one that cuts some products off
     A = maker()
     cochains = [elementary(A, q, t, k) for q in range(3) for t in all_tuples_up_to_weight(A, q, 4)
                 for k in range(A.dim)]
-    for bounds in (dict.fromkeys(range(4), 4), {q: 2 * q for q in range(4)}):
-        tuples = {q: all_tuples_up_to_weight(A, q, w) for q, w in bounds.items()}
+    for v_max in (4, 3):
+        tuples = {q: all_tuples_up_to_weight(A, q, v_max) for q in range(4)}
         nonzero = 0
         for f, g in iproduct(cochains, repeat=2):
-            got, want = circle(f, g, bounds), _circle_dense(f, g, tuples)
+            got, want = circle(f, g, v_max), _circle_dense(f, g, tuples)
             assert (got.arity, got.degree) == (want.arity, want.degree)
             assert list(got.table.items()) == list(want.table.items())
             nonzero += bool(want.table)
@@ -569,10 +562,9 @@ def test_sparse_circle_orders_keys_by_weight_then_tuple():
     x, x2, x4 = (A.index[label] for label in ("x1", "x1^2", "x1^4"))
     f = Cochain(A, 2, -2, {(x, x4): {x: Q(1)}, (x2, x): {x: Q(1)}})
     ident = Cochain(A, 1, -1, {(i,): {i: Q(1)} for i in A.augmentation_indices()})
-    bounds = dict.fromkeys(range(3), 5)
-    got = circle(f, ident, bounds)
+    got = circle(f, ident, 5)
     assert list(got.table.items()) == [((x2, x), {x: Q(2)}), ((x, x4), {x: Q(2)})]
-    want = _circle_dense(f, ident, {q: all_tuples_up_to_weight(A, q, 5) for q in bounds})
+    want = _circle_dense(f, ident, {q: all_tuples_up_to_weight(A, q, 5) for q in range(3)})
     assert list(got.table.items()) == list(want.table.items())
 
 
@@ -621,8 +613,8 @@ def _outcome(fn, *args):
     return got.arity, got.degree, list(got.table.items())
 
 
-def _scan_tuples(A, bounds):
-    return {q: all_tuples_up_to_weight(A, q, w) for q, w in bounds.items()}
+def _scan_tuples(A, q_top, v_max):
+    return {q: all_tuples_up_to_weight(A, q, v_max) for q in range(q_top + 1)}
 
 
 # Λ(ξ1, ξ2) at arity <= 3, and the window of TestCalabiYauCase (truncated k[x1, x2], W = 5, v_max 3)
@@ -633,20 +625,18 @@ COBOUNDARY_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(COBOUNDARY_CASES))
-@pytest.mark.parametrize("per_arity", [False, True], ids=["flat", "2q"])
-def test_sparse_coboundary_matches_scan_on_elementary_cochains(case, per_arity):
+def test_sparse_coboundary_matches_scan_on_elementary_cochains(case):
     # δ is linear, so elementary cochains cover every entry; key order and
     # every WindowOverflowError (type and message) are compared too
     maker, q_max, v_max = COBOUNDARY_CASES[case]
     A = maker()
     cochains = [elementary(A, q, t, k) for q in range(q_max + 1) for t in all_tuples_up_to_weight(A, q, v_max)
                 for k in range(A.dim)]
-    bounds = {q: 2 * q for q in range(q_max + 2)} if per_arity else dict.fromkeys(range(q_max + 2), v_max)
-    tuples = _scan_tuples(A, bounds)
+    tuples = _scan_tuples(A, q_max + 1, v_max)
     raised = nonzero = 0
     for f in cochains:
         want = _outcome(coboundary_scan, f, tuples)
-        assert _outcome(coboundary, f, bounds) == want
+        assert _outcome(coboundary, f, v_max) == want
         raised += want[0] is WindowOverflowError
         nonzero += want[0] is not WindowOverflowError and bool(want[2])
     assert nonzero > 50
@@ -669,8 +659,8 @@ def test_sparse_coboundary_matches_scan_on_delta_pairs(monkeypatch, case):
         ops = calculus.HochschildCochainOps(make_truncated_polynomial_algebra(2, 5), 3, 3)
         pieces = {p for p in ops.pieces() if -2 <= p[0] <= 0 and -1 <= p[1] <= 0}
     got = [(p, _matrix_items(d_in), _matrix_items(d_out)) for p, d_in, d_out in calculus.delta_pairs(ops, pieces)]
-    tuples = _scan_tuples(ops.A, dict.fromkeys(range(ops.q_max + 2), ops.v_max))
-    monkeypatch.setattr(calculus, "coboundary", lambda f, bounds: coboundary_scan(f, tuples))
+    tuples = _scan_tuples(ops.A, ops.q_max + 1, ops.v_max)
+    monkeypatch.setattr(calculus, "coboundary", lambda f, v_max: coboundary_scan(f, tuples))
     want = [(p, _matrix_items(d_in), _matrix_items(d_out)) for p, d_in, d_out in calculus.delta_pairs(ops, pieces)]
     assert got == want
     assert sum(len(d_out[2]) for _, _, d_out in want) > 100
@@ -685,8 +675,7 @@ def test_sparse_coboundary_matches_scan_on_random_cochains(maker, v_max):
     # δf and δδf agree with the scan, raises included, and δδf = 0
     A = maker()
     q_max = 3
-    bounds = dict.fromkeys(range(q_max + 3), v_max)
-    tuples = _scan_tuples(A, bounds)
+    tuples = _scan_tuples(A, q_max + 2, v_max)
     labels = {q: [(t, k) for t in all_tuples_up_to_weight(A, q, v_max) for k in range(A.dim)]
               for q in range(q_max + 1)}
     values = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
@@ -703,12 +692,12 @@ def test_sparse_coboundary_matches_scan_on_random_cochains(maker, v_max):
             if elementary(A, q, t, k).degree == degree:
                 table.setdefault(t, {})[k] = c
         f = Cochain(A, q, degree, table)
-        df = _outcome(coboundary, f, bounds)
+        df = _outcome(coboundary, f, v_max)
         assert df == _outcome(coboundary_scan, f, tuples)
         if df[0] is WindowOverflowError:
             return
-        df = coboundary(f, bounds)
-        ddf = _outcome(coboundary, df, bounds)
+        df = coboundary(f, v_max)
+        ddf = _outcome(coboundary, df, v_max)
         assert ddf == _outcome(coboundary_scan, df, tuples)
         assert ddf[0] is WindowOverflowError or ddf[2] == []
 

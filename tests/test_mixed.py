@@ -23,7 +23,13 @@ from mixhom.mixed import (
 )
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
 from test_linalg import column, dense_boundaries, dense_cycles, from_columns, oracle_rank, sparse_vec
-from test_poisson import DualSideByFunctionals, delta_by_monomials, poisson_boundary, poisson_complex_by_forms
+from test_poisson import (
+    DualSideByFunctionals,
+    de_rham,
+    delta_by_monomials,
+    poisson_boundary,
+    poisson_complex_by_forms,
+)
 
 Q = Fraction
 
@@ -405,7 +411,6 @@ def _hochschild_dual_by_functionals(A, w_max):
 
 def _poisson_dual_by_functionals(dual):
     from mixhom.mixed import _mats_from_operator
-    from mixhom.poisson import de_rham
 
     F = dual.ctx.forms
     boundary_img = {m: poisson_boundary(dual.ctx, dual.pi, {m: Q(1)}) for m in dual.domain}
@@ -587,7 +592,7 @@ def test_dual_poisson_slice_is_made_of_the_dual_side_matrices(monkeypatch):
     from mixhom import poisson as po
 
     _, dual = _circulant_sides(Q(1), 4)
-    calls = _counting(monkeypatch, po, ("schouten", "bracket_op", "contraction", "de_rham"))
+    calls = _counting(monkeypatch, po, ("schouten", "bracket_op", "contraction", "_d", "contract_monomial"))
     sl = slice_from_poisson_dual(dual)
     assert sl.pieces == dual.pieces
     assert sl.b_mats is dual.b_mats and sl.B_mats is dual.B_mats
@@ -599,7 +604,7 @@ def test_dual_poisson_slice_is_made_of_the_dual_side_matrices(monkeypatch):
     # already holds; the one bracket taken is the Jacobi check [π, π]
     assert calls["schouten"] == [(dual.ctx, dual.pi, dual.pi)]
     assert len(calls["bracket_op"]) == 1
-    assert calls["contraction"] == calls["de_rham"] == []
+    assert calls["contraction"] == calls["_d"] == []
 
 
 _POISSON_ORACLE_CASES = {
@@ -616,7 +621,7 @@ _POISSON_ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_POISSON_ORACLE_CASES))
 def test_poisson_operator_matrices_match_the_per_monomial_builds(case):
-    # ∂ as the ι_π·d - d·ι_π product against ∂ form by form, and δ from the
+    # ∂ and d from the integer form columns against ∂ and d form by form, and δ from the
     # tabulated bracket against the odd-Laplacian bracket monomial by monomial
     from mixhom.calculus import MultivectorOps
     from mixhom.mixed import _poisson_complex
@@ -633,25 +638,43 @@ def test_poisson_operator_matrices_match_the_per_monomial_builds(case):
     assert nonzero == ((False, False) if case == "zero" else (True, True))
 
 
+def _assert_form_columns_once(calls, pi):
+    """Within one weight, each form met d once and each (P, form) pair met contract_monomial at most once.
+
+    No element-level contraction ran, and the element-level d is gone from the package.
+    """
+    from mixhom import poisson as po
+
+    for logged, key in ((calls["_d"], lambda ctx, m: (m,)),
+                        (calls["contract_monomial"], lambda ctx, P, omega: (P, next(iter(omega))))):
+        by_weight = {}
+        for args in logged:
+            k = key(*args)
+            by_weight.setdefault(args[0].forms.weight(k[-1]), []).append(k)
+        assert by_weight and all(len(keys) == len(set(keys)) for keys in by_weight.values())
+    assert {P for _ctx, P, _omega in calls["contract_monomial"]} <= set(pi)
+    assert calls["contraction"] == [] and not hasattr(po, "de_rham")
+
+
 def test_poisson_operator_matrices_count_their_work(monkeypatch):
     # exact work counts, so a return to per-column builds fails without timing:
-    # δ tabulates π once for every piece, and ∂ contracts each form by each
-    # monomial of π once
+    # δ tabulates π once for every piece, and ∂ and d read the integer form
+    # columns, which apply d and each monomial of π to a form once per weight
     from mixhom import poisson as po
     from mixhom.calculus import MultivectorOps, poisson_bundle
 
     ctx = PoissonContext.make(3, "poly")
     pi = quadratic_bivector(ctx, CIRCULANT)
-    calls = _counting(monkeypatch, po, ("bracket_op", "schouten", "contract_monomial"))
+    calls = _counting(monkeypatch, po, ("bracket_op", "schouten", "contraction", "_d", "contract_monomial"))
     ops = MultivectorOps(ctx, pi, -3, 5, 8)
     for piece in ops.pieces():
         ops.delta_matrix(piece)
     assert [len(calls[name]) for name in ("bracket_op", "schouten")] == [1, 0]
     sl = slice_from_poisson(ctx, pi, 8)
-    # ι_π is applied to every form with forms two degrees below it, and is 0 on the others
-    contracted = [m for (e, w), labels in sl.pieces.items() if (e - 2, w) in sl.pieces for m in labels]
-    assert len(calls["contract_monomial"]) == len(pi) * len(contracted) > 0
-    assert sorted(next(iter(omega)) for _ctx, _m, omega in calls["contract_monomial"][::len(pi)]) == sorted(contracted)
+    _assert_form_columns_once(calls, pi)
+    # every form with forms one degree up is differentiated
+    raised = {m for (e, w), labels in sl.pieces.items() if (e + 1, w) in sl.pieces for m in labels}
+    assert raised <= {m for _ctx, m in calls["_d"]}
     # the one bracket taken is the Jacobi check [π, π]
     assert calls["schouten"] == [(ctx, pi, pi)] and len(calls["bracket_op"]) == 2
     poisson_bundle(ctx, pi, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
@@ -714,7 +737,7 @@ def test_each_dual_is_validated_once_and_each_boundary_taken_once(monkeypatch):
     validated = []
     validate = MixedComplexSlice._validate
     monkeypatch.setattr(MixedComplexSlice, "_validate", lambda self: validated.append(self.name) or validate(self))
-    calls = _counting(monkeypatch, po, ("schouten", "contraction", "de_rham"))
+    calls = _counting(monkeypatch, po, ("schouten", "contraction", "_d", "contract_monomial"))
 
     A = make_exterior_algebra(2)
     slice_from_hochschild_dual(A, 4)
@@ -722,19 +745,15 @@ def test_each_dual_is_validated_once_and_each_boundary_taken_once(monkeypatch):
     ctxe = PoissonContext.make(3, "ext")
     dual = DualSide(ctxe, _circulant_dual_bivector(ctxe), w_max=4)
     assert len(validated) == 1
-    # ∂ is the product of the d and ι_π matrices, each applied to a form once:
-    # d to every form with forms one degree up, ι_π to every form with forms
-    # two degrees down (the dual pieces one and two degrees down)
-    differentiated = [next(iter(omega)) for _ctx, omega in calls["de_rham"]]
-    contracted = [next(iter(omega)) for _ctx, _pi, omega in calls["contraction"]]
-    for got, shift in ((differentiated, -1), (contracted, 2)):
-        reached = [m for (d, w), labels in dual.pieces.items() if (d + shift, w) in dual.pieces for m in labels]
-        assert sorted(got) == sorted(reached) and len(reached) > 0
+    # ∂ and d are the integer form columns, d and each monomial of π applied
+    # to a form once per weight, and no element-level contraction runs
+    _assert_form_columns_once(calls, dual.pi)
+    work = {name: len(calls[name]) for name in ("_d", "contract_monomial")}
     assert calls["schouten"] == []
     slice_from_poisson_dual(dual)
     assert validated == [f"hochschild-dual({A.name})", "poisson-dual(3)"]
     # validating reads the held matrices; the one bracket is the Jacobi check [π, π]
-    assert (len(calls["de_rham"]), len(calls["contraction"])) == (len(differentiated), len(contracted))
+    assert {name: len(calls[name]) for name in work} == work
     assert calls["schouten"] == [(ctxe, dual.pi, dual.pi)]
 
 

@@ -22,16 +22,13 @@ from mixhom.poisson import (
     check_jacobi,
     contract_monomial,
     contraction,
-    de_rham,
     frobenius_poisson_check,
     is_zero,
-    jacobi_obstruction,
     modular_vector_field,
     odd_laplacian,
     quadratic_bivector,
     schouten,
     unimodularity_check,
-    wedge,
 )
 
 Q = Fraction
@@ -318,7 +315,7 @@ def _fast_path(*args):
 ORACLE = {
     "schouten": ("poisson", schouten_odd_laplacian),
     "contract_monomial": ("poisson", contract_monomial_chained),
-    # the tabulated bracket and the matrix-product ∂ must not run at all
+    # the tabulated bracket and the integer-column ∂ and d must not run at all
     "bracket_op": ("poisson", _fast_path),
     "_poisson_complex": ("mixed", _fast_path),
 }
@@ -328,9 +325,9 @@ ORACLE = {
 def oracle_engine():
     """mixhom with the oracle bracket and contraction in place, wherever they are bound.
 
-    ``bracket_op`` and ``mixed._poisson_complex``, which builds ∂ as a matrix
-    product, raise FastPathError inside the block: the oracle side builds its
-    ∂ and δ a form and a monomial at a time.
+    ``bracket_op`` and ``mixed._poisson_complex``, which builds ∂ and d from
+    integer columns, raise FastPathError inside the block: the oracle side
+    builds its ∂, d and δ a form and a monomial at a time.
     """
     import mixhom.poisson
 
@@ -346,8 +343,9 @@ def oracle_engine():
 
 # -- the chain-map squares monomial by monomial (oracles) ------------------------
 #
-# Before the squares became identities of integer columns (``poisson._square``),
-# ∂ was taken one form at a time, the dual module acted one functional at a
+# Before the squares and the slices read the integer form columns
+# (``poisson._form_columns``, ``poisson._square``), d and ∂ were taken one
+# form element at a time, the dual module acted one functional at a
 # time, and each square was compared on Fraction vectors, monomial by monomial.
 # That code is kept here verbatim as the differential oracle; the dual actions
 # live on a subclass of DualSide, which builds the form index they read.
@@ -360,6 +358,15 @@ def scale(el: GCAElement, c: Fraction) -> GCAElement:
 def sub(a: GCAElement, b: GCAElement) -> GCAElement:
     out = dict(a)
     add_into(out, b, Q(-1))
+    return out
+
+
+def de_rham(ctx: PoissonContext, omega: GCAElement) -> GCAElement:
+    """d = Σ_i dg_i·∂/∂g_i: sends each coordinate generator to its differential (odd derivation)."""
+    F = ctx.forms
+    out: GCAElement = {}
+    for i in range(ctx.n):
+        add_into(out, F.multiply({F.units[ctx.n + i]: Q(1)}, _partial_element(F, i, omega)))
     return out
 
 
@@ -494,7 +501,7 @@ def check_chain_map_by_monomials(self, pi_coeffs, w_max: int = 4) -> list[str]:
         for op_primal, op_dual, name in (
             (lambda x: poisson_boundary(self.ctx_poly, pi, x),
              dual.coboundary, "boundary"),
-            (lambda x: po.de_rham(self.ctx_poly, x), dual.d_star, "de Rham"),
+            (lambda x: de_rham(self.ctx_poly, x), dual.d_star, "de Rham"),
         ):
             img = op_primal({m: Q(1)})
             phi = {self.form_to_dual(m): self.coefficient(m)}
@@ -511,8 +518,8 @@ def check_chain_map_by_monomials(self, pi_coeffs, w_max: int = 4) -> list[str]:
 def poisson_complex_by_forms(ctx: PoissonContext, pi: GCAElement, w_max: int):
     """The raw Poisson triple (pieces, ∂, d) with ∂ applied to one form at a time.
 
-    The reference for ``mixed._poisson_complex``, which multiplies the ι_π
-    and d matrices instead.
+    The reference for ``mixed._poisson_complex``, which reads the integer
+    columns of ``poisson._form_columns`` instead.
     """
     F = ctx.forms
     pieces = {}
@@ -655,18 +662,18 @@ class TestWedgeAndContraction:
         V = ctx2.vectors
         d1 = {mono(V, **{"∂1": 1}): Q(1)}
         d2 = {mono(V, **{"∂2": 1}): Q(1)}
-        assert wedge(ctx2, d1, d2) == scale(wedge(ctx2, d2, d1), Q(-1))
+        assert V.multiply(d1, d2) == scale(V.multiply(d2, d1), Q(-1))
 
     def test_wedge_unital(self, ctx2):
         V = ctx2.vectors
         P = {mono(V, x1=1, **{"∂2": 1}): Q(3)}
-        assert wedge(ctx2, {V.one: Q(1)}, P) == P
+        assert V.multiply({V.one: Q(1)}, P) == P
 
     def test_wedge_of_hamiltonian_like(self, ctx2):
         V = ctx2.vectors
         a = {mono(V, x1=1, **{"∂1": 1}): Q(1)}
         b = {mono(V, x2=1, **{"∂2": 1}): Q(1)}
-        assert wedge(ctx2, a, b) == {mono(V, x1=1, x2=1, **{"∂1": 1, "∂2": 1}): Q(1)}
+        assert V.multiply(a, b) == {mono(V, x1=1, x2=1, **{"∂1": 1, "∂2": 1}): Q(1)}
 
     def test_contraction_by_function_multiplies(self, ctx2):
         F, V = ctx2.forms, ctx2.vectors
@@ -758,12 +765,12 @@ class TestSchouten:
 
     def test_jacobi_obstruction_of_log_canonical(self, ctx2):
         pi = quadratic_bivector(ctx2, {(1, 2, 1, 2): Q(1)})
-        assert is_zero(jacobi_obstruction(ctx2, pi))
+        assert is_zero(schouten(ctx2, pi, pi))
 
     def test_jacobi_error_raised(self, ctx3):
         # a quadratic bivector violating Jacobi
         bad = quadratic_bivector(ctx3, {(1, 1, 1, 2): Q(1), (2, 2, 2, 3): Q(1)})
-        if not is_zero(jacobi_obstruction(ctx3, bad)):
+        if not is_zero(schouten(ctx3, bad, bad)):
             with pytest.raises(JacobiError):
                 check_jacobi(ctx3, bad)
 
@@ -881,7 +888,7 @@ class TestDualSide:
         # (A, π) Poisson iff (A^!, π^!) Poisson, instantiated on the circulant
         ctxe = PoissonContext.make(3, "ext")
         pid = quadratic_bivector(ctxe, swap_roles(CIRCULANT))
-        assert is_zero(jacobi_obstruction(ctxe, pid))
+        assert is_zero(schouten(ctxe, pid, pid))
 
     def test_dual_mixed_axioms(self):
         ctxe = PoissonContext.make(3, "ext")
