@@ -817,8 +817,8 @@ def _cap_label(f: Cochain, label) -> dict:
 
 
 def _contraction_of(ctx: po.PoissonContext):
-    """The contraction action on one basis form; the primal action of both Poisson bundles."""
-    return lambda P, label: po.contraction(ctx, P, {label: Q(1)})
+    """ι_P on one basis form, Σ c·ι_m over P's monomials (``po.contract_monomial``): both Poisson bundles' action."""
+    return lambda P, label: _expand(P, lambda m: po.contract_monomial(ctx, m, label))
 
 
 def hochschild_bundle(A: GradedAlgebra, slice_, q_max: int, v_max: int | None = None,

@@ -154,7 +154,7 @@ def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
                 for j, piv_j in enumerate(pivots[q]):
                     key = (index_of[(p, i)], index_of[(q, j)])
                     if p + q > W:
-                        table[key] = {}
+                        table[key] = OUT_OF_WINDOW
                         continue
                     at = piv_i * n**q + piv_j
                     table[key] = {index_of[(p + q, k)]: c[at] for k, c in enumerate(U[p + q]) if at in c}

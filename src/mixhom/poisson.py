@@ -18,13 +18,15 @@ polyvector monomial is coefficient multiplication after the form-side
 partial derivatives, the Poisson boundary is the contraction/de Rham
 commutator ∂ = ι_π∘d - d∘ι_π, and the coboundary δ = [π, -] is the Schouten
 bracket, the first-order Leibniz expansion of the bracket the odd Laplacian
-generates.  Derivative factors and Koszul signs are plain ints.  d, ι and ∂
-on forms are written once, as integer columns (``_form_columns``), which the
-slices' matrices and the chain-map squares (``_square``) both read;
-``_bracket_columns`` tabulates π once for every δ.  :class:`DualSide` holds
-the signed transposes of ∂ and d.  The odd-Laplacian bracket, element-level
-d and ∂, per-functional dual actions, per-monomial squares and ungraded
-shuffle sums live in the tests as oracles.
+generates.  Derivative factors and Koszul signs are plain ints.  ι is one
+integer column per (polyvector monomial, form monomial), ``contract_monomial``,
+which the Poisson calculus bundles extend linearly in the polyvector; d and ∂
+on forms are written once over it, as integer columns (``_form_columns``),
+which the slices and the chain-map squares (``_square``) read.  π is tabulated
+once for every δ (``_bracket_columns``), and :class:`DualSide` holds the signed
+transposes of ∂ and d.  The odd-Laplacian bracket, element-level ι, d and ∂,
+the per-functional dual actions, per-monomial squares and ungraded shuffle
+sums live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .linalg import _denominator, _iaccumulate, _pullback
-from .linalg import _accumulate as add_into
+from .linalg import _accumulate, _denominator, _iaccumulate, _pullback
 
 Q = Fraction
 
@@ -112,7 +113,7 @@ class FreeGCA:
                 got = self.mul_monomials(ma, mb)
                 if got is not None:
                     acc[got[1]] = got[0] * cb
-            add_into(out, acc, ca)
+            _accumulate(out, acc, ca)
         return out
 
     def partial(self, i: int, m: Monomial):
@@ -204,43 +205,29 @@ def _d(ctx: PoissonContext, m: Monomial) -> dict[Monomial, int]:
     return acc
 
 
-def contract_monomial(ctx: PoissonContext, P: Monomial, omega: GCAElement) -> GCAElement:
-    """Contraction by one polyvector monomial.
+def contract_monomial(ctx: PoissonContext, P: Monomial, m: Monomial) -> dict[Monomial, int]:
+    """ι_P m for one polyvector monomial P and one form monomial m, as an integer column.
 
     ι for ∂_{k_1}∧..∧∂_{k_p} (k_1 < .. < k_p) applies the form-side partial
     with respect to dg_{k_1} first; the coefficient part multiplies on the
     left afterwards.  This matches the displayed shuffle-sum convention.
-    The iterated partial of a form monomial is one signed monomial, so ω is
-    contracted a monomial at a time, and distinct monomials of ω contract
-    to distinct monomials.
+    The iterated partial of a form monomial is one signed monomial, so the
+    column {monomial: ±k} is empty or has one entry.  It is the one ι on
+    forms: the slices and squares (``_form_columns``), the Frobenius square
+    and the Poisson calculus bundles all read it.
     """
     F = ctx.forms
     n = ctx.n
-    steps = [n + k for k in range(n) for _ in range(P[n + k])]
-    coeff_m = P[:n] + (0,) * n
-    out: GCAElement = {}
-    for m, c in omega.items():
-        if not c:
-            continue
-        k = 1
-        for i in steps:
+    k = 1
+    for i in range(n, 2 * n):
+        for _ in range(P[i]):
             got = F.partial(i, m)
             if got is None:
-                break
+                return {}
             k *= got[0]
             m = got[1]
-        else:
-            prod = F.mul_monomials(coeff_m, m)
-            if prod is not None:
-                out[prod[1]] = k * prod[0] * c
-    return out
-
-
-def contraction(ctx: PoissonContext, P: GCAElement, omega: GCAElement) -> GCAElement:
-    out: GCAElement = {}
-    for m, c in P.items():
-        add_into(out, contract_monomial(ctx, m, omega), c)
-    return out
+    prod = F.mul_monomials(P[:n] + (0,) * n, m)
+    return {} if prod is None else {prod[1]: k * prod[0]}
 
 
 # -- the Schouten bracket -------------------------------------------------------
@@ -257,7 +244,7 @@ def odd_laplacian(ctx: PoissonContext, P: GCAElement) -> GCAElement:
             got2 = V.partial(i, got[1]) if got is not None else None
             if got2 is not None:
                 acc[got2[1]] = acc.get(got2[1], 0) + got[0] * got2[0]
-        add_into(out, acc, c)
+        _accumulate(out, acc, c)
     return out
 
 
@@ -319,7 +306,7 @@ def schouten(ctx: PoissonContext, P: GCAElement, Q_: GCAElement) -> GCAElement:
     """Schouten bracket [P, Q] = Σ_q c_q [P, m_q] over the monomials of Q (see ``bracket_op``)."""
     op, out = bracket_op(ctx, P), {}
     for mq, cq in Q_.items():
-        add_into(out, op(mq), cq)
+        _accumulate(out, op(mq), cq)
     return out
 
 
@@ -352,7 +339,7 @@ def quadratic_bivector(ctx: PoissonContext, coeffs: dict[tuple[int, int, int, in
         term = {gi1: c}
         for m in (gi2, tj1, tj2):
             term = V.multiply(term, {m: Q(1)})
-        add_into(out, term, Q(1))
+        _accumulate(out, term, Q(1))
     return out
 
 
@@ -451,7 +438,7 @@ def _form_columns(ctx: PoissonContext, pi: GCAElement, den: int):
     slices (``mixed._poisson_complex``) and the squares read it per weight.
     """
     scaled = {P: c.numerator * (den // c.denominator) for P, c in pi.items()}
-    contract = cache(lambda P, m: contract_monomial(ctx, P, {m: 1}))
+    contract = cache(lambda P, m: contract_monomial(ctx, P, m))
     d = cache(lambda m: _d(ctx, m))
 
     @cache
@@ -504,7 +491,7 @@ def frobenius_poisson_check(dual: DualSide) -> FrobeniusPoissonReport:
         # (-1)^{|m||η^!|} η^!∘ι_m, pulled back from the one piece of forms ι_m sends onto η^!
         dp = V.degree(m)
         return _pullback({top: 1}, dual.pieces.get((n + dp, n - V.weight(m)), ()),
-                         lambda om: contract_monomial(ctx, m, {om: 1}), -1 if dp % 2 and n % 2 else 1)
+                         lambda om: contract_monomial(ctx, m, om), -1 if dp % 2 and n % 2 else 1)
 
     bad = [m for m, _ in _square(V.monomials([1] * n + [max(2, n)] * n), V.weight,
                                  lambda: [(cache(contract), delta, coboundary, lambda m: 1)], stop=9)]

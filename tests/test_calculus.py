@@ -1,6 +1,7 @@
 import gc
 import re
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -20,7 +21,7 @@ from mixhom.calculus import (
 )
 from mixhom.hochschild import Cochain, all_tuples_up_to_weight
 from mixhom.koszul import quadratic_algebra
-from mixhom.linalg import ExactMatrix, NotAComplexError, _accumulate
+from mixhom.linalg import ExactMatrix, NotAComplexError, _accumulate, _expand
 from mixhom.mixed import slice_from_hochschild_dual, slice_from_poisson
 from mixhom.poisson import PoissonContext, quadratic_bivector
 from test_hochschild import coboundary_scan
@@ -144,6 +145,53 @@ class TestBVReports:
         assert rep.delta_squared_zero
         assert rep.bracket_matches_native, rep.bracket_failures[:4]
         assert rep.passed
+
+
+def _nonzero_product_duality(which):
+    """A bv-check structure on a window where triples without the unit have nonzero products.
+
+    Frobenius: Λ(2), η = [ξ1ξ2], weight shifts -3..-1 and the unit, so that
+    (0, -1)³ lands in (0, -3).  Poisson: c·π with c = 1, weight shifts -2..3,
+    where the class of weight shift 3 and degree 0 multiplies.  Both windows
+    hold every degree -2..0 of their weights, so Δ stays inside.
+    """
+    def class_of(sl, piece, element):
+        coords = sl.hh(piece).reduce(sl.element_vector(piece, element))
+        return (piece, [i for i, c in enumerate(coords) if c][0])
+
+    if which == "frobenius":
+        A = make_exterior_algebra(2)
+        sl = slice_from_hochschild_dual(A, 5)
+        bundle = hochschild_dual_bundle(
+            A, sl, q_max=6, coh_window=lambda p: p == (0, 0) or (-2 <= p[0] <= 0 and -3 <= p[1] <= -1)
+        )
+        return attach_duality(bundle, class_of(sl, (2, 2), {(A.index["ξ1ξ2"],): Q(1)}))
+    ctx = PoissonContext.make(3, "poly")
+    pi = quadratic_bivector(ctx, CIRCULANT)
+    sl = slice_from_poisson(ctx, pi, 8)
+    b = poisson_bundle(ctx, pi, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
+    bundle = CalculusBundle(b.name, b.ops, b.slice, b.act, coh_window=lambda p: -2 <= p[0] <= 0 and -2 <= p[1] <= 3)
+    return attach_duality(bundle, class_of(sl, (3, 3), {(0, 0, 0, 1, 1, 1): Q(1)}), pd_twist=polyvector_pd_twist(1))
+
+
+@pytest.mark.parametrize("which", ["frobenius", "poisson"])
+def test_bv_identities_hold_on_nonzero_products(monkeypatch, which):
+    duality = _nonzero_product_duality(which)
+    bundle = duality.bundle
+    coh = [k for k in bundle.coh_classes() if k[0] in duality.pd]
+    rep = verify_bv_axioms(duality, max_classes=len(coh), quartic_limit=60)
+    assert rep.passed and rep.seven_term_checked > 10000
+    unit = bundle.unit_class()
+    products = [t for t in iproduct(coh, repeat=3)
+                if _expand(bundle.cup_classes(t[0], t[1]), lambda k: bundle.cup_classes(k, t[2]))]
+    assert sum(unit not in t for t in products) > 0
+    # negative control: Δ negated on one class where it is nonzero.  Only a
+    # nonzero product without the unit lets the seven-term identity see it
+    flip = next(k for k in coh if duality.delta_classes(k))
+    delta = duality.delta_classes
+    monkeypatch.setattr(duality, "delta_classes",
+                        lambda k: {c: -v for c, v in delta(k).items()} if k == flip else delta(k))
+    assert verify_bv_axioms(duality, max_classes=len(coh), quartic_limit=60).seven_term_failures
 
 
 class TestCalabiYauCase:
@@ -287,6 +335,42 @@ def test_dual_action_matches_full_domain_on_gravity_check_bundle():
         return _contract_full_domain(dual, P, {label: Q(1)})
 
     assert assert_dual_action_matches(bundle, pairs, oracle) > 20
+
+
+@pytest.mark.parametrize("workload", ["bv-check", "gravity-check"])
+def test_poisson_bundle_action_matches_the_element_contraction(workload):
+    # the bundles act through one integer ι column per (polyvector monomial,
+    # form monomial); a bundle acting by the element-level contraction oracle
+    # gives the same caps on the first 12 × 12 classes and on the pairs
+    # attach_duality evaluates, on chains (bv-check) and on functionals,
+    # where the action is pulled back (gravity-check)
+    from mixhom.calculus import poisson_dual_bundle
+    from mixhom.koszul import dual_bivector_coeffs
+    from mixhom.mixed import slice_from_poisson_dual
+    from mixhom.poisson import DualSide
+    from test_poisson import contraction
+
+    if workload == "bv-check":
+        ctx = PoissonContext.make(3, "poly")
+        pi = quadratic_bivector(ctx, CIRCULANT)
+        sl = slice_from_poisson(ctx, pi, 8)
+        bundle = poisson_bundle(ctx, pi, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
+        volume = (0, 0, 0, 1, 1, 1)
+    else:
+        ctx = PoissonContext.make(3, "ext")
+        dual = DualSide(ctx, quadratic_bivector(ctx, dual_bivector_coeffs(CIRCULANT)), w_max=8)
+        sl = slice_from_poisson_dual(dual)
+        bundle = poisson_dual_bundle(dual, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
+        volume = (1, 1, 1, 0, 0, 0)
+    coords = sl.hh((3, 3)).reduce(sl.element_vector((3, 3), {volume: Q(1)}))
+    eta = ((3, 3), [i for i, c in enumerate(coords) if c][0])
+    pairs = [(f, z) for f in bundle.coh_classes()[:12] for z in bundle.hom_classes()[:12]]
+    pairs += _recorded_cap_pairs(bundle, lambda b: attach_duality(b, eta))
+    oracle = CalculusBundle(bundle.name, bundle.ops, bundle.slice,
+                            lambda P, label: contraction(ctx, P, {label: Q(1)}), weight_sign=bundle.weight_sign)
+    got = [bundle.cap_classes(f, z) for f, z in pairs]
+    assert got == [oracle.cap_classes(f, z) for f, z in pairs]
+    assert sum(bool(g) for g in got) > 20
 
 
 def _memo_arguments(bundle, duality):

@@ -1,11 +1,13 @@
 """Static hygiene of the package source, read with the standard ``ast`` module only.
 
-Three rules: every name a module imports is used in that module, every
+Four rules: every name a module imports is used in that module, every
 private function or method is referenced somewhere in the package outside
-its own body, and every defaulted parameter of a package function or method
+its own body, every defaulted parameter of a package function or method
 is passed, by keyword or by position, by some call in the package, the
-tests or the benchmark scripts.  Code that nothing reads is deleted, not
-kept, and a knob that only ever takes its default is not a knob.
+tests or the benchmark scripts, and no module imports a name from a sibling
+module under a second name.  Code that nothing reads is deleted, not kept, a
+knob that only ever takes its default is not a knob, and a package helper
+has one name.
 """
 
 import ast
@@ -167,6 +169,21 @@ def _unpassed_defaults(modules: dict[str, ast.Module], calls: list[ast.Module]) 
     return unpassed
 
 
+def _renamed_imports(modules: dict[str, ast.Module]) -> list[str]:
+    """``from .module import name as other``: a package name bound under a second name.
+
+    Module aliases (``from . import poisson as po``) and aliases of names
+    from outside the package stay allowed.
+    """
+    renamed = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                renamed += [f"{name}:{node.lineno} {a.name} as {a.asname}"
+                            for a in node.names if a.asname and a.asname != a.name]
+    return renamed
+
+
 def test_every_import_is_used():
     assert _unused_imports(_modules()) == []
 
@@ -177,6 +194,10 @@ def test_every_private_function_is_referenced():
 
 def test_every_default_is_passed_somewhere():
     assert _unpassed_defaults(_modules(), _callers()) == []
+
+
+def test_every_package_helper_has_one_name():
+    assert _renamed_imports(_modules()) == []
 
 
 def test_the_rules_find_what_they_claim():
@@ -208,3 +229,10 @@ def test_the_rules_find_what_they_claim():
     )
     calls = ast.parse("K(1)\nK(y=2).m(5)\nf(1, 2)\n")
     assert _unpassed_defaults({"m.py": package}, [package, calls]) == ["m.py:1 f(c)", "m.py:6 m(q)"]
+    aliases = ast.parse(
+        "from .linalg import _expand, _accumulate as add_into\n"
+        "from . import poisson as po\n"
+        "from itertools import product as iproduct\n"
+        "from .mixed import WindowError as WindowError\n"
+    )
+    assert _renamed_imports({"m.py": aliases}) == ["m.py:1 _accumulate as add_into"]

@@ -8,6 +8,7 @@ from mixhom.algebra import (
     OUT_OF_WINDOW,
     GradedAlgebra,
     QuadraticPresentation,
+    WindowOverflowError,
     exterior_presentation,
     make_exterior_algebra,
     make_truncated_polynomial_algebra,
@@ -92,6 +93,18 @@ class TestDualAlgebra:
         D = data.dual_algebra
         gens = [i for i in range(D.dim) if D.weights[i] == 1]
         assert all(D.degrees[i] == 0 for i in gens)
+
+    def test_products_above_the_cutoff_leave_the_window(self):
+        # like the truncated polynomial algebra it matches, the dual at cutoff 3
+        # refuses a product of weight 4 instead of reading it as zero
+        D = koszul_dual_algebra(exterior_presentation(2), 3).dual_algebra
+        y1 = D.basis_element(D.labels.index("u1.0"))
+        with pytest.raises(WindowOverflowError):
+            D.multiply(D.multiply(y1, y1), D.multiply(y1, y1))
+        assert {k: v for k, v in slice_from_hochschild(D, 3).hh_dims().items() if v}
+        for A in (D, make_truncated_polynomial_algebra(2, 3)):
+            with pytest.raises(WindowOverflowError):
+                slice_from_hochschild(A, 5)
 
 
 def verdict(pres, W):
@@ -275,7 +288,7 @@ def dual_table_by_deconcatenation(data, U=None):
                 for j in range(len(U[q])):
                     key = (index_of[(p, i)], index_of[(q, j)])
                     if p + q > W:
-                        table[key] = {}
+                        table[key] = OUT_OF_WINDOW
                         continue
                     # (u_i^* u_j^*)(c) = (u_i^* ⊗ u_j^*)(Δ_{p,q} c)
                     val = {}

@@ -592,7 +592,7 @@ def test_dual_poisson_slice_is_made_of_the_dual_side_matrices(monkeypatch):
     from mixhom import poisson as po
 
     _, dual = _circulant_sides(Q(1), 4)
-    calls = _counting(monkeypatch, po, ("schouten", "bracket_op", "contraction", "_d", "contract_monomial"))
+    calls = _counting(monkeypatch, po, ("schouten", "bracket_op", "_d", "contract_monomial"))
     sl = slice_from_poisson_dual(dual)
     assert sl.pieces == dual.pieces
     assert sl.b_mats is dual.b_mats and sl.B_mats is dual.B_mats
@@ -604,7 +604,7 @@ def test_dual_poisson_slice_is_made_of_the_dual_side_matrices(monkeypatch):
     # already holds; the one bracket taken is the Jacobi check [π, π]
     assert calls["schouten"] == [(dual.ctx, dual.pi, dual.pi)]
     assert len(calls["bracket_op"]) == 1
-    assert calls["contraction"] == calls["_d"] == []
+    assert calls["_d"] == [] and not hasattr(po, "contraction")
 
 
 _POISSON_ORACLE_CASES = {
@@ -641,19 +641,19 @@ def test_poisson_operator_matrices_match_the_per_monomial_builds(case):
 def _assert_form_columns_once(calls, pi):
     """Within one weight, each form met d once and each (P, form) pair met contract_monomial at most once.
 
-    No element-level contraction ran, and the element-level d is gone from the package.
+    The element-level contraction and d are gone from the package.
     """
     from mixhom import poisson as po
 
     for logged, key in ((calls["_d"], lambda ctx, m: (m,)),
-                        (calls["contract_monomial"], lambda ctx, P, omega: (P, next(iter(omega))))):
+                        (calls["contract_monomial"], lambda ctx, P, m: (P, m))):
         by_weight = {}
         for args in logged:
             k = key(*args)
             by_weight.setdefault(args[0].forms.weight(k[-1]), []).append(k)
         assert by_weight and all(len(keys) == len(set(keys)) for keys in by_weight.values())
-    assert {P for _ctx, P, _omega in calls["contract_monomial"]} <= set(pi)
-    assert calls["contraction"] == [] and not hasattr(po, "de_rham")
+    assert {P for _ctx, P, _m in calls["contract_monomial"]} <= set(pi)
+    assert not hasattr(po, "contraction") and not hasattr(po, "de_rham")
 
 
 def test_poisson_operator_matrices_count_their_work(monkeypatch):
@@ -665,7 +665,7 @@ def test_poisson_operator_matrices_count_their_work(monkeypatch):
 
     ctx = PoissonContext.make(3, "poly")
     pi = quadratic_bivector(ctx, CIRCULANT)
-    calls = _counting(monkeypatch, po, ("bracket_op", "schouten", "contraction", "_d", "contract_monomial"))
+    calls = _counting(monkeypatch, po, ("bracket_op", "schouten", "_d", "contract_monomial"))
     ops = MultivectorOps(ctx, pi, -3, 5, 8)
     for piece in ops.pieces():
         ops.delta_matrix(piece)
@@ -737,7 +737,7 @@ def test_each_dual_is_validated_once_and_each_boundary_taken_once(monkeypatch):
     validated = []
     validate = MixedComplexSlice._validate
     monkeypatch.setattr(MixedComplexSlice, "_validate", lambda self: validated.append(self.name) or validate(self))
-    calls = _counting(monkeypatch, po, ("schouten", "contraction", "_d", "contract_monomial"))
+    calls = _counting(monkeypatch, po, ("schouten", "_d", "contract_monomial"))
 
     A = make_exterior_algebra(2)
     slice_from_hochschild_dual(A, 4)
@@ -746,7 +746,7 @@ def test_each_dual_is_validated_once_and_each_boundary_taken_once(monkeypatch):
     dual = DualSide(ctxe, _circulant_dual_bivector(ctxe), w_max=4)
     assert len(validated) == 1
     # ∂ and d are the integer form columns, d and each monomial of π applied
-    # to a form once per weight, and no element-level contraction runs
+    # to a form once per weight
     _assert_form_columns_once(calls, dual.pi)
     work = {name: len(calls[name]) for name in ("_d", "contract_monomial")}
     assert calls["schouten"] == []
