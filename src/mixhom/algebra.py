@@ -1,12 +1,15 @@
 """Finite presentations of graded algebras.
 
 A :class:`GradedAlgebra` is a finite table of basis elements with homological
-degree, non-negative weight and rational structure constants.  Constructors
-are provided for exterior algebras and weight-truncated polynomial algebras;
-general structure-constant input is accepted and validated the same way.
+degree, non-negative weight and rational structure constants, validated at
+construction.  Every algebra in the package is built by :func:`build_algebra`
+from a basis and a product of basis indices.  Λ(n) and k[x_1..x_n]/(weight > W)
+are truncations of :class:`~mixhom.poisson.FreeGCA`, so its ``mul_monomials``
+is the one monomial sign rule, shared with Kähler forms and polyvector fields.
 
 Weight truncation is explicit: a product whose weight exceeds the cutoff is
-a distinct out-of-window signal, never a silent zero.
+a distinct out-of-window signal, written only by :func:`build_algebra`, never
+a silent zero; multiplying across it raises ``WindowOverflowError``.
 """
 
 from __future__ import annotations
@@ -17,13 +20,18 @@ from functools import cached_property
 from itertools import combinations
 
 from .linalg import ExactMatrix
+from .poisson import FreeGCA, Generator
 
 Q = Fraction
 
 Element = dict[int, Fraction]  # basis index -> coefficient
 
 
-class WindowOverflowError(Exception):
+class WindowError(Exception):
+    """A result leaves the computed window."""
+
+
+class WindowOverflowError(WindowError):
     """A product escaped the weight window; carries the weight needed."""
 
     def __init__(self, needed_weight: int):
@@ -95,10 +103,7 @@ class GradedAlgebra:
         return [i for i in range(self.dim) if i != self.unit]
 
     def mult_basis(self, i: int, j: int) -> Element | _OutOfWindow:
-        got = self.table.get((i, j))
-        if got is None:
-            return {}
-        return got
+        return self.table.get((i, j), {})
 
     @cached_property
     def factorizations(self) -> dict[int, list[tuple[int, int]]]:
@@ -213,114 +218,65 @@ class GradedAlgebra:
                         )
 
 
-# -- exterior algebras -----------------------------------------------------
+# -- the one builder, and the free graded-commutative truncations -------------
 
 
-def _exterior_label(mask: int, n: int) -> str:
-    if mask == 0:
-        return "1"
-    return "".join(f"ξ{i + 1}" for i in range(n) if mask & (1 << i))
+def build_algebra(labels: list[str], degrees: list[int], weights: list[int], product,
+                  cutoff: int | None, commutativity: str | None, name: str) -> GradedAlgebra:
+    """The algebra on the given basis, unit at index 0, with table ``product(i, j)``.
+
+    A pair whose weight exceeds ``cutoff`` is OUT_OF_WINDOW in the table, and
+    ``product`` is never called on it.
+    """
+    table = {}
+    for i, wi in enumerate(weights):
+        for j, wj in enumerate(weights):
+            out = cutoff is not None and wi + wj > cutoff
+            table[(i, j)] = OUT_OF_WINDOW if out else product(i, j)
+    return GradedAlgebra(labels, degrees, weights, unit=0, table=table, commutativity=commutativity,
+                         weight_cutoff=cutoff, name=name)
 
 
-def _merge_sign(mask_a: int, mask_b: int, n: int) -> int:
-    """Sign from sorting the concatenation of two disjoint index sets."""
-    inv = 0
-    for i in range(n):
-        if mask_b & (1 << i):
-            # count elements of mask_a strictly greater than i
-            inv += bin(mask_a >> (i + 1)).count("1")
-    return -1 if inv % 2 else 1
+def _free_truncation(F: FreeGCA, max_exponent: int, cutoff: int | None, name: str) -> GradedAlgebra:
+    """The monomials of F with exponents <= max_exponent and weight <= cutoff, under F's product.
+
+    Ordered by (weight, -exponents) and labelled by ``format_monomial``; ``mul_monomials`` gives every sign.
+    """
+    monos = sorted(
+        (m for m in F.monomials([max_exponent] * F.n) if cutoff is None or F.weight(m) <= cutoff),
+        key=lambda m: (F.weight(m), tuple(-e for e in m)),
+    )
+    pos = {m: i for i, m in enumerate(monos)}
+
+    def product(i: int, j: int) -> Element:
+        got = F.mul_monomials(monos[i], monos[j])
+        return {} if got is None else {pos[got[1]]: Q(got[0])}
+
+    return build_algebra([F.format_monomial(m) for m in monos], [F.degree(m) for m in monos],
+                         [F.weight(m) for m in monos], product, cutoff, "graded-commutative", name)
 
 
 def make_exterior_algebra(n: int) -> GradedAlgebra:
-    """Exterior algebra on n generators of degree -1 and weight 1.
+    """Exterior algebra Λ(n): the free graded-commutative algebra on n generators ξ_i of degree -1, weight 1.
 
-    Basis: the 2^n square-free monomials in generator order, graded
-    commutative, 2^n-dimensional with one-dimensional top component.
+    Basis: the 2^n square-free monomials, graded commutative, with a
+    one-dimensional top component ξ_1…ξ_n, which sorts last.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), _sorted_indices(m)))
-    labels = [_exterior_label(m, n) for m in masks]
-    degrees = [-bin(m).count("1") for m in masks]
-    weights = [bin(m).count("1") for m in masks]
-    pos = {m: i for i, m in enumerate(masks)}
-    table: dict[tuple[int, int], Element] = {}
-    for a, ma in enumerate(masks):
-        for b, mb in enumerate(masks):
-            if ma & mb:
-                table[(a, b)] = {}
-            else:
-                sign = _merge_sign(ma, mb, n)
-                table[(a, b)] = {pos[ma | mb]: Q(sign)}
-    return GradedAlgebra(
-        labels,
-        degrees,
-        weights,
-        unit=0,
-        table=table,
-        commutativity="graded-commutative",
-        name=f"exterior({n})",
-    )
-
-
-def _sorted_indices(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask & (1 << i))
-
-
-# -- truncated polynomial algebras ------------------------------------------
-
-
-def _mono_label(exps: tuple[int, ...]) -> str:
-    if not any(exps):
-        return "1"
-    parts = []
-    for i, e in enumerate(exps):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    return "".join(parts)
-
-
-def _monomials_up_to(n: int, W: int) -> list[tuple[int, ...]]:
-    out = [()]
-    for _ in range(n):
-        out = [m + (e,) for m in out for e in range(W + 1 - sum(m))]
-    return sorted(out, key=lambda m: (sum(m), tuple(-e for e in m)))
+    gens = [Generator(f"ξ{i + 1}", -1, 1) for i in range(n)]
+    return _free_truncation(FreeGCA(gens), 1, None, f"exterior({n})")
 
 
 def make_truncated_polynomial_algebra(n: int, W: int) -> GradedAlgebra:
-    """Polynomials in n degree-0 variables, truncated above total weight W.
+    """Polynomials in n degree-0, weight-1 variables x_i, truncated above total weight W.
 
     Products of total weight > W are flagged out-of-window.
     """
     if n < 1 or W < 1:
         raise ValueError("n >= 1 and W >= 1 required")
-    monos = _monomials_up_to(n, W)
-    pos = {m: i for i, m in enumerate(monos)}
-    labels = [_mono_label(m) for m in monos]
-    weights = [sum(m) for m in monos]
-    degrees = [0] * len(monos)
-    table: dict[tuple[int, int], Element | _OutOfWindow] = {}
-    for a, ma in enumerate(monos):
-        for b, mb in enumerate(monos):
-            tot = sum(ma) + sum(mb)
-            if tot > W:
-                table[(a, b)] = OUT_OF_WINDOW
-            else:
-                m = tuple(x + y for x, y in zip(ma, mb))
-                table[(a, b)] = {pos[m]: Q(1)}
-    return GradedAlgebra(
-        labels,
-        degrees,
-        weights,
-        unit=0,
-        table=table,
-        commutativity="graded-commutative",
-        weight_cutoff=W,
-        name=f"poly({n},W={W})",
-    )
+    gens = [Generator(f"x{i + 1}", 0, 1) for i in range(n)]
+    return _free_truncation(FreeGCA(gens), W, W, f"poly({n},W={W})")
 
 
 # -- quadratic presentations -------------------------------------------------
@@ -437,6 +393,6 @@ def check_frobenius_pairing(A: GradedAlgebra, pairing: FrobeniusPairing) -> Pair
 
 def exterior_pairing(A: GradedAlgebra) -> FrobeniusPairing:
     """The pairing (α, β) -> coefficient of ξ_1…ξ_n in α∧β on A = ``make_exterior_algebra(n)``."""
-    top = A.dim - 1  # full mask sorts last
+    top = A.dim - 1  # the top monomial sorts last
     rows = tuple(tuple(A.mult_basis(i, j).get(top, Q(0)) for j in range(A.dim)) for i in range(A.dim))
     return FrobeniusPairing(rows, degree=-A.degrees[top])

@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import (
-    WindowOverflowError,
+    WindowError,
     _relation_vector,
     check_frobenius_pairing,
     exterior_pairing,
@@ -64,7 +64,6 @@ from .algebra import (
 )
 from .calculus import (
     DualityError,
-    WindowError,
     attach_duality,
     hochschild_dual_bundle,
     poisson_bundle,
@@ -644,7 +643,7 @@ def run_job(spec: JobSpecification, out_dir: str) -> int:
     for i, task in enumerate(tasks):
         try:
             result = TASK_RUNNERS[task](job)
-        except (WindowOverflowError, WindowError) as exc:
+        except WindowError as exc:
             result = {"error": "window too small", "detail": str(exc)}
             exit_code = max(exit_code, 3)
         except (DualityError, po.JacobiError) as exc:

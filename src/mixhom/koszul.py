@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .algebra import OUT_OF_WINDOW, Element, GradedAlgebra, QuadraticPresentation
+from .algebra import Element, GradedAlgebra, QuadraticPresentation, build_algebra
 from .calculus import DualityError
 from .linalg import (
     _accumulate,
@@ -147,28 +147,15 @@ def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
     # (u_i^* u_j^*)(c) = (u_i^* ⊗ u_j^*)(Δ_{p,q} c) is the entry of c at the
     # word piv(u_i)·piv(u_j)
     pivots = {w: [min(u) for u in U[w]] for w in U}
-    table: dict[tuple[int, int], Element] = {}
-    for p in range(W + 1):
-        for q in range(W + 1):
-            for i, piv_i in enumerate(pivots[p]):
-                for j, piv_j in enumerate(pivots[q]):
-                    key = (index_of[(p, i)], index_of[(q, j)])
-                    if p + q > W:
-                        table[key] = OUT_OF_WINDOW
-                        continue
-                    at = piv_i * n**q + piv_j
-                    table[key] = {index_of[(p + q, k)]: c[at] for k, c in enumerate(U[p + q]) if at in c}
-    dual = GradedAlgebra(
-        labels,
-        degrees,
-        weights,
-        unit=index_of[(0, 0)],
-        table=table,
-        commutativity=None,
-        weight_cutoff=W,
-        name=f"dual({pres.name})",
-    )
-    data = KoszulDualData(pres, W, U, dual, [lbl for lbl in index_of])
+    keys = list(index_of)
+
+    def product(a: int, b: int) -> Element:
+        (p, i), (q, j) = keys[a], keys[b]
+        at = pivots[p][i] * n**q + pivots[q][j]
+        return {index_of[(p + q, k)]: c[at] for k, c in enumerate(U[p + q]) if at in c}
+
+    dual = build_algebra(labels, degrees, weights, product, W, None, f"dual({pres.name})")
+    data = KoszulDualData(pres, W, U, dual, keys)
     _check_annihilator_dimensions(pres, data)
     return data
 
@@ -220,24 +207,13 @@ def quadratic_algebra(pres: QuadraticPresentation, W: int) -> tuple[GradedAlgebr
         for p, row in rows.items():
             normal_form[w][p] = {basis[j]: -c for j, c in row.items() if j != p}
 
-    table: dict[tuple[int, int], Element] = {}
-    for (w1, k1), i1 in index_of.items():
-        for (w2, k2), i2 in index_of.items():
-            if w1 + w2 > W:
-                table[(i1, i2)] = OUT_OF_WINDOW
-            else:
-                table[(i1, i2)] = dict(normal_form[w1 + w2][free[w1][k1] * n**w2 + free[w2][k2]])
+    keys = list(index_of)
 
-    algebra = GradedAlgebra(
-        labels,
-        degrees,
-        weights,
-        unit=index_of[(0, 0)],
-        table=table,
-        commutativity=None,
-        weight_cutoff=W,
-        name=f"TV/R({pres.name})",
-    )
+    def product(a: int, b: int) -> Element:
+        (w1, k1), (w2, k2) = keys[a], keys[b]
+        return dict(normal_form[w1 + w2][free[w1][k1] * n**w2 + free[w2][k2]])
+
+    algebra = build_algebra(labels, degrees, weights, product, W, None, f"TV/R({pres.name})")
     return algebra, index_of
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import GradedAlgebra
+from .algebra import GradedAlgebra, WindowError
 from .hochschild import boundary_b, chain_basis, connes_B, shifted_degree
 from .linalg import (
     ExactMatrix,
@@ -51,10 +51,6 @@ Q = Fraction
 Piece = tuple[int, int]  # (degree, weight)
 ClassKey = tuple[Piece, int]  # (piece, index within the piece's homology basis)
 RawComplex = tuple[dict[Piece, list], dict[Piece, ExactMatrix], dict[Piece, ExactMatrix]]  # (pieces, b, B)
-
-
-class WindowError(Exception):
-    """A result leaves the computed window."""
 
 
 class SliceAxiomError(Exception):

@@ -12,6 +12,9 @@ The free-algebra degree is the total homological degree (a polyvector's
 arity shift is already carried by the ∂ generators), so the Poisson
 coboundary has degree -1 and the de Rham differential degree +1 on every
 side, and for a quadratic bivector all four differentials preserve weight.
+Λ(n) and k[x_1..x_n]/(weight > W) are truncations of :class:`FreeGCA` too
+(``algebra.make_exterior_algebra`` and ``make_truncated_polynomial_algebra``),
+so ``FreeGCA.mul_monomials`` is the one monomial sign rule of the package.
 
 Operators are built from one Koszul-signed engine: contraction by a
 polyvector monomial is coefficient multiplication after the form-side

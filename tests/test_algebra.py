@@ -3,8 +3,13 @@ from fractions import Fraction
 import pytest
 
 from mixhom.algebra import (
+    OUT_OF_WINDOW,
+    Element,
     FrobeniusPairing,
+    GradedAlgebra,
+    WindowError,
     WindowOverflowError,
+    _OutOfWindow,
     check_frobenius_pairing,
     exterior_pairing,
     exterior_presentation,
@@ -14,6 +19,146 @@ from mixhom.algebra import (
 )
 
 Q = Fraction
+
+
+# -- oracles: the exterior and truncated polynomial constructors on bit masks
+# and exponent tuples, with their own sign rule, kept as they were before both
+# became truncations of FreeGCA
+
+
+def _exterior_label(mask: int, n: int) -> str:
+    if mask == 0:
+        return "1"
+    return "".join(f"ξ{i + 1}" for i in range(n) if mask & (1 << i))
+
+
+def _merge_sign(mask_a: int, mask_b: int, n: int) -> int:
+    """Sign from sorting the concatenation of two disjoint index sets."""
+    inv = 0
+    for i in range(n):
+        if mask_b & (1 << i):
+            # count elements of mask_a strictly greater than i
+            inv += bin(mask_a >> (i + 1)).count("1")
+    return -1 if inv % 2 else 1
+
+
+def oracle_exterior_algebra(n: int) -> GradedAlgebra:
+    """Exterior algebra on n generators of degree -1 and weight 1.
+
+    Basis: the 2^n square-free monomials in generator order, graded
+    commutative, 2^n-dimensional with one-dimensional top component.
+    """
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), _sorted_indices(m)))
+    labels = [_exterior_label(m, n) for m in masks]
+    degrees = [-bin(m).count("1") for m in masks]
+    weights = [bin(m).count("1") for m in masks]
+    pos = {m: i for i, m in enumerate(masks)}
+    table: dict[tuple[int, int], Element] = {}
+    for a, ma in enumerate(masks):
+        for b, mb in enumerate(masks):
+            if ma & mb:
+                table[(a, b)] = {}
+            else:
+                sign = _merge_sign(ma, mb, n)
+                table[(a, b)] = {pos[ma | mb]: Q(sign)}
+    return GradedAlgebra(
+        labels,
+        degrees,
+        weights,
+        unit=0,
+        table=table,
+        commutativity="graded-commutative",
+        name=f"exterior({n})",
+    )
+
+
+def _sorted_indices(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask & (1 << i))
+
+
+def _mono_label(exps: tuple[int, ...]) -> str:
+    if not any(exps):
+        return "1"
+    parts = []
+    for i, e in enumerate(exps):
+        if e == 1:
+            parts.append(f"x{i + 1}")
+        elif e > 1:
+            parts.append(f"x{i + 1}^{e}")
+    return "".join(parts)
+
+
+def _monomials_up_to(n: int, W: int) -> list[tuple[int, ...]]:
+    out = [()]
+    for _ in range(n):
+        out = [m + (e,) for m in out for e in range(W + 1 - sum(m))]
+    return sorted(out, key=lambda m: (sum(m), tuple(-e for e in m)))
+
+
+def oracle_truncated_polynomial_algebra(n: int, W: int) -> GradedAlgebra:
+    """Polynomials in n degree-0 variables, truncated above total weight W.
+
+    Products of total weight > W are flagged out-of-window.
+    """
+    if n < 1 or W < 1:
+        raise ValueError("n >= 1 and W >= 1 required")
+    monos = _monomials_up_to(n, W)
+    pos = {m: i for i, m in enumerate(monos)}
+    labels = [_mono_label(m) for m in monos]
+    weights = [sum(m) for m in monos]
+    degrees = [0] * len(monos)
+    table: dict[tuple[int, int], Element | _OutOfWindow] = {}
+    for a, ma in enumerate(monos):
+        for b, mb in enumerate(monos):
+            tot = sum(ma) + sum(mb)
+            if tot > W:
+                table[(a, b)] = OUT_OF_WINDOW
+            else:
+                m = tuple(x + y for x, y in zip(ma, mb))
+                table[(a, b)] = {pos[m]: Q(1)}
+    return GradedAlgebra(
+        labels,
+        degrees,
+        weights,
+        unit=0,
+        table=table,
+        commutativity="graded-commutative",
+        weight_cutoff=W,
+        name=f"poly({n},W={W})",
+    )
+
+
+def fields(A: GradedAlgebra) -> tuple:
+    """The eight fields a GradedAlgebra is built from."""
+    return (A.labels, A.degrees, A.weights, A.unit, A.table, A.commutativity, A.weight_cutoff, A.name)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exterior_algebra_matches_the_mask_oracle(n):
+    assert fields(make_exterior_algebra(n)) == fields(oracle_exterior_algebra(n))
+
+
+@pytest.mark.parametrize("W", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_truncated_polynomial_algebra_matches_the_monomial_oracle(n, W):
+    assert fields(make_truncated_polynomial_algebra(n, W)) == fields(oracle_truncated_polynomial_algebra(n, W))
+
+
+def test_the_oracle_comparison_sees_one_flipped_sign():
+    A = make_exterior_algebra(3)
+    oracle = fields(oracle_exterior_algebra(3))
+    key = (A.index["ξ1"], A.index["ξ2ξ3"])
+    flipped = dict(oracle[4])
+    flipped[key] = {k: -c for k, c in flipped[key].items()}
+    assert flipped[key]
+    assert fields(A) == oracle
+    assert fields(A) != oracle[:4] + (flipped,) + oracle[5:]
+
+
+def test_a_window_overflow_is_a_window_error():
+    assert issubclass(WindowOverflowError, WindowError)
 
 
 def indices_of_weight(A, w):

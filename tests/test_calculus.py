@@ -194,6 +194,27 @@ def test_bv_identities_hold_on_nonzero_products(monkeypatch, which):
     assert verify_bv_axioms(duality, max_classes=len(coh), quartic_limit=60).seven_term_failures
 
 
+def test_bv_skips_a_delta_that_leaves_the_window():
+    # Λ(2) with η = [ξ1ξ2] on a window holding (−2, −2) but not (−1, −2),
+    # where Δ of a (−2, −2) class lands: PD⁻¹ has no piece there, so every
+    # instance that needs that Δ is skipped, and the rest are still checked
+    A = make_exterior_algebra(2)
+    sl = slice_from_hochschild_dual(A, 5)
+    window = {(0, 0), (0, -1), (-2, -2)}
+    bundle = hochschild_dual_bundle(A, sl, q_max=6, coh_window=lambda p: p in window)
+    piece = (2, 2)
+    coords = sl.hh(piece).reduce(sl.element_vector(piece, {(A.index["ξ1ξ2"],): Q(1)}))
+    duality = attach_duality(bundle, (piece, [i for i, c in enumerate(coords) if c][0]))
+    coh = [k for k in bundle.coh_classes() if k[0] in duality.pd]
+    escaping = [k for k in coh if k[0] == (-2, -2)]
+    assert len(coh) == 8 and escaping
+    with pytest.raises(DualityError, match=r"piece \(-1, -2\)"):
+        duality.delta_classes(escaping[0])
+    rep = verify_bv_axioms(duality, max_classes=len(coh), quartic_limit=60)
+    assert rep.passed
+    assert (rep.seven_term_checked, rep.quartic_checked) == (7, 9)
+
+
 class TestCalabiYauCase:
     def test_polynomial_duality_with_hkr_volume(self):
         # the two-variable polynomial algebra with the volume class of the

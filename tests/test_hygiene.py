@@ -1,13 +1,15 @@
 """Static hygiene of the package source, read with the standard ``ast`` module only.
 
-Four rules: every name a module imports is used in that module, every
+Five rules: every name a module imports is used in that module, every
 private function or method is referenced somewhere in the package outside
 its own body, every defaulted parameter of a package function or method
 is passed, by keyword or by position, by some call in the package, the
-tests or the benchmark scripts, and no module imports a name from a sibling
-module under a second name.  Code that nothing reads is deleted, not kept, a
-knob that only ever takes its default is not a knob, and a package helper
-has one name.
+tests or the benchmark scripts, no module imports a name from a sibling
+module under a second name, and no module but ``algebra.py`` calls
+``GradedAlgebra(`` or names ``OUT_OF_WINDOW``.  Code that nothing reads is
+deleted, not kept, a knob that only ever takes its default is not a knob, a
+package helper has one name, and the product table and its out-of-window
+rule are written once, in ``algebra.build_algebra``.
 """
 
 import ast
@@ -184,6 +186,25 @@ def _renamed_imports(modules: dict[str, ast.Module]) -> list[str]:
     return renamed
 
 
+def _tables_outside_algebra(modules: dict[str, ast.Module]) -> list[str]:
+    """Calls of ``GradedAlgebra(`` and any use or import of ``OUT_OF_WINDOW`` outside ``algebra.py``."""
+    found = []
+    for name, tree in modules.items():
+        if name == "algebra.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                if (fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)) == "GradedAlgebra":
+                    found.append(f"{name}:{node.lineno} GradedAlgebra(")
+            elif isinstance(node, ast.Name) and node.id == "OUT_OF_WINDOW" or (
+                    isinstance(node, ast.Attribute) and node.attr == "OUT_OF_WINDOW"):
+                found.append(f"{name}:{node.lineno} OUT_OF_WINDOW")
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "OUT_OF_WINDOW" for a in node.names):
+                found.append(f"{name}:{node.lineno} import OUT_OF_WINDOW")
+    return found
+
+
 def test_every_import_is_used():
     assert _unused_imports(_modules()) == []
 
@@ -198,6 +219,10 @@ def test_every_default_is_passed_somewhere():
 
 def test_every_package_helper_has_one_name():
     assert _renamed_imports(_modules()) == []
+
+
+def test_only_algebra_builds_a_product_table():
+    assert _tables_outside_algebra(_modules()) == []
 
 
 def test_the_rules_find_what_they_claim():
@@ -236,3 +261,15 @@ def test_the_rules_find_what_they_claim():
         "from .mixed import WindowError as WindowError\n"
     )
     assert _renamed_imports({"m.py": aliases}) == ["m.py:1 _accumulate as add_into"]
+    tables = ast.parse(
+        "from .algebra import OUT_OF_WINDOW, GradedAlgebra, build_algebra\n"
+        "from . import algebra\n"
+        "A = GradedAlgebra([], [], [], 0, {})\n"
+        "B = algebra.GradedAlgebra([], [], [], 0, {})\n"
+        "C = build_algebra([], [], [], None, 1, None, 'c')\n"
+        "def f(p):\n"
+        "    return p is algebra.OUT_OF_WINDOW or p is OUT_OF_WINDOW\n"
+    )
+    assert _tables_outside_algebra({"m.py": tables, "algebra.py": tables}) == [
+        "m.py:1 import OUT_OF_WINDOW", "m.py:3 GradedAlgebra(", "m.py:4 GradedAlgebra(",
+        "m.py:7 OUT_OF_WINDOW", "m.py:7 OUT_OF_WINDOW"]
