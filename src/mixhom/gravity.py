@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .calculus import ClassKey, DualityData, DualityError, WindowError
+from .calculus import ClassKey, DualityData, WindowError, _FAILURE_LIMIT, _available
 from .linalg import _accumulate, _sparse_rank
 from .mixed import NegativeCyclic, Piece
 
@@ -84,15 +84,12 @@ class GravityStructure:
     def _prefix(self, tk: tuple) -> dict[ClassKey, Fraction] | None:
         """π*(x_1)·…·π*(x_k) for a nonempty tuple of basis indices; None on escape."""
         if tk not in self._prefixes:
-            try:
-                if len(tk) == 1:
-                    prod = self.hc.pi_star(self._key(tk[0]))
-                else:
-                    # a zero or unavailable prefix stays zero or unavailable
-                    head = self._prefix(tk[:-1])
-                    prod = head and self._dot_combo(head, self.hc.pi_star(self._key(tk[-1])))
-            except (WindowError, DualityError):
-                prod = None
+            if len(tk) == 1:
+                prod = _available(self.hc.pi_star, self._key(tk[0]))
+            else:
+                # a zero or unavailable prefix stays zero or unavailable
+                head = self._prefix(tk[:-1])
+                prod = head and _available(lambda: self._dot_combo(head, self.hc.pi_star(self._key(tk[-1]))))
             self._prefixes[tk] = prod
         return self._prefixes[tk]
 
@@ -142,10 +139,7 @@ class GravityStructure:
 
     def _tabulate(self, table: dict, tk: tuple, keys: list[HCKey]) -> dict[HCKey, Fraction] | None:
         """Evaluate one entry; keep it in ``table`` unless it is zero."""
-        try:
-            got = self.bracket(keys)
-        except (WindowError, DualityError):
-            got = None
+        got = _available(self.bracket, keys)
         if got is None or got:
             table[tk] = got
         return got
@@ -221,9 +215,6 @@ class GravityReport:
     def passed(self) -> bool:
         return not self.skew_failures and not self.jacobi_failures
 
-
-# a failure list stops growing after this many entries
-_FAILURE_LIMIT = 6
 
 # verdicts besides a failure message and None (checked, holds)
 _SKIP = object()  # an entry the check needs is unavailable: a window skip

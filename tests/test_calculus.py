@@ -1,13 +1,18 @@
 import gc
 import re
+from dataclasses import asdict
 from fractions import Fraction
+from functools import partial
 from itertools import product as iproduct
 
 import pytest
 
 from mixhom.algebra import QuadraticPresentation, make_exterior_algebra
 from mixhom.calculus import (
+    AxiomReport,
+    BVReport,
     CalculusBundle,
+    DualityData,
     DualityError,
     HochschildCochainOps,
     MultivectorOps,
@@ -22,7 +27,7 @@ from mixhom.calculus import (
 from mixhom.hochschild import Cochain, all_tuples_up_to_weight
 from mixhom.koszul import quadratic_algebra
 from mixhom.linalg import ExactMatrix, NotAComplexError, _accumulate, _expand
-from mixhom.mixed import slice_from_hochschild_dual, slice_from_poisson
+from mixhom.mixed import ClassKey, slice_from_hochschild_dual, slice_from_poisson
 from mixhom.poisson import PoissonContext, quadratic_bivector
 from test_hochschild import coboundary_scan
 from test_linalg import _bv_check_bundles, solve_in_span
@@ -194,17 +199,25 @@ def test_bv_identities_hold_on_nonzero_products(monkeypatch, which):
     assert verify_bv_axioms(duality, max_classes=len(coh), quartic_limit=60).seven_term_failures
 
 
-def test_bv_skips_a_delta_that_leaves_the_window():
-    # Λ(2) with η = [ξ1ξ2] on a window holding (−2, −2) but not (−1, −2),
-    # where Δ of a (−2, −2) class lands: PD⁻¹ has no piece there, so every
-    # instance that needs that Δ is skipped, and the rest are still checked
+def _escaping_delta_duality():
+    """Λ(2) with η = [ξ1ξ2] on a window holding (−2, −2) but not (−1, −2).
+
+    Δ of a (−2, −2) class lands in (−1, −2), where PD⁻¹ has no piece.
+    """
     A = make_exterior_algebra(2)
     sl = slice_from_hochschild_dual(A, 5)
     window = {(0, 0), (0, -1), (-2, -2)}
     bundle = hochschild_dual_bundle(A, sl, q_max=6, coh_window=lambda p: p in window)
     piece = (2, 2)
     coords = sl.hh(piece).reduce(sl.element_vector(piece, {(A.index["ξ1ξ2"],): Q(1)}))
-    duality = attach_duality(bundle, (piece, [i for i, c in enumerate(coords) if c][0]))
+    return attach_duality(bundle, (piece, [i for i, c in enumerate(coords) if c][0]))
+
+
+def test_bv_skips_a_delta_that_leaves_the_window():
+    # PD⁻¹ has no piece where Δ of a (−2, −2) class lands, so every instance
+    # that needs that Δ is skipped, and the rest are still checked
+    duality = _escaping_delta_duality()
+    bundle = duality.bundle
     coh = [k for k in bundle.coh_classes() if k[0] in duality.pd]
     escaping = [k for k in coh if k[0] == (-2, -2)]
     assert len(coh) == 8 and escaping
@@ -660,3 +673,335 @@ def test_a_bundle_builds_each_delta_once(monkeypatch, case):
     bundle = CalculusBundle(case, ops, None, None, coh_window=lambda p: p in pieces)
     assert set(bundle.coh_pres) == pieces
     assert sorted(built) == sorted(pieces | {(D + 1, om) for (D, om) in pieces})
+
+
+# -- the instance rule against the hand-counted verifiers it replaced -----------
+#
+# The verifiers before every identity instance went through ``_count``, kept
+# here verbatim as the reference: equal reports, failure lists in order.
+
+
+def verify_calculus_axioms_oracle(self, max_classes: int = 64) -> AxiomReport:
+    """Exhaustive checks of the calculus axioms on basis classes.
+
+    Cup associativity and graded commutativity, bracket antisymmetry
+    and Jacobi, the biderivation rule, the contraction composition rule
+    (recorded as ι_f ι_g = (-1)^{|f||g|} ι_{g∪f}), the Lie-derivative
+    compatibilities [L_f, L_g] = L_{{f,g}} and the mixed rule relating
+    ι of a bracket with [L_f, ι_g].  Window-escaping instances are
+    skipped, not failed.
+    """
+    rep = AxiomReport()
+    coh = self.coh_classes()[:max_classes]
+    hom = self.hom_classes()[:max_classes]
+    deg = {k: k[0][0] for k in coh}
+
+    # cup: graded commutativity and associativity
+    for a, b in iproduct(coh, repeat=2):
+        ab = self.cup_classes(a, b)
+        ba = self.cup_classes(b, a)
+        if ab is None or ba is None:
+            continue
+        rep.checked += 1
+        s = -1 if (deg[a] % 2) and (deg[b] % 2) else 1
+        if _accumulate(dict(ab), ba, -s):
+            rep.failures.append(f"cup not graded-commutative on {a}, {b}")
+    for a, b, c in iproduct(coh[: max(8, len(coh) // 2)], repeat=3):
+        ab = self.cup_classes(a, b)
+        bc = self.cup_classes(b, c)
+        if ab is None or bc is None:
+            continue
+        left = _expand(ab, lambda k: self.cup_classes(k, c))
+        right = _expand(bc, lambda k: self.cup_classes(a, k))
+        if left is None or right is None:
+            continue
+        rep.checked += 1
+        if _accumulate(left, right, -1):
+            rep.failures.append(f"cup not associative on {a}, {b}, {c}")
+    # bracket: antisymmetry and Jacobi
+    for a, b in iproduct(coh, repeat=2):
+        ab = self.bracket_classes(a, b)
+        ba = self.bracket_classes(b, a)
+        if ab is None or ba is None:
+            continue
+        rep.checked += 1
+        s = -1 if ((deg[a] + 1) % 2) and ((deg[b] + 1) % 2) else 1
+        if _accumulate(dict(ab), ba, s):
+            rep.failures.append(f"bracket not antisymmetric on {a}, {b}")
+    for a, b, c in iproduct(coh[: max(6, len(coh) // 3)], repeat=3):
+        ab_c = _expand(self.bracket_classes(a, b), lambda k: self.bracket_classes(k, c))
+        a_bc = _expand(self.bracket_classes(b, c), lambda k: self.bracket_classes(a, k))
+        b_ac = _expand(self.bracket_classes(a, c), lambda k: self.bracket_classes(b, k))
+        if ab_c is None or a_bc is None or b_ac is None:
+            continue
+        rep.checked += 1
+        s = -1 if ((deg[a] + 1) % 2) and ((deg[b] + 1) % 2) else 1
+        if _accumulate(_accumulate(a_bc, ab_c, -1), b_ac, -s):
+            rep.failures.append(f"bracket Jacobi fails on {a}, {b}, {c}")
+    # biderivation: {a, b∪c} = {a,b}∪c + (-1)^{(|a|+1)|b|} b∪{a,c}
+    for a, b, c in iproduct(coh[: max(6, len(coh) // 3)], repeat=3):
+        lhs = _expand(self.cup_classes(b, c), lambda k: self.bracket_classes(a, k))
+        t1 = _expand(self.bracket_classes(a, b), lambda k: self.cup_classes(k, c))
+        t2 = _expand(self.bracket_classes(a, c), lambda k: self.cup_classes(b, k))
+        if lhs is None or t1 is None or t2 is None:
+            continue
+        rep.checked += 1
+        s = -1 if ((deg[a] + 1) % 2) and (deg[b] % 2) else 1
+        if _accumulate(_accumulate(lhs, t1, -1), t2, -s):
+            rep.failures.append(f"biderivation fails on {a}, {b}, {c}")
+    # contraction composition on homology
+    for a, b in iproduct(coh, repeat=2):
+        ba = self.cup_classes(b, a)
+        if ba is None:
+            continue
+        for z in hom:
+            inner = self.cap_classes(b, z)
+            if inner is None:
+                continue
+            lhs = _expand(inner, lambda k: self.cap_classes(a, k))
+            rhs = _expand(ba, lambda k: self.cap_classes(k, z))
+            if lhs is None or rhs is None:
+                continue
+            rep.checked += 1
+            s = -1 if (deg[a] % 2) and (deg[b] % 2) else 1
+            if _accumulate(lhs, rhs, -s):
+                rep.failures.append(f"ι_f ι_g ≠ ±ι_(g∪f) on {a}, {b}, {z}")
+    # unit acts as identity
+    try:
+        u = self.unit_class()
+        for z in hom:
+            got = self.cap_classes(u, z)
+            rep.checked += 1
+            if got != {z: Q(1)}:
+                rep.failures.append(f"unit does not act as identity on {z}")
+    except WindowError:
+        rep.failures.append("unit class not identifiable")
+    # Lie derivative rules on homology
+    _verify_lie_rules_oracle(self, rep, coh, hom)
+    return rep
+
+def _verify_lie_rules_oracle(self, rep: AxiomReport, coh, hom):
+    def L(f: ClassKey, z: ClassKey):
+        first_in = _expand(self.cap_classes(f, z), self.B_classes)
+        if first_in is None:
+            return None
+        second = _expand(self.B_classes(z), lambda k: self.cap_classes(f, k))
+        if second is None:
+            return None
+        return _accumulate(first_in, second, -1 if f[0][0] % 2 else 1)
+
+    for a, b in iproduct(coh[: max(6, len(coh) // 3)], repeat=2):
+        br = self.bracket_classes(a, b)
+        if br is None:
+            continue
+        for z in hom[: max(8, len(hom) // 2)]:
+            lba = _expand(L(b, z), lambda k: L(a, k))
+            lab2 = _expand(L(a, z), lambda k: L(b, k))
+            lbr = _expand(br, lambda k: L(k, z))
+            if lba is None or lab2 is None or lbr is None:
+                continue
+            rep.checked += 1
+            s = -1 if ((a[0][0] + 1) % 2) and ((b[0][0] + 1) % 2) else 1
+            if _accumulate(_accumulate(lba, lab2, -s), lbr, -1):
+                rep.failures.append(f"[L_f, L_g] ≠ L_(f,g) on {a}, {b}, {z}")
+
+
+def verify_bv_axioms_oracle(data: DualityData, max_classes: int = 48, quartic_limit: int = 2000) -> BVReport:
+    """BV diagnostics: Δ² = 0, the seven-term second-order identity on all
+    basis triples in window, the quartic expansion of Δ on 4-fold products,
+    and agreement of the generated bracket with the native bracket table.
+    An instance where a product, PD or PD⁻¹ leaves the window is skipped.
+    """
+    bundle = data.bundle
+    coh = [k for k in bundle.coh_classes() if k[0] in data.pd][:max_classes]
+    deg = {k: k[0][0] for k in coh}
+
+    def available(fn, *args):
+        """fn(*args), or None where PD or PD⁻¹ leaves the window on the way."""
+        try:
+            return fn(*args)
+        except (WindowError, DualityError):
+            return None
+
+    delta = partial(available, data.delta_classes)
+    d2_ok = not any(_expand(delta(a), delta) for a in coh)
+
+    cup2 = bundle.cup_classes
+
+    def cup_table(table, b, left=False):
+        return _expand(table, (lambda k: cup2(b, k)) if left else (lambda k: cup2(k, b)))
+
+    def delta_table(table):
+        return _expand(table, delta)
+
+    seven_checked = 0
+    seven_failures: list[str] = []
+    for a, b, c in iproduct(coh, repeat=3):
+        ab = cup2(a, b)
+        bc = cup2(b, c)
+        ac = cup2(a, c)
+        if ab is None or bc is None or ac is None:
+            continue
+        abc = cup_table(ab, c)
+        if abc is None:
+            continue
+        lhs = delta_table(abc)
+        dc = delta(c)
+        # the seven displayed terms
+        t_ab_c = cup_table(delta_table(ab), c)
+        t_a_bc = cup_table(delta_table(bc), a, left=True)
+        t_b_ac = cup_table(delta_table(ac), b, left=True)
+        t_da_bc = cup_table(cup_table(delta(a), b), c)
+        t_a_db_c = cup_table(cup_table(delta(b), c), a, left=True)
+        abdc = _expand(ab, lambda k: _expand(dc, lambda kc: cup2(k, kc)))
+        if any(t is None for t in (lhs, t_ab_c, t_a_bc, t_b_ac, t_da_bc, t_a_db_c, abdc)):
+            continue
+        seven_checked += 1
+        sa = -1 if deg[a] % 2 else 1
+        sb = -1 if ((deg[a] + 1) * deg[b]) % 2 else 1
+        sab = -1 if (deg[a] + deg[b]) % 2 else 1
+        total = dict(lhs)
+        for term, s in ((t_ab_c, -1), (t_a_bc, -sa), (t_b_ac, -sb), (t_da_bc, 1), (t_a_db_c, sa), (abdc, sab)):
+            _accumulate(total, term, s)
+        if total:
+            seven_failures.append(f"second-order identity fails on {a}, {b}, {c}")
+            if len(seven_failures) > 5:
+                break
+    # quartic expansion of Δ
+    quartic_checked = 0
+    quartic_failures: list[str] = []
+    quartet_pool = sorted(coh, key=lambda k: (abs(k[0][0]) + abs(k[0][1]), k))[: min(len(coh), 10)]
+    for quad in iproduct(quartet_pool, repeat=4):
+        if quartic_checked >= quartic_limit:
+            break
+        x = list(quad)
+        prods = cup2(x[0], x[1])
+        prods = cup_table(prods, x[2])
+        prods = cup_table(prods, x[3])
+        if prods is None:
+            continue
+        lhs = delta_table(prods)
+        if lhs is None:
+            continue
+        degs = [deg[k] for k in x]
+        total: dict[ClassKey, Fraction] = dict(lhs)
+        ok = True
+        for i in range(4):
+            for j in range(i + 1, 4):
+                eps = (
+                    sum(degs[:i]) * degs[i]
+                    + sum(degs[:j]) * degs[j]
+                    - degs[i] * degs[j]
+                )
+                dij = delta_table(cup2(x[i], x[j]))
+                rest = [x[t] for t in range(4) if t not in (i, j)]
+                term = dij
+                for r in rest:
+                    term = cup_table(term, r)
+                if term is None:
+                    ok = False
+                    break
+                _accumulate(total, term, -((-1) ** (eps % 2)))
+            if not ok:
+                break
+        if not ok:
+            continue
+        # the single-Δ terms enter with multiplicity n - 2 (= 2 here); the
+        # unit quartet (1,1,1,a) pins the coefficient
+        for i in range(4):
+            pref = sum(degs[:i])
+            term: dict[ClassKey, Fraction] | None = delta(x[i])
+            for t in range(i - 1, -1, -1):
+                term = cup_table(term, x[t], left=True)
+                if term is None:
+                    break
+            if term is not None:
+                for t in range(i + 1, 4):
+                    term = cup_table(term, x[t])
+                    if term is None:
+                        break
+            if term is None:
+                ok = False
+                break
+            _accumulate(total, term, 2 * (-1) ** (pref % 2))
+        if not ok:
+            continue
+        quartic_checked += 1
+        if total:
+            quartic_failures.append(f"quartic expansion fails on {x}")
+            if len(quartic_failures) > 5:
+                break
+    # generated bracket vs native bracket
+    br_ok = True
+    br_failures: list[str] = []
+    for a, b in iproduct(coh, repeat=2):
+        native = bundle.bracket_classes(a, b)
+        gen = available(data.generated_bracket, a, b)
+        if native is None or gen is None:
+            continue
+        if _accumulate(dict(gen), native, -1):
+            br_ok = False
+            br_failures.append(f"generated ≠ native bracket on {a}, {b}")
+            if len(br_failures) > 5:
+                break
+    return BVReport(d2_ok, seven_checked, seven_failures, quartic_checked, quartic_failures, br_ok, br_failures)
+
+
+def _negated(method, key):
+    """``method`` with its value negated at ``key`` alone."""
+    return lambda *args: {k: -v for k, v in method(*args).items()} if args == key else method(*args)
+
+
+def assert_calculus_matches(bundle, max_classes, checked, failures):
+    """The calculus report equals the oracle's; ``checked`` and ``failures`` are its counts."""
+    rep = bundle.verify_calculus_axioms(max_classes)
+    assert asdict(rep) == asdict(verify_calculus_axioms_oracle(bundle, max_classes))
+    assert (rep.checked, len(rep.failures)) == (checked, failures)
+
+
+def assert_bv_matches(duality, max_classes, quartic_limit, counts):
+    """The BV report equals the oracle's; ``counts`` are its checked counts and failure-list lengths."""
+    rep = verify_bv_axioms(duality, max_classes, quartic_limit)
+    assert asdict(rep) == asdict(verify_bv_axioms_oracle(duality, max_classes, quartic_limit))
+    assert (rep.seven_term_checked, rep.quartic_checked, len(rep.seven_term_failures), len(rep.quartic_failures),
+            len(rep.bracket_failures)) == counts
+
+
+@pytest.mark.parametrize("which, max_classes, checked, failures", [
+    ("frobenius", 18, 7855, 0), ("frobenius", 41, 74950, 149), ("poisson", 14, 4382, 0), ("poisson", 39, 76864, 12)])
+def test_calculus_reports_match_the_oracle(request, which, max_classes, checked, failures):
+    # 41 and 39 are all the classes: the contraction rule fails there
+    bundle, _ = request.getfixturevalue(f"{which}_duality")
+    assert_calculus_matches(bundle, max_classes, checked, failures)
+
+
+@pytest.mark.parametrize("which, seven_term", [("frobenius", 4993), ("poisson", 8000)])
+def test_bv_reports_match_the_oracle(request, which, seven_term):
+    _, duality = request.getfixturevalue(f"{which}_duality")
+    assert_bv_matches(duality, 20, 80, (seven_term, 80, 0, 0, 0))
+
+
+def test_reports_match_the_oracle_where_delta_leaves_the_window():
+    duality = _escaping_delta_duality()
+    assert_bv_matches(duality, 8, 60, (7, 9, 0, 0, 0))
+    assert_calculus_matches(duality.bundle, 8, 1093, 4)
+
+
+def test_reports_match_the_oracle_with_one_bracket_negated(monkeypatch):
+    bundle, duality = _frobenius_duality()
+    first = next(p for p in iproduct(bundle.coh_classes()[:18], repeat=2) if bundle.bracket_classes(*p))
+    monkeypatch.setattr(bundle, "bracket_classes", _negated(bundle.bracket_classes, first))
+    assert_calculus_matches(bundle, 18, 7855, 2)
+    assert_bv_matches(duality, 20, 80, (4993, 80, 0, 0, 1))
+
+
+@pytest.mark.parametrize("which, flip, quartic_limit, counts", [
+    ("poisson", None, 60, (13843, 60, 6, 0, 6)),
+    # the one control that reaches the quartic failure path
+    ("frobenius", ((-1, -1), 0), 10000, (7324, 133, 6, 6, 6))], ids=["poisson", "frobenius"])
+def test_bv_reports_match_the_oracle_with_delta_negated(monkeypatch, which, flip, quartic_limit, counts):
+    duality = _nonzero_product_duality(which)
+    coh = [k for k in duality.bundle.coh_classes() if k[0] in duality.pd]
+    flip = flip or next(k for k in coh if duality.delta_classes(k))
+    monkeypatch.setattr(duality, "delta_classes", _negated(duality.delta_classes, (flip,)))
+    assert_bv_matches(duality, len(coh), quartic_limit, counts)

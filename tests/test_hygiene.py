@@ -1,15 +1,19 @@
 """Static hygiene of the package source, read with the standard ``ast`` module only.
 
-Five rules: every name a module imports is used in that module, every
+Six rules: every name a module imports is used in that module, every
 private function or method is referenced somewhere in the package outside
 its own body, every defaulted parameter of a package function or method
 is passed, by keyword or by position, by some call in the package, the
 tests or the benchmark scripts, no module imports a name from a sibling
-module under a second name, and no module but ``algebra.py`` calls
-``GradedAlgebra(`` or names ``OUT_OF_WINDOW``.  Code that nothing reads is
-deleted, not kept, a knob that only ever takes its default is not a knob, a
-package helper has one name, and the product table and its out-of-window
-rule are written once, in ``algebra.build_algebra``.
+module under a second name, no module but ``algebra.py`` calls
+``GradedAlgebra(`` or names ``OUT_OF_WINDOW``, and no module but
+``calculus.py`` catches ``(WindowError, DualityError)`` or assigns
+``_FAILURE_LIMIT``.  Code that nothing reads is deleted, not kept, a knob
+that only ever takes its default is not a knob, a package helper has one
+name, the product table and its out-of-window rule are written once, in
+``algebra.build_algebra``, and what counts as unavailable and where a
+failure list stops are decided once, in ``calculus._available`` and
+``calculus._FAILURE_LIMIT``.
 """
 
 import ast
@@ -205,6 +209,22 @@ def _tables_outside_algebra(modules: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+def _unavailable_rule_outside_calculus(modules: dict[str, ast.Module]) -> list[str]:
+    """``except (WindowError, DualityError)`` and assignments to ``_FAILURE_LIMIT`` outside ``calculus.py``."""
+    found = []
+    for name, tree in modules.items():
+        if name == "calculus.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple):
+                caught = {getattr(e, "id", getattr(e, "attr", None)) for e in node.type.elts}
+                if {"WindowError", "DualityError"} <= caught:
+                    found.append(f"{name}:{node.lineno} except (WindowError, DualityError)")
+            elif isinstance(node, ast.Name) and node.id == "_FAILURE_LIMIT" and isinstance(node.ctx, ast.Store):
+                found.append(f"{name}:{node.lineno} _FAILURE_LIMIT =")
+    return found
+
+
 def test_every_import_is_used():
     assert _unused_imports(_modules()) == []
 
@@ -223,6 +243,10 @@ def test_every_package_helper_has_one_name():
 
 def test_only_algebra_builds_a_product_table():
     assert _tables_outside_algebra(_modules()) == []
+
+
+def test_only_calculus_decides_what_is_unavailable():
+    assert _unavailable_rule_outside_calculus(_modules()) == []
 
 
 def test_the_rules_find_what_they_claim():
@@ -273,3 +297,17 @@ def test_the_rules_find_what_they_claim():
     assert _tables_outside_algebra({"m.py": tables, "algebra.py": tables}) == [
         "m.py:1 import OUT_OF_WINDOW", "m.py:3 GradedAlgebra(", "m.py:4 GradedAlgebra(",
         "m.py:7 OUT_OF_WINDOW", "m.py:7 OUT_OF_WINDOW"]
+    unavailable = ast.parse(
+        "from . import calculus\n"
+        "from .calculus import _FAILURE_LIMIT\n"
+        "_FAILURE_LIMIT = 6\n"
+        "def f(g):\n"
+        "    try:\n"
+        "        return g()\n"
+        "    except (calculus.DualityError, WindowError, KeyError):\n"
+        "        return _FAILURE_LIMIT\n"
+        "    except WindowError:\n"
+        "        return None\n"
+    )
+    assert _unavailable_rule_outside_calculus({"m.py": unavailable, "calculus.py": unavailable}) == [
+        "m.py:3 _FAILURE_LIMIT =", "m.py:7 except (WindowError, DualityError)"]
