@@ -11,6 +11,10 @@ the operator Δ = PD⁻¹∘B∘PD, the transported product on the homology side
 the bracket generated by Δ; the generated bracket is compared entry by
 entry against the native Gerstenhaber/Schouten table.
 
+The cohomology side has one interface, ``_CochainOps``, which writes
+coordinates, the δ matrices and δ into a piece once; Hochschild cochains
+and polyvector fields give only what differs.
+
 Both verifiers read every identity instance by one rule, ``_count``: an
 instance is a signed sum of terms, checked when every term is available
 and failed when the sum is nonzero.  ``tests/test_calculus.py`` keeps the
@@ -49,7 +53,7 @@ from .linalg import (
     homology_presentation,
     operator_matrix,
 )
-from .mixed import ClassKey, MixedComplexSlice, Piece, _classes
+from .mixed import ClassKey, MixedComplexSlice, Piece, _classes, _coordinates
 from . import poisson as po
 
 Q = Fraction
@@ -62,7 +66,46 @@ class DualityError(Exception):
 # -- cochain-side operation providers -----------------------------------------
 
 
-class HochschildCochainOps:
+class _CochainOps:
+    """What both cochain sides share: coordinates, the δ matrices and the incoming restriction.
+
+    A side gives its labelled ``_pieces``, the ``_pieces_ext`` that δ lands in, δ on one label (``_delta``),
+    the (label, coefficient) terms of an element (``_labels``), and ``rep``, ``cup``, ``bracket`` and ``unit``.
+    """
+
+    def pieces(self) -> dict[Piece, list]:
+        return self._pieces
+
+    def vector(self, piece: Piece, element) -> dict[int, Fraction]:
+        """Coordinates of an element in the piece's basis; WindowError on a term off it."""
+        return _coordinates(self._pieces.get(piece, []), self._labels(element), WindowError)
+
+    def delta_matrix(self, piece: Piece) -> ExactMatrix:
+        """δ out of the piece, into the extended basis of (D - 1, ω)."""
+        D, om = piece
+        return operator_matrix(self._pieces.get(piece, []), self._pieces_ext.get((D - 1, om), []), self._delta,
+                               escape=WindowError)
+
+    def incoming(self, piece: Piece, above: ExactMatrix) -> ExactMatrix:
+        """δ into the piece, from ``above`` = δ out of (D + 1, ω), on the rows of the piece's own basis.
+
+        A column with every row off that basis (a source at the arity ceiling) bounds nothing in it and is
+        dropped; a column with rows on and off it raises WindowError.
+        """
+        rows = {lab: i for i, lab in enumerate(self._pieces.get(piece, []))}
+        ext = self._pieces_ext.get(piece, [])
+        entries, dropped = {}, set()
+        for (i, j), v in above.entries.items():
+            if ext[i] in rows:
+                entries[(rows[ext[i]], j)] = v
+            else:
+                dropped.add(j)
+        if any(j in dropped for _, j in entries):
+            raise WindowError("restricted incoming differential escapes the piece")
+        return ExactMatrix(len(rows), above.cols, entries)
+
+
+class HochschildCochainOps(_CochainOps):
     """Mode-A Hochschild cochains of a graded algebra, windowed by arity/weight.
 
     Pieces are indexed by (total degree D, weight shift ω); the basis of a
@@ -98,13 +141,16 @@ class HochschildCochainOps:
                     self._pieces_ext.setdefault((D, om), []).append((t, k))
                     if q <= q_max:
                         self._pieces.setdefault((D, om), []).append((t, k))
-        for labels in self._pieces.values():
-            labels.sort()
-        for labels in self._pieces_ext.values():
+        for labels in (*self._pieces.values(), *self._pieces_ext.values()):
             labels.sort()
 
-    def pieces(self) -> dict[Piece, list]:
-        return self._pieces
+    def _labels(self, f: Cochain):
+        return (((t, k), c) for t, val in f.table.items() for k, c in val.items())
+
+    def _delta(self, label) -> dict:
+        t, k = label
+        D = self.A.degrees[k] - sum(self.A.degrees[i] + 1 for i in t)
+        return dict(self._labels(coboundary(Cochain(self.A, len(t), D, {t: {k: Q(1)}}), self.v_max)))
 
     def rep(self, piece: Piece, vec: dict[int, Fraction]) -> Cochain:
         D, om = piece
@@ -119,67 +165,17 @@ class HochschildCochainOps:
             raise WindowError("mixed-arity representative; refine the piece")
         return Cochain(self.A, arities.pop() if arities else 0, D, table)
 
-    def vector(self, piece: Piece, f: Cochain) -> dict[int, Fraction]:
-        idx = {lab: i for i, lab in enumerate(self._pieces.get(piece, []))}
-        vec = {}
-        for t, val in f.table.items():
-            for k, c in val.items():
-                if c == 0:
-                    continue
-                key = (t, k)
-                if key not in idx:
-                    raise WindowError(f"cochain entry {key!r} escapes piece {piece}")
-                vec[idx[key]] = c
-        return vec
-
-    def delta_matrix(self, piece: Piece) -> ExactMatrix:
-        """δ out of the piece, into the extended basis of (D - 1, ω)."""
-        D, om = piece
-
-        def delta(label):
-            t, k = label
-            df = coboundary(Cochain(self.A, len(t), D, {t: {k: Q(1)}}), self.v_max)
-            return {(tt, kk): c for tt, val in df.table.items() for kk, c in val.items()}
-
-        return operator_matrix(self._pieces.get(piece, []), self._pieces_ext.get((D - 1, om), []), delta,
-                               escape=WindowError)
-
-    def incoming(self, piece: Piece, above: ExactMatrix) -> ExactMatrix:
-        """δ into the piece, from ``above`` = δ out of (D + 1, ω).
-
-        The outgoing δ goes into the extended basis, so kernels at the arity
-        ceiling are honest.  The incoming one drops the sources of arity
-        q_max, whose coboundaries have arity q_max + 1 and bound classes
-        outside this basis, and keeps the rows of the piece's own basis.
-        """
-        D, om = piece
-        src = self._pieces.get((D + 1, om), [])
-        ext = self._pieces_ext.get(piece, [])
-        rows = {lab: i for i, lab in enumerate(self._pieces.get(piece, []))}
-        entries = {}
-        for (i, j), v in above.entries.items():
-            if len(src[j][0]) < self.q_max:
-                if ext[i] not in rows:
-                    raise WindowError("restricted incoming differential escapes the piece")
-                entries[(rows[ext[i]], j)] = v
-        return ExactMatrix(len(rows), above.cols, entries)
-
     def cup(self, f: Cochain, g: Cochain) -> Cochain:
         return cup(f, g)
 
     def bracket(self, f: Cochain, g: Cochain) -> Cochain:
         return gerstenhaber_bracket(f, g, self.v_max)
 
-    def is_zero(self, f: Cochain) -> bool:
-        return not f.table or all(
-            c == 0 for val in f.table.values() for c in val.values()
-        )
-
     def unit(self) -> tuple[Piece, Cochain]:
         return (0, 0), unit_cochain(self.A)
 
 
-class MultivectorOps:
+class MultivectorOps(_CochainOps):
     """Polyvector fields with the Lichnerowicz coboundary δ = [π, -], for either side.
 
     δ is ``bracket_op(ctx, π)``, which tabulates π once here for every δ matrix.
@@ -198,43 +194,20 @@ class MultivectorOps:
                 self._pieces.setdefault((V.degree(m), w), []).append(m)
         for labels in self._pieces.values():
             labels.sort()
+        self._pieces_ext = self._pieces  # δ stays in the window
 
-    def pieces(self) -> dict[Piece, list]:
-        return self._pieces
+    def _labels(self, P):
+        return P.items()
 
     def rep(self, piece: Piece, vec: dict[int, Fraction]):
         labels = self._pieces[piece]
         return {labels[j]: c for j, c in vec.items() if c}
-
-    def vector(self, piece: Piece, P) -> dict[int, Fraction]:
-        idx = {m: i for i, m in enumerate(self._pieces.get(piece, []))}
-        vec = {}
-        for m, c in P.items():
-            if c == 0:
-                continue
-            if m not in idx:
-                raise WindowError(f"polyvector monomial escapes piece {piece}")
-            vec[idx[m]] = c
-        return vec
-
-    def delta_matrix(self, piece: Piece) -> ExactMatrix:
-        """δ out of the piece, into (D - 1, ω)."""
-        D, om = piece
-        return operator_matrix(self._pieces.get(piece, []), self._pieces.get((D - 1, om), []), self._delta,
-                               escape=WindowError)
-
-    def incoming(self, piece: Piece, above: ExactMatrix) -> ExactMatrix:
-        """δ into the piece: ``above``, δ out of (D + 1, ω), as it is."""
-        return above
 
     def cup(self, P, Q_):
         return self.ctx.vectors.multiply(P, Q_)
 
     def bracket(self, P, Q_):
         return po.schouten(self.ctx, P, Q_)
-
-    def is_zero(self, P) -> bool:
-        return not P or all(c == 0 for c in P.values())
 
     def unit(self):
         return (0, 0), {self.ctx.vectors.one: Q(1)}
@@ -367,26 +340,20 @@ class CalculusBundle:
         return self.slice.hh(piece).cycle(i)
 
     def unit_class(self) -> ClassKey:
-        piece, u = self.ops.unit()
-        coords = self.coh_pres[piece].reduce(self.ops.vector(piece, u))
-        idxs = [i for i, c in enumerate(coords) if c]
-        if len(idxs) != 1 or coords[idxs[0]] != 1:
-            raise WindowError("unit class is not a basis vector of its piece")
-        return (piece, idxs[0])
+        classes = self._reduce_coh(*self.ops.unit())
+        if classes is None or list(classes.values()) != [1]:
+            raise WindowError("unit class is not a basis vector of a piece in the window")
+        return next(iter(classes))
 
     # -- tables ------------------------------------------------------------
 
     def _reduce_coh(self, piece: Piece, cochain) -> dict[ClassKey, Fraction] | None:
-        if self.ops.is_zero(cochain):
+        """The classes of a cochain in a piece: {} when it is zero, None when it escapes its piece or the window."""
+        vec = _available(self.ops.vector, piece, cochain)
+        if vec == {}:
             return {}
         pres = self.coh_pres.get(piece)
-        if pres is None:
-            return None
-        try:
-            vec = self.ops.vector(piece, cochain)
-        except WindowError:
-            return None
-        return _classes(piece, pres.reduce(vec))
+        return None if vec is None or pres is None else _classes(piece, pres.reduce(vec))
 
     def _product_classes(self, memo: dict, op, degree: int, a: ClassKey, b: ClassKey):
         """op(a, b) of degree |a| + |b| + ``degree`` on homology classes, memoized; None on a window escape."""

@@ -149,23 +149,6 @@ def unit_cochain(A: GradedAlgebra) -> Cochain:
     return Cochain(A, 0, 0, {(): A.one()})
 
 
-def multiplication_cochain(A: GradedAlgebra) -> Cochain:
-    """The product as a 2-cochain (degree -2).
-
-    Out-of-window pairs are omitted: a chain of in-window weight never
-    probes them, since adjacent entries of a weight-w chain multiply to
-    weight at most w.
-    """
-    table = {}
-    aug = A.augmentation_indices()
-    for i in aug:
-        for j in aug:
-            prod = A.mult_basis(i, j)
-            if isinstance(prod, dict) and prod:
-                table[(i, j)] = dict(prod)
-    return Cochain(A, 2, -2, table)
-
-
 def _tuples_of_weight(A: GradedAlgebra, q: int, w: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     if w >= q:

@@ -219,10 +219,6 @@ class ExactMatrix:
     def zero(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols, {})
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)

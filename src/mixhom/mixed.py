@@ -131,16 +131,20 @@ class MixedComplexSlice:
         return got
 
     def element_vector(self, piece: Piece, element: dict) -> dict[int, Fraction]:
-        """A {label: coefficient} element of a piece as a sparse vector over its basis."""
-        idx = {t: i for i, t in enumerate(self.pieces.get(piece, []))}
-        vec = {}
-        for t, c in element.items():
-            if c == 0:
-                continue
+        """A {label: coefficient} element of a piece as a sparse vector over its basis; KeyError off the basis."""
+        return _coordinates(self.pieces.get(piece, []), element.items(), KeyError)
+
+
+def _coordinates(labels, terms, escape) -> dict[int, Fraction]:
+    """(label, coefficient) terms as a sparse vector over ``labels``; a nonzero term off them raises ``escape``."""
+    idx = {t: i for i, t in enumerate(labels)}
+    vec = {}
+    for t, c in terms:
+        if c:
             if t not in idx:
-                raise KeyError(f"label {t!r} not in piece {piece}")
+                raise escape(f"label {t!r} is not in the basis of its piece")
             vec[idx[t]] = c
-        return vec
+    return vec
 
 
 # -- slice builders ------------------------------------------------------------
@@ -303,9 +307,6 @@ class NegativeCyclic:
 
     def stable_dims(self) -> dict[Piece, int]:
         return {p: v for p, v in sorted(self._dims.items()) if self.stable[p]}
-
-    def stable_pieces(self) -> list[Piece]:
-        return [p for p in sorted(self._dims) if self.stable[p]]
 
     # -- the long exact sequence maps ---------------------------------------
 

@@ -388,11 +388,6 @@ class DualSide:
         self.pi = pi
         self.pieces, self.b_mats, self.B_mats = _transpose(*_poisson_complex(ctx, pi, w_max))
 
-    @property
-    def domain(self) -> list[Monomial]:
-        """Every form a functional may be supported on."""
-        return [m for labels in self.pieces.values() for m in labels]
-
     def _columns(self, mats: dict, shift: int, den: int):
         """den·T* as integer columns keyed by form, each matrix read once; ``mats`` maps (d, w) to (d + shift, w)."""
         cols: dict[Monomial, dict[Monomial, int]] = {}

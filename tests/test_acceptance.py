@@ -351,7 +351,7 @@ def test_criterion_06_les_suite(les_sources):
     details = []
     for hc in les_sources:
         rep = les_check(hc)
-        stable = sum(1 for p in hc.stable_pieces())
+        stable = len(hc.stable_dims())
         if not rep.passed or stable == 0:
             ok = False
             details.append(f"{hc.slice.name}: {rep.failures[:2]}")

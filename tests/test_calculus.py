@@ -1,5 +1,6 @@
 import gc
 import re
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
@@ -27,7 +28,7 @@ from mixhom.calculus import (
 from mixhom.hochschild import Cochain, all_tuples_up_to_weight
 from mixhom.koszul import quadratic_algebra
 from mixhom.linalg import ExactMatrix, NotAComplexError, _accumulate, _expand
-from mixhom.mixed import ClassKey, slice_from_hochschild_dual, slice_from_poisson
+from mixhom.mixed import ClassKey, _classes, slice_from_hochschild_dual, slice_from_poisson
 from mixhom.poisson import PoissonContext, quadratic_bivector
 from test_hochschild import coboundary_scan
 from test_linalg import _bv_check_bundles, solve_in_span
@@ -673,6 +674,133 @@ def test_a_bundle_builds_each_delta_once(monkeypatch, case):
     bundle = CalculusBundle(case, ops, None, None, coh_window=lambda p: p in pieces)
     assert set(bundle.coh_pres) == pieces
     assert sorted(built) == sorted(pieces | {(D + 1, om) for (D, om) in pieces})
+
+
+# -- the unit's piece outside the window ------------------------------------------
+
+
+def _unitless_bundle():
+    """Λ(2) on a cochain window of degrees <= −1, which leaves out the unit's piece (0, 0), and η = [ξ1ξ2]."""
+    A = make_exterior_algebra(2)
+    sl = slice_from_hochschild_dual(A, 5)
+    bundle = hochschild_dual_bundle(A, sl, q_max=3, coh_window=lambda p: p[0] <= -1)
+    coords = sl.hh((2, 2)).reduce(sl.element_vector((2, 2), {(A.index["ξ1ξ2"],): Q(1)}))
+    return bundle, ((2, 2), [i for i, c in enumerate(coords) if c][0])
+
+
+def test_a_window_without_the_unit_has_no_duality():
+    bundle, eta = _unitless_bundle()
+    assert (0, 0) not in bundle.coh_pres
+    with pytest.raises(DualityError, match="unit class"):
+        attach_duality(bundle, eta)
+
+
+def test_a_window_without_the_unit_fails_the_unit_rule():
+    bundle, _ = _unitless_bundle()
+    report = bundle.verify_calculus_axioms(max_classes=6)
+    assert report.failures == ["unit class not identifiable"]
+    assert report.checked > 0
+
+
+# -- product reduction against the is_zero-first reduction it replaced ------------
+#
+# Each cochain side used to write its own is_zero and vector, and a product was
+# reduced by asking is_zero first.  Both are kept here verbatim as the reference
+# for ``CalculusBundle._reduce_coh``, which reads the one shared ``vector``.
+
+
+def _hochschild_is_zero_oracle(self, f):
+    return not f.table or all(
+        c == 0 for val in f.table.values() for c in val.values()
+    )
+
+
+def _multivector_is_zero_oracle(self, P):
+    return not P or all(c == 0 for c in P.values())
+
+
+def _hochschild_vector_oracle(self, piece, f):
+    idx = {lab: i for i, lab in enumerate(self._pieces.get(piece, []))}
+    vec = {}
+    for t, val in f.table.items():
+        for k, c in val.items():
+            if c == 0:
+                continue
+            key = (t, k)
+            if key not in idx:
+                raise WindowError(f"cochain entry {key!r} escapes piece {piece}")
+            vec[idx[key]] = c
+    return vec
+
+
+def _multivector_vector_oracle(self, piece, P):
+    idx = {m: i for i, m in enumerate(self._pieces.get(piece, []))}
+    vec = {}
+    for m, c in P.items():
+        if c == 0:
+            continue
+        if m not in idx:
+            raise WindowError(f"polyvector monomial escapes piece {piece}")
+        vec[idx[m]] = c
+    return vec
+
+
+def _reduce_coh_oracle(self, piece, cochain):
+    hochschild = isinstance(self.ops, HochschildCochainOps)
+    if (_hochschild_is_zero_oracle if hochschild else _multivector_is_zero_oracle)(self.ops, cochain):
+        return {}
+    pres = self.coh_pres.get(piece)
+    if pres is None:
+        return None
+    try:
+        vec = (_hochschild_vector_oracle if hochschild else _multivector_vector_oracle)(self.ops, piece, cochain)
+    except WindowError:
+        return None
+    return _classes(piece, pres.reduce(vec))
+
+
+def _product_classes_oracle(bundle, op, degree, a, b):
+    (D1, o1), (D2, o2) = a[0], b[0]
+    try:
+        val = op(bundle.coh_rep(a), bundle.coh_rep(b))
+    except WindowError:
+        return None
+    return _reduce_coh_oracle(bundle, (D1 + D2 + degree, o1 + o2), val)
+
+
+@pytest.mark.parametrize("which, kinds", [
+    ("frobenius", {"cup": (837, 2151, 733), "bracket": (1406, 1137, 1178)}),
+    ("poisson", {"cup": (81, 3915, 229), "bracket": (206, 3541, 478)}),
+])
+def test_product_classes_match_the_is_zero_first_oracle(which, kinds):
+    # every pair of classes of a bv-check bundle, the first 12 (which the BV
+    # gate reads: all zero products into pieces outside the window) included;
+    # kinds counts (unavailable, no classes, some classes) per product
+    duality = dict(zip(["frobenius", "poisson"], _bv_check_bundles()))[which]
+    bundle = duality.bundle
+    coh = bundle.coh_classes()
+    for name, degree in (("cup", 0), ("bracket", 1)):
+        op, got = getattr(bundle.ops, name), getattr(bundle, f"{name}_classes")
+        seen = Counter()
+        for a, b in iproduct(coh, repeat=2):
+            want = _product_classes_oracle(bundle, op, degree, a, b)
+            assert got(a, b) == want, (name, a, b)
+            seen[None if want is None else bool(want)] += 1
+        assert (seen[None], seen[False], seen[True]) == kinds[name], name
+        assert all(got(a, b) == {} for a, b in iproduct(coh[:12], repeat=2))
+
+
+def test_a_product_outside_the_window_reduces_by_whether_it_is_zero():
+    bundle = _bv_check_bundles()[0].bundle
+    ops, rep = bundle.ops, bundle.coh_rep
+    a = ((-2, -3), 0)
+    for b, piece, zero in [(a, (-4, -6), True), (((0, -3), 0), (-2, -6), False), (((0, -1), 0), (-2, -4), False)]:
+        table = ops.cup(rep(a), rep(b)).table
+        assert piece not in bundle.coh_pres
+        assert zero == (not any(c for val in table.values() for c in val.values()))
+        assert bundle.cup_classes(a, b) == ({} if zero else None), b
+    # (−2, −6) lies outside the cochain side itself: the product's entries escape its basis
+    assert (-2, -6) not in ops.pieces() and (-2, -4) in ops.pieces()
 
 
 # -- the instance rule against the hand-counted verifiers it replaced -----------

@@ -24,7 +24,6 @@ from mixhom.hochschild import (
     cup,
     gerstenhaber_bracket,
     lie_derivative,
-    multiplication_cochain,
     shifted_degree,
     unit_cochain,
 )
@@ -43,6 +42,23 @@ def chain_eq(a, b):
     for k, v in b.items():
         d[k] = d.get(k, Q(0)) - v
     return all(v == 0 for v in d.values())
+
+
+def multiplication_cochain(A) -> Cochain:
+    """The product as a 2-cochain (degree -2).
+
+    Out-of-window pairs are omitted: a chain of in-window weight never
+    probes them, since adjacent entries of a weight-w chain multiply to
+    weight at most w.
+    """
+    table = {}
+    aug = A.augmentation_indices()
+    for i in aug:
+        for j in aug:
+            prod = A.mult_basis(i, j)
+            if isinstance(prod, dict) and prod:
+                table[(i, j)] = dict(prod)
+    return Cochain(A, 2, -2, table)
 
 
 def elementary(A, q, t, k):

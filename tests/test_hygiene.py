@@ -1,23 +1,26 @@
 """Static hygiene of the package source, read with the standard ``ast`` module only.
 
-Six rules: every name a module imports is used in that module, every
+Seven rules: every name a module imports is used in that module, every
 private function or method is referenced somewhere in the package outside
-its own body, every defaulted parameter of a package function or method
-is passed, by keyword or by position, by some call in the package, the
-tests or the benchmark scripts, no module imports a name from a sibling
-module under a second name, no module but ``algebra.py`` calls
-``GradedAlgebra(`` or names ``OUT_OF_WINDOW``, and no module but
-``calculus.py`` catches ``(WindowError, DualityError)`` or assigns
-``_FAILURE_LIMIT``.  Code that nothing reads is deleted, not kept, a knob
-that only ever takes its default is not a knob, a package helper has one
-name, the product table and its out-of-window rule are written once, in
-``algebra.build_algebra``, and what counts as unavailable and where a
-failure list stops are decided once, in ``calculus._available`` and
-``calculus._FAILURE_LIMIT``.
+its own body, every public one is referenced outside its own body in the
+package or the benchmark scripts or is named in backticks in README.md,
+every defaulted parameter of a package function or method is passed, by
+keyword or by position, by some call in the package, the tests or the
+benchmark scripts, no module imports a name from a sibling module under a
+second name, no module but ``algebra.py`` calls ``GradedAlgebra(`` or names
+``OUT_OF_WINDOW``, and no module but ``calculus.py`` catches
+``(WindowError, DualityError)`` or assigns ``_FAILURE_LIMIT``.  Code that
+nothing reads is deleted, not kept (a public function only the tests call
+is a test helper, unless README documents it), a knob that only ever takes
+its default is not a knob, a package helper has one name, the product table
+and its out-of-window rule are written once, in ``algebra.build_algebra``,
+and what counts as unavailable and where a failure list stops are decided
+once, in ``calculus._available`` and ``calculus._FAILURE_LIMIT``.
 """
 
 import ast
 import os
+import re
 
 import mixhom
 
@@ -225,6 +228,31 @@ def _unavailable_rule_outside_calculus(modules: dict[str, ast.Module]) -> list[s
     return found
 
 
+def _readme_names() -> set[str]:
+    """Every identifier inside a backtick span of README.md: the documented API."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        return {w for span in re.findall(r"`([^`]+)`", fh.read()) for w in re.findall(r"\w+", span)}
+
+
+def _unreferenced_public(modules: dict[str, ast.Module], readers: list[ast.Module], documented: set[str]) -> list[str]:
+    """Public functions and methods that no Name or Attribute outside their own body reads and no document names.
+
+    References are read in ``modules`` and in ``readers`` (the benchmark
+    scripts); a name in ``documented`` is public API that only its users call.
+    """
+    references = [ref for tree in list(modules.values()) + readers for ref in _references(tree)]
+    unreferenced = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+                continue
+            fn = node.name
+            if fn not in documented and not any(ref == fn and id(node) not in enclosing
+                                                for ref, enclosing in references):
+                unreferenced.append(f"{name}:{node.lineno} {fn}")
+    return unreferenced
+
+
 def test_every_import_is_used():
     assert _unused_imports(_modules()) == []
 
@@ -247,6 +275,11 @@ def test_only_algebra_builds_a_product_table():
 
 def test_only_calculus_decides_what_is_unavailable():
     assert _unavailable_rule_outside_calculus(_modules()) == []
+
+
+def test_every_public_function_is_read_or_documented():
+    readers = list(_parse_dir(os.path.join(REPO, "perfbench")).values())
+    assert _unreferenced_public(_modules(), readers, _readme_names()) == []
 
 
 def test_the_rules_find_what_they_claim():
@@ -311,3 +344,25 @@ def test_the_rules_find_what_they_claim():
     )
     assert _unavailable_rule_outside_calculus({"m.py": unavailable, "calculus.py": unavailable}) == [
         "m.py:3 _FAILURE_LIMIT =", "m.py:7 except (WindowError, DualityError)"]
+    public = ast.parse(
+        "def read():\n"
+        "    return 1\n"
+        "def documented():\n"
+        "    return 2\n"
+        "def benched():\n"
+        "    return 3\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else read()\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        def helper():\n"
+        "            return self.other()\n"
+        "        return helper()\n"
+        "    def other(self):\n"
+        "        return self.__len__()\n"
+        "    def _private(self):\n"
+        "        return 0\n"
+    )
+    bench = ast.parse("from mixhom import m\nm.benched()\n")
+    assert _unreferenced_public({"m.py": public}, [bench], {"documented"}) == [
+        "m.py:7 recursive", "m.py:10 method"]

@@ -27,6 +27,7 @@ from test_poisson import (
     DualSideByFunctionals,
     de_rham,
     delta_by_monomials,
+    dual_domain,
     poisson_boundary,
     poisson_complex_by_forms,
 )
@@ -235,7 +236,7 @@ def _checked_classes(hc, dim_of):
     """(piece, i) over the pieces les_check checks, with i < dim_of(piece)."""
     return [
         (piece, i)
-        for piece in hc.stable_pieces()
+        for piece in hc.stable_dims()
         if hc.stable.get((piece[0] + 1, piece[1]))
         for i in range(dim_of(piece))
     ]
@@ -304,7 +305,7 @@ class TestLESNegativeControls:
         sl = hc.slice
         # stable pieces with no chains one degree up at N or N + 1: HC⁻ is 0 there,
         # so β = 0 and exactness says π* is onto HH
-        top = [p for p in hc.stable_pieces() if not _stacked_basis_oracle(sl, p[0] + 1, p[1], hc.N + 1)]
+        top = [p for p in hc.stable_dims() if not _stacked_basis_oracle(sl, p[0] + 1, p[1], hc.N + 1)]
         assert len(top) == 7 and any(sl.hh(p).dim for p in top)
         for piece in top:
             hh_dim = sl.hh(piece).dim
@@ -413,15 +414,15 @@ def _poisson_dual_by_functionals(dual):
     from mixhom.mixed import _mats_from_operator
 
     F = dual.ctx.forms
-    boundary_img = {m: poisson_boundary(dual.ctx, dual.pi, {m: Q(1)}) for m in dual.domain}
-    d_img = {m: de_rham(dual.ctx, {m: Q(1)}) for m in dual.domain}
+    boundary_img = {m: poisson_boundary(dual.ctx, dual.pi, {m: Q(1)}) for m in dual_domain(dual)}
+    d_img = {m: de_rham(dual.ctx, {m: Q(1)}) for m in dual_domain(dual)}
 
     def twisted(images, phi):
         degs = {-F.degree(m) for m, c in phi.items() if c}
         deg = degs.pop() if degs else 0
         sign = Q(-1) if deg % 2 else Q(1)
         out = {}
-        for m in dual.domain:
+        for m in dual_domain(dual):
             total = Q(0)
             for mm, c in images[m].items():
                 v = phi.get(mm)
@@ -432,7 +433,7 @@ def _poisson_dual_by_functionals(dual):
         return out
 
     pieces = {}
-    for m in dual.domain:
+    for m in dual_domain(dual):
         pieces.setdefault((-F.degree(m), F.weight(m)), []).append(m)
     for labels in pieces.values():
         labels.sort()
@@ -863,7 +864,7 @@ def test_reading_dims_builds_no_presentation(monkeypatch):
     sl = slice_from_hochschild(make_truncated_polynomial_algebra(2, 4), 3)
     assert any(sl.hh_dims().values())
     hc = NegativeCyclic(sl, default_truncation(sl))
-    assert hc.dims() and hc.stable_dims() and hc.stable_pieces()
+    assert hc.dims() and hc.stable_dims()
     assert built == [] and hc._pres == {} and sl._hh == {}
     piece = next(p for p, dim in hc.stable_dims().items() if dim)
     hc.pi_star((piece, 0))
@@ -977,7 +978,7 @@ def les_check_oracle(hc):
     sl = hc.slice
     failures: list[str] = []
     ok_bp = ok_pb = ok_rank = True
-    for piece in hc.stable_pieces():
+    for piece in hc.stable_dims():
         d, w = piece
         # no chains one degree up at N or N + 1: HC⁻ is 0 there, so only the rank check applies
         top = not _stacked_basis_oracle(sl, d + 1, w, hc.N + 1)
