@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, _sparse_rank
 from .poisson import FreeGCA, Generator
 
 Q = Fraction
@@ -151,6 +151,22 @@ class GradedAlgebra:
     # -- validation --------------------------------------------------------
 
     def _validate(self):
+        """Check the invariants; raise AlgebraValidationError on the first that fails.
+
+        Associativity is checked on the triples (x, y, g) with g of weight 1
+        when the weight-1 elements generate: every weight w >= 2 inside the
+        cutoff is spanned by products of weight w - 1 with weight 1
+        (``_generated_in_weight_one``).  Then (xy)z = x(yz) on every triple of
+        total weight inside the cutoff, by induction on the weight of z.  At
+        weight 0, z is the unit and the unit laws give it; at weight 1 it is
+        checked.  At weight w >= 2, write z = Σ c·a·g with |a| = w - 1, |g| = 1:
+        (xy)(ag) = ((xy)a)g = (x(ya))g = x((ya)g) = x(y(ag)), by the weight-1
+        case, the induction, the weight-1 case and the weight-1 case.  Every
+        product there has weight at most |x| + |y| + w, so the truncation
+        keeps each intermediate inside the cutoff, where the closure check
+        has made every pair of basis elements multiply in window.  When the
+        weight-1 elements do not generate, every triple is checked.
+        """
         n = self.dim
         if not (0 <= self.unit < n):
             raise AlgebraValidationError("unit index out of range")
@@ -184,21 +200,21 @@ class GradedAlgebra:
                     raise AlgebraValidationError(
                         f"weight not additive on {self.labels[i]}*{self.labels[j]}"
                     )
-        # associativity on triples whose total weight stays in window
-        cutoff = self.weight_cutoff
+        # closure: every pair of total weight inside the cutoff multiplies in window
+        W, cutoff = self.weights, self.weight_cutoff
         for i in range(n):
             for j in range(n):
-                for k in range(n):
-                    if cutoff is not None and (
-                        self.weights[i] + self.weights[j] + self.weights[k] > cutoff
-                    ):
+                if (cutoff is None or W[i] + W[j] <= cutoff) and self.mult_basis(i, j) is OUT_OF_WINDOW:
+                    raise AlgebraValidationError("window not multiplicatively closed")
+        # associativity on triples whose total weight stays in window, the third of weight 1 if that generates
+        thirds = [k for k in range(n) if W[k] == 1] if self._generated_in_weight_one() else range(n)
+        for i in range(n):
+            for j in range(n):
+                for k in thirds:
+                    if cutoff is not None and W[i] + W[j] + W[k] > cutoff:
                         continue
-                    ab = self.mult_basis(i, j)
-                    bc = self.mult_basis(j, k)
-                    if ab is OUT_OF_WINDOW or bc is OUT_OF_WINDOW:
-                        raise AlgebraValidationError("window not multiplicatively closed")
-                    lhs = self.multiply(ab, self.basis_element(k))
-                    rhs = self.multiply(self.basis_element(i), bc)
+                    lhs = self.multiply(self.mult_basis(i, j), self.basis_element(k))
+                    rhs = self.multiply(self.basis_element(i), self.mult_basis(j, k))
                     if lhs != rhs:
                         raise AlgebraValidationError(
                             f"associativity fails on ({self.labels[i]},{self.labels[j]},{self.labels[k]})"
@@ -216,6 +232,21 @@ class GradedAlgebra:
                         raise AlgebraValidationError(
                             f"graded commutativity fails on ({self.labels[i]},{self.labels[j]})"
                         )
+
+    def _generated_in_weight_one(self) -> bool:
+        """Whether each weight w >= 2 inside the cutoff is spanned by products of weight w - 1 with weight 1.
+
+        One rank per weight; the products are in window by the closure check.
+        """
+        by_weight: dict[int, list[int]] = {}
+        for i, w in enumerate(self.weights):
+            by_weight.setdefault(w, []).append(i)
+        gens = by_weight.get(1, [])
+        return all(
+            _sparse_rank(self.mult_basis(a, g) for a in by_weight.get(w - 1, ()) for g in gens) == len(members)
+            for w, members in by_weight.items()
+            if w >= 2 and (self.weight_cutoff is None or w <= self.weight_cutoff)
+        )
 
 
 # -- the one builder, and the free graded-commutative truncations -------------

@@ -95,14 +95,14 @@ class _CochainOps:
         rows = {lab: i for i, lab in enumerate(self._pieces.get(piece, []))}
         ext = self._pieces_ext.get(piece, [])
         entries, dropped = {}, set()
-        for (i, j), v in above.entries.items():
+        for (i, j), v in above.num.items():
             if ext[i] in rows:
                 entries[(rows[ext[i]], j)] = v
             else:
                 dropped.add(j)
         if any(j in dropped for _, j in entries):
             raise WindowError("restricted incoming differential escapes the piece")
-        return ExactMatrix(len(rows), above.cols, entries)
+        return ExactMatrix._integers(len(rows), above.cols, entries, above.den)
 
 
 class HochschildCochainOps(_CochainOps):

@@ -137,6 +137,7 @@ def parse_job(text: str) -> JobSpecification:
     section = None
     algebra: dict = {}
     coeffs: dict = {}
+    coeff_lines: list[tuple[int, tuple]] = []  # (line, indices) of each poisson entry
     window: dict = {}
     tasks: list[str] = []
     relations: list = []
@@ -194,6 +195,7 @@ def parse_job(text: str) -> JobSpecification:
                 except ValueError:
                     raise ParseError(line_no, f"bad generator index {tok!r}")
             coeffs[tuple(idx)] = coeffs.get(tuple(idx), Q(0)) + parse_rational(parts[5], line_no)
+            coeff_lines.append((line_no, tuple(idx)))
         elif section == "window":
             key = parts[0].lower()
             if key not in ("p_max", "w_max", "u_trunc", "arity_max"):
@@ -228,11 +230,10 @@ def parse_job(text: str) -> JobSpecification:
     )
     for k, v in window.items():
         setattr(spec, k, v)
-    if spec.poisson_coeffs:
-        for (i1, i2, j1, j2) in spec.poisson_coeffs:
-            for t in (i1, i2, j1, j2):
-                if not (1 <= t <= n):
-                    raise ParseError(0, f"poisson coefficient index {t} out of range 1..{n}")
+    for line_no, idx in coeff_lines:
+        for t in idx:
+            if not (1 <= t <= n):
+                raise ParseError(line_no, f"poisson coefficient index {t} out of range 1..{n}")
     if spec.kind == "quadratic":
         for terms, line_no in zip(relations, relation_lines):
             for (i, j, _c) in terms:

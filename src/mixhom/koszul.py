@@ -120,7 +120,7 @@ def koszul_dual_algebra(pres: QuadraticPresentation, W: int) -> KoszulDualData:
     degrees d_i carries homological degree Σ(-d_i - 1) over its word.
     """
     n = pres.n
-    perp = [v for _, v in _kernel_rows(_relations(pres), n * n)]
+    perp = [v for _, v in _kernel_rows((_integer_row(r) for r in _relations(pres)), n * n)]
     U = {
         w: _echelon_basis(v for _, v in _kernel_rows(_relation_layers(n, perp, w), n**w))
         for w in range(W + 1)

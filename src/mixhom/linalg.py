@@ -2,15 +2,17 @@
 
 Everything downstream (homology of complexes, operation tables on
 homology bases, ranks) reduces to the routines here.  There is no
-floating point anywhere.  Matrices, vectors and every returned coefficient
-are ``fractions.Fraction``, but elimination and matrix products run on
-Python integers: each rational row is scaled to a primitive integer row
-(by the lcm of its denominators) on the way in, rows are combined by
-cross-multiplication and divided by their content after each step, and a
-``Fraction`` is built only for what is returned (fraction-free
-Gauss-Jordan elimination; cf. Bareiss 1968).  Outputs are deterministic:
-row reduction produces the (unique) reduced row echelon form, so kernels,
-images and homology presentations are canonical.
+floating point anywhere.  An :class:`ExactMatrix` stores integer entries
+over one positive denominator, and elimination, matrix products,
+transposes and the u-stacking in ``mixed`` run on those integers: rows are
+combined by cross-multiplication and divided by their content after each
+step (fraction-free Gauss-Jordan elimination; cf. Bareiss 1968).  Rational
+input (the ``ExactMatrix`` constructor and ``from_rows``, sparse vectors)
+is scaled to integer rows on the way in, and a ``Fraction`` is built only
+where a value leaves: ``ExactMatrix.apply`` and ``entries``, and the
+``cycle`` and ``reduce`` of a homology presentation.  Outputs are
+deterministic: row reduction produces the (unique) reduced row echelon
+form, so kernels, images and homology presentations are canonical.
 
 Vectors that cross a module boundary are sparse, {index: coefficient}.
 A homology presentation is factored once, when it is built, and keeps the
@@ -185,21 +187,37 @@ def _positive(p: int, r: dict[int, int]) -> tuple[int, dict[int, int]]:
 
 
 class ExactMatrix:
-    """Sparse matrix over Q; entries stored as {(row, col): Fraction}, no zeros."""
+    """Sparse matrix over Q: integer entries over one positive denominator.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``num`` is {(row, col): int} without zeros and ``den`` a positive int,
+    kept in lowest terms (the gcd of ``den`` and every entry is 1), so the
+    stored form is canonical and ``==`` compares the rational matrices
+    ``num / den``.  The constructor and ``from_rows`` accept rationals;
+    products, transposes, eliminations and stacking read the integers, and a
+    ``Fraction`` is built only where a value leaves the matrix: in ``apply``
+    and in the rational view ``entries``.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction] | None = None):
-        self.rows = rows
-        self.cols = cols
-        self.entries: dict[tuple[int, int], Fraction] = {}
-        if entries:
-            for (i, j), v in entries.items():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise IndexError(f"entry ({i},{j}) out of range for {rows}x{cols}")
-                v = _as_fraction(v)
-                if v != 0:
-                    self.entries[(i, j)] = v
+        entries = entries or {}
+        for (i, j) in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i},{j}) out of range for {rows}x{cols}")
+        self.rows, self.cols, self.num, self.den = rows, cols, *_over_one_denominator(entries)
+
+    @classmethod
+    def _integers(cls, rows: int, cols: int, num: dict[tuple[int, int], int], den: int) -> "ExactMatrix":
+        """The matrix num / den from integer entries without zeros over a positive den, brought to lowest terms."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
+        M = object.__new__(cls)
+        M.rows, M.cols, M.num, M.den = rows, cols, num, den
+        return M
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "ExactMatrix":
@@ -210,81 +228,90 @@ class ExactMatrix:
             if len(row) != cols:
                 raise DimensionMismatchError("ragged rows")
             for j, v in enumerate(row):
-                v = _as_fraction(v)
                 if v != 0:
                     entries[(i, j)] = v
         return cls(rows, cols, entries)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, {})
+        return cls._integers(rows, cols, {}, 1)
+
+    @property
+    def entries(self) -> dict[tuple[int, int], Fraction]:
+        """The rational entries {(row, col): Fraction}, a fresh dict."""
+        d = self.den
+        return {k: Fraction(v, d) for k, v in self.num.items()}
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        return f"ExactMatrix({self.rows}x{self.cols}, {len(self.num)} nonzero)"
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.num
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
+    def row_dicts(self) -> list[dict[int, int]]:
+        """The rows of den·M as sparse integer rows {col: int}: each is proportional to the rational row."""
+        rows: list[dict[int, int]] = [dict() for _ in range(self.rows)]
+        for (i, j), v in self.num.items():
             rows[i][j] = v
         return rows
 
     def transpose(self, sign: int = 1) -> "ExactMatrix":
         """The transpose, every entry multiplied by sign."""
-        return ExactMatrix(self.cols, self.rows, {(j, i): sign * v for (i, j), v in self.entries.items()})
+        return ExactMatrix._integers(self.cols, self.rows, {(j, i): sign * v for (i, j), v in self.num.items()},
+                                     self.den)
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        da = _denominator(self.entries.values())
-        db = _denominator(other.entries.values())
-        # group other's entries by row for sparse accumulation, scaled by db
+        # group other's entries by row for sparse accumulation
         by_row: dict[int, list[tuple[int, int]]] = {}
-        for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append((j, v.numerator * (db // v.denominator)))
+        for (k, j), b in other.num.items():
+            by_row.setdefault(k, []).append((j, b))
         acc: dict[tuple[int, int], int] = {}
-        for (i, k), a in self.entries.items():
-            row = by_row.get(k)
-            if row:
-                a = a.numerator * (da // a.denominator)
-                for j, b in row:
-                    key = (i, j)
-                    s = acc.get(key, 0) + a * b
-                    if s:
-                        acc[key] = s
-                    else:
-                        del acc[key]
-        d = da * db
-        for key, s in acc.items():
-            acc[key] = Fraction(s, d)
-        return ExactMatrix(self.rows, other.cols, acc)
+        for (i, k), a in self.num.items():
+            for j, b in by_row.get(k, ()):
+                key = (i, j)
+                s = acc.get(key, 0) + a * b
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+        return ExactMatrix._integers(self.rows, other.cols, acc, self.den * other.den)
 
     def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """M·vec for a sparse vector {column: coefficient}, as a sparse vector without zeros.
+        """M·vec for a sparse vector {column: coefficient}, as a sparse vector of Fractions without zeros.
 
         Raises DimensionMismatchError on an index outside the columns.
         """
         if any(not 0 <= j < self.cols for j in vec):
             raise DimensionMismatchError("vector index outside the columns")
-        out: dict[int, Fraction] = {}
-        for (i, j), v in self.entries.items():
-            c = vec.get(j)
+        dv = _denominator(vec.values())
+        iv = {j: c.numerator * (dv // c.denominator) for j, c in vec.items() if c}
+        out: dict[int, int] = {}
+        for (i, j), v in self.num.items():
+            c = iv.get(j)
             if c:
-                out[i] = out.get(i, ZERO) + v * c
-        return {i: c for i, c in out.items() if c}
+                out[i] = out.get(i, 0) + v * c
+        d = self.den * dv
+        return {i: Fraction(c, d) for i, c in out.items() if c}
 
     def rank(self) -> int:
-        return _sparse_rank(self.row_dicts())
+        return len(_row_echelon(self.row_dicts()))
+
+
+def _over_one_denominator(entries: dict) -> tuple[dict, int]:
+    """(num, den) in lowest terms for rational entries, zeros dropped: den is the lcm of their denominators."""
+    den = _denominator(entries.values())
+    return {k: v.numerator * (den // v.denominator) for k, v in entries.items() if v}, den
 
 
 def _sparse_rank(vectors: Iterable[dict]) -> int:
@@ -292,12 +319,14 @@ def _sparse_rank(vectors: Iterable[dict]) -> int:
     return len(_row_echelon(_integer_row(v) for v in vectors))
 
 
-def operator_matrix(src_labels: Sequence, tgt_labels: Sequence, apply, escape=KeyError) -> ExactMatrix:
-    """The matrix of a linear operator from one labelled basis to another.
+def operator_matrix(src_labels: Sequence, tgt_labels: Sequence, apply, den: int = 1, escape=KeyError) -> ExactMatrix:
+    """The matrix of a linear operator from one labelled basis to another, over the denominator ``den``.
 
-    Column j holds ``apply(src_labels[j])``, a sparse combination
-    {target label: coefficient}.  A nonzero coefficient on a label outside
-    ``tgt_labels`` raises ``escape``: the operator leaves the window.
+    Column j holds den times the operator on ``src_labels[j]``:
+    ``apply(src_labels[j])`` is a sparse combination {target label:
+    coefficient}, integer or rational, taken as it comes.  A nonzero
+    coefficient on a label outside ``tgt_labels`` raises ``escape``: the
+    operator leaves the window.
     """
     index = {t: i for i, t in enumerate(tgt_labels)}
     entries = {}
@@ -308,17 +337,18 @@ def operator_matrix(src_labels: Sequence, tgt_labels: Sequence, apply, escape=Ke
                 if i is None:
                     raise escape(f"operator image {t!r} of {s!r} leaves the target basis")
                 entries[(i, j)] = c
-    return ExactMatrix(len(tgt_labels), len(src_labels), entries)
+    num, d = _over_one_denominator(entries)
+    return ExactMatrix._integers(len(tgt_labels), len(src_labels), num, d * den)
 
 
-def _kernel_rows(rows: Iterable[dict], ncols: int) -> list[tuple[int, dict[int, int]]]:
-    """The canonical basis of the null space of sparse rows on ncols columns, as (free column, integer row).
+def _kernel_rows(rows: Iterable[dict[int, int]], ncols: int) -> list[tuple[int, dict[int, int]]]:
+    """The canonical basis of the null space of sparse integer rows (consumed) on ncols columns, as (free column, row).
 
     One vector per free column f of the rows' RREF, ordered by f: 1 at f
     and, at each pivot, minus that pivot row's entry at f, scaled to a
     primitive integer row.
     """
-    reduced = _integer_rref(_integer_row(r) for r in rows)
+    reduced = _integer_rref(rows)
     pivot_set = {p for p, _ in reduced}
     basis = []
     for f in range(ncols):
@@ -335,11 +365,13 @@ def _kernel_rows(rows: Iterable[dict], ncols: int) -> list[tuple[int, dict[int, 
 
 
 def _image_rows(M: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
-    """The RREF basis of the column space of M, as integer (pivot, row) pairs."""
-    columns: list[dict[int, Fraction]] = [dict() for _ in range(M.cols)]
-    for (i, j), v in M.entries.items():
+    """The RREF basis of the column space of M, as integer (pivot, row) pairs, each row primitive."""
+    columns: list[dict[int, int]] = [dict() for _ in range(M.cols)]
+    for (i, j), v in M.num.items():
         columns[j][i] = v
-    return _integer_rref(_integer_row(c) for c in columns)
+    for c in columns:
+        _primitive(c)
+    return _integer_rref(columns)
 
 
 @dataclass(frozen=True)
@@ -400,7 +432,7 @@ def _check_complex(d_in: ExactMatrix, d_out: ExactMatrix) -> None:
     """Raise unless d_out o d_in = 0 (``matmul`` raises if d_in does not land in d_out's source)."""
     comp = d_out.matmul(d_in)
     if not comp.is_zero():
-        raise NotAComplexError(min(j for (_, j) in comp.entries))
+        raise NotAComplexError(min(j for (_, j) in comp.num))
 
 
 def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPresentation:

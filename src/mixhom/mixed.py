@@ -29,16 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebra import GradedAlgebra, WindowError
 from .hochschild import boundary_b, chain_basis, connes_B, shifted_degree
 from .linalg import (
     ExactMatrix,
     HomologyPresentation,
-    _accumulate,
     _denominator,
     _expand,
-    _integer_row,
+    _iaccumulate,
     _row_echelon,
     _sparse_rank,
     homology_presentation,
@@ -100,11 +100,14 @@ class MixedComplexSlice:
             B1 = self.B_matrix((d, w))
             bb = self.b_matrix((d - 1, w)).matmul(b1)
             BB = self.B_matrix((d + 1, w)).matmul(B1)
-            anti = self.b_matrix((d + 1, w)).matmul(B1)
-            _accumulate(anti.entries, self.B_matrix((d - 1, w)).matmul(b1).entries)
-            for identity, comp in (("b²=0", bb), ("B²=0", BB), ("bB+Bb=0", anti)):
-                if comp.entries:
-                    bad = min(j for (_, j) in comp.entries)
+            bB = self.b_matrix((d + 1, w)).matmul(B1)
+            Bb = self.B_matrix((d - 1, w)).matmul(b1)
+            # bB + Bb as integers over the lcm of the two denominators
+            den = lcm(bB.den, Bb.den)
+            anti = _iaccumulate({k: v * (den // bB.den) for k, v in bB.num.items()}, Bb.num, den // Bb.den)
+            for identity, comp in (("b²=0", bb.num), ("B²=0", BB.num), ("bB+Bb=0", anti)):
+                if comp:
+                    bad = min(j for (_, j) in comp)
                     raise SliceAxiomError(identity, (d, w), self.pieces[(d, w)][bad])
 
     # -- b-homology ---------------------------------------------------------
@@ -150,13 +153,13 @@ def _coordinates(labels, terms, escape) -> dict[int, Fraction]:
 # -- slice builders ------------------------------------------------------------
 
 
-def _mats_from_operator(pieces: dict[Piece, list], apply_op, shift: int) -> dict[Piece, ExactMatrix]:
-    """The matrix of apply_op out of each piece into the one ``shift`` degrees away, where that has chains.
+def _mats_from_operator(pieces: dict[Piece, list], apply_op, shift: int, den: int = 1) -> dict[Piece, ExactMatrix]:
+    """The matrix of apply_op / den out of each piece into the one ``shift`` degrees away, where that has chains.
 
     The pieces hold every chain of their weights, so a map into no chains is zero and is not built.
     """
     return {
-        (d, w): operator_matrix(labels, pieces[(d + shift, w)], apply_op)
+        (d, w): operator_matrix(labels, pieces[(d + shift, w)], apply_op, den)
         for (d, w), labels in pieces.items()
         if (d + shift, w) in pieces
     }
@@ -179,7 +182,8 @@ def _hochschild_complex(A: GradedAlgebra, w_max: int) -> RawComplex:
 def _poisson_complex(ctx: po.PoissonContext, pi: dict, w_max: int) -> RawComplex:
     """Forms of weight <= w_max on either side with ∂ and d out of each piece; π need not be Poisson.
 
-    The columns are ``po._form_columns``: d, and den·∂ over the lcm den of π's denominators.  d and ∂
+    The integer columns of ``po._form_columns`` are the matrices, as they come: d, and den·∂ over the lcm
+    den of π's denominators.  d and ∂
     preserve the weight, so each weight gets fresh columns, as in ``po._square``: ι_π and d meet a form
     once, and no column outlives its weight.
     """
@@ -198,7 +202,7 @@ def _poisson_complex(ctx: po.PoissonContext, pi: dict, w_max: int) -> RawComplex
         layer = {piece: labels for piece, labels in pieces.items() if piece[1] == w}
         _, d, boundary = po._form_columns(ctx, pi, den)
         B_mats.update(_mats_from_operator(layer, d, +1))
-        b_mats.update(_mats_from_operator(layer, lambda m: {t: Q(c, den) for t, c in boundary(m).items()}, -1))
+        b_mats.update(_mats_from_operator(layer, boundary, -1, den))
     return pieces, b_mats, B_mats
 
 
@@ -408,17 +412,22 @@ def _u_complex(sl: MixedComplexSlice, d: int, w: int, lo: int, hi: int) -> Exact
     stacks [0, N], HC [-K, 0] and HP [-N, N].
     """
     rows = cols = 0  # where component i starts in the target and source bases
-    entries = {}
+    blocks = []  # (first row, first column, block)
     for i in range(lo, hi + 1):
         piece = (d + 2 * i, w)
-        for (r, c), v in sl.b_matrix(piece).entries.items():
-            entries[(rows + r, cols + c)] = v
+        blocks.append((rows, cols, sl.b_matrix(piece)))
         rows += sl.dim((d - 1 + 2 * i, w))
         if i < hi:
-            for (r, c), v in sl.B_matrix(piece).entries.items():
-                entries[(rows + r, cols + c)] = v
+            blocks.append((rows, cols, sl.B_matrix(piece)))
         cols += sl.dim(piece)
-    return ExactMatrix(rows, cols, entries)
+    # the blocks' integer entries, scaled to the lcm of their denominators
+    den = lcm(*(M.den for _, _, M in blocks))
+    entries = {}
+    for r0, c0, M in blocks:
+        scale = den // M.den
+        for (r, c), v in M.num.items():
+            entries[(r0 + r, c0 + c)] = scale * v
+    return ExactMatrix._integers(rows, cols, entries, den)
 
 
 def _u_dims(
@@ -441,9 +450,9 @@ def _u_dims(
     def ranks(M: ExactMatrix, d: int, w: int) -> tuple[int, int]:
         rows = M.row_dicts()
         split = M.rows - sl.dim((d - 1 + 2 * hi, w))
-        echelon = _row_echelon(_integer_row(r) for r in rows[:split])
+        echelon = _row_echelon(rows[:split])
         r_lower = len(echelon)
-        return r_lower, len(_row_echelon((_integer_row(r) for r in rows[split:]), echelon))
+        return r_lower, len(_row_echelon(rows[split:], echelon))
 
     for w in sl.weights():
         d_out = _u_complex(sl, d_from, w, lo, hi)

@@ -389,12 +389,16 @@ class DualSide:
         self.pieces, self.b_mats, self.B_mats = _transpose(*_poisson_complex(ctx, pi, w_max))
 
     def _columns(self, mats: dict, shift: int, den: int):
-        """den·T* as integer columns keyed by form, each matrix read once; ``mats`` maps (d, w) to (d + shift, w)."""
+        """den·T* as integer columns keyed by form, each matrix read once; ``mats`` maps (d, w) to (d + shift, w).
+
+        Each matrix's denominator divides den.
+        """
         cols: dict[Monomial, dict[Monomial, int]] = {}
         for (d, w), M in mats.items():
             src, tgt = self.pieces[(d, w)], self.pieces[(d + shift, w)]
-            for (i, j), v in M.entries.items():
-                cols.setdefault(src[j], {})[tgt[i]] = v.numerator * (den // v.denominator)
+            scale = den // M.den
+            for (i, j), v in M.num.items():
+                cols.setdefault(src[j], {})[tgt[i]] = scale * v
         return lambda m: cols.get(m, {})
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from mixhom.algebra import (
     OUT_OF_WINDOW,
+    AlgebraValidationError,
     Element,
     FrobeniusPairing,
     GradedAlgebra,
@@ -272,3 +273,108 @@ class TestFrobenius:
         # and the symmetric version passes
         sym = FrobeniusPairing(((Q(0), Q(1)), (Q(1), Q(0))), degree=1)
         assert check_frobenius_pairing(A, sym).passed
+
+
+# -- validation: associativity on generators against the full triple loop ------
+
+
+def full_associativity(A: GradedAlgebra):
+    """The associativity check on every triple of total weight inside the cutoff, as the validator made it."""
+    n = A.dim
+    cutoff = A.weight_cutoff
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if cutoff is not None and (
+                    A.weights[i] + A.weights[j] + A.weights[k] > cutoff
+                ):
+                    continue
+                ab = A.mult_basis(i, j)
+                bc = A.mult_basis(j, k)
+                if ab is OUT_OF_WINDOW or bc is OUT_OF_WINDOW:
+                    raise AlgebraValidationError("window not multiplicatively closed")
+                lhs = A.multiply(ab, A.basis_element(k))
+                rhs = A.multiply(A.basis_element(i), bc)
+                if lhs != rhs:
+                    raise AlgebraValidationError(
+                        f"associativity fails on ({A.labels[i]},{A.labels[j]},{A.labels[k]})"
+                    )
+
+
+def with_table(A: GradedAlgebra, changes: dict) -> GradedAlgebra:
+    """A with some products replaced, not validated."""
+    B = object.__new__(GradedAlgebra)
+    B.__dict__.update(A.__dict__, table={**A.table, **changes})
+    return B
+
+
+def _cli_batch_algebras():
+    """(name, builder) for every algebra the four cli-batch jobs build: the job algebras, and the
+    Koszul dual and TV/(R) of each job's presentation up to its w_max."""
+    from mixhom.algebra import QuadraticPresentation, _relation_vector
+    from mixhom.koszul import koszul_dual_algebra
+
+    yield "poly(2,W=4)", lambda: make_truncated_polynomial_algebra(2, 4)
+    yield "poly(3,W=4)", lambda: make_truncated_polynomial_algebra(3, 4)
+    yield "exterior(3)", lambda: make_exterior_algebra(3)
+    quad2 = QuadraticPresentation(2, (0, 0), (_relation_vector(2, {(0, 1): 1, (1, 0): -2}),), name="input")
+    for job, pres, w_max in (("poly2", lambda: polynomial_presentation(2), 3),
+                             ("ext3", lambda: exterior_presentation(3), 4),
+                             ("poly3", lambda: polynomial_presentation(3), 3),
+                             ("quad2", lambda: quad2, 5)):
+        yield f"dual({job})", lambda pres=pres, w_max=w_max: koszul_dual_algebra(pres(), w_max).dual_algebra
+        yield f"TV/R({job})", lambda pres=pres, w_max=w_max: koszul_dual_algebra(pres(), w_max).quotient[0]
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=name) for name, b in _cli_batch_algebras()])
+def test_generator_check_agrees_with_the_full_triple_loop(build):
+    # each algebra is generated in weight 1, so the validator took the generator path, and the
+    # full loop accepts what it accepted
+    A = build()
+    assert A._generated_in_weight_one()
+    full_associativity(A)
+
+
+def test_a_corrupted_product_of_weight_two_elements_fails_the_generator_check():
+    A = make_truncated_polynomial_algebra(2, 4)
+    i, j, k = A.index["x1^2"], A.index["x2^2"], A.index["x1^2x2^2"]
+    B = with_table(A, {(i, j): {k: Q(2)}})
+    assert B._generated_in_weight_one()
+    with pytest.raises(AlgebraValidationError, match="associativity fails on"):
+        B._validate()
+    with pytest.raises(AlgebraValidationError, match="associativity fails on"):
+        full_associativity(B)
+
+
+def test_a_table_not_generated_in_weight_one_takes_the_full_loop():
+    # k[x, y] with |x| = 1, |y| = 2: weight 2 is x² and y, and only x² is a product of weight-1 elements
+    from mixhom.algebra import _free_truncation
+    from mixhom.poisson import FreeGCA, Generator
+
+    A = _free_truncation(FreeGCA([Generator("x", 0, 1), Generator("y", 0, 2)]), 4, 4, "k[x,y]")
+    assert not A._generated_in_weight_one()
+    full_associativity(A)
+    # x²·y doubled on one side only: no triple with a weight-1 third sees it, (x, x, y) does
+    i, j = A.index["x^2"], A.index["y"]
+    B = with_table(A, {(i, j): {A.index["x^2y"]: Q(2)}})
+    W = B.weights
+    assert all(B.multiply(B.mult_basis(a, b), {g: Q(1)}) == B.multiply({a: Q(1)}, B.mult_basis(b, g))
+               for a in range(B.dim) for b in range(B.dim) for g in range(B.dim)
+               if W[g] == 1 and W[a] + W[b] + W[g] <= 4)
+    assert not B._generated_in_weight_one()
+    with pytest.raises(AlgebraValidationError, match=r"associativity fails on \(x,x,y\)"):
+        B._validate()
+
+
+@pytest.mark.parametrize("make, change, message", [
+    (lambda: make_exterior_algebra(1), lambda A: {(0, 1): {1: Q(2)}}, "unit law fails at ξ1"),
+    (lambda: make_truncated_polynomial_algebra(1, 2), lambda A: {(1, 1): {1: Q(1)}}, "weight not additive on x1\\*x1"),
+    (lambda: make_truncated_polynomial_algebra(1, 2), lambda A: {(1, 1): OUT_OF_WINDOW},
+     "window not multiplicatively closed"),
+    (lambda: make_exterior_algebra(2), lambda A: {(2, 1): {3: Q(1)}}, r"graded commutativity fails on \(ξ1,ξ2\)"),
+], ids=["unit-law", "additivity", "closure", "graded-commutativity"])
+def test_each_invariant_has_its_failure(make, change, message):
+    A = make()
+    A._validate()
+    with pytest.raises(AlgebraValidationError, match=message):
+        with_table(A, change(A))._validate()

@@ -621,11 +621,14 @@ def _delta_case(case, q_max=6, coeff_wmax=8):
         ops = HochschildCochainOps(quadratic_algebra(pres, 3)[0], 2)
         return ops, {p for p in ops.pieces() if p[1] <= 0}, _hochschild_delta_pair_oracle
     ctx = PoissonContext.make(3, "poly")
-    ops = MultivectorOps(ctx, quadratic_bivector(ctx, CIRCULANT), -3, coeff_wmax - 3, coeff_wmax)
+    # c·π with c = -7/3 puts a denominator on δ and on its incoming restriction
+    c = Q(-7, 3) if case == "polyvectors-c=-7_3" else Q(1)
+    pi = quadratic_bivector(ctx, {k: c * v for k, v in CIRCULANT.items()})
+    ops = MultivectorOps(ctx, pi, -3, coeff_wmax - 3, coeff_wmax)
     return ops, set(ops.pieces()), _multivector_delta_pair_oracle
 
 
-@pytest.mark.parametrize("case", ["hochschild", "capped", "polyvectors"])
+@pytest.mark.parametrize("case", ["hochschild", "capped", "polyvectors", "polyvectors-c=-7_3"])
 def test_delta_pairs_match_the_two_build_oracle(case):
     ops, pieces, oracle = _delta_case(case)
     got = list(delta_pairs(ops, pieces))
@@ -651,7 +654,8 @@ def test_a_flipped_delta_entry_is_not_a_complex(monkeypatch):
     def flipped(self, piece):
         M = build(self, piece)
         if piece == above:
-            M.entries[(i, j)] = -M.entries[(i, j)]
+            # flip the stored integer: ``entries`` is a fresh rational view
+            M.num[(i, j)] = -M.num[(i, j)]
         return M
 
     monkeypatch.setattr(MultivectorOps, "delta_matrix", flipped)

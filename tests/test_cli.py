@@ -183,6 +183,16 @@ def test_relation_index_out_of_range_names_its_line(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_poisson_index_out_of_range_names_its_line(tmp_path):
+    path = tmp_path / "job.txt"
+    path.write_text("[algebra]\nkind polynomial\nn 2\ncutoff 4\n[poisson]\nc 1 2 1 2 1\nc 1 3 1 3 1\n"
+                    "c 4 1 1 1 1\n[tasks]\npoisson\n")
+    proc = _run_cli("run", path, tmp_path / "o")
+    assert proc.returncode == 4
+    assert proc.stderr == "parse error: line 7: poisson coefficient index 3 out of range 1..2\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "job, line_no",
     [

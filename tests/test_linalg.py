@@ -14,11 +14,13 @@ from mixhom.linalg import (
     NotAComplexError,
     _accumulate,
     _check_complex,
+    _denominator,
     _image_rows,
     _integer_row,
     _integer_rref,
     _kernel_rows,
     _rational_row,
+    _sparse_rank,
     homology_presentation,
 )
 
@@ -859,3 +861,238 @@ def test_integer_kernel_matches_oracle_on_acceptance_slices(build):
     for pres in hh.values():
         assert_integer_rows(pres)
     assert sum(pres.dim for pres in hh.values()) > 0 and any(hc_minus.values()) and any(hc.values())
+
+
+# -- differential oracle: the Fraction-entry matrix as it was ---------------------
+#
+# ExactMatrix stores integer entries over one denominator.  Below is the matrix
+# it replaced, which stored Fraction entries: its constructor, matmul, transpose
+# and rank verbatim, with the u-stacking that read it.  The raw complexes are
+# built through it by giving the slice builders this operator_matrix, which
+# wraps each coefficient of a column over den in a Fraction, as the Poisson
+# builder did.
+
+
+def _as_fraction(x):
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(x)
+
+
+class FractionMatrix:
+    """Sparse matrix over Q; entries stored as {(row, col): Fraction}, no zeros."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows, cols, entries=None):
+        self.rows = rows
+        self.cols = cols
+        self.entries = {}
+        if entries:
+            for (i, j), v in entries.items():
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise IndexError(f"entry ({i},{j}) out of range for {rows}x{cols}")
+                v = _as_fraction(v)
+                if v != 0:
+                    self.entries[(i, j)] = v
+
+    @classmethod
+    def zero(cls, rows, cols):
+        return cls(rows, cols, {})
+
+    def row_dicts(self):
+        rows = [dict() for _ in range(self.rows)]
+        for (i, j), v in self.entries.items():
+            rows[i][j] = v
+        return rows
+
+    def transpose(self, sign=1):
+        """The transpose, every entry multiplied by sign."""
+        return FractionMatrix(self.cols, self.rows, {(j, i): sign * v for (i, j), v in self.entries.items()})
+
+    def matmul(self, other):
+        if self.cols != other.rows:
+            raise DimensionMismatchError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        da = _denominator(self.entries.values())
+        db = _denominator(other.entries.values())
+        # group other's entries by row for sparse accumulation, scaled by db
+        by_row = {}
+        for (k, j), v in other.entries.items():
+            by_row.setdefault(k, []).append((j, v.numerator * (db // v.denominator)))
+        acc = {}
+        for (i, k), a in self.entries.items():
+            row = by_row.get(k)
+            if row:
+                a = a.numerator * (da // a.denominator)
+                for j, b in row:
+                    key = (i, j)
+                    s = acc.get(key, 0) + a * b
+                    if s:
+                        acc[key] = s
+                    else:
+                        del acc[key]
+        d = da * db
+        for key, s in acc.items():
+            acc[key] = Fraction(s, d)
+        return FractionMatrix(self.rows, other.cols, acc)
+
+    def rank(self):
+        return _sparse_rank(self.row_dicts())
+
+
+def oracle_operator_matrix(src_labels, tgt_labels, apply, den=1, escape=KeyError):
+    index = {t: i for i, t in enumerate(tgt_labels)}
+    entries = {}
+    for j, s in enumerate(src_labels):
+        for t, c in apply(s).items():
+            if c:
+                i = index.get(t)
+                if i is None:
+                    raise escape(f"operator image {t!r} of {s!r} leaves the target basis")
+                entries[(i, j)] = Q(c, den)
+    return FractionMatrix(len(tgt_labels), len(src_labels), entries)
+
+
+class OracleSlice:
+    """The pieces and the Fraction b and B matrices of a raw complex, read as the parent's u-stacking read a slice."""
+
+    def __init__(self, pieces, b_mats, B_mats):
+        self.pieces = {k: list(v) for k, v in pieces.items() if v}
+        self.b_mats, self.B_mats = b_mats, B_mats
+
+    def dim(self, piece):
+        return len(self.pieces.get(piece, ()))
+
+    def b_matrix(self, piece):
+        return self._matrix(self.b_mats, piece, -1)
+
+    def B_matrix(self, piece):
+        return self._matrix(self.B_mats, piece, +1)
+
+    def _matrix(self, mats, piece, shift):
+        got = mats.get(piece)
+        return got if got is not None else FractionMatrix.zero(self.dim((piece[0] + shift, piece[1])), self.dim(piece))
+
+
+def oracle_u_complex(sl, d, w, lo, hi):
+    """b + uB from the stacked degree-d chains to the stacked degree-(d-1) ones."""
+    rows = cols = 0  # where component i starts in the target and source bases
+    entries = {}
+    for i in range(lo, hi + 1):
+        piece = (d + 2 * i, w)
+        for (r, c), v in sl.b_matrix(piece).entries.items():
+            entries[(rows + r, cols + c)] = v
+        rows += sl.dim((d - 1 + 2 * i, w))
+        if i < hi:
+            for (r, c), v in sl.B_matrix(piece).entries.items():
+                entries[(rows + r, cols + c)] = v
+        cols += sl.dim(piece)
+    return FractionMatrix(rows, cols, entries)
+
+
+def _raw_acceptance_complexes():
+    """(name, slice builder, raw (pieces, b, B) builder) for the acceptance slices of the integer-kernel test."""
+    from mixhom.algebra import make_exterior_algebra
+    from mixhom.koszul import dual_bivector_coeffs
+    from mixhom.mixed import (
+        _hochschild_complex,
+        _poisson_complex,
+        _transpose,
+        slice_from_hochschild_dual,
+        slice_from_poisson,
+        slice_from_poisson_dual,
+    )
+    from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
+
+    def circulant(c):
+        return {(1, 2, 1, 2): c, (2, 3, 2, 3): c, (3, 1, 3, 1): c}
+
+    A = make_exterior_algebra(2)
+    yield ("frobenius", lambda: slice_from_hochschild_dual(A, 5),
+           lambda: _transpose(*_hochschild_complex(A, 5)))
+    ctx = PoissonContext.make(3, "poly")
+    for name, c in (("poisson-c=1", Q(1)), ("poisson-c=-7_3", Q(-7, 3))):
+        pi = quadratic_bivector(ctx, circulant(c))
+        yield (name, lambda pi=pi: slice_from_poisson(ctx, pi, 8), lambda pi=pi: _poisson_complex(ctx, pi, 8))
+    ctx_ext = PoissonContext.make(3, "ext")
+    pi_dual = quadratic_bivector(ctx_ext, dual_bivector_coeffs(circulant(Q(1))))
+    yield ("dual-poisson", lambda: slice_from_poisson_dual(DualSide(ctx_ext, pi_dual, w_max=8)),
+           lambda: _transpose(*_poisson_complex(ctx_ext, pi_dual, 8)))
+
+
+def _same(got, want):
+    """An ExactMatrix and a FractionMatrix with the same shape and rational entries."""
+    return (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+
+
+@pytest.mark.parametrize("case", [pytest.param(b, id=b[0]) for b in _raw_acceptance_complexes()])
+def test_integer_matrices_match_the_fraction_matrices_on_acceptance_slices(case):
+    import mixhom.mixed as mixed
+
+    name, build_slice, build_raw = case
+    sl = build_slice()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mixed, "operator_matrix", oracle_operator_matrix)
+        pieces, b_mats, B_mats = build_raw()
+    assert all(type(M) is FractionMatrix for M in [*b_mats.values(), *B_mats.values()])
+    oracle = OracleSlice(pieces, b_mats, B_mats)
+    # every b and B matrix; on the cochain sides these are the duals, signed transposes
+    assert sl.pieces == oracle.pieces and set(sl.b_mats) == set(b_mats) and set(sl.B_mats) == set(B_mats)
+    for got, want in ((sl.b_mats, b_mats), (sl.B_mats, B_mats)):
+        for piece, M in want.items():
+            assert _same(got[piece], M), piece
+    # c = -7/3 puts a denominator on ∂; the other slices have integer matrices
+    assert ({M.den for M in [*sl.b_mats.values(), *sl.B_mats.values()]} != {1}) == (name == "poisson-c=-7_3")
+    # every product _validate forms: b², B², bB and Bb out of each piece
+    nonzero = 0
+    for (d, w) in sl.pieces:
+        for (lk, lp), (rk, rp) in ((("b", (d - 1, w)), ("b", (d, w))), (("B", (d + 1, w)), ("B", (d, w))),
+                                   (("b", (d + 1, w)), ("B", (d, w))), (("B", (d - 1, w)), ("b", (d, w)))):
+            got = getattr(sl, f"{lk}_matrix")(lp).matmul(getattr(sl, f"{rk}_matrix")(rp))
+            want = getattr(oracle, f"{lk}_matrix")(lp).matmul(getattr(oracle, f"{rk}_matrix")(rp))
+            assert _same(got, want), (d, w, lk, rk)
+            nonzero += bool(want.entries)
+    # the u-stacked matrices of HH, HC⁻ at N and N + 1, and HC, on the degrees each is built on
+    degrees = sl.degrees()
+    lo, hi = min(degrees), max(degrees)
+    N = mixed.default_truncation(sl)
+    top = hi + 2 * (hi - lo)
+    K = (top + 1 - lo) // 2
+    stacked = 0
+    for u_lo, u_hi, d_from, d_to in ((0, 0, lo, hi), (0, N, lo - 2 * (N + 1), hi), (0, N + 1, lo - 2 * (N + 1), hi),
+                                     (-K, 0, lo, top)):
+        for w in sl.weights():
+            for d in range(d_from, d_to + 2):
+                got = mixed._u_complex(sl, d, w, u_lo, u_hi)
+                assert _same(got, oracle_u_complex(oracle, d, w, u_lo, u_hi)), (u_lo, u_hi, d, w)
+                stacked += bool(got.num)
+    assert nonzero > 0 and stacked > 0
+
+
+@st.composite
+def entry_dicts(draw, rows, cols):
+    """Sparse rational entries on a rows x cols grid, zeros included, from a small set so that matrices coincide."""
+    small = st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from((1, 2, 3)))
+    return draw(st.dictionaries(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)), small, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.integers(1, 3).flatmap(
+    lambda c: st.tuples(st.just((r, c)), entry_dicts(r, c), entry_dicts(r, c), st.integers(1, 6)))))
+def test_construction_gives_lowest_terms_and_eq_compares_rational_entries(drawn):
+    (rows, cols), a, b, k = drawn
+    A, B = ExactMatrix(rows, cols, a), ExactMatrix(rows, cols, b)
+    for M, given_entries in ((A, a), (B, b)):
+        assert all(type(v) is int and v for v in M.num.values()) and M.den > 0
+        assert gcd(M.den, *M.num.values()) == 1
+        assert M.entries == {key: v for key, v in given_entries.items() if v}
+        assert_fractions(M.entries)
+        # the same matrix over a k-fold denominator comes back in the same lowest terms
+        assert ExactMatrix._integers(rows, cols, {key: k * v for key, v in M.num.items()}, k * M.den) == M
+        assert FractionMatrix(rows, cols, given_entries).entries == M.entries
+    assert (A == B) == (A.entries == B.entries)
+    # products and transposes stay in lowest terms, with the Fraction matrix's entries
+    for got, want in ((A.matmul(B.transpose(-1)), FractionMatrix(rows, cols, a).matmul(
+            FractionMatrix(rows, cols, b).transpose(-1))), (A.transpose(), FractionMatrix(rows, cols, a).transpose())):
+        assert gcd(got.den, *got.num.values()) == 1 and _same(got, want)
+    assert A.rank() == FractionMatrix(rows, cols, a).rank()

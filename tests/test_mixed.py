@@ -55,6 +55,16 @@ class TestSliceValidation:
         assert exc.value.identity == "b²=0"
         assert exc.value.label == "c"
 
+    def test_anticommutator_sums_terms_over_different_denominators(self):
+        # out of (1, 0), bB = [[0, 0], [-1/2, 0]] and Bb = [[0, 0], [1, 0]]: their integer entries cancel
+        # (-1 over 2, 1 over 1) but the sum is 1/2 at the column of "x"; b² = B² = 0 everywhere
+        pieces = {(0, 0): ["a"], (1, 0): ["x", "y"], (2, 0): ["c"]}
+        b_mats = {(1, 0): ExactMatrix.from_rows([[1, 0]]), (2, 0): ExactMatrix.from_rows([[0], [1]])}
+        B_mats = {(0, 0): ExactMatrix.from_rows([[0], [1]]), (1, 0): ExactMatrix.from_rows([[Q(-1, 2), 0]])}
+        with pytest.raises(SliceAxiomError) as exc:
+            MixedComplexSlice(pieces, b_mats, B_mats)
+        assert (exc.value.identity, exc.value.piece, exc.value.label) == ("bB+Bb=0", (1, 0), "x")
+
     @pytest.mark.parametrize("which,piece,identity,at,label", [
         ("B", (-1, 2), "B²=0", (-2, 2), (3,)),
         ("b", (0, 3), "bB+Bb=0", (-1, 3), (1, 1, 1)),
