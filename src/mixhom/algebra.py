@@ -14,6 +14,7 @@ a silent zero; multiplying across it raises ``WindowOverflowError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -274,7 +275,7 @@ def _free_truncation(F: FreeGCA, max_exponent: int, cutoff: int | None, name: st
     Ordered by (weight, -exponents) and labelled by ``format_monomial``; ``mul_monomials`` gives every sign.
     """
     monos = sorted(
-        (m for m in F.monomials([max_exponent] * F.n) if cutoff is None or F.weight(m) <= cutoff),
+        F.monomials([max_exponent] * F.n, -math.inf, math.inf if cutoff is None else cutoff),
         key=lambda m: (F.weight(m), tuple(-e for e in m)),
     )
     pos = {m: i for i, m in enumerate(monos)}

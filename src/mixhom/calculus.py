@@ -42,14 +42,19 @@ from .hochschild import (
 from .linalg import (
     ExactMatrix,
     HomologyPresentation,
+    Row,
     _accumulate,
     _check_complex,
     _expand,
+    _fractions,
+    _iaccumulate_over,
+    _iexpand,
     _integer_row,
     _integer_rref,
+    _lowest,
+    _over_one_denominator,
     _positive,
     _pullback,
-    _rational_row,
     homology_presentation,
     operator_matrix,
 )
@@ -69,9 +74,12 @@ class DualityError(Exception):
 class _CochainOps:
     """What both cochain sides share: coordinates, the δ matrices and the incoming restriction.
 
-    A side gives its labelled ``_pieces``, the ``_pieces_ext`` that δ lands in, δ on one label (``_delta``),
-    the (label, coefficient) terms of an element (``_labels``), and ``rep``, ``cup``, ``bracket`` and ``unit``.
+    A side gives its labelled ``_pieces``, the ``_pieces_ext`` that δ lands in, ``_delta_den`` times δ on one
+    label (``_delta``), the (label, coefficient) terms of an element (``_labels``), and ``rep``, ``cup``,
+    ``bracket`` and ``unit``.
     """
+
+    _delta_den = 1
 
     def pieces(self) -> dict[Piece, list]:
         return self._pieces
@@ -84,7 +92,7 @@ class _CochainOps:
         """δ out of the piece, into the extended basis of (D - 1, ω)."""
         D, om = piece
         return operator_matrix(self._pieces.get(piece, []), self._pieces_ext.get((D - 1, om), []), self._delta,
-                               escape=WindowError)
+                               self._delta_den, escape=WindowError)
 
     def incoming(self, piece: Piece, above: ExactMatrix) -> ExactMatrix:
         """δ into the piece, from ``above`` = δ out of (D + 1, ω), on the rows of the piece's own basis.
@@ -178,20 +186,19 @@ class HochschildCochainOps(_CochainOps):
 class MultivectorOps(_CochainOps):
     """Polyvector fields with the Lichnerowicz coboundary δ = [π, -], for either side.
 
-    δ is ``bracket_op(ctx, π)``, which tabulates π once here for every δ matrix.
+    δ is read off the integer columns of ``po._bracket_columns``, which tabulates π once here for every δ
+    matrix, over the denominator of π.
     """
 
     def __init__(self, ctx: po.PoissonContext, pi, w_shift_min: int, w_shift_max: int, coeff_wmax: int):
         self.ctx = ctx
         self.pi = pi
-        self._delta = po.bracket_op(ctx, pi)
+        self._delta_den, self._delta = po._bracket_columns(ctx, pi)
         V = ctx.vectors
         theta_cap = max(2, ctx.n, ctx.n - w_shift_min)
         self._pieces: dict[Piece, list] = {}
-        for m in V.monomials([coeff_wmax] * ctx.n + [theta_cap] * ctx.n):
-            w = V.weight(m)
-            if w_shift_min <= w <= w_shift_max:
-                self._pieces.setdefault((V.degree(m), w), []).append(m)
+        for m in V.monomials([coeff_wmax] * ctx.n + [theta_cap] * ctx.n, w_shift_min, w_shift_max):
+            self._pieces.setdefault((V.degree(m), V.weight(m)), []).append(m)
         for labels in self._pieces.values():
             labels.sort()
         self._pieces_ext = self._pieces  # δ stays in the window
@@ -494,12 +501,15 @@ class DualityData:
     bundle: CalculusBundle
     eta: ClassKey
     # per cohomology piece where PD is invertible: column i of PD⁻¹, the
-    # cohomology class that PD sends to homology class i of the target piece
-    pd: dict[Piece, list[dict[ClassKey, Fraction]]] = field(default_factory=dict)
+    # cohomology class that PD sends to homology class i of the target piece,
+    # as an integer row over its denominator
+    pd: dict[Piece, list[Row]] = field(default_factory=dict)
     pd_twist: object = None  # callable(piece) -> ±1 normalization of PD
-    # per-class memo table; only successful results are stored, and callers
+    # per-class memo tables; only successful results are stored, and callers
     # get copies, so a failing class raises again and no caller can edit it
     _delta: dict[ClassKey, dict[ClassKey, Fraction]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _pd: dict[ClassKey, Row] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def _twist(self, piece: Piece) -> Fraction:
@@ -508,45 +518,60 @@ class DualityData:
         return Q(self.pd_twist(piece))
 
     def pd_of(self, key: ClassKey) -> dict[ClassKey, Fraction]:
-        got = self.bundle.cap_classes(key, self.eta)
+        return _fractions(*self._pd_row(key))
+
+    def _pd_row(self, key: ClassKey) -> Row:
+        """The twisted PD image of a cohomology class as an integer row over its denominator, memoized."""
+        got = self._pd.get(key)
         if got is None:
-            raise WindowError(f"PD image of {key} escapes the window")
-        t = self._twist(key[0])
-        return {k: t * v for k, v in got.items()}
+            img = self.bundle.cap_classes(key, self.eta)
+            if img is None:
+                raise WindowError(f"PD image of {key} escapes the window")
+            num, den = _over_one_denominator(img)
+            t = self._twist(key[0])
+            got = self._pd[key] = _lowest({k: t.numerator * v for k, v in num.items()}, t.denominator * den)
+        return got
 
     def pd_inverse(self, key: ClassKey) -> dict[ClassKey, Fraction]:
         """Homology class -> cohomology class with PD(result) = key: one column of PD⁻¹."""
+        return _fractions(*self._pd_inverse_row(key))
+
+    def _pd_inverse_row(self, key: ClassKey) -> Row:
         (d, w), i = key
         (de, we) = self.eta[0]
         src = (d - de, self.bundle.weight_sign * (w - we))
         inverse = self.pd.get(src)
         if inverse is None:
             raise DualityError(f"PD not invertible into piece {src}")
-        return dict(inverse[i])
+        return inverse[i]
 
     # the transported product on the homology side
     def dot(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction]:
-        fa = self.pd_inverse(a)
-        fb = self.pd_inverse(b)
-        out: dict[ClassKey, Fraction] = {}
+        return _fractions(*self._dot_row(a, b))
+
+    def _dot_row(self, a: ClassKey, b: ClassKey) -> Row:
+        """PD(PD⁻¹a ∪ PD⁻¹b) as an integer row over one denominator, in lowest terms."""
+        fa, da = self._pd_inverse_row(a)
+        fb, db = self._pd_inverse_row(b)
+        out: dict[ClassKey, int] = {}
+        den = 1
         for ka, va in fa.items():
             for kb, vb in fb.items():
                 cupt = self.bundle.cup_classes(ka, kb)
                 if cupt is None:
                     raise WindowError(f"transported product escapes window on {a}·{b}")
                 for kc, vc in cupt.items():
-                    _accumulate(out, self.pd_of(kc), va * vb * vc)
-        return out
+                    num, d = self._pd_row(kc)
+                    den = _iaccumulate_over(out, den, num, d * vc.denominator, va * vb * vc.numerator)
+        return _lowest(out, den * da * db)
 
     def delta_classes(self, key: ClassKey) -> dict[ClassKey, Fraction]:
         """Δ = PD⁻¹ ∘ B ∘ PD on cohomology classes, memoized per class."""
         got = self._delta.get(key)
         if got is None:
-            got = {}
-            for kz, vz in self.pd_of(key).items():
-                for kb, vb in self.bundle.B_classes(kz).items():
-                    _accumulate(got, self.pd_inverse(kb), vz * vb)
-            self._delta[key] = got
+            z = self._pd_row(key)
+            got = self._delta[key] = _fractions(*_iexpand(z, lambda kz: _iexpand(
+                _over_one_denominator(self.bundle.B_classes(kz)), self._pd_inverse_row)))
         return dict(got)
 
     def generated_bracket(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction] | None:
@@ -610,8 +635,8 @@ def attach_duality(bundle: CalculusBundle, eta: ClassKey, pd_twist=None) -> Dual
             if any(p >= m for p, _ in reduced):
                 raise DualityError(f"PD singular in piece {piece}")
             data.pd[piece] = [
-                {(piece, j - m): c for j, c in _rational_row(*_positive(p, r)).items() if j >= m}
-                for p, r in reduced
+                _lowest({(piece, j - m): c for j, c in r.items() if j >= m}, r[p])
+                for p, r in (_positive(p, r) for p, r in reduced)
             ]
     return data
 

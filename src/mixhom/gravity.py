@@ -10,6 +10,10 @@ where the product on the b-homology side is the one transported through
 Poincaré duality.  Tables are built over the stable HC⁻ basis; entries
 whose intermediate products escape the computed window are recorded as
 unavailable rather than silently zero.
+
+Every class vector here, from π* and β to the sums the checks form, is an
+integer row over one positive denominator (``linalg._lowest``); a
+``Fraction`` is built only in what the public methods return.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .calculus import ClassKey, DualityData, WindowError, _FAILURE_LIMIT, _available
-from .linalg import _accumulate, _sparse_rank
+from .linalg import ZERO_ROW, Row, _fractions, _iaccumulate_over, _iexpand, _lowest, _over_one_denominator, _sparse_rank
 from .mixed import NegativeCyclic, Piece
-
-Q = Fraction
 
 HCKey = tuple[Piece, int]
 
@@ -34,17 +36,22 @@ class GravityStructure:
     degree minus the volume degree): the transported product on the
     b-homology side is graded commutative exactly in that shifted grading.
 
-    π* and β are the ``hc`` object's own, memoized there per basis class, so
-    structures over one HC⁻ share them; the transported product of each
-    pair of b-homology classes is memoized here.  The left-associated
-    products π*(x_1)·…·π*(x_k) are memoized per prefix (``None`` where the
-    product escapes the window), so a bracket costs one product with its
-    last argument, and a row whose prefix product is zero is zero
-    throughout.  Every ordered tuple is computed from its own
-    prefix; none is filled in from a permutation.  A table of arity n holds
-    only its nonzero and unavailable (``None``) entries, keyed by tuples of
-    basis indices (a class outside the basis stands for itself); an entry
-    it lacks is zero once its row is filled.
+    Every class vector here is an integer row over one positive denominator,
+    (num, den) in lowest terms (``linalg._lowest``), and a ``Fraction`` is
+    built only in what ``bracket``, ``table_lookup``, ``bracket_combo`` and
+    ``entries`` return.  π* and β are the ``hc`` object's integer rows,
+    memoized there per basis class, so structures over one HC⁻ share them;
+    the transported product of each pair of b-homology classes is memoized
+    here (``dot_pair``).  The left-associated products π*(x_1)·…·π*(x_k) are
+    memoized per prefix (``None`` where the product escapes the window), so a
+    bracket costs one product with its last argument, and a row whose prefix
+    product is zero is zero throughout.  Every ordered tuple is computed from
+    its own prefix; none is filled in from a permutation.  A table of arity n
+    holds only its nonzero and unavailable (``None``) entries, keyed by
+    tuples of basis indices (a class outside the basis stands for itself);
+    an entry it lacks is zero once its row is filled.  No zero row is
+    copied: a zero product or bracket is the shared ``ZERO_ROW``, and a zero
+    prefix is memoized as the zero row it extends.
     """
 
     def __init__(self, hc: NegativeCyclic, duality: DualityData, basis: list[HCKey] | None = None):
@@ -55,9 +62,9 @@ class GravityStructure:
             basis = [(piece, i) for piece, dim in hc.stable_dims().items() for i in range(dim)]
         self.basis = basis
         self.index = {k: i for i, k in enumerate(basis)}
-        self._dot: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction]] = {}
-        self._prefixes: dict[tuple, dict[ClassKey, Fraction] | None] = {}
-        self._tables: dict[int, dict[tuple, dict[HCKey, Fraction] | None]] = {}
+        self._dot: dict[tuple[ClassKey, ClassKey], Row] = {}
+        self._prefixes: dict[tuple, Row | None] = {}
+        self._tables: dict[int, dict[tuple, Row | None]] = {}
         self._filled: set[tuple] = set()  # the rows whose every entry is tabled
 
     def degree(self, key: HCKey) -> int:
@@ -68,79 +75,89 @@ class GravityStructure:
 
     # -- ingredients ---------------------------------------------------------
 
-    def dot_pair(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction]:
+    def dot_pair(self, a: ClassKey, b: ClassKey) -> Row:
+        """The transported product a·b as an integer row (``DualityData.dot``), memoized."""
         key = (a, b)
-        if key not in self._dot:
-            self._dot[key] = self.duality.dot(a, b)
-        return self._dot[key]
+        got = self._dot.get(key)
+        if got is None:
+            got = self._dot[key] = self.duality._dot_row(a, b)
+        return got
 
-    def _dot_combo(self, left: dict[ClassKey, Fraction], right: dict[ClassKey, Fraction]):
-        out: dict[ClassKey, Fraction] = {}
-        for ka, va in left.items():
-            for kb, vb in right.items():
-                _accumulate(out, self.dot_pair(ka, kb), va * vb)
-        return out
+    def _dot_combo(self, left: Row, right: Row) -> Row:
+        """The transported product of two combinations of b-homology classes; a zero pair product costs no multiply."""
+        dot = self._dot
+        out: dict[ClassKey, int] = {}
+        den = 1
+        for ka, va in left[0].items():
+            for kb, vb in right[0].items():
+                got = dot.get((ka, kb)) or self.dot_pair(ka, kb)
+                if got[0]:
+                    den = _iaccumulate_over(out, den, got[0], got[1], va * vb)
+        return _lowest(out, den * left[1] * right[1])
 
-    def _prefix(self, tk: tuple) -> dict[ClassKey, Fraction] | None:
+    def _prefix(self, tk: tuple) -> Row | None:
         """π*(x_1)·…·π*(x_k) for a nonempty tuple of basis indices; None on escape."""
         if tk not in self._prefixes:
             if len(tk) == 1:
-                prod = _available(self.hc.pi_star, self._key(tk[0]))
+                prod = _available(self.hc._pi_row, self._key(tk[0]))
             else:
                 # a zero or unavailable prefix stays zero or unavailable
                 head = self._prefix(tk[:-1])
-                prod = head and _available(lambda: self._dot_combo(head, self.hc.pi_star(self._key(tk[-1]))))
+                prod = head if head is None or not head[0] else _available(
+                    lambda: self._dot_combo(head, self.hc._pi_row(self._key(tk[-1]))))
             self._prefixes[tk] = prod
         return self._prefixes[tk]
 
     # -- brackets -------------------------------------------------------------
 
     def bracket(self, keys: list[HCKey]) -> dict[HCKey, Fraction]:
-        """The n-ary bracket of classes; raises WindowError on escape.
+        """The n-ary bracket of classes; raises WindowError on escape."""
+        return _fractions(*self._bracket(keys))
 
-        One product of the memoized (n-1)-prefix with π* of the last class.
-        """
+    def _bracket(self, keys: list[HCKey]) -> Row:
+        """``bracket`` as an integer row: one product of the memoized (n-1)-prefix with π* of the last class."""
         n = len(keys)
         if n < 2:
             raise ValueError("brackets have arity >= 2")
         exp = 0
         for i, k in enumerate(keys[:-1]):
             exp += (n - 1 - i) * self.degree(k)
-        sign = Q(-1) if exp % 2 else Q(1)
         head = self._prefix(tuple(self.index.get(k, k) for k in keys[:-1]))
         if head is None:
             raise WindowError("a prefix product of the bracket escapes the window")
-        if not head:
-            return {}
-        out: dict[HCKey, Fraction] = {}
-        for kc, vc in self._dot_combo(head, self.hc.pi_star(keys[-1])).items():
-            _accumulate(out, self.hc.beta(kc), sign * vc)
-        return out
+        if not head[0]:
+            return ZERO_ROW
+        num, den = _iexpand(self._dot_combo(head, self.hc._pi_row(keys[-1])), self.hc._beta_row)
+        return ({k: -v for k, v in num.items()}, den) if exp % 2 and num else (num, den)
 
     def bracket_combo(self, combos: list[dict[HCKey, Fraction]]) -> dict[HCKey, Fraction] | None:
         """Multilinear extension over linear combinations of basis classes."""
-        out: dict[HCKey, Fraction] = {}
-        idx_lists = []
-        for combo in combos:
-            idx_lists.append(list(combo.items()))
-        for picks in iproduct(*idx_lists):
-            coeff = Q(1)
+        got = self._combo([_over_one_denominator(c) for c in combos])
+        return None if got is None else _fractions(*got)
+
+    def _combo(self, rows: list[Row]) -> Row | None:
+        """``bracket_combo`` on integer rows: None where an entry it reads is unavailable."""
+        out: dict[HCKey, int] = {}
+        den = 1
+        for picks in iproduct(*(row[0].items() for row in rows)):
+            coeff = 1
             keys = []
             for k, c in picks:
                 coeff *= c
                 keys.append(k)
-            if coeff == 0:
-                continue
-            got = self.table_lookup(keys)
+            got = self._lookup(keys)
             if got is None:
                 return None
-            _accumulate(out, got, coeff)
-        return out
+            if got[0]:
+                den = _iaccumulate_over(out, den, got[0], got[1], coeff)
+        for row in rows:
+            den *= row[1]
+        return _lowest(out, den)
 
-    def _tabulate(self, table: dict, tk: tuple, keys: list[HCKey]) -> dict[HCKey, Fraction] | None:
+    def _tabulate(self, table: dict, tk: tuple, keys: list[HCKey]) -> Row | None:
         """Evaluate one entry; keep it in ``table`` unless it is zero."""
-        got = _available(self.bracket, keys)
-        if got is None or got:
+        got = _available(self._bracket, keys)
+        if got is None or got[0]:
             table[tk] = got
         return got
 
@@ -150,22 +167,27 @@ class GravityStructure:
         Intermediate classes (bracket outputs) may lie outside the chosen
         basis; the evaluator works for any class with a presentation, so such
         keys are memoized by the key itself.  An entry the table holds is
-        returned as it is; a zero entry is not stored, and is known to be
+        returned from it; a zero entry is not stored, and is known to be
         zero once its row is filled or its prefix product is zero.
         """
+        got = self._lookup(keys)
+        return None if got is None else _fractions(*got)
+
+    def _lookup(self, keys: list[HCKey]) -> Row | None:
+        """``table_lookup`` as the integer row the table holds."""
         tk = tuple(self.index.get(k, k) for k in keys)
         table = self._tables.setdefault(len(tk), {})
         if tk in table:
             return table[tk]
         row = tk[:-1]
-        if row and (row in self._filled or self._prefix(row) == {}):
-            return {}
+        if row and (row in self._filled or _is_zero(self._prefix(row))):
+            return ZERO_ROW
         return self._tabulate(table, tk, list(keys))
 
     def _rows(self, head: tuple, length: int):
         """The rows of the given length extending ``head`` whose prefix product
         is not zero, in lexicographic order; a zero prefix prunes its subtree."""
-        if head and self._prefix(head) == {}:
+        if head and _is_zero(self._prefix(head)):
             return
         if len(head) == length:
             yield head
@@ -185,6 +207,10 @@ class GravityStructure:
         product is zero; the result is what the table then holds for those
         tuples, in lexicographic order.
         """
+        return {t: None if v is None else _fractions(*v) for t, v in self._entries(arity, first).items()}
+
+    def _entries(self, arity: int, first: HCKey | None) -> dict[tuple[int, ...], Row | None]:
+        """``entries`` as the integer rows the table holds."""
         table = self._tables.setdefault(arity, {})
         head = () if first is None else (self.index.get(first, first),)
         for row in self._rows(head, arity - 1):
@@ -200,6 +226,11 @@ class GravityStructure:
             for tk, v in table.items()
             if tk[:h] == head and all(type(t) is int for t in tk[h:])
         ))
+
+
+def _is_zero(row: Row | None) -> bool:
+    """Whether an available row is zero (an unavailable one, None, is not)."""
+    return row is not None and not row[0]
 
 
 @dataclass
@@ -285,7 +316,7 @@ def verify_gravity_axioms(g: GravityStructure, n_max: int = 4, check_max: int = 
 
     def entries(arity: int, first: HCKey | None = None):
         if (arity, first) not in support:
-            support[(arity, first)] = g.entries(arity, first)
+            support[(arity, first)] = g._entries(arity, first)
         return support[(arity, first)]
 
     # nonzero census per arity
@@ -335,16 +366,22 @@ def _swap(tup: tuple[int, ...], i: int) -> tuple[int, ...]:
 
 def _skew_verdict(table, deg, tup: tuple[int, ...], i: int):
     """Skew-symmetry of one tuple at one slot, against its sparse table."""
-    base = table.get(tup, {})
+    base = table.get(tup, ZERO_ROW)
     if base is None:
         return _ABSENT
-    other = table.get(_swap(tup, i), {})
+    other = table.get(_swap(tup, i), ZERO_ROW)
     if other is None:
         return _SKIP
     s = -1 if ((deg[tup[i]] + 1) % 2) and ((deg[tup[i + 1]] + 1) % 2) else 1
-    if _accumulate(dict(base), other, s):
+    if not _cancels(base, other, s):
         return f"skew fails on {tup} at slot {i}"
     return None
+
+
+def _cancels(a: Row, b: Row, s: int) -> bool:
+    """Whether a + s·b = 0, by cross-multiplication (neither row need be in lowest terms)."""
+    (na, da), (nb, db) = a, b
+    return len(na) == len(nb) and all(nb.get(k, 0) * s * da == -v * db for k, v in na.items())
 
 
 def _jacobi_verdict(flat: tuple[int, ...], n: int, total: dict | None):
@@ -384,12 +421,21 @@ def _jacobi_sums(g: GravityStructure, n: int, m: int, deg, entries):
 
     and it skips when any entry that sum reads is unavailable.  Joining the
     nonzero and unavailable table entries finds every instance that skips
-    (mapped to None) or receives a term (mapped to its sum, which may have
-    cancelled to {}); every other instance sums to zero.
+    (mapped to None) or receives a term (mapped to the integer entries of its
+    sum, which may have cancelled to {}); every other instance sums to zero.
+    Each sum accumulates in place over the lcm of its terms' denominators.
     """
     K = len(g.basis)
     skips: set[tuple[int, ...]] = set()
-    sums: dict[tuple[int, ...], dict[HCKey, Fraction]] = {}
+    sums: dict[tuple[int, ...], dict[HCKey, int]] = {}
+    dens: dict[tuple[int, ...], int] = {}  # the denominator of a sum, where it is not 1
+
+    def add(flat, got: Row, den: int, scale: int):
+        """The sum of ``flat`` += scale·got / den."""
+        d = dens.get(flat, 1)
+        d_sum = _iaccumulate_over(sums.setdefault(flat, {}), d, got[0], got[1] * den, scale)
+        if d_sum != d:
+            dens[flat] = d_sum
 
     def place(rest, i, a, j, b):
         xs = list(rest[: n - 2])
@@ -403,26 +449,25 @@ def _jacobi_sums(g: GravityStructure, n: int, m: int, deg, entries):
             if inner is None:
                 skips.update(place(r, i, a, j, b) for r in iproduct(range(K), repeat=n + m - 2))
                 continue
-            for key_in, c_in in inner.items():
+            for key_in, c_in in inner[0].items():
                 for rest, got in entries(n + m - 1, key_in).items():
                     flat = place(rest, i, a, j, b)
                     if got is None:
                         skips.add(flat)
                     else:
-                        scale = _pull_sign(deg, flat, i, j) * c_in
-                        _accumulate(sums.setdefault(flat, {}), got, scale)
+                        add(flat, got, inner[1], _pull_sign(deg, flat, i, j) * c_in)
     if m:
         rhs_sign = -1 if n % 2 else 1
         for xs, outer in entries(n).items():
             if outer is None:
                 skips.update(xs + ys for ys in iproduct(range(K), repeat=m))
                 continue
-            for key_out, c_out in outer.items():
+            for key_out, c_out in outer[0].items():
                 for ys, got in entries(m + 1, key_out).items():
                     if got is None:
                         skips.add(xs + ys)
                     else:
-                        _accumulate(sums.setdefault(xs + ys, {}), got, -rhs_sign * c_out)
+                        add(xs + ys, got, outer[1], -rhs_sign * c_out)
     return {**sums, **dict.fromkeys(skips)}
 
 
@@ -461,49 +506,40 @@ def compare_across_iso(
     """
     rep = IsoReport()
     K = len(g1.basis)
-    images = [iso.get(k) for k in g1.basis]
-
-    def push(table: dict[HCKey, Fraction]) -> dict[HCKey, Fraction] | None:
-        out: dict[HCKey, Fraction] = {}
-        for k, v in table.items():
-            img = iso.get(k)
-            if img is None:
-                return None
-            _accumulate(out, img, v)
-        return out
+    rows = {k: None if img is None else _over_one_denominator(img) for k, img in iso.items()}
+    images = [rows.get(k) for k in g1.basis]
 
     # invertibility on the window: the pushed basis vectors must be
     # linearly independent
-    cols = [img for img in images if img is not None]
+    cols = [img[0] for img in images if img is not None]
     if _sparse_rank(cols) != len(cols):
         raise ValueError("iso is not injective on the compared basis")
 
     def verdict(tup: tuple[int, ...]):
-        t1 = g1.table_lookup([g1.basis[i] for i in tup])
+        t1 = g1._lookup([g1.basis[i] for i in tup])
         if t1 is None:
             return _SKIP
-        lhs = push(t1)
+        lhs = _iexpand(t1, rows.get)
         combos = [images[i] for i in tup]
         if lhs is None or any(c is None for c in combos):
             return _SKIP
-        rhs = g2.bracket_combo(combos)
+        rhs = g2._combo(combos)
         if rhs is None:
             return _SKIP
-        if _accumulate(lhs, rhs, -1):
+        if not _cancels(lhs, rhs, -1):
             return f"bracket images differ on {tup}"
         return None
 
     # the g2 classes a combination of images can pick, with their preimages
     preimages: dict[HCKey, list[int]] = {}
     for i, img in enumerate(images):
-        for k, c in (img or {}).items():
-            if c:
-                preimages.setdefault(k, []).append(i)
+        for k in img[0] if img else ():
+            preimages.setdefault(k, []).append(i)
     outside = {i for i, img in enumerate(images) if img is None}
 
     for n in range(2, arity_max + 1):
-        candidates = set(g1.entries(n))
-        for tup in g2.entries(n):
+        candidates = set(g1._entries(n, None))
+        for tup in g2._entries(n, None):
             picks = [g2.basis[t] for t in tup]
             if all(k in preimages for k in picks):
                 candidates.update(iproduct(*(preimages[k] for k in picks)))

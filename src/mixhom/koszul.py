@@ -468,7 +468,7 @@ class PoissonIdentification:
             _, d, boundary = po._form_columns(self.ctx_poly, pi, den)
             return [(iso, boundary, coboundary, lambda m: 1), (iso, d, d_star, lambda m: 1)]
 
-        labels = [m for m in F.monomials([w_max] * self.n + [1] * self.n) if F.weight(m) <= w_max]
+        labels = F.monomials([w_max] * self.n + [1] * self.n, 0, w_max)
         return [f"{('boundary', 'de Rham')[k]} fails at {F.format_monomial(m)}"
                 for m, k in po._square(labels, F.weight, maps)]
 

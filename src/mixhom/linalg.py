@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 Q = Fraction
 
@@ -95,7 +96,12 @@ def _as_fraction(x) -> Fraction:
 # -- the integer kernel ----------------------------------------------------
 #
 # A sparse integer row {column: int} (no zeros) stands for the rational row
-# it is proportional to; echelon forms are lists of (pivot column, row).
+# it is proportional to; echelon forms are lists of (pivot column, row).  A
+# rational vector held inside the package is a pair (num, den): a sparse
+# integer row over one positive denominator (see ``_lowest``).
+
+Row = tuple[Mapping, int]  # (num, den): integer entries {key: int} without zeros over a positive den
+ZERO_ROW: Row = (MappingProxyType({}), 1)  # read-only: the one zero row many memos share
 
 
 def _denominator(values: Iterable) -> int:
@@ -112,6 +118,56 @@ def _iaccumulate(acc: dict, terms: dict, scale: int) -> dict:
         else:
             acc.pop(k, None)
     return acc
+
+
+def _iaccumulate_over(acc: dict, den: int, terms: dict, terms_den: int, scale: int) -> int:
+    """acc/den += scale·terms/terms_den for sparse integer vectors over positive denominators, in place.
+
+    acc is first brought to the lcm of the two denominators; returns that lcm, acc's denominator now.
+    """
+    if den % terms_den:
+        common = lcm(den, terms_den)
+        up = common // den
+        for k in acc:
+            acc[k] *= up
+        den = common
+    _iaccumulate(acc, terms, scale * (den // terms_den))
+    return den
+
+
+def _lowest(num: dict, den: int) -> Row:
+    """The sparse rational vector num / den as an integer row over one positive denominator in lowest terms.
+
+    The zero vector is the shared, read-only ``ZERO_ROW``.
+    """
+    if not num:
+        return ZERO_ROW
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            return {k: v // g for k, v in num.items()}, den // g
+    return num, den
+
+
+def _iexpand(row: Row | None, step) -> Row | None:
+    """Σ v·step(k) over the entries k: v of an integer row, in lowest terms; None if row or any step is None.
+
+    ``step`` maps a key to an integer row over its denominator; this is ``_expand`` on integer rows.
+    """
+    if row is None:
+        return None
+    acc, den = {}, 1
+    for k, v in row[0].items():
+        got = step(k)
+        if got is None:
+            return None
+        den = _iaccumulate_over(acc, den, got[0], got[1], v)
+    return _lowest(acc, den * row[1])
+
+
+def _fractions(num: dict, den: int) -> dict:
+    """The Fractions {key: v / den} of an integer row over a denominator."""
+    return {k: Fraction(v, den) for k, v in num.items()}
 
 
 def _primitive(r: dict[int, int]) -> None:
@@ -239,8 +295,7 @@ class ExactMatrix:
     @property
     def entries(self) -> dict[tuple[int, int], Fraction]:
         """The rational entries {(row, col): Fraction}, a fresh dict."""
-        d = self.den
-        return {k: Fraction(v, d) for k, v in self.num.items()}
+        return _fractions(self.num, self.den)
 
     def __eq__(self, other) -> bool:
         return (

@@ -36,9 +36,12 @@ from .hochschild import boundary_b, chain_basis, connes_B, shifted_degree
 from .linalg import (
     ExactMatrix,
     HomologyPresentation,
+    Row,
     _denominator,
-    _expand,
+    _fractions,
     _iaccumulate,
+    _iexpand,
+    _over_one_denominator,
     _row_echelon,
     _sparse_rank,
     homology_presentation,
@@ -190,10 +193,8 @@ def _poisson_complex(ctx: po.PoissonContext, pi: dict, w_max: int) -> RawComplex
     F = ctx.forms
     pieces: dict[Piece, list] = {}
     # odd generators are capped at exponent 1, so this lists either side's forms
-    for m in F.monomials([w_max] * (2 * ctx.n)):
-        w = F.weight(m)
-        if w <= w_max:
-            pieces.setdefault((F.degree(m), w), []).append(m)
+    for m in F.monomials([w_max] * (2 * ctx.n), 0, w_max):
+        pieces.setdefault((F.degree(m), F.weight(m)), []).append(m)
     for labels in pieces.values():
         labels.sort()
     den = _denominator(pi.values())
@@ -270,8 +271,10 @@ class NegativeCyclic:
     built the first time a class in it is read.
 
     π* and β of the long exact sequence HC⁻ → HH → HC⁻ are taken on one
-    basis class at a time and memoized here, so ``les_check`` and every
-    gravity structure over this HC⁻ share them.
+    basis class at a time and memoized here as integer rows over one
+    denominator (``_pi_row``, ``_beta_row``), so ``les_check`` and every
+    gravity structure over this HC⁻ share them; ``pi_star`` and ``beta``
+    give their Fractions.
     """
 
     slice: MixedComplexSlice
@@ -279,8 +282,8 @@ class NegativeCyclic:
     stable: dict[Piece, bool] = field(default_factory=dict, init=False)
     _dims: dict[Piece, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     _pres: dict[Piece, HomologyPresentation] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pi: dict[ClassKey, dict[ClassKey, Fraction]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _beta: dict[ClassKey, dict[ClassKey, Fraction]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pi: dict[ClassKey, Row] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _beta: dict[ClassKey, Row] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         degrees = self.slice.degrees()
@@ -315,32 +318,41 @@ class NegativeCyclic:
     # -- the long exact sequence maps ---------------------------------------
 
     def pi_star(self, key: ClassKey) -> dict[ClassKey, Fraction]:
-        """HC⁻ basis class -> b-homology class of its u⁰ component, memoized.
+        """HC⁻ basis class -> b-homology class of its u⁰ component.
 
         Raises WindowError if the class's piece has no HC⁻ presentation.
         """
+        return _fractions(*self._pi_row(key))
+
+    def _pi_row(self, key: ClassKey) -> Row:
+        """π* of a basis class as an integer row over one denominator, memoized."""
         got = self._pi.get(key)
         if got is None:
             piece, i = key
             # the u⁰ component comes first in the stacked basis
             n0 = self.slice.dim(piece)
             x0 = {j: c for j, c in self.presentation(piece).cycle(i).items() if j < n0}
-            got = self._pi[key] = _classes(piece, self.slice.hh(piece).reduce(x0))
+            got = self._pi[key] = _over_one_denominator(_classes(piece, self.slice.hh(piece).reduce(x0)))
         return got
 
     def beta(self, key: ClassKey) -> dict[ClassKey, Fraction]:
-        """b-homology basis class -> HC⁻ class of B(representative) one degree up, memoized.
+        """b-homology basis class -> HC⁻ class of B(representative) one degree up.
 
         The chain-level recipe: lift the cycle, apply b + uB, divide by u;
         on a b-cycle x that is (b + uB)(x) = u·B(x), so the class of B(x)
         viewed as the constant term of an HC⁻ cycle in degree d + 1.
         """
+        return _fractions(*self._beta_row(key))
+
+    def _beta_row(self, key: ClassKey) -> Row:
+        """β of a b-homology basis class as an integer row over one denominator, memoized."""
         got = self._beta.get(key)
         if got is None:
             (d, w), i = key
             img = self.slice.B_matrix((d, w)).apply(self.slice.hh((d, w)).cycle(i))
             # the u⁰ component comes first in the stacked basis
-            got = self._beta[key] = _classes((d + 1, w), self.presentation((d + 1, w)).reduce(img)) if img else {}
+            classes = _classes((d + 1, w), self.presentation((d + 1, w)).reduce(img)) if img else {}
+            got = self._beta[key] = _over_one_denominator(classes)
         return got
 
 
@@ -365,8 +377,8 @@ def les_check(hc: NegativeCyclic) -> LESReport:
     """Long-exact-sequence diagnostics on every stable piece.
 
     β∘π* = 0, π*∘β = B (on b-homology classes), and rank bookkeeping
-    ker β = im π* per piece, all read off the memoized π* and β columns of
-    the basis classes.  A piece is checked when it is stable and the piece
+    ker β = im π* per piece, all read off the memoized integer π* and β
+    rows of the basis classes.  A piece is checked when it is stable and the piece
     one degree up is stable too, or has no chains at truncation N or N + 1
     (there HC⁻ is 0, so β = 0 and π* must be onto HH): pieces flagged
     unstable by the truncation comparison are excluded, since their
@@ -380,20 +392,20 @@ def les_check(hc: NegativeCyclic) -> LESReport:
         if not hc.stable.get((d + 1, w), not hc.stacked_basis(d + 1, w, hc.N + 1)):
             continue
         hh_dim = sl.hh(piece).dim
-        pi_cols = [hc.pi_star((piece, i)) for i in range(dim)]
-        beta_cols = [hc.beta((piece, i)) for i in range(hh_dim)]
+        pi_cols = [hc._pi_row((piece, i)) for i in range(dim)]
+        beta_cols = [hc._beta_row((piece, i)) for i in range(hh_dim)]
         # β∘π* on every HC⁻ basis class
         for i, col in enumerate(pi_cols):
-            if _expand(col, hc.beta):
+            if _iexpand(col, hc._beta_row)[0]:
                 ok_bp = False
                 failures.append(f"β∘π* ≠ 0 at {piece} class {i}")
-        # π*∘β = B on every HH basis class
+        # π*∘β = B on every HH basis class; both rows are in lowest terms
         for i, col in enumerate(beta_cols):
-            if _expand(col, hc.pi_star) != sl.B_class((piece, i)):
+            if _iexpand(col, hc._pi_row) != _over_one_denominator(sl.B_class((piece, i))):
                 ok_pb = False
                 failures.append(f"π*∘β ≠ B at {piece} class {i}")
         # rank bookkeeping: dim ker β = rank π* on HH at this piece
-        rank_beta, rank_pi = _sparse_rank(beta_cols), _sparse_rank(pi_cols)
+        rank_beta, rank_pi = _sparse_rank(num for num, _ in beta_cols), _sparse_rank(num for num, _ in pi_cols)
         if hh_dim - rank_beta != rank_pi:
             ok_rank = False
             failures.append(f"ker β ≠ im π* at {piece}: dim HH {hh_dim}, rk β {rank_beta}, rk π* {rank_pi}")

@@ -34,6 +34,7 @@ sums live in the tests as oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -129,12 +130,24 @@ class FreeGCA:
             return (-1 if sum(m[j] for j in self.odd_before[i]) % 2 else 1), out
         return e, out
 
-    def monomials(self, max_exponents: list[int]) -> list[Monomial]:
-        out = [()]
-        for i in range(self.n):
-            cap = min(1, max_exponents[i]) if self.odd[i] else max_exponents[i]
-            out = [m + (e,) for m in out for e in range(cap + 1)]
-        return [tuple(m) for m in out]
+    def monomials(self, max_exponents: list[int], w_min: float, w_max: float) -> list[Monomial]:
+        """The monomials with exponent i at most max_exponents[i] (1 for an odd generator) and weight in
+        [w_min, w_max], in lexicographic order.
+
+        Built one generator at a time, a head is dropped as soon as no choice of the exponents still open
+        brings its weight into the range, so no monomial outside it is listed.  Infinite bounds list all.
+        """
+        caps = [min(1, c) if odd else c for c, odd in zip(max_exponents, self.odd)]
+        # the least and the greatest weight the generators from i on can still add
+        low, high = [0] * (self.n + 1), [0] * (self.n + 1)
+        for i in range(self.n - 1, -1, -1):
+            w = caps[i] * self.weights[i]
+            low[i], high[i] = low[i + 1] + min(w, 0), high[i + 1] + max(w, 0)
+        heads: list[tuple[Monomial, int]] = [((), 0)]
+        for i, (cap, w) in enumerate(zip(caps, self.weights)):
+            lo, hi = w_min - high[i + 1], w_max - low[i + 1]
+            heads = [(m + (e,), v + e * w) for m, v in heads for e in range(cap + 1) if lo <= v + e * w <= hi]
+        return [m for m, _ in heads]
 
     def format_monomial(self, m: Monomial) -> str:
         parts = []
@@ -495,7 +508,7 @@ def frobenius_poisson_check(dual: DualSide) -> FrobeniusPoissonReport:
         return _pullback({top: 1}, dual.pieces.get((n + dp, n - V.weight(m)), ()),
                          lambda om: contract_monomial(ctx, m, om), -1 if dp % 2 and n % 2 else 1)
 
-    bad = [m for m, _ in _square(V.monomials([1] * n + [max(2, n)] * n), V.weight,
+    bad = [m for m, _ in _square(V.monomials([1] * n + [max(2, n)] * n, -math.inf, math.inf), V.weight,
                                  lambda: [(cache(contract), delta, coboundary, lambda m: 1)], stop=9)]
     # η^!∘ι_1 = η^! and [π, 1] = 0: the unit, the first label, fails exactly when δη^! ≠ 0
     return FrobeniusPoissonReport(V.one not in bad, not bad,
@@ -537,7 +550,7 @@ def unimodularity_check(ctx: PoissonContext, pi: GCAElement, w_max: int = 4) -> 
         contract, _, boundary = _form_columns(ctx, pi, den)
         return [(lambda m: contract(m, eta), delta, boundary, lambda m: 1 if sum(m[n:]) % 2 else -1)]
 
-    bad = [m for m, _ in _square(V.monomials([w_max] * n + [1] * n), V.weight, maps, stop=9)]
+    bad = [m for m, _ in _square(V.monomials([w_max] * n + [1] * n, -math.inf, math.inf), V.weight, maps, stop=9)]
     # ι_1 η = η and [π, 1] = 0: the unit, the first label, fails exactly when ∂η ≠ 0
     return UnimodularityReport(V.one not in bad, not bad, is_zero(modular_vector_field(ctx, pi)),
                                [f"diagram fails on {V.format_monomial(m)}" for m in bad])

@@ -428,7 +428,7 @@ def test_gravity_tables_hold_only_their_support(poisson_pair):
     for n in (2, 3, 4):
         table = g._tables[n]
         unavailable = sum(1 for v in table.values() if v is None)
-        assert all(v is None or v for v in table.values()), n
+        assert all(v is None or v[0] for v in table.values()), n
         assert len(table) == rep.nonzero_brackets[n] + unavailable, n
 
 

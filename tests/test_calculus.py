@@ -441,7 +441,8 @@ def test_fresh_dualities_share_no_cache():
     # the per-piece PD⁻¹ tables are built by attach_duality, equal and unshared
     assert duality1.pd == duality2.pd and duality1.pd is not duality2.pd
     assert not any(a is b for p in duality1.pd for a, b in zip(duality1.pd[p], duality2.pd[p]))
-    before = (dict(duality2._delta), {p: [dict(c) for c in cols] for p, cols in duality2.pd.items()}, dict(B2))
+    before = (dict(duality2._delta), {p: [(dict(num), den) for num, den in cols] for p, cols in duality2.pd.items()},
+              dict(B2))
     for method, keys in _memo_arguments(bundle1, duality1):
         for key in keys:
             try:

@@ -4,16 +4,16 @@ from itertools import product as iproduct
 import pytest
 
 from mixhom.algebra import make_exterior_algebra
-from mixhom.calculus import (DualityData, DualityError, WindowError, attach_duality,
-    hochschild_dual_bundle, poisson_bundle, polyvector_pd_twist, verify_bv_axioms)
-from mixhom.gravity import (GravityReport, GravityStructure, HCKey, IsoReport,
-    compare_across_iso, verify_gravity_axioms)
-from mixhom.linalg import _accumulate
+from mixhom.calculus import (DualityData, DualityError, WindowError, _available, attach_duality,
+    hochschild_dual_bundle, poisson_bundle, poisson_dual_bundle, polyvector_pd_twist, verify_bv_axioms)
+from mixhom.gravity import (_ABSENT, _SKIP, GravityReport, GravityStructure, HCKey, IsoReport, _jacobi_verdict,
+    _pull_sign, _rank, _swap, _tally, compare_across_iso, verify_gravity_axioms)
+from mixhom.linalg import _accumulate, _fractions, _sparse_rank
 from mixhom.koszul import (dual_bivector_coeffs, fit_dual_product_twist, hh_class_image,
     koszul_poisson_identification, poisson_hc_iso)
-from mixhom.mixed import (NegativeCyclic, default_truncation, slice_from_hochschild_dual,
-    slice_from_poisson)
-from mixhom.poisson import PoissonContext, quadratic_bivector
+from mixhom.mixed import (ClassKey, NegativeCyclic, default_truncation, slice_from_hochschild_dual,
+    slice_from_poisson, slice_from_poisson_dual)
+from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
 from test_linalg import from_columns
 
 Q = Fraction
@@ -85,10 +85,6 @@ class TestBrackets:
 
 @pytest.fixture(scope="module")
 def pair():
-    from mixhom.calculus import poisson_dual_bundle
-    from mixhom.mixed import slice_from_poisson_dual
-    from mixhom.poisson import DualSide
-
     circ = {(1, 2, 1, 2): Q(1), (2, 3, 2, 3): Q(1), (3, 1, 3, 1): Q(1)}
     ident = koszul_poisson_identification(3)
     ctx = ident.ctx_poly
@@ -427,20 +423,21 @@ def nonzero(g, arity):
 
 
 def scale_entry(g, arity, tup, c):
-    table = g._tables[arity]
-    table[tup] = {k: c * v for k, v in table[tup].items()}
+    # a table entry is an integer row over its denominator
+    num, den = g._tables[arity][tup]
+    g._tables[arity][tup] = {k: c * v for k, v in num.items()}, den
 
 
 def corrupt_scaled(arity):
     def apply(g):
-        scale_entry(g, arity, nonzero(g, arity)[0], Q(2))
+        scale_entry(g, arity, nonzero(g, arity)[0], 2)
     return apply
 
 
 def corrupt_outside(g):
     # a binary output outside the basis: its Jacobi rows are computed on demand
     outside = next(k for k in GravityStructure(g.hc, g.duality).basis if k not in g.index)
-    g._tables[2][nonzero(g, 2)[0]] = {outside: Q(1)}
+    g._tables[2][nonzero(g, 2)[0]] = {outside: 1}, 1
 
 
 def corrupt_unavailable(arity, index=0):
@@ -459,14 +456,14 @@ def corrupt_unavailable_zero(g):
 def corrupt_many_binary(g):
     # eight skew failures: the skew check stops after the sixth
     for tup in nonzero(g, 2)[:4]:
-        scale_entry(g, 2, tup, Q(3))
+        scale_entry(g, 2, tup, 3)
 
 
 def corrupt_orbit(arity):
     # every nonzero entry of one arity doubled: skew still holds, Jacobi fails
     def apply(g):
         for tup in nonzero(g, arity):
-            scale_entry(g, arity, tup, Q(2))
+            scale_entry(g, arity, tup, 2)
     return apply
 
 
@@ -582,6 +579,7 @@ class PerTupleTables:
         self.g = g
         self.index = g.index
         self._tables = {}
+        self.fractions = FractionGravity(g.hc, g.duality, g.basis)
 
     def bracket(self, keys: list[HCKey]) -> dict[HCKey, Fraction]:
         """The n-ary bracket of basis classes; raises WindowError on escape."""
@@ -597,7 +595,7 @@ class PerTupleTables:
         for k in keys[1:]:
             if not prod:
                 return {}
-            prod = g._dot_combo(prod, g.hc.pi_star(k))
+            prod = self.fractions._dot_combo(prod, g.hc.pi_star(k))
         out: dict[HCKey, Fraction] = {}
         for kc, vc in prod.items():
             _accumulate(out, g.hc.beta(kc), sign * vc)
@@ -643,7 +641,7 @@ def assert_lookups_match_oracle(g, arities):
         got = {t: filled.table_lookup([g.basis[i] for i in t]) for t in want}
         assert got == want, n
         for h in (cold, filled):
-            assert h._tables[n] == support, n
+            assert {t: v and _fractions(*v) for t, v in h._tables[n].items()} == support, n
 
 
 class TestPrefixTablesAgainstOracle:
@@ -682,11 +680,425 @@ def test_skew_check_sees_one_corrupted_prefix(truncated):
     a, b, _ = next(t for t, v in truncated.entries(3).items() if v and t[0] != t[1])
     h.entries(2)
     assert 3 not in h._tables
-    h._prefixes[(a, b)] = {k: 2 * v for k, v in h._prefix((a, b)).items()}
+    num, den = h._prefix((a, b))
+    h._prefixes[(a, b)] = {k: 2 * v for k, v in num.items()}, den
     rep = assert_same_report(h)
     # the binary table is intact, so the first failure is at arity 3
     assert rep.skew_failures and rep.skew_failures[0].count(",") == 2
     assert any(f.startswith(f"skew fails on ({a}, {b}, ") for f in rep.skew_failures)
+
+
+# -- the Fraction bracket path, kept as the differential oracle ---------------------
+#
+# The transported product, the prefix products, the brackets, the tables and
+# the skew and Jacobi sums as they ran in Fraction arithmetic, before every
+# class vector of the gravity layer became an integer row over one
+# denominator.  The integer path must give the same table entries,
+# coefficients included, and the same reports.  The PD⁻¹ columns are read
+# through ``pd_inverse``, which ``test_calculus.assert_pd_inverse_matches_solve``
+# checks against a per-class solve.
+
+
+def fraction_pd_of(duality, key):
+    """DualityData.pd_of as it was: the twisted PD image of a cohomology class, in Fractions."""
+    got = duality.bundle.cap_classes(key, duality.eta)
+    if got is None:
+        raise WindowError(f"PD image of {key} escapes the window")
+    t = duality._twist(key[0])
+    return {k: t * v for k, v in got.items()}
+
+
+def fraction_dot(duality, a, b):
+    """DualityData.dot as it was, on the Fraction columns of PD⁻¹ and PD."""
+    fa = duality.pd_inverse(a)
+    fb = duality.pd_inverse(b)
+    out: dict = {}
+    for ka, va in fa.items():
+        for kb, vb in fb.items():
+            cupt = duality.bundle.cup_classes(ka, kb)
+            if cupt is None:
+                raise WindowError(f"transported product escapes window on {a}·{b}")
+            for kc, vc in cupt.items():
+                _accumulate(out, fraction_pd_of(duality, kc), va * vb * vc)
+    return out
+
+
+class FractionGravity(GravityStructure):
+    """The bracket tables in Fraction arithmetic, over the ingredients of a GravityStructure."""
+
+    def dot_pair(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction]:
+        key = (a, b)
+        if key not in self._dot:
+            self._dot[key] = fraction_dot(self.duality, a, b)
+        return self._dot[key]
+
+    def _dot_combo(self, left: dict[ClassKey, Fraction], right: dict[ClassKey, Fraction]):
+        out: dict[ClassKey, Fraction] = {}
+        for ka, va in left.items():
+            for kb, vb in right.items():
+                _accumulate(out, self.dot_pair(ka, kb), va * vb)
+        return out
+
+    def _prefix(self, tk: tuple) -> dict[ClassKey, Fraction] | None:
+        """π*(x_1)·…·π*(x_k) for a nonempty tuple of basis indices; None on escape."""
+        if tk not in self._prefixes:
+            if len(tk) == 1:
+                prod = _available(self.hc.pi_star, self._key(tk[0]))
+            else:
+                # a zero or unavailable prefix stays zero or unavailable
+                head = self._prefix(tk[:-1])
+                prod = head and _available(lambda: self._dot_combo(head, self.hc.pi_star(self._key(tk[-1]))))
+            self._prefixes[tk] = prod
+        return self._prefixes[tk]
+
+    def bracket(self, keys: list[HCKey]) -> dict[HCKey, Fraction]:
+        """The n-ary bracket of classes; raises WindowError on escape.
+
+        One product of the memoized (n-1)-prefix with π* of the last class.
+        """
+        n = len(keys)
+        if n < 2:
+            raise ValueError("brackets have arity >= 2")
+        exp = 0
+        for i, k in enumerate(keys[:-1]):
+            exp += (n - 1 - i) * self.degree(k)
+        sign = Q(-1) if exp % 2 else Q(1)
+        head = self._prefix(tuple(self.index.get(k, k) for k in keys[:-1]))
+        if head is None:
+            raise WindowError("a prefix product of the bracket escapes the window")
+        if not head:
+            return {}
+        out: dict[HCKey, Fraction] = {}
+        for kc, vc in self._dot_combo(head, self.hc.pi_star(keys[-1])).items():
+            _accumulate(out, self.hc.beta(kc), sign * vc)
+        return out
+
+    def bracket_combo(self, combos: list[dict[HCKey, Fraction]]) -> dict[HCKey, Fraction] | None:
+        """Multilinear extension over linear combinations of basis classes."""
+        out: dict[HCKey, Fraction] = {}
+        idx_lists = []
+        for combo in combos:
+            idx_lists.append(list(combo.items()))
+        for picks in iproduct(*idx_lists):
+            coeff = Q(1)
+            keys = []
+            for k, c in picks:
+                coeff *= c
+                keys.append(k)
+            if coeff == 0:
+                continue
+            got = self.table_lookup(keys)
+            if got is None:
+                return None
+            _accumulate(out, got, coeff)
+        return out
+
+    def _tabulate(self, table: dict, tk: tuple, keys: list[HCKey]) -> dict[HCKey, Fraction] | None:
+        """Evaluate one entry; keep it in ``table`` unless it is zero."""
+        got = _available(self.bracket, keys)
+        if got is None or got:
+            table[tk] = got
+        return got
+
+    def table_lookup(self, keys: list[HCKey]) -> dict[HCKey, Fraction] | None:
+        """One table entry: the bracket, ``{}`` if zero, ``None`` if unavailable.
+
+        Intermediate classes (bracket outputs) may lie outside the chosen
+        basis; the evaluator works for any class with a presentation, so such
+        keys are memoized by the key itself.  An entry the table holds is
+        returned as it is; a zero entry is not stored, and is known to be
+        zero once its row is filled or its prefix product is zero.
+        """
+        tk = tuple(self.index.get(k, k) for k in keys)
+        table = self._tables.setdefault(len(tk), {})
+        if tk in table:
+            return table[tk]
+        row = tk[:-1]
+        if row and (row in self._filled or self._prefix(row) == {}):
+            return {}
+        return self._tabulate(table, tk, list(keys))
+
+    def _rows(self, head: tuple, length: int):
+        """The rows of the given length extending ``head`` whose prefix product
+        is not zero, in lexicographic order; a zero prefix prunes its subtree."""
+        if head and self._prefix(head) == {}:
+            return
+        if len(head) == length:
+            yield head
+            return
+        for i in range(len(self.basis)):
+            yield from self._rows(head + (i,), length)
+
+    def entries(
+        self, arity: int, first: HCKey | None = None
+    ) -> dict[tuple[int, ...], dict[HCKey, Fraction] | None]:
+        """The nonzero and the unavailable (``None``) entries of a table.
+
+        Without ``first``, every tuple of basis indices of the given arity is
+        a candidate; with it, only the rows whose first argument is that
+        class, keyed by the basis indices of the remaining arguments.  The
+        rows are filled prefix by prefix, skipping every row whose prefix
+        product is zero; the result is what the table then holds for those
+        tuples, in lexicographic order.
+        """
+        table = self._tables.setdefault(arity, {})
+        head = () if first is None else (self.index.get(first, first),)
+        for row in self._rows(head, arity - 1):
+            if row not in self._filled:
+                keys = [self._key(t) for t in row]
+                for i, last in enumerate(self.basis):
+                    if row + (i,) not in table:
+                        self._tabulate(table, row + (i,), keys + [last])
+                self._filled.add(row)
+        h = len(head)
+        return dict(sorted(
+            (tk[h:], v)
+            for tk, v in table.items()
+            if tk[:h] == head and all(type(t) is int for t in tk[h:])
+        ))
+
+
+def fraction_verify_gravity_axioms(g: "FractionGravity", n_max: int = 4, check_max: int = 5) -> GravityReport:
+    """``verify_gravity_axioms`` as it was, on the Fraction tables."""
+    rep = GravityReport()
+    K = len(g.basis)
+    deg = [g.degree(k) for k in g.basis]
+    support: dict = {}
+
+    def entries(arity: int, first: HCKey | None = None):
+        if (arity, first) not in support:
+            support[(arity, first)] = g.entries(arity, first)
+        return support[(arity, first)]
+
+    # nonzero census per arity
+    for n in range(2, n_max + 1):
+        unavailable = sum(1 for v in entries(n).values() if v is None)
+        rep.window_skips += unavailable
+        rep.nonzero_brackets[n] = len(entries(n)) - unavailable
+
+    # skew-symmetry under adjacent transpositions
+    for n in range(2, n_max + 1):
+        table = entries(n)
+        candidates = {}
+        for tup in table:
+            for i in range(n - 1):
+                for t in (tup, _swap(tup, i)):
+                    candidates[_rank(t, K) * (n - 1) + i] = (t, i)
+        verdicts = (
+            (pos, fraction_skew_verdict(table, deg, *candidates[pos])) for pos in sorted(candidates)
+        )
+        checked, skipped, stopped = _tally(K**n * (n - 1), verdicts, rep.skew_failures)
+        rep.skew_checked += checked
+        rep.window_skips += skipped
+        if stopped:
+            return rep
+
+    # generalized Jacobi; the m = 0 case needs n >= 3 (an inner bracket of
+    # arity n + m - 1 = 1 is not defined)
+    for n in range(2, check_max + 1):
+        for m in range(0, check_max - n + 1):
+            if m == 0 and n < 3:
+                continue
+            sums = fraction_jacobi_sums(g, n, m, deg, entries)
+            verdicts = (
+                (_rank(flat, K), _jacobi_verdict(flat, n, sums[flat])) for flat in sorted(sums)
+            )
+            checked, skipped, stopped = _tally(K ** (n + m), verdicts, rep.jacobi_failures)
+            rep.jacobi_checked += checked
+            rep.window_skips += skipped
+            if stopped:
+                return rep
+    return rep
+
+
+def fraction_skew_verdict(table, deg, tup: tuple[int, ...], i: int):
+    """Skew-symmetry of one tuple at one slot, against its sparse table."""
+    base = table.get(tup, {})
+    if base is None:
+        return _ABSENT
+    other = table.get(_swap(tup, i), {})
+    if other is None:
+        return _SKIP
+    s = -1 if ((deg[tup[i]] + 1) % 2) and ((deg[tup[i + 1]] + 1) % 2) else 1
+    if _accumulate(dict(base), other, s):
+        return f"skew fails on {tup} at slot {i}"
+    return None
+
+
+def fraction_jacobi_sums(g: "FractionGravity", n: int, m: int, deg, entries):
+    """``_jacobi_sums`` as it was: the instances that skip or carry terms, with their Fraction sums."""
+    K = len(g.basis)
+    skips: set[tuple[int, ...]] = set()
+    sums: dict[tuple[int, ...], dict[HCKey, Fraction]] = {}
+
+    def place(rest, i, a, j, b):
+        xs = list(rest[: n - 2])
+        xs.insert(i, a)
+        xs.insert(j, b)
+        return tuple(xs) + rest[n - 2 :]
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (a, b), inner in entries(2).items():
+        for i, j in pairs:
+            if inner is None:
+                skips.update(place(r, i, a, j, b) for r in iproduct(range(K), repeat=n + m - 2))
+                continue
+            for key_in, c_in in inner.items():
+                for rest, got in entries(n + m - 1, key_in).items():
+                    flat = place(rest, i, a, j, b)
+                    if got is None:
+                        skips.add(flat)
+                    else:
+                        scale = _pull_sign(deg, flat, i, j) * c_in
+                        _accumulate(sums.setdefault(flat, {}), got, scale)
+    if m:
+        rhs_sign = -1 if n % 2 else 1
+        for xs, outer in entries(n).items():
+            if outer is None:
+                skips.update(xs + ys for ys in iproduct(range(K), repeat=m))
+                continue
+            for key_out, c_out in outer.items():
+                for ys, got in entries(m + 1, key_out).items():
+                    if got is None:
+                        skips.add(xs + ys)
+                    else:
+                        _accumulate(sums.setdefault(xs + ys, {}), got, -rhs_sign * c_out)
+    return {**sums, **dict.fromkeys(skips)}
+
+
+def fraction_compare_across_iso(
+    g1: "FractionGravity",
+    g2: "FractionGravity",
+    iso,
+    arity_max: int = 4,
+) -> IsoReport:
+    """``compare_across_iso`` as it was, on the Fraction tables."""
+    rep = IsoReport()
+    K = len(g1.basis)
+    images = [iso.get(k) for k in g1.basis]
+
+    def push(table: dict[HCKey, Fraction]) -> dict[HCKey, Fraction] | None:
+        out: dict[HCKey, Fraction] = {}
+        for k, v in table.items():
+            img = iso.get(k)
+            if img is None:
+                return None
+            _accumulate(out, img, v)
+        return out
+
+    # invertibility on the window: the pushed basis vectors must be
+    # linearly independent
+    cols = [img for img in images if img is not None]
+    if _sparse_rank(cols) != len(cols):
+        raise ValueError("iso is not injective on the compared basis")
+
+    def verdict(tup: tuple[int, ...]):
+        t1 = g1.table_lookup([g1.basis[i] for i in tup])
+        if t1 is None:
+            return _SKIP
+        lhs = push(t1)
+        combos = [images[i] for i in tup]
+        if lhs is None or any(c is None for c in combos):
+            return _SKIP
+        rhs = g2.bracket_combo(combos)
+        if rhs is None:
+            return _SKIP
+        if _accumulate(lhs, rhs, -1):
+            return f"bracket images differ on {tup}"
+        return None
+
+    # the g2 classes a combination of images can pick, with their preimages
+    preimages: dict[HCKey, list[int]] = {}
+    for i, img in enumerate(images):
+        for k, c in (img or {}).items():
+            if c:
+                preimages.setdefault(k, []).append(i)
+    outside = {i for i, img in enumerate(images) if img is None}
+
+    for n in range(2, arity_max + 1):
+        candidates = set(g1.entries(n))
+        for tup in g2.entries(n):
+            picks = [g2.basis[t] for t in tup]
+            if all(k in preimages for k in picks):
+                candidates.update(iproduct(*(preimages[k] for k in picks)))
+        if outside:
+            candidates.update(
+                t for t in iproduct(range(K), repeat=n) if outside.intersection(t)
+            )
+        verdicts = ((_rank(t, K), verdict(t)) for t in sorted(candidates))
+        compared, skipped, stopped = _tally(K**n, verdicts, rep.mismatches)
+        rep.compared += compared
+        rep.skipped += skipped
+        if stopped:
+            return rep
+    return rep
+
+
+def _gravity_check_structures(c, scale, dual_scale):
+    """The gravity-check structures of the benchmark, π scaled by c and PD by constants: (gp, gd, iso).
+
+    The primal PD twist is ``scale`` times ``polyvector_pd_twist(1)`` and the
+    dual one ``dual_scale`` times the derived dual twist.
+    """
+    coeffs = {(1, 2, 1, 2): c, (2, 3, 2, 3): c, (3, 1, 3, 1): c}
+    ident = koszul_poisson_identification(3)
+    pi = quadratic_bivector(ident.ctx_poly, coeffs)
+    sl = slice_from_poisson(ident.ctx_poly, pi, 8)
+    bundle = poisson_bundle(ident.ctx_poly, pi, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
+    twist = polyvector_pd_twist(1)
+    dp = attach_duality(bundle, _class_of(sl, (3, 3), {(0, 0, 0, 1, 1, 1): Q(1)}),
+                        pd_twist=lambda p: scale * twist(p))
+    pid = quadratic_bivector(ident.ctx_ext, dual_bivector_coeffs(coeffs))
+    duals = DualSide(ident.ctx_ext, pid, w_max=8)
+    sld = slice_from_poisson_dual(duals)
+    bd = poisson_dual_bundle(duals, sld, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
+    eta_d = _class_of(sld, (3, 3), {(1, 1, 1, 0, 0, 0): Q(1)})
+    fit = fit_dual_product_twist(ident, dp, bd, eta_d)
+    dd = attach_duality(bd, eta_d, pd_twist=lambda p: dual_scale * fit(p))
+
+    def structure(sl, duality):
+        # K = 14: the degree-one classes alone (K = 10) have only zero brackets
+        hc = NegativeCyclic(sl, default_truncation(sl))
+        basis = GravityStructure(hc, duality).basis
+        return GravityStructure(hc, duality, [k for k in basis if k[0][1] <= 3 and k[0][0] > -2])
+
+    gp, gd = structure(sl, dp), structure(sld, dd)
+    return gp, gd, poisson_hc_iso(ident, gp, gd)
+
+
+def _class_of(sl, piece, element):
+    coords = sl.hh(piece).reduce(sl.element_vector(piece, element))
+    return piece, [i for i, v in enumerate(coords) if v][0]
+
+
+# name -> (c, primal PD scale, dual PD scale, the denominators of the tables, whether the iso holds)
+FRACTION_PATH_CASES = {
+    "c=1": (Q(1), 1, 1, {1}, True),
+    "c=-7/3": (Q(-7, 3), 1, 1, {1}, True),
+    # PD scaled by 2/3 on both sides: the brackets of arity n scale by (3/2)^(n-1)
+    "pd-2/3": (Q(1), Q(2, 3), Q(2, 3), {1, 2, 4, 8}, True),
+    # the primal side alone scaled: the iso fails, and stops at the sixth mismatch
+    "pd-2/3-primal": (Q(1), Q(2, 3), 1, {1, 2, 4, 8}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRACTION_PATH_CASES))
+def test_integer_rows_match_the_fraction_path(case):
+    c, scale, dual_scale, dens, iso_holds = FRACTION_PATH_CASES[case]
+    gp, gd, iso = _gravity_check_structures(c, scale, dual_scale)
+    fp, fd = (FractionGravity(g.hc, g.duality, g.basis) for g in (gp, gd))
+    rep = verify_gravity_axioms(gp)
+    assert rep == fraction_verify_gravity_axioms(fp)
+    assert (rep.passed, rep.skew_checked, rep.jacobi_checked, rep.window_skips, rep.nonzero_brackets) == (
+        True, 120932, 2272032, 0, {2: 24, 3: 72, 4: 144})
+    iso_rep = compare_across_iso(gp, gd, iso)
+    assert iso_rep == fraction_compare_across_iso(fp, fd, iso)
+    assert iso_rep.passed == iso_holds and len(iso_rep.mismatches) == (0 if iso_holds else 6)
+    # every entry of arity 2..4 on both sides, coefficients included
+    for g, f in ((gp, fp), (gd, fd)):
+        for n in (2, 3, 4):
+            assert g.entries(n) == f.entries(n), n
+    assert {v.denominator for n in (2, 3, 4) for e in gp.entries(n).values() if e for v in e.values()} == dens
 
 
 # -- the dual volume twist: derived sign against the fitted one -------------------
@@ -903,7 +1315,7 @@ def test_a_product_without_a_pd_preimage_is_a_window_skip():
     assert len(g.basis) == 35
     unit = ((0, 0), 0)
     with pytest.raises(DualityError, match=r"PD not invertible into piece \(-2, -2\)"):
-        g._dot_combo(g.hc.pi_star(unit), g.hc.pi_star(unit))
+        g._dot_combo(g.hc._pi_row(unit), g.hc._pi_row(unit))
     assert g.table_lookup([unit, unit]) is None
     rep = verify_gravity_axioms(g, n_max=3, check_max=3)
     assert rep.passed and rep.window_skips == 112750

@@ -15,10 +15,14 @@ from mixhom.linalg import (
     _accumulate,
     _check_complex,
     _denominator,
+    _fractions,
+    _iaccumulate_over,
+    _iexpand,
     _image_rows,
     _integer_row,
     _integer_rref,
     _kernel_rows,
+    _lowest,
     _rational_row,
     _sparse_rank,
     homology_presentation,
@@ -1096,3 +1100,29 @@ def test_construction_gives_lowest_terms_and_eq_compares_rational_entries(drawn)
             FractionMatrix(rows, cols, b).transpose(-1))), (A.transpose(), FractionMatrix(rows, cols, a).transpose())):
         assert gcd(got.den, *got.num.values()) == 1 and _same(got, want)
     assert A.rank() == FractionMatrix(rows, cols, a).rank()
+
+
+# sparse integer rows over a denominator, as the gravity layer holds its class vectors
+integer_rows = st.tuples(st.dictionaries(st.integers(0, 5), st.integers(-9, 9).filter(bool), max_size=5),
+                         st.integers(min_value=1, max_value=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(integer_rows, st.integers(-5, 5)), max_size=6), st.lists(integer_rows, min_size=6, max_size=6))
+def test_integer_rows_accumulate_as_fractions(terms, steps):
+    # Σ scale·row/den over rows with their own denominators, accumulated in place over the lcm,
+    # and the same sum as one expansion, against the Fraction sums
+    acc, den = {}, 1
+    want: dict = {}
+    for (row, d), scale in terms:
+        den = _iaccumulate_over(acc, den, dict(row), d, scale)
+        _accumulate(want, {k: Q(v, d) for k, v in row.items()}, scale)
+    num, low = _lowest(acc, den)
+    assert _fractions(num, low) == want
+    assert low > 0 and gcd(low, *num.values()) == 1
+    # Σ v·steps[k] over the entries k: v of one row over its denominator
+    (row, d), _ = terms[0] if terms else (({}, 1), 0)
+    want = {}
+    for k, v in row.items():
+        _accumulate(want, _fractions(*steps[k]), Q(v, d))
+    assert _fractions(*_iexpand((row, d), steps.__getitem__)) == want

@@ -280,9 +280,11 @@ class TestLESNegativeControls:
             if hc.pi_star(k)
         )
         h = _mutant(hc)
-        col = dict(hc.beta((piece, i)))
+        # β is memoized as an integer row over its denominator
+        num, den = hc._beta_row((piece, i))
+        col = dict(num)
         col[k] = -col[k]
-        h._beta[(piece, i)] = col
+        h._beta[(piece, i)] = col, den
         rep = les_check(h)
         assert not rep.pi_after_beta_is_B and not rep.passed
         assert [f for f in rep.failures if f.startswith("π*∘β")] == [f"π*∘β ≠ B at {piece} class {i}"]
@@ -300,7 +302,7 @@ class TestLESNegativeControls:
         # a class whose π* column is not in the span of the others
         for piece, i in _checked_classes(hc, lambda p: hc.dims()[p]):
             h = _mutant(hc)
-            h._pi[(piece, i)] = {}
+            h._pi[(piece, i)] = {}, 1
             if _ranks(h, piece)[2] < _ranks(hc, piece)[2]:
                 break
         else:
@@ -324,7 +326,7 @@ class TestLESNegativeControls:
         # a π* column not in the span of the others
         for piece, i in ((p, i) for p in top for i in range(hc.dims()[p])):
             h = _mutant(hc)
-            h._pi[(piece, i)] = {}
+            h._pi[(piece, i)] = {}, 1
             hh_dim = sl.hh(piece).dim
             rank_pi = _column_rank([h.pi_star((piece, j)) for j in range(hc.dims()[piece])], piece, hh_dim)
             if rank_pi < hh_dim:
@@ -669,27 +671,28 @@ def _assert_form_columns_once(calls, pi):
 
 def test_poisson_operator_matrices_count_their_work(monkeypatch):
     # exact work counts, so a return to per-column builds fails without timing:
-    # δ tabulates π once for every piece, and ∂ and d read the integer form
+    # δ tabulates π once for every piece, as integer columns that no
+    # ``bracket_op`` turns into Fractions, and ∂ and d read the integer form
     # columns, which apply d and each monomial of π to a form once per weight
     from mixhom import poisson as po
     from mixhom.calculus import MultivectorOps, poisson_bundle
 
     ctx = PoissonContext.make(3, "poly")
     pi = quadratic_bivector(ctx, CIRCULANT)
-    calls = _counting(monkeypatch, po, ("bracket_op", "schouten", "_d", "contract_monomial"))
+    calls = _counting(monkeypatch, po, ("_bracket_columns", "bracket_op", "schouten", "_d", "contract_monomial"))
     ops = MultivectorOps(ctx, pi, -3, 5, 8)
     for piece in ops.pieces():
         ops.delta_matrix(piece)
-    assert [len(calls[name]) for name in ("bracket_op", "schouten")] == [1, 0]
+    assert [len(calls[name]) for name in ("_bracket_columns", "bracket_op", "schouten")] == [1, 0, 0]
     sl = slice_from_poisson(ctx, pi, 8)
     _assert_form_columns_once(calls, pi)
     # every form with forms one degree up is differentiated
     raised = {m for (e, w), labels in sl.pieces.items() if (e + 1, w) in sl.pieces for m in labels}
     assert raised <= {m for _ctx, m in calls["_d"]}
     # the one bracket taken is the Jacobi check [π, π]
-    assert calls["schouten"] == [(ctx, pi, pi)] and len(calls["bracket_op"]) == 2
+    assert calls["schouten"] == [(ctx, pi, pi)] and [len(calls[name]) for name in ("_bracket_columns", "bracket_op")] == [2, 1]
     poisson_bundle(ctx, pi, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
-    assert (len(calls["bracket_op"]), len(calls["schouten"])) == (3, 1)
+    assert [len(calls[name]) for name in ("_bracket_columns", "bracket_op", "schouten")] == [3, 1, 1]
 
 
 def _circulant_dual_bivector(ctxe):

@@ -2,6 +2,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations
 from itertools import product as iproduct
+import math
 import sys
 
 import pytest
@@ -465,7 +466,7 @@ def frobenius_poisson_check_by_monomials(dual: DualSideByFunctionals) -> Frobeni
     delta = bracket_op(ctx, dual.pi)
     diagram = True
     cap = max(2, ctx.n)
-    for m in V.monomials([1] * ctx.n + [cap] * ctx.n):
+    for m in V.monomials([1] * ctx.n + [cap] * ctx.n, -math.inf, math.inf):
         lhs = dual.contract(delta(m), eta_dual)
         rhs = dual.coboundary(dual.contract({m: Q(1)}, eta_dual))
         if sub(lhs, rhs):
@@ -489,7 +490,7 @@ def unimodularity_check_by_monomials(ctx: PoissonContext, pi: GCAElement, w_max:
     V = ctx.vectors
     delta = bracket_op(ctx, pi)
     diagram = True
-    for m in V.monomials([w_max] * ctx.n + [1] * ctx.n):
+    for m in V.monomials([w_max] * ctx.n + [1] * ctx.n, -math.inf, math.inf):
         lhs = poisson_boundary(ctx, pi, contraction(ctx, {m: Q(1)}, eta))
         rhs = contraction(ctx, delta(m), eta)
         eps = Q(1) if sum(m[ctx.n :]) % 2 else Q(-1)  # (-1)^{p+1}
@@ -511,7 +512,7 @@ def check_chain_map_by_monomials(self, pi_coeffs, w_max: int = 4) -> list[str]:
     dual = DualSideByFunctionals(self.ctx_ext, pid, w_max=w_max)
     F = self.ctx_poly.forms
     failures = []
-    for m in F.monomials([w_max] * self.n + [1] * self.n):
+    for m in F.monomials([w_max] * self.n + [1] * self.n, -math.inf, math.inf):
         if F.weight(m) > w_max:
             continue
         for op_primal, op_dual, name in (
@@ -539,7 +540,7 @@ def poisson_complex_by_forms(ctx: PoissonContext, pi: GCAElement, w_max: int):
     """
     F = ctx.forms
     pieces = {}
-    for m in F.monomials([w_max] * (2 * ctx.n)):
+    for m in F.monomials([w_max] * (2 * ctx.n), -math.inf, math.inf):
         if F.weight(m) <= w_max:
             pieces.setdefault((F.degree(m), F.weight(m)), []).append(m)
     for labels in pieces.values():
@@ -552,7 +553,7 @@ def poisson_complex_by_forms(ctx: PoissonContext, pi: GCAElement, w_max: int):
 def delta_by_monomials(ctx: PoissonContext, pi: GCAElement, pieces: dict, piece):
     """δ = [π, -] out of one polyvector piece, by the odd-Laplacian bracket on one monomial at a time.
 
-    The reference for ``MultivectorOps.delta_matrix``, which applies ``bracket_op(ctx, π)``.
+    The reference for ``MultivectorOps.delta_matrix``, which reads the integer columns of ``_bracket_columns(ctx, π)``.
     """
     D, om = piece
     src = pieces.get(piece, [])
@@ -586,13 +587,36 @@ def test_partial_sign_is_read_off_the_generator_degrees():
     # the odd-prefix table of FreeGCA, which both the engine and the oracles use
     for ctx in CONTEXTS.values():
         for A in (ctx.forms, ctx.vectors):
-            for m in A.monomials([2] * A.n):
+            for m in A.monomials([2] * A.n, -math.inf, math.inf):
                 for i in range(A.n):
                     want = None
                     if m[i]:
                         passed = sum(m[j] * A.gens[j].degree for j in range(i))
                         want = ((-1 if passed % 2 else 1) if A.odd[i] else m[i]), m[:i] + (m[i] - 1,) + m[i + 1 :]
                     assert A.partial(i, m) == want
+
+
+def monomials_by_filter(A, max_exponents, w_min, w_max):
+    """Every monomial up to the exponent caps, then the weight filter: the enumeration ``FreeGCA.monomials`` pruned."""
+    out = [()]
+    for i in range(A.n):
+        cap = min(1, max_exponents[i]) if A.odd[i] else max_exponents[i]
+        out = [m + (e,) for m in out for e in range(cap + 1)]
+    return [m for m in out if w_min <= A.weight(m) <= w_max]
+
+
+# a weight bound: the θ of the polyvectors have weight -1 on the polynomial side
+weight_bounds = st.one_of(st.integers(min_value=-8, max_value=10), st.sampled_from([-math.inf, math.inf]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CONTEXTS)), st.booleans(), st.data())
+def test_monomials_by_weight_match_the_filter(key, vectors, data):
+    # the pruned enumeration against enumerate-then-filter, in the same (lexicographic) order
+    A = CONTEXTS[key].vectors if vectors else CONTEXTS[key].forms
+    caps = data.draw(st.lists(st.integers(min_value=0, max_value=4), min_size=A.n, max_size=A.n))
+    w_min, w_max = data.draw(weight_bounds), data.draw(weight_bounds)
+    assert A.monomials(caps, w_min, w_max) == monomials_by_filter(A, caps, w_min, w_max)
 
 
 def _all_fractions(el: GCAElement) -> bool:
@@ -644,12 +668,12 @@ def test_engine_matches_oracles_on_small_monomials():
     for side in ("poly", "ext"):
         ctx = CONTEXTS[(2, side)]
         V, F = ctx.vectors, ctx.forms
-        monos = V.monomials([1] * 4)
+        monos = V.monomials([1] * 4, -math.inf, math.inf)
         for m1, m2 in iproduct(monos, repeat=2):
             got = schouten(ctx, {m1: Q(2)}, {m2: Q(-1, 3)})
             assert got == schouten_odd_laplacian(ctx, {m1: Q(2)}, {m2: Q(-1, 3)}), (side, m1, m2)
             nonzero += bool(got)
-        for m, om in iproduct(monos, F.monomials([2] * 4)):
+        for m, om in iproduct(monos, F.monomials([2] * 4, -math.inf, math.inf)):
             got = contract_monomial(ctx, m, om)
             assert got == contract_monomial_chained(ctx, m, om), (side, m, om)
             contracted += bool(got)
@@ -720,7 +744,7 @@ class TestWedgeAndContraction:
     def test_contraction_matches_shuffle_formula(self, ctx2):
         # the engine equals the displayed shuffle sum on the ungraded side
         V, F = ctx2.vectors, ctx2.forms
-        vm = [m for m in V.monomials([2, 2, 1, 1]) if V.weight(m) <= 2]
+        vm = [m for m in V.monomials([2, 2, 1, 1], -math.inf, math.inf) if V.weight(m) <= 2]
         cases = [((0, 0), [0, 1]), ((1, 0), [0]), ((1, 1), [1, 0]), ((2, 0), [0, 1])]
         for P in vm:
             for f0, dargs in cases:
@@ -746,7 +770,7 @@ class TestSchouten:
 
     def test_graded_antisymmetry(self, ctx2):
         V = ctx2.vectors
-        monos = [m for m in V.monomials([2, 2, 1, 1]) if V.weight(m) <= 3]
+        monos = [m for m in V.monomials([2, 2, 1, 1], -math.inf, math.inf) if V.weight(m) <= 3]
         for m1, m2 in iproduct(monos, repeat=2):
             p, q = sum(m1[2:]), sum(m2[2:])
             lhs = schouten(ctx2, {m1: Q(1)}, {m2: Q(1)})
@@ -760,7 +784,7 @@ class TestSchouten:
         # engine = (-1)^{(p-1)(q-1)} * displayed formula; they agree whenever
         # both arguments have positive polyvector arity
         V = ctx2.vectors
-        monos = [m for m in V.monomials([2, 2, 1, 1]) if V.weight(m) <= 3]
+        monos = [m for m in V.monomials([2, 2, 1, 1], -math.inf, math.inf) if V.weight(m) <= 3]
         for m1, m2 in iproduct(monos, repeat=2):
             p, q = sum(m1[2:]), sum(m2[2:])
             eng = schouten(ctx2, {m1: Q(1)}, {m2: Q(1)})
@@ -772,7 +796,7 @@ class TestSchouten:
 
     def test_jacobi_on_samples(self, ctx2):
         V = ctx2.vectors
-        monos = [m for m in V.monomials([2, 2, 1, 1]) if V.weight(m) <= 2 and sum(m[2:]) <= 2]
+        monos = [m for m in V.monomials([2, 2, 1, 1], -math.inf, math.inf) if V.weight(m) <= 2 and sum(m[2:]) <= 2]
         sample = monos[:: max(1, len(monos) // 9)]
         for m1, m2, m3 in iproduct(sample, repeat=3):
             p, q, r = (sum(m[2:]) for m in (m1, m2, m3))
@@ -810,12 +834,12 @@ class TestDifferentials:
     def test_boundary_of_functions_vanishes(self, ctx2):
         pi = quadratic_bivector(ctx2, {(1, 2, 1, 2): Q(1)})
         F = ctx2.forms
-        for m in F.monomials([3, 3, 0, 0]):
+        for m in F.monomials([3, 3, 0, 0], -math.inf, math.inf):
             assert poisson_boundary(ctx2, pi, {m: Q(1)}) == {}
 
     def test_zero_pi_gives_zero_boundary(self, ctx2):
         F = ctx2.forms
-        for m in F.monomials([2, 2, 1, 1]):
+        for m in F.monomials([2, 2, 1, 1], -math.inf, math.inf):
             assert poisson_boundary(ctx2, {}, {m: Q(1)}) == {}
 
     def test_boundary_matches_literal_formula(self, ctx2):
@@ -830,7 +854,7 @@ class TestDifferentials:
     def test_coboundary_matches_literal_formula(self, ctx2):
         pi = quadratic_bivector(ctx2, {(1, 2, 1, 2): Q(1)})
         V = ctx2.vectors
-        for m in V.monomials([2, 2, 1, 1]):
+        for m in V.monomials([2, 2, 1, 1], -math.inf, math.inf):
             if V.weight(m) > 3:
                 continue
             eng = bracket_op(ctx2, pi)(m)
@@ -850,7 +874,7 @@ class TestDifferentials:
         F = ctx2.forms
         for coeffs in ({}, {(1, 2, 1, 2): Q(1)}, {(1, 1, 1, 2): Q(1)}):
             pi = quadratic_bivector(ctx2, coeffs) if coeffs else {}
-            for m in F.monomials([3, 3, 1, 1]):
+            for m in F.monomials([3, 3, 1, 1], -math.inf, math.inf):
                 if F.weight(m) > 5:
                     continue
                 om = {m: Q(1)}
@@ -863,7 +887,7 @@ class TestDifferentials:
     def test_weight_preserved_by_quadratic_pi(self, ctx2):
         pi = quadratic_bivector(ctx2, {(1, 2, 1, 2): Q(1)})
         F = ctx2.forms
-        for m in F.monomials([2, 2, 1, 1]):
+        for m in F.monomials([2, 2, 1, 1], -math.inf, math.inf):
             w = F.weight(m)
             for mm in poisson_boundary(ctx2, pi, {m: Q(1)}):
                 assert F.weight(mm) == w
@@ -1004,7 +1028,7 @@ class TestDualContractOracle:
         eta = dual.dual_volume()
         V = ctxe.vectors
         checked = 0
-        for m in V.monomials([1] * n + [max(2, n)] * n):
+        for m in V.monomials([1] * n + [max(2, n)] * n, -math.inf, math.inf):
             for P in ({m: Q(1)}, bracket_op(ctxe, pid)(m)):
                 assert dual.contract(P, eta) == _contract_full_domain(dual, P, eta)
                 checked += 1
