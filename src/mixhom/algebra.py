@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .linalg import ExactMatrix, _sparse_rank
+from .linalg import ExactMatrix, _accumulate, _sparse_rank
 from .poisson import FreeGCA, Generator
 
 Q = Fraction
@@ -131,23 +131,8 @@ class GradedAlgebra:
                 prod = self.mult_basis(i, j)
                 if prod is OUT_OF_WINDOW:
                     raise WindowOverflowError(self.weights[i] + self.weights[j])
-                c = ca * cb
-                for k, ck in prod.items():
-                    s = out.get(k, Q(0)) + c * ck
-                    if s == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                _accumulate(out, prod, ca * cb)
         return out
-
-    def format_element(self, a: Element) -> str:
-        if not a:
-            return "0"
-        parts = []
-        for i in sorted(a):
-            c = a[i]
-            parts.append(f"{c}*{self.labels[i]}")
-        return " + ".join(parts)
 
     # -- validation --------------------------------------------------------
 
@@ -369,14 +354,6 @@ class FrobeniusPairing:
 
     def value(self, i: int, j: int) -> Fraction:
         return self.matrix[i][j]
-
-    def pair(self, a: Element, b: Element) -> Fraction:
-        total = Q(0)
-        for i, ca in a.items():
-            row = self.matrix[i]
-            for j, cb in b.items():
-                total += ca * cb * row[j]
-        return total
 
 
 @dataclass

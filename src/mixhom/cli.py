@@ -77,6 +77,7 @@ from .koszul import (
     koszul_poisson_identification,
     small_hochschild_models,
 )
+from .linalg import _accumulate
 from .mixed import (
     NegativeCyclic,
     cyclic_homology,
@@ -276,7 +277,7 @@ def _presentation(spec: JobSpecification) -> QuadraticPresentation:
             # parse_job has checked every index against n
             acc = {}
             for (i, j, c) in terms:
-                acc[(i - 1, j - 1)] = acc.get((i - 1, j - 1), 0) + c
+                _accumulate(acc, {(i - 1, j - 1): c})
             rels.append(_relation_vector(spec.n, acc))
         return QuadraticPresentation(spec.n, (0,) * spec.n, tuple(rels), name="input")
     raise ValueError(f"no presentation for kind {spec.kind}")
@@ -520,8 +521,7 @@ def task_koszul(job: JobContext) -> dict:
             bar = {k: v for k, v in hh.items() if v}
             conv = {}
             for (s, t), d in models.chain_dims.items():
-                key = (t, s + t)
-                conv[key] = conv.get(key, 0) + d
+                _accumulate(conv, {(t, s + t): d})
             out["bar_dims"] = _sorted_dims(bar)
             out["cross_model_dims_match"] = conv == bar
     if spec.poisson_coeffs and spec.kind == "polynomial":

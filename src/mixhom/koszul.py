@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import starmap
 from math import factorial
 
 from .algebra import Element, GradedAlgebra, QuadraticPresentation, build_algebra
@@ -33,11 +34,11 @@ from .calculus import DualityError
 from .linalg import (
     _accumulate,
     _denominator,
+    _fractions,
     _integer_row,
     _integer_rref,
     _kernel_rows,
     _positive,
-    _rational_row,
 )
 from . import poisson as po
 from .mixed import MixedComplexSlice, _classes, _mats_from_operator
@@ -74,7 +75,7 @@ def _relation_layers(n: int, rels: list[dict], w: int) -> list[dict]:
 
 def _echelon_basis(rows) -> list[dict[int, Fraction]]:
     """The reduced row echelon basis of the span of integer rows (consumed), with unit pivots and keys ascending."""
-    return [_rational_row(*_positive(p, r)) for p, r in _integer_rref(rows)]
+    return [_fractions(r, r[p]) for p, r in starmap(_positive, _integer_rref(rows))]
 
 
 def _relations(pres: QuadraticPresentation) -> list[dict[int, Fraction]]:

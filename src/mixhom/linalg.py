@@ -8,19 +8,22 @@ transposes and the u-stacking in ``mixed`` run on those integers: rows are
 combined by cross-multiplication and divided by their content after each
 step (fraction-free Gauss-Jordan elimination; cf. Bareiss 1968).  Rational
 input (the ``ExactMatrix`` constructor and ``from_rows``, sparse vectors)
-is scaled to integer rows on the way in, and a ``Fraction`` is built only
-where a value leaves: ``ExactMatrix.apply`` and ``entries``, and the
-``cycle`` and ``reduce`` of a homology presentation.  Outputs are
-deterministic: row reduction produces the (unique) reduced row echelon
-form, so kernels, images and homology presentations are canonical.
+is scaled to integer rows over one denominator on the way in
+(``_over_one_denominator``), so no routine here does ``Fraction``
+arithmetic, and a ``Fraction`` is built only where a value leaves:
+``ExactMatrix.apply`` and ``entries``, and the ``cycle`` and ``reduce`` of a
+homology presentation.  Outputs are deterministic: row reduction produces
+the (unique) reduced row echelon form, so kernels, images and homology
+presentations are canonical.
 
-Vectors that cross a module boundary are sparse, {index: coefficient}.
-A homology presentation is factored once, when it is built, and keeps the
+Vectors that cross a module boundary are sparse, {index: coefficient}, and
+``_accumulate`` is the one sparse sum, on ints and Fractions alike.  A
+homology presentation is factored once, when it is built, and keeps the
 integer echelon rows the elimination produced: its boundary and
 representative bases stay in reduced row echelon form, so reducing a cycle
-to homology coordinates is a single elimination pass against them, with no
-new row reduction, and a representative becomes a rational vector only when
-it is read.
+to homology coordinates is a single elimination pass on integers against
+them, with no new row reduction, and a representative becomes a rational
+vector only when it is read.
 """
 
 from __future__ import annotations
@@ -30,11 +33,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
-
-Q = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class NotAComplexError(Exception):
@@ -49,14 +47,20 @@ class DimensionMismatchError(Exception):
     pass
 
 
-def _accumulate(acc: dict, terms: dict, scale=ONE) -> dict:
-    """acc += scale · terms for sparse vectors, dropping coefficients that cancel; returns acc."""
+def _accumulate(acc: dict, terms: dict, scale=1) -> dict:
+    """acc += scale · terms for sparse vectors of ints or Fractions, dropping entries that cancel; returns acc.
+
+    The one sparse sum of the package.  Three innermost loops write theirs
+    out instead, to save a call per term: ``ExactMatrix.matmul``,
+    ``ExactMatrix.apply`` and the columns of ``poisson._bracket_columns``.
+    """
     for k, v in terms.items():
-        s = acc.get(k, ZERO) + scale * v
-        if s == 0:
-            acc.pop(k, None)
-        else:
+        s = acc.get(k)
+        s = scale * v if s is None else s + scale * v
+        if s:
             acc[k] = s
+        else:
+            acc.pop(k, None)
     return acc
 
 
@@ -87,12 +91,6 @@ def _pullback(phi: dict, sources: Iterable, apply, sign: int) -> dict:
     return out
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 # -- the integer kernel ----------------------------------------------------
 #
 # A sparse integer row {column: int} (no zeros) stands for the rational row
@@ -109,17 +107,6 @@ def _denominator(values: Iterable) -> int:
     return lcm(*{v.denominator for v in values})
 
 
-def _iaccumulate(acc: dict, terms: dict, scale: int) -> dict:
-    """acc += scale · terms for sparse integer vectors, dropping entries that cancel; returns acc."""
-    for k, v in terms.items():
-        s = acc.get(k, 0) + scale * v
-        if s:
-            acc[k] = s
-        else:
-            acc.pop(k, None)
-    return acc
-
-
 def _iaccumulate_over(acc: dict, den: int, terms: dict, terms_den: int, scale: int) -> int:
     """acc/den += scale·terms/terms_den for sparse integer vectors over positive denominators, in place.
 
@@ -131,7 +118,7 @@ def _iaccumulate_over(acc: dict, den: int, terms: dict, terms_den: int, scale: i
         for k in acc:
             acc[k] *= up
         den = common
-    _iaccumulate(acc, terms, scale * (den // terms_den))
+    _accumulate(acc, terms, scale * (den // terms_den))
     return den
 
 
@@ -180,23 +167,29 @@ def _primitive(r: dict[int, int]) -> None:
 
 def _integer_row(row: dict) -> dict[int, int]:
     """The primitive integer row proportional to a sparse rational row, zeros dropped."""
-    den = _denominator(row.values())
-    r = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-    if 0 in r.values():
-        r = {j: v for j, v in r.items() if v}
+    r = _over_one_denominator(row)[0]
     _primitive(r)
     return r
 
 
-def _cancel(r: dict[int, int], row: dict[int, int], p: int) -> None:
-    """Replace r in place by the primitive integer row proportional to row[p]·r − r[p]·row (zero at p)."""
+def _subtract(r: dict[int, int], row: dict[int, int], p: int) -> int:
+    """Replace r in place by a·r − c·row, the least integer multiples with a zero at p; returns a.
+
+    r/den − (r[p]/row[p])·row equals the new r over a·den.
+    """
     a, c = row[p], r[p]
     g = gcd(a, c)
     a, c = a // g, c // g
     if a != 1:
         for j, v in r.items():
             r[j] = a * v
-    _iaccumulate(r, row, -c)
+    _accumulate(r, row, -c)
+    return a
+
+
+def _cancel(r: dict[int, int], row: dict[int, int], p: int) -> None:
+    """Replace r in place by the primitive integer row proportional to row[p]·r − r[p]·row (zero at p)."""
+    _subtract(r, row, p)
     _primitive(r)
 
 
@@ -228,12 +221,6 @@ def _integer_rref(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, i
             if p in r:
                 _cancel(r, row, p)
     return out
-
-
-def _rational_row(p: int, r: dict[int, int]) -> dict[int, Fraction]:
-    """The rational row proportional to r with 1 at its pivot p."""
-    a = r[p]
-    return {j: Fraction(v, a) for j, v in r.items()}
 
 
 def _positive(p: int, r: dict[int, int]) -> tuple[int, dict[int, int]]:
@@ -349,8 +336,7 @@ class ExactMatrix:
         """
         if any(not 0 <= j < self.cols for j in vec):
             raise DimensionMismatchError("vector index outside the columns")
-        dv = _denominator(vec.values())
-        iv = {j: c.numerator * (dv // c.denominator) for j, c in vec.items() if c}
+        iv, dv = _over_one_denominator(vec)
         out: dict[int, int] = {}
         for (i, j), v in self.num.items():
             c = iv.get(j)
@@ -453,13 +439,18 @@ class HomologyPresentation:
 
     def cycle(self, i: int) -> dict[int, Fraction]:
         """Representative i as a sparse rational vector with 1 at its pivot, keys ascending."""
-        return _rational_row(*self.reps[i])
+        p, r = self.reps[i]
+        return _fractions(r, r[p])
 
     def reduce(self, vec: dict[int, Fraction]) -> tuple[Fraction, ...]:
         """Coordinates of a sparse cycle in the homology basis.
 
-        One elimination pass and no new factorization: each boundary row is
-        subtracted at its pivot, then each representative at its own pivot.
+        One elimination pass on integers and no new factorization: the
+        cycle is scaled to an integer row over one denominator, and each
+        boundary row is subtracted at its pivot, then each representative at
+        its own pivot, by cross-multiplication, so only the running
+        denominator grows.  A coordinate, the cycle's value at a
+        representative's pivot, becomes a Fraction when it is read.
         The representatives are independent modulo the boundaries, so these
         coordinates are the unique ones.  Raises DimensionMismatchError on an
         index outside the ambient dimension, and ValueError if a remainder
@@ -467,17 +458,16 @@ class HomologyPresentation:
         """
         if any(not 0 <= j < self.ambient_dim for j in vec):
             raise DimensionMismatchError("vector index outside the ambient dimension")
-        t = {j: _as_fraction(c) for j, c in vec.items() if c}
+        t, den = _over_one_denominator(vec)
         for p, row in self.boundaries:
-            c = t.get(p)
-            if c:
-                _accumulate(t, row, -c / row[p])
+            if p in t:
+                den *= _subtract(t, row, p)
         coords = []
         for p, row in self.reps:
-            c = t.get(p, ZERO)
+            c = t.get(p, 0)
+            coords.append(Fraction(c, den))
             if c:
-                _accumulate(t, row, -c / row[p])
-            coords.append(c)
+                den *= _subtract(t, row, p)
         if t:
             raise ValueError("vector is not a cycle of this presentation")
         return tuple(coords)

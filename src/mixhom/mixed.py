@@ -39,7 +39,7 @@ from .linalg import (
     Row,
     _denominator,
     _fractions,
-    _iaccumulate,
+    _iaccumulate_over,
     _iexpand,
     _over_one_denominator,
     _row_echelon,
@@ -105,9 +105,8 @@ class MixedComplexSlice:
             BB = self.B_matrix((d + 1, w)).matmul(B1)
             bB = self.b_matrix((d + 1, w)).matmul(B1)
             Bb = self.B_matrix((d - 1, w)).matmul(b1)
-            # bB + Bb as integers over the lcm of the two denominators
-            den = lcm(bB.den, Bb.den)
-            anti = _iaccumulate({k: v * (den // bB.den) for k, v in bB.num.items()}, Bb.num, den // Bb.den)
+            anti = dict(bB.num)
+            _iaccumulate_over(anti, bB.den, Bb.num, Bb.den, 1)
             for identity, comp in (("b²=0", bb.num), ("B²=0", BB.num), ("bB+Bb=0", anti)):
                 if comp:
                     bad = min(j for (_, j) in comp)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .linalg import _accumulate, _denominator, _iaccumulate, _pullback
+from .linalg import _accumulate, _denominator, _pullback
 
 Q = Fraction
 
@@ -164,10 +164,6 @@ class FreeGCA:
         return " + ".join(f"{c}*{self.format_monomial(m)}" for m, c in sorted(el.items()))
 
 
-def is_zero(el: GCAElement) -> bool:
-    return all(v == 0 for v in el.values())
-
-
 # -- the four spaces ---------------------------------------------------------
 
 
@@ -249,27 +245,6 @@ def contract_monomial(ctx: PoissonContext, P: Monomial, m: Monomial) -> dict[Mon
 # -- the Schouten bracket -------------------------------------------------------
 
 
-def odd_laplacian(ctx: PoissonContext, P: GCAElement) -> GCAElement:
-    """Δ₀ = Σ_i ∂²/∂g_i ∂θ_i on polyvectors (divergence of the flat volume)."""
-    V = ctx.vectors
-    out: GCAElement = {}
-    for m, c in P.items():
-        acc: dict[Monomial, int] = {}
-        for i in range(ctx.n):
-            got = V.partial(ctx.n + i, m)
-            got2 = V.partial(i, got[1]) if got is not None else None
-            if got2 is not None:
-                acc[got2[1]] = acc.get(got2[1], 0) + got[0] * got2[0]
-        _accumulate(out, acc, c)
-    return out
-
-
-def bracket_op(ctx: PoissonContext, P: GCAElement):
-    """The operator m ↦ [P, m] on polyvector monomials, with P tabulated once (``_bracket_columns``)."""
-    den, apply = _bracket_columns(ctx, P)
-    return lambda m: {mm: Q(v, den) for mm, v in apply(m).items() if v}
-
-
 def _bracket_columns(ctx: PoissonContext, P: GCAElement):
     """(den, m ↦ den·[P, m]): the bracket as integer columns, over one denominator den of P.
 
@@ -319,10 +294,10 @@ def _bracket_columns(ctx: PoissonContext, P: GCAElement):
 
 
 def schouten(ctx: PoissonContext, P: GCAElement, Q_: GCAElement) -> GCAElement:
-    """Schouten bracket [P, Q] = Σ_q c_q [P, m_q] over the monomials of Q (see ``bracket_op``)."""
-    op, out = bracket_op(ctx, P), {}
+    """Schouten bracket [P, Q] = Σ_q (c_q/den)·den[P, m_q] over the monomials of Q, read off ``_bracket_columns``."""
+    (den, apply), out = _bracket_columns(ctx, P), {}
     for mq, cq in Q_.items():
-        _accumulate(out, op(mq), cq)
+        _accumulate(out, apply(mq), Q(cq, den))
     return out
 
 
@@ -355,23 +330,32 @@ def quadratic_bivector(ctx: PoissonContext, coeffs: dict[tuple[int, int, int, in
         term = {gi1: c}
         for m in (gi2, tj1, tj2):
             term = V.multiply(term, {m: Q(1)})
-        _accumulate(out, term, Q(1))
+        _accumulate(out, term)
     return out
 
 
 def check_jacobi(ctx: PoissonContext, pi: GCAElement):
     ob = schouten(ctx, pi, pi)
-    if not is_zero(ob):
+    if ob:
         raise JacobiError(f"[π, π] ≠ 0: {ctx.vectors.format_element(ob)}")
 
 
 def modular_vector_field(ctx: PoissonContext, pi: GCAElement) -> GCAElement:
     """Divergence oracle: the modular field of π against the flat volume.
 
-    Computed as Δ₀(π); π is unimodular for the coordinate volume form
-    exactly when this vanishes.
+    Δ₀(π) for the odd Laplacian Δ₀ = Σ_i ∂²/∂g_i ∂θ_i on polyvectors (the
+    divergence of the flat volume); π is unimodular for the coordinate
+    volume form exactly when this vanishes.
     """
-    return odd_laplacian(ctx, pi)
+    V, n = ctx.vectors, ctx.n
+    out: GCAElement = {}
+    for m, c in pi.items():
+        for i in range(n):
+            got = V.partial(n + i, m)
+            got2 = V.partial(i, got[1]) if got is not None else None
+            if got2 is not None:
+                _accumulate(out, {got2[1]: got[0] * got2[0]}, c)
+    return out
 
 
 # -- the dual side: functionals on exterior-side forms ------------------------
@@ -436,10 +420,10 @@ def _square(labels, weight, maps, stop: int | None = None) -> list:
             for k, (F, d_src, d_tgt, sign) in enumerate(squares):
                 diff: dict = {}
                 for t, c in F(s).items():
-                    _iaccumulate(diff, d_tgt(t), c)
+                    _accumulate(diff, d_tgt(t), c)
                 e = -sign(s)
                 for u, c in d_src(s).items():
-                    _iaccumulate(diff, F(u), e * c)
+                    _accumulate(diff, F(u), e * c)
                 if diff:
                     bad.append((i, k, s))
     return [(s, k) for _, k, s in sorted(bad)[:stop]]
@@ -460,15 +444,15 @@ def _form_columns(ctx: PoissonContext, pi: GCAElement, den: int):
     def iota(m):
         out: dict[Monomial, int] = {}
         for P, k in scaled.items():
-            _iaccumulate(out, contract(P, m), k)
+            _accumulate(out, contract(P, m), k)
         return out
 
     def boundary(m):
         out: dict[Monomial, int] = {}
         for t, c in d(m).items():
-            _iaccumulate(out, iota(t), c)
+            _accumulate(out, iota(t), c)
         for t, c in iota(m).items():
-            _iaccumulate(out, d(t), -c)
+            _accumulate(out, d(t), -c)
         return out
 
     return contract, d, boundary
@@ -552,5 +536,5 @@ def unimodularity_check(ctx: PoissonContext, pi: GCAElement, w_max: int = 4) -> 
 
     bad = [m for m, _ in _square(V.monomials([w_max] * n + [1] * n, -math.inf, math.inf), V.weight, maps, stop=9)]
     # ι_1 η = η and [π, 1] = 0: the unit, the first label, fails exactly when ∂η ≠ 0
-    return UnimodularityReport(V.one not in bad, not bad, is_zero(modular_vector_field(ctx, pi)),
+    return UnimodularityReport(V.one not in bad, not bad, not modular_vector_field(ctx, pi),
                                [f"diagram fails on {V.format_monomial(m)}" for m in bad])

@@ -57,7 +57,6 @@ from mixhom.poisson import (
     DualSide,
     PoissonContext,
     frobenius_poisson_check,
-    is_zero,
     modular_vector_field,
     quadratic_bivector,
     unimodularity_check,
@@ -512,11 +511,11 @@ def test_poisson_engine_matches_oracle_on_poisson_pair(derived_pi):
     with oracle_engine():
         # the fast paths cannot run on the oracle side
         with pytest.raises(FastPathError):
-            mixhom.poisson.bracket_op(ctx, {})
+            mixhom.poisson._bracket_columns(ctx, {})
         with pytest.raises(FastPathError):
             slice_from_poisson(ctx, {}, 2)
         want = _poisson_pair_operators_by_monomials(derived_pi, polyvector_pieces)
-    mixhom.poisson.bracket_op(ctx, {})
+    mixhom.poisson._bracket_columns(ctx, {})
     assert got == want
     nonzero = {kind for (kind, _), (_, _, entries) in got.items() if entries}
     assert nonzero == {"b", "B", "δ", "δ*", "d*"}
@@ -560,7 +559,7 @@ def test_criterion_09_unimodularity_equivalence(derived_pi):
         ctx = PoissonContext.make(n, "poly")
         pi = quadratic_bivector(ctx, coeffs)
         rep = unimodularity_check(ctx, pi, w_max=3)
-        oracle = is_zero(modular_vector_field(ctx, pi))
+        oracle = not modular_vector_field(ctx, pi)
         ctxe = PoissonContext.make(n, "ext")
         pid = quadratic_bivector(ctxe, dual_bivector_coeffs(coeffs))
         dual_rep = frobenius_poisson_check(DualSide(ctxe, pid, w_max=n + 2))

@@ -9,7 +9,10 @@ keyword or by position, by some call in the package, the tests or the
 benchmark scripts, no module imports a name from a sibling module under a
 second name, no module but ``algebra.py`` calls ``GradedAlgebra(`` or names
 ``OUT_OF_WINDOW``, and no module but ``calculus.py`` catches
-``(WindowError, DualityError)`` or assigns ``_FAILURE_LIMIT``.  Code that
+``(WindowError, DualityError)`` or assigns ``_FAILURE_LIMIT``.  A method
+is referenced through an attribute, a module function through an attribute
+or through a bare name in its own module or in one that imports it, and a
+name that is bound or deleted is no reference.  Code that
 nothing reads is deleted, not kept (a public function only the tests call
 is a test helper, unless README documents it), a knob that only ever takes
 its default is not a knob, a package helper has one name, the product table
@@ -91,17 +94,25 @@ def _unused_imports(modules: dict[str, ast.Module]) -> list[str]:
     return unused
 
 
-def _references(tree: ast.Module) -> list[tuple[str, frozenset]]:
-    """(referenced name, the function definitions enclosing the reference) for every Name and Attribute."""
+def _references(tree: ast.Module, module: str) -> list[tuple[tuple, frozenset]]:
+    """(what is read, the function definitions enclosing the read) for every loaded Name and every Attribute.
+
+    An Attribute reads ("attr", name).  A bare Name that the module binds by
+    ``from source import name`` reads ("fn", source, name); any other reads
+    ("fn", module, name), a function of the module itself.  Modules are
+    named by their file's stem.  A Name that is bound or deleted is no read.
+    """
+    imported = {a.asname or a.name: ((node.module or "").rsplit(".", 1)[-1], a.name)
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
     out = []
 
     def visit(node: ast.AST, enclosing: frozenset):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             enclosing = enclosing | {id(node)}
-        if isinstance(node, ast.Name):
-            out.append((node.id, enclosing))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((("fn",) + imported.get(node.id, (module, node.id)), enclosing))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, enclosing))
+            out.append((("attr", node.attr), enclosing))
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
@@ -109,20 +120,33 @@ def _references(tree: ast.Module) -> list[tuple[str, frozenset]]:
     return out
 
 
-def _unreferenced_private(modules: dict[str, ast.Module]) -> list[str]:
-    """Private functions and methods (not dunders) that no Name or Attribute outside their own body reads."""
-    references = [ref for tree in modules.values() for ref in _references(tree)]
-    unreferenced = []
+def _unread(modules: dict[str, ast.Module], readers: list[ast.Module], wanted) -> list[str]:
+    """The functions and methods ``wanted(name)`` selects that nothing outside their own body reads.
+
+    A method is read through an attribute only; any other function through an
+    attribute or through a bare name in its own module or in a module that
+    imports it (see ``_references``).  Reads are taken in ``modules`` and in
+    ``readers``, modules outside the package.
+    """
+    references = [ref for name, tree in modules.items() for ref in _references(tree, name[:-3])]
+    references += [ref for tree in readers for ref in _references(tree, "")]
+    unread = []
     for name, tree in modules.items():
+        methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for f in cls.body}
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or not wanted(node.name):
                 continue
-            fn = node.name
-            if not fn.startswith("_") or (fn.startswith("__") and fn.endswith("__")):
-                continue
-            if not any(ref == fn and id(node) not in enclosing for ref, enclosing in references):
-                unreferenced.append(f"{name}:{node.lineno} {fn}")
-    return unreferenced
+            reads = {("attr", node.name)}
+            if id(node) not in methods:
+                reads.add(("fn", name[:-3], node.name))
+            if not any(ref in reads and id(node) not in enclosing for ref, enclosing in references):
+                unread.append(f"{name}:{node.lineno} {node.name}")
+    return unread
+
+
+def _unreferenced_private(modules: dict[str, ast.Module]) -> list[str]:
+    """Private functions and methods (not dunders) that nothing in the package reads outside their own body."""
+    return _unread(modules, [], lambda fn: fn.startswith("_") and not (fn.startswith("__") and fn.endswith("__")))
 
 
 def _passed(calls: list[ast.Module]) -> dict[str, tuple[set[str], int]]:
@@ -235,22 +259,12 @@ def _readme_names() -> set[str]:
 
 
 def _unreferenced_public(modules: dict[str, ast.Module], readers: list[ast.Module], documented: set[str]) -> list[str]:
-    """Public functions and methods that no Name or Attribute outside their own body reads and no document names.
+    """Public functions and methods that nothing outside their own body reads and no document names.
 
-    References are read in ``modules`` and in ``readers`` (the benchmark
+    Reads are taken in ``modules`` and in ``readers`` (the benchmark
     scripts); a name in ``documented`` is public API that only its users call.
     """
-    references = [ref for tree in list(modules.values()) + readers for ref in _references(tree)]
-    unreferenced = []
-    for name, tree in modules.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
-                continue
-            fn = node.name
-            if fn not in documented and not any(ref == fn and id(node) not in enclosing
-                                                for ref, enclosing in references):
-                unreferenced.append(f"{name}:{node.lineno} {fn}")
-    return unreferenced
+    return _unread(modules, readers, lambda fn: not fn.startswith("_") and fn not in documented)
 
 
 def test_every_import_is_used():
@@ -366,3 +380,42 @@ def test_the_rules_find_what_they_claim():
     bench = ast.parse("from mixhom import m\nm.benched()\n")
     assert _unreferenced_public({"m.py": public}, [bench], {"documented"}) == [
         "m.py:7 recursive", "m.py:10 method"]
+    # what counts as a read: a Name that is bound or deleted does not; a method
+    # is read through an attribute only; a module function through an attribute,
+    # or through a bare name in its own module or in a module that imports it
+    reads = {
+        "a.py": ast.parse(
+            "def bound():\n"
+            "    return 0\n"
+            "def _deleted():\n"
+            "    return 0\n"
+            "def imported():\n"
+            "    return 0\n"
+            "def closure():\n"
+            "    return 0\n"
+            "def through_attribute():\n"
+            "    return 0\n"
+            "class C:\n"
+            "    def pair(self):\n"
+            "        return 0\n"
+            "    def _called(self):\n"
+            "        return 0\n"
+            "for bound in range(2):\n"
+            "    pass\n"
+            "_deleted = 1\n"
+            "del _deleted\n"
+            "pair = C()._called()\n"
+            "print(pair)\n"
+        ),
+        "b.py": ast.parse(
+            "from .a import imported\n"
+            "from . import a\n"
+            "def _check():\n"
+            "    def closure():\n"
+            "        return imported()\n"
+            "    return closure() + a.through_attribute()\n"
+            "print(_check())\n"
+        ),
+    }
+    assert _unreferenced_public(reads, [], set()) == ["a.py:1 bound", "a.py:7 closure", "a.py:12 pair"]
+    assert _unreferenced_private(reads) == ["a.py:3 _deleted"]

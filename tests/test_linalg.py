@@ -1,3 +1,4 @@
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -23,7 +24,6 @@ from mixhom.linalg import (
     _integer_rref,
     _kernel_rows,
     _lowest,
-    _rational_row,
     _sparse_rank,
     homology_presentation,
 )
@@ -68,7 +68,7 @@ def column(M, j):
 def rref(rows, ncols):
     """Reduced row echelon form of sparse rows: (nonzero rows sorted by pivot, pivot columns)."""
     reduced = _integer_rref(_integer_row(row) for row in rows)
-    return [_rational_row(p, r) for p, r in reduced], [p for p, _ in reduced]
+    return [_fractions(r, r[p]) for p, r in reduced], [p for p, _ in reduced]
 
 
 def kernel_basis(M):
@@ -1126,3 +1126,118 @@ def test_integer_rows_accumulate_as_fractions(terms, steps):
     for k, v in row.items():
         _accumulate(want, _fractions(*steps[k]), Q(v, d))
     assert _fractions(*_iexpand((row, d), steps.__getitem__)) == want
+
+
+# -- reduce on integers against the Fraction reduce it replaced --------------------
+#
+# HomologyPresentation.reduce used to eliminate in Fraction arithmetic, with
+# the Fraction accumulate of that time.  Both are kept here verbatim as the
+# reference for the integer elimination.
+
+
+def fraction_accumulate(acc, terms, scale=ONE):
+    """acc += scale · terms for sparse vectors, dropping coefficients that cancel; returns acc."""
+    for k, v in terms.items():
+        s = acc.get(k, ZERO) + scale * v
+        if s == 0:
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc
+
+
+def fraction_reduce(pres, vec):
+    """Coordinates of a sparse cycle in the homology basis, in Fractions."""
+    if any(not 0 <= j < pres.ambient_dim for j in vec):
+        raise DimensionMismatchError("vector index outside the ambient dimension")
+    t = {j: _as_fraction(c) for j, c in vec.items() if c}
+    for p, row in pres.boundaries:
+        c = t.get(p)
+        if c:
+            fraction_accumulate(t, row, -c / row[p])
+    coords = []
+    for p, row in pres.reps:
+        c = t.get(p, ZERO)
+        if c:
+            fraction_accumulate(t, row, -c / row[p])
+        coords.append(c)
+    if t:
+        raise ValueError("vector is not a cycle of this presentation")
+    return tuple(coords)
+
+
+def _reduce_calls(monkeypatch, tmp_path, workload, c):
+    """Every (presentation, vector) that one op of a benchmark workload reduces, with π scaled by c."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    calls = []
+    reduce = HomologyPresentation.reduce
+
+    def recording(self, vec):
+        calls.append((self, dict(vec)))
+        return reduce(self, vec)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(HomologyPresentation, "reduce", recording)
+        op, check = workloads.prepare(workload, c, str(tmp_path / workload))
+        result = op()[3]
+    if c == 1:
+        assert check(result, 0) == []
+    return calls
+
+
+def _not_a_unit(pres):
+    return any(abs(row[p]) != 1 for p, row in pres.boundaries + pres.reps)
+
+
+@pytest.mark.parametrize("c", [Q(1), Q(-7, 3)], ids=["c=1", "c=-7_3"])
+@pytest.mark.parametrize("workload", ["bv-check", "gravity-check", "cli-batch"])
+def test_integer_reduce_matches_the_fraction_reduce_on_the_workloads(monkeypatch, tmp_path, workload, c):
+    calls = _reduce_calls(monkeypatch, tmp_path, workload, c)
+    reduce = HomologyPresentation.reduce
+    for pres, vec in calls:
+        got, want = reduce(pres, vec), fraction_reduce(pres, vec)
+        assert got == want and all(type(x) is Fraction for x in got + want)
+    # pieces whose pivot entries are not units are among them
+    assert len(calls) > 100 and any(_not_a_unit(pres) for pres, _ in calls)
+    # negative controls on every presentation: an index out of range, and each unit vector, a cycle or not
+    refused = 0
+    for pres in {id(pres): pres for pres, _ in calls}.values():
+        for bad in ({pres.ambient_dim: Q(1)}, {-1: Q(1), 0: Q(2)}):
+            for fn in (reduce, fraction_reduce):
+                with pytest.raises(DimensionMismatchError):
+                    fn(pres, bad)
+        for j in range(pres.ambient_dim):
+            got = _outcome(reduce, pres, {j: 1})
+            assert got == _outcome(fraction_reduce, pres, {j: 1})
+            refused += got is ValueError
+    assert refused > 0
+
+
+keys = st.integers(min_value=0, max_value=7)
+ints = st.integers(min_value=-6, max_value=6)
+values = st.one_of(ints, small_fracs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(keys, values.filter(bool), max_size=8), st.dictionaries(keys, values, max_size=8),
+       st.one_of(st.none(), ints.filter(bool), nonzero_rationals), st.sets(keys))
+def test_accumulate_is_one_sparse_sum_on_ints_and_fractions(start, terms, scale, cancel):
+    # acc += scale·terms on ints, Fractions, an int scale on Fraction values, and terms that hold zeros;
+    # the keys in ``cancel`` that acc holds get the term that cancels them
+    s = 1 if scale is None else scale
+    for k in cancel & start.keys():
+        q = -start[k] / Q(s)
+        terms[k] = q.numerator if q.denominator == 1 and type(start[k]) is int else q
+    acc = dict(start)
+    got = _accumulate(acc, terms) if scale is None else _accumulate(acc, terms, scale)
+    assert got is acc
+    want = {k: start.get(k, 0) + s * terms.get(k, 0) for k in start.keys() | terms.keys()}
+    assert got == {k: v for k, v in want.items() if v}
+    assert not cancel & start.keys() & got.keys()
+    for k, v in got.items():
+        operands = [start[k]] if k not in terms else [s, terms[k]] + ([start[k]] if k in start else [])
+        assert type(v) is (int if all(type(x) is int for x in operands) else Fraction)

@@ -605,7 +605,7 @@ def test_dual_poisson_slice_is_made_of_the_dual_side_matrices(monkeypatch):
     from mixhom import poisson as po
 
     _, dual = _circulant_sides(Q(1), 4)
-    calls = _counting(monkeypatch, po, ("schouten", "bracket_op", "_d", "contract_monomial"))
+    calls = _counting(monkeypatch, po, ("schouten", "_bracket_columns", "_d", "contract_monomial"))
     sl = slice_from_poisson_dual(dual)
     assert sl.pieces == dual.pieces
     assert sl.b_mats is dual.b_mats and sl.B_mats is dual.B_mats
@@ -614,9 +614,10 @@ def test_dual_poisson_slice_is_made_of_the_dual_side_matrices(monkeypatch):
             assert got is held[piece] if piece in held else not got.entries
     po.frobenius_poisson_check(dual)
     # the slice and the Frobenius square read the matrices the dual side
-    # already holds; the one bracket taken is the Jacobi check [π, π]
+    # already holds; the one bracket taken is the Jacobi check [π, π], and
+    # π is tabulated for it and once more for the square's δ
     assert calls["schouten"] == [(dual.ctx, dual.pi, dual.pi)]
-    assert len(calls["bracket_op"]) == 1
+    assert len(calls["_bracket_columns"]) == 2
     assert calls["_d"] == [] and not hasattr(po, "contraction")
 
 
@@ -671,28 +672,28 @@ def _assert_form_columns_once(calls, pi):
 
 def test_poisson_operator_matrices_count_their_work(monkeypatch):
     # exact work counts, so a return to per-column builds fails without timing:
-    # δ tabulates π once for every piece, as integer columns that no
-    # ``bracket_op`` turns into Fractions, and ∂ and d read the integer form
+    # δ tabulates π once for every piece, as integer columns that nothing
+    # turns into Fractions, and ∂ and d read the integer form
     # columns, which apply d and each monomial of π to a form once per weight
     from mixhom import poisson as po
     from mixhom.calculus import MultivectorOps, poisson_bundle
 
     ctx = PoissonContext.make(3, "poly")
     pi = quadratic_bivector(ctx, CIRCULANT)
-    calls = _counting(monkeypatch, po, ("_bracket_columns", "bracket_op", "schouten", "_d", "contract_monomial"))
+    calls = _counting(monkeypatch, po, ("_bracket_columns", "schouten", "_d", "contract_monomial"))
     ops = MultivectorOps(ctx, pi, -3, 5, 8)
     for piece in ops.pieces():
         ops.delta_matrix(piece)
-    assert [len(calls[name]) for name in ("_bracket_columns", "bracket_op", "schouten")] == [1, 0, 0]
+    assert [len(calls[name]) for name in ("_bracket_columns", "schouten")] == [1, 0]
     sl = slice_from_poisson(ctx, pi, 8)
     _assert_form_columns_once(calls, pi)
     # every form with forms one degree up is differentiated
     raised = {m for (e, w), labels in sl.pieces.items() if (e + 1, w) in sl.pieces for m in labels}
     assert raised <= {m for _ctx, m in calls["_d"]}
     # the one bracket taken is the Jacobi check [π, π]
-    assert calls["schouten"] == [(ctx, pi, pi)] and [len(calls[name]) for name in ("_bracket_columns", "bracket_op")] == [2, 1]
+    assert calls["schouten"] == [(ctx, pi, pi)] and len(calls["_bracket_columns"]) == 2
     poisson_bundle(ctx, pi, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
-    assert [len(calls[name]) for name in ("_bracket_columns", "bracket_op", "schouten")] == [3, 1, 1]
+    assert [len(calls[name]) for name in ("_bracket_columns", "schouten")] == [3, 1]
 
 
 def _circulant_dual_bivector(ctxe):
