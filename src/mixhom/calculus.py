@@ -4,7 +4,9 @@ A :class:`CalculusBundle` packages, for one of the four sources, the
 cohomology ring (basis per (degree, weight-shift) piece with cup and
 bracket tables), the homology side (a mixed-complex slice with its B
 matrices) and the contraction action between them, everything tabulated on
-chosen homology bases in exact arithmetic.
+chosen homology bases in exact arithmetic.  Every table entry, B on a class,
+PD, PD⁻¹ and Δ is a read-only class row (``linalg.Row``); the verifiers sum
+rows with ``linalg._iexpand``.
 
 Attaching a volume class inverts Poincaré duality piece by piece and gives
 the operator Δ = PD⁻¹∘B∘PD, the transported product on the homology side, and
@@ -26,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, product as iproduct
+from itertools import combinations, product as iproduct, starmap
+from types import MappingProxyType
 from typing import Iterator
 
 from .algebra import GradedAlgebra, WindowError, koszul_sign
@@ -40,19 +43,16 @@ from .hochschild import (
     unit_cochain,
 )
 from .linalg import (
+    ZERO_ROW,
     ExactMatrix,
     HomologyPresentation,
     Row,
-    _accumulate,
     _check_complex,
     _expand,
-    _fractions,
     _iaccumulate_over,
     _iexpand,
-    _integer_row,
     _integer_rref,
     _lowest,
-    _over_one_denominator,
     _positive,
     _pullback,
     homology_presentation,
@@ -253,14 +253,18 @@ def _available(fn, *args):
         return None
 
 
-def _signed_sum(terms) -> dict | None:
-    """Σ s·t over the (t, s) pairs, taken in order; None at the first t that is None, before later terms are read."""
-    total: dict = {}
+def _signed_sum(terms) -> Row | None:
+    """Σ s·t over the (row, s) pairs, taken in order; None at the first t that is None, before later terms are read.
+
+    A zero term costs no accumulate.
+    """
+    total, den = {}, 1
     for t, s in terms:
         if t is None:
             return None
-        _accumulate(total, t, s)
-    return total
+        if t[0]:
+            den = _iaccumulate_over(total, den, t[0], t[1], s)
+    return _lowest(total, den)
 
 
 def _count(instances, failures: list[str], limit: int | None = None, most: int | None = None) -> int:
@@ -279,7 +283,7 @@ def _count(instances, failures: list[str], limit: int | None = None, most: int |
         if total is None:
             continue
         checked += 1
-        if total:
+        if total[0]:
             failures.append(f"{what} on {', '.join(map(str, key))}")
             if limit is not None and len(failures) >= limit:
                 break
@@ -322,9 +326,9 @@ class CalculusBundle:
         self.coh_pres: dict[Piece, HomologyPresentation] = {
             piece: homology_presentation(d_in, d_out) for piece, d_in, d_out in delta_pairs(ops, pieces)
         }
-        self._cup: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction] | None] = {}
-        self._bracket: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction] | None] = {}
-        self._cap: dict[tuple[ClassKey, ClassKey], dict[ClassKey, Fraction] | None] = {}
+        self._cup: dict[tuple[ClassKey, ClassKey], Row | None] = {}
+        self._bracket: dict[tuple[ClassKey, ClassKey], Row | None] = {}
+        self._cap: dict[tuple[ClassKey, ClassKey], Row | None] = {}
 
     # -- bases -------------------------------------------------------------
 
@@ -348,17 +352,17 @@ class CalculusBundle:
 
     def unit_class(self) -> ClassKey:
         classes = self._reduce_coh(*self.ops.unit())
-        if classes is None or list(classes.values()) != [1]:
+        if classes is None or classes[1] != 1 or list(classes[0].values()) != [1]:
             raise WindowError("unit class is not a basis vector of a piece in the window")
-        return next(iter(classes))
+        return next(iter(classes[0]))
 
     # -- tables ------------------------------------------------------------
 
-    def _reduce_coh(self, piece: Piece, cochain) -> dict[ClassKey, Fraction] | None:
-        """The classes of a cochain in a piece: {} when it is zero, None when it escapes its piece or the window."""
+    def _reduce_coh(self, piece: Piece, cochain) -> Row | None:
+        """The class row of a cochain in a piece: zero when it is zero, None when it escapes its piece or the window."""
         vec = _available(self.ops.vector, piece, cochain)
         if vec == {}:
-            return {}
+            return ZERO_ROW
         pres = self.coh_pres.get(piece)
         return None if vec is None or pres is None else _classes(piece, pres.reduce(vec))
 
@@ -375,13 +379,13 @@ class CalculusBundle:
                 memo[key] = self._reduce_coh((D1 + D2 + degree, o1 + o2), val)
         return memo[key]
 
-    def cup_classes(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction] | None:
+    def cup_classes(self, a: ClassKey, b: ClassKey) -> Row | None:
         return self._product_classes(self._cup, self.ops.cup, 0, a, b)
 
-    def bracket_classes(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction] | None:
+    def bracket_classes(self, a: ClassKey, b: ClassKey) -> Row | None:
         return self._product_classes(self._bracket, self.ops.bracket, 1, a, b)
 
-    def cap_classes(self, f: ClassKey, z: ClassKey) -> dict[ClassKey, Fraction] | None:
+    def cap_classes(self, f: ClassKey, z: ClassKey) -> Row | None:
         """ι_f on a homology class, memoized; None on a window escape.
 
         On chains (``weight_sign == 1``) the action is applied to the
@@ -405,14 +409,10 @@ class CalculusBundle:
                 out = None
             if out and self.slice.dim(target):
                 out = _classes(target, self.slice.hh(target).reduce(self.slice.element_vector(target, out)))
-            elif out:
-                out = None
+            elif out is not None:
+                out = None if out else ZERO_ROW
             self._cap[key] = out
         return self._cap[key]
-
-    def B_classes(self, z: ClassKey) -> dict[ClassKey, Fraction]:
-        """B on a homology class, memoized on the slice; returns a fresh dict."""
-        return dict(self.slice.B_class(z))
 
     # -- Def-style axiom verification --------------------------------------
 
@@ -428,40 +428,40 @@ class CalculusBundle:
         coh = self.coh_classes()[:max_classes]
         hom = self.hom_classes()[:max_classes]
         deg = {k: k[0][0] for k in coh}
-        cup, bracket, cap, B = self.cup_classes, self.bracket_classes, self.cap_classes, self.B_classes
+        cup, bracket, cap, B = self.cup_classes, self.bracket_classes, self.cap_classes, self.slice.B_class
         small = coh[: max(6, len(coh) // 3)]
 
         def lie_derivative(f, z):
             """The terms of L_f z = Bι_f z + (-1)^{|f|} ι_f B z."""
-            yield _expand(cap(f, z), B), 1
-            yield _expand(B(z), lambda k: cap(f, k)), koszul_sign(f[0][0], 1)
+            yield _iexpand(cap(f, z), B), 1
+            yield _iexpand(B(z), lambda k: cap(f, k)), koszul_sign(f[0][0], 1)
 
         def L(f: ClassKey, z: ClassKey):
             return _signed_sum(lie_derivative(f, z))
 
         def associativity(a, b, c):
-            yield _expand(cup(a, b), lambda k: cup(k, c)), 1
-            yield _expand(cup(b, c), lambda k: cup(a, k)), -1
+            yield _iexpand(cup(a, b), lambda k: cup(k, c)), 1
+            yield _iexpand(cup(b, c), lambda k: cup(a, k)), -1
 
         def jacobi(a, b, c):
-            yield _expand(bracket(a, b), lambda k: bracket(k, c)), -1
-            yield _expand(bracket(b, c), lambda k: bracket(a, k)), 1
-            yield _expand(bracket(a, c), lambda k: bracket(b, k)), -koszul_sign(deg[a] + 1, deg[b] + 1)
+            yield _iexpand(bracket(a, b), lambda k: bracket(k, c)), -1
+            yield _iexpand(bracket(b, c), lambda k: bracket(a, k)), 1
+            yield _iexpand(bracket(a, c), lambda k: bracket(b, k)), -koszul_sign(deg[a] + 1, deg[b] + 1)
 
         def biderivation(a, b, c):
             # {a, b∪c} = {a,b}∪c + (-1)^{(|a|+1)|b|} b∪{a,c}
-            yield _expand(cup(b, c), lambda k: bracket(a, k)), 1
-            yield _expand(bracket(a, b), lambda k: cup(k, c)), -1
-            yield _expand(bracket(a, c), lambda k: cup(b, k)), -koszul_sign(deg[a] + 1, deg[b])
+            yield _iexpand(cup(b, c), lambda k: bracket(a, k)), 1
+            yield _iexpand(bracket(a, b), lambda k: cup(k, c)), -1
+            yield _iexpand(bracket(a, c), lambda k: cup(b, k)), -koszul_sign(deg[a] + 1, deg[b])
 
         def composition(a, b, z):
-            yield _expand(cup(b, a), lambda k: cap(k, z)), -koszul_sign(deg[a], deg[b])
-            yield _expand(cap(b, z), lambda k: cap(a, k)), 1
+            yield _iexpand(cup(b, a), lambda k: cap(k, z)), -koszul_sign(deg[a], deg[b])
+            yield _iexpand(cap(b, z), lambda k: cap(a, k)), 1
 
         def lie(a, b, z):
-            yield _expand(bracket(a, b), lambda k: L(k, z)), -1
-            yield _expand(L(b, z), lambda k: L(a, k)), 1
-            yield _expand(L(a, z), lambda k: L(b, k)), -koszul_sign(deg[a] + 1, deg[b] + 1)
+            yield _iexpand(bracket(a, b), lambda k: L(k, z)), -1
+            yield _iexpand(L(b, z), lambda k: L(a, k)), 1
+            yield _iexpand(L(a, z), lambda k: L(b, k)), -koszul_sign(deg[a] + 1, deg[b] + 1)
 
         def rules():
             for a, b in iproduct(coh, repeat=2):
@@ -486,8 +486,8 @@ class CalculusBundle:
             rep.failures.append("unit class not identifiable")
         else:
             # an unavailable action reads as zero: checked, and failed
-            rep.checked += _count(((((cap(u, z) or {}, 1), ({z: Q(1)}, -1)), "unit does not act as identity", (z,))
-                                   for z in hom), rep.failures)
+            rep.checked += _count(((((cap(u, z) or ZERO_ROW, 1), (({z: 1}, 1), -1)), "unit does not act as identity",
+                                    (z,)) for z in hom), rep.failures)
         rep.checked += _count(((lie(a, b, z), "[L_f, L_g] ≠ L_(f,g)", (a, b, z))
                                for a, b, z in iproduct(small, small, hom[: max(8, len(hom) // 2)])), rep.failures)
         return rep
@@ -502,12 +502,12 @@ class DualityData:
     eta: ClassKey
     # per cohomology piece where PD is invertible: column i of PD⁻¹, the
     # cohomology class that PD sends to homology class i of the target piece,
-    # as an integer row over its denominator
+    # as a read-only class row
     pd: dict[Piece, list[Row]] = field(default_factory=dict)
     pd_twist: object = None  # callable(piece) -> ±1 normalization of PD
-    # per-class memo tables; only successful results are stored, and callers
-    # get copies, so a failing class raises again and no caller can edit it
-    _delta: dict[ClassKey, dict[ClassKey, Fraction]] = field(
+    # per-class memo tables of read-only class rows; only successful results
+    # are stored, so a failing class raises again and no caller can edit one
+    _delta: dict[ClassKey, Row] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _pd: dict[ClassKey, Row] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -517,26 +517,22 @@ class DualityData:
             return Q(1)
         return Q(self.pd_twist(piece))
 
-    def pd_of(self, key: ClassKey) -> dict[ClassKey, Fraction]:
-        return _fractions(*self._pd_row(key))
-
-    def _pd_row(self, key: ClassKey) -> Row:
-        """The twisted PD image of a cohomology class as an integer row over its denominator, memoized."""
+    def pd_of(self, key: ClassKey) -> Row:
+        """The twisted PD image of a cohomology class, as a read-only class row; memoized."""
         got = self._pd.get(key)
         if got is None:
             img = self.bundle.cap_classes(key, self.eta)
             if img is None:
                 raise WindowError(f"PD image of {key} escapes the window")
-            num, den = _over_one_denominator(img)
             t = self._twist(key[0])
-            got = self._pd[key] = _lowest({k: t.numerator * v for k, v in num.items()}, t.denominator * den)
+            if t != 1:
+                num, den = _lowest({k: t.numerator * v for k, v in img[0].items()}, t.denominator * img[1])
+                img = MappingProxyType(num), den
+            got = self._pd[key] = img
         return got
 
-    def pd_inverse(self, key: ClassKey) -> dict[ClassKey, Fraction]:
-        """Homology class -> cohomology class with PD(result) = key: one column of PD⁻¹."""
-        return _fractions(*self._pd_inverse_row(key))
-
-    def _pd_inverse_row(self, key: ClassKey) -> Row:
+    def pd_inverse(self, key: ClassKey) -> Row:
+        """Homology class -> cohomology class with PD(result) = key: one column of PD⁻¹, a read-only class row."""
         (d, w), i = key
         (de, we) = self.eta[0]
         src = (d - de, self.bundle.weight_sign * (w - we))
@@ -545,14 +541,10 @@ class DualityData:
             raise DualityError(f"PD not invertible into piece {src}")
         return inverse[i]
 
-    # the transported product on the homology side
-    def dot(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction]:
-        return _fractions(*self._dot_row(a, b))
-
-    def _dot_row(self, a: ClassKey, b: ClassKey) -> Row:
-        """PD(PD⁻¹a ∪ PD⁻¹b) as an integer row over one denominator, in lowest terms."""
-        fa, da = self._pd_inverse_row(a)
-        fb, db = self._pd_inverse_row(b)
+    def dot(self, a: ClassKey, b: ClassKey) -> Row:
+        """The transported product PD(PD⁻¹a ∪ PD⁻¹b) on the homology side, as a class row."""
+        fa, da = self.pd_inverse(a)
+        fb, db = self.pd_inverse(b)
         out: dict[ClassKey, int] = {}
         den = 1
         for ka, va in fa.items():
@@ -560,28 +552,27 @@ class DualityData:
                 cupt = self.bundle.cup_classes(ka, kb)
                 if cupt is None:
                     raise WindowError(f"transported product escapes window on {a}·{b}")
-                for kc, vc in cupt.items():
-                    num, d = self._pd_row(kc)
-                    den = _iaccumulate_over(out, den, num, d * vc.denominator, va * vb * vc.numerator)
+                for kc, vc in cupt[0].items():
+                    num, d = self.pd_of(kc)
+                    den = _iaccumulate_over(out, den, num, d * cupt[1], va * vb * vc)
         return _lowest(out, den * da * db)
 
-    def delta_classes(self, key: ClassKey) -> dict[ClassKey, Fraction]:
-        """Δ = PD⁻¹ ∘ B ∘ PD on cohomology classes, memoized per class."""
+    def delta_classes(self, key: ClassKey) -> Row:
+        """Δ = PD⁻¹ ∘ B ∘ PD on cohomology classes, as a read-only class row; memoized per class."""
         got = self._delta.get(key)
         if got is None:
-            z = self._pd_row(key)
-            got = self._delta[key] = _fractions(*_iexpand(z, lambda kz: _iexpand(
-                _over_one_denominator(self.bundle.B_classes(kz)), self._pd_inverse_row)))
-        return dict(got)
+            num, den = _iexpand(self.pd_of(key), lambda kz: _iexpand(self.bundle.slice.B_class(kz), self.pd_inverse))
+            got = self._delta[key] = (MappingProxyType(num), den) if num else ZERO_ROW
+        return got
 
-    def generated_bracket(self, a: ClassKey, b: ClassKey) -> dict[ClassKey, Fraction] | None:
+    def generated_bracket(self, a: ClassKey, b: ClassKey) -> Row | None:
         """[a,b] = (-1)^{|a|+1} (Δ(a∪b) - Δa∪b - (-1)^{|a|} a∪Δb); None where a product escapes."""
         cup, lead = self.bundle.cup_classes, koszul_sign(a[0][0] + 1, 1)
 
         def terms():
-            yield _expand(cup(a, b), self.delta_classes), lead
-            yield _expand(self.delta_classes(a), lambda k: cup(k, b)), -lead
-            yield _expand(self.delta_classes(b), lambda k: cup(a, k)), -lead * koszul_sign(a[0][0], 1)
+            yield _iexpand(cup(a, b), self.delta_classes), lead
+            yield _iexpand(self.delta_classes(a), lambda k: cup(k, b)), -lead
+            yield _iexpand(self.delta_classes(b), lambda k: cup(a, k)), -lead * koszul_sign(a[0][0], 1)
 
         return _signed_sum(terms())
 
@@ -601,9 +592,9 @@ def attach_duality(bundle: CalculusBundle, eta: ClassKey, pd_twist=None) -> Dual
     except WindowError as exc:
         raise DualityError(str(exc))
     got = bundle.cap_classes(u, eta)
-    if got != {eta: Q(1)}:
+    if got != ({eta: 1}, 1):
         raise DualityError("η∩1 ≠ η")
-    if bundle.B_classes(eta):
+    if bundle.slice.B_class(eta)[0]:
         raise DualityError("volume class is not closed under B")
     # a -1 at the unit's piece rescales the volume class itself (PD of the
     # unit becomes -η); Δ is conjugation-invariant under that gauge
@@ -614,30 +605,30 @@ def attach_duality(bundle: CalculusBundle, eta: ClassKey, pd_twist=None) -> Dual
         tgt_dim = bundle.slice.hh(target).dim if bundle.slice.dim(target) else 0
         m = pres.dim
         t = data._twist(piece)
-        # row i of [PDᵀ | I]: the twisted image of class i, then 1 in column m + i
+        # row i of [PDᵀ | I] times den·q, for the image (num, den) of class i and the twist t = p/q:
+        # p·num, then den·q in column m + i
         rows = []
         for i in range(m):
             img = bundle.cap_classes((piece, i), eta)
             if img is None:
                 break
-            row = {m + i: Q(1)}
-            for (tp, j), v in img.items():
+            row = {m + i: img[1] * t.denominator}
+            for (tp, j), v in img[0].items():
                 if tp != target:
                     raise DualityError(f"PD image off-piece at {piece}")
-                row[j] = t * v
+                row[j] = t.numerator * v
             rows.append(row)
         else:
             if m != tgt_dim:
                 raise DualityError(f"PD singular in piece {piece}: dim {m} vs {tgt_dim}")
             # the RREF is [I | (PDᵀ)⁻¹], whose row j is column j of PD⁻¹,
             # unless PD is singular: then a pivot falls in the identity block
-            reduced = _integer_rref(_integer_row(r) for r in rows)
+            reduced = _integer_rref(rows)
             if any(p >= m for p, _ in reduced):
                 raise DualityError(f"PD singular in piece {piece}")
-            data.pd[piece] = [
-                _lowest({(piece, j - m): c for j, c in r.items() if j >= m}, r[p])
-                for p, r in (_positive(p, r) for p, r in reduced)
-            ]
+            columns = (_lowest({(piece, j - m): c for j, c in r.items() if j >= m}, r[p])
+                       for p, r in starmap(_positive, reduced))
+            data.pd[piece] = [(MappingProxyType(num), den) for num, den in columns]
     return data
 
 
@@ -674,17 +665,17 @@ def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: in
     deg = {k: k[0][0] for k in coh}
     cup = bundle.cup_classes
     delta = partial(_available, data.delta_classes)
-    d2_ok = not any(_expand(delta(a), delta) for a in coh)
+    d2_ok = not any((_iexpand(delta(a), delta) or ZERO_ROW)[0] for a in coh)
 
     # table ∪ b and a ∪ table
     def times(table, b):
-        return _expand(table, lambda k: cup(k, b))
+        return _iexpand(table, lambda k: cup(k, b))
 
     def left_times(a, table):
-        return _expand(table, lambda k: cup(a, k))
+        return _iexpand(table, lambda k: cup(a, k))
 
     def delta_of(table):
-        return _expand(table, delta)
+        return _iexpand(table, delta)
 
     def seven_term(a, b, c):
         ab, bc, ac = cup(a, b), cup(b, c), cup(a, c)
@@ -695,7 +686,7 @@ def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: in
         yield left_times(b, delta_of(ac)), -koszul_sign(deg[a] + 1, deg[b])
         yield times(times(delta(a), b), c), 1
         yield left_times(a, times(delta(b), c)), sa
-        yield _expand(ab, lambda k: left_times(k, delta(c))), koszul_sign(deg[a] + deg[b], 1)
+        yield _iexpand(ab, lambda k: left_times(k, delta(c))), koszul_sign(deg[a] + deg[b], 1)
 
     def quartic(x):
         degs = [deg[k] for k in x]

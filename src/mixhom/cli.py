@@ -473,10 +473,10 @@ def task_gravity(job: JobContext) -> dict:
     for arity in range(2, spec.arity_max + 1):
         tables[str(arity)] = {
             ",".join(map(str, tup)): {
-                f"{k[0][0]},{k[0][1]},{k[1]}": str(v) for k, v in sorted(val.items())
+                f"{k[0][0]},{k[0][1]},{k[1]}": str(Fraction(v, val[1])) for k, v in sorted(val[0].items())
             }
             for tup, val in g.entries(arity).items()
-            if val
+            if val is not None
         }
     return {
         "basis": [[k[0][0], k[0][1], k[1]] for k in g.basis],

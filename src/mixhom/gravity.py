@@ -11,19 +11,20 @@ Poincaré duality.  Tables are built over the stable HC⁻ basis; entries
 whose intermediate products escape the computed window are recorded as
 unavailable rather than silently zero.
 
-Every class vector here, from π* and β to the sums the checks form, is an
-integer row over one positive denominator (``linalg._lowest``); a
-``Fraction`` is built only in what the public methods return.
+Every class vector here, from π* and β to the table entries, the iso map
+and the sums the checks form, is a class row: integer coefficients over one
+positive denominator (``linalg.Row``), as every layer above ``linalg``
+holds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iproduct
+from types import MappingProxyType
 
 from .calculus import ClassKey, DualityData, WindowError, _FAILURE_LIMIT, _available
-from .linalg import ZERO_ROW, Row, _fractions, _iaccumulate_over, _iexpand, _lowest, _over_one_denominator, _sparse_rank
+from .linalg import ZERO_ROW, Row, _iaccumulate_over, _iexpand, _lowest, _sparse_rank
 from .mixed import NegativeCyclic, Piece
 
 HCKey = tuple[Piece, int]
@@ -36,11 +37,11 @@ class GravityStructure:
     degree minus the volume degree): the transported product on the
     b-homology side is graded commutative exactly in that shifted grading.
 
-    Every class vector here is an integer row over one positive denominator,
-    (num, den) in lowest terms (``linalg._lowest``), and a ``Fraction`` is
-    built only in what ``bracket``, ``table_lookup``, ``bracket_combo`` and
-    ``entries`` return.  π* and β are the ``hc`` object's integer rows,
-    memoized there per basis class, so structures over one HC⁻ share them;
+    Every class vector here is a class row, (num, den) in lowest terms
+    (``linalg.Row``): ``bracket``, ``table_lookup``, ``bracket_combo`` and
+    ``entries`` return rows, and a bracket, which the tables keep, is
+    read-only.  π* and β are the ``hc`` object's rows, memoized there per
+    basis class, so structures over one HC⁻ share them;
     the transported product of each pair of b-homology classes is memoized
     here (``dot_pair``).  The left-associated products π*(x_1)·…·π*(x_k) are
     memoized per prefix (``None`` where the product escapes the window), so a
@@ -76,11 +77,11 @@ class GravityStructure:
     # -- ingredients ---------------------------------------------------------
 
     def dot_pair(self, a: ClassKey, b: ClassKey) -> Row:
-        """The transported product a·b as an integer row (``DualityData.dot``), memoized."""
+        """The transported product a·b (``DualityData.dot``), memoized."""
         key = (a, b)
         got = self._dot.get(key)
         if got is None:
-            got = self._dot[key] = self.duality._dot_row(a, b)
+            got = self._dot[key] = self.duality.dot(a, b)
         return got
 
     def _dot_combo(self, left: Row, right: Row) -> Row:
@@ -99,23 +100,22 @@ class GravityStructure:
         """π*(x_1)·…·π*(x_k) for a nonempty tuple of basis indices; None on escape."""
         if tk not in self._prefixes:
             if len(tk) == 1:
-                prod = _available(self.hc._pi_row, self._key(tk[0]))
+                prod = _available(self.hc.pi_star, self._key(tk[0]))
             else:
                 # a zero or unavailable prefix stays zero or unavailable
                 head = self._prefix(tk[:-1])
                 prod = head if head is None or not head[0] else _available(
-                    lambda: self._dot_combo(head, self.hc._pi_row(self._key(tk[-1]))))
+                    lambda: self._dot_combo(head, self.hc.pi_star(self._key(tk[-1]))))
             self._prefixes[tk] = prod
         return self._prefixes[tk]
 
     # -- brackets -------------------------------------------------------------
 
-    def bracket(self, keys: list[HCKey]) -> dict[HCKey, Fraction]:
-        """The n-ary bracket of classes; raises WindowError on escape."""
-        return _fractions(*self._bracket(keys))
+    def bracket(self, keys: list[HCKey]) -> Row:
+        """The n-ary bracket of classes: one product of the memoized (n-1)-prefix with π* of the last class.
 
-    def _bracket(self, keys: list[HCKey]) -> Row:
-        """``bracket`` as an integer row: one product of the memoized (n-1)-prefix with π* of the last class."""
+        Raises WindowError on escape.
+        """
         n = len(keys)
         if n < 2:
             raise ValueError("brackets have arity >= 2")
@@ -127,16 +127,13 @@ class GravityStructure:
             raise WindowError("a prefix product of the bracket escapes the window")
         if not head[0]:
             return ZERO_ROW
-        num, den = _iexpand(self._dot_combo(head, self.hc._pi_row(keys[-1])), self.hc._beta_row)
-        return ({k: -v for k, v in num.items()}, den) if exp % 2 and num else (num, den)
+        num, den = _iexpand(self._dot_combo(head, self.hc.pi_star(keys[-1])), self.hc.beta)
+        if not num:
+            return ZERO_ROW
+        return MappingProxyType({k: -v for k, v in num.items()} if exp % 2 else num), den
 
-    def bracket_combo(self, combos: list[dict[HCKey, Fraction]]) -> dict[HCKey, Fraction] | None:
-        """Multilinear extension over linear combinations of basis classes."""
-        got = self._combo([_over_one_denominator(c) for c in combos])
-        return None if got is None else _fractions(*got)
-
-    def _combo(self, rows: list[Row]) -> Row | None:
-        """``bracket_combo`` on integer rows: None where an entry it reads is unavailable."""
+    def bracket_combo(self, rows: list[Row]) -> Row | None:
+        """Multilinear extension over class rows of basis classes: None where an entry it reads is unavailable."""
         out: dict[HCKey, int] = {}
         den = 1
         for picks in iproduct(*(row[0].items() for row in rows)):
@@ -145,7 +142,7 @@ class GravityStructure:
             for k, c in picks:
                 coeff *= c
                 keys.append(k)
-            got = self._lookup(keys)
+            got = self.table_lookup(keys)
             if got is None:
                 return None
             if got[0]:
@@ -156,13 +153,13 @@ class GravityStructure:
 
     def _tabulate(self, table: dict, tk: tuple, keys: list[HCKey]) -> Row | None:
         """Evaluate one entry; keep it in ``table`` unless it is zero."""
-        got = _available(self._bracket, keys)
+        got = _available(self.bracket, keys)
         if got is None or got[0]:
             table[tk] = got
         return got
 
-    def table_lookup(self, keys: list[HCKey]) -> dict[HCKey, Fraction] | None:
-        """One table entry: the bracket, ``{}`` if zero, ``None`` if unavailable.
+    def table_lookup(self, keys: list[HCKey]) -> Row | None:
+        """One table entry: the bracket, ``ZERO_ROW`` if zero, ``None`` if unavailable.
 
         Intermediate classes (bracket outputs) may lie outside the chosen
         basis; the evaluator works for any class with a presentation, so such
@@ -170,11 +167,6 @@ class GravityStructure:
         returned from it; a zero entry is not stored, and is known to be
         zero once its row is filled or its prefix product is zero.
         """
-        got = self._lookup(keys)
-        return None if got is None else _fractions(*got)
-
-    def _lookup(self, keys: list[HCKey]) -> Row | None:
-        """``table_lookup`` as the integer row the table holds."""
         tk = tuple(self.index.get(k, k) for k in keys)
         table = self._tables.setdefault(len(tk), {})
         if tk in table:
@@ -195,9 +187,7 @@ class GravityStructure:
         for i in range(len(self.basis)):
             yield from self._rows(head + (i,), length)
 
-    def entries(
-        self, arity: int, first: HCKey | None = None
-    ) -> dict[tuple[int, ...], dict[HCKey, Fraction] | None]:
+    def entries(self, arity: int, first: HCKey | None = None) -> dict[tuple[int, ...], Row | None]:
         """The nonzero and the unavailable (``None``) entries of a table.
 
         Without ``first``, every tuple of basis indices of the given arity is
@@ -207,10 +197,6 @@ class GravityStructure:
         product is zero; the result is what the table then holds for those
         tuples, in lexicographic order.
         """
-        return {t: None if v is None else _fractions(*v) for t, v in self._entries(arity, first).items()}
-
-    def _entries(self, arity: int, first: HCKey | None) -> dict[tuple[int, ...], Row | None]:
-        """``entries`` as the integer rows the table holds."""
         table = self._tables.setdefault(arity, {})
         head = () if first is None else (self.index.get(first, first),)
         for row in self._rows(head, arity - 1):
@@ -316,7 +302,7 @@ def verify_gravity_axioms(g: GravityStructure, n_max: int = 4, check_max: int = 
 
     def entries(arity: int, first: HCKey | None = None):
         if (arity, first) not in support:
-            support[(arity, first)] = g._entries(arity, first)
+            support[(arity, first)] = g.entries(arity, first)
         return support[(arity, first)]
 
     # nonzero census per arity
@@ -490,11 +476,12 @@ def compare_across_iso(
 ) -> IsoReport:
     """Check that a degree-preserving map intertwines the bracket tables.
 
-    ``iso`` maps a g1 basis key to a combination {g2 key: coefficient}; it
-    must be invertible on the compared window (checked by rank).  A tuple of
-    g1 basis classes with arity <= arity_max is *compared* when its g1 entry,
-    the images of its classes and of its entry's output, and every g2 entry
-    its image reads are available; otherwise it is *skipped*.  Compared
+    ``iso`` maps a g1 basis key to a class row of g2 keys, as
+    ``koszul.poisson_hc_iso`` gives it; it must be invertible on the
+    compared window (checked by rank).  A tuple of g1 basis classes with
+    arity <= arity_max is *compared* when its g1 entry, the images of its
+    classes and of its entry's output, and every g2 entry its image reads
+    are available; otherwise it is *skipped*.  Compared
     tuples whose two images differ are listed as mismatches, in enumeration
     order, and after the sixth the report returns with the counts of the
     tuples enumerated up to it.
@@ -506,8 +493,7 @@ def compare_across_iso(
     """
     rep = IsoReport()
     K = len(g1.basis)
-    rows = {k: None if img is None else _over_one_denominator(img) for k, img in iso.items()}
-    images = [rows.get(k) for k in g1.basis]
+    images = [iso.get(k) for k in g1.basis]
 
     # invertibility on the window: the pushed basis vectors must be
     # linearly independent
@@ -516,14 +502,14 @@ def compare_across_iso(
         raise ValueError("iso is not injective on the compared basis")
 
     def verdict(tup: tuple[int, ...]):
-        t1 = g1._lookup([g1.basis[i] for i in tup])
+        t1 = g1.table_lookup([g1.basis[i] for i in tup])
         if t1 is None:
             return _SKIP
-        lhs = _iexpand(t1, rows.get)
+        lhs = _iexpand(t1, iso.get)
         combos = [images[i] for i in tup]
         if lhs is None or any(c is None for c in combos):
             return _SKIP
-        rhs = g2._combo(combos)
+        rhs = g2.bracket_combo(combos)
         if rhs is None:
             return _SKIP
         if not _cancels(lhs, rhs, -1):
@@ -538,8 +524,8 @@ def compare_across_iso(
     outside = {i for i, img in enumerate(images) if img is None}
 
     for n in range(2, arity_max + 1):
-        candidates = set(g1._entries(n, None))
-        for tup in g2._entries(n, None):
+        candidates = set(g1.entries(n, None))
+        for tup in g2.entries(n, None):
             picks = [g2.basis[t] for t in tup]
             if all(k in preimages for k in picks):
                 candidates.update(iproduct(*(preimages[k] for k in picks)))

@@ -513,8 +513,8 @@ def poisson_hc_iso(ident: PoissonIdentification, g_primal, g_dual):
 
     For each stable class of the primal structure, map its representative's
     stacked components label by label and reduce in the dual presentation.
-    Returns {primal basis key: {dual basis key: coefficient}} suitable for
-    bracket-table comparison.
+    Returns {primal basis key: class row of dual basis keys}, the map
+    ``gravity.compare_across_iso`` reads.
     """
     iso = {}
     hc1, hc2 = g_primal.hc, g_dual.hc

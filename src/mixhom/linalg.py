@@ -17,7 +17,11 @@ the (unique) reduced row echelon form, so kernels, images and homology
 presentations are canonical.
 
 Vectors that cross a module boundary are sparse, {index: coefficient}, and
-``_accumulate`` is the one sparse sum, on ints and Fractions alike.  A
+``_accumulate`` is the one sparse sum, on ints and Fractions alike.  Two
+kinds of vector live above this module.  A chain-level vector or a homology
+coordinate is a vector of Fractions, and ``_expand`` sums those.  A homology
+class vector is a ``Row``: integer coefficients {class key: int} over one
+positive denominator, in lowest terms, and ``_iexpand`` sums those.  A
 homology presentation is factored once, when it is built, and keeps the
 integer echelon rows the elimination produced: its boundary and
 representative bases stay in reduced row echelon form, so reducing a cycle
@@ -139,7 +143,8 @@ def _lowest(num: dict, den: int) -> Row:
 def _iexpand(row: Row | None, step) -> Row | None:
     """Σ v·step(k) over the entries k: v of an integer row, in lowest terms; None if row or any step is None.
 
-    ``step`` maps a key to an integer row over its denominator; this is ``_expand`` on integer rows.
+    ``step`` maps a key to an integer row over its denominator; this is ``_expand`` on class rows.  A zero
+    step costs no accumulate.
     """
     if row is None:
         return None
@@ -148,7 +153,8 @@ def _iexpand(row: Row | None, step) -> Row | None:
         got = step(k)
         if got is None:
             return None
-        den = _iaccumulate_over(acc, den, got[0], got[1], v)
+        if got[0]:
+            den = _iaccumulate_over(acc, den, got[0], got[1], v)
     return _lowest(acc, den * row[1])
 
 

@@ -30,15 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 from .algebra import GradedAlgebra, WindowError
 from .hochschild import boundary_b, chain_basis, connes_B, shifted_degree
 from .linalg import (
     ExactMatrix,
     HomologyPresentation,
+    ZERO_ROW,
     Row,
     _denominator,
-    _fractions,
     _iaccumulate_over,
     _iexpand,
     _over_one_denominator,
@@ -74,7 +75,7 @@ class MixedComplexSlice:
         self.B_mats = B_mats
         self.name = name
         self._hh: dict[Piece, HomologyPresentation] = {}
-        self._B: dict[ClassKey, dict[ClassKey, Fraction]] = {}
+        self._B: dict[ClassKey, Row] = {}
         self._validate()
 
     def dim(self, piece: Piece) -> int:
@@ -125,14 +126,14 @@ class MixedComplexSlice:
         degrees = self.degrees()
         return dict(sorted(_u_dims(self, 0, 0, min(degrees), max(degrees))[1].items())) if degrees else {}
 
-    def B_class(self, key: ClassKey) -> dict[ClassKey, Fraction]:
-        """B on one b-homology basis class, as {class key: coefficient}; memoized."""
+    def B_class(self, key: ClassKey) -> Row:
+        """B on one b-homology basis class, as a read-only class row; memoized."""
         got = self._B.get(key)
         if got is None:
             (d, w), i = key
             img = self.B_matrix((d, w)).apply(self.hh((d, w)).cycle(i))
             target = (d + 1, w)
-            got = self._B[key] = _classes(target, self.hh(target).reduce(img)) if img else {}
+            got = self._B[key] = _classes(target, self.hh(target).reduce(img)) if img else ZERO_ROW
         return got
 
     def element_vector(self, piece: Piece, element: dict) -> dict[int, Fraction]:
@@ -270,10 +271,9 @@ class NegativeCyclic:
     built the first time a class in it is read.
 
     π* and β of the long exact sequence HC⁻ → HH → HC⁻ are taken on one
-    basis class at a time and memoized here as integer rows over one
-    denominator (``_pi_row``, ``_beta_row``), so ``les_check`` and every
-    gravity structure over this HC⁻ share them; ``pi_star`` and ``beta``
-    give their Fractions.
+    basis class at a time and memoized here as read-only class rows
+    (``_classes``), so ``les_check`` and every gravity structure over this
+    HC⁻ share them.
     """
 
     slice: MixedComplexSlice
@@ -316,48 +316,44 @@ class NegativeCyclic:
 
     # -- the long exact sequence maps ---------------------------------------
 
-    def pi_star(self, key: ClassKey) -> dict[ClassKey, Fraction]:
-        """HC⁻ basis class -> b-homology class of its u⁰ component.
+    def pi_star(self, key: ClassKey) -> Row:
+        """HC⁻ basis class -> b-homology class of its u⁰ component, as a class row; memoized.
 
         Raises WindowError if the class's piece has no HC⁻ presentation.
         """
-        return _fractions(*self._pi_row(key))
-
-    def _pi_row(self, key: ClassKey) -> Row:
-        """π* of a basis class as an integer row over one denominator, memoized."""
         got = self._pi.get(key)
         if got is None:
             piece, i = key
             # the u⁰ component comes first in the stacked basis
             n0 = self.slice.dim(piece)
             x0 = {j: c for j, c in self.presentation(piece).cycle(i).items() if j < n0}
-            got = self._pi[key] = _over_one_denominator(_classes(piece, self.slice.hh(piece).reduce(x0)))
+            got = self._pi[key] = _classes(piece, self.slice.hh(piece).reduce(x0))
         return got
 
-    def beta(self, key: ClassKey) -> dict[ClassKey, Fraction]:
-        """b-homology basis class -> HC⁻ class of B(representative) one degree up.
+    def beta(self, key: ClassKey) -> Row:
+        """b-homology basis class -> HC⁻ class of B(representative) one degree up, as a class row; memoized.
 
         The chain-level recipe: lift the cycle, apply b + uB, divide by u;
         on a b-cycle x that is (b + uB)(x) = u·B(x), so the class of B(x)
         viewed as the constant term of an HC⁻ cycle in degree d + 1.
         """
-        return _fractions(*self._beta_row(key))
-
-    def _beta_row(self, key: ClassKey) -> Row:
-        """β of a b-homology basis class as an integer row over one denominator, memoized."""
         got = self._beta.get(key)
         if got is None:
             (d, w), i = key
             img = self.slice.B_matrix((d, w)).apply(self.slice.hh((d, w)).cycle(i))
             # the u⁰ component comes first in the stacked basis
-            classes = _classes((d + 1, w), self.presentation((d + 1, w)).reduce(img)) if img else {}
-            got = self._beta[key] = _over_one_denominator(classes)
+            got = self._beta[key] = (_classes((d + 1, w), self.presentation((d + 1, w)).reduce(img)) if img
+                                     else ZERO_ROW)
         return got
 
 
-def _classes(piece: Piece, coords) -> dict[ClassKey, Fraction]:
-    """Coordinates in a piece's homology basis as a sparse {class key: coefficient}."""
-    return {(piece, j): c for j, c in enumerate(coords) if c}
+def _classes(piece: Piece, coords) -> Row:
+    """Coordinates in a piece's homology basis as a read-only class row: the one place a class vector is made.
+
+    The row is {(piece, j): int} over one positive denominator, in lowest terms; zero is ``ZERO_ROW``.
+    """
+    num, den = _over_one_denominator({(piece, j): c for j, c in enumerate(coords) if c})
+    return (MappingProxyType(num), den) if num else ZERO_ROW
 
 
 @dataclass
@@ -376,7 +372,7 @@ def les_check(hc: NegativeCyclic) -> LESReport:
     """Long-exact-sequence diagnostics on every stable piece.
 
     β∘π* = 0, π*∘β = B (on b-homology classes), and rank bookkeeping
-    ker β = im π* per piece, all read off the memoized integer π* and β
+    ker β = im π* per piece, all read off the memoized π* and β class
     rows of the basis classes.  A piece is checked when it is stable and the piece
     one degree up is stable too, or has no chains at truncation N or N + 1
     (there HC⁻ is 0, so β = 0 and π* must be onto HH): pieces flagged
@@ -391,16 +387,16 @@ def les_check(hc: NegativeCyclic) -> LESReport:
         if not hc.stable.get((d + 1, w), not hc.stacked_basis(d + 1, w, hc.N + 1)):
             continue
         hh_dim = sl.hh(piece).dim
-        pi_cols = [hc._pi_row((piece, i)) for i in range(dim)]
-        beta_cols = [hc._beta_row((piece, i)) for i in range(hh_dim)]
+        pi_cols = [hc.pi_star((piece, i)) for i in range(dim)]
+        beta_cols = [hc.beta((piece, i)) for i in range(hh_dim)]
         # β∘π* on every HC⁻ basis class
         for i, col in enumerate(pi_cols):
-            if _iexpand(col, hc._beta_row)[0]:
+            if _iexpand(col, hc.beta)[0]:
                 ok_bp = False
                 failures.append(f"β∘π* ≠ 0 at {piece} class {i}")
         # π*∘β = B on every HH basis class; both rows are in lowest terms
         for i, col in enumerate(beta_cols):
-            if _iexpand(col, hc._pi_row) != _over_one_denominator(sl.B_class((piece, i))):
+            if _iexpand(col, hc.pi_star) != sl.B_class((piece, i)):
                 ok_pb = False
                 failures.append(f"π*∘β ≠ B at {piece} class {i}")
         # rank bookkeeping: dim ker β = rank π* on HH at this piece

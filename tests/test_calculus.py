@@ -22,22 +22,34 @@ from mixhom.calculus import (
     delta_pairs,
     hochschild_dual_bundle,
     poisson_bundle,
+    poisson_dual_bundle,
     polyvector_pd_twist,
     verify_bv_axioms,
 )
 from mixhom.hochschild import Cochain, all_tuples_up_to_weight
-from mixhom.koszul import quadratic_algebra
-from mixhom.linalg import ExactMatrix, NotAComplexError, _accumulate, _expand
-from mixhom.mixed import ClassKey, _classes, slice_from_hochschild_dual, slice_from_poisson
-from mixhom.poisson import PoissonContext, quadratic_bivector
+from mixhom.koszul import dual_bivector_coeffs, fit_dual_product_twist, koszul_poisson_identification, quadratic_algebra
+from mixhom.linalg import (ZERO_ROW, ExactMatrix, NotAComplexError, _accumulate, _expand, _fractions, _iexpand,
+                           _pullback)
+from mixhom.mixed import ClassKey, slice_from_hochschild_dual, slice_from_poisson, slice_from_poisson_dual
+from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
 from test_hochschild import coboundary_scan
 from test_linalg import _bv_check_bundles, solve_in_span
+from test_mixed import _as_classes
 from test_poisson import delta_by_monomials
 
 Q = Fraction
 
 CIRCULANT = {(1, 2, 1, 2): Q(1), (2, 3, 2, 3): Q(1), (3, 1, 3, 1): Q(1)}
 
+
+def fractions_of(row):
+    """A class row as the {class key: Fraction} it stands for; None (unavailable) stays None."""
+    return None if row is None else _fractions(*row)
+
+
+def _fraction_view(method):
+    """``method`` with its class rows read as Fractions: the form the oracles below take."""
+    return lambda *args: fractions_of(method(*args))
 
 @pytest.fixture(scope="module")
 def frobenius_duality():
@@ -103,7 +115,7 @@ class TestDuality:
 
     def test_delta_of_unit_vanishes(self, frobenius_duality):
         bundle, duality = frobenius_duality
-        assert duality.delta_classes(bundle.unit_class()) == {}
+        assert fractions_of(duality.delta_classes(bundle.unit_class())) == {}
 
     def test_divergence_example(self, poisson_duality):
         # Δ of the class of a coordinate Hamiltonian-like field has a
@@ -112,7 +124,7 @@ class TestDuality:
         found_nonzero = False
         for key in bundle.coh_classes():
             if key[0] == (-1, 0) and key[0] in duality.pd:
-                img = duality.delta_classes(key)
+                img = fractions_of(duality.delta_classes(key))
                 if img:
                     found_nonzero = True
                     assert all(k[0] == (0, 0) for k in img)
@@ -124,12 +136,12 @@ class TestDuality:
             if key[0] not in duality.pd:
                 continue
             lhs = {}
-            for kz, vz in duality.pd_of(key).items():
-                for kb, vb in bundle.B_classes(kz).items():
+            for kz, vz in fractions_of(duality.pd_of(key)).items():
+                for kb, vb in fractions_of(bundle.slice.B_class(kz)).items():
                     lhs[kb] = lhs.get(kb, Q(0)) + vz * vb
             rhs = {}
-            for kf, vf in duality.delta_classes(key).items():
-                for kz, vz in duality.pd_of(kf).items():
+            for kf, vf in fractions_of(duality.delta_classes(key)).items():
+                for kz, vz in fractions_of(duality.pd_of(kf)).items():
                     rhs[kz] = rhs.get(kz, Q(0)) + vf * vz
             diff = dict(lhs)
             for k, v in rhs.items():
@@ -189,14 +201,12 @@ def test_bv_identities_hold_on_nonzero_products(monkeypatch, which):
     assert rep.passed and rep.seven_term_checked > 10000
     unit = bundle.unit_class()
     products = [t for t in iproduct(coh, repeat=3)
-                if _expand(bundle.cup_classes(t[0], t[1]), lambda k: bundle.cup_classes(k, t[2]))]
+                if fractions_of(_iexpand(bundle.cup_classes(t[0], t[1]), lambda k: bundle.cup_classes(k, t[2])))]
     assert sum(unit not in t for t in products) > 0
     # negative control: Δ negated on one class where it is nonzero.  Only a
     # nonzero product without the unit lets the seven-term identity see it
-    flip = next(k for k in coh if duality.delta_classes(k))
-    delta = duality.delta_classes
-    monkeypatch.setattr(duality, "delta_classes",
-                        lambda k: {c: -v for c, v in delta(k).items()} if k == flip else delta(k))
+    flip = next(k for k in coh if fractions_of(duality.delta_classes(k)))
+    monkeypatch.setattr(duality, "delta_classes", _negated(duality.delta_classes, (flip,)))
     assert verify_bv_axioms(duality, max_classes=len(coh), quartic_limit=60).seven_term_failures
 
 
@@ -259,7 +269,7 @@ class TestCalabiYauCase:
         found = False
         for key in bundle.coh_classes():
             if key[0] == (-1, 0):
-                img = duality.delta_classes(key)
+                img = fractions_of(duality.delta_classes(key))
                 if img:
                     found = True
                     assert all(k[0][0] == 0 for k in img)
@@ -311,7 +321,7 @@ def assert_dual_action_matches(bundle, pairs, oracle):
         for j, c in bundle.hom_rep_vector(z).items():
             _accumulate(want, oracle(rep, labels[j]), c)
         target = (z[0][0] + f[0][0], z[0][1] - f[0][1])
-        got = bundle.cap_classes(f, z)
+        got = fractions_of(bundle.cap_classes(f, z))
         if want:
             coords = bundle.slice.hh(target).reduce(bundle.slice.element_vector(target, want))
             want = {(target, i): c for i, c in enumerate(coords) if c}
@@ -405,31 +415,35 @@ def test_poisson_bundle_action_matches_the_element_contraction(workload):
                             lambda P, label: contraction(ctx, P, {label: Q(1)}), weight_sign=bundle.weight_sign)
     got = [bundle.cap_classes(f, z) for f, z in pairs]
     assert got == [oracle.cap_classes(f, z) for f, z in pairs]
-    assert sum(bool(g) for g in got) > 20
+    assert sum(bool(fractions_of(g)) for g in got) > 20
 
 
 def _memo_arguments(bundle, duality):
     coh = [k for k in bundle.coh_classes() if k[0] in duality.pd]
     hom = bundle.hom_classes()
-    return ((duality.delta_classes, coh), (bundle.B_classes, hom), (duality.pd_inverse, hom))
+    return ((duality.delta_classes, coh), (bundle.slice.B_class, hom), (duality.pd_inverse, hom))
 
 
 def test_memo_results_are_copies(frobenius_duality):
+    # a memo table hands out read-only rows: editing one raises, and the next call returns an equal row
     bundle, duality = frobenius_duality
     for method, keys in _memo_arguments(bundle, duality):
         nonempty = 0
         for key in keys:
             try:
-                first = method(key)
+                num, den = method(key)
             except DualityError:
                 # failures are not memoized: the next call raises again
                 with pytest.raises(DualityError):
                     method(key)
                 continue
-            want = dict(first)
-            nonempty += bool(want)
-            first.clear()
-            first[("junk", 0)] = Q(7)
+            want = dict(num), den
+            nonempty += bool(num)
+            with pytest.raises(TypeError):
+                num[("junk", 0)] = 7
+            for k in want[0]:
+                with pytest.raises(TypeError):
+                    del num[k]
             assert method(key) == want
         assert nonempty, method.__name__
 
@@ -457,8 +471,11 @@ def test_fresh_dualities_share_no_cache():
 # -- PD⁻¹ against the per-class solve ---------------------------------------------
 
 
-def pd_inverse_by_solve(duality, key):
-    """PD⁻¹ of a homology class as it was: one solve_in_span per class, on the dense twisted PD columns."""
+def pd_inverse_by_solve(duality, key, pd_of=None):
+    """PD⁻¹ of a homology class as it was: one solve_in_span per class, on the dense twisted PD columns.
+
+    ``pd_of`` gives a column as {class key: Fraction}; by default the duality's own, read as Fractions.
+    """
     (d, w), i = key
     (de, we) = duality.eta[0]
     src = (d - de, duality.bundle.weight_sign * (w - we))
@@ -467,7 +484,7 @@ def pd_inverse_by_solve(duality, key):
     dim = duality.bundle.slice.hh(key[0]).dim
     cols = []
     for j in range(duality.bundle.coh_pres[src].dim):
-        img = duality.pd_of((src, j))
+        img = pd_of((src, j)) if pd_of else fractions_of(duality.pd_of((src, j)))
         cols.append(tuple(img.get((key[0], k), Q(0)) for k in range(dim)))
     coeffs = solve_in_span(cols, tuple(Q(int(k == i)) for k in range(dim)))
     if coeffs is None:
@@ -488,11 +505,11 @@ def assert_pd_inverse_matches_solve(duality) -> int:
             with pytest.raises(DualityError):
                 duality.pd_inverse(key)
             continue
-        got = duality.pd_inverse(key)
+        got = fractions_of(duality.pd_inverse(key))
         assert got == want, key
         back = {}
         for k, v in got.items():
-            _accumulate(back, duality.pd_of(k), v)
+            _accumulate(back, fractions_of(duality.pd_of(k)), v)
         assert back == {key: 1}, key
         checked += 1
     return checked
@@ -502,6 +519,118 @@ def test_pd_inverse_matches_per_class_solve_on_bv_check_dualities():
     frob, pois = _bv_check_bundles()
     assert assert_pd_inverse_matches_solve(frob) > 10
     assert assert_pd_inverse_matches_solve(pois) > 10
+
+
+# -- class rows against the Fraction class vectors they replaced -------------------
+#
+# The tables, B on classes and Δ used to hold {class key: Fraction}.  That form
+# is computed here straight from the presentations' ``reduce``, with its own
+# chain-level cap and a per-class PD⁻¹ solve, and every class row must stand for it.
+
+
+def _cap_fractions(bundle, f, z):
+    """ι_f on a homology class as {class key: Fraction}; None where it leaves the window."""
+    (D1, o1), (dz, wz) = f[0], z[0]
+    target = (dz + D1, wz + bundle.weight_sign * o1)
+    act = partial(bundle.act, bundle.coh_rep(f))
+    labels = bundle.slice.pieces[z[0]]
+    z_rep = {labels[j]: c for j, c in bundle.hom_rep_vector(z).items()}
+    try:
+        if bundle.weight_sign == 1:
+            out = _expand(z_rep, act)
+        else:
+            out = _pullback(z_rep, bundle.slice.pieces.get(target, ()), act, -1 if (D1 * dz) % 2 else 1)
+    except WindowError:
+        return None
+    if not out:
+        return {}
+    if not bundle.slice.dim(target):
+        return None
+    return _as_classes(target, bundle.slice.hh(target).reduce(bundle.slice.element_vector(target, out)))
+
+
+def _B_fractions(sl, key):
+    """B on a b-homology basis class as {class key: Fraction}."""
+    (d, w), i = key
+    img = sl.B_matrix((d, w)).apply(sl.hh((d, w)).cycle(i))
+    return _as_classes((d + 1, w), sl.hh((d + 1, w)).reduce(img)) if img else {}
+
+
+def _delta_fractions(duality, key):
+    """Δ = PD⁻¹∘B∘PD on a cohomology class as {class key: Fraction}, or the error type it raises."""
+    def pd_of(k):
+        got = _cap_fractions(duality.bundle, k, duality.eta)
+        if got is None:
+            raise WindowError(f"PD image of {k} escapes the window")
+        t = duality._twist(k[0])
+        return {kc: t * v for kc, v in got.items()}
+
+    try:
+        out = {}
+        for kz, vz in pd_of(key).items():
+            for kb, vb in _B_fractions(duality.bundle.slice, kz).items():
+                _accumulate(out, pd_inverse_by_solve(duality, kb, pd_of), vz * vb)
+        return out
+    except (WindowError, DualityError) as exc:
+        return type(exc)
+
+
+def _workload_duality(which, c):
+    """The duality of one bundle of the bv-check and gravity-check workloads, π scaled by c.
+
+    "poisson" is the c·π bundle that both workloads build; "poisson-dual" is the
+    gravity-check dual side under its derived twist; "frobenius" does not read c.
+    """
+    if which == "frobenius":
+        return _bv_check_bundles()[0]
+    coeffs = {k: c * v for k, v in CIRCULANT.items()}
+    ident = koszul_poisson_identification(3)
+    pi = quadratic_bivector(ident.ctx_poly, coeffs)
+    sl = slice_from_poisson(ident.ctx_poly, pi, 8)
+    bundle = poisson_bundle(ident.ctx_poly, pi, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
+    coords = sl.hh((3, 3)).reduce(sl.element_vector((3, 3), {(0, 0, 0, 1, 1, 1): Q(1)}))
+    dp = attach_duality(bundle, ((3, 3), [i for i, v in enumerate(coords) if v][0]), pd_twist=polyvector_pd_twist(1))
+    if which == "poisson":
+        return dp
+    dual = DualSide(ident.ctx_ext, quadratic_bivector(ident.ctx_ext, dual_bivector_coeffs(coeffs)), w_max=8)
+    sld = slice_from_poisson_dual(dual)
+    bd = poisson_dual_bundle(dual, sld, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)
+    coords = sld.hh((3, 3)).reduce(sld.element_vector((3, 3), {(1, 1, 1, 0, 0, 0): Q(1)}))
+    eta = ((3, 3), [i for i, v in enumerate(coords) if v][0])
+    return attach_duality(bd, eta, pd_twist=fit_dual_product_twist(ident, dp, bd, eta))
+
+
+@pytest.mark.parametrize("which, c", [("frobenius", Q(1)), ("poisson", Q(1)), ("poisson", Q(-7, 3)),
+                                      ("poisson-dual", Q(1)), ("poisson-dual", Q(-7, 3))],
+                         ids=["frobenius", "poisson-c=1", "poisson-c=-7/3", "poisson-dual-c=1", "poisson-dual-c=-7/3"])
+def test_class_rows_match_the_fraction_form(which, c):
+    duality = _workload_duality(which, c)
+    bundle = duality.bundle
+    coh, hom = bundle.coh_classes(), bundle.hom_classes()
+    nonzero = Counter()
+    for name, degree in (("cup", 0), ("bracket", 1)):
+        op, got = getattr(bundle.ops, name), getattr(bundle, f"{name}_classes")
+        for a, b in iproduct(coh, repeat=2):
+            want = _product_classes_oracle(bundle, op, degree, a, b)
+            assert fractions_of(got(a, b)) == want, (name, a, b)
+            nonzero[name] += bool(want)
+    for f, z in iproduct(coh, hom):
+        want = _cap_fractions(bundle, f, z)
+        assert fractions_of(bundle.cap_classes(f, z)) == want, (f, z)
+        nonzero["cap"] += bool(want)
+    for z in hom:
+        want = _B_fractions(bundle.slice, z)
+        assert fractions_of(bundle.slice.B_class(z)) == want, z
+        nonzero["B"] += bool(want)
+    for key in coh:
+        want = _delta_fractions(duality, key)
+        try:
+            got = fractions_of(duality.delta_classes(key))
+        except (WindowError, DualityError) as exc:
+            got = type(exc)
+        assert got == want, key
+        nonzero["Δ"] += want not in ({}, WindowError, DualityError)
+    assert all(nonzero[k] for k in ("cup", "bracket", "cap", "B", "Δ")), nonzero
 
 
 @pytest.mark.parametrize("which", ["frobenius", "poisson"])
@@ -761,7 +890,7 @@ def _reduce_coh_oracle(self, piece, cochain):
         vec = (_hochschild_vector_oracle if hochschild else _multivector_vector_oracle)(self.ops, piece, cochain)
     except WindowError:
         return None
-    return _classes(piece, pres.reduce(vec))
+    return _as_classes(piece, pres.reduce(vec))
 
 
 def _product_classes_oracle(bundle, op, degree, a, b):
@@ -789,10 +918,10 @@ def test_product_classes_match_the_is_zero_first_oracle(which, kinds):
         seen = Counter()
         for a, b in iproduct(coh, repeat=2):
             want = _product_classes_oracle(bundle, op, degree, a, b)
-            assert got(a, b) == want, (name, a, b)
+            assert fractions_of(got(a, b)) == want, (name, a, b)
             seen[None if want is None else bool(want)] += 1
         assert (seen[None], seen[False], seen[True]) == kinds[name], name
-        assert all(got(a, b) == {} for a, b in iproduct(coh[:12], repeat=2))
+        assert all(got(a, b) == ZERO_ROW for a, b in iproduct(coh[:12], repeat=2))
 
 
 def test_a_product_outside_the_window_reduces_by_whether_it_is_zero():
@@ -803,7 +932,7 @@ def test_a_product_outside_the_window_reduces_by_whether_it_is_zero():
         table = ops.cup(rep(a), rep(b)).table
         assert piece not in bundle.coh_pres
         assert zero == (not any(c for val in table.values() for c in val.values()))
-        assert bundle.cup_classes(a, b) == ({} if zero else None), b
+        assert fractions_of(bundle.cup_classes(a, b)) == ({} if zero else None), b
     # (−2, −6) lies outside the cochain side itself: the product's entries escape its basis
     assert (-2, -6) not in ops.pieces() and (-2, -4) in ops.pieces()
 
@@ -824,6 +953,8 @@ def verify_calculus_axioms_oracle(self, max_classes: int = 64) -> AxiomReport:
     ι of a bracket with [L_f, ι_g].  Window-escaping instances are
     skipped, not failed.
     """
+    cup_classes, bracket_classes, cap_classes = map(_fraction_view, (self.cup_classes, self.bracket_classes,
+                                                                     self.cap_classes))
     rep = AxiomReport()
     coh = self.coh_classes()[:max_classes]
     hom = self.hom_classes()[:max_classes]
@@ -831,8 +962,8 @@ def verify_calculus_axioms_oracle(self, max_classes: int = 64) -> AxiomReport:
 
     # cup: graded commutativity and associativity
     for a, b in iproduct(coh, repeat=2):
-        ab = self.cup_classes(a, b)
-        ba = self.cup_classes(b, a)
+        ab = cup_classes(a, b)
+        ba = cup_classes(b, a)
         if ab is None or ba is None:
             continue
         rep.checked += 1
@@ -840,12 +971,12 @@ def verify_calculus_axioms_oracle(self, max_classes: int = 64) -> AxiomReport:
         if _accumulate(dict(ab), ba, -s):
             rep.failures.append(f"cup not graded-commutative on {a}, {b}")
     for a, b, c in iproduct(coh[: max(8, len(coh) // 2)], repeat=3):
-        ab = self.cup_classes(a, b)
-        bc = self.cup_classes(b, c)
+        ab = cup_classes(a, b)
+        bc = cup_classes(b, c)
         if ab is None or bc is None:
             continue
-        left = _expand(ab, lambda k: self.cup_classes(k, c))
-        right = _expand(bc, lambda k: self.cup_classes(a, k))
+        left = _expand(ab, lambda k: cup_classes(k, c))
+        right = _expand(bc, lambda k: cup_classes(a, k))
         if left is None or right is None:
             continue
         rep.checked += 1
@@ -853,8 +984,8 @@ def verify_calculus_axioms_oracle(self, max_classes: int = 64) -> AxiomReport:
             rep.failures.append(f"cup not associative on {a}, {b}, {c}")
     # bracket: antisymmetry and Jacobi
     for a, b in iproduct(coh, repeat=2):
-        ab = self.bracket_classes(a, b)
-        ba = self.bracket_classes(b, a)
+        ab = bracket_classes(a, b)
+        ba = bracket_classes(b, a)
         if ab is None or ba is None:
             continue
         rep.checked += 1
@@ -862,9 +993,9 @@ def verify_calculus_axioms_oracle(self, max_classes: int = 64) -> AxiomReport:
         if _accumulate(dict(ab), ba, s):
             rep.failures.append(f"bracket not antisymmetric on {a}, {b}")
     for a, b, c in iproduct(coh[: max(6, len(coh) // 3)], repeat=3):
-        ab_c = _expand(self.bracket_classes(a, b), lambda k: self.bracket_classes(k, c))
-        a_bc = _expand(self.bracket_classes(b, c), lambda k: self.bracket_classes(a, k))
-        b_ac = _expand(self.bracket_classes(a, c), lambda k: self.bracket_classes(b, k))
+        ab_c = _expand(bracket_classes(a, b), lambda k: bracket_classes(k, c))
+        a_bc = _expand(bracket_classes(b, c), lambda k: bracket_classes(a, k))
+        b_ac = _expand(bracket_classes(a, c), lambda k: bracket_classes(b, k))
         if ab_c is None or a_bc is None or b_ac is None:
             continue
         rep.checked += 1
@@ -873,9 +1004,9 @@ def verify_calculus_axioms_oracle(self, max_classes: int = 64) -> AxiomReport:
             rep.failures.append(f"bracket Jacobi fails on {a}, {b}, {c}")
     # biderivation: {a, b∪c} = {a,b}∪c + (-1)^{(|a|+1)|b|} b∪{a,c}
     for a, b, c in iproduct(coh[: max(6, len(coh) // 3)], repeat=3):
-        lhs = _expand(self.cup_classes(b, c), lambda k: self.bracket_classes(a, k))
-        t1 = _expand(self.bracket_classes(a, b), lambda k: self.cup_classes(k, c))
-        t2 = _expand(self.bracket_classes(a, c), lambda k: self.cup_classes(b, k))
+        lhs = _expand(cup_classes(b, c), lambda k: bracket_classes(a, k))
+        t1 = _expand(bracket_classes(a, b), lambda k: cup_classes(k, c))
+        t2 = _expand(bracket_classes(a, c), lambda k: cup_classes(b, k))
         if lhs is None or t1 is None or t2 is None:
             continue
         rep.checked += 1
@@ -884,15 +1015,15 @@ def verify_calculus_axioms_oracle(self, max_classes: int = 64) -> AxiomReport:
             rep.failures.append(f"biderivation fails on {a}, {b}, {c}")
     # contraction composition on homology
     for a, b in iproduct(coh, repeat=2):
-        ba = self.cup_classes(b, a)
+        ba = cup_classes(b, a)
         if ba is None:
             continue
         for z in hom:
-            inner = self.cap_classes(b, z)
+            inner = cap_classes(b, z)
             if inner is None:
                 continue
-            lhs = _expand(inner, lambda k: self.cap_classes(a, k))
-            rhs = _expand(ba, lambda k: self.cap_classes(k, z))
+            lhs = _expand(inner, lambda k: cap_classes(a, k))
+            rhs = _expand(ba, lambda k: cap_classes(k, z))
             if lhs is None or rhs is None:
                 continue
             rep.checked += 1
@@ -903,7 +1034,7 @@ def verify_calculus_axioms_oracle(self, max_classes: int = 64) -> AxiomReport:
     try:
         u = self.unit_class()
         for z in hom:
-            got = self.cap_classes(u, z)
+            got = cap_classes(u, z)
             rep.checked += 1
             if got != {z: Q(1)}:
                 rep.failures.append(f"unit does not act as identity on {z}")
@@ -914,17 +1045,20 @@ def verify_calculus_axioms_oracle(self, max_classes: int = 64) -> AxiomReport:
     return rep
 
 def _verify_lie_rules_oracle(self, rep: AxiomReport, coh, hom):
+    bracket_classes, cap_classes, B_classes = map(_fraction_view, (self.bracket_classes, self.cap_classes,
+                                                                   self.slice.B_class))
+
     def L(f: ClassKey, z: ClassKey):
-        first_in = _expand(self.cap_classes(f, z), self.B_classes)
+        first_in = _expand(cap_classes(f, z), B_classes)
         if first_in is None:
             return None
-        second = _expand(self.B_classes(z), lambda k: self.cap_classes(f, k))
+        second = _expand(B_classes(z), lambda k: cap_classes(f, k))
         if second is None:
             return None
         return _accumulate(first_in, second, -1 if f[0][0] % 2 else 1)
 
     for a, b in iproduct(coh[: max(6, len(coh) // 3)], repeat=2):
-        br = self.bracket_classes(a, b)
+        br = bracket_classes(a, b)
         if br is None:
             continue
         for z in hom[: max(8, len(hom) // 2)]:
@@ -956,10 +1090,10 @@ def verify_bv_axioms_oracle(data: DualityData, max_classes: int = 48, quartic_li
         except (WindowError, DualityError):
             return None
 
-    delta = partial(available, data.delta_classes)
+    delta = partial(available, _fraction_view(data.delta_classes))
     d2_ok = not any(_expand(delta(a), delta) for a in coh)
 
-    cup2 = bundle.cup_classes
+    cup2 = _fraction_view(bundle.cup_classes)
 
     def cup_table(table, b, left=False):
         return _expand(table, (lambda k: cup2(b, k)) if left else (lambda k: cup2(k, b)))
@@ -1068,8 +1202,8 @@ def verify_bv_axioms_oracle(data: DualityData, max_classes: int = 48, quartic_li
     br_ok = True
     br_failures: list[str] = []
     for a, b in iproduct(coh, repeat=2):
-        native = bundle.bracket_classes(a, b)
-        gen = available(data.generated_bracket, a, b)
+        native = fractions_of(bundle.bracket_classes(a, b))
+        gen = available(_fraction_view(data.generated_bracket), a, b)
         if native is None or gen is None:
             continue
         if _accumulate(dict(gen), native, -1):
@@ -1081,8 +1215,12 @@ def verify_bv_axioms_oracle(data: DualityData, max_classes: int = 48, quartic_li
 
 
 def _negated(method, key):
-    """``method`` with its value negated at ``key`` alone."""
-    return lambda *args: {k: -v for k, v in method(*args).items()} if args == key else method(*args)
+    """``method`` with its class row negated at ``key`` alone."""
+    def negated(*args):
+        got = method(*args)
+        return ({k: -v for k, v in got[0].items()}, got[1]) if args == key else got
+
+    return negated
 
 
 def assert_calculus_matches(bundle, max_classes, checked, failures):
@@ -1122,7 +1260,7 @@ def test_reports_match_the_oracle_where_delta_leaves_the_window():
 
 def test_reports_match_the_oracle_with_one_bracket_negated(monkeypatch):
     bundle, duality = _frobenius_duality()
-    first = next(p for p in iproduct(bundle.coh_classes()[:18], repeat=2) if bundle.bracket_classes(*p))
+    first = next(p for p in iproduct(bundle.coh_classes()[:18], repeat=2) if fractions_of(bundle.bracket_classes(*p)))
     monkeypatch.setattr(bundle, "bracket_classes", _negated(bundle.bracket_classes, first))
     assert_calculus_matches(bundle, 18, 7855, 2)
     assert_bv_matches(duality, 20, 80, (4993, 80, 0, 0, 1))
@@ -1135,6 +1273,6 @@ def test_reports_match_the_oracle_with_one_bracket_negated(monkeypatch):
 def test_bv_reports_match_the_oracle_with_delta_negated(monkeypatch, which, flip, quartic_limit, counts):
     duality = _nonzero_product_duality(which)
     coh = [k for k in duality.bundle.coh_classes() if k[0] in duality.pd]
-    flip = flip or next(k for k in coh if duality.delta_classes(k))
+    flip = flip or next(k for k in coh if fractions_of(duality.delta_classes(k)))
     monkeypatch.setattr(duality, "delta_classes", _negated(duality.delta_classes, (flip,)))
     assert_bv_matches(duality, len(coh), quartic_limit, counts)

@@ -14,6 +14,7 @@ from mixhom.koszul import (dual_bivector_coeffs, fit_dual_product_twist, hh_clas
 from mixhom.mixed import (ClassKey, NegativeCyclic, default_truncation, slice_from_hochschild_dual,
     slice_from_poisson, slice_from_poisson_dual)
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
+from test_calculus import _fraction_view, fractions_of
 from test_linalg import from_columns
 
 Q = Fraction
@@ -42,8 +43,8 @@ class TestBrackets:
         other = [k for k in g.basis if k[0][0] >= 0]
         for t in tower:
             for o in other:
-                assert g.bracket([t, o]) == {}
-                assert g.bracket([o, t]) == {}
+                assert fractions_of(g.bracket([t, o])) == {}
+                assert fractions_of(g.bracket([o, t])) == {}
 
     def test_golden_binary_table(self, zero_pi_structure):
         # frozen values: the binary bracket against the constant-function
@@ -54,7 +55,7 @@ class TestBrackets:
         vals = {}
         for k in g.basis:
             if k[0][0] == 1:
-                got = g.bracket([z0, k])
+                got = fractions_of(g.bracket([z0, k]))
                 if got:
                     ((piece, idx), coeff), = got.items()
                     vals[k[0][1]] = (piece, coeff)
@@ -68,8 +69,8 @@ class TestBrackets:
         g = zero_pi_structure
         z0 = ((0, 0), 0)
         b = ((1, 2), 0)
-        lhs = g.bracket([z0, b])
-        rhs = g.bracket([b, z0])
+        lhs = fractions_of(g.bracket([z0, b]))
+        rhs = fractions_of(g.bracket([b, z0]))
         s = -1 if ((g.degree(z0) + 1) % 2) and ((g.degree(b) + 1) % 2) else 1
         merged = dict(lhs)
         for k, v in rhs.items():
@@ -114,7 +115,7 @@ def pair():
 class TestIso:
     def test_identity_iso_trivially_matches(self, zero_pi_structure):
         g = zero_pi_structure
-        iso = {k: {k: Q(1)} for k in g.basis}
+        iso = {k: ({k: 1}, 1) for k in g.basis}
         rep = compare_across_iso(g, g, iso, arity_max=3)
         assert rep.passed and rep.compared > 0
 
@@ -133,7 +134,7 @@ class TestIso:
         flip_key = None
         for a in gp.basis:
             for b in gp.basis:
-                got = gp.table_lookup([a, b])
+                got = fractions_of(gp.table_lookup([a, b]))
                 if got and a not in got:
                     flip_key = a
                     break
@@ -141,7 +142,7 @@ class TestIso:
                 break
         assert flip_key is not None
         flipped = {
-            k: ({kk: -vv for kk, vv in v.items()} if k == flip_key else v)
+            k: (({kk: -vv for kk, vv in v[0].items()}, v[1]) if k == flip_key else v)
             for k, v in iso.items()
         }
         rep = compare_across_iso(gp, gd, flipped, arity_max=2)
@@ -168,7 +169,7 @@ def enumerate_gravity_axioms(g: GravityStructure, n_max: int = 4, check_max: int
     deg = [g.degree(k) for k in g.basis]
 
     def tbl(idxs) -> dict | None:
-        return g.table_lookup([g.basis[i] for i in idxs])
+        return fractions_of(g.table_lookup([g.basis[i] for i in idxs]))
 
     # nonzero census per arity
     for n in range(2, n_max + 1):
@@ -233,6 +234,7 @@ def _jacobi_instance(g: GravityStructure, xs: list[int], ys: list[int], deg):
     the double sum closes onto (-1)^n {{x_1..x_n}, y_1..y_m} (and vanishes
     for m = 0), as verified exhaustively on every computed structure.
     """
+    lookup = _fraction_view(g.table_lookup)
     n = len(xs)
     total: dict[HCKey, Fraction] = {}
     basis = g.basis
@@ -240,7 +242,7 @@ def _jacobi_instance(g: GravityStructure, xs: list[int], ys: list[int], deg):
     tail_keys = [basis[y] for y in ys]
     for i in range(n):
         for j in range(i + 1, n):
-            inner = g.table_lookup([basis[xs[i]], basis[xs[j]]])
+            inner = lookup([basis[xs[i]], basis[xs[j]]])
             if inner is None:
                 return None, None
             if not inner:
@@ -254,7 +256,7 @@ def _jacobi_instance(g: GravityStructure, xs: list[int], ys: list[int], deg):
             rest = [basis[xs[t]] for t in range(n) if t not in (i, j)]
             s = Q(-1) if eps % 2 else Q(1)
             for key_in, c_in in inner.items():
-                got = g.table_lookup([key_in] + rest + tail_keys)
+                got = lookup([key_in] + rest + tail_keys)
                 if got is None:
                     return None, None
                 for k, v in got.items():
@@ -264,12 +266,12 @@ def _jacobi_instance(g: GravityStructure, xs: list[int], ys: list[int], deg):
                     else:
                         total[k] = acc
     if ys:
-        outer = g.table_lookup([basis[x] for x in xs])
+        outer = lookup([basis[x] for x in xs])
         if outer is None:
             return None, None
         rhs_sign = Q(-1) if n % 2 else Q(1)
         for key_out, c_out in outer.items():
-            got = g.table_lookup([key_out] + tail_keys)
+            got = lookup([key_out] + tail_keys)
             if got is None:
                 return None, None
             for k, v in got.items():
@@ -291,13 +293,14 @@ def enumerate_across_iso(
 ) -> IsoReport:
     """Check that a degree-preserving map intertwines the bracket tables.
 
-    ``iso`` maps a g1 basis key to a combination {g2 key: coefficient}; it
-    must be invertible on the compared window (checked by rank).  For every
-    tuple with arity <= arity_max present in both tables the images are
-    compared; mismatches are listed.
+    ``iso`` maps a g1 basis key to a class row of g2 keys; it must be
+    invertible on the compared window (checked by rank).  For every tuple
+    with arity <= arity_max present in both tables the images are compared;
+    mismatches are listed.
     """
     rep = IsoReport()
     K = len(g1.basis)
+    rows, iso = iso, {k: fractions_of(v) for k, v in iso.items()}
 
     def push(table: dict[HCKey, Fraction]) -> dict[HCKey, Fraction] | None:
         out: dict[HCKey, Fraction] = {}
@@ -330,7 +333,7 @@ def enumerate_across_iso(
 
     for n in range(2, arity_max + 1):
         for tup in iproduct(range(K), repeat=n):
-            t1 = g1.table_lookup([g1.basis[i] for i in tup])
+            t1 = fractions_of(g1.table_lookup([g1.basis[i] for i in tup]))
             if t1 is None:
                 rep.skipped += 1
                 continue
@@ -342,11 +345,11 @@ def enumerate_across_iso(
                 if img is None:
                     escape = True
                     break
-                combos.append(img)
+                combos.append(rows[g1.basis[i]])
             if escape or lhs is None:
                 rep.skipped += 1
                 continue
-            rhs = g2.bracket_combo(combos)
+            rhs = fractions_of(g2.bracket_combo(combos))
             if rhs is None:
                 rep.skipped += 1
                 continue
@@ -532,7 +535,7 @@ class TestIsoJoinAgainstOracle:
 
     def test_identity(self, zero_pi_structure):
         g = zero_pi_structure
-        rep = self.assert_same(g, g, {k: {k: Q(1)} for k in g.basis}, 3)
+        rep = self.assert_same(g, g, {k: ({k: 1}, 1) for k in g.basis}, 3)
         assert rep.passed and rep.compared + rep.skipped == sum(len(g.basis) ** n for n in (2, 3))
 
     def test_koszul_identification(self, pair):
@@ -548,7 +551,7 @@ class TestIsoJoinAgainstOracle:
         stopped = 0
         for flip_key in gp.basis:
             flipped = {
-                k: ({kk: -vv for kk, vv in v.items()} if k == flip_key else v)
+                k: (({kk: -vv for kk, vv in v[0].items()}, v[1]) if k == flip_key else v)
                 for k, v in iso.items()
             }
             rep = self.assert_same(gp, gd, flipped, 2)
@@ -559,7 +562,7 @@ class TestIsoJoinAgainstOracle:
         ident, gp, gd = pair
         g1 = corrupted(truncated, "none-2")
         g2 = corrupted(truncated, "none-zero-2")
-        iso = {k: {k: Q(1)} for k in g1.basis[1:]}
+        iso = {k: ({k: 1}, 1) for k in g1.basis[1:]}
         rep = self.assert_same(g1, g2, iso, 3)
         assert rep.skipped > 0
 
@@ -591,14 +594,15 @@ class PerTupleTables:
         for i, k in enumerate(keys[:-1]):
             exp += (n - 1 - i) * g.degree(k)
         sign = Q(-1) if exp % 2 else Q(1)
-        prod = g.hc.pi_star(keys[0])
+        pi_star, beta = _fraction_view(g.hc.pi_star), _fraction_view(g.hc.beta)
+        prod = pi_star(keys[0])
         for k in keys[1:]:
             if not prod:
                 return {}
-            prod = self.fractions._dot_combo(prod, g.hc.pi_star(k))
+            prod = self.fractions._dot_combo(prod, pi_star(k))
         out: dict[HCKey, Fraction] = {}
         for kc, vc in prod.items():
-            _accumulate(out, g.hc.beta(kc), sign * vc)
+            _accumulate(out, beta(kc), sign * vc)
         return out
 
     def table_lookup(self, keys: list[HCKey]) -> dict[HCKey, Fraction] | None:
@@ -634,14 +638,14 @@ def assert_lookups_match_oracle(g, arities):
             for t in iproduct(range(K), repeat=n)
         }
         # one tuple at a time, before any row is filled, then from filled rows
-        got = {t: cold.table_lookup([g.basis[i] for i in t]) for t in want}
+        got = {t: fractions_of(cold.table_lookup([g.basis[i] for i in t])) for t in want}
         assert got == want, n
         support = {t: v for t, v in want.items() if v is None or v}
-        assert filled.entries(n) == support, n
-        got = {t: filled.table_lookup([g.basis[i] for i in t]) for t in want}
+        assert {t: fractions_of(v) for t, v in filled.entries(n).items()} == support, n
+        got = {t: fractions_of(filled.table_lookup([g.basis[i] for i in t])) for t in want}
         assert got == want, n
         for h in (cold, filled):
-            assert {t: v and _fractions(*v) for t, v in h._tables[n].items()} == support, n
+            assert {t: fractions_of(v) for t, v in h._tables[n].items()} == support, n
 
 
 class TestPrefixTablesAgainstOracle:
@@ -659,14 +663,14 @@ class TestPrefixTablesAgainstOracle:
         # enters is unavailable, except where a zero prefix comes first
         g = zero_pi_structure
         stray = ((0, 99), 0)
-        zero = next(k for k in g.basis if g.hc.pi_star(k) == {})
-        live = next(k for k in g.basis if g.hc.pi_star(k))
+        zero = next(k for k in g.basis if fractions_of(g.hc.pi_star(k)) == {})
+        live = next(k for k in g.basis if fractions_of(g.hc.pi_star(k)))
         oracle = PerTupleTables(g)
         h = fresh(g)
         for keys in ([stray, live], [live, stray], [stray, live, live], [live, stray, live],
                      [zero, stray], [zero, stray, live]):
             want = oracle.table_lookup(keys)
-            assert h.table_lookup(keys) == want, keys
+            assert fractions_of(h.table_lookup(keys)) == want, keys
         assert oracle.table_lookup([stray, live]) is None
         assert oracle.table_lookup([zero, stray]) == {}
 
@@ -701,7 +705,7 @@ def test_skew_check_sees_one_corrupted_prefix(truncated):
 
 def fraction_pd_of(duality, key):
     """DualityData.pd_of as it was: the twisted PD image of a cohomology class, in Fractions."""
-    got = duality.bundle.cap_classes(key, duality.eta)
+    got = fractions_of(duality.bundle.cap_classes(key, duality.eta))
     if got is None:
         raise WindowError(f"PD image of {key} escapes the window")
     t = duality._twist(key[0])
@@ -710,12 +714,12 @@ def fraction_pd_of(duality, key):
 
 def fraction_dot(duality, a, b):
     """DualityData.dot as it was, on the Fraction columns of PD⁻¹ and PD."""
-    fa = duality.pd_inverse(a)
-    fb = duality.pd_inverse(b)
+    fa = fractions_of(duality.pd_inverse(a))
+    fb = fractions_of(duality.pd_inverse(b))
     out: dict = {}
     for ka, va in fa.items():
         for kb, vb in fb.items():
-            cupt = duality.bundle.cup_classes(ka, kb)
+            cupt = fractions_of(duality.bundle.cup_classes(ka, kb))
             if cupt is None:
                 raise WindowError(f"transported product escapes window on {a}·{b}")
             for kc, vc in cupt.items():
@@ -742,12 +746,13 @@ class FractionGravity(GravityStructure):
     def _prefix(self, tk: tuple) -> dict[ClassKey, Fraction] | None:
         """π*(x_1)·…·π*(x_k) for a nonempty tuple of basis indices; None on escape."""
         if tk not in self._prefixes:
+            pi_star = _fraction_view(self.hc.pi_star)
             if len(tk) == 1:
-                prod = _available(self.hc.pi_star, self._key(tk[0]))
+                prod = _available(pi_star, self._key(tk[0]))
             else:
                 # a zero or unavailable prefix stays zero or unavailable
                 head = self._prefix(tk[:-1])
-                prod = head and _available(lambda: self._dot_combo(head, self.hc.pi_star(self._key(tk[-1]))))
+                prod = head and _available(lambda: self._dot_combo(head, pi_star(self._key(tk[-1]))))
             self._prefixes[tk] = prod
         return self._prefixes[tk]
 
@@ -769,8 +774,8 @@ class FractionGravity(GravityStructure):
         if not head:
             return {}
         out: dict[HCKey, Fraction] = {}
-        for kc, vc in self._dot_combo(head, self.hc.pi_star(keys[-1])).items():
-            _accumulate(out, self.hc.beta(kc), sign * vc)
+        for kc, vc in self._dot_combo(head, fractions_of(self.hc.pi_star(keys[-1]))).items():
+            _accumulate(out, fractions_of(self.hc.beta(kc)), sign * vc)
         return out
 
     def bracket_combo(self, combos: list[dict[HCKey, Fraction]]) -> dict[HCKey, Fraction] | None:
@@ -1092,13 +1097,14 @@ def test_integer_rows_match_the_fraction_path(case):
     assert (rep.passed, rep.skew_checked, rep.jacobi_checked, rep.window_skips, rep.nonzero_brackets) == (
         True, 120932, 2272032, 0, {2: 24, 3: 72, 4: 144})
     iso_rep = compare_across_iso(gp, gd, iso)
-    assert iso_rep == fraction_compare_across_iso(fp, fd, iso)
+    assert iso_rep == fraction_compare_across_iso(fp, fd, {k: fractions_of(v) for k, v in iso.items()})
     assert iso_rep.passed == iso_holds and len(iso_rep.mismatches) == (0 if iso_holds else 6)
     # every entry of arity 2..4 on both sides, coefficients included
     for g, f in ((gp, fp), (gd, fd)):
         for n in (2, 3, 4):
-            assert g.entries(n) == f.entries(n), n
-    assert {v.denominator for n in (2, 3, 4) for e in gp.entries(n).values() if e for v in e.values()} == dens
+            assert {t: fractions_of(v) for t, v in g.entries(n).items()} == f.entries(n), n
+    assert {v.denominator for n in (2, 3, 4) for e in gp.entries(n).values() if e
+            for v in _fractions(*e).values()} == dens
 
 
 # -- the dual volume twist: derived sign against the fitted one -------------------
@@ -1131,7 +1137,7 @@ def fitted_dual_product_twist(ident, primal_duality, dual_bundle, eta_dual, w_ma
     for a in hh_classes:
         for b in hh_classes:
             try:
-                prod_p = primal_duality.dot(a, b)
+                prod_p = fractions_of(primal_duality.dot(a, b))
             except (WindowError, DualityError):
                 continue
             ia, ib = images[a], images[b]
@@ -1140,7 +1146,7 @@ def fitted_dual_product_twist(ident, primal_duality, dual_bundle, eta_dual, w_ma
                 for i1, c1 in enumerate(ia):
                     for i2, c2 in enumerate(ib):
                         if c1 and c2:
-                            for k, v in dd0.dot((a[0], i1), (b[0], i2)).items():
+                            for k, v in fractions_of(dd0.dot((a[0], i1), (b[0], i2))).items():
                                 prod_d[k] = prod_d.get(k, Q(0)) + c1 * c2 * v
             except (WindowError, DualityError):
                 continue
@@ -1225,7 +1231,7 @@ def assert_derived_twist_matches_fitted(ident, dp, dd, w_max=4):
     compared = nonzero = 0
     for a in _hh_classes(sl, w_max):
         for b in _hh_classes(sl, w_max):
-            prod_p = _outcome(dp.dot, a, b)
+            prod_p = _outcome(_fraction_view(dp.dot), a, b)
             if not isinstance(prod_p, dict):
                 continue
             ia, ib = push({a: Q(1)}), push({b: Q(1)})
@@ -1233,7 +1239,7 @@ def assert_derived_twist_matches_fitted(ident, dp, dd, w_max=4):
             try:
                 for ka, va in ia.items():
                     for kb, vb in ib.items():
-                        _accumulate(prod_d, dd.dot(ka, kb), va * vb)
+                        _accumulate(prod_d, fractions_of(dd.dot(ka, kb)), va * vb)
             except (WindowError, DualityError):
                 continue
             assert push(prod_p) == prod_d, (a, b)
@@ -1315,7 +1321,7 @@ def test_a_product_without_a_pd_preimage_is_a_window_skip():
     assert len(g.basis) == 35
     unit = ((0, 0), 0)
     with pytest.raises(DualityError, match=r"PD not invertible into piece \(-2, -2\)"):
-        g._dot_combo(g.hc._pi_row(unit), g.hc._pi_row(unit))
+        g._dot_combo(g.hc.pi_star(unit), g.hc.pi_star(unit))
     assert g.table_lookup([unit, unit]) is None
     rep = verify_gravity_axioms(g, n_max=3, check_max=3)
     assert rep.passed and rep.window_skips == 112750

@@ -1,6 +1,6 @@
 """Static hygiene of the package source, read with the standard ``ast`` module only.
 
-Seven rules: every name a module imports is used in that module, every
+Eight rules: every name a module imports is used in that module, every
 private function or method is referenced somewhere in the package outside
 its own body, every public one is referenced outside its own body in the
 package or the benchmark scripts or is named in backticks in README.md,
@@ -8,8 +8,10 @@ every defaulted parameter of a package function or method is passed, by
 keyword or by position, by some call in the package, the tests or the
 benchmark scripts, no module imports a name from a sibling module under a
 second name, no module but ``algebra.py`` calls ``GradedAlgebra(`` or names
-``OUT_OF_WINDOW``, and no module but ``calculus.py`` catches
-``(WindowError, DualityError)`` or assigns ``_FAILURE_LIMIT``.  A method
+``OUT_OF_WINDOW``, no module but ``calculus.py`` catches
+``(WindowError, DualityError)`` or assigns ``_FAILURE_LIMIT``, and outside
+``linalg.py`` only ``mixed._classes`` calls ``_over_one_denominator``, while
+``gravity.py`` imports nothing from ``fractions``.  A method
 is referenced through an attribute, a module function through an attribute
 or through a bare name in its own module or in one that imports it, and a
 name that is bound or deleted is no reference.  Code that
@@ -17,8 +19,10 @@ nothing reads is deleted, not kept (a public function only the tests call
 is a test helper, unless README documents it), a knob that only ever takes
 its default is not a knob, a package helper has one name, the product table
 and its out-of-window rule are written once, in ``algebra.build_algebra``,
-and what counts as unavailable and where a failure list stops are decided
-once, in ``calculus._available`` and ``calculus._FAILURE_LIMIT``.
+what counts as unavailable and where a failure list stops are decided
+once, in ``calculus._available`` and ``calculus._FAILURE_LIMIT``, and a
+homology class vector is made in one place, as an integer row, with no
+Fraction form beside it in the gravity layer.
 """
 
 import ast
@@ -252,6 +256,27 @@ def _unavailable_rule_outside_calculus(modules: dict[str, ast.Module]) -> list[s
     return found
 
 
+def _class_rows_outside_classes(modules: dict[str, ast.Module]) -> list[str]:
+    """Calls of ``_over_one_denominator`` outside ``linalg.py`` and ``mixed._classes``, and ``fractions`` in
+    ``gravity.py``."""
+    found = []
+    for name, tree in modules.items():
+        if name == "linalg.py":
+            continue
+        allowed = {id(node) for fn in tree.body if name == "mixed.py" and isinstance(fn, ast.FunctionDef)
+                   and fn.name == "_classes" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                fn = node.func
+                if (fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)) == "_over_one_denominator":
+                    found.append(f"{name}:{node.lineno} _over_one_denominator(")
+            elif name == "gravity.py" and (
+                    isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                    or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)):
+                found.append(f"{name}:{node.lineno} import fractions")
+    return found
+
+
 def _readme_names() -> set[str]:
     """Every identifier inside a backtick span of README.md: the documented API."""
     with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
@@ -289,6 +314,10 @@ def test_only_algebra_builds_a_product_table():
 
 def test_only_calculus_decides_what_is_unavailable():
     assert _unavailable_rule_outside_calculus(_modules()) == []
+
+
+def test_only_mixed_makes_a_class_row():
+    assert _class_rows_outside_classes(_modules()) == []
 
 
 def test_every_public_function_is_read_or_documented():
@@ -358,6 +387,19 @@ def test_the_rules_find_what_they_claim():
     )
     assert _unavailable_rule_outside_calculus({"m.py": unavailable, "calculus.py": unavailable}) == [
         "m.py:3 _FAILURE_LIMIT =", "m.py:7 except (WindowError, DualityError)"]
+    rows = ast.parse(
+        "from fractions import Fraction\n"
+        "import fractions\n"
+        "from . import linalg\n"
+        "from .linalg import _over_one_denominator\n"
+        "def _classes(piece, coords):\n"
+        "    return _over_one_denominator({(piece, j): c for j, c in enumerate(coords)})\n"
+        "def pi_star(vec):\n"
+        "    return linalg._over_one_denominator(vec)\n"
+    )
+    assert _class_rows_outside_classes({"mixed.py": rows, "gravity.py": rows, "linalg.py": rows}) == [
+        "mixed.py:8 _over_one_denominator(", "gravity.py:1 import fractions", "gravity.py:2 import fractions",
+        "gravity.py:6 _over_one_denominator(", "gravity.py:8 _over_one_denominator("]
     public = ast.parse(
         "def read():\n"
         "    return 1\n"
