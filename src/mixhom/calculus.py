@@ -25,6 +25,7 @@ hand-counted verifiers it replaced as the oracle.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -35,7 +36,7 @@ from typing import Iterator
 from .algebra import GradedAlgebra, WindowError, koszul_sign
 from .hochschild import (
     Cochain,
-    all_tuples_up_to_weight,
+    _bar_tuples,
     cap,
     coboundary,
     cup,
@@ -81,7 +82,7 @@ class _CochainOps:
 
     _delta_den = 1
 
-    def pieces(self) -> dict[Piece, list]:
+    def pieces(self) -> Mapping[Piece, list]:
         return self._pieces
 
     def vector(self, piece: Piece, element) -> dict[int, Fraction]:
@@ -113,12 +114,66 @@ class _CochainOps:
         return ExactMatrix._integers(len(rows), above.cols, entries, above.den)
 
 
+class _CochainPieces(Mapping):
+    """The sorted (input tuple, value index) labels of each (D, ω) cochain piece of arity <= q_top, built on first read.
+
+    The keys come from the (arity, chain weight, shifted degree) triples that
+    bar tuples of arity <= q_top and chain weight <= v_max reach, found
+    without listing a tuple.  A piece's labels are listed when it is first
+    read, by indexing, ``get`` or iteration over values: for each value
+    index, the tuples of its arities and chain weight, pruned by weight and
+    filtered by shifted degree.  ``_built`` holds the pieces read so far.
+    """
+
+    def __init__(self, A: GradedAlgebra, q_top: int, v_max: int):
+        self.A = A
+        aug = A.augmentation_indices()
+        self._arities: dict[tuple[int, int], list[int]] = {}  # (chain weight, shifted degree) -> arities
+        layer = {(0, 0)}
+        for q in range(q_top + 1):
+            for ws in layer:
+                self._arities.setdefault(ws, []).append(q)
+            layer = {(w + A.weights[i], s + A.degrees[i] + 1) for w, s in layer for i in aug
+                     if w + A.weights[i] <= v_max}
+        self._values = [k for k in range(A.dim) if A.weight_cutoff is None or A.weights[k] <= A.weight_cutoff]
+        self._keys = {(A.degrees[k] - s, A.weights[k] - w) for w, s in self._arities for k in self._values}
+        self._built: dict[Piece, list] = {}
+
+    def __getitem__(self, piece: Piece) -> list:
+        if piece not in self._built:
+            if piece not in self._keys:
+                raise KeyError(piece)
+            A, aug = self.A, self.A.augmentation_indices()
+            D, om = piece
+            labels = []
+            for k in self._values:
+                w, s = A.weights[k] - om, A.degrees[k] - D
+                for q in self._arities.get((w, s), ()):
+                    tuples: list[tuple[int, ...]] = []
+                    _bar_tuples(A, aug, (), w, q, tuples)
+                    labels += [(t, k) for t in tuples if sum(A.degrees[i] + 1 for i in t) == s]
+            self._built[piece] = sorted(labels)
+        return self._built[piece]
+
+    def __contains__(self, piece) -> bool:
+        return piece in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 class HochschildCochainOps(_CochainOps):
     """Mode-A Hochschild cochains of a graded algebra, windowed by arity/weight.
 
     Pieces are indexed by (total degree D, weight shift ω); the basis of a
-    piece is the list of elementary cochains (input tuple, value index)
-    with matching invariants and arity <= q_max.
+    piece is the sorted list of elementary cochains (input tuple, value
+    index) with matching invariants, arity <= q_max and chain weight <=
+    v_max.  Each list is built the first time the piece is read
+    (``_CochainPieces``), so a bundle lists only the labels of the pieces
+    its window reads, and δ is evaluated on those labels only.
     """
 
     def __init__(self, A: GradedAlgebra, q_max: int, v_max: int | None = None):
@@ -135,22 +190,8 @@ class HochschildCochainOps(_CochainOps):
         # the coboundary raises arity by exactly one, so each (degree, shift)
         # piece splits by arity; kernels at the arity ceiling are computed
         # against an extended basis that includes arity q_max + 1
-        self._pieces: dict[Piece, list] = {}
-        self._pieces_ext: dict[Piece, list] = {}
-        for q in range(q_max + 2):
-            for t in all_tuples_up_to_weight(A, q, v_max):
-                wt = sum(A.weights[i] for i in t)
-                st = sum(A.degrees[i] + 1 for i in t)
-                for k in range(A.dim):
-                    if A.weight_cutoff is not None and A.weights[k] > A.weight_cutoff:
-                        continue
-                    D = A.degrees[k] - st
-                    om = A.weights[k] - wt
-                    self._pieces_ext.setdefault((D, om), []).append((t, k))
-                    if q <= q_max:
-                        self._pieces.setdefault((D, om), []).append((t, k))
-        for labels in (*self._pieces.values(), *self._pieces_ext.values()):
-            labels.sort()
+        self._pieces = _CochainPieces(A, q_max, v_max)
+        self._pieces_ext = _CochainPieces(A, q_max + 1, v_max)
 
     def _labels(self, f: Cochain):
         return (((t, k), c) for t, val in f.table.items() for k, c in val.items())

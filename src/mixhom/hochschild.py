@@ -149,22 +149,6 @@ def unit_cochain(A: GradedAlgebra) -> Cochain:
     return Cochain(A, 0, 0, {(): A.one()})
 
 
-def _tuples_of_weight(A: GradedAlgebra, q: int, w: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    if w >= q:
-        _bar_tuples(A, A.augmentation_indices(), (), w, q, out)
-    return sorted(out)
-
-
-def all_tuples_up_to_weight(A: GradedAlgebra, q: int, w_max: int) -> list[tuple[int, ...]]:
-    out = []
-    for w in range(q, w_max + 1):
-        out.extend(_tuples_of_weight(A, q, w))
-    if q == 0:
-        out = [()]
-    return out
-
-
 def cup(f: Cochain, g: Cochain) -> Cochain:
     """Cup product; arities add.  Sign: Koszul for g passing the f inputs."""
     A = f.algebra
@@ -188,8 +172,7 @@ def circle(f: Cochain, g: Cochain, v_max: int) -> Cochain:
     """Insertion f∘g: sum of g plugged into each slot of f, with Koszul signs.
 
     Tabulated on the input tuples of arity a = f.arity + g.arity - 1 and
-    chain weight at most v_max, in the order of
-    ``all_tuples_up_to_weight``: by chain weight, then by tuple.  Evaluated
+    chain weight at most v_max, in (chain weight, tuple) order.  Evaluated
     as a join over nonzero entries: g's entries are indexed by each
     bar-projected output, and every slot of every nonzero f entry takes the
     g entries whose output it holds; only the nonzero keys in the window
@@ -244,55 +227,61 @@ def coboundary(f: Cochain, v_max: int) -> Cochain:
     homology; the ungraded shadow is the classical normalized formula.
 
     Tabulated on the input tuples of arity q + 1 and chain weight at most
-    v_max, in the order of ``all_tuples_up_to_weight``, as
-    ``circle`` is.  Only the tuples where δf can be nonzero are evaluated:
-    for each input tuple t of f, (a,) + t and t + (a,) for every
-    augmentation index a, and t with one entry m replaced by a pair (x, y)
-    whose product holds m (``GradedAlgebra.factorizations``).  They are
-    clipped to the window before any is evaluated, so an outer product that
-    escapes the algebra's weight cutoff raises ``WindowOverflowError`` at
-    the first such tuple of the window, and at no tuple outside it.
+    v_max, in (chain weight, tuple) order, as ``circle`` is.  Evaluated in
+    push form: each nonzero entry (t, v) of f emits its own terms, a·v on
+    (a,) + t and v·a on t + (a,) for every augmentation index a, and v on t
+    with one entry m split into a pair (x, y) whose product holds m
+    (``GradedAlgebra.factorizations``).  A term is clipped to the window
+    before it is evaluated, and an outer product that escapes the algebra's
+    weight cutoff raises ``WindowOverflowError`` at the first tuple of the
+    window where one escapes (a·v before v·a), and at no tuple outside it.
     """
     A = f.algebra
     q = f.arity
+    deg, W = A.degrees, A.weights
     aug = A.augmentation_indices()
     factorizations = A.factorizations
-    candidates: set[tuple[int, ...]] = set()
-    for t in f.table:
-        if len(t) != q or A.unit in t:  # never read by a tuple of the window
+    acc: dict[tuple[int, tuple[int, ...]], Element] = {}  # (chain weight, tuple) -> value
+    escape = None  # (chain weight, tuple, side, error) of the first escaping product in window order
+
+    def outer(key, side, a, v, sign):
+        """acc[key] += sign · a·v (side 0) or sign · v·a (side 1); an escaping product is kept in ``escape``."""
+        nonlocal escape
+        prods = []
+        for k, c in v.items():
+            if c:
+                prod = A.mult_basis(a, k) if side == 0 else A.mult_basis(k, a)
+                if not isinstance(prod, dict):
+                    if escape is None or (*key, side) < escape[:3]:
+                        escape = (*key, side, WindowOverflowError(W[a] + W[k]))
+                    return
+                if prod:
+                    prods.append((prod, c if sign == 1 else -c))
+        if prods:
+            row = acc.setdefault(key, {})
+            for prod, c in prods:
+                _accumulate(row, prod, c)
+
+    for t, v in f.table.items():
+        wt = sum(W[i] for i in t)
+        if len(t) != q or not v or A.unit in t or wt > v_max:  # read by no tuple of the window
             continue
+        shift = sum(deg[i] + 1 for i in t)
         for a in aug:
-            candidates.add((a,) + t)
-            candidates.add(t + (a,))
-        for j, m in enumerate(t):
-            for pair in factorizations.get(m, ()):
-                candidates.add(t[:j] + pair + t[j + 1 :])
-    window = sorted((w, key) for key in candidates if (w := chain_weight(A, key)) <= v_max)
-    table: dict[tuple[int, ...], Element] = {}
-    for _, key in window:
-        acc: Element = {}
-        fa = f.value(key[1:])
-        if fa:
-            sign = -1 if (A.degrees[key[0]] * f.degree) % 2 else 1
-            _accumulate(acc, A.multiply(A.basis_element(key[0]), fa), sign)
+            if wt + W[a] <= v_max:
+                outer((wt + W[a], (a,) + t), 0, a, v, -1 if (deg[a] * f.degree) % 2 else 1)
         run = 0
-        for i in range(1, q + 1):
-            run += A.degrees[key[i - 1]] + 1
-            prod = A.mult_basis(key[i - 1], key[i])
-            if isinstance(prod, dict):
-                sign = -1 if run % 2 else 1
-                for m, cm in prod.items():
-                    if m == A.unit:
-                        continue
-                    _accumulate(acc, f.value(key[: i - 1] + (m,) + key[i + 1 :]), sign * cm)
-        fb = f.value(key[:q])
-        if fb:
-            run_all = sum(A.degrees[i] + 1 for i in key[:q])
-            sign = -1 if (run_all + 1) % 2 else 1
-            _accumulate(acc, A.multiply(fb, A.basis_element(key[q])), sign)
-        if acc:
-            table[key] = acc
-    return Cochain(A, q + 1, f.degree - 1, table)
+        for j, m in enumerate(t):
+            for x, y in factorizations.get(m, ()):
+                sign = -1 if (run + deg[x] + 1) % 2 else 1
+                _accumulate(acc.setdefault((wt, t[:j] + (x, y) + t[j + 1 :]), {}), v, sign * A.mult_basis(x, y)[m])
+            run += deg[m] + 1
+        for a in aug:
+            if wt + W[a] <= v_max:
+                outer((wt + W[a], t + (a,)), 1, a, v, -1 if (shift + 1) % 2 else 1)
+    if escape is not None:
+        raise escape[3]
+    return Cochain(A, q + 1, f.degree - 1, {key: val for (_, key), val in sorted(acc.items()) if val})
 
 
 def cap(f: Cochain, chain: Chain) -> Chain:

@@ -8,7 +8,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from mixhom.algebra import QuadraticPresentation, make_exterior_algebra
+from mixhom.algebra import QuadraticPresentation, make_exterior_algebra, make_truncated_polynomial_algebra
 from mixhom.calculus import (
     AxiomReport,
     BVReport,
@@ -26,13 +26,13 @@ from mixhom.calculus import (
     polyvector_pd_twist,
     verify_bv_axioms,
 )
-from mixhom.hochschild import Cochain, all_tuples_up_to_weight
+from mixhom.hochschild import Cochain
 from mixhom.koszul import dual_bivector_coeffs, fit_dual_product_twist, koszul_poisson_identification, quadratic_algebra
 from mixhom.linalg import (ZERO_ROW, ExactMatrix, NotAComplexError, _accumulate, _expand, _fractions, _iexpand,
                            _pullback)
 from mixhom.mixed import ClassKey, slice_from_hochschild_dual, slice_from_poisson, slice_from_poisson_dual
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
-from test_hochschild import coboundary_scan
+from test_hochschild import all_tuples_up_to_weight, coboundary_scan
 from test_linalg import _bv_check_bundles, solve_in_span
 from test_mixed import _as_classes
 from test_poisson import delta_by_monomials
@@ -245,7 +245,6 @@ class TestCalabiYauCase:
         # antisymmetrized weight-2 chain; the cochain side is windowed to
         # non-positive weight shifts, where every operation probe stays
         # inside verified tables
-        from mixhom.algebra import make_truncated_polynomial_algebra
         from mixhom.calculus import hochschild_bundle
         from mixhom.mixed import slice_from_hochschild
 
@@ -679,6 +678,79 @@ def test_cochain_ops_keep_no_tuple_table():
         gc.enable()
 
 
+# -- labels listed on first read against the eager constructor ------------------
+#
+# HochschildCochainOps used to list every piece in its constructor; that
+# enumeration is kept here verbatim as the reference for ``_CochainPieces``.
+
+
+def _eager_pieces(A, q_max, v_max):
+    """The (_pieces, _pieces_ext) that the constructor listed before pieces were built on first read."""
+    pieces, pieces_ext = {}, {}
+    for q in range(q_max + 2):
+        for t in all_tuples_up_to_weight(A, q, v_max):
+            wt = sum(A.weights[i] for i in t)
+            st = sum(A.degrees[i] + 1 for i in t)
+            for k in range(A.dim):
+                if A.weight_cutoff is not None and A.weights[k] > A.weight_cutoff:
+                    continue
+                D = A.degrees[k] - st
+                om = A.weights[k] - wt
+                pieces_ext.setdefault((D, om), []).append((t, k))
+                if q <= q_max:
+                    pieces.setdefault((D, om), []).append((t, k))
+    for labels in (*pieces.values(), *pieces_ext.values()):
+        labels.sort()
+    return pieces, pieces_ext
+
+
+def _capped_algebra():
+    # x of degree 0 and ξ of degree -1: xξ = ξx, ξξ = 0
+    rels = ((0, -1, 1, 0), (0, 0, 0, 1))
+    pres = QuadraticPresentation(2, (0, -1), tuple(tuple(Q(c) for c in r) for r in rels))
+    return quadratic_algebra(pres, 3)[0]
+
+
+LABEL_CASES = {
+    **{f"lambda2-q{q}": (lambda: make_exterior_algebra(2), q, None) for q in range(2, 7)},
+    "calabi-yau": (lambda: make_truncated_polynomial_algebra(2, 5), 3, 3),
+    "capped": (_capped_algebra, 2, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_CASES))
+def test_labels_built_on_first_read_match_the_eager_enumeration(case):
+    maker, q_max, v_max = LABEL_CASES[case]
+    ops = HochschildCochainOps(maker(), q_max, v_max)
+    assert not ops._pieces._built and not ops._pieces_ext._built
+    for store, want in zip((ops._pieces, ops._pieces_ext), _eager_pieces(ops.A, q_max, ops.v_max)):
+        assert set(store) == set(want) and len(store) == len(want)
+        assert all(piece in store for piece in want)
+        # indexing and get build a piece alike; label lists are compared in order
+        assert {piece: store.get(piece) if i % 2 else store[piece] for i, piece in enumerate(sorted(want))} == want
+        assert store.get((99, 99)) is None and (99, 99) not in store
+
+
+def test_bv_check_bundle_lists_and_differentiates_only_its_window(monkeypatch):
+    # the bv-check Frobenius bundle reads its window, the pieces one degree above it and the extended pieces
+    # one degree below: 237 and 230 labels, of the 4,372 and 13,120 an eager constructor lists
+    delta = HochschildCochainOps._delta
+    evaluated = []
+
+    def counting(self, label):
+        evaluated.append(label)
+        return delta(self, label)
+
+    monkeypatch.setattr(HochschildCochainOps, "_delta", counting)
+    A = make_exterior_algebra(2)
+    bundle = hochschild_dual_bundle(A, slice_from_hochschild_dual(A, 5), q_max=6,
+                                    coh_window=lambda p: -3 <= p[1] <= 2 and -3 <= p[0] <= 0)
+    ops = bundle.ops
+    assert [sum(map(len, store._built.values())) for store in (ops._pieces, ops._pieces_ext)] == [237, 230]
+    assert len(evaluated) == len(set(evaluated)) == 237
+    assert [sum(map(len, labels.values())) for labels in _eager_pieces(A, 6, ops.v_max)] == [4372, 13120]
+
+
 # -- the build-once δ against the two-build delta_pair it replaced ----------------
 #
 # Each piece used to build its outgoing δ and, a second time, the incoming δ
@@ -745,10 +817,7 @@ def _delta_case(case, q_max=6, coeff_wmax=8):
         pieces = {p for p in ops.pieces() if -3 <= p[1] <= 2 and -3 <= p[0] <= 0}
         return ops, pieces, _hochschild_delta_pair_oracle
     if case == "capped":
-        # x of degree 0 and ξ of degree -1: xξ = ξx, ξξ = 0
-        rels = ((0, -1, 1, 0), (0, 0, 0, 1))
-        pres = QuadraticPresentation(2, (0, -1), tuple(tuple(Q(c) for c in r) for r in rels))
-        ops = HochschildCochainOps(quadratic_algebra(pres, 3)[0], 2)
+        ops = HochschildCochainOps(_capped_algebra(), 2)
         return ops, {p for p in ops.pieces() if p[1] <= 0}, _hochschild_delta_pair_oracle
     ctx = PoissonContext.make(3, "poly")
     # c·π with c = -7/3 puts a denominator on δ and on its incoming restriction

@@ -14,7 +14,7 @@ from mixhom.algebra import (
 from mixhom.hochschild import (
     ChainKey,
     Cochain,
-    all_tuples_up_to_weight,
+    _bar_tuples,
     boundary_b,
     cap,
     chain_basis,
@@ -31,6 +31,23 @@ from mixhom.linalg import ExactMatrix
 from test_linalg import from_columns, kernel_basis, solve_in_span
 
 Q = Fraction
+
+
+def _tuples_of_weight(A, q, w):
+    out = []
+    if w >= q:
+        _bar_tuples(A, A.augmentation_indices(), (), w, q, out)
+    return sorted(out)
+
+
+def all_tuples_up_to_weight(A, q, w_max):
+    """Every bar tuple of arity q and chain weight <= w_max, in (chain weight, tuple) order."""
+    out = []
+    for w in range(q, w_max + 1):
+        out.extend(_tuples_of_weight(A, q, w))
+    if q == 0:
+        out = [()]
+    return out
 
 
 def chains_in_window(A, p_max, w_max):
@@ -620,6 +637,58 @@ def coboundary_scan(f, tuples_by_arity):
     return Cochain(A, q + 1, f.degree - 1, table)
 
 
+def coboundary_pull(f, v_max):
+    """The coboundary in pull form, as it was: each candidate tuple of the window reads f at the tuples it reaches.
+
+    The candidates are (a,) + t, t + (a,) and the splits of t for every input
+    tuple t of f, clipped to the window and evaluated in (chain weight,
+    tuple) order.
+    """
+    from mixhom.hochschild import chain_weight
+    from mixhom.linalg import _accumulate
+
+    A = f.algebra
+    q = f.arity
+    aug = A.augmentation_indices()
+    factorizations = A.factorizations
+    candidates = set()
+    for t in f.table:
+        if len(t) != q or A.unit in t:  # never read by a tuple of the window
+            continue
+        for a in aug:
+            candidates.add((a,) + t)
+            candidates.add(t + (a,))
+        for j, m in enumerate(t):
+            for pair in factorizations.get(m, ()):
+                candidates.add(t[:j] + pair + t[j + 1 :])
+    window = sorted((w, key) for key in candidates if (w := chain_weight(A, key)) <= v_max)
+    table = {}
+    for _, key in window:
+        acc = {}
+        fa = f.value(key[1:])
+        if fa:
+            sign = -1 if (A.degrees[key[0]] * f.degree) % 2 else 1
+            _accumulate(acc, A.multiply(A.basis_element(key[0]), fa), sign)
+        run = 0
+        for i in range(1, q + 1):
+            run += A.degrees[key[i - 1]] + 1
+            prod = A.mult_basis(key[i - 1], key[i])
+            if isinstance(prod, dict):
+                sign = -1 if run % 2 else 1
+                for m, cm in prod.items():
+                    if m == A.unit:
+                        continue
+                    _accumulate(acc, f.value(key[: i - 1] + (m,) + key[i + 1 :]), sign * cm)
+        fb = f.value(key[:q])
+        if fb:
+            run_all = sum(A.degrees[i] + 1 for i in key[:q])
+            sign = -1 if (run_all + 1) % 2 else 1
+            _accumulate(acc, A.multiply(fb, A.basis_element(key[q])), sign)
+        if acc:
+            table[key] = acc
+    return Cochain(A, q + 1, f.degree - 1, table)
+
+
 def _outcome(fn, *args):
     """``fn(*args)`` as (arity, degree, table items), or the type and message of its WindowOverflowError."""
     try:
@@ -653,6 +722,7 @@ def test_sparse_coboundary_matches_scan_on_elementary_cochains(case):
     for f in cochains:
         want = _outcome(coboundary_scan, f, tuples)
         assert _outcome(coboundary, f, v_max) == want
+        assert _outcome(coboundary_pull, f, v_max) == want
         raised += want[0] is WindowOverflowError
         nonzero += want[0] is not WindowOverflowError and bool(want[2])
     assert nonzero > 50
@@ -664,22 +734,35 @@ def _matrix_items(m):
 
 
 @pytest.mark.parametrize("case", ["bv-check", "calabi-yau"])
-def test_sparse_coboundary_matches_scan_on_delta_pairs(monkeypatch, case):
-    # the δ matrices of the bv-check Frobenius bundle and of TestCalabiYauCase's bundle
+def test_sparse_coboundary_matches_scan_on_delta_pairs(case):
+    # the δ matrices of the bv-check Frobenius bundle and of TestCalabiYauCase's bundle; the scan side is a
+    # second ops whose δ on a label is the scan itself, whatever the package's δ calls
     from mixhom import calculus
 
-    if case == "bv-check":
-        ops = calculus.HochschildCochainOps(make_exterior_algebra(2), 6)
-        pieces = {p for p in ops.pieces() if -3 <= p[1] <= 2 and -3 <= p[0] <= 0}
-    else:
+    def ops_and_pieces():
+        if case == "bv-check":
+            ops = calculus.HochschildCochainOps(make_exterior_algebra(2), 6)
+            return ops, {p for p in ops.pieces() if -3 <= p[1] <= 2 and -3 <= p[0] <= 0}
         ops = calculus.HochschildCochainOps(make_truncated_polynomial_algebra(2, 5), 3, 3)
-        pieces = {p for p in ops.pieces() if -2 <= p[0] <= 0 and -1 <= p[1] <= 0}
+        return ops, {p for p in ops.pieces() if -2 <= p[0] <= 0 and -1 <= p[1] <= 0}
+
+    ops, pieces = ops_and_pieces()
     got = [(p, _matrix_items(d_in), _matrix_items(d_out)) for p, d_in, d_out in calculus.delta_pairs(ops, pieces)]
-    tuples = _scan_tuples(ops.A, ops.q_max + 1, ops.v_max)
-    monkeypatch.setattr(calculus, "coboundary", lambda f, v_max: coboundary_scan(f, tuples))
-    want = [(p, _matrix_items(d_in), _matrix_items(d_out)) for p, d_in, d_out in calculus.delta_pairs(ops, pieces)]
+    scan, pieces = ops_and_pieces()
+    tuples = _scan_tuples(scan.A, scan.q_max + 1, scan.v_max)
+    scanned = []
+
+    def scan_delta(label):
+        scanned.append(label)
+        t, k = label
+        f = elementary(scan.A, len(t), t, k)
+        return {(tt, kk): c for tt, val in coboundary_scan(f, tuples).table.items() for kk, c in val.items()}
+
+    scan._delta = scan_delta
+    want = [(p, _matrix_items(d_in), _matrix_items(d_out)) for p, d_in, d_out in calculus.delta_pairs(scan, pieces)]
     assert got == want
     assert sum(len(d_out[2]) for _, _, d_out in want) > 100
+    assert len(scanned) == sum(map(len, scan._pieces._built.values())) > 100
 
 
 @pytest.mark.parametrize(
@@ -709,12 +792,12 @@ def test_sparse_coboundary_matches_scan_on_random_cochains(maker, v_max):
                 table.setdefault(t, {})[k] = c
         f = Cochain(A, q, degree, table)
         df = _outcome(coboundary, f, v_max)
-        assert df == _outcome(coboundary_scan, f, tuples)
+        assert df == _outcome(coboundary_scan, f, tuples) == _outcome(coboundary_pull, f, v_max)
         if df[0] is WindowOverflowError:
             return
         df = coboundary(f, v_max)
         ddf = _outcome(coboundary, df, v_max)
-        assert ddf == _outcome(coboundary_scan, df, tuples)
+        assert ddf == _outcome(coboundary_scan, df, tuples) == _outcome(coboundary_pull, df, v_max)
         assert ddf[0] is WindowOverflowError or ddf[2] == []
 
     check()
