@@ -15,6 +15,11 @@ side, and for a quadratic bivector all four differentials preserve weight.
 Λ(n) and k[x_1..x_n]/(weight > W) are truncations of :class:`FreeGCA` too
 (``algebra.make_exterior_algebra`` and ``make_truncated_polynomial_algebra``),
 so ``FreeGCA.mul_monomials`` is the one monomial sign rule of the package.
+Its sign depends on the odd exponents alone, two 0/1 patterns a and b:
+(-1)^#{(j, i): j odd in b, i odd in a, i > j}, and no product when they share
+a generator.  ``_koszul_sign`` reads it off the pair of patterns, and a partial
+by an odd generator reads the same sign; an odd exponent above 1 is outside
+the contract and raises ``ValueError``.
 
 Operators are built from one Koszul-signed engine: contraction by a
 polyvector monomial is coefficient multiplication after the form-side
@@ -38,6 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import add, itemgetter, mul
 
 from .linalg import _accumulate, _denominator, _pullback
 
@@ -58,8 +64,9 @@ class FreeGCA:
     """Free graded-commutative algebra on homogeneous generators.
 
     Monomials are exponent tuples in generator order; odd generators square
-    to zero.  Products and derivatives carry Koszul signs computed from the
-    generator degrees.
+    to zero, so an odd exponent is 0 or 1; a product or an odd derivative of
+    a monomial with a larger one raises ``ValueError``.  Products and
+    derivatives carry the Koszul sign ``_koszul_sign``.
     """
 
     def __init__(self, generators: list[Generator]):
@@ -68,45 +75,28 @@ class FreeGCA:
         self.degrees = tuple(g.degree for g in self.gens)
         self.weights = tuple(g.weight for g in self.gens)
         self.odd = tuple(d % 2 == 1 for d in self.degrees)
-        # the odd generators before position i, which an odd derivative passes
-        self.odd_before = tuple(tuple(j for j in range(i) if self.odd[j]) for i in range(self.n))
         self.one: Monomial = (0,) * self.n
         self.units: tuple[Monomial, ...] = tuple(
             tuple(int(j == i) for j in range(self.n)) for i in range(self.n)
         )
+        # the odd exponents of a monomial, always a tuple: a slice when the odd generators are contiguous
+        # (itemgetter of a single index would give a bare int)
+        at = [i for i in range(self.n) if self.odd[i]]
+        lo, hi = (at[0], at[-1] + 1) if at else (0, 0)
+        self._odd_part = itemgetter(slice(lo, hi)) if at == list(range(lo, hi)) else itemgetter(*at)
+        self._odd_units = tuple(map(self._odd_part, self.units))
 
     def degree(self, m: Monomial) -> int:
-        return sum(e * d for e, d in zip(m, self.degrees))
+        return sum(map(mul, m, self.degrees))
 
     def weight(self, m: Monomial) -> int:
-        return sum(e * w for e, w in zip(m, self.weights))
+        return sum(map(mul, m, self.weights))
 
     def mul_monomials(self, a: Monomial, b: Monomial):
         """(sign, monomial) or None if an odd generator repeats."""
-        sign = 1
-        out = list(a)
-        # parity of odd-generator content of a at positions > j, scanned once
-        odd_tail = 0
-        tails = [0] * self.n  # number of odd exponents of a strictly after i
-        for i in range(self.n - 1, -1, -1):
-            tails[i] = odd_tail
-            if self.odd[i] and a[i] % 2:
-                odd_tail += 1
-        for j in range(self.n):
-            e = b[j]
-            if not e:
-                continue
-            if self.odd[j]:
-                if a[j]:
-                    return None
-                if e > 1:
-                    return None
-                if tails[j] % 2:
-                    sign = -sign
-                out[j] = 1
-            else:
-                out[j] = a[j] + e
-        return sign, tuple(out)
+        sign = _koszul_sign(self._odd_part(a), self._odd_part(b))
+        # a list-built tuple: tuple(map(...)) kept more memory live in the Poisson builds
+        return (sign, tuple([*map(add, a, b)])) if sign else None
 
     def multiply(self, a: GCAElement, b: GCAElement) -> GCAElement:
         out: GCAElement = {}
@@ -121,14 +111,20 @@ class FreeGCA:
         return out
 
     def partial(self, i: int, m: Monomial):
-        """Left partial derivative by generator i: (int coeff, monomial) or None."""
+        """Left partial derivative by generator i: (int coeff, monomial) or None.
+
+        An odd generator passes the odd ones before it: the sign is that of g_i·(∂_i m) = ±m.
+        """
         e = m[i]
         if not e:
             return None
         out = m[:i] + (e - 1,) + m[i + 1 :]
-        if self.odd[i]:
-            return (-1 if sum(m[j] for j in self.odd_before[i]) % 2 else 1), out
-        return e, out
+        if not self.odd[i]:
+            return e, out
+        sign = _koszul_sign(self._odd_units[i], self._odd_part(out))
+        if not sign:
+            raise ValueError(f"odd exponent {e} at generator {i} of {m}")
+        return sign, out
 
     def monomials(self, max_exponents: list[int], w_min: float, w_max: float) -> list[Monomial]:
         """The monomials with exponent i at most max_exponents[i] (1 for an odd generator) and weight in
@@ -162,6 +158,27 @@ class FreeGCA:
         if not el:
             return "0"
         return " + ".join(f"{c}*{self.format_monomial(m)}" for m, c in sorted(el.items()))
+
+
+@cache
+def _koszul_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """The sign of a·b from the odd exponents a, b of two monomials, 0 if they share an odd generator.
+
+    b's odd generators pass a's later ones: the sign is (-1)^#{(j, i): b_j = a_i = 1, i > j}.  It depends
+    on the two 0/1 patterns only, so one memo serves every algebra, filled one pair at a time as pairs
+    are met (64 pairs in a benchmark op); a pattern with an entry above 1 raises ``ValueError``, which
+    is never memoized.
+    """
+    if max(a + b, default=0) > 1:
+        raise ValueError(f"odd exponent above 1 in {a} or {b}")
+    passed = later = 0
+    for x, y in zip(reversed(a), reversed(b)):
+        if x and y:
+            return 0
+        if y:
+            passed += later
+        later += x
+    return -1 if passed % 2 else 1
 
 
 # -- the four spaces ---------------------------------------------------------

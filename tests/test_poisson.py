@@ -589,7 +589,7 @@ def elements(A, max_exponent: int = 2, max_terms: int = 4):
 
 
 def test_partial_sign_is_read_off_the_generator_degrees():
-    # the odd-prefix table of FreeGCA, which both the engine and the oracles use
+    # an odd partial passes the generators before it: its sign is the parity of their degrees
     for ctx in CONTEXTS.values():
         for A in (ctx.forms, ctx.vectors):
             for m in A.monomials([2] * A.n, -math.inf, math.inf):
@@ -599,6 +599,139 @@ def test_partial_sign_is_read_off_the_generator_degrees():
                         passed = sum(m[j] * A.gens[j].degree for j in range(i))
                         want = ((-1 if passed % 2 else 1) if A.odd[i] else m[i]), m[:i] + (m[i] - 1,) + m[i + 1 :]
                     assert A.partial(i, m) == want
+
+
+# -- the per-generator FreeGCA primitives (oracles) ------------------------------
+#
+# FreeGCA's degree, weight, product and partial as they were written before the sign kernel, one
+# generator at a time; the odd generators before i are read off ``A.odd``.
+
+
+def oracle_degree(A, m):
+    return sum(e * d for e, d in zip(m, A.degrees))
+
+
+def oracle_weight(A, m):
+    return sum(e * w for e, w in zip(m, A.weights))
+
+
+def oracle_mul_monomials(A, a, b):
+    """(sign, monomial) or None if an odd generator repeats."""
+    sign = 1
+    out = list(a)
+    # parity of odd-generator content of a at positions > j, scanned once
+    odd_tail = 0
+    tails = [0] * A.n  # number of odd exponents of a strictly after i
+    for i in range(A.n - 1, -1, -1):
+        tails[i] = odd_tail
+        if A.odd[i] and a[i] % 2:
+            odd_tail += 1
+    for j in range(A.n):
+        e = b[j]
+        if not e:
+            continue
+        if A.odd[j]:
+            if a[j]:
+                return None
+            if e > 1:
+                return None
+            if tails[j] % 2:
+                sign = -sign
+            out[j] = 1
+        else:
+            out[j] = a[j] + e
+    return sign, tuple(out)
+
+
+def oracle_partial(A, i, m):
+    """Left partial derivative by generator i: (int coeff, monomial) or None."""
+    e = m[i]
+    if not e:
+        return None
+    out = m[:i] + (e - 1,) + m[i + 1 :]
+    if A.odd[i]:
+        return (-1 if sum(m[j] for j in range(i) if A.odd[j]) % 2 else 1), out
+    return e, out
+
+
+def assert_primitives_match_the_oracles(A, monos, pairs):
+    for m in monos:
+        assert A.degree(m) == oracle_degree(A, m) and A.weight(m) == oracle_weight(A, m)
+        for i in range(A.n):
+            assert A.partial(i, m) == oracle_partial(A, i, m)
+    for a, b in pairs:
+        assert A.mul_monomials(a, b) == oracle_mul_monomials(A, a, b)
+
+
+def test_primitives_match_the_oracles_on_every_pair_of_the_contexts():
+    for ctx in CONTEXTS.values():
+        for A in (ctx.forms, ctx.vectors):
+            monos = A.monomials([2] * A.n, -math.inf, math.inf)
+            assert_primitives_match_the_oracles(A, monos, iproduct(monos, repeat=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2)), min_size=1, max_size=10), st.data())
+def test_primitives_match_the_oracles_on_random_generators(gens, data):
+    # k = 0 … 10 odd generators, contiguous or not; k = 1 is where itemgetter of one index gives a bare int
+    A = po.FreeGCA([po.Generator(f"g{i}", d, w) for i, (d, w) in enumerate(gens)])
+    monomial = st.tuples(*(st.integers(0, 1 if odd else 3) for odd in A.odd))
+    monos = data.draw(st.lists(monomial, min_size=1, max_size=6))
+    assert_primitives_match_the_oracles(A, monos, iproduct(monos, repeat=2))
+
+
+def test_truncated_product_tables_match_the_oracle(monkeypatch):
+    from mixhom.algebra import make_exterior_algebra, make_truncated_polynomial_algebra
+
+    builds = [lambda n=n: make_exterior_algebra(n) for n in (1, 2, 3, 4)]
+    builds.append(lambda: make_truncated_polynomial_algebra(3, 4))
+    kernel = [build() for build in builds]
+    monkeypatch.setattr(po.FreeGCA, "mul_monomials", oracle_mul_monomials)
+    for got, build in zip(kernel, builds):
+        want = build()
+        assert (got.labels, got.table) == (want.labels, want.table)
+
+
+def test_an_odd_exponent_above_one_is_outside_the_contract():
+    A = po.FreeGCA([po.Generator("x", 0, 1), po.Generator("θ", 1, 1), po.Generator("η", -1, 1)])
+    for a, b in [((0, 2, 0), (1, 0, 0)), ((1, 0, 0), (0, 0, 2)), ((0, 2, 0), (0, 0, 1))]:
+        with pytest.raises(ValueError, match="odd exponent"):
+            A.mul_monomials(a, b)
+    for i, m in [(1, (0, 2, 0)), (2, (0, 2, 1)), (2, (0, 0, 2))]:
+        with pytest.raises(ValueError, match="odd exponent"):
+            A.partial(i, m)
+    # and one within it still multiplies: θ·η = θη, η·θ = -θη
+    assert A.mul_monomials((0, 1, 0), (0, 0, 1)) == (1, (0, 1, 1))
+    assert A.mul_monomials((0, 0, 1), (0, 1, 0)) == (-1, (0, 1, 1))
+
+
+def test_products_on_many_odd_generators_allocate_no_sign_table():
+    # 20 odd generators among 4 even ones: a sign table eager in the 4^20 odd-pattern pairs cannot fit
+    import random
+    import tracemalloc
+
+    rng = random.Random(0)
+    degrees = [1] * 10 + [0] * 4 + [-1] * 10
+    rng.shuffle(degrees)
+    pairs = []
+    for t in range(100):
+        # disjoint odd patterns give a sign; every fourth pair shares one odd generator and gives None
+        a, b = zip(*[rng.choice([(0, 0), (1, 0), (0, 1)]) if d % 2 else (rng.randint(0, 3), rng.randint(0, 3))
+                     for d in degrees])
+        if t % 4 == 0:
+            i = rng.choice([i for i, d in enumerate(degrees) if d % 2])
+            a, b = a[:i] + (1,) + a[i + 1 :], b[:i] + (1,) + b[i + 1 :]
+        pairs.append((a, b))
+    tracemalloc.start()
+    try:
+        A = po.FreeGCA([po.Generator(f"g{i}", d, 1) for i, d in enumerate(degrees)])
+        got = [A.mul_monomials(a, b) for a, b in pairs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [oracle_mul_monomials(A, a, b) for a, b in pairs]
+    assert sum(g is not None for g in got) >= 50 and {g[0] for g in got if g} == {-1, 1}
+    assert peak < 1 << 20, f"{peak} bytes allocated"
 
 
 def monomials_by_filter(A, max_exponents, w_min, w_max):
