@@ -6,7 +6,9 @@ floating point anywhere.  An :class:`ExactMatrix` stores integer entries
 over one positive denominator, and elimination, matrix products,
 transposes and the u-stacking in ``mixed`` run on those integers: rows are
 combined by cross-multiplication and divided by their content after each
-step (fraction-free Gauss-Jordan elimination; cf. Bareiss 1968).  Rational
+step (fraction-free Gauss-Jordan elimination; cf. Bareiss 1968), in one
+written-out loop (``_cancel``), and the echelon is a dict indexed by pivot,
+so each step costs one lookup (``_row_echelon``).  Rational
 input (the ``ExactMatrix`` constructor and ``from_rows``, sparse vectors)
 is scaled to integer rows over one denominator on the way in
 (``_over_one_denominator``), so no routine here does ``Fraction``
@@ -54,9 +56,9 @@ class DimensionMismatchError(Exception):
 def _accumulate(acc: dict, terms: dict, scale=1) -> dict:
     """acc += scale · terms for sparse vectors of ints or Fractions, dropping entries that cancel; returns acc.
 
-    The one sparse sum of the package.  Three innermost loops write theirs
-    out instead, to save a call per term: ``ExactMatrix.matmul``,
-    ``ExactMatrix.apply`` and the columns of ``poisson._bracket_columns``.
+    The one sparse sum of the package.  Four innermost loops write theirs out instead, to save a call per
+    term: ``ExactMatrix.matmul``, ``ExactMatrix.apply``, the elimination step ``_cancel`` (fused with its
+    content division) and the columns of ``poisson._bracket_columns``.
     """
     for k, v in terms.items():
         s = acc.get(k)
@@ -97,10 +99,10 @@ def _pullback(phi: dict, sources: Iterable, apply, sign: int) -> dict:
 
 # -- the integer kernel ----------------------------------------------------
 #
-# A sparse integer row {column: int} (no zeros) stands for the rational row
-# it is proportional to; echelon forms are lists of (pivot column, row).  A
-# rational vector held inside the package is a pair (num, den): a sparse
-# integer row over one positive denominator (see ``_lowest``).
+# A sparse integer row {column: int} (no zeros) stands for the rational row it is proportional to; a
+# forward echelon is {pivot column: row} and a reduced one a list of (pivot column, row) sorted by pivot.
+# A rational vector held inside the package is a pair (num, den): a sparse integer row over one positive
+# denominator (see ``_lowest``).
 
 Row = tuple[Mapping, int]  # (num, den): integer entries {key: int} without zeros over a positive den
 ZERO_ROW: Row = (MappingProxyType({}), 1)  # read-only: the one zero row many memos share
@@ -194,38 +196,54 @@ def _subtract(r: dict[int, int], row: dict[int, int], p: int) -> int:
 
 
 def _cancel(r: dict[int, int], row: dict[int, int], p: int) -> None:
-    """Replace r in place by the primitive integer row proportional to row[p]·r − r[p]·row (zero at p)."""
-    _subtract(r, row, p)
-    _primitive(r)
+    """Set r in place to the primitive integer row proportional to row[p]·r − r[p]·row (zero at p), written out."""
+    a, c = row[p], r[p]
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    if a != 1:
+        for j, v in r.items():
+            r[j] = a * v
+    for j, v in row.items():
+        s = r.get(j, 0) - c * v
+        if s:
+            r[j] = s
+        else:
+            del r[j]
+    g = gcd(*r.values())
+    if g > 1:
+        for j, v in r.items():
+            r[j] = v // g
 
 
-def _row_echelon(rows: Iterable[dict[int, int]], echelon: list | None = None) -> list[tuple[int, dict[int, int]]]:
-    """Forward elimination of integer rows (consumed): nonzero (pivot, row) in arrival order, after ``echelon``'s.
+def _row_echelon(rows: Iterable[dict[int, int]], echelon: dict | None = None) -> dict[int, dict[int, int]]:
+    """Forward elimination of integer rows (consumed), as {pivot: row}; a given ``echelon`` is extended in place.
 
-    Each kept row vanishes at the pivots of the rows kept before it, and its
-    pivot is its least column.  A given ``echelon`` is extended in place.
+    A row is cancelled at its least column while that column is a pivot, then kept under its new least column:
+    every pivot is its row's least column, and a step costs one lookup, not a scan of the echelon.
     """
-    echelon = [] if echelon is None else echelon
+    echelon = {} if echelon is None else echelon
     for r in rows:
-        for p, pr in echelon:
-            if p in r:
-                _cancel(r, pr, p)
-        if r:
-            echelon.append((min(r), r))
+        while r:
+            p = min(r)
+            pr = echelon.get(p)
+            if pr is None:
+                echelon[p] = r
+                break
+            _cancel(r, pr, p)
     return echelon
 
 
 def _integer_rref(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     """The reduced row echelon form of integer rows (consumed), as (pivot, row) sorted by pivot.
 
-    Row i, divided by its pivot entry, is row i of the rational RREF.
+    Row i, divided by its pivot entry, is row i of the rational RREF.  From the last pivot up, a row is
+    cancelled only at the other pivots in its own support, whose rows are reduced already.
     """
-    out = sorted(_row_echelon(rows), key=lambda pr: pr[0])
-    for i in range(len(out) - 2, -1, -1):
-        r = out[i][1]
-        for p, row in out[i + 1:]:
-            if p in r:
-                _cancel(r, row, p)
+    echelon = _row_echelon(rows)
+    out = sorted(echelon.items())
+    for p, r in reversed(out):
+        for q in [q for q in r if q != p and q in echelon]:
+            _cancel(r, echelon[q], q)
     return out
 
 
@@ -493,11 +511,11 @@ def homology_presentation(d_in: ExactMatrix, d_out: ExactMatrix) -> HomologyPres
     boundaries = _image_rows(d_in)
     # representatives: kernel vectors reduced mod boundaries, then RREF'd for
     # canonical, mutually reduced output
+    pivots = dict(boundaries)
     candidates = []
     for _, r in kernel:
-        for p, row in boundaries:
-            if p in r:
-                _cancel(r, row, p)
+        for p in [p for p in r if p in pivots]:
+            _cancel(r, pivots[p], p)
         if r:
             candidates.append(r)
     reps = _integer_rref(candidates)

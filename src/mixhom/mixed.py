@@ -16,13 +16,13 @@ dual; :class:`~mixhom.poisson.DualSide` holds the dual Poisson triple.
 
 Negative cyclic, cyclic and periodic homology are the homology of one
 u-stacked complex (C ⊗ u-powers, b + uB) over the u-ranges [0, N], [-K, 0]
-and [-N, N].  Every dimension comes from ranks: one forward elimination
-of each u-stacked matrix at N + 1 gives its rank at N on the way, so HC⁻
-compares truncations N and N + 1 and flags unstable (degree, weight)
-pieces without a second elimination; the b-homology dimensions are the
-u-range [0, 0].  A b-homology or HC⁻ piece gets a homology presentation
-only when a class in it is read.  The connecting map β
-follows the chain-level recipe: lift a b-cycle, apply b + uB, divide by u.
+and [-N, N].  Every dimension comes from ranks: each u-stacked degree's
+rows at N + 1 are eliminated as they are built, with no matrix made, giving
+the rank at N on the way, so HC⁻ compares truncations N and N + 1 and flags
+unstable (degree, weight) pieces without a second elimination; b-homology
+is the u-range [0, 0].  A b-homology or HC⁻ piece gets a presentation only
+when a class in it is read.  The connecting map β follows the chain-level
+recipe: lift a b-cycle, apply b + uB, divide by u.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class NegativeCyclic:
     i <= N; the truncated differential drops the u^{N+1} overflow, and the
     stabilization report marks the (degree, weight) pieces whose dimension
     changes between truncation orders N and N+1; both come from ranks, in
-    one elimination per matrix (``_u_dims``).  A piece's presentation is
+    one elimination of the stacked rows per degree (``_u_dims``).  A piece's presentation is
     built the first time a class in it is read.
 
     π* and β of the long exact sequence HC⁻ → HH → HC⁻ are taken on one
@@ -410,31 +410,38 @@ def les_check(hc: NegativeCyclic) -> LESReport:
 # -- the u-stacked complex ----------------------------------------------------------
 
 
-def _u_complex(sl: MixedComplexSlice, d: int, w: int, lo: int, hi: int) -> ExactMatrix:
-    """b + uB from the stacked degree-d chains to the stacked degree-(d-1) ones.
+def _u_rows(sl: MixedComplexSlice, d: int, w: int, lo: int, hi: int) -> tuple[list[dict[int, int]], int, int]:
+    """(rows, cols, den): the integer rows of den·(b + uB) from the stacked degree-d chains to the degree-(d-1) ones.
 
     Component i (lo <= i <= hi) is the slice piece (d + 2i, w), stacked in
     order of i, so component hi comes last: b acts on the diagonal and B
-    sends component i to i + 1; B out of component hi is dropped.  HC⁻
-    stacks [0, N], HC [-K, 0] and HP [-N, N].
+    sends component i to i + 1; B out of component hi is dropped.  Rows come
+    in the order of their target components.  HC⁻ stacks [0, N], HC [-K, 0]
+    and HP [-N, N].
     """
-    rows = cols = 0  # where component i starts in the target and source bases
+    n_rows = cols = 0  # where component i starts in the target and source bases
     blocks = []  # (first row, first column, block)
     for i in range(lo, hi + 1):
         piece = (d + 2 * i, w)
-        blocks.append((rows, cols, sl.b_matrix(piece)))
-        rows += sl.dim((d - 1 + 2 * i, w))
+        blocks.append((n_rows, cols, sl.b_mats.get(piece)))
+        n_rows += sl.dim((d - 1 + 2 * i, w))
         if i < hi:
-            blocks.append((rows, cols, sl.B_matrix(piece)))
+            blocks.append((n_rows, cols, sl.B_mats.get(piece)))
         cols += sl.dim(piece)
-    # the blocks' integer entries, scaled to the lcm of their denominators
+    blocks = [block for block in blocks if block[2] is not None]  # no stored map: a zero block
     den = lcm(*(M.den for _, _, M in blocks))
-    entries = {}
+    rows: list[dict[int, int]] = [{} for _ in range(n_rows)]
     for r0, c0, M in blocks:
         scale = den // M.den
         for (r, c), v in M.num.items():
-            entries[(r0 + r, c0 + c)] = scale * v
-    return ExactMatrix._integers(rows, cols, entries, den)
+            rows[r0 + r][c0 + c] = scale * v
+    return rows, cols, den
+
+
+def _u_complex(sl: MixedComplexSlice, d: int, w: int, lo: int, hi: int) -> ExactMatrix:
+    """b + uB from the stacked degree-d chains to the stacked degree-(d-1) ones: the matrix of ``_u_rows``."""
+    rows, cols, den = _u_rows(sl, d, w, lo, hi)
+    return ExactMatrix._integers(len(rows), cols, {(i, j): v for i, r in enumerate(rows) for j, v in r.items()}, den)
 
 
 def _u_dims(
@@ -442,37 +449,32 @@ def _u_dims(
 ) -> tuple[dict[Piece, int], dict[Piece, int]]:
     """Homology dimensions cols − rank(d_out) − rank(d_in) of the u-stacked complex over [lo, hi - 1] and [lo, hi].
 
-    Each matrix is built and eliminated forward once, for both ranks.  In
-    ``_u_complex`` component hi comes last and nothing leaves it for a lower
-    one, so the rows of the [lo, hi] matrix in components lo..hi − 1 are the
-    [lo, hi − 1] matrix padded with zero columns: eliminating them first
-    gives the rank at hi − 1, and going on with the rows of component hi the
-    rank at hi.  d∘d = 0 needs no check: out of component i, (b + uB)² has
-    the blocks b², bB + Bb and B², each zero by ``_validate`` (or out of a
-    piece with no chains).  Truncation drops only B out of the top component:
-    it deletes whole blocks (bB with Bb) and makes none, on every u-range.
+    The rows of each stacked degree are eliminated as ``_u_rows`` builds them, once for both ranks, and no
+    matrix is made.  Component hi comes last and nothing leaves it for a lower one, so the rows in components
+    lo..hi − 1 are the [lo, hi − 1] rows padded with zero columns: eliminating them first gives the rank at
+    hi − 1, and going on with the rows of component hi the rank at hi.  d∘d = 0 needs no check: out of
+    component i, (b + uB)² has the blocks b², bB + Bb and B², each zero by ``_validate`` (or out of a piece
+    with no chains).  Truncation drops only B out of the top component: it deletes whole blocks (bB with Bb)
+    and makes none, on every u-range.
     """
     lower, upper = {}, {}  # {piece: dimension} over [lo, hi - 1] and over [lo, hi]
 
-    def ranks(M: ExactMatrix, d: int, w: int) -> tuple[int, int]:
-        rows = M.row_dicts()
-        split = M.rows - sl.dim((d - 1 + 2 * hi, w))
+    def ranks(d: int, w: int) -> tuple[int, int, int]:
+        rows, cols, _ = _u_rows(sl, d, w, lo, hi)
+        split = len(rows) - sl.dim((d - 1 + 2 * hi, w))
         echelon = _row_echelon(rows[:split])
-        r_lower = len(echelon)
-        return r_lower, len(_row_echelon(rows[split:], echelon))
+        return cols, len(echelon), len(_row_echelon(rows[split:], echelon))
 
     for w in sl.weights():
-        d_out = _u_complex(sl, d_from, w, lo, hi)
-        r_out = ranks(d_out, d_from, w)
+        cols, *r_out = ranks(d_from, w)
         for d in range(d_from, d_to + 1):
-            d_in = _u_complex(sl, d + 1, w, lo, hi)
-            r_in = ranks(d_in, d + 1, w)
-            if d_out.cols:
-                upper[(d, w)] = d_out.cols - r_out[1] - r_in[1]
-                cols = d_out.cols - sl.dim((d + 2 * hi, w))
-                if cols:
-                    lower[(d, w)] = cols - r_out[0] - r_in[0]
-            d_out, r_out = d_in, r_in
+            cols_in, *r_in = ranks(d + 1, w)
+            if cols:
+                upper[(d, w)] = cols - r_out[1] - r_in[1]
+                cols_lower = cols - sl.dim((d + 2 * hi, w))
+                if cols_lower:
+                    lower[(d, w)] = cols_lower - r_out[0] - r_in[0]
+            cols, r_out = cols_in, r_in
     return lower, upper
 
 

@@ -14,6 +14,7 @@ from mixhom.linalg import (
     HomologyPresentation,
     NotAComplexError,
     _accumulate,
+    _cancel,
     _check_complex,
     _denominator,
     _fractions,
@@ -24,6 +25,9 @@ from mixhom.linalg import (
     _integer_rref,
     _kernel_rows,
     _lowest,
+    _positive,
+    _primitive,
+    _row_echelon,
     _sparse_rank,
     homology_presentation,
 )
@@ -1241,3 +1245,138 @@ def test_accumulate_is_one_sparse_sum_on_ints_and_fractions(start, terms, scale,
     for k, v in got.items():
         operands = [start[k]] if k not in terms else [s, terms[k]] + ([start[k]] if k in start else [])
         assert type(v) is (int if all(type(x) is int for x in operands) else Fraction)
+
+
+# -- the pivot-indexed kernel against the arrival-order kernel it replaced ------------
+#
+# _row_echelon used to check every earlier pivot against each incoming row,
+# and a row combination went through _subtract and _accumulate before
+# _primitive divided out the content; _integer_rref back-substituted a row
+# against every later pivot.  They are kept here verbatim as the reference.
+
+
+def oracle_subtract(r, row, p):
+    """Replace r in place by a·r − c·row, the least integer multiples with a zero at p; returns a.
+
+    r/den − (r[p]/row[p])·row equals the new r over a·den.
+    """
+    a, c = row[p], r[p]
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    if a != 1:
+        for j, v in r.items():
+            r[j] = a * v
+    _accumulate(r, row, -c)
+    return a
+
+
+def oracle_cancel(r, row, p):
+    """Replace r in place by the primitive integer row proportional to row[p]·r − r[p]·row (zero at p)."""
+    oracle_subtract(r, row, p)
+    _primitive(r)
+
+
+def oracle_row_echelon(rows, echelon=None):
+    """Forward elimination of integer rows (consumed): nonzero (pivot, row) in arrival order, after ``echelon``'s.
+
+    Each kept row vanishes at the pivots of the rows kept before it, and its
+    pivot is its least column.  A given ``echelon`` is extended in place.
+    """
+    echelon = [] if echelon is None else echelon
+    for r in rows:
+        for p, pr in echelon:
+            if p in r:
+                oracle_cancel(r, pr, p)
+        if r:
+            echelon.append((min(r), r))
+    return echelon
+
+
+def oracle_integer_rref(rows):
+    """The reduced row echelon form of integer rows (consumed), as (pivot, row) sorted by pivot.
+
+    Row i, divided by its pivot entry, is row i of the rational RREF.
+    """
+    out = sorted(oracle_row_echelon(rows), key=lambda pr: pr[0])
+    for i in range(len(out) - 2, -1, -1):
+        r = out[i][1]
+        for p, row in out[i + 1:]:
+            if p in r:
+                oracle_cancel(r, row, p)
+    return out
+
+
+def class_key(j):
+    """An integer column as a class key ((degree, weight), index), ordered as the columns are."""
+    return ((j // 4 - 1, j // 2 % 2), j % 2)
+
+
+@st.composite
+def integer_batches(draw, class_keys=None, max_rows=7):
+    """Sparse integer rows: random rows plus empty rows, duplicates, integer combinations and large contents.
+
+    With ``class_keys`` (drawn when None) the columns are class keys, as ``_sparse_rank`` gets them.
+    """
+    entries = st.integers(-40, 40).filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, 9), entries, max_size=6), max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("empty", "duplicate", "combination", "content")))
+        if kind == "empty" or not rows:
+            row = {}
+        elif kind == "duplicate":
+            row = dict(draw(st.sampled_from(rows)))
+        elif kind == "combination":
+            row = {}
+            for _ in range(draw(st.integers(1, 3))):
+                _accumulate(row, draw(st.sampled_from(rows)), draw(st.integers(-5, 5).filter(bool)))
+        else:
+            k = draw(st.sampled_from((-(10**12) - 39, 2**61, 6 * 35 * 11)))
+            row = {j: k * v for j, v in draw(st.sampled_from(rows)).items()}
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    if draw(st.booleans()) if class_keys is None else class_keys:
+        rows = [{class_key(j): v for j, v in r.items()} for r in rows]
+    return rows
+
+
+def _copies(rows):
+    return [dict(r) for r in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_batches())
+def test_pivot_kernel_matches_the_arrival_order_kernel(rows):
+    echelon = _row_echelon(_copies(rows))
+    assert len(echelon) == len(oracle_row_echelon(_copies(rows)))
+    # every stored row is nonzero, and its pivot is its least column
+    assert all(r and p == min(r) for p, r in echelon.items())
+    got = [_positive(p, r) for p, r in _integer_rref(_copies(rows))]
+    assert got == [_positive(p, r) for p, r in oracle_integer_rref(_copies(rows))]
+    assert [p for p, _ in got] == sorted(echelon)
+    # _sparse_rank gets its rows as integer maps, class keys included
+    assert _sparse_rank(_copies(rows)) == len(echelon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans().flatmap(lambda keyed: st.tuples(integer_batches(keyed), integer_batches(keyed))))
+def test_extending_an_echelon_gives_the_rank_of_one_pass(batches):
+    first, second = batches
+    echelon = _row_echelon(_copies(first))
+    assert _row_echelon(_copies(second), echelon) is echelon
+    assert len(echelon) == len(_row_echelon(_copies(first) + _copies(second)))
+    assert len(echelon) == len(oracle_row_echelon(_copies(second), oracle_row_echelon(_copies(first))))
+    assert all(r and p == min(r) for p, r in echelon.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 6), st.integers(-(10**9), 10**9).filter(bool), min_size=1, max_size=6),
+       st.dictionaries(st.integers(0, 6), st.integers(-(10**9), 10**9).filter(bool), min_size=1, max_size=6),
+       st.integers(1, 10**6))
+def test_fused_cancel_is_subtract_then_primitive(r, row, content):
+    p = min(row)
+    r = {j: content * v for j, v in r.items()}
+    r.setdefault(p, content)
+    want = dict(r)
+    oracle_cancel(want, row, p)
+    _cancel(r, row, p)
+    assert r == want and p not in r
+    assert gcd(*r.values()) in (0, 1)

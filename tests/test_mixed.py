@@ -22,7 +22,15 @@ from mixhom.mixed import (
     _u_complex,
 )
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
-from test_linalg import column, dense_boundaries, dense_cycles, from_columns, oracle_rank, sparse_vec
+from test_linalg import (
+    column,
+    dense_boundaries,
+    dense_cycles,
+    from_columns,
+    oracle_rank,
+    oracle_row_echelon,
+    sparse_vec,
+)
 from test_poisson import (
     DualSideByFunctionals,
     de_rham,
@@ -924,6 +932,78 @@ def test_u_stacked_homology_multiplies_no_matrices(monkeypatch):
             hc.presentation(piece)
         assert any(cyclic_homology(sl).values()) and any(periodic_homology(sl, N)[0].values())
         assert products == [], sl.name
+
+
+# -- differential oracle: _u_dims on matrices, as it was ------------------------------
+#
+# _u_dims used to build the ExactMatrix of each stacked degree, read its
+# rows back with row_dicts and split them at component hi, eliminating with
+# the arrival-order echelon.  It is kept here verbatim as the reference for
+# the rows that _u_rows hands to the pivot-indexed echelon.
+
+
+def oracle_u_dims(sl, lo, hi, d_from, d_to):
+    lower, upper = {}, {}  # {piece: dimension} over [lo, hi - 1] and over [lo, hi]
+
+    def ranks(M, d, w):
+        rows = M.row_dicts()
+        split = M.rows - sl.dim((d - 1 + 2 * hi, w))
+        echelon = oracle_row_echelon(rows[:split])
+        r_lower = len(echelon)
+        return r_lower, len(oracle_row_echelon(rows[split:], echelon))
+
+    for w in sl.weights():
+        d_out = _u_complex(sl, d_from, w, lo, hi)
+        r_out = ranks(d_out, d_from, w)
+        for d in range(d_from, d_to + 1):
+            d_in = _u_complex(sl, d + 1, w, lo, hi)
+            r_in = ranks(d_in, d + 1, w)
+            if d_out.cols:
+                upper[(d, w)] = d_out.cols - r_out[1] - r_in[1]
+                cols = d_out.cols - sl.dim((d + 2 * hi, w))
+                if cols:
+                    lower[(d, w)] = cols - r_out[0] - r_in[0]
+            d_out, r_out = d_in, r_in
+    return lower, upper
+
+
+def test_u_dims_match_the_matrix_path_on_every_u_range():
+    from mixhom.mixed import _u_dims
+
+    for sl in [*_u_sources(), *(make() for make in CLI_BATCH_SLICES.values())]:
+        d_lo, d_hi = min(sl.degrees()), max(sl.degrees())
+        for lo, hi in u_ranges(sl, default_truncation(sl)):
+            # every stacked degree with chains, and one past each end
+            d_from, d_to = d_lo - 2 * hi - 1, d_hi - 2 * lo + 1
+            got = _u_dims(sl, lo, hi, d_from, d_to)
+            assert got == oracle_u_dims(sl, lo, hi, d_from, d_to), (sl.name, lo, hi)
+            assert any(got[1].values()), (sl.name, lo, hi)
+
+
+def test_hc_minus_hc_and_hh_ranks_build_no_stacked_matrix(monkeypatch):
+    # the gravity-check primal slice (π, w 8): the ranks eliminate the stacked rows as they are built, and
+    # make as many row combinations as the arrival-order kernel on the built matrices did
+    from mixhom import linalg, mixed
+
+    ctx = PoissonContext.make(3, "poly")
+    sl = slice_from_poisson(ctx, quadratic_bivector(ctx, CIRCULANT), 8)
+    calls = {"_cancel": 0, "_u_complex": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(linalg, "_cancel")
+    count(mixed, "_u_complex")
+    hc = NegativeCyclic(sl, default_truncation(sl))
+    assert calls == {"_cancel": 2526, "_u_complex": 0}
+    assert any(hc.dims().values()) and any(cyclic_homology(sl).values()) and any(sl.hh_dims().values())
+    assert calls == {"_cancel": 5228, "_u_complex": 0}
 
 
 # -- differential oracles: the coordinate-taking LES maps ---------------------------
