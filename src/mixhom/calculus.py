@@ -405,7 +405,7 @@ class CalculusBundle:
         if vec == {}:
             return ZERO_ROW
         pres = self.coh_pres.get(piece)
-        return None if vec is None or pres is None else _classes(piece, pres.reduce(vec))
+        return None if vec is None or pres is None else _classes(piece, pres, vec)
 
     def _product_classes(self, memo: dict, op, degree: int, a: ClassKey, b: ClassKey):
         """op(a, b) of degree |a| + |b| + ``degree`` on homology classes, memoized; None on a window escape."""
@@ -449,7 +449,7 @@ class CalculusBundle:
             except WindowError:
                 out = None
             if out and self.slice.dim(target):
-                out = _classes(target, self.slice.hh(target).reduce(self.slice.element_vector(target, out)))
+                out = _classes(target, self.slice.hh(target), self.slice.element_vector(target, out))
             elif out is not None:
                 out = None if out else ZERO_ROW
             self._cap[key] = out

@@ -532,5 +532,5 @@ def poisson_hc_iso(ident: PoissonIdentification, g_primal, g_dual):
             label = hc1.slice.pieces[(d + 2 * u, w)][j]
             k2 = stacked2[piece][(u, index2[(d + 2 * u, w)][ident.form_to_dual(label)])]
             _accumulate(vec, {k2: ident.coefficient(label)}, c)
-        iso[key] = _classes(piece, hc2.presentation(piece).reduce(vec))
+        iso[key] = _classes(piece, hc2.presentation(piece), vec)
     return iso

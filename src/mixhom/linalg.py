@@ -11,12 +11,12 @@ written-out loop (``_cancel``), and the echelon is a dict indexed by pivot,
 so each step costs one lookup (``_row_echelon``).  Rational
 input (the ``ExactMatrix`` constructor and ``from_rows``, sparse vectors)
 is scaled to integer rows over one denominator on the way in
-(``_over_one_denominator``), so no routine here does ``Fraction``
-arithmetic, and a ``Fraction`` is built only where a value leaves:
-``ExactMatrix.apply`` and ``entries``, and the ``cycle`` and ``reduce`` of a
-homology presentation.  Outputs are deterministic: row reduction produces
-the (unique) reduced row echelon form, so kernels, images and homology
-presentations are canonical.
+(``_over_one_denominator``, called nowhere else in the package), so no
+routine here does ``Fraction`` arithmetic, and a ``Fraction`` is built only
+where a value leaves: ``ExactMatrix.apply`` and ``entries``, and the
+``cycle`` and ``reduce`` of a homology presentation.  Outputs are
+deterministic: row reduction produces the (unique) reduced row echelon
+form, so kernels, images and homology presentations are canonical.
 
 Vectors that cross a module boundary are sparse, {index: coefficient}, and
 ``_accumulate`` is the one sparse sum, on ints and Fractions alike.  Two
@@ -26,16 +26,18 @@ class vector is a ``Row``: integer coefficients {class key: int} over one
 positive denominator, in lowest terms, and ``_iexpand`` sums those.  A
 homology presentation is factored once, when it is built, and keeps the
 integer echelon rows the elimination produced: its boundary and
-representative bases stay in reduced row echelon form, so reducing a cycle
-to homology coordinates is a single elimination pass on integers against
-them, with no new row reduction, and a representative becomes a rational
-vector only when it is read.
+representative bases stay in reduced row echelon form, so reading a cycle's
+coordinates (``HomologyPresentation._read``) is one pass on integers, a
+pivot lookup per entry and no new row reduction.  ``mixed._classes``
+relabels that integer row into a class row, and ``reduce`` is its
+``Fraction`` edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -180,21 +182,6 @@ def _integer_row(row: dict) -> dict[int, int]:
     return r
 
 
-def _subtract(r: dict[int, int], row: dict[int, int], p: int) -> int:
-    """Replace r in place by a·r − c·row, the least integer multiples with a zero at p; returns a.
-
-    r/den − (r[p]/row[p])·row equals the new r over a·den.
-    """
-    a, c = row[p], r[p]
-    g = gcd(a, c)
-    a, c = a // g, c // g
-    if a != 1:
-        for j, v in r.items():
-            r[j] = a * v
-    _accumulate(r, row, -c)
-    return a
-
-
 def _cancel(r: dict[int, int], row: dict[int, int], p: int) -> None:
     """Set r in place to the primitive integer row proportional to row[p]·r − r[p]·row (zero at p), written out."""
     a, c = row[p], r[p]
@@ -219,7 +206,8 @@ def _row_echelon(rows: Iterable[dict[int, int]], echelon: dict | None = None) ->
     """Forward elimination of integer rows (consumed), as {pivot: row}; a given ``echelon`` is extended in place.
 
     A row is cancelled at its least column while that column is a pivot, then kept under its new least column:
-    every pivot is its row's least column, and a step costs one lookup, not a scan of the echelon.
+    every pivot is its row's least column, and a step costs one lookup, not a scan of the echelon.  A step that
+    leaves the least column in place raises AssertionError instead of looping.
     """
     echelon = {} if echelon is None else echelon
     for r in rows:
@@ -230,6 +218,8 @@ def _row_echelon(rows: Iterable[dict[int, int]], echelon: dict | None = None) ->
                 echelon[p] = r
                 break
             _cancel(r, pr, p)
+            if p in r:  # the new least column is p again (no key of r or pr is below p): an equality, not an order
+                raise AssertionError(f"a cancellation left the pivot entry at column {p!r}")
     return echelon
 
 
@@ -415,11 +405,16 @@ def _kernel_rows(rows: Iterable[dict[int, int]], ncols: int) -> list[tuple[int, 
     """
     reduced = _integer_rref(rows)
     pivot_set = {p for p, _ in reduced}
+    at: dict[int, list] = {}  # free column -> the (pivot, row) pairs with an entry there, in pivot order
+    for p, row in reduced:
+        for j in row:
+            if j != p:
+                at.setdefault(j, []).append((p, row))
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        hits = [(p, row) for p, row in reduced if f in row]
+        hits = at.get(f, ())
         scale = lcm(*(row[p] for p, row in hits))
         vec = {f: scale}
         for p, row in hits:
@@ -448,9 +443,9 @@ class HomologyPresentation:
     positive entry at the pivot and its keys in ascending order; the
     rational vector is the row divided by its pivot entry.  Both bases are
     in reduced row echelon form and every representative vanishes on the
-    boundary pivots, which is what lets ``reduce`` read the coordinates off
-    in one pass.  The stored form is canonical, so ``==`` compares
-    presentations.
+    boundary pivots: a boundary row is zero at the other boundary pivots,
+    and a representative at every other pivot, which ``_read`` relies on.
+    The stored form is canonical, so ``==`` compares presentations.
     """
 
     ambient_dim: int
@@ -461,40 +456,46 @@ class HomologyPresentation:
     def dim(self) -> int:
         return len(self.reps)
 
+    @cached_property
+    def _pivots(self) -> tuple[dict, dict]:
+        """({boundary pivot: row}, {representative pivot: (basis index, row)}), built on the first read."""
+        return dict(self.boundaries), {p: (i, r) for i, (p, r) in enumerate(self.reps)}
+
     def cycle(self, i: int) -> dict[int, Fraction]:
         """Representative i as a sparse rational vector with 1 at its pivot, keys ascending."""
         p, r = self.reps[i]
         return _fractions(r, r[p])
 
-    def reduce(self, vec: dict[int, Fraction]) -> tuple[Fraction, ...]:
-        """Coordinates of a sparse cycle in the homology basis.
+    def _read(self, vec: dict) -> Row:
+        """The coordinates of a sparse cycle in the homology basis, as an integer row {basis index: int}.
 
-        One elimination pass on integers and no new factorization: the
-        cycle is scaled to an integer row over one denominator, and each
-        boundary row is subtracted at its pivot, then each representative at
-        its own pivot, by cross-multiplication, so only the running
-        denominator grows.  A coordinate, the cycle's value at a
-        representative's pivot, becomes a Fraction when it is read.
-        The representatives are independent modulo the boundaries, so these
-        coordinates are the unique ones.  Raises DimensionMismatchError on an
-        index outside the ambient dimension, and ValueError if a remainder
-        is left (vec is not a cycle of this presentation).
+        The cycle, scaled to an integer row t over one denominator, is cleared at each boundary pivot in its support,
+        then read and cleared at each representative pivot in it, each pivot found by a lookup; a step is t ← a·t −
+        c·row with c/a = t[p]/row[p] in lowest terms.  Raises DimensionMismatchError on an index outside the ambient
+        dimension, and ValueError if a remainder is left (vec is not a cycle of this presentation).
         """
         if any(not 0 <= j < self.ambient_dim for j in vec):
             raise DimensionMismatchError("vector index outside the ambient dimension")
         t, den = _over_one_denominator(vec)
-        for p, row in self.boundaries:
-            if p in t:
-                den *= _subtract(t, row, p)
-        coords = []
-        for p, row in self.reps:
-            c = t.get(p, 0)
-            coords.append(Fraction(c, den))
-            if c:
-                den *= _subtract(t, row, p)
+        boundary_at, rep_at = self._pivots
+        for p in [p for p in t if p in boundary_at]:
+            row = boundary_at[p]
+            g = gcd(t[p], row[p])
+            den *= _iaccumulate_over(t, 1, row, row[p] // g, -(t[p] // g))
+        hits = sorted(p for p in t if p in rep_at)  # ascending pivots: ascending basis indices
+        coords = {rep_at[p][0]: t[p] for p in hits}  # over den: a representative is 1 at its pivot
+        for p in hits:
+            row = rep_at[p][1]
+            g = gcd(t[p], row[p])
+            _iaccumulate_over(t, 1, row, row[p] // g, -(t[p] // g))
         if t:
             raise ValueError("vector is not a cycle of this presentation")
-        return tuple(coords)
+        return _lowest(coords, den)
+
+    def reduce(self, vec: dict[int, Fraction]) -> tuple[Fraction, ...]:
+        """Coordinates of a sparse cycle in the homology basis, as Fractions: ``_read`` where it leaves the package."""
+        num, den = self._read(vec)
+        return tuple(Fraction(num.get(i, 0), den) for i in range(self.dim))
 
 
 def _check_complex(d_in: ExactMatrix, d_out: ExactMatrix) -> None:

@@ -42,7 +42,6 @@ from .linalg import (
     _denominator,
     _iaccumulate_over,
     _iexpand,
-    _over_one_denominator,
     _row_echelon,
     _sparse_rank,
     homology_presentation,
@@ -133,7 +132,7 @@ class MixedComplexSlice:
             (d, w), i = key
             img = self.B_matrix((d, w)).apply(self.hh((d, w)).cycle(i))
             target = (d + 1, w)
-            got = self._B[key] = _classes(target, self.hh(target).reduce(img)) if img else ZERO_ROW
+            got = self._B[key] = _classes(target, self.hh(target), img) if img else ZERO_ROW
         return got
 
     def element_vector(self, piece: Piece, element: dict) -> dict[int, Fraction]:
@@ -327,7 +326,7 @@ class NegativeCyclic:
             # the u⁰ component comes first in the stacked basis
             n0 = self.slice.dim(piece)
             x0 = {j: c for j, c in self.presentation(piece).cycle(i).items() if j < n0}
-            got = self._pi[key] = _classes(piece, self.slice.hh(piece).reduce(x0))
+            got = self._pi[key] = _classes(piece, self.slice.hh(piece), x0)
         return got
 
     def beta(self, key: ClassKey) -> Row:
@@ -342,18 +341,18 @@ class NegativeCyclic:
             (d, w), i = key
             img = self.slice.B_matrix((d, w)).apply(self.slice.hh((d, w)).cycle(i))
             # the u⁰ component comes first in the stacked basis
-            got = self._beta[key] = (_classes((d + 1, w), self.presentation((d + 1, w)).reduce(img)) if img
-                                     else ZERO_ROW)
+            got = self._beta[key] = _classes((d + 1, w), self.presentation((d + 1, w)), img) if img else ZERO_ROW
         return got
 
 
-def _classes(piece: Piece, coords) -> Row:
-    """Coordinates in a piece's homology basis as a read-only class row: the one place a class vector is made.
+def _classes(piece: Piece, pres: HomologyPresentation, vec: dict) -> Row:
+    """The class row of a cycle of a piece in its presentation: the one place a class vector is made.
 
-    The row is {(piece, j): int} over one positive denominator, in lowest terms; zero is ``ZERO_ROW``.
+    ``pres._read``'s integer row relabelled {(piece, j): int}, read-only, over its one positive denominator in
+    lowest terms; zero is ``ZERO_ROW``.
     """
-    num, den = _over_one_denominator({(piece, j): c for j, c in enumerate(coords) if c})
-    return (MappingProxyType(num), den) if num else ZERO_ROW
+    num, den = pres._read(vec)
+    return (MappingProxyType({(piece, j): v for j, v in num.items()}), den) if num else ZERO_ROW
 
 
 @dataclass

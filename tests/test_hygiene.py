@@ -9,8 +9,8 @@ keyword or by position, by some call in the package, the tests or the
 benchmark scripts, no module imports a name from a sibling module under a
 second name, no module but ``algebra.py`` calls ``GradedAlgebra(`` or names
 ``OUT_OF_WINDOW``, no module but ``calculus.py`` catches
-``(WindowError, DualityError)`` or assigns ``_FAILURE_LIMIT``, and outside
-``linalg.py`` only ``mixed._classes`` calls ``_over_one_denominator``, while
+``(WindowError, DualityError)`` or assigns ``_FAILURE_LIMIT``, and nothing
+outside ``linalg.py`` calls ``_over_one_denominator``, while
 ``gravity.py`` imports nothing from ``fractions``.  A method
 is referenced through an attribute, a module function through an attribute
 or through a bare name in its own module or in one that imports it, and a
@@ -21,8 +21,8 @@ its default is not a knob, a package helper has one name, the product table
 and its out-of-window rule are written once, in ``algebra.build_algebra``,
 what counts as unavailable and where a failure list stops are decided
 once, in ``calculus._available`` and ``calculus._FAILURE_LIMIT``, and a
-homology class vector is made in one place, as an integer row, with no
-Fraction form beside it in the gravity layer.
+homology class vector is made in one place, from the integer read of
+``linalg``, with no Fraction form beside it in the gravity layer.
 """
 
 import ast
@@ -257,16 +257,13 @@ def _unavailable_rule_outside_calculus(modules: dict[str, ast.Module]) -> list[s
 
 
 def _class_rows_outside_classes(modules: dict[str, ast.Module]) -> list[str]:
-    """Calls of ``_over_one_denominator`` outside ``linalg.py`` and ``mixed._classes``, and ``fractions`` in
-    ``gravity.py``."""
+    """Calls of ``_over_one_denominator`` outside ``linalg.py``, and ``fractions`` in ``gravity.py``."""
     found = []
     for name, tree in modules.items():
         if name == "linalg.py":
             continue
-        allowed = {id(node) for fn in tree.body if name == "mixed.py" and isinstance(fn, ast.FunctionDef)
-                   and fn.name == "_classes" for node in ast.walk(fn)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in allowed:
+            if isinstance(node, ast.Call):
                 fn = node.func
                 if (fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)) == "_over_one_denominator":
                     found.append(f"{name}:{node.lineno} _over_one_denominator(")
@@ -398,8 +395,8 @@ def test_the_rules_find_what_they_claim():
         "    return linalg._over_one_denominator(vec)\n"
     )
     assert _class_rows_outside_classes({"mixed.py": rows, "gravity.py": rows, "linalg.py": rows}) == [
-        "mixed.py:8 _over_one_denominator(", "gravity.py:1 import fractions", "gravity.py:2 import fractions",
-        "gravity.py:6 _over_one_denominator(", "gravity.py:8 _over_one_denominator("]
+        "mixed.py:6 _over_one_denominator(", "mixed.py:8 _over_one_denominator(", "gravity.py:1 import fractions",
+        "gravity.py:2 import fractions", "gravity.py:6 _over_one_denominator(", "gravity.py:8 _over_one_denominator("]
     public = ast.parse(
         "def read():\n"
         "    return 1\n"

@@ -1171,21 +1171,24 @@ def fraction_reduce(pres, vec):
 
 
 def _reduce_calls(monkeypatch, tmp_path, workload, c):
-    """Every (presentation, vector) that one op of a benchmark workload reduces, with π scaled by c."""
+    """Every (presentation, vector) that one op of a benchmark workload reads, with π scaled by c.
+
+    The capture wraps the integer read, which ``reduce`` and every class row go through.
+    """
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
     calls = []
-    reduce = HomologyPresentation.reduce
+    read = HomologyPresentation._read
 
     def recording(self, vec):
         calls.append((self, dict(vec)))
-        return reduce(self, vec)
+        return read(self, vec)
 
     with monkeypatch.context() as mp:
-        mp.setattr(HomologyPresentation, "reduce", recording)
+        mp.setattr(HomologyPresentation, "_read", recording)
         op, check = workloads.prepare(workload, c, str(tmp_path / workload))
         result = op()[3]
     if c == 1:
@@ -1205,6 +1208,7 @@ def test_integer_reduce_matches_the_fraction_reduce_on_the_workloads(monkeypatch
     for pres, vec in calls:
         got, want = reduce(pres, vec), fraction_reduce(pres, vec)
         assert got == want and all(type(x) is Fraction for x in got + want)
+        assert _fractions(*pres._read(vec)) == {i: x for i, x in enumerate(want) if x}
     # pieces whose pivot entries are not units are among them
     assert len(calls) > 100 and any(_not_a_unit(pres) for pres, _ in calls)
     # negative controls on every presentation: an index out of range, and each unit vector, a cycle or not
@@ -1380,3 +1384,125 @@ def test_fused_cancel_is_subtract_then_primitive(r, row, content):
     _cancel(r, row, p)
     assert r == want and p not in r
     assert gcd(*r.values()) in (0, 1)
+
+
+# -- the one integer read and the indexed kernel against the scans they replaced --------
+#
+# HomologyPresentation.reduce checked every boundary pivot against the cycle and
+# subtracted with _subtract (oracle_subtract above), and _kernel_rows scanned every
+# RREF row for each free column.  They are kept here verbatim as the reference.
+
+
+def oracle_reduce(self, vec):
+    """Coordinates of a sparse cycle in the homology basis.
+
+    One elimination pass on integers and no new factorization: the
+    cycle is scaled to an integer row over one denominator, and each
+    boundary row is subtracted at its pivot, then each representative at
+    its own pivot, by cross-multiplication, so only the running
+    denominator grows.  A coordinate, the cycle's value at a
+    representative's pivot, becomes a Fraction when it is read.
+    The representatives are independent modulo the boundaries, so these
+    coordinates are the unique ones.  Raises DimensionMismatchError on an
+    index outside the ambient dimension, and ValueError if a remainder
+    is left (vec is not a cycle of this presentation).
+    """
+    if any(not 0 <= j < self.ambient_dim for j in vec):
+        raise DimensionMismatchError("vector index outside the ambient dimension")
+    t, den = linalg._over_one_denominator(vec)
+    for p, row in self.boundaries:
+        if p in t:
+            den *= oracle_subtract(t, row, p)
+    coords = []
+    for p, row in self.reps:
+        c = t.get(p, 0)
+        coords.append(Fraction(c, den))
+        if c:
+            den *= oracle_subtract(t, row, p)
+    if t:
+        raise ValueError("vector is not a cycle of this presentation")
+    return tuple(coords)
+
+
+def oracle_kernel_rows(rows, ncols):
+    """The canonical basis of the null space of sparse integer rows (consumed) on ncols columns, as (free column, row).
+
+    One vector per free column f of the rows' RREF, ordered by f: 1 at f
+    and, at each pivot, minus that pivot row's entry at f, scaled to a
+    primitive integer row.
+    """
+    reduced = _integer_rref(rows)
+    pivot_set = {p for p, _ in reduced}
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        hits = [(p, row) for p, row in reduced if f in row]
+        scale = lcm(*(row[p] for p, row in hits))
+        vec = {f: scale}
+        for p, row in hits:
+            vec[p] = -row[f] * (scale // row[p])
+        _primitive(vec)
+        basis.append((f, vec))
+    return basis
+
+
+def _raised(fn, *args):
+    """fn(*args), or the (type, message) of the ValueError or DimensionMismatchError it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, DimensionMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.data())
+def test_integer_read_matches_the_scanning_reduce(n, data):
+    # integer rows with entries up to 40 give representatives and boundaries with non-unit pivot entries
+    entries = st.integers(min_value=-40, max_value=40)
+    rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4))
+    d_out = ExactMatrix.from_rows(rows)
+    kernel = kernel_basis(d_out)
+    combo = st.lists(entries, min_size=len(kernel), max_size=len(kernel))
+    boundaries = [_combine(cs, kernel, n) for cs in data.draw(st.lists(combo, max_size=3))]
+    pres = homology_presentation(from_columns(boundaries, rows=n), d_out)
+    cycle = sparse_vec(_combine(data.draw(st.lists(small_fracs, min_size=len(kernel), max_size=len(kernel))), kernel, n))
+    # noise on indices -1..n: off the cycles, or outside the ambient dimension (zero coefficients too)
+    noise = data.draw(st.dictionaries(st.integers(min_value=-1, max_value=n), small_fracs, max_size=3))
+    noisy = dict(cycle)
+    for j, c in noise.items():
+        noisy[j] = noisy.get(j, Q(0)) + c
+    for vec in [cycle, noisy, noise] + [sparse_vec(b) for b in boundaries]:
+        want = _raised(oracle_reduce, pres, vec)
+        assert _raised(pres.reduce, vec) == want
+        got = _raised(pres._read, vec)
+        if want and isinstance(want[0], type):
+            assert got == want
+            continue
+        num, den = got
+        assert _fractions(num, den) == {i: c for i, c in enumerate(want) if c}
+        assert den > 0 and gcd(den, *num.values()) == 1 and all(type(v) is int for v in num.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_batches(class_keys=False), st.integers(min_value=10, max_value=12))
+def test_indexed_kernel_matches_the_scanning_kernel(rows, ncols):
+    got = _kernel_rows(_copies(rows), ncols)
+    # the same vectors, free columns and key order
+    assert [(f, list(v.items())) for f, v in got] == [
+        (f, list(v.items())) for f, v in oracle_kernel_rows(_copies(rows), ncols)]
+
+
+@pytest.mark.parametrize("key", [lambda j: j, class_key], ids=["int", "class-key"])
+def test_a_cancellation_that_leaves_the_pivot_raises(monkeypatch, key):
+    calls = []
+
+    def stuck(r, row, p):
+        calls.append(p)
+        if len(calls) > 100:
+            raise RuntimeError("_row_echelon kept cancelling at one column")
+
+    monkeypatch.setattr(linalg, "_cancel", stuck)
+    with pytest.raises(AssertionError, match="left the pivot entry"):
+        _row_echelon([{key(0): 1, key(2): 5}, {key(0): 2, key(1): 1}])
+    assert calls == [key(0)]
