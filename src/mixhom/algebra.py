@@ -1,11 +1,12 @@
 """Finite presentations of graded algebras.
 
 A :class:`GradedAlgebra` is a finite table of basis elements with homological
-degree, non-negative weight and rational structure constants, validated at
-construction.  Every algebra in the package is built by :func:`build_algebra`
-from a basis and a product of basis indices.  Λ(n) and k[x_1..x_n]/(weight > W)
-are truncations of :class:`~mixhom.poisson.FreeGCA`, so its ``mul_monomials``
-is the one monomial sign rule, shared with Kähler forms and polyvector fields.
+degree, non-negative weight and rational structure constants (an int where
+integral, else a Fraction), validated at construction.  Every algebra in the
+package is built by :func:`build_algebra` from a basis and a product of basis
+indices.  Λ(n) and k[x_1..x_n]/(weight > W) are truncations of
+:class:`~mixhom.poisson.FreeGCA`, so its ``mul_monomials`` is the one monomial
+sign rule, shared with Kähler forms and polyvector fields.
 
 Weight truncation is explicit: a product whose weight exceeds the cutoff is
 a distinct out-of-window signal, written only by :func:`build_algebra`, never
@@ -23,9 +24,7 @@ from itertools import combinations
 from .linalg import ExactMatrix, _accumulate, _sparse_rank
 from .poisson import FreeGCA, Generator
 
-Q = Fraction
-
-Element = dict[int, Fraction]  # basis index -> coefficient
+Element = dict[int, int | Fraction]  # basis index -> coefficient: an int where it is integral, else a Fraction
 
 
 class WindowError(Exception):
@@ -95,10 +94,10 @@ class GradedAlgebra:
     # -- basic accessors ---------------------------------------------------
 
     def basis_element(self, i: int) -> Element:
-        return {i: Q(1)}
+        return {i: 1}
 
     def one(self) -> Element:
-        return {self.unit: Q(1)}
+        return {self.unit: 1}
 
     def augmentation_indices(self) -> list[int]:
         return [i for i in range(self.dim) if i != self.unit]
@@ -169,7 +168,7 @@ class GradedAlgebra:
             right = self.mult_basis(i, self.unit)
             if left is OUT_OF_WINDOW or right is OUT_OF_WINDOW:
                 raise AlgebraValidationError("unit products cannot be out of window")
-            if left != {i: Q(1)} or right != {i: Q(1)}:
+            if left != {i: 1} or right != {i: 1}:
                 raise AlgebraValidationError(f"unit law fails at {self.labels[i]}")
         # degree/weight additivity
         for (i, j), prod in self.table.items():
@@ -267,7 +266,7 @@ def _free_truncation(F: FreeGCA, max_exponent: int, cutoff: int | None, name: st
 
     def product(i: int, j: int) -> Element:
         got = F.mul_monomials(monos[i], monos[j])
-        return {} if got is None else {pos[got[1]]: Q(got[0])}
+        return {} if got is None else {pos[got[1]]: got[0]}
 
     return build_algebra([F.format_monomial(m) for m in monos], [F.degree(m) for m in monos],
                          [F.weight(m) for m in monos], product, cutoff, "graded-commutative", name)
@@ -326,7 +325,7 @@ class QuadraticPresentation:
 
 def _relation_vector(n: int, terms: dict[tuple[int, int], Fraction]) -> tuple[Fraction, ...]:
     """Σ c·e_i⊗e_j over the entries (i, j): c of terms, in the n^2 tensor basis (0-based letters)."""
-    return tuple(Q(terms.get(divmod(k, n), 0)) for k in range(n * n))
+    return tuple(terms.get(divmod(k, n), 0) for k in range(n * n))
 
 
 def polynomial_presentation(n: int) -> QuadraticPresentation:
@@ -392,8 +391,8 @@ def check_frobenius_pairing(A: GradedAlgebra, pairing: FrobeniusPairing) -> Pair
                 ca = A.mult_basis(c, a)
                 if ca is OUT_OF_WINDOW:
                     continue
-                lhs = sum((coef * pairing.matrix[k][c] for k, coef in ab.items()), Q(0))
-                rhs = sum((coef * pairing.matrix[k][b] for k, coef in ca.items()), Q(0))
+                lhs = sum((coef * pairing.matrix[k][c] for k, coef in ab.items()), 0)
+                rhs = sum((coef * pairing.matrix[k][b] for k, coef in ca.items()), 0)
                 sign = koszul_sign(A.degrees[c], A.degrees[a] + A.degrees[b])
                 if lhs != sign * rhs:
                     report.cyclic_violations.append((a, b, c))
@@ -403,5 +402,5 @@ def check_frobenius_pairing(A: GradedAlgebra, pairing: FrobeniusPairing) -> Pair
 def exterior_pairing(A: GradedAlgebra) -> FrobeniusPairing:
     """The pairing (α, β) -> coefficient of ξ_1…ξ_n in α∧β on A = ``make_exterior_algebra(n)``."""
     top = A.dim - 1  # the top monomial sorts last
-    rows = tuple(tuple(A.mult_basis(i, j).get(top, Q(0)) for j in range(A.dim)) for i in range(A.dim))
+    rows = tuple(tuple(A.mult_basis(i, j).get(top, 0) for j in range(A.dim)) for i in range(A.dim))
     return FrobeniusPairing(rows, degree=-A.degrees[top])

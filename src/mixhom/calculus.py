@@ -62,8 +62,6 @@ from .linalg import (
 from .mixed import ClassKey, MixedComplexSlice, Piece, _classes, _coordinates
 from . import poisson as po
 
-Q = Fraction
-
 
 class DualityError(Exception):
     pass
@@ -199,7 +197,7 @@ class HochschildCochainOps(_CochainOps):
     def _delta(self, label) -> dict:
         t, k = label
         D = self.A.degrees[k] - sum(self.A.degrees[i] + 1 for i in t)
-        return dict(self._labels(coboundary(Cochain(self.A, len(t), D, {t: {k: Q(1)}}), self.v_max)))
+        return dict(self._labels(coboundary(Cochain(self.A, len(t), D, {t: {k: 1}}), self.v_max)))
 
     def rep(self, piece: Piece, vec: dict[int, Fraction]) -> Cochain:
         D, om = piece
@@ -258,7 +256,7 @@ class MultivectorOps(_CochainOps):
         return po.schouten(self.ctx, P, Q_)
 
     def unit(self):
-        return (0, 0), {self.ctx.vectors.one: Q(1)}
+        return (0, 0), {self.ctx.vectors.one: 1}
 
 
 def delta_pairs(ops, pieces) -> Iterator[tuple[Piece, ExactMatrix, ExactMatrix]]:
@@ -553,10 +551,8 @@ class DualityData:
     _pd: dict[ClassKey, Row] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def _twist(self, piece: Piece) -> Fraction:
-        if self.pd_twist is None:
-            return Q(1)
-        return Q(self.pd_twist(piece))
+    def _twist(self, piece: Piece) -> int | Fraction:
+        return 1 if self.pd_twist is None else self.pd_twist(piece)
 
     def pd_of(self, key: ClassKey) -> Row:
         """The twisted PD image of a cohomology class, as a read-only class row; memoized."""
@@ -767,7 +763,7 @@ def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: in
 
 def _cap_label(f: Cochain, label) -> dict:
     """The cap action on one basis chain; the primal action of both Hochschild bundles."""
-    return cap(f, {label: Q(1)})
+    return cap(f, {label: 1})
 
 
 def _contraction_of(ctx: po.PoissonContext):

@@ -89,7 +89,6 @@ from .mixed import (
 )
 from . import poisson as po
 
-Q = Fraction
 
 SCHEMA = "mixhom-result@1"
 
@@ -195,7 +194,7 @@ def parse_job(text: str) -> JobSpecification:
                     idx.append(int(tok))
                 except ValueError:
                     raise ParseError(line_no, f"bad generator index {tok!r}")
-            coeffs[tuple(idx)] = coeffs.get(tuple(idx), Q(0)) + parse_rational(parts[5], line_no)
+            coeffs[tuple(idx)] = coeffs.get(tuple(idx), 0) + parse_rational(parts[5], line_no)
             coeff_lines.append((line_no, tuple(idx)))
         elif section == "window":
             key = parts[0].lower()
@@ -447,7 +446,7 @@ def _gravity_structure(job: JobContext):
     )
     vol = (0,) * spec.n + (1,) * spec.n
     piece = (spec.n, spec.n)
-    vec = sl.element_vector(piece, {vol: Q(1)})
+    vec = sl.element_vector(piece, {vol: 1})
     try:
         coords = sl.hh(piece).reduce(vec)
     except ValueError:
@@ -567,7 +566,7 @@ def task_check(job: JobContext) -> dict:
             )
             top = Ae.dim - 1
             piece = (spec.n, spec.n)
-            coords = sld.hh(piece).reduce(sld.element_vector(piece, {(top,): Q(1)}))
+            coords = sld.hh(piece).reduce(sld.element_vector(piece, {(top,): 1}))
             eta = (piece, [i for i, c in enumerate(coords) if c][0])
             try:
                 duality = attach_duality(bundle, eta)

@@ -26,7 +26,7 @@ from .algebra import Element, GradedAlgebra, WindowOverflowError
 from .linalg import _accumulate
 
 ChainKey = tuple[int, ...]  # (i0, i1, ..., ip) basis indices; i1.. in augmentation
-Chain = dict[ChainKey, Fraction]
+Chain = dict[ChainKey, int | Fraction]  # an int coefficient where it is integral, else a Fraction
 
 
 def shifted_degree(A: GradedAlgebra, t: ChainKey) -> int:

@@ -34,7 +34,6 @@ from .calculus import DualityError
 from .linalg import (
     _accumulate,
     _denominator,
-    _fractions,
     _integer_row,
     _integer_rref,
     _kernel_rows,
@@ -42,8 +41,6 @@ from .linalg import (
 )
 from . import poisson as po
 from .mixed import MixedComplexSlice, _classes, _mats_from_operator
-
-Q = Fraction
 
 Word = tuple[int, ...]
 
@@ -73,9 +70,13 @@ def _relation_layers(n: int, rels: list[dict], w: int) -> list[dict]:
     return vecs
 
 
-def _echelon_basis(rows) -> list[dict[int, Fraction]]:
-    """The reduced row echelon basis of the span of integer rows (consumed), with unit pivots and keys ascending."""
-    return [_fractions(r, r[p]) for p, r in starmap(_positive, _integer_rref(rows))]
+def _echelon_basis(rows) -> list[dict[int, int | Fraction]]:
+    """The reduced row echelon basis of the span of integer rows (consumed), with unit pivots and keys ascending.
+
+    An entry is exact: the int v // r[p] where the pivot entry r[p] divides v, else the Fraction v / r[p].
+    """
+    return [{j: v // r[p] if v % r[p] == 0 else Fraction(v, r[p]) for j, v in r.items()}
+            for p, r in starmap(_positive, _integer_rref(rows))]
 
 
 def _relations(pres: QuadraticPresentation) -> list[dict[int, Fraction]]:
@@ -204,7 +205,7 @@ def quadratic_algebra(pres: QuadraticPresentation, W: int) -> tuple[GradedAlgebr
             degrees.append(sum(pres.generator_degrees[i] for i in word))
             weights.append(w)
         basis = {idx: index_of[(w, k)] for k, idx in enumerate(free[w])}
-        normal_form[w] = {idx: {gi: Q(1)} for idx, gi in basis.items()}
+        normal_form[w] = {idx: {gi: 1} for idx, gi in basis.items()}
         for p, row in rows.items():
             normal_form[w][p] = {basis[j]: -c for j, c in row.items() if j != p}
 
@@ -250,11 +251,12 @@ def _tensor_slice(data: KoszulDualData, piece_of, apply, name: str) -> MixedComp
     return MixedComplexSlice(pieces, _mats_from_operator(pieces, apply, -1), {}, f"{name}({data.source.name})")
 
 
-def _dual_rows(data: KoszulDualData) -> dict[int, list[tuple[int, dict[int, Fraction]]]]:
-    """Per dual weight t, the pairs (A^! basis index, U_t row), in order."""
+def _dual_rows(data: KoszulDualData) -> dict[int, list[tuple[int, int, dict[int, int | Fraction]]]]:
+    """Per dual weight t, the triples (A^! basis index, pivot word, U_t row), in order."""
     rows: dict = {}
     for x, (t, i) in enumerate(data.dual_labels):
-        rows.setdefault(t, []).append((x, data.dual_weight_pieces[t][i]))
+        u = data.dual_weight_pieces[t][i]
+        rows.setdefault(t, []).append((x, min(u), u))
     return rows
 
 
@@ -287,17 +289,17 @@ def _transfer(out: dict, below: list, stripped, prod, scale, end: str) -> None:
 
     ``stripped`` is a sparse dual-coalgebra vector with one letter removed
     at ``end``; it must lie in the span of the U rows.  ``below`` lists
-    (A^! basis index, U row) pairs, the rows in reduced echelon form with
-    unit pivots, so the coordinates are the entries of ``stripped`` at the
-    pivots, and what they leave over must vanish.  ``prod`` is a product of
-    algebra basis elements.
+    (A^! basis index, pivot word, U row) triples, the rows in reduced
+    echelon form with unit pivots, so the coordinates are the entries of
+    ``stripped`` at the pivots, and what they leave over must vanish.
+    ``prod`` is a product of algebra basis elements.
     """
     if not stripped:
         return
     coords = {}
     rest = dict(stripped)
-    for x, u in below:
-        c = stripped.get(min(u))
+    for x, p, u in below:
+        c = stripped.get(p)
         if c:
             coords[x] = c
             _accumulate(rest, u, -c)

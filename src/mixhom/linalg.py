@@ -19,9 +19,14 @@ deterministic: row reduction produces the (unique) reduced row echelon
 form, so kernels, images and homology presentations are canonical.
 
 Vectors that cross a module boundary are sparse, {index: coefficient}, and
-``_accumulate`` is the one sparse sum, on ints and Fractions alike.  Two
-kinds of vector live above this module.  A chain-level vector or a homology
-coordinate is a vector of Fractions, and ``_expand`` sums those.  A homology
+``_accumulate`` is the one sparse sum, on ints and Fractions alike.  A
+coefficient held in the package is an ``int`` wherever its value is an
+integer, and a ``Fraction`` only where it is not (a relation whose normal
+form divides) or where a value leaves through the edges above; ints and
+Fractions hash and compare equal, so a matrix or memo key built from either
+is the same.  Two kinds of vector live above this module.  A chain-level
+vector is a vector of such exact numbers (a ``cycle`` is one of Fractions),
+a homology coordinate is a Fraction, and ``_expand`` sums those.  A homology
 class vector is a ``Row``: integer coefficients {class key: int} over one
 positive denominator, in lowest terms, and ``_iexpand`` sums those.  A
 homology presentation is factored once, when it is built, and keeps the

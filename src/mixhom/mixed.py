@@ -49,8 +49,6 @@ from .linalg import (
 )
 from . import poisson as po
 
-Q = Fraction
-
 Piece = tuple[int, int]  # (degree, weight)
 ClassKey = tuple[Piece, int]  # (piece, index within the piece's homology basis)
 RawComplex = tuple[dict[Piece, list], dict[Piece, ExactMatrix], dict[Piece, ExactMatrix]]  # (pieces, b, B)
@@ -176,8 +174,8 @@ def _hochschild_complex(A: GradedAlgebra, w_max: int) -> RawComplex:
                 pieces.setdefault((shifted_degree(A, t), w), []).append(t)
     for labels in pieces.values():
         labels.sort()
-    b_mats = _mats_from_operator(pieces, lambda t: boundary_b(A, {t: Q(1)}), -1)
-    B_mats = _mats_from_operator(pieces, lambda t: connes_B(A, {t: Q(1)}), +1)
+    b_mats = _mats_from_operator(pieces, lambda t: boundary_b(A, {t: 1}), -1)
+    B_mats = _mats_from_operator(pieces, lambda t: connes_B(A, {t: 1}), +1)
     return pieces, b_mats, B_mats
 
 

@@ -50,7 +50,7 @@ from .linalg import _accumulate, _denominator, _pullback
 Q = Fraction
 
 Monomial = tuple[int, ...]  # exponents aligned with the generator list
-GCAElement = dict[Monomial, Fraction]
+GCAElement = dict[Monomial, int | Fraction]
 
 
 @dataclass(frozen=True)
@@ -346,7 +346,7 @@ def quadratic_bivector(ctx: PoissonContext, coeffs: dict[tuple[int, int, int, in
         tj2 = (0,) * n + tuple(1 if t == j2 - 1 else 0 for t in range(n))
         term = {gi1: c}
         for m in (gi2, tj1, tj2):
-            term = V.multiply(term, {m: Q(1)})
+            term = V.multiply(term, {m: 1})
         _accumulate(out, term)
     return out
 

@@ -1,6 +1,6 @@
 """Static hygiene of the package source, read with the standard ``ast`` module only.
 
-Eight rules: every name a module imports is used in that module, every
+Nine rules: every name a module imports is used in that module, every
 private function or method is referenced somewhere in the package outside
 its own body, every public one is referenced outside its own body in the
 package or the benchmark scripts or is named in backticks in README.md,
@@ -11,7 +11,8 @@ second name, no module but ``algebra.py`` calls ``GradedAlgebra(`` or names
 ``OUT_OF_WINDOW``, no module but ``calculus.py`` catches
 ``(WindowError, DualityError)`` or assigns ``_FAILURE_LIMIT``, and nothing
 outside ``linalg.py`` calls ``_over_one_denominator``, while
-``gravity.py`` imports nothing from ``fractions``.  A method
+``gravity.py`` imports nothing from ``fractions``, and no ``Q(…)`` or
+``Fraction(…)`` call takes an integer literal as its only argument.  A method
 is referenced through an attribute, a module function through an attribute
 or through a bare name in its own module or in one that imports it, and a
 name that is bound or deleted is no reference.  Code that
@@ -22,7 +23,9 @@ and its out-of-window rule are written once, in ``algebra.build_algebra``,
 what counts as unavailable and where a failure list stops are decided
 once, in ``calculus._available`` and ``calculus._FAILURE_LIMIT``, and a
 homology class vector is made in one place, from the integer read of
-``linalg``, with no Fraction form beside it in the gravity layer.
+``linalg``, with no Fraction form beside it in the gravity layer, and a
+coefficient whose value is an integer is an ``int``: a ``Fraction`` is kept
+for a value that is not integral and for what leaves the package.
 """
 
 import ast
@@ -274,6 +277,21 @@ def _class_rows_outside_classes(modules: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+def _integer_fractions(modules: dict[str, ast.Module]) -> list[str]:
+    """Calls of ``Q(`` or ``Fraction(`` (a bare name or an attribute) whose only argument is an integer literal."""
+    found = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords):
+                continue
+            fn, arg = node.func, node.args[0]
+            called = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            literal = arg.operand if isinstance(arg, ast.UnaryOp) and isinstance(arg.op, (ast.USub, ast.UAdd)) else arg
+            if called in ("Q", "Fraction") and isinstance(literal, ast.Constant) and type(literal.value) is int:
+                found.append(f"{name}:{node.lineno} {called}({ast.unparse(arg)})")
+    return found
+
+
 def _readme_names() -> set[str]:
     """Every identifier inside a backtick span of README.md: the documented API."""
     with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
@@ -315,6 +333,10 @@ def test_only_calculus_decides_what_is_unavailable():
 
 def test_only_mixed_makes_a_class_row():
     assert _class_rows_outside_classes(_modules()) == []
+
+
+def test_no_fraction_of_an_integer_literal():
+    assert _integer_fractions(_modules()) == []
 
 
 def test_every_public_function_is_read_or_documented():
@@ -397,6 +419,16 @@ def test_the_rules_find_what_they_claim():
     assert _class_rows_outside_classes({"mixed.py": rows, "gravity.py": rows, "linalg.py": rows}) == [
         "mixed.py:6 _over_one_denominator(", "mixed.py:8 _over_one_denominator(", "gravity.py:1 import fractions",
         "gravity.py:2 import fractions", "gravity.py:6 _over_one_denominator(", "gravity.py:8 _over_one_denominator("]
+    literals = ast.parse(
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "Q = Fraction\n"
+        "ONE = {0: Q(1)}\n"
+        "def f(n, c):\n"
+        "    return Fraction(-2), fractions.Fraction(+3), Q(n), Q(c, n), Fraction(1, 3), Q('1'), Q(True), Q(1.5)\n"
+    )
+    assert _integer_fractions({"m.py": literals}) == [
+        "m.py:4 Q(1)", "m.py:6 Fraction(-2)", "m.py:6 Fraction(+3)"]
     public = ast.parse(
         "def read():\n"
         "    return 1\n"

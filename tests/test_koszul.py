@@ -303,12 +303,13 @@ def dual_table_by_deconcatenation(data, U=None):
 def transfer_by_solve(out: dict, below: list, stripped, prod, scale, end: str) -> None:
     """out += scale · prod ⊗ (stripped in the basis ``below`` of a U piece).
 
-    ``below`` lists (key, U row) pairs; ``stripped`` is a dual-coalgebra
+    ``below`` lists (key, U row) pairs or (key, pivot word, U row) triples, as ``ko._transfer`` takes
+    them; ``stripped`` is a dual-coalgebra
     vector with one letter removed at ``end`` and must lie in the span of
     the rows.  ``prod`` is a product of algebra basis elements.  The sparse
     rows are densified on the indices they use.
     """
-    keys, rows = [x for x, _ in below], [u for _, u in below]
+    keys, rows = [x for x, *_ in below], [u for *_, u in below]
     dim = 1 + max((j for v in [stripped, *rows] for j in v), default=-1)
     rows, stripped = [dense(u, dim) for u in rows], dense(stripped, dim)
     if not any(c != 0 for c in stripped):
@@ -372,7 +373,7 @@ class TestPivotLookupsAgainstOracle:
         assert got == want
 
     def test_a_strip_outside_the_span_is_not_a_complex(self):
-        U_below = [(0, {0: Q(1), 2: Q(2)}), (1, {1: Q(1), 2: Q(-1)})]
+        U_below = [(0, 0, {0: Q(1), 2: Q(2)}), (1, 1, {1: Q(1), 2: Q(-1)})]
         inside, outside = {0: Q(3), 1: Q(1), 2: Q(5)}, {2: Q(1)}
         for transfer in (ko._transfer, transfer_by_solve):
             out = {}

@@ -1225,6 +1225,42 @@ def test_integer_reduce_matches_the_fraction_reduce_on_the_workloads(monkeypatch
     assert refused > 0
 
 
+def _clearing_steps(monkeypatch, reads):
+    """The (pivot entry, terms_den, scale) of every ``_iaccumulate_over`` step that ``_read`` takes on the reads.
+
+    A clearing row is in reduced echelon form with ascending keys, so its pivot is its first key.
+    """
+    steps = []
+    accumulate = linalg._iaccumulate_over
+
+    def recording(acc, den, terms, terms_den, scale):
+        steps.append((terms[next(iter(terms))], terms_den, scale))
+        return accumulate(acc, den, terms, terms_den, scale)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_iaccumulate_over", recording)
+        for pres, vec in reads:
+            pres._read(vec)
+    return steps
+
+
+def test_every_clearing_step_of_a_read_is_in_lowest_terms(monkeypatch, tmp_path):
+    # t ← a·t − c·row with c/a = t[p]/row[p] in lowest terms: the pair (row[p]//g, t[p]//g) is coprime
+    # (a, c as recorded here); cli-batch is the workload whose reads take steps with g > 1
+    reads = _reduce_calls(monkeypatch, tmp_path, "cli-batch", Q(1))
+    steps = _clearing_steps(monkeypatch, reads)
+    assert all(gcd(a, c) == 1 and a > 0 for _, a, c in steps)
+    assert any(_not_a_unit(pres) for pres, _ in reads) and any(a != pivot for pivot, a, _ in steps)
+    # hand-made presentations whose boundary pivot entry is 2 and whose representative pivot entry is 3
+    pres = homology_presentation(ExactMatrix(3, 1, {(0, 0): Q(2), (1, 0): Q(1)}), ExactMatrix(0, 3))
+    made = homology_presentation(ExactMatrix(2, 0), ExactMatrix(1, 2, {(0, 0): Q(1), (0, 1): Q(-3)}))
+    assert [row[p] for p, row in pres.boundaries + made.reps] == [2, 3]
+    steps = _clearing_steps(monkeypatch, [(pres, {0: Q(4), 1: Q(2), 2: Q(6)}), (pres, {0: Q(2, 3), 2: Q(5)}),
+                                          (made, {0: Q(9), 1: Q(3)})])
+    assert all(gcd(a, c) == 1 and a > 0 for _, a, c in steps)
+    assert [pivot // a for pivot, a, _ in steps] == [2, 1, 2, 1, 1, 3]  # the g of each step
+
+
 keys = st.integers(min_value=0, max_value=7)
 ints = st.integers(min_value=-6, max_value=6)
 values = st.one_of(ints, small_fracs)
