@@ -368,6 +368,7 @@ class CalculusBundle:
         self._cup: dict[tuple[ClassKey, ClassKey], Row | None] = {}
         self._bracket: dict[tuple[ClassKey, ClassKey], Row | None] = {}
         self._cap: dict[tuple[ClassKey, ClassKey], Row | None] = {}
+        self._rep: dict[ClassKey, object] = {}
 
     # -- bases -------------------------------------------------------------
 
@@ -382,8 +383,11 @@ class CalculusBundle:
         ]
 
     def coh_rep(self, key: ClassKey):
-        piece, i = key
-        return self.ops.rep(piece, self.coh_pres[piece].cycle(i))
+        """A class's cochain representative, memoized; a mixed-arity WindowError is not stored and raises again."""
+        if key not in self._rep:
+            piece, i = key
+            self._rep[key] = self.ops.rep(piece, self.coh_pres[piece].cycle(i))
+        return self._rep[key]
 
     def hom_rep_vector(self, key: ClassKey) -> dict[int, Fraction]:
         piece, i = key
@@ -690,19 +694,21 @@ class BVReport:
 
 
 def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: int = 2000) -> BVReport:
-    """BV diagnostics: Δ² = 0, the seven-term second-order identity on all
-    basis triples in window, the quartic expansion of Δ on 4-fold products,
-    and agreement of the generated bracket with the native bracket table,
-    each instance counted by ``_count``: one where a product, PD or PD⁻¹
-    leaves the window is skipped, and a failure list stops at
-    ``_FAILURE_LIMIT`` entries.
+    """BV diagnostics: Δ² = 0, the seven-term second-order identity on all basis triples in window, the
+    quartic expansion of Δ on 4-fold products, and agreement of the generated bracket with the native
+    bracket table, each instance counted by ``_count``: one where a product, PD or PD⁻¹ leaves the window
+    is skipped, and a failure list stops at ``_FAILURE_LIMIT`` entries.
+
+    Δa is read once per class, and a∪b, Δ(a∪b) and Δa∪b once per pair, through ``cup_classes`` and
+    ``delta_classes``.  Per triple, the seven-term identity reads six of those pair rows and expands only
+    a nonzero one against the third class; a None row makes the instance unavailable.  The quartic
+    expansion reads its Δ(x_i∪x_j) rows from the same pair table.
     """
     bundle = data.bundle
     coh = [k for k in bundle.coh_classes() if k[0] in data.pd][:max_classes]
     deg = {k: k[0][0] for k in coh}
     cup = bundle.cup_classes
     delta = partial(_available, data.delta_classes)
-    d2_ok = not any((_iexpand(delta(a), delta) or ZERO_ROW)[0] for a in coh)
 
     # table ∪ b and a ∪ table
     def times(table, b):
@@ -714,22 +720,29 @@ def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: in
     def delta_of(table):
         return _iexpand(table, delta)
 
-    def seven_term(a, b, c):
-        ab, bc, ac = cup(a, b), cup(b, c), cup(a, c)
-        sa = koszul_sign(deg[a], 1)
-        yield delta_of(times(ab, c)), 1
-        yield times(delta_of(ab), c), -1
-        yield left_times(a, delta_of(bc)), -sa
-        yield left_times(b, delta_of(ac)), -koszul_sign(deg[a] + 1, deg[b])
-        yield times(times(delta(a), b), c), 1
-        yield left_times(a, times(delta(b), c)), sa
-        yield _iexpand(ab, lambda k: left_times(k, delta(c))), koszul_sign(deg[a] + deg[b], 1)
+    D = {a: delta(a) for a in coh}
+    d2_ok = not any((delta_of(row) or ZERO_ROW)[0] for row in D.values())
+    AB = {(a, b): cup(a, b) for a, b in iproduct(coh, repeat=2)}
+    DAB = {p: delta_of(row) for p, row in AB.items()}
+    DL = {(a, b): times(D[a], b) for a, b in AB}
+
+    def second_order(a, b, c):
+        # a None row gives an unavailable term, a zero row a zero term, which is left out
+        sa, sb = koszul_sign(deg[a], 1), koszul_sign(deg[a] + 1, deg[b])
+        for x, row, s in ((None, DAB[a, b], -1), (None, DL[a, b], 1), (a, DAB[b, c], -sa), (b, DAB[a, c], -sb),
+                          (a, DL[b, c], sa)):
+            if row is None or row[0]:
+                yield (times(row, c) if x is None else left_times(x, row)), s
+        ab = AB[a, b]
+        if ab is None or ab[0]:
+            yield delta_of(times(ab, c)), 1
+            yield _iexpand(ab, lambda k: left_times(k, D[c])), koszul_sign(deg[a] + deg[b], 1)
 
     def quartic(x):
         degs = [deg[k] for k in x]
-        yield delta_of(times(times(cup(x[0], x[1]), x[2]), x[3])), 1
+        yield delta_of(times(times(AB[x[0], x[1]], x[2]), x[3])), 1
         for i, j in combinations(range(4), 2):
-            term = delta_of(cup(x[i], x[j]))
+            term = DAB[x[i], x[j]]
             for r in (x[t] for t in range(4) if t not in (i, j)):
                 term = times(term, r)
             yield term, -(koszul_sign(sum(degs[:i]), degs[i]) * koszul_sign(sum(degs[:j]), degs[j])
@@ -737,7 +750,7 @@ def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: in
         # the single-Δ terms enter with multiplicity n - 2 (= 2 here); the
         # unit quartet (1,1,1,a) pins the coefficient
         for i in range(4):
-            term = delta(x[i])
+            term = D[x[i]]
             for t in range(i - 1, -1, -1):
                 term = left_times(x[t], term)
             for t in range(i + 1, 4):
@@ -745,7 +758,7 @@ def verify_bv_axioms(data: DualityData, max_classes: int = 48, quartic_limit: in
             yield term, 2 * koszul_sign(sum(degs[:i]), 1)
 
     seven_failures, quartic_failures, br_failures = [], [], []
-    seven_checked = _count(((seven_term(a, b, c), "second-order identity fails", (a, b, c))
+    seven_checked = _count(((second_order(a, b, c), "second-order identity fails", (a, b, c))
                             for a, b, c in iproduct(coh, repeat=3)), seven_failures, limit=_FAILURE_LIMIT)
     pool = sorted(coh, key=lambda k: (abs(k[0][0]) + abs(k[0][1]), k))[:10]
     # the key is the quartet as a list, which is how a failure names it

@@ -71,6 +71,10 @@ def _frobenius_duality():
 
 @pytest.fixture(scope="module")
 def poisson_duality():
+    return _poisson_duality()
+
+
+def _poisson_duality():
     ctx = PoissonContext.make(3, "poly")
     pi = quadratic_bivector(ctx, CIRCULANT)
     sl = slice_from_poisson(ctx, pi, 5)
@@ -149,6 +153,25 @@ class TestDuality:
             assert all(v == 0 for v in diff.values())
 
 
+@pytest.mark.parametrize("which, ops_class", [("frobenius", HochschildCochainOps), ("poisson", MultivectorOps)])
+def test_representatives_are_built_once_per_class_and_never_edited(monkeypatch, which, ops_class):
+    # the fixtures' structures, built fresh: every cup, bracket and action of the set-up and of both
+    # verifiers shares one memoized cochain per class, and none of them edits it
+    built, rep = Counter(), ops_class.rep
+
+    def counted(ops, piece, vec):
+        built[piece, frozenset(vec.items())] += 1
+        return rep(ops, piece, vec)
+
+    monkeypatch.setattr(ops_class, "rep", counted)
+    bundle, duality = {"frobenius": _frobenius_duality, "poisson": _poisson_duality}[which]()
+    assert bundle.verify_calculus_axioms(max_classes=14).passed
+    assert verify_bv_axioms(duality, max_classes=20, quartic_limit=80).passed
+    assert built and max(built.values()) == 1
+    for piece, i in bundle.coh_classes():
+        assert bundle.coh_rep((piece, i)) == rep(bundle.ops, piece, bundle.coh_pres[piece].cycle(i))
+
+
 class TestBVReports:
     def test_frobenius_bv_passes(self, frobenius_duality):
         _, duality = frobenius_duality
@@ -208,6 +231,26 @@ def test_bv_identities_hold_on_nonzero_products(monkeypatch, which):
     flip = next(k for k in coh if fractions_of(duality.delta_classes(k)))
     monkeypatch.setattr(duality, "delta_classes", _negated(duality.delta_classes, (flip,)))
     assert verify_bv_axioms(duality, max_classes=len(coh), quartic_limit=60).seven_term_failures
+
+
+def test_bv_table_reads_stay_linear_in_the_pairs(monkeypatch):
+    # the bv-check Frobenius calculus: one BV run reads cup and Δ a bounded number of times per pair of
+    # classes, where re-expanding the pair products for every third class reads cup about 11,000 times
+    duality = _bv_check_bundles()[0]
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapped(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapped
+
+    monkeypatch.setattr(duality.bundle, "cup_classes", counted("cup", duality.bundle.cup_classes))
+    monkeypatch.setattr(duality, "delta_classes", counted("delta", duality.delta_classes))
+    rep = verify_bv_axioms(duality, max_classes=12, quartic_limit=60)
+    assert (rep.passed, rep.seven_term_checked, rep.quartic_checked) == (True, 1728, 60)
+    pairs = len([k for k in duality.bundle.coh_classes() if k[0] in duality.pd][:12]) ** 2
+    assert 0 < calls["cup"] <= 10 * pairs and 0 < calls["delta"] <= 10 * pairs
 
 
 def _escaping_delta_duality():
@@ -1335,13 +1378,21 @@ def test_reports_match_the_oracle_with_one_bracket_negated(monkeypatch):
     assert_bv_matches(duality, 20, 80, (4993, 80, 0, 0, 1))
 
 
-@pytest.mark.parametrize("which, flip, quartic_limit, counts", [
-    ("poisson", None, 60, (13843, 60, 6, 0, 6)),
+@pytest.mark.parametrize("which, method, flip, quartic_limit, counts", [
+    ("poisson", "delta_classes", None, 60, (13843, 60, 6, 0, 6)),
     # the one control that reaches the quartic failure path
-    ("frobenius", ((-1, -1), 0), 10000, (7324, 133, 6, 6, 6))], ids=["poisson", "frobenius"])
-def test_bv_reports_match_the_oracle_with_delta_negated(monkeypatch, which, flip, quartic_limit, counts):
+    ("frobenius", "delta_classes", ((-1, -1), 0), 10000, (7324, 133, 6, 6, 6)),
+    # the cup table, which the seven-term join reads most
+    ("frobenius", "cup_classes", None, 60, (12518, 60, 6, 0, 3))], ids=["poisson", "frobenius", "frobenius-cup"])
+def test_bv_reports_match_the_oracle_with_delta_negated(monkeypatch, which, method, flip, quartic_limit, counts):
     duality = _nonzero_product_duality(which)
     coh = [k for k in duality.bundle.coh_classes() if k[0] in duality.pd]
-    flip = flip or next(k for k in coh if fractions_of(duality.delta_classes(k)))
-    monkeypatch.setattr(duality, "delta_classes", _negated(duality.delta_classes, (flip,)))
+    if method == "delta_classes":
+        owner, flip = duality, (flip or next(k for k in coh if fractions_of(duality.delta_classes(k))),)
+    else:
+        # one nonzero product of two classes other than the unit
+        unit = duality.bundle.unit_class()
+        owner, flip = duality.bundle, next(p for p in iproduct(coh, repeat=2)
+                                           if unit not in p and fractions_of(duality.bundle.cup_classes(*p)))
+    monkeypatch.setattr(owner, method, _negated(getattr(owner, method), flip))
     assert_bv_matches(duality, len(coh), quartic_limit, counts)
