@@ -485,9 +485,10 @@ def hh_class_image(ident: PoissonIdentification, primal_slice, dual_slice, key):
     piece, i = key
     labels = primal_slice.pieces[piece]
     image: dict = {}
-    for j, c in primal_slice.hh(piece).cycle(i).items():
+    num, den = primal_slice.hh(piece).cycle(i)
+    for j, c in num.items():
         _accumulate(image, {ident.form_to_dual(labels[j]): ident.coefficient(labels[j])}, c)
-    return dual_slice.hh(piece).reduce(dual_slice.element_vector(piece, image))
+    return tuple(c / den for c in dual_slice.hh(piece).reduce(dual_slice.element_vector(piece, image)))
 
 
 def fit_dual_product_twist(ident: PoissonIdentification, primal_duality, dual_bundle, eta_dual):
@@ -529,10 +530,11 @@ def poisson_hc_iso(ident: PoissonIdentification, g_primal, g_dual):
         if piece not in stacked2:
             stacked2[piece] = {lab: k for k, lab in enumerate(hc2.stacked_basis(d, w))}
         vec: dict = {}
-        for k, c in hc1.presentation(piece).cycle(i).items():
+        num, den = hc1.presentation(piece).cycle(i)
+        for k, c in num.items():
             u, j = stacked1[k]
             label = hc1.slice.pieces[(d + 2 * u, w)][j]
             k2 = stacked2[piece][(u, index2[(d + 2 * u, w)][ident.form_to_dual(label)])]
             _accumulate(vec, {k2: ident.coefficient(label)}, c)
-        iso[key] = _classes(piece, hc2.presentation(piece), vec)
+        iso[key] = _classes(piece, hc2.presentation(piece), vec, den)
     return iso

@@ -13,8 +13,8 @@ input (the ``ExactMatrix`` constructor and ``from_rows``, sparse vectors)
 is scaled to integer rows over one denominator on the way in
 (``_over_one_denominator``, called nowhere else in the package), so no
 routine here does ``Fraction`` arithmetic, and a ``Fraction`` is built only
-where a value leaves: ``ExactMatrix.apply`` and ``entries``, and the
-``cycle`` and ``reduce`` of a homology presentation.  Outputs are
+where a value leaves: ``ExactMatrix.entries`` and the ``reduce`` of a
+homology presentation.  Outputs are
 deterministic: row reduction produces the (unique) reduced row echelon
 form, so kernels, images and homology presentations are canonical.
 
@@ -24,18 +24,19 @@ coefficient held in the package is an ``int`` wherever its value is an
 integer, and a ``Fraction`` only where it is not (a relation whose normal
 form divides) or where a value leaves through the edges above; ints and
 Fractions hash and compare equal, so a matrix or memo key built from either
-is the same.  Two kinds of vector live above this module.  A chain-level
-vector is a vector of such exact numbers (a ``cycle`` is one of Fractions),
-a homology coordinate is a Fraction, and ``_expand`` sums those.  A homology
-class vector is a ``Row``: integer coefficients {class key: int} over one
-positive denominator, in lowest terms, and ``_iexpand`` sums those.  A
-homology presentation is factored once, when it is built, and keeps the
-integer echelon rows the elimination produced: its boundary and
-representative bases stay in reduced row echelon form, so reading a cycle's
-coordinates (``HomologyPresentation._read``) is one pass on integers, a
-pivot lookup per entry and no new row reduction.  ``mixed._classes``
-relabels that integer row into a class row, and ``reduce`` is its
-``Fraction`` edge.
+is the same.  A vector inside the package is a ``Row``: integer
+coefficients {key: int} over one positive denominator, in lowest terms.  A
+chain-level vector is one keyed by basis index: a presentation's ``cycle``
+hands out its stored representative that way, ``ExactMatrix.apply`` takes
+and returns one, and a cochain or chain built from a row's numerators is
+read back over its denominator.  A homology class vector is one keyed by
+class, and ``_iexpand`` sums those.  A homology presentation is factored
+once, when it is built, and keeps the integer echelon rows the elimination
+produced: its boundary and representative bases stay in reduced row echelon
+form, so reading the coordinates of a cycle over a denominator
+(``HomologyPresentation._read``) is one pass on integers, a pivot lookup per
+entry and no new row reduction.  ``mixed._classes`` relabels that integer
+row into a class row, and ``reduce`` is its ``Fraction`` edge.
 """
 
 from __future__ import annotations
@@ -255,9 +256,9 @@ class ExactMatrix:
     kept in lowest terms (the gcd of ``den`` and every entry is 1), so the
     stored form is canonical and ``==`` compares the rational matrices
     ``num / den``.  The constructor and ``from_rows`` accept rationals;
-    products, transposes, eliminations and stacking read the integers, and a
-    ``Fraction`` is built only where a value leaves the matrix: in ``apply``
-    and in the rational view ``entries``.
+    products, transposes, eliminations, stacking and ``apply`` (an integer
+    row in, one out) read the integers, and a ``Fraction`` is built only in
+    the rational view ``entries``.
     """
 
     __slots__ = ("rows", "cols", "num", "den")
@@ -348,21 +349,20 @@ class ExactMatrix:
                     del acc[key]
         return ExactMatrix._integers(self.rows, other.cols, acc, self.den * other.den)
 
-    def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """M·vec for a sparse vector {column: coefficient}, as a sparse vector of Fractions without zeros.
+    def apply(self, row: Row) -> Row:
+        """M·(num / den) for an integer row (num, den), as an integer row in lowest terms.
 
         Raises DimensionMismatchError on an index outside the columns.
         """
+        vec, dv = row
         if any(not 0 <= j < self.cols for j in vec):
             raise DimensionMismatchError("vector index outside the columns")
-        iv, dv = _over_one_denominator(vec)
         out: dict[int, int] = {}
         for (i, j), v in self.num.items():
-            c = iv.get(j)
+            c = vec.get(j)
             if c:
                 out[i] = out.get(i, 0) + v * c
-        d = self.den * dv
-        return {i: Fraction(c, d) for i, c in out.items() if c}
+        return _lowest({i: c for i, c in out.items() if c}, self.den * dv)
 
     def rank(self) -> int:
         return len(_row_echelon(self.row_dicts()))
@@ -466,22 +466,24 @@ class HomologyPresentation:
         """({boundary pivot: row}, {representative pivot: (basis index, row)}), built on the first read."""
         return dict(self.boundaries), {p: (i, r) for i, (p, r) in enumerate(self.reps)}
 
-    def cycle(self, i: int) -> dict[int, Fraction]:
-        """Representative i as a sparse rational vector with 1 at its pivot, keys ascending."""
+    def cycle(self, i: int) -> Row:
+        """Representative i, 1 at its pivot, as a read-only integer row over its pivot entry (primitive, so lowest)."""
         p, r = self.reps[i]
-        return _fractions(r, r[p])
+        return MappingProxyType(r), r[p]
 
-    def _read(self, vec: dict) -> Row:
-        """The coordinates of a sparse cycle in the homology basis, as an integer row {basis index: int}.
+    def _read(self, vec: dict, den: int) -> Row:
+        """The coordinates of the sparse cycle vec / den in the homology basis, as an integer row {basis index: int}.
 
-        The cycle, scaled to an integer row t over one denominator, is cleared at each boundary pivot in its support,
-        then read and cleared at each representative pivot in it, each pivot found by a lookup; a step is t ← a·t −
-        c·row with c/a = t[p]/row[p] in lowest terms.  Raises DimensionMismatchError on an index outside the ambient
-        dimension, and ValueError if a remainder is left (vec is not a cycle of this presentation).
+        vec holds ints, or Fractions where a constant is not integral.  The cycle, scaled to an integer row t over one
+        denominator, is cleared at each boundary pivot in its support, then read and cleared at each representative
+        pivot in it, each found by a lookup; a step is t ← a·t − c·row with c/a = t[p]/row[p] in lowest terms.
+        Raises DimensionMismatchError on an index outside the ambient dimension, and ValueError if a remainder is
+        left (vec is not a cycle of this presentation).
         """
         if any(not 0 <= j < self.ambient_dim for j in vec):
             raise DimensionMismatchError("vector index outside the ambient dimension")
-        t, den = _over_one_denominator(vec)
+        t, d = _over_one_denominator(vec)
+        den *= d
         boundary_at, rep_at = self._pivots
         for p in [p for p in t if p in boundary_at]:
             row = boundary_at[p]
@@ -497,9 +499,9 @@ class HomologyPresentation:
             raise ValueError("vector is not a cycle of this presentation")
         return _lowest(coords, den)
 
-    def reduce(self, vec: dict[int, Fraction]) -> tuple[Fraction, ...]:
+    def reduce(self, vec: dict) -> tuple[Fraction, ...]:
         """Coordinates of a sparse cycle in the homology basis, as Fractions: ``_read`` where it leaves the package."""
-        num, den = self._read(vec)
+        num, den = self._read(vec, 1)
         return tuple(Fraction(num.get(i, 0), den) for i in range(self.dim))
 
 

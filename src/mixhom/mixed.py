@@ -28,7 +28,6 @@ recipe: lift a b-cycle, apply b + uB, divide by u.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
 
@@ -130,15 +129,15 @@ class MixedComplexSlice:
             (d, w), i = key
             img = self.B_matrix((d, w)).apply(self.hh((d, w)).cycle(i))
             target = (d + 1, w)
-            got = self._B[key] = _classes(target, self.hh(target), img) if img else ZERO_ROW
+            got = self._B[key] = _classes(target, self.hh(target), *img) if img[0] else ZERO_ROW
         return got
 
-    def element_vector(self, piece: Piece, element: dict) -> dict[int, Fraction]:
+    def element_vector(self, piece: Piece, element: dict) -> dict:
         """A {label: coefficient} element of a piece as a sparse vector over its basis; KeyError off the basis."""
         return _coordinates(self.pieces.get(piece, []), element.items(), KeyError)
 
 
-def _coordinates(labels, terms, escape) -> dict[int, Fraction]:
+def _coordinates(labels, terms, escape) -> dict:
     """(label, coefficient) terms as a sparse vector over ``labels``; a nonzero term off them raises ``escape``."""
     idx = {t: i for i, t in enumerate(labels)}
     vec = {}
@@ -323,8 +322,8 @@ class NegativeCyclic:
             piece, i = key
             # the u⁰ component comes first in the stacked basis
             n0 = self.slice.dim(piece)
-            x0 = {j: c for j, c in self.presentation(piece).cycle(i).items() if j < n0}
-            got = self._pi[key] = _classes(piece, self.slice.hh(piece), x0)
+            num, den = self.presentation(piece).cycle(i)
+            got = self._pi[key] = _classes(piece, self.slice.hh(piece), {j: c for j, c in num.items() if j < n0}, den)
         return got
 
     def beta(self, key: ClassKey) -> Row:
@@ -339,17 +338,17 @@ class NegativeCyclic:
             (d, w), i = key
             img = self.slice.B_matrix((d, w)).apply(self.slice.hh((d, w)).cycle(i))
             # the u⁰ component comes first in the stacked basis
-            got = self._beta[key] = _classes((d + 1, w), self.presentation((d + 1, w)), img) if img else ZERO_ROW
+            got = self._beta[key] = _classes((d + 1, w), self.presentation((d + 1, w)), *img) if img[0] else ZERO_ROW
         return got
 
 
-def _classes(piece: Piece, pres: HomologyPresentation, vec: dict) -> Row:
-    """The class row of a cycle of a piece in its presentation: the one place a class vector is made.
+def _classes(piece: Piece, pres: HomologyPresentation, vec: dict, den: int) -> Row:
+    """The class row of the cycle vec / den of a piece in its presentation: the one place a class vector is made.
 
     ``pres._read``'s integer row relabelled {(piece, j): int}, read-only, over its one positive denominator in
     lowest terms; zero is ``ZERO_ROW``.
     """
-    num, den = pres._read(vec)
+    num, den = pres._read(vec, den)
     return (MappingProxyType({(piece, j): v for j, v in num.items()}), den) if num else ZERO_ROW
 
 

@@ -314,7 +314,7 @@ def schouten(ctx: PoissonContext, P: GCAElement, Q_: GCAElement) -> GCAElement:
     """Schouten bracket [P, Q] = Σ_q (c_q/den)·den[P, m_q] over the monomials of Q, read off ``_bracket_columns``."""
     (den, apply), out = _bracket_columns(ctx, P), {}
     for mq, cq in Q_.items():
-        _accumulate(out, apply(mq), Q(cq, den))
+        _accumulate(out, apply(mq), cq if den == 1 else Q(cq, den))
     return out
 
 

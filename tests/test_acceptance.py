@@ -443,7 +443,7 @@ def test_hc_minus_presentations_are_built_for_read_pieces_only(derived_pi):
     # β reduces in the piece one degree above each class whose B image is nonzero
     verify_gravity_axioms(gp, n_max=3, check_max=3)
     hc, sl = gp.hc, gp.hc.slice
-    targets = {(d + 1, w) for ((d, w), i) in hc._beta if sl.B_matrix((d, w)).apply(sl.hh((d, w)).cycle(i))}
+    targets = {(d + 1, w) for ((d, w), i) in hc._beta if sl.B_matrix((d, w)).apply(sl.hh((d, w)).cycle(i))[0]}
     assert set(hc._pres) == {piece for piece, _ in gp.basis} | targets
     assert (len(hc._beta), len(targets), len(hc._pres)) == (26, 5, 6)
 

@@ -8,7 +8,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from mixhom.algebra import QuadraticPresentation, make_exterior_algebra, make_truncated_polynomial_algebra
+import mixhom.calculus as calculus
+from mixhom.algebra import QuadraticPresentation, koszul_sign, make_exterior_algebra, make_truncated_polynomial_algebra
 from mixhom.calculus import (
     AxiomReport,
     BVReport,
@@ -18,6 +19,7 @@ from mixhom.calculus import (
     HochschildCochainOps,
     MultivectorOps,
     WindowError,
+    _signed_sum,
     attach_duality,
     delta_pairs,
     hochschild_dual_bundle,
@@ -28,12 +30,12 @@ from mixhom.calculus import (
 )
 from mixhom.hochschild import Cochain
 from mixhom.koszul import dual_bivector_coeffs, fit_dual_product_twist, koszul_poisson_identification, quadratic_algebra
-from mixhom.linalg import (ZERO_ROW, ExactMatrix, NotAComplexError, _accumulate, _expand, _fractions, _iexpand,
+from mixhom.linalg import (ZERO_ROW, ExactMatrix, NotAComplexError, Row, _accumulate, _expand, _fractions, _iexpand,
                            _pullback)
 from mixhom.mixed import ClassKey, slice_from_hochschild_dual, slice_from_poisson, slice_from_poisson_dual
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
 from test_hochschild import all_tuples_up_to_weight, coboundary_scan
-from test_linalg import _bv_check_bundles, solve_in_span
+from test_linalg import _bv_check_bundles, apply_fractions, solve_in_span
 from test_mixed import _as_classes
 from test_poisson import delta_by_monomials
 
@@ -50,6 +52,18 @@ def fractions_of(row):
 def _fraction_view(method):
     """``method`` with its class rows read as Fractions: the form the oracles below take."""
     return lambda *args: fractions_of(method(*args))
+
+
+def coh_rep_fractions(bundle, key):
+    """A class's cochain representative with Fraction coefficients: the cochain of its cycle read as Fractions."""
+    piece, i = key
+    return bundle.ops.rep(piece, _fractions(*bundle.coh_pres[piece].cycle(i)))
+
+
+def hom_rep_vector(bundle, key):
+    """A homology class's representative as sparse Fractions {basis index: Fraction}."""
+    piece, i = key
+    return _fractions(*bundle.slice.hh(piece).cycle(i))
 
 @pytest.fixture(scope="module")
 def frobenius_duality():
@@ -169,7 +183,8 @@ def test_representatives_are_built_once_per_class_and_never_edited(monkeypatch, 
     assert verify_bv_axioms(duality, max_classes=20, quartic_limit=80).passed
     assert built and max(built.values()) == 1
     for piece, i in bundle.coh_classes():
-        assert bundle.coh_rep((piece, i)) == rep(bundle.ops, piece, bundle.coh_pres[piece].cycle(i))
+        num, den = bundle.coh_pres[piece].cycle(i)
+        assert bundle.coh_rep((piece, i)) == (rep(bundle.ops, piece, num), den)
 
 
 class TestBVReports:
@@ -357,10 +372,10 @@ def assert_dual_action_matches(bundle, pairs, oracle):
     """
     nonzero = 0
     for f, z in pairs:
-        rep = bundle.coh_rep(f)
+        rep = coh_rep_fractions(bundle, f)
         labels = bundle.slice.pieces[z[0]]
         want = {}
-        for j, c in bundle.hom_rep_vector(z).items():
+        for j, c in hom_rep_vector(bundle, z).items():
             _accumulate(want, oracle(rep, labels[j]), c)
         target = (z[0][0] + f[0][0], z[0][1] - f[0][1])
         got = fractions_of(bundle.cap_classes(f, z))
@@ -574,9 +589,9 @@ def _cap_fractions(bundle, f, z):
     """ι_f on a homology class as {class key: Fraction}; None where it leaves the window."""
     (D1, o1), (dz, wz) = f[0], z[0]
     target = (dz + D1, wz + bundle.weight_sign * o1)
-    act = partial(bundle.act, bundle.coh_rep(f))
+    act = partial(bundle.act, coh_rep_fractions(bundle, f))
     labels = bundle.slice.pieces[z[0]]
-    z_rep = {labels[j]: c for j, c in bundle.hom_rep_vector(z).items()}
+    z_rep = {labels[j]: c for j, c in hom_rep_vector(bundle, z).items()}
     try:
         if bundle.weight_sign == 1:
             out = _expand(z_rep, act)
@@ -594,7 +609,7 @@ def _cap_fractions(bundle, f, z):
 def _B_fractions(sl, key):
     """B on a b-homology basis class as {class key: Fraction}."""
     (d, w), i = key
-    img = sl.B_matrix((d, w)).apply(sl.hh((d, w)).cycle(i))
+    img = apply_fractions(sl.B_matrix((d, w)), _fractions(*sl.hh((d, w)).cycle(i)))
     return _as_classes((d + 1, w), sl.hh((d + 1, w)).reduce(img)) if img else {}
 
 
@@ -673,6 +688,21 @@ def test_class_rows_match_the_fraction_form(which, c):
         assert got == want, key
         nonzero["Δ"] += want not in ({}, WindowError, DualityError)
     assert all(nonzero[k] for k in ("cup", "bracket", "cap", "B", "Δ")), nonzero
+
+
+def test_the_reference_caps_see_the_sign_of_the_dual_action(monkeypatch):
+    # on the bv-check Frobenius bundle, ι_f φ = (-1)^{|f||φ|} φ∘ι_f is -φ∘ι_f for odd f and φ: the reference
+    # matches cap_classes there, and a cap_classes whose pullback drops that sign fails it
+    def mismatches():
+        bundle = _bv_check_bundles()[0].bundle
+        odd = [(f, z) for f in bundle.coh_classes() if f[0][0] % 2 for z in bundle.hom_classes() if z[0][0] % 2]
+        want = [_cap_fractions(bundle, f, z) for f, z in odd]
+        assert sum(bool(w) for w in want) > 20
+        return sum(fractions_of(bundle.cap_classes(f, z)) != w for (f, z), w in zip(odd, want))
+
+    assert mismatches() == 0
+    monkeypatch.setattr(calculus, "_pullback", lambda phi, sources, apply, sign: _pullback(phi, sources, apply, 1))
+    assert mismatches() > 20
 
 
 @pytest.mark.parametrize("which", ["frobenius", "poisson"])
@@ -1008,7 +1038,7 @@ def _reduce_coh_oracle(self, piece, cochain):
 def _product_classes_oracle(bundle, op, degree, a, b):
     (D1, o1), (D2, o2) = a[0], b[0]
     try:
-        val = op(bundle.coh_rep(a), bundle.coh_rep(b))
+        val = op(coh_rep_fractions(bundle, a), coh_rep_fractions(bundle, b))
     except WindowError:
         return None
     return _reduce_coh_oracle(bundle, (D1 + D2 + degree, o1 + o2), val)
@@ -1038,7 +1068,7 @@ def test_product_classes_match_the_is_zero_first_oracle(which, kinds):
 
 def test_a_product_outside_the_window_reduces_by_whether_it_is_zero():
     bundle = _bv_check_bundles()[0].bundle
-    ops, rep = bundle.ops, bundle.coh_rep
+    ops, rep = bundle.ops, partial(coh_rep_fractions, bundle)
     a = ((-2, -3), 0)
     for b, piece, zero in [(a, (-4, -6), True), (((0, -3), 0), (-2, -6), False), (((0, -1), 0), (-2, -4), False)]:
         table = ops.cup(rep(a), rep(b)).table
@@ -1185,6 +1215,18 @@ def _verify_lie_rules_oracle(self, rep: AxiomReport, coh, hom):
                 rep.failures.append(f"[L_f, L_g] ≠ L_(f,g) on {a}, {b}, {z}")
 
 
+def generated_bracket(self, a: ClassKey, b: ClassKey) -> Row | None:
+    """[a,b] = (-1)^{|a|+1} (Δ(a∪b) - Δa∪b - (-1)^{|a|} a∪Δb); None where a product escapes."""
+    cup, lead = self.bundle.cup_classes, koszul_sign(a[0][0] + 1, 1)
+
+    def terms():
+        yield _iexpand(cup(a, b), self.delta_classes), lead
+        yield _iexpand(self.delta_classes(a), lambda k: cup(k, b)), -lead
+        yield _iexpand(self.delta_classes(b), lambda k: cup(a, k)), -lead * koszul_sign(a[0][0], 1)
+
+    return _signed_sum(terms())
+
+
 def verify_bv_axioms_oracle(data: DualityData, max_classes: int = 48, quartic_limit: int = 2000) -> BVReport:
     """BV diagnostics: Δ² = 0, the seven-term second-order identity on all
     basis triples in window, the quartic expansion of Δ on 4-fold products,
@@ -1315,7 +1357,7 @@ def verify_bv_axioms_oracle(data: DualityData, max_classes: int = 48, quartic_li
     br_failures: list[str] = []
     for a, b in iproduct(coh, repeat=2):
         native = fractions_of(bundle.bracket_classes(a, b))
-        gen = available(_fraction_view(data.generated_bracket), a, b)
+        gen = available(_fraction_view(partial(generated_bracket, data)), a, b)
         if native is None or gen is None:
             continue
         if _accumulate(dict(gen), native, -1):

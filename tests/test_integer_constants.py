@@ -7,6 +7,10 @@ Each algebra is rebuilt that way and must give the same b and B matrices,
 HH and HC⁻ dimensions, U rows, Koszul verdicts and small-model dimensions
 as the integer builders.  The integral algebras must hold no ``Fraction``,
 and a presentation whose normal form divides must keep one.
+
+A chain-level vector is an integer row too: a representative, B applied to
+it and a cochain built from it hold ints, and the BV checks and the LES
+reads of the benchmark workloads build almost no ``Fraction``.
 """
 
 from fractions import Fraction
@@ -23,8 +27,11 @@ from mixhom.algebra import (
     make_truncated_polynomial_algebra,
 )
 from mixhom.hochschild import boundary_b, connes_B
+from mixhom.calculus import verify_bv_axioms
 from mixhom.linalg import _fractions, _integer_rref, _positive
 from test_koszul import CLI_BATCH_PRESENTATIONS
+from test_linalg import _bv_check_bundles
+from test_mixed import CLI_BATCH_SLICES
 
 # relation 2·e1e2 − e2e1: the echelon row of (R) has pivot entry 2, so e1e2 reduces to ½·e2e1
 HALF = (lambda: QuadraticPresentation(2, (0, 0), ((0, 2, -1, 0),), name="half"), 4)
@@ -143,3 +150,55 @@ def test_a_normal_form_that_divides_keeps_its_fraction():
     assert halves and all(c.denominator > 1 for c in halves)
     assert Fraction(1, 2) in halves
     assert any(type(c) is Fraction for rows in data.dual_weight_pieces.values() for u in rows for c in u.values())
+
+
+# -- representatives and what is built from them --------------------------------
+
+
+def fractions_built(monkeypatch, run):
+    """The number of ``Fraction`` objects constructed while ``run()`` runs."""
+    count, new = [0], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counting)
+        run()
+    return count[0]
+
+
+def test_the_bv_checks_and_the_les_reads_build_almost_no_fraction(monkeypatch):
+    # a representative read as Fractions and scaled back to integers made ~3,000 per bv-check
+    # op and 420 per LES check of the cli-batch poly3 slice; what is left is the reduce edge
+    # that finds each volume class
+    def bv():
+        for duality in _bv_check_bundles():
+            assert verify_bv_axioms(duality, max_classes=12, quartic_limit=60).passed
+
+    sl = CLI_BATCH_SLICES["poly3"]()
+    assert fractions_built(monkeypatch, bv) <= 50
+    assert fractions_built(monkeypatch, lambda: mixed.les_check(mixed.NegativeCyclic(sl, mixed.default_truncation(sl)))) == 0
+
+
+def test_representatives_and_their_images_hold_ints():
+    frobenius, _ = _bv_check_bundles()  # Λ(2)
+    bundle, sl = frobenius.bundle, frobenius.bundle.slice
+    rows = 0
+    for piece in sl.pieces:
+        for i in range(sl.hh(piece).dim):
+            for num, den in (sl.hh(piece).cycle(i), sl.B_matrix(piece).apply(sl.hh(piece).cycle(i))):
+                assert type(den) is int and all(type(c) is int for c in num.values())
+                rows += 1
+    for key in bundle.coh_classes():
+        cochain, den = bundle.coh_rep(key)
+        assert type(den) is int and all(type(c) is int for val in cochain.table.values() for c in val.values())
+    assert rows and bundle.coh_classes()
+
+
+def test_a_representative_row_is_read_only():
+    sl = _bv_check_bundles()[0].bundle.slice
+    num, _ = sl.hh((2, 2)).cycle(0)
+    with pytest.raises(TypeError):
+        num[next(iter(num))] = 0

@@ -146,6 +146,17 @@ def sparse_vec(v):
     return {j: c for j, c in enumerate(v) if c}
 
 
+def row_of(vec):
+    """A sparse rational vector as the integer row (num, den) that ``ExactMatrix.apply`` takes."""
+    den = _denominator(vec.values())
+    return {j: int(c * den) for j, c in vec.items() if c}, den
+
+
+def apply_fractions(M, vec):
+    """M·vec for a sparse rational vector, as the sparse Fractions of the integer row ``ExactMatrix.apply`` returns."""
+    return _fractions(*M.apply(row_of(vec)))
+
+
 def dense_rows(rows, n):
     """Stored (pivot, integer row) pairs as dense Fraction vectors with 1 at the pivot."""
     return [tuple(Q(r.get(j, 0), r[p]) for j in range(n)) for p, r in rows]
@@ -248,9 +259,9 @@ def test_presentation_reduction_properties():
     for b in dense_boundaries(pres):
         assert all(c == 0 for c in pres.reduce(sparse_vec(b)))
     for i in range(pres.dim):
-        coords = pres.reduce(pres.cycle(i))
+        coords = pres.reduce(_fractions(*pres.cycle(i)))
         assert coords == tuple(Q(int(j == i)) for j in range(pres.dim))
-    assert [sparse_vec(v) for v in dense_cycles(pres)] == [pres.cycle(i) for i in range(pres.dim)]
+    assert [sparse_vec(v) for v in dense_cycles(pres)] == [_fractions(*pres.cycle(i)) for i in range(pres.dim)]
 
 
 def test_stored_rows_are_integers_with_positive_pivots():
@@ -264,7 +275,7 @@ def test_stored_rows_are_integers_with_positive_pivots():
     # a representative with a negative leading kernel entry is stored with a positive pivot
     pres = homology_presentation(ExactMatrix.zero(2, 0), ExactMatrix.from_rows([[2, 6]]))
     assert pres.reps == ((0, {0: 3, 1: -1}),)
-    assert pres.cycle(0) == {0: Q(1), 1: Q(-1, 3)}
+    assert _fractions(*pres.cycle(0)) == {0: Q(1), 1: Q(-1, 3)}
     assert_integer_rows(pres)
 
 
@@ -291,7 +302,7 @@ small_fracs = st.builds(
 def test_kernel_vectors_really_in_kernel(rows):
     M = ExactMatrix.from_rows(rows)
     for v in kernel_basis(M):
-        assert M.apply(sparse_vec(v)) == {}
+        assert M.apply(row_of(sparse_vec(v))) == ({}, 1)
     # determinism: same input, same output
     assert kernel_basis(M) == kernel_basis(ExactMatrix.from_rows(rows))
 
@@ -370,7 +381,7 @@ def test_reduce_rejects_wrong_length():
         with pytest.raises(DimensionMismatchError):
             pres.reduce(bad)
     with pytest.raises(DimensionMismatchError):
-        ExactMatrix.from_rows([[1, 0], [0, 1]]).apply({2: Q(1)})
+        ExactMatrix.from_rows([[1, 0], [0, 1]]).apply(({2: 1}, 1))
 
 
 small_ints = st.integers(min_value=-3, max_value=3)
@@ -813,7 +824,10 @@ def test_homology_presentation_matches_oracle(drawn):
     want = oracle_homology_presentation(d_in, d_out)
     assert got == want
     assert_integer_rows(got)
-    assert_fractions([got.cycle(i) for i in range(got.dim)])
+    # a representative is an integer row over its positive pivot entry, in lowest terms
+    for num, den in map(got.cycle, range(got.dim)):
+        assert all(type(v) is int for v in num.values()) and type(den) is int and den > 0
+        assert gcd(den, *num.values()) == 1
     if boundaries and d_out.rows and any(d_out.entries):
         # a column outside ker d_out makes d_in no boundary map: both kernels name the same column
         j = min(j for (_, j) in d_out.entries)
@@ -1171,7 +1185,7 @@ def fraction_reduce(pres, vec):
 
 
 def _reduce_calls(monkeypatch, tmp_path, workload, c):
-    """Every (presentation, vector) that one op of a benchmark workload reads, with π scaled by c.
+    """Every (presentation, vector, denominator) that one op of a benchmark workload reads, with π scaled by c.
 
     The capture wraps the integer read, which ``reduce`` and every class row go through.
     """
@@ -1183,9 +1197,9 @@ def _reduce_calls(monkeypatch, tmp_path, workload, c):
     calls = []
     read = HomologyPresentation._read
 
-    def recording(self, vec):
-        calls.append((self, dict(vec)))
-        return read(self, vec)
+    def recording(self, vec, den):
+        calls.append((self, dict(vec), den))
+        return read(self, vec, den)
 
     with monkeypatch.context() as mp:
         mp.setattr(HomologyPresentation, "_read", recording)
@@ -1205,15 +1219,16 @@ def _not_a_unit(pres):
 def test_integer_reduce_matches_the_fraction_reduce_on_the_workloads(monkeypatch, tmp_path, workload, c):
     calls = _reduce_calls(monkeypatch, tmp_path, workload, c)
     reduce = HomologyPresentation.reduce
-    for pres, vec in calls:
-        got, want = reduce(pres, vec), fraction_reduce(pres, vec)
+    for pres, vec, den in calls:
+        rational = _fractions(vec, den)
+        got, want = reduce(pres, rational), fraction_reduce(pres, rational)
         assert got == want and all(type(x) is Fraction for x in got + want)
-        assert _fractions(*pres._read(vec)) == {i: x for i, x in enumerate(want) if x}
+        assert _fractions(*pres._read(vec, den)) == {i: x for i, x in enumerate(want) if x}
     # pieces whose pivot entries are not units are among them
-    assert len(calls) > 100 and any(_not_a_unit(pres) for pres, _ in calls)
+    assert len(calls) > 100 and any(_not_a_unit(pres) for pres, _, _ in calls)
     # negative controls on every presentation: an index out of range, and each unit vector, a cycle or not
     refused = 0
-    for pres in {id(pres): pres for pres, _ in calls}.values():
+    for pres in {id(pres): pres for pres, _, _ in calls}.values():
         for bad in ({pres.ambient_dim: Q(1)}, {-1: Q(1), 0: Q(2)}):
             for fn in (reduce, fraction_reduce):
                 with pytest.raises(DimensionMismatchError):
@@ -1239,8 +1254,8 @@ def _clearing_steps(monkeypatch, reads):
 
     with monkeypatch.context() as mp:
         mp.setattr(linalg, "_iaccumulate_over", recording)
-        for pres, vec in reads:
-            pres._read(vec)
+        for pres, vec, den in reads:
+            pres._read(vec, den)
     return steps
 
 
@@ -1250,13 +1265,13 @@ def test_every_clearing_step_of_a_read_is_in_lowest_terms(monkeypatch, tmp_path)
     reads = _reduce_calls(monkeypatch, tmp_path, "cli-batch", Q(1))
     steps = _clearing_steps(monkeypatch, reads)
     assert all(gcd(a, c) == 1 and a > 0 for _, a, c in steps)
-    assert any(_not_a_unit(pres) for pres, _ in reads) and any(a != pivot for pivot, a, _ in steps)
+    assert any(_not_a_unit(pres) for pres, _, _ in reads) and any(a != pivot for pivot, a, _ in steps)
     # hand-made presentations whose boundary pivot entry is 2 and whose representative pivot entry is 3
     pres = homology_presentation(ExactMatrix(3, 1, {(0, 0): Q(2), (1, 0): Q(1)}), ExactMatrix(0, 3))
     made = homology_presentation(ExactMatrix(2, 0), ExactMatrix(1, 2, {(0, 0): Q(1), (0, 1): Q(-3)}))
     assert [row[p] for p, row in pres.boundaries + made.reps] == [2, 3]
-    steps = _clearing_steps(monkeypatch, [(pres, {0: Q(4), 1: Q(2), 2: Q(6)}), (pres, {0: Q(2, 3), 2: Q(5)}),
-                                          (made, {0: Q(9), 1: Q(3)})])
+    steps = _clearing_steps(monkeypatch, [(pres, {0: Q(4), 1: Q(2), 2: Q(6)}, 1), (pres, {0: Q(2, 3), 2: Q(5)}, 1),
+                                          (made, {0: Q(9), 1: Q(3)}, 1)])
     assert all(gcd(a, c) == 1 and a > 0 for _, a, c in steps)
     assert [pivot // a for pivot, a, _ in steps] == [2, 1, 2, 1, 1, 3]  # the g of each step
 
@@ -1511,7 +1526,7 @@ def test_integer_read_matches_the_scanning_reduce(n, data):
     for vec in [cycle, noisy, noise] + [sparse_vec(b) for b in boundaries]:
         want = _raised(oracle_reduce, pres, vec)
         assert _raised(pres.reduce, vec) == want
-        got = _raised(pres._read, vec)
+        got = _raised(pres._read, vec, 1)
         if want and isinstance(want[0], type):
             assert got == want
             continue

@@ -28,6 +28,7 @@ from mixhom.poisson import (
     schouten,
     unimodularity_check,
 )
+from test_linalg import apply_fractions
 
 Q = Fraction
 
@@ -429,7 +430,7 @@ class DualSideByFunctionals(DualSide):
             if (d, w) in mats:
                 # each piece of φ lands in a piece of its own, so no two parts share a label
                 labels = self.pieces[(d + shift, w)]
-                for i, c in mats[(d, w)].apply(part).items():
+                for i, c in apply_fractions(mats[(d, w)], part).items():
                     out[labels[i]] = c
         return out
 
