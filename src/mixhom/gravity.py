@@ -41,18 +41,20 @@ class GravityStructure:
     (``linalg.Row``): ``bracket``, ``table_lookup``, ``bracket_combo`` and
     ``entries`` return rows, and a bracket, which the tables keep, is
     read-only.  π* and β are the ``hc`` object's rows, memoized there per
-    basis class, so structures over one HC⁻ share them;
-    the transported product of each pair of b-homology classes is memoized
-    here (``dot_pair``).  The left-associated products π*(x_1)·…·π*(x_k) are
+    basis class, so structures over one HC⁻ share them; the transported
+    product of each pair of b-homology classes is memoized here
+    (``dot_pair``).  The left-associated products π*(x_1)·…·π*(x_k) are
     memoized per prefix (``None`` where the product escapes the window), so a
     bracket costs one product with its last argument, and a row whose prefix
-    product is zero is zero throughout.  Every ordered tuple is computed from
-    its own prefix; none is filled in from a permutation.  A table of arity n
-    holds only its nonzero and unavailable (``None``) entries, keyed by
-    tuples of basis indices (a class outside the basis stands for itself);
-    an entry it lacks is zero once its row is filled.  No zero row is
-    copied: a zero product or bracket is the shared ``ZERO_ROW``, and a zero
-    prefix is memoized as the zero row it extends.
+    product is zero is zero throughout; a row whose prefix product is nonzero
+    is extended only by the memoized reaches of its support (``_extensions``),
+    as every other entry is a sum of available zero products.  Every ordered
+    tuple is computed from its own prefix; none is filled in from a
+    permutation.  A table of arity n holds only its nonzero and unavailable
+    (``None``) entries, keyed by tuples of basis indices (a class outside the
+    basis stands for itself); an entry it lacks is zero once its row is
+    filled.  No zero row is copied: a zero product or bracket is the shared
+    ``ZERO_ROW``, and a zero prefix is memoized as the zero row it extends.
     """
 
     def __init__(self, hc: NegativeCyclic, duality: DualityData, basis: list[HCKey] | None = None):
@@ -65,6 +67,7 @@ class GravityStructure:
         self.index = {k: i for i, k in enumerate(basis)}
         self._dot: dict[tuple[ClassKey, ClassKey], Row] = {}
         self._prefixes: dict[tuple, Row | None] = {}
+        self._reaches: dict[ClassKey, frozenset[int]] = {}
         self._tables: dict[int, dict[tuple, Row | None]] = {}
         self._filled: set[tuple] = set()  # the rows whose every entry is tabled
 
@@ -108,6 +111,21 @@ class GravityStructure:
                     lambda: self._dot_combo(head, self.hc.pi_star(self._key(tk[-1]))))
             self._prefixes[tk] = prod
         return self._prefixes[tk]
+
+    def _reach(self, a: ClassKey) -> frozenset[int]:
+        """The basis indices t for which a·π*(x_t) is nonzero or unavailable; memoized."""
+        if a not in self._reaches:
+            self._reaches[a] = frozenset(t for t, k in enumerate(self.basis) if not _is_zero(
+                _available(lambda k: self._dot_combo(({a: 1}, 1), self.hc.pi_star(k)), k)))
+        return self._reaches[a]
+
+    def _extensions(self, head: tuple):
+        """The basis indices that can give a row with this prefix a nonzero or unavailable entry, in order:
+        all of them for an empty or unavailable prefix, else the union of the reaches of its support."""
+        prod = self._prefix(head) if head else None
+        if prod is None:
+            return range(len(self.basis))
+        return sorted(frozenset().union(*map(self._reach, prod[0])))
 
     # -- brackets -------------------------------------------------------------
 
@@ -178,13 +196,13 @@ class GravityStructure:
 
     def _rows(self, head: tuple, length: int):
         """The rows of the given length extending ``head`` whose prefix product
-        is not zero, in lexicographic order; a zero prefix prunes its subtree."""
+        is not zero, in lexicographic order, each extended by its ``_extensions``."""
         if head and _is_zero(self._prefix(head)):
             return
         if len(head) == length:
             yield head
             return
-        for i in range(len(self.basis)):
+        for i in self._extensions(head):
             yield from self._rows(head + (i,), length)
 
     def entries(self, arity: int, first: HCKey | None = None) -> dict[tuple[int, ...], Row | None]:
@@ -194,17 +212,18 @@ class GravityStructure:
         a candidate; with it, only the rows whose first argument is that
         class, keyed by the basis indices of the remaining arguments.  The
         rows are filled prefix by prefix, skipping every row whose prefix
-        product is zero; the result is what the table then holds for those
-        tuples, in lexicographic order.
+        product is zero, and a row only by its ``_extensions``, since every
+        other entry is zero; the result is what the table then holds for
+        those tuples, in lexicographic order.
         """
         table = self._tables.setdefault(arity, {})
         head = () if first is None else (self.index.get(first, first),)
         for row in self._rows(head, arity - 1):
             if row not in self._filled:
                 keys = [self._key(t) for t in row]
-                for i, last in enumerate(self.basis):
+                for i in self._extensions(row):
                     if row + (i,) not in table:
-                        self._tabulate(table, row + (i,), keys + [last])
+                        self._tabulate(table, row + (i,), keys + [self.basis[i]])
                 self._filled.add(row)
         h = len(head)
         return dict(sorted(

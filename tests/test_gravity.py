@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -615,7 +616,7 @@ class PerTupleTables:
         if tk not in table:
             try:
                 table[tk] = self.bracket(list(keys))
-            except (WindowError, KeyError):
+            except (WindowError, DualityError, KeyError):
                 table[tk] = None
         return table[tk]
 
@@ -674,6 +675,45 @@ class TestPrefixTablesAgainstOracle:
         assert oracle.table_lookup([stray, live]) is None
         assert oracle.table_lookup([zero, stray]) == {}
 
+    @pytest.mark.parametrize("first", [False, True])
+    def test_unavailable_last_argument(self, zero_pi_structure, first):
+        # a basis class with no HC⁻ presentation: π* of it escapes, so a live
+        # row's reach must hold it, and its entry stays unavailable
+        g = zero_pi_structure
+        stray = ((0, 99), 0)
+        h = GravityStructure(g.hc, g.duality, [stray] + g.basis if first else g.basis + [stray])
+        assert_lookups_match_oracle(h, (2,))
+        table = h.entries(2)
+        assert (len(table), sum(v is None for v in table.values())) == (25, 19)
+
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_pair(self, pair, side):
+        assert_lookups_match_oracle(pair[side], (2, 3))
+
+    def test_products_without_a_pd_preimage(self):
+        # the binary table of the K = 35 structure below holds unavailable
+        # entries only, where a product has no PD preimage (DualityError) or
+        # escapes the window: a reach must count both as reached
+        g = _no_pd_preimage_structure()
+        assert_lookups_match_oracle(g, (2,))
+        assert list(g.entries(2).values()) == [None] * 950
+
+    def test_a_short_reach_fails_the_oracle(self, pair, monkeypatch):
+        # drop from one class's reach the last argument of a nonzero binary
+        # entry that no other class of its prefix's support reaches: the
+        # filled row then lacks that entry, and the oracle sees it
+        g = pair[1]
+        a, b, c = next(
+            (a, b, c) for (a, b), v in g.entries(2).items() if v
+            for c in g._prefix((a,))[0]
+            if [k for k in g._prefix((a,))[0] if b in g._reach(k)] == [c])
+        reach = GravityStructure._reach
+        monkeypatch.setattr(GravityStructure, "_reach",
+                            lambda self, k: reach(self, k) - {b} if k == c else reach(self, k))
+        assert (a, b) not in fresh(g).entries(2)
+        with pytest.raises(AssertionError):
+            assert_lookups_match_oracle(g, (2,))
+
 
 def test_skew_check_sees_one_corrupted_prefix(truncated):
     # doubling the memoized product of one ordered pair (a, b) before the
@@ -690,6 +730,26 @@ def test_skew_check_sees_one_corrupted_prefix(truncated):
     # the binary table is intact, so the first failure is at arity 3
     assert rep.skew_failures and rep.skew_failures[0].count(",") == 2
     assert any(f.startswith(f"skew fails on ({a}, {b}, ") for f in rep.skew_failures)
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_table_filling_stays_within_the_reaches(pair, side):
+    # filling arities 2..4 over the K = 17 pair structure evaluates a bracket
+    # only where a prefix's support reaches the last class, where extending
+    # every live row by all K classes makes 3,145 brackets
+    g = pair[side]
+    h = GravityStructure(g.hc, g.duality, g.basis)
+    calls = Counter()
+    bracket = h.bracket
+
+    def counted(keys):
+        calls[len(keys)] += 1
+        return bracket(keys)
+
+    h.bracket = counted
+    nonzero = {n: sum(v is not None for v in h.entries(n).values()) for n in (2, 3, 4)}
+    assert nonzero == {2: 24, 3: 72, 4: 144}
+    assert sum(calls.values()) <= 600, calls
 
 
 # -- the Fraction bracket path, kept as the differential oracle ---------------------
@@ -1298,6 +1358,21 @@ def test_fit_dual_product_twist_lets_unrelated_errors_through(pair, monkeypatch,
     monkeypatch.setattr(DualityData, "dot", guarded)
     with pytest.raises(TypeError, match=side):
         fitted_dual_product_twist(ident, gp.duality, gd.duality.bundle, gd.duality.eta)
+
+
+def _no_pd_preimage_structure():
+    """The K = 35 k[x1, x2] structure of the test below."""
+    from mixhom.algebra import make_truncated_polynomial_algebra
+    from mixhom.calculus import hochschild_bundle
+    from mixhom.mixed import slice_from_hochschild
+
+    A = make_truncated_polynomial_algebra(2, 5)
+    sl = slice_from_hochschild(A, 5)
+    bundle = hochschild_bundle(A, sl, q_max=3, v_max=3,
+                               coh_window=lambda p: -2 <= p[0] <= 0 and -1 <= p[1] <= 0)
+    x1, x2 = A.index["x1"], A.index["x2"]
+    duality = attach_duality(bundle, _class_of(sl, (2, 2), {(A.unit, x1, x2): Q(1), (A.unit, x2, x1): Q(-1)}))
+    return GravityStructure(NegativeCyclic(sl, default_truncation(sl)), duality)
 
 
 def test_a_product_without_a_pd_preimage_is_a_window_skip():
