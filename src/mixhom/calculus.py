@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from itertools import combinations, product as iproduct, starmap
 from types import MappingProxyType
@@ -554,7 +553,7 @@ class DualityData:
     _pd: dict[ClassKey, Row] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def _twist(self, piece: Piece) -> int | Fraction:
+    def _twist(self, piece: Piece):
         return 1 if self.pd_twist is None else self.pd_twist(piece)
 
     def pd_of(self, key: ClassKey) -> Row:
@@ -613,6 +612,7 @@ def attach_duality(bundle: CalculusBundle, eta: ClassKey, pd_twist=None) -> Dual
     piece whose target piece lies in the window; failures are raised as
     DualityError naming the violated axiom.  ``pd_twist`` is an optional
     per-piece unit normalizing the volume identification.  It is applied
+    only by ``DualityData.pd_of``, which gives the rows inverted here, and
     after the axiom checks, so a -1 at the unit's piece is allowed: it
     rescales the volume class itself, as the derived dual twist does.
     """
@@ -633,20 +633,16 @@ def attach_duality(bundle: CalculusBundle, eta: ClassKey, pd_twist=None) -> Dual
         target = (piece[0] + de, we + bundle.weight_sign * piece[1])
         tgt_dim = bundle.slice.hh(target).dim if bundle.slice.dim(target) else 0
         m = pres.dim
-        t = data._twist(piece)
-        # row i of [PDᵀ | I] times den·q, for the image (num, den) of class i and the twist t = p/q:
-        # p·num, then den·q in column m + i
+        # row i of [PDᵀ | I] times den, for the twisted PD image num / den of class i: num, then den in column m + i
         rows = []
         for i in range(m):
-            img = bundle.cap_classes((piece, i), eta)
-            if img is None:
+            try:
+                num, den = data.pd_of((piece, i))
+            except WindowError:
                 break
-            row = {m + i: img[1] * t.denominator}
-            for (tp, j), v in img[0].items():
-                if tp != target:
-                    raise DualityError(f"PD image off-piece at {piece}")
-                row[j] = t.numerator * v
-            rows.append(row)
+            if any(tp != target for tp, _ in num):
+                raise DualityError(f"PD image off-piece at {piece}")
+            rows.append({m + i: den} | {j: v for (_, j), v in num.items()})
         else:
             if m != tgt_dim:
                 raise DualityError(f"PD singular in piece {piece}: dim {m} vs {tgt_dim}")
@@ -813,14 +809,13 @@ def polyvector_pd_twist(weight_sign: int = 1):
 
     The contraction convention used here composes innermost-first, which
     differs from the order implicit in the commuting-diagram form of the
-    duality by (-1)^{p(p-1)/2} on polyvector degree p; folding that unit
-    into PD makes the derived operator the honest divergence class, so the
-    generated bracket reproduces the Schouten table.
+    duality by the unit ``poisson._orientation(p)`` on polyvector degree p;
+    folding that unit into PD makes the derived operator the honest
+    divergence class, so the generated bracket reproduces the Schouten table.
     """
 
     def twist(piece: Piece) -> int:
         D, om = piece
-        p = -D if weight_sign == 1 else (-D - om)
-        return -1 if (p * (p - 1) // 2) % 2 else 1
+        return po._orientation(-D if weight_sign == 1 else -D - om)
 
     return twist

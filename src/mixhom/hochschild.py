@@ -95,7 +95,10 @@ def boundary_b(A: GradedAlgebra, chain: Chain) -> Chain:
         rest = A.degrees[t[0]] + sum(A.degrees[i] + 1 for i in t[1 : p])
         last = A.degrees[t[p]] + 1
         sign = -1 if (last * rest + 1) % 2 else 1
-        _accumulate(out, {(k,) + t[1:p]: c for k, c in A.mult_basis(t[p], t[0]).items()}, coeff * sign)
+        prod = A.mult_basis(t[p], t[0])
+        if not isinstance(prod, dict):
+            raise WindowOverflowError(A.weights[t[p]] + A.weights[t[0]])
+        _accumulate(out, {(k,) + t[1:p]: c for k, c in prod.items()}, coeff * sign)
     return out
 
 

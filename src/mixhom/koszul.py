@@ -40,7 +40,7 @@ from .linalg import (
     _positive,
 )
 from . import poisson as po
-from .mixed import MixedComplexSlice, _classes, _mats_from_operator
+from .mixed import MixedComplexSlice, _classes, _coordinates, _mats_from_operator
 
 Word = tuple[int, ...]
 
@@ -426,7 +426,7 @@ class PoissonIdentification:
     On canonical monomials: x^a dx_J maps to the functional dual to
     ξ_J (dξ)^a with coefficient (-1)^{p(p-1)/2} Π a_i! where p = |J|; the
     factorials are the polynomial/divided-power duality, the period-four
-    sign is the same volume-orientation unit as elsewhere.  With these
+    sign is the volume-orientation unit ``poisson._orientation``.  With these
     coefficients the map intertwines the Poisson boundary with the dual
     coboundary and the de Rham differential with its dual exactly (verified
     monomial by monomial), so it induces isomorphisms on every cyclic
@@ -443,11 +443,14 @@ class PoissonIdentification:
         return J + a
 
     def coefficient(self, m) -> int:
-        c = 1
+        c = po._orientation(sum(m[self.n :]))
         for e in m[: self.n]:
             c *= factorial(e)
-        p = sum(m[self.n :])
-        return -c if (p * (p - 1) // 2) % 2 else c
+        return c
+
+    def push(self, labels, num) -> dict:
+        """The identification on an integer row {index into labels: c}, as {dual label: coefficient·c}."""
+        return {self.form_to_dual(labels[j]): self.coefficient(labels[j]) * c for j, c in num.items()}
 
     def check_chain_map(self, pi_coeffs, w_max: int = 4) -> list[str]:
         """Verify the intertwining on every form monomial in the window; π need not be Poisson.
@@ -483,11 +486,8 @@ def koszul_poisson_identification(n: int) -> PoissonIdentification:
 def hh_class_image(ident: PoissonIdentification, primal_slice, dual_slice, key):
     """Push one b-homology class through the identification, as coordinates."""
     piece, i = key
-    labels = primal_slice.pieces[piece]
-    image: dict = {}
     num, den = primal_slice.hh(piece).cycle(i)
-    for j, c in num.items():
-        _accumulate(image, {ident.form_to_dual(labels[j]): ident.coefficient(labels[j])}, c)
+    image = ident.push(primal_slice.pieces[piece], num)
     return tuple(c / den for c in dual_slice.hh(piece).reduce(dual_slice.element_vector(piece, image)))
 
 
@@ -514,27 +514,19 @@ def fit_dual_product_twist(ident: PoissonIdentification, primal_duality, dual_bu
 def poisson_hc_iso(ident: PoissonIdentification, g_primal, g_dual):
     """Push the identification to a basis map between two HC⁻ gravity bases.
 
-    For each stable class of the primal structure, map its representative's
-    stacked components label by label and reduce in the dual presentation.
-    Returns {primal basis key: class row of dual basis keys}, the map
-    ``gravity.compare_across_iso`` reads.
+    For each stable class of the primal structure, push its representative's
+    stacked components through the identification and reduce in the dual
+    presentation.  Each u-power of a piece is a different form degree, so
+    a stacked basis lists distinct labels.  Returns {primal basis key:
+    class row of dual basis keys}, the map ``gravity.compare_across_iso``
+    reads.
     """
     iso = {}
-    hc1, hc2 = g_primal.hc, g_dual.hc
-    index2 = {p: {lab: k for k, lab in enumerate(labels)} for p, labels in hc2.slice.pieces.items()}
-    stacked2: dict = {}  # HC⁻ piece -> {(u, index in the slice piece): index in the stacked basis}
     for key in g_primal.basis:
-        piece, i = key
-        d, w = piece
-        stacked1 = hc1.stacked_basis(d, w)
-        if piece not in stacked2:
-            stacked2[piece] = {lab: k for k, lab in enumerate(hc2.stacked_basis(d, w))}
-        vec: dict = {}
-        num, den = hc1.presentation(piece).cycle(i)
-        for k, c in num.items():
-            u, j = stacked1[k]
-            label = hc1.slice.pieces[(d + 2 * u, w)][j]
-            k2 = stacked2[piece][(u, index2[(d + 2 * u, w)][ident.form_to_dual(label)])]
-            _accumulate(vec, {k2: ident.coefficient(label)}, c)
-        iso[key] = _classes(piece, hc2.presentation(piece), vec, den)
+        (d, w), i = key
+        labels, labels2 = ([hc.slice.pieces[(d + 2 * u, w)][j] for u, j in hc.stacked_basis(d, w)]
+                           for hc in (g_primal.hc, g_dual.hc))
+        num, den = g_primal.hc.presentation((d, w)).cycle(i)
+        vec = _coordinates(labels2, ident.push(labels, num).items(), KeyError)
+        iso[key] = _classes((d, w), g_dual.hc.presentation((d, w)), vec, den)
     return iso

@@ -259,6 +259,12 @@ def contract_monomial(ctx: PoissonContext, P: Monomial, m: Monomial) -> dict[Mon
     return {} if prod is None else {prod[1]: k * prod[0]}
 
 
+def _orientation(p: int) -> int:
+    """The volume-orientation unit (-1)^{p(p-1)/2} on degree p, stated only here: the primal PD twist
+    (``calculus.polyvector_pd_twist``) and ``koszul.PoissonIdentification.coefficient`` read it through here."""
+    return -1 if (p * (p - 1) // 2) % 2 else 1
+
+
 # -- the Schouten bracket -------------------------------------------------------
 
 

@@ -568,3 +568,23 @@ def test_no_module_catches_every_exception():
                 if any(t is None or isinstance(t, ast.Name) and t.id == "Exception" for t in types):
                     found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_the_readme_job_example_runs(tmp_path):
+    # the fenced block under "### Job files" in README.md, run as written
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### Job files", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert "[tasks]" in block
+    job = tmp_path / "job.txt"
+    job.write_text(block)
+    out = tmp_path / "o"
+    assert main(["run", "--input", str(job), "--out", str(out)]) == 0
+    tasks = ["check", "gravity", "koszul", "poisson"]
+    assert sorted(os.listdir(out)) == [f"{t}.{ext}" for t in tasks for ext in ("json", "txt")]
+    results = {t: json.loads((out / f"{t}.json").read_text())["result"] for t in tasks}
+    assert results["check"]["passed"] is True
+    assert results["gravity"]["violations"] == [] and results["gravity"]["window_skips"] == 0
+    assert results["koszul"]["poisson_identification_chain_map"] is True
+    assert results["poisson"]["equivalence_holds"] is True

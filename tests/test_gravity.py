@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import product as iproduct, starmap
+from types import MappingProxyType
 
 import pytest
 
@@ -9,14 +10,14 @@ from mixhom.calculus import (DualityData, DualityError, WindowError, _available,
     hochschild_dual_bundle, poisson_bundle, poisson_dual_bundle, polyvector_pd_twist, verify_bv_axioms)
 from mixhom.gravity import (_ABSENT, _SKIP, GravityReport, GravityStructure, HCKey, IsoReport, _jacobi_verdict,
     _pull_sign, _rank, _swap, _tally, compare_across_iso, verify_gravity_axioms)
-from mixhom.linalg import _accumulate, _fractions, _sparse_rank
+from mixhom.linalg import _accumulate, _fractions, _integer_rref, _lowest, _positive, _sparse_rank
 from mixhom.koszul import (dual_bivector_coeffs, fit_dual_product_twist, hh_class_image,
     koszul_poisson_identification, poisson_hc_iso)
-from mixhom.mixed import (ClassKey, NegativeCyclic, default_truncation, slice_from_hochschild_dual,
+from mixhom.mixed import (ClassKey, NegativeCyclic, _classes, default_truncation, slice_from_hochschild_dual,
     slice_from_poisson, slice_from_poisson_dual)
 from mixhom.poisson import DualSide, PoissonContext, quadratic_bivector
 from test_calculus import _fraction_view, fractions_of
-from test_linalg import from_columns
+from test_linalg import _bv_check_bundles, from_columns
 
 Q = Fraction
 
@@ -1165,6 +1166,150 @@ def test_integer_rows_match_the_fraction_path(case):
             assert {t: fractions_of(v) for t, v in g.entries(n).items()} == f.entries(n), n
     assert {v.denominator for n in (2, 3, 4) for e in gp.entries(n).values() if e
             for v in _fractions(*e).values()} == dens
+
+
+# -- the twisted PD rows and the pushed identification against the code they replaced --
+#
+# ``attach_duality`` built each row of [PDᵀ | I] from ``cap_classes`` and applied the
+# twist p/q there by hand, beside ``DualityData.pd_of``; ``poisson_hc_iso`` and
+# ``hh_class_image`` mapped a cycle label by label, the first through (u, index)
+# maps of the dual slice.  They are kept here verbatim as the differential oracles of
+# the rows read from ``pd_of`` and of ``PoissonIdentification.push``.
+
+
+def pd_rows_oracle(data):
+    """The PD⁻¹ columns of each piece, the twisted PD image read off each row of [PDᵀ | I], and the classes
+    whose image escapes, from rows built as ``attach_duality`` built them before it read ``pd_of``."""
+    bundle, eta = data.bundle, data.eta
+    pd, images, escapes = {}, {}, []
+    (de, we) = eta[0]
+    for piece, pres in sorted(bundle.coh_pres.items()):
+        target = (piece[0] + de, we + bundle.weight_sign * piece[1])
+        tgt_dim = bundle.slice.hh(target).dim if bundle.slice.dim(target) else 0
+        m = pres.dim
+        t = data._twist(piece)
+        # row i of [PDᵀ | I] times den·q, for the image (num, den) of class i and the twist t = p/q:
+        # p·num, then den·q in column m + i
+        rows = []
+        for i in range(m):
+            img = bundle.cap_classes((piece, i), eta)
+            if img is None:
+                escapes.append((piece, i))
+                break
+            row = {m + i: img[1] * t.denominator}
+            for (tp, j), v in img[0].items():
+                if tp != target:
+                    raise DualityError(f"PD image off-piece at {piece}")
+                row[j] = t.numerator * v
+            rows.append(row)
+            images[(piece, i)] = {(target, j): Q(v, row[m + i]) for j, v in row.items() if j != m + i}
+        else:
+            if m != tgt_dim:
+                raise DualityError(f"PD singular in piece {piece}: dim {m} vs {tgt_dim}")
+            # the RREF is [I | (PDᵀ)⁻¹], whose row j is column j of PD⁻¹,
+            # unless PD is singular: then a pivot falls in the identity block
+            reduced = _integer_rref(rows)
+            if any(p >= m for p, _ in reduced):
+                raise DualityError(f"PD singular in piece {piece}")
+            columns = (_lowest({(piece, j - m): c for j, c in r.items() if j >= m}, r[p])
+                       for p, r in starmap(_positive, reduced))
+            pd[piece] = [(MappingProxyType(num), den) for num, den in columns]
+    return pd, images, escapes
+
+
+def assert_pd_rows_match_oracle(data) -> int:
+    """``data.pd`` and every ``pd_of`` against ``pd_rows_oracle``; returns the number of rows compared."""
+    pd, images, escapes = pd_rows_oracle(data)
+    assert data.pd == pd
+    for key, want in images.items():
+        assert fractions_of(data.pd_of(key)) == want, key
+    for key in escapes:
+        with pytest.raises(WindowError):
+            data.pd_of(key)
+    return len(images)
+
+
+def poisson_hc_iso_oracle(ident, g_primal, g_dual):
+    """Push the identification to a basis map between two HC⁻ gravity bases.
+
+    For each stable class of the primal structure, map its representative's
+    stacked components label by label and reduce in the dual presentation.
+    Returns {primal basis key: class row of dual basis keys}, the map
+    ``gravity.compare_across_iso`` reads.
+    """
+    iso = {}
+    hc1, hc2 = g_primal.hc, g_dual.hc
+    index2 = {p: {lab: k for k, lab in enumerate(labels)} for p, labels in hc2.slice.pieces.items()}
+    stacked2: dict = {}  # HC⁻ piece -> {(u, index in the slice piece): index in the stacked basis}
+    for key in g_primal.basis:
+        piece, i = key
+        d, w = piece
+        stacked1 = hc1.stacked_basis(d, w)
+        if piece not in stacked2:
+            stacked2[piece] = {lab: k for k, lab in enumerate(hc2.stacked_basis(d, w))}
+        vec: dict = {}
+        num, den = hc1.presentation(piece).cycle(i)
+        for k, c in num.items():
+            u, j = stacked1[k]
+            label = hc1.slice.pieces[(d + 2 * u, w)][j]
+            k2 = stacked2[piece][(u, index2[(d + 2 * u, w)][ident.form_to_dual(label)])]
+            _accumulate(vec, {k2: ident.coefficient(label)}, c)
+        iso[key] = _classes(piece, hc2.presentation(piece), vec, den)
+    return iso
+
+
+def hh_class_image_oracle(ident, primal_slice, dual_slice, key):
+    """Push one b-homology class through the identification, as coordinates."""
+    piece, i = key
+    labels = primal_slice.pieces[piece]
+    image: dict = {}
+    num, den = primal_slice.hh(piece).cycle(i)
+    for j, c in num.items():
+        _accumulate(image, {ident.form_to_dual(labels[j]): ident.coefficient(labels[j])}, c)
+    return tuple(c / den for c in dual_slice.hh(piece).reduce(dual_slice.element_vector(piece, image)))
+
+
+@pytest.mark.parametrize("case", sorted(FRACTION_PATH_CASES))
+def test_pd_rows_and_the_pushed_iso_match_the_oracles_on_the_fraction_path_cases(case):
+    # pd-2/3 twists PD by a non-unit, where the rows used to carry p and q by hand
+    c, scale, dual_scale, *_ = FRACTION_PATH_CASES[case]
+    gp, gd, iso = _gravity_check_structures(c, scale, dual_scale)
+    assert iso == poisson_hc_iso_oracle(koszul_poisson_identification(3), gp, gd)
+    assert sum(bool(v) for v in iso.values()) == len(gp.basis) == 14
+    for g in (gp, gd):
+        assert assert_pd_rows_match_oracle(g.duality) > 20
+
+
+def test_pd_rows_and_the_pushed_maps_match_the_oracles_on_the_pair(pair):
+    ident, gp, gd = pair
+    iso = poisson_hc_iso(ident, gp, gd)
+    assert iso == poisson_hc_iso_oracle(ident, gp, gd)
+    assert all(iso.values())
+    for g in (gp, gd):
+        assert assert_pd_rows_match_oracle(g.duality) > 20
+    sl, sld = gp.hc.slice, gd.hc.slice
+    keys = [(piece, i) for piece, dim in sl.hh_dims().items() if piece[1] <= 3 for i in range(dim)]
+    assert len(keys) > 10
+    for key in keys:
+        assert hh_class_image(ident, sl, sld, key) == hh_class_image_oracle(ident, sl, sld, key), key
+
+
+def test_pd_rows_match_the_oracle_on_the_bv_check_calculi():
+    for data in _bv_check_bundles():
+        assert assert_pd_rows_match_oracle(data) > 10
+
+
+def test_pd_rows_match_the_oracle_where_a_pd_image_escapes():
+    # weight shifts up to 3 on a w ≤ 5 slice: the PD images of the ω = 3 pieces land at weight 6, outside it,
+    # so those four pieces have no PD⁻¹ and ``pd_of`` raises on each of their classes
+    ctx = PoissonContext.make(3, "poly")
+    pi = quadratic_bivector(ctx, {(1, 2, 1, 2): Q(1), (2, 3, 2, 3): Q(1), (3, 1, 3, 1): Q(1)})
+    sl = slice_from_poisson(ctx, pi, 5)
+    bundle = poisson_bundle(ctx, pi, sl, w_shift_min=-3, w_shift_max=3, coeff_wmax=5)
+    data = attach_duality(bundle, _class_of(sl, (3, 3), {(0, 0, 0, 1, 1, 1): Q(1)}), pd_twist=polyvector_pd_twist(1))
+    assert pd_rows_oracle(data)[2] == [((D, 3), 0) for D in (-3, -2, -1, 0)]
+    assert sorted(set(bundle.coh_pres) - set(data.pd)) == [(D, 3) for D in (-3, -2, -1, 0)]
+    assert assert_pd_rows_match_oracle(data) == 39
 
 
 # -- the dual volume twist: derived sign against the fitted one -------------------

@@ -141,6 +141,18 @@ class TestBoundaryAndB:
         x = A.index["x1"]
         assert connes_B(A, {(x, x): Q(1)}) == {}
 
+    def test_an_out_of_window_rotation_face_raises_the_needed_weight(self):
+        # on k[x1, x2]/(weight > 3) both merging faces of (x1², x̄1, x̄2²) stay in window, x1³ and x1x2²,
+        # but the rotation face x2²·x1² needs weight 4: it raises as a merging face does
+        A = make_truncated_polynomial_algebra(2, 3)
+        x1, x1sq, x2sq = A.index["x1"], A.index["x1^2"], A.index["x2^2"]
+        with pytest.raises(WindowOverflowError) as exc:
+            boundary_b(A, {(x1sq, x1, x2sq): 1})
+        assert exc.value.needed_weight == 4
+        # in window the same three faces: (x1², x̄2²) - (x1, x̄1x̄2²) + (x2²x1, x̄1)
+        x1x2sq = A.index["x1x2^2"]
+        assert boundary_b(A, {(x1, x1, x2sq): 1}) == {(x1sq, x2sq): 1, (x1, x1x2sq): -1, (x1x2sq, x1): 1}
+
     def test_b_preserves_weight_and_drops_degree(self, lam2):
         A = lam2
         for t in chains_in_window(A, 3, 4):

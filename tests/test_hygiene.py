@@ -11,11 +11,12 @@ second name, no module but ``algebra.py`` calls ``GradedAlgebra(`` or names
 ``OUT_OF_WINDOW``, no module but ``calculus.py`` catches
 ``(WindowError, DualityError)`` or assigns ``_FAILURE_LIMIT``, and nothing
 outside ``linalg.py`` calls ``_over_one_denominator``, while
-``gravity.py`` imports nothing from ``fractions``, and no ``Q(…)`` or
-``Fraction(…)`` call takes an integer literal as its only argument.  A method
-is referenced through an attribute, a module function through an attribute
-or through a bare name in its own module or in one that imports it, and a
-name that is bound or deleted is no reference.  Code that
+``gravity.py`` and ``calculus.py`` import nothing from ``fractions``, and no
+``Q(…)`` or ``Fraction(…)`` call takes an integer literal as its only
+argument.  A method is referenced through an attribute, a module function
+through an attribute or through a bare name in its own module or in one
+that imports it, and a name that is bound or deleted is no reference.  Code
+that
 nothing reads is deleted, not kept (a public function only the tests call
 is a test helper, unless README documents it), a knob that only ever takes
 its default is not a knob, a package helper has one name, the product table
@@ -260,7 +261,7 @@ def _unavailable_rule_outside_calculus(modules: dict[str, ast.Module]) -> list[s
 
 
 def _class_rows_outside_classes(modules: dict[str, ast.Module]) -> list[str]:
-    """Calls of ``_over_one_denominator`` outside ``linalg.py``, and ``fractions`` in ``gravity.py``."""
+    """Calls of ``_over_one_denominator`` outside ``linalg.py``, and ``fractions`` in ``gravity.py`` or ``calculus.py``."""
     found = []
     for name, tree in modules.items():
         if name == "linalg.py":
@@ -270,7 +271,7 @@ def _class_rows_outside_classes(modules: dict[str, ast.Module]) -> list[str]:
                 fn = node.func
                 if (fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)) == "_over_one_denominator":
                     found.append(f"{name}:{node.lineno} _over_one_denominator(")
-            elif name == "gravity.py" and (
+            elif name in ("gravity.py", "calculus.py") and (
                     isinstance(node, ast.ImportFrom) and node.module == "fractions"
                     or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)):
                 found.append(f"{name}:{node.lineno} import fractions")
@@ -416,9 +417,12 @@ def test_the_rules_find_what_they_claim():
         "def pi_star(vec):\n"
         "    return linalg._over_one_denominator(vec)\n"
     )
-    assert _class_rows_outside_classes({"mixed.py": rows, "gravity.py": rows, "linalg.py": rows}) == [
+    assert _class_rows_outside_classes({"mixed.py": rows, "gravity.py": rows, "calculus.py": rows,
+                                        "linalg.py": rows}) == [
         "mixed.py:6 _over_one_denominator(", "mixed.py:8 _over_one_denominator(", "gravity.py:1 import fractions",
-        "gravity.py:2 import fractions", "gravity.py:6 _over_one_denominator(", "gravity.py:8 _over_one_denominator("]
+        "gravity.py:2 import fractions", "gravity.py:6 _over_one_denominator(", "gravity.py:8 _over_one_denominator(",
+        "calculus.py:1 import fractions", "calculus.py:2 import fractions", "calculus.py:6 _over_one_denominator(",
+        "calculus.py:8 _over_one_denominator("]
     literals = ast.parse(
         "import fractions\n"
         "from fractions import Fraction\n"

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -15,6 +16,8 @@ from mixhom.algebra import (
     polynomial_presentation,
 )
 from mixhom import koszul as ko
+from mixhom import poisson as po
+from mixhom.calculus import polyvector_pd_twist
 from mixhom.koszul import (
     NotKoszulError,
     dual_bivector_coeffs,
@@ -195,6 +198,11 @@ class TestPoissonIdentification:
         vol = (0, 0, 1, 1)  # dx1 dx2
         assert ident.form_to_dual(vol) == (1, 1, 0, 0)  # functional dual to ξ1ξ2
         assert ident.coefficient(vol) == Q(-1)  # p = 2 carries the period-4 unit
+        # in every dimension dx1…dxn goes to the functional dual to ξ1…ξn, with the orientation unit of degree n
+        for n in range(1, 6):
+            ident = koszul_poisson_identification(n)
+            assert ident.form_to_dual((0,) * n + (1,) * n) == (1,) * n + (0,) * n
+            assert ident.coefficient((0,) * n + (1,) * n) == po._orientation(n)
 
     def test_unit_to_unit(self):
         ident = koszul_poisson_identification(2)
@@ -223,6 +231,27 @@ class TestPoissonIdentification:
         # δ and d* on the functional of x1²dx3, and on those that ∂ and d send onto it
         assert failures == ["boundary fails at x1dx1dx3", "boundary fails at x1^2dx3",
                             "de Rham fails at x1^2dx3", "de Rham fails at x1^2x3"]
+
+
+# -- the volume-orientation unit, stated once ------------------------------------
+
+
+def test_the_orientation_unit_has_period_four():
+    assert [po._orientation(p) for p in range(8)] == [1, 1, -1, -1, 1, 1, -1, -1]
+
+
+def test_both_readers_of_the_orientation_unit_see_one_definition(monkeypatch):
+    # the unit negated wherever a mixhom module binds it: the primal PD twist and the identification's
+    # coefficient both follow, so neither keeps a copy of its own
+    unit = po._orientation
+    for modname, mod in list(sys.modules.items()):
+        if (modname == "mixhom" or modname.startswith("mixhom.")) and getattr(mod, "_orientation", None) is unit:
+            monkeypatch.setattr(mod, "_orientation", lambda p: -unit(p))
+    twist, ident = polyvector_pd_twist(1), koszul_poisson_identification(3)
+    for p in range(4):
+        # polyvector degree p is the piece (-p, ω); x1²·dx1…dxp carries the factorial 2
+        assert twist((-p, 0)) == twist((-p, 5)) == -unit(p)
+        assert ident.coefficient((2, 0, 0) + (1,) * p + (0,) * (3 - p)) == -2 * unit(p)
 
 
 # -- differential oracles: the dual product by deconcatenation, the per-call solve --
