@@ -240,6 +240,19 @@ class MultivectorOps(_CochainOps):
             labels.sort()
         self._pieces_ext = self._pieces  # δ stays in the window
 
+    def delta_matrix(self, piece: Piece) -> ExactMatrix:
+        """δ out of the piece on its polyvectors' words; a δ that leaves the window names its labels."""
+        D, om = piece
+        src, tgt = self._pieces.get(piece, []), self._pieces_ext.get((D - 1, om), [])
+        V = self.ctx.vectors
+        try:
+            return operator_matrix(V.words(src), V.words(tgt), self._delta, self._delta_den, escape=WindowError)
+        except WindowError:
+            # the first escape again, on labels: the element-level bracket lists its terms in the columns' order
+            inside = set(tgt)
+            s, t = next((s, t) for s in src for t in po.schouten(self.ctx, self.pi, {s: 1}) if t not in inside)
+            raise WindowError(f"operator image {t!r} of {s!r} leaves the target basis") from None
+
     def _labels(self, P):
         return P.items()
 
@@ -771,11 +784,6 @@ def _cap_label(f: Cochain, label) -> dict:
     return cap(f, {label: 1})
 
 
-def _contraction_of(ctx: po.PoissonContext):
-    """ι_P on one basis form, Σ c·ι_m over P's monomials (``po.contract_monomial``): both Poisson bundles' action."""
-    return lambda P, label: _expand(P, lambda m: po.contract_monomial(ctx, m, label))
-
-
 def hochschild_bundle(A: GradedAlgebra, slice_, q_max: int, v_max: int | None = None,
                       coh_window=None) -> CalculusBundle:
     """Calculus of (HH^•, HH_•) over the Hochschild chain slice."""
@@ -793,14 +801,14 @@ def poisson_bundle(ctx: po.PoissonContext, pi, slice_, w_shift_min: int, w_shift
                    coeff_wmax: int) -> CalculusBundle:
     """Calculus of (HP^•, HP_•) over the Poisson chain slice."""
     ops = MultivectorOps(ctx, pi, w_shift_min, w_shift_max, coeff_wmax)
-    return CalculusBundle(f"poisson({ctx.n})", ops, slice_, _contraction_of(ctx))
+    return CalculusBundle(f"poisson({ctx.n})", ops, slice_, po._contraction_of(ctx))
 
 
 def poisson_dual_bundle(dual: po.DualSide, slice_, w_shift_min: int, w_shift_max: int,
                         coeff_wmax: int) -> CalculusBundle:
     """Calculus of (HP^•(A^!), HP^•(A^!; A^¡)) over the dual Poisson slice."""
     ops = MultivectorOps(dual.ctx, dual.pi, w_shift_min, w_shift_max, coeff_wmax)
-    return CalculusBundle(f"poisson-dual({dual.ctx.n})", ops, slice_, _contraction_of(dual.ctx),
+    return CalculusBundle(f"poisson-dual({dual.ctx.n})", ops, slice_, po._contraction_of(dual.ctx),
                           weight_sign=-1)
 
 

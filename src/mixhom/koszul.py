@@ -466,17 +466,15 @@ class PoissonIdentification:
         den = _denominator([*pi.values(), *pid.values()])
         coboundary, d_star = dual._columns(dual.b_mats, -1, den), dual._columns(dual.B_mats, 1, 1)
         F = self.ctx_poly.forms
-
-        def iso(m):
-            return {self.form_to_dual(m): self.coefficient(m)}
+        iso = po._on_words(F, self.ctx_ext.forms, lambda m: {self.form_to_dual(m): self.coefficient(m)})
 
         def maps():
-            _, d, boundary = po._form_columns(self.ctx_poly, pi, den)
+            d, boundary = po._form_columns(self.ctx_poly, pi, den)
             return [(iso, boundary, coboundary, lambda m: 1), (iso, d, d_star, lambda m: 1)]
 
         labels = F.monomials([w_max] * self.n + [1] * self.n, 0, w_max)
         return [f"{('boundary', 'de Rham')[k]} fails at {F.format_monomial(m)}"
-                for m, k in po._square(labels, F.weight, maps)]
+                for m, k in po._square(F, labels, maps)]
 
 
 def koszul_poisson_identification(n: int) -> PoissonIdentification:

@@ -182,9 +182,10 @@ def _poisson_complex(ctx: po.PoissonContext, pi: dict, w_max: int) -> RawComplex
     """Forms of weight <= w_max on either side with ∂ and d out of each piece; π need not be Poisson.
 
     The integer columns of ``po._form_columns`` are the matrices, as they come: d, and den·∂ over the lcm
-    den of π's denominators.  d and ∂
-    preserve the weight, so each weight gets fresh columns, as in ``po._square``: ι_π and d meet a form
-    once, and no column outlives its weight.
+    den of π's denominators.  They take and give packed words, so each weight layer's labels are packed
+    once (``FreeGCA.words``) and ``operator_matrix`` indexes the words.  d and ∂ preserve the weight, so
+    each weight gets fresh columns, as in ``po._square``: ι_π and d meet a form once, and no column
+    outlives its weight.
     """
     F = ctx.forms
     pieces: dict[Piece, list] = {}
@@ -196,8 +197,8 @@ def _poisson_complex(ctx: po.PoissonContext, pi: dict, w_max: int) -> RawComplex
     den = _denominator(pi.values())
     b_mats, B_mats = {}, {}
     for w in range(w_max + 1):
-        layer = {piece: labels for piece, labels in pieces.items() if piece[1] == w}
-        _, d, boundary = po._form_columns(ctx, pi, den)
+        layer = {piece: F.words(labels) for piece, labels in pieces.items() if piece[1] == w}
+        d, boundary = po._form_columns(ctx, pi, den)
         B_mats.update(_mats_from_operator(layer, d, +1))
         b_mats.update(_mats_from_operator(layer, boundary, -1, den))
     return pieces, b_mats, B_mats

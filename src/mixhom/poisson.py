@@ -14,43 +14,54 @@ coboundary has degree -1 and the de Rham differential degree +1 on every
 side, and for a quadratic bivector all four differentials preserve weight.
 Λ(n) and k[x_1..x_n]/(weight > W) are truncations of :class:`FreeGCA` too
 (``algebra.make_exterior_algebra`` and ``make_truncated_polynomial_algebra``),
-so ``FreeGCA.mul_monomials`` is the one monomial sign rule of the package.
-Its sign depends on the odd exponents alone, two 0/1 patterns a and b:
-(-1)^#{(j, i): j odd in b, i odd in a, i > j}, and no product when they share
-a generator.  ``_koszul_sign`` reads it off the pair of patterns, and a partial
-by an odd generator reads the same sign; an odd exponent above 1 is outside
-the contract and raises ``ValueError``.
+so ``FreeGCA.mul_words`` is the one monomial sign rule of the package, on
+monomials packed into int words (``FreeGCA.pack``).  Its sign depends on the
+odd generators' presence bits alone, a and b: (-1)^#{(j, i): j odd in b,
+i odd in a, i > j}, and no product when they share a generator.
+``_koszul_sign`` reads it off the two bit ints, and a partial by an odd
+generator reads the parity of the odd bits before it; an odd exponent above
+1 has no word and raises ``ValueError``.
 
-Operators are built from one Koszul-signed engine: contraction by a
+Operators are built on words from one Koszul-signed engine: contraction by a
 polyvector monomial is coefficient multiplication after the form-side
 partial derivatives, the Poisson boundary is the contraction/de Rham
 commutator ∂ = ι_π∘d - d∘ι_π, and the coboundary δ = [π, -] is the Schouten
 bracket, the first-order Leibniz expansion of the bracket the odd Laplacian
 generates.  Derivative factors and Koszul signs are plain ints.  ι is one
-integer column per (polyvector monomial, form monomial), ``contract_monomial``,
+integer column per (polyvector word, form word), ``contract_monomial``,
 which the Poisson calculus bundles extend linearly in the polyvector; d and ∂
 on forms are written once over it, as integer columns (``_form_columns``),
 which the slices and the chain-map squares (``_square``) read.  π is tabulated
 once for every δ (``_bracket_columns``), and :class:`DualSide` holds the signed
-transposes of ∂ and d.  The odd-Laplacian bracket, element-level ι, d and ∂,
-the per-functional dual actions, per-monomial squares and ungraded shuffle
-sums live in the tests as oracles.
+transposes of ∂ and d.  Exponent tuples stay at the boundary: piece labels,
+elements, ``format_monomial`` and failure strings.  The tuple-path builders,
+the odd-Laplacian bracket, element-level ι, d and ∂, the per-functional dual
+actions, per-monomial squares and ungraded shuffle sums live in the tests as
+oracles.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from operator import add, itemgetter, mul
+from functools import cache, partial
+from operator import mul
 
-from .linalg import _accumulate, _denominator, _pullback
+from .linalg import _accumulate, _denominator, _expand
 
 Q = Fraction
 
 Monomial = tuple[int, ...]  # exponents aligned with the generator list
+Word = int  # a monomial packed into one int (``FreeGCA.pack``)
 GCAElement = dict[Monomial, int | Fraction]
+
+# bits per generator in a word: an exponent and, on top, its guard bit.  Two bytes, so ``pack`` and
+# ``unpack`` go through big-endian unsigned shorts
+_FIELD = 16
+_LIMIT = (1 << (_FIELD - 1)) - 1  # the largest exponent a field holds
+_MASK = (1 << _FIELD) - 1
 
 
 @dataclass(frozen=True)
@@ -64,9 +75,12 @@ class FreeGCA:
     """Free graded-commutative algebra on homogeneous generators.
 
     Monomials are exponent tuples in generator order; odd generators square
-    to zero, so an odd exponent is 0 or 1; a product or an odd derivative of
-    a monomial with a larger one raises ``ValueError``.  Products and
-    derivatives carry the Koszul sign ``_koszul_sign``.
+    to zero, so an odd exponent is 0 or 1.  The operators work on packed
+    words (``pack``): one int with a ``_FIELD``-bit field per generator,
+    generator 0 most significant, so int order is tuple order.  An exponent
+    is at most ``_LIMIT``, below the field's top guard bit, and a product
+    that would carry into a neighbour raises ``ValueError``.  The tuple
+    ``mul_monomials`` and ``partial`` wrap ``mul_words`` and ``partial_word``.
     """
 
     def __init__(self, generators: list[Generator]):
@@ -76,15 +90,16 @@ class FreeGCA:
         self.weights = tuple(g.weight for g in self.gens)
         self.odd = tuple(d % 2 == 1 for d in self.degrees)
         self.one: Monomial = (0,) * self.n
-        self.units: tuple[Monomial, ...] = tuple(
-            tuple(int(j == i) for j in range(self.n)) for i in range(self.n)
-        )
-        # the odd exponents of a monomial, always a tuple: a slice when the odd generators are contiguous
-        # (itemgetter of a single index would give a bare int)
-        at = [i for i in range(self.n) if self.odd[i]]
-        lo, hi = (at[0], at[-1] + 1) if at else (0, 0)
-        self._odd_part = itemgetter(slice(lo, hi)) if at == list(range(lo, hi)) else itemgetter(*at)
-        self._odd_units = tuple(map(self._odd_part, self.units))
+        self._shorts = struct.Struct(f">{self.n}H")
+        # the word of each generator, and the bit each field starts at
+        self.shifts = tuple(_FIELD * (self.n - 1 - i) for i in range(self.n))
+        self.units = tuple(1 << s for s in self.shifts)
+        self.guard = sum(u << (_FIELD - 1) for u in self.units)
+        self.odd_bits = sum(u for u, odd in zip(self.units, self.odd) if odd)
+        # what a packed monomial may not hold: a guard bit, or an odd exponent above 1
+        self._outside = self.guard | sum(u * (_LIMIT - 1) for u, odd in zip(self.units, self.odd) if odd)
+        # the presence bits of the odd generators before each generator
+        self._odd_before = tuple(self.odd_bits & -(u << _FIELD) for u in self.units)
 
     def degree(self, m: Monomial) -> int:
         return sum(map(mul, m, self.degrees))
@@ -92,39 +107,69 @@ class FreeGCA:
     def weight(self, m: Monomial) -> int:
         return sum(map(mul, m, self.weights))
 
+    def pack(self, m: Monomial) -> Word:
+        """The word of a monomial; ``ValueError`` if it has none."""
+        try:
+            w = int.from_bytes(self._shorts.pack(*m), "big")
+        except struct.error:
+            w = self._outside
+        if w & self._outside or len(m) != self.n:
+            raise ValueError(f"{m} is no monomial of {self.n} exponents, an odd exponent 0 or 1, others 0..{_LIMIT}")
+        return w
+
+    def unpack(self, w: Word) -> Monomial:
+        return self._shorts.unpack(w.to_bytes(2 * self.n, "big"))
+
+    def mul_words(self, a: Word, b: Word):
+        """(sign, a·b) on words, or None if an odd generator repeats; the sign is ``_koszul_sign`` of the odd bits."""
+        odd = self.odd_bits
+        oa, ob = a & odd, b & odd
+        if oa & ob:
+            return None
+        w = a + b
+        if w & self.guard:
+            raise ValueError(f"an exponent of {self.unpack(a)}·{self.unpack(b)} is above {_LIMIT}")
+        return _koszul_sign(oa, ob), w
+
+    def partial_word(self, i: int, w: Word):
+        """Left partial derivative of a word by generator i: (int coeff, word) or None.
+
+        An odd generator passes the odd ones before it: the sign is that of g_i·(∂_i w) = ±w.
+        """
+        e = (w >> self.shifts[i]) & _MASK
+        if not e:
+            return None
+        if not self.odd[i]:
+            return e, w - self.units[i]
+        return -1 if (w & self._odd_before[i]).bit_count() & 1 else 1, w - self.units[i]
+
     def mul_monomials(self, a: Monomial, b: Monomial):
         """(sign, monomial) or None if an odd generator repeats."""
-        sign = _koszul_sign(self._odd_part(a), self._odd_part(b))
-        # a list-built tuple: tuple(map(...)) kept more memory live in the Poisson builds
-        return (sign, tuple([*map(add, a, b)])) if sign else None
+        got = self.mul_words(self.pack(a), self.pack(b))
+        return got and (got[0], self.unpack(got[1]))
 
     def multiply(self, a: GCAElement, b: GCAElement) -> GCAElement:
         out: GCAElement = {}
+        terms = [(self.pack(mb), cb) for mb, cb in b.items()]
         for ma, ca in a.items():
+            wa = self.pack(ma)
             # distinct monomials of b give distinct products with ma
             acc: GCAElement = {}
-            for mb, cb in b.items():
-                got = self.mul_monomials(ma, mb)
+            for wb, cb in terms:
+                got = self.mul_words(wa, wb)
                 if got is not None:
-                    acc[got[1]] = got[0] * cb
+                    acc[self.unpack(got[1])] = got[0] * cb
             _accumulate(out, acc, ca)
         return out
 
     def partial(self, i: int, m: Monomial):
-        """Left partial derivative by generator i: (int coeff, monomial) or None.
+        """Left partial derivative by generator i: (int coeff, monomial) or None."""
+        got = self.partial_word(i, self.pack(m))
+        return got and (got[0], self.unpack(got[1]))
 
-        An odd generator passes the odd ones before it: the sign is that of g_i·(∂_i m) = ±m.
-        """
-        e = m[i]
-        if not e:
-            return None
-        out = m[:i] + (e - 1,) + m[i + 1 :]
-        if not self.odd[i]:
-            return e, out
-        sign = _koszul_sign(self._odd_units[i], self._odd_part(out))
-        if not sign:
-            raise ValueError(f"odd exponent {e} at generator {i} of {m}")
-        return sign, out
+    def words(self, labels) -> list[Word]:
+        """The words of some monomials, in their order."""
+        return [self.pack(m) for m in labels]
 
     def monomials(self, max_exponents: list[int], w_min: float, w_max: float) -> list[Monomial]:
         """The monomials with exponent i at most max_exponents[i] (1 for an odd generator) and weight in
@@ -161,24 +206,19 @@ class FreeGCA:
 
 
 @cache
-def _koszul_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """The sign of a·b from the odd exponents a, b of two monomials, 0 if they share an odd generator.
+def _koszul_sign(a: int, b: int) -> int:
+    """The sign of a·b from the odd presence bits a, b of two words that share no odd generator.
 
-    b's odd generators pass a's later ones: the sign is (-1)^#{(j, i): b_j = a_i = 1, i > j}.  It depends
-    on the two 0/1 patterns only, so one memo serves every algebra, filled one pair at a time as pairs
-    are met (64 pairs in a benchmark op); a pattern with an entry above 1 raises ``ValueError``, which
-    is never memoized.
+    b's odd generators pass a's later ones, which sit in lower bits: the sign is (-1)^#{(j, i): b_j = a_i = 1,
+    i > j}.  It depends on the two bit patterns only, so one memo serves every algebra, filled one pair at a
+    time as pairs are met.
     """
-    if max(a + b, default=0) > 1:
-        raise ValueError(f"odd exponent above 1 in {a} or {b}")
-    passed = later = 0
-    for x, y in zip(reversed(a), reversed(b)):
-        if x and y:
-            return 0
-        if y:
-            passed += later
-        later += x
-    return -1 if passed % 2 else 1
+    passed = 0
+    while b:
+        low = b & -b
+        passed += (a & (low - 1)).bit_count()
+        b ^= low
+    return -1 if passed & 1 else 1
 
 
 # -- the four spaces ---------------------------------------------------------
@@ -213,6 +253,10 @@ class PoissonContext:
     forms: FreeGCA
     vectors: FreeGCA
 
+    def __post_init__(self):
+        # the coefficient fields of a word, the first n generators on either space
+        self.coefficients = sum(_MASK << s for s in self.forms.shifts[: self.n])
+
     @classmethod
     def make(cls, n: int, side: str = "poly") -> "PoissonContext":
         return cls(n, side, form_space(n, side), multivector_space(n, side))
@@ -221,42 +265,62 @@ class PoissonContext:
 # -- core operators ----------------------------------------------------------
 
 
-def _d(ctx: PoissonContext, m: Monomial) -> dict[Monomial, int]:
-    """d of one form monomial, with integer coefficients; each coordinate gives its own monomial."""
-    F = ctx.forms
-    acc: dict[Monomial, int] = {}
-    for i in range(ctx.n):
-        got = F.partial(i, m)
+def _d(ctx: PoissonContext, m: Word) -> dict[Word, int]:
+    """d of one form word, with integer coefficients; each coordinate gives its own word."""
+    F, n = ctx.forms, ctx.n
+    partial_word, mul_words, units = F.partial_word, F.mul_words, F.units
+    acc: dict[Word, int] = {}
+    for i in range(n):
+        got = partial_word(i, m)
         if got is not None:
-            prod = F.mul_monomials(F.units[ctx.n + i], got[1])
+            prod = mul_words(units[n + i], got[1])
             if prod is not None:
                 acc[prod[1]] = got[0] * prod[0]
     return acc
 
 
-def contract_monomial(ctx: PoissonContext, P: Monomial, m: Monomial) -> dict[Monomial, int]:
-    """ι_P m for one polyvector monomial P and one form monomial m, as an integer column.
+def contract_monomial(ctx: PoissonContext, P: Word, m: Word) -> dict[Word, int]:
+    """ι_P m for one polyvector word P and one form word m, as an integer column.
 
     ι for ∂_{k_1}∧..∧∂_{k_p} (k_1 < .. < k_p) applies the form-side partial
     with respect to dg_{k_1} first; the coefficient part multiplies on the
     left afterwards.  This matches the displayed shuffle-sum convention.
     The iterated partial of a form monomial is one signed monomial, so the
-    column {monomial: ±k} is empty or has one entry.  It is the one ι on
-    forms: the slices and squares (``_form_columns``), the Frobenius square
-    and the Poisson calculus bundles all read it.
+    column {word: ±k} is empty or has one entry.  P's field of ∂_k sits where
+    m's field of dg_k does, and its coefficient fields where m's are.  It is
+    the one ι on forms: the slices and squares (``_form_columns``), the
+    Frobenius square and the Poisson calculus bundles (``_contraction_of``)
+    all read it.
     """
     F = ctx.forms
-    n = ctx.n
+    coefficient, guard = P & ctx.coefficients, F.guard
+    # one subtract: a dg exponent of m below P's ∂ exponent there borrows from its field's guard bit
+    if ((m | guard) - (P - coefficient)) & guard != guard:
+        return {}
+    partial_word, shifts = F.partial_word, F.shifts
     k = 1
-    for i in range(n, 2 * n):
-        for _ in range(P[i]):
-            got = F.partial(i, m)
-            if got is None:
-                return {}
-            k *= got[0]
-            m = got[1]
-    prod = F.mul_monomials(P[:n] + (0,) * n, m)
+    for i in range(ctx.n, 2 * ctx.n):
+        p = (P >> shifts[i]) & _MASK
+        while p:
+            kr, m = partial_word(i, m)
+            k *= kr
+            p -= 1
+    prod = F.mul_words(coefficient, m)
     return {} if prod is None else {prod[1]: k * prod[0]}
+
+
+def _contraction_of(ctx: PoissonContext):
+    """ι_P on one basis form, Σ c·ι_m over P's monomials (``contract_monomial``): both Poisson bundles' action.
+
+    P and the form are labels, and so is the result; the words stay inside.
+    """
+    F, V = ctx.forms, ctx.vectors
+
+    def act(P: GCAElement, label: Monomial) -> GCAElement:
+        w = F.pack(label)
+        return _expand(P, lambda m: {F.unpack(t): k for t, k in contract_monomial(ctx, V.pack(m), w).items()})
+
+    return act
 
 
 def _orientation(p: int) -> int:
@@ -269,7 +333,7 @@ def _orientation(p: int) -> int:
 
 
 def _bracket_columns(ctx: PoissonContext, P: GCAElement):
-    """(den, m ↦ den·[P, m]): the bracket as integer columns, over one denominator den of P.
+    """(den, m ↦ den·[P, m]): the bracket as integer columns on polyvector words, over one denominator den of P.
 
     The bracket is generated by the odd Laplacian Δ₀ = Σ_i ∂_{g_i}∂_{θ_i}:
     [P, Q] = -(-1)^{|P|} (Δ₀(PQ) - Δ₀(P)Q - (-1)^{|P|} P Δ₀(Q)).  Δ₀ is second
@@ -278,39 +342,49 @@ def _bracket_columns(ctx: PoissonContext, P: GCAElement):
     [P, Q] = -(-1)^{|P|} Σ_i ((-1)^{|g_i|(|P|+|θ_i|)} ∂_{θ_i}P·∂_{g_i}Q
                               + (-1)^{|θ_i||P|} ∂_{g_i}P·∂_{θ_i}Q).
 
-    P's partials and signs are tabulated here, over integer coefficients; a
-    column may hold zeros where terms cancel.  This matches the displayed
-    two-shuffle-sum bracket: [∂_i, f ∂_j] = ∂_i(f) ∂_j.
+    P's partials and signs are tabulated here, as words over integer
+    coefficients; a column may hold zeros where terms cancel.  This matches
+    the displayed two-shuffle-sum bracket: [∂_i, f ∂_j] = ∂_i(f) ∂_j.
     """
     V = ctx.vectors
     n = ctx.n
     den = _denominator(P.values())
-    # per coordinate i: the (signed integer, monomial) terms ∂_{θ_i}P meeting ∂_{g_i}m and ∂_{g_i}P meeting ∂_{θ_i}m
-    table: list[tuple[list, list]] = [([], []) for _ in range(n)]
+    partial_word, odd, guard = V.partial_word, V.odd_bits, V.guard
+    # per generator j that differentiates m, in the order g_0, θ_0, g_1, θ_1, …: the (signed integer, word,
+    # odd bits) terms ∂_{θ_i}P that meet ∂_{g_i}m and ∂_{g_i}P that meet ∂_{θ_i}m
+    table: dict[int, list] = {j: [] for i in range(n) for j in (i, n + i)}
     for mp, cp in P.items():
         if not cp:
             continue
         k = cp.numerator * (den // cp.denominator)
         p_odd = V.degree(mp) % 2
         s = k if p_odd else -k  # -(-1)^{|P|}
-        for i, (with_g, with_th) in enumerate(table):
-            th_p, g_p = V.partial(n + i, mp), V.partial(i, mp)
+        wp = V.pack(mp)
+        for i in range(n):
+            th_p, g_p = partial_word(n + i, wp), partial_word(i, wp)
             if th_p is not None:
-                with_g.append(((-s if V.odd[i] and (p_odd + V.odd[n + i]) % 2 else s) * th_p[0], th_p[1]))
+                table[i].append(((-s if V.odd[i] and (p_odd + V.odd[n + i]) % 2 else s) * th_p[0], th_p[1],
+                                 th_p[1] & odd))
             if g_p is not None:
-                with_th.append(((-s if V.odd[n + i] and p_odd else s) * g_p[0], g_p[1]))
+                table[n + i].append(((-s if V.odd[n + i] and p_odd else s) * g_p[0], g_p[1], g_p[1] & odd))
+    plan = [(j, terms) for j, terms in table.items() if terms]
 
-    def apply(m: Monomial) -> dict[Monomial, int]:
-        acc: dict[Monomial, int] = {}
-        for i, (with_g, with_th) in enumerate(table):
-            for terms, right in ((with_g, V.partial(i, m)), (with_th, V.partial(n + i, m))):
-                if right is None:
+    def apply(m: Word) -> dict[Word, int]:
+        acc: dict[Word, int] = {}
+        for j, terms in plan:
+            right = partial_word(j, m)
+            if right is None:
+                continue
+            kr, mr = right
+            odd_r = mr & odd
+            # ``mul_words`` of each term and mr, inlined: the innermost loop of every δ
+            for kl, ml, odd_l in terms:
+                if odd_l & odd_r:
                     continue
-                kr, mr = right
-                for kl, ml in terms:
-                    prod = V.mul_monomials(ml, mr)
-                    if prod is not None:
-                        acc[prod[1]] = acc.get(prod[1], 0) + kl * kr * prod[0]
+                t = ml + mr
+                if t & guard:
+                    V.mul_words(ml, mr)  # raises the carry's ValueError
+                acc[t] = acc.get(t, 0) + kl * kr * _koszul_sign(odd_l, odd_r)
         return acc
 
     return den, apply
@@ -319,8 +393,10 @@ def _bracket_columns(ctx: PoissonContext, P: GCAElement):
 def schouten(ctx: PoissonContext, P: GCAElement, Q_: GCAElement) -> GCAElement:
     """Schouten bracket [P, Q] = Σ_q (c_q/den)·den[P, m_q] over the monomials of Q, read off ``_bracket_columns``."""
     (den, apply), out = _bracket_columns(ctx, P), {}
+    V = ctx.vectors
     for mq, cq in Q_.items():
-        _accumulate(out, apply(mq), cq if den == 1 else Q(cq, den))
+        column = {V.unpack(t): c for t, c in apply(V.pack(mq)).items()}
+        _accumulate(out, column, cq if den == 1 else Q(cq, den))
     return out
 
 
@@ -395,8 +471,8 @@ class DualSide:
     dual to the forms (e, w).  Nothing is validated or Jacobi-checked, so a
     π that is not Poisson has a dual side too (``check_chain_map`` reads
     one); ``slice_from_poisson_dual`` checks both.  The squares read δ and d*
-    as integer columns (``_columns``); δ, d* and the action of polyvectors
-    on one functional at a time are test oracles.
+    as integer columns keyed by form word (``_columns``); δ, d* and the
+    action of polyvectors on one functional at a time are test oracles.
     """
 
     def __init__(self, ctx: PoissonContext, pi: GCAElement, w_max: int):
@@ -409,13 +485,14 @@ class DualSide:
         self.pieces, self.b_mats, self.B_mats = _transpose(*_poisson_complex(ctx, pi, w_max))
 
     def _columns(self, mats: dict, shift: int, den: int):
-        """den·T* as integer columns keyed by form, each matrix read once; ``mats`` maps (d, w) to (d + shift, w).
+        """den·T* as integer columns keyed by form word, each matrix read once; ``mats`` maps (d, w) to (d + shift, w).
 
         Each matrix's denominator divides den.
         """
-        cols: dict[Monomial, dict[Monomial, int]] = {}
+        words = {piece: self.ctx.forms.words(labels) for piece, labels in self.pieces.items()}
+        cols: dict[Word, dict[Word, int]] = {}
         for (d, w), M in mats.items():
-            src, tgt = self.pieces[(d, w)], self.pieces[(d + shift, w)]
+            src, tgt = words[(d, w)], words[(d + shift, w)]
             scale = den // M.den
             for (i, j), v in M.num.items():
                 cols.setdefault(src[j], {})[tgt[i]] = scale * v
@@ -425,60 +502,70 @@ class DualSide:
 # -- chain-map squares ---------------------------------------------------------
 
 
-def _square(labels, weight, maps, stop: int | None = None) -> list:
+def _square(A: FreeGCA, labels, maps, stop: int | None = None) -> list:
     """The first ``stop`` failures (s, k), labels in order, of squares k: d_tgt(F(s)) ≠ sign(s)·F(d_src(s)).
 
-    ``maps()`` gives each square's (F, d_src, d_tgt, sign), maps to integer
-    columns {label: int} with d_src, d_tgt scaled alike and F, d_tgt cached.
-    They preserve ``weight``, so each weight gets fresh maps: an operator
-    meets a label once, and no column outlives its weight.
+    ``labels`` are monomials of A.  ``maps()`` gives each square's (F, d_src,
+    d_tgt, sign): F, d_src and d_tgt map words to integer columns {word: int},
+    with d_src, d_tgt scaled alike and F, d_tgt cached, and sign reads the
+    label.  They preserve the weight, so each weight gets fresh maps: an
+    operator meets a word once, and no column outlives its weight.
     """
     groups: dict = {}
     for i, s in enumerate(labels):
-        groups.setdefault(weight(s), []).append((i, s))
+        groups.setdefault(A.weight(s), []).append((i, s))
     bad = []
     for group in groups.values():
         squares = maps()
         for i, s in group:
+            w = A.pack(s)
             for k, (F, d_src, d_tgt, sign) in enumerate(squares):
                 diff: dict = {}
-                for t, c in F(s).items():
+                for t, c in F(w).items():
                     _accumulate(diff, d_tgt(t), c)
                 e = -sign(s)
-                for u, c in d_src(s).items():
+                for u, c in d_src(w).items():
                     _accumulate(diff, F(u), e * c)
                 if diff:
                     bad.append((i, k, s))
     return [(s, k) for _, k, s in sorted(bad)[:stop]]
 
 
-def _form_columns(ctx: PoissonContext, pi: GCAElement, den: int):
-    """Cached integer columns on forms: (ι_P ω for a polyvector monomial P, dω, den·∂ω).
+def _on_words(src: FreeGCA, tgt: FreeGCA, f):
+    """A map f from monomials of src to columns {monomial of tgt: c}, read on words."""
+    return lambda w: {tgt.pack(t): c for t, c in f(src.unpack(w)).items()}
+
+
+def _form_columns(ctx: PoissonContext, pi: GCAElement, den: int, contract=None):
+    """Integer columns on form words, cached: (dω, den·∂ω).
 
     The one definition of d and ∂ = ι_π∘d - d∘ι_π on forms, over the
     integer bivector den·π, so d and each ι_P meet a form at most once; the
     slices (``mixed._poisson_complex``) and the squares read it per weight.
+    ι_P ω is ``contract_monomial``, not kept, or ``contract(P, ω)`` where a
+    square keeps its own.
     """
-    scaled = {P: c.numerator * (den // c.denominator) for P, c in pi.items()}
-    contract = cache(lambda P, m: contract_monomial(ctx, P, m))
+    V = ctx.vectors
+    scaled = [(V.pack(P), c.numerator * (den // c.denominator)) for P, c in pi.items()]
+    contract = contract or partial(contract_monomial, ctx)
     d = cache(lambda m: _d(ctx, m))
 
     @cache
     def iota(m):
-        out: dict[Monomial, int] = {}
-        for P, k in scaled.items():
+        out: dict[Word, int] = {}
+        for P, k in scaled:
             _accumulate(out, contract(P, m), k)
         return out
 
     def boundary(m):
-        out: dict[Monomial, int] = {}
+        out: dict[Word, int] = {}
         for t, c in d(m).items():
             _accumulate(out, iota(t), c)
         for t, c in iota(m).items():
             _accumulate(out, d(t), -c)
         return out
 
-    return contract, d, boundary
+    return d, boundary
 
 
 @dataclass
@@ -502,20 +589,25 @@ def frobenius_poisson_check(dual: DualSide) -> FrobeniusPoissonReport:
     frozen conventions this square commutes on the nose, unlike the primal.
     """
     ctx = dual.ctx
-    V, n = ctx.vectors, ctx.n
-    top = (1,) * n + (0,) * n  # η^! picks the coefficient of ξ_1…ξ_n
+    V, F, n = ctx.vectors, ctx.forms, ctx.n
+    top = F.pack((1,) * n + (0,) * n)  # η^! picks the coefficient of ξ_1…ξ_n
     if (n, n) not in dual.pieces:
         raise ValueError(f"the dual side stops below the weight {n} of η^!")
     den, delta = _bracket_columns(ctx, dual.pi)
     coboundary = dual._columns(dual.b_mats, -1, den)
 
     def contract(m):
-        # (-1)^{|m||η^!|} η^!∘ι_m, pulled back from the one piece of forms ι_m sends onto η^!
-        dp = V.degree(m)
-        return _pullback({top: 1}, dual.pieces.get((n + dp, n - V.weight(m)), ()),
-                         lambda om: contract_monomial(ctx, m, om), -1 if dp % 2 and n % 2 else 1)
+        # (-1)^{|m||η^!|} η^!∘ι_m.  ι_m sends one form at most onto ξ_1…ξ_n: top - coeff(m) + the
+        # ∂-exponents of m, in the piece of forms of the window with its degree and weight, if there is one
+        label = V.unpack(m)
+        dp = V.degree(label)
+        if (n + dp, n - V.weight(label)) not in dual.pieces:
+            return {}
+        om = top + m - 2 * (m & ctx.coefficients)  # top - coeff(m) + (m - coeff(m))
+        sign = -1 if dp % 2 and n % 2 else 1
+        return {om: sign * k for k in contract_monomial(ctx, m, om).values()}
 
-    bad = [m for m, _ in _square(V.monomials([1] * n + [max(2, n)] * n, -math.inf, math.inf), V.weight,
+    bad = [m for m, _ in _square(V, V.monomials([1] * n + [max(2, n)] * n, -math.inf, math.inf),
                                  lambda: [(cache(contract), delta, coboundary, lambda m: 1)], stop=9)]
     # η^!∘ι_1 = η^! and [π, 1] = 0: the unit, the first label, fails exactly when δη^! ≠ 0
     return FrobeniusPoissonReport(V.one not in bad, not bad,
@@ -550,14 +642,16 @@ def unimodularity_check(ctx: PoissonContext, pi: GCAElement, w_max: int = 4) -> 
     """
     check_jacobi(ctx, pi)
     V, n = ctx.vectors, ctx.n
-    eta = (0,) * n + (1,) * n  # the volume form dx_1…dx_n
+    eta = ctx.forms.pack((0,) * n + (1,) * n)  # the volume form dx_1…dx_n
     den, delta = _bracket_columns(ctx, pi)
 
     def maps():
-        contract, _, boundary = _form_columns(ctx, pi, den)
+        # ι_π inside ∂ and ι_P η of the square share one memo of (P, ω) columns
+        contract = cache(lambda P, m: contract_monomial(ctx, P, m))
+        _, boundary = _form_columns(ctx, pi, den, contract)
         return [(lambda m: contract(m, eta), delta, boundary, lambda m: 1 if sum(m[n:]) % 2 else -1)]
 
-    bad = [m for m, _ in _square(V.monomials([w_max] * n + [1] * n, -math.inf, math.inf), V.weight, maps, stop=9)]
+    bad = [m for m, _ in _square(V, V.monomials([w_max] * n + [1] * n, -math.inf, math.inf), maps, stop=9)]
     # ι_1 η = η and [π, 1] = 0: the unit, the first label, fails exactly when ∂η ≠ 0
     return UnimodularityReport(V.one not in bad, not bad, not modular_vector_field(ctx, pi),
                                [f"diagram fails on {V.format_monomial(m)}" for m in bad])

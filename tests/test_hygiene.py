@@ -1,6 +1,6 @@
 """Static hygiene of the package source, read with the standard ``ast`` module only.
 
-Nine rules: every name a module imports is used in that module, every
+Ten rules: every name a module imports is used in that module, every
 private function or method is referenced somewhere in the package outside
 its own body, every public one is referenced outside its own body in the
 package or the benchmark scripts or is named in backticks in README.md,
@@ -13,7 +13,12 @@ second name, no module but ``algebra.py`` calls ``GradedAlgebra(`` or names
 outside ``linalg.py`` calls ``_over_one_denominator``, while
 ``gravity.py`` and ``calculus.py`` import nothing from ``fractions``, and no
 ``Q(…)`` or ``Fraction(…)`` call takes an integer literal as its only
-argument.  A method is referenced through an attribute, a module function
+argument, and the packed monomial words are laid out in ``poisson.py`` alone
+(no other module names ``_FIELD``, ``_LIMIT`` or ``_MASK`` or calls
+``.bit_count(``, ``.pack(``, ``.unpack(``, ``.from_bytes(`` or
+``.to_bytes(``), where the tuple ``.mul_monomials(`` and ``.partial(`` are
+called only by ``algebra._free_truncation`` and the element-level API
+(``poisson.modular_vector_field``).  A method is referenced through an attribute, a module function
 through an attribute or through a bare name in its own module or in one
 that imports it, and a name that is bound or deleted is no reference.  Code
 that
@@ -26,7 +31,9 @@ once, in ``calculus._available`` and ``calculus._FAILURE_LIMIT``, and a
 homology class vector is made in one place, from the integer read of
 ``linalg``, with no Fraction form beside it in the gravity layer, and a
 coefficient whose value is an integer is an ``int``: a ``Fraction`` is kept
-for a value that is not integral and for what leaves the package.
+for a value that is not integral and for what leaves the package, and the
+Poisson operators take and give packed words, with exponent tuples at the
+boundary only.
 """
 
 import ast
@@ -293,6 +300,44 @@ def _integer_fractions(modules: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+# the packed-word layout: its constants, and the attributes that pack, unpack and read a word's bits
+_LAYOUT_NAMES = {"_FIELD", "_LIMIT", "_MASK"}
+_LAYOUT_ATTRS = {"bit_count", "pack", "unpack", "from_bytes", "to_bytes"}
+# the functions that may call the tuple kernel, by module: the truncations and the element-level API
+_TUPLE_KERNEL_CALLERS = {"algebra.py": {"_free_truncation"}, "poisson.py": {"modular_vector_field"}}
+
+
+def _packed_layout_outside_poisson(modules: dict[str, ast.Module]) -> list[str]:
+    """The word layout read outside ``poisson.py``, and tuple ``mul_monomials``/``partial`` calls outside their users.
+
+    Outside ``poisson.py`` a layout constant may not be imported or named, and
+    no attribute in ``_LAYOUT_ATTRS`` read.  A call counts for the outermost
+    function or method that holds it.
+    """
+    found = []
+
+    def visit(name: str, node: ast.AST, owner: str | None):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+            owner = node.name
+        if name != "poisson.py":
+            if isinstance(node, ast.ImportFrom):
+                found.extend(f"{name}:{node.lineno} import {a.name}" for a in node.names if a.name in _LAYOUT_NAMES)
+            elif isinstance(node, ast.Name) and node.id in _LAYOUT_NAMES:
+                found.append(f"{name}:{node.lineno} {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr in _LAYOUT_NAMES | _LAYOUT_ATTRS:
+                found.append(f"{name}:{node.lineno} .{node.attr}")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr = node.func.attr
+            if attr in ("mul_monomials", "partial") and owner not in _TUPLE_KERNEL_CALLERS.get(name, ()):
+                found.append(f"{name}:{node.lineno} .{attr}( in {owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(name, child, owner)
+
+    for name, tree in modules.items():
+        visit(name, tree, None)
+    return found
+
+
 def _readme_names() -> set[str]:
     """Every identifier inside a backtick span of README.md: the documented API."""
     with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
@@ -338,6 +383,10 @@ def test_only_mixed_makes_a_class_row():
 
 def test_no_fraction_of_an_integer_literal():
     assert _integer_fractions(_modules()) == []
+
+
+def test_only_poisson_lays_out_a_packed_word():
+    assert _packed_layout_outside_poisson(_modules()) == []
 
 
 def test_every_public_function_is_read_or_documented():
@@ -433,6 +482,30 @@ def test_the_rules_find_what_they_claim():
     )
     assert _integer_fractions({"m.py": literals}) == [
         "m.py:4 Q(1)", "m.py:6 Fraction(-2)", "m.py:6 Fraction(+3)"]
+    words = ast.parse(
+        "from functools import partial\n"
+        "from . import poisson as po\n"
+        "from .poisson import _FIELD\n"
+        "def _truncation(F, a, b):\n"
+        "    return F.mul_monomials(a, b), partial(F.pack, a)\n"
+        "def _free_truncation(F, a, b):\n"
+        "    def product():\n"
+        "        return F.mul_monomials(a, b), F.partial(0, a)\n"
+        "    return product(), F.pack(a), (a >> po._MASK).bit_count()\n"
+        "class FreeGCA:\n"
+        "    def multiply(self, a, b):\n"
+        "        return self.mul_monomials(a, b), self.unpack(_FIELD)\n"
+        "    def partial_word(self, i, w):\n"
+        "        return self.partial(i, w), int.from_bytes(bytes(w), 'big')\n"
+    )
+    assert _packed_layout_outside_poisson({"algebra.py": words, "poisson.py": words}) == [
+        "algebra.py:3 import _FIELD", "algebra.py:5 .mul_monomials( in _truncation", "algebra.py:5 .pack",
+        "algebra.py:9 .pack", "algebra.py:9 .bit_count", "algebra.py:9 ._MASK",
+        "algebra.py:12 .mul_monomials( in multiply", "algebra.py:12 .unpack", "algebra.py:12 _FIELD",
+        "algebra.py:14 .partial( in partial_word", "algebra.py:14 .from_bytes",
+        "poisson.py:5 .mul_monomials( in _truncation", "poisson.py:8 .mul_monomials( in _free_truncation",
+        "poisson.py:8 .partial( in _free_truncation", "poisson.py:12 .mul_monomials( in multiply",
+        "poisson.py:14 .partial( in partial_word"]
     public = ast.parse(
         "def read():\n"
         "    return 1\n"

@@ -36,9 +36,11 @@ from test_poisson import (
     DualSideByFunctionals,
     de_rham,
     delta_by_monomials,
+    delta_matrix_by_tuples,
     dual_domain,
     poisson_boundary,
     poisson_complex_by_forms,
+    poisson_complex_by_tuples,
 )
 
 Q = Fraction
@@ -631,6 +633,10 @@ def test_dual_poisson_slice_is_made_of_the_dual_side_matrices(monkeypatch):
     assert calls["schouten"] == [(dual.ctx, dual.pi, dual.pi)]
     assert len(calls["_bracket_columns"]) == 2
     assert calls["_d"] == [] and not hasattr(po, "contraction")
+    # η^!∘ι_P reads the one form ι_P can send onto η^!: of the 512 polyvectors of the square's
+    # window, the 129 whose form lies in this weight-4 dual side contract it, once each
+    contracted = calls["contract_monomial"]
+    assert len({P for _ctx, P, _m in contracted}) == len(contracted) == 129
 
 
 _POISSON_ORACLE_CASES = {
@@ -647,8 +653,9 @@ _POISSON_ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_POISSON_ORACLE_CASES))
 def test_poisson_operator_matrices_match_the_per_monomial_builds(case):
-    # ∂ and d from the integer form columns against ∂ and d form by form, and δ from the
-    # tabulated bracket against the odd-Laplacian bracket monomial by monomial
+    # ∂ and d from the integer columns on packed words against ∂ and d form by form and
+    # against the tuple path, and δ from the tabulated bracket against the odd-Laplacian
+    # bracket monomial by monomial and against the tuple path
     from mixhom.calculus import MultivectorOps
     from mixhom.mixed import _poisson_complex
 
@@ -656,10 +663,11 @@ def test_poisson_operator_matrices_match_the_per_monomial_builds(case):
     ctx = PoissonContext.make(n, side)
     pi = quadratic_bivector(ctx, coeffs)
     got, want = _poisson_complex(ctx, pi, 8), poisson_complex_by_forms(ctx, pi, 8)
-    assert got == want
+    assert got == want == poisson_complex_by_tuples(ctx, pi, 8)
     ops = MultivectorOps(ctx, pi, -3, 5, 8)
     deltas = {piece: ops.delta_matrix(piece) for piece in ops.pieces()}
     assert deltas == {piece: delta_by_monomials(ctx, pi, ops.pieces(), piece) for piece in ops.pieces()}
+    assert deltas == {piece: delta_matrix_by_tuples(ops, piece) for piece in ops.pieces()}
     nonzero = any(M.entries for M in got[1].values()), any(M.entries for M in deltas.values())
     assert nonzero == ((False, False) if case == "zero" else (True, True))
 
@@ -667,7 +675,8 @@ def test_poisson_operator_matrices_match_the_per_monomial_builds(case):
 def _assert_form_columns_once(calls, pi):
     """Within one weight, each form met d once and each (P, form) pair met contract_monomial at most once.
 
-    The element-level contraction and d are gone from the package.
+    Both take packed words, which are unpacked here to read the form's weight and P's monomial.  The
+    element-level contraction and d are gone from the package.
     """
     from mixhom import poisson as po
 
@@ -676,9 +685,10 @@ def _assert_form_columns_once(calls, pi):
         by_weight = {}
         for args in logged:
             k = key(*args)
-            by_weight.setdefault(args[0].forms.weight(k[-1]), []).append(k)
+            F = args[0].forms
+            by_weight.setdefault(F.weight(F.unpack(k[-1])), []).append(k)
         assert by_weight and all(len(keys) == len(set(keys)) for keys in by_weight.values())
-    assert {P for _ctx, P, _m in calls["contract_monomial"]} <= set(pi)
+    assert {ctx.vectors.unpack(P) for ctx, P, _m in calls["contract_monomial"]} <= set(pi)
     assert not hasattr(po, "contraction") and not hasattr(po, "de_rham")
 
 
@@ -701,7 +711,7 @@ def test_poisson_operator_matrices_count_their_work(monkeypatch):
     _assert_form_columns_once(calls, pi)
     # every form with forms one degree up is differentiated
     raised = {m for (e, w), labels in sl.pieces.items() if (e + 1, w) in sl.pieces for m in labels}
-    assert raised <= {m for _ctx, m in calls["_d"]}
+    assert raised <= {ctx.forms.unpack(m) for ctx, m in calls["_d"]}
     # the one bracket taken is the Jacobi check [π, π]
     assert calls["schouten"] == [(ctx, pi, pi)] and len(calls["_bracket_columns"]) == 2
     poisson_bundle(ctx, pi, sl, w_shift_min=-3, w_shift_max=5, coeff_wmax=8)

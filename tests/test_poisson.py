@@ -1,5 +1,6 @@
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from itertools import product as iproduct
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixhom import poisson as po
-from mixhom.linalg import ExactMatrix, _accumulate, _pullback
+from mixhom.linalg import ExactMatrix, _accumulate, _denominator, _expand, _pullback, operator_matrix
 from mixhom.mixed import WindowError, _mats_from_operator
 from mixhom.poisson import (
     DualSide,
@@ -312,12 +313,20 @@ def _fast_path(*args):
     raise FastPathError("a fast path ran inside the oracle engine")
 
 
+def contract_words_chained(ctx: PoissonContext, P: int, m: int) -> dict[int, Fraction]:
+    """``contract_monomial_chained`` on packed words, the signature of ``poisson.contract_monomial``."""
+    F = ctx.forms
+    return {F.pack(t): c for t, c in contract_monomial_chained(ctx, ctx.vectors.unpack(P), F.unpack(m)).items()}
+
+
 # name -> (the mixhom module that defines it, its stand-in)
 ORACLE = {
     "schouten": ("poisson", schouten_odd_laplacian),
-    "contract_monomial": ("poisson", contract_monomial_chained),
-    # the tabulated bracket and the integer-column ∂ and d must not run at all
+    "contract_monomial": ("poisson", contract_words_chained),
+    # the packed builders of the tabulated bracket and of the integer-column ∂ and d must not run at all
     "_bracket_columns": ("poisson", _fast_path),
+    "_d": ("poisson", _fast_path),
+    "_form_columns": ("poisson", _fast_path),
     "_poisson_complex": ("mixed", _fast_path),
 }
 
@@ -326,9 +335,11 @@ ORACLE = {
 def oracle_engine():
     """mixhom with the oracle bracket and contraction in place, wherever they are bound.
 
-    ``_bracket_columns`` and ``mixed._poisson_complex``, which builds ∂ and d from
-    integer columns, raise FastPathError inside the block: the oracle side
-    builds its ∂, d and δ a form and a monomial at a time.
+    The packed builders ``_bracket_columns``, ``_d``, ``_form_columns`` and
+    ``mixed._poisson_complex``, which builds ∂ and d from integer columns,
+    raise FastPathError inside the block: the oracle side builds its ∂, d
+    and δ a form and a monomial at a time, and ι is the chained contraction
+    on the words ``contract_monomial`` takes.
     """
     import mixhom.poisson
 
@@ -370,13 +381,15 @@ def sub(a: GCAElement, b: GCAElement) -> GCAElement:
 def contraction(ctx: PoissonContext, P: GCAElement, omega: GCAElement) -> GCAElement:
     """ι_P ω on elements: ``contract_monomial`` extended bilinearly, as the package once had it.
 
-    The monomial ι is read through the module, so inside ``oracle_engine``
-    this is the chained contraction.
+    The monomial ι is read through the module, on packed words, so inside
+    ``oracle_engine`` this is the chained contraction.
     """
+    F, V = ctx.forms, ctx.vectors
     out: GCAElement = {}
     for m, c in P.items():
         for om, v in omega.items():
-            _accumulate(out, po.contract_monomial(ctx, m, om), c * v)
+            column = po.contract_monomial(ctx, V.pack(m), F.pack(om))
+            _accumulate(out, {F.unpack(t): k for t, k in column.items()}, c * v)
     return out
 
 
@@ -385,7 +398,7 @@ def de_rham(ctx: PoissonContext, omega: GCAElement) -> GCAElement:
     F = ctx.forms
     out: GCAElement = {}
     for i in range(ctx.n):
-        _accumulate(out, F.multiply({F.units[ctx.n + i]: Q(1)}, _partial_element(F, i, omega)))
+        _accumulate(out, F.multiply({F.unpack(F.units[ctx.n + i]): Q(1)}, _partial_element(F, i, omega)))
     return out
 
 
@@ -458,7 +471,7 @@ class DualSideByFunctionals(DualSide):
                 for d, w in pieces:
                     # φ on forms of degree -d pulls back from the forms ι_pm sends there
                     _accumulate(out, _pullback(phi, self.pieces.get((d + dp, w - wp), ()),
-                                            lambda om: contract_monomial(self.ctx, pm, om),
+                                            lambda om: contraction(self.ctx, {pm: 1}, {om: 1}),
                                             -1 if (dp % 2) and (d % 2) else 1), c)
         return out
 
@@ -735,6 +748,60 @@ def test_products_on_many_odd_generators_allocate_no_sign_table():
     assert peak < 1 << 20, f"{peak} bytes allocated"
 
 
+# every space of the four, at n = 1, 2, 3: (n, side, "forms" or "vectors")
+SPACES = {(*key, kind): getattr(ctx, kind) for key, ctx in CONTEXTS.items() for kind in ("forms", "vectors")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SPACES)), st.data())
+def test_packed_words_match_the_tuple_oracle(space, data):
+    # the word product and partial against the per-generator tuple oracles on all four spaces, with
+    # exponents up to the field limit, pairs that share an odd generator, and int order against tuple order
+    A = SPACES[space]
+    exponent = st.one_of(st.integers(0, 3), st.integers(po._LIMIT - 3, po._LIMIT))
+    monomial = st.tuples(*(st.integers(0, 1) if odd else exponent for odd in A.odd))
+    a, b = data.draw(monomial), data.draw(monomial)
+    odd = [i for i in range(A.n) if A.odd[i]]
+    if data.draw(st.booleans()):
+        i = data.draw(st.sampled_from(odd))
+        a, b = a[:i] + (1,) + a[i + 1 :], b[:i] + (1,) + b[i + 1 :]
+    wa, wb = A.pack(a), A.pack(b)
+    assert (A.unpack(wa), A.unpack(wb)) == (a, b)
+    assert (wa < wb, wa == wb) == (a < b, a == b)
+    overlap = any(a[i] and b[i] for i in odd)
+    if not overlap and any(x + y > po._LIMIT for x, y in zip(a, b)):
+        with pytest.raises(ValueError, match=f"above {po._LIMIT}"):
+            A.mul_words(wa, wb)
+    else:
+        got = A.mul_words(wa, wb)
+        assert (got and (got[0], A.unpack(got[1]))) == oracle_mul_monomials(A, a, b)
+        assert A.mul_monomials(a, b) == oracle_mul_monomials(A, a, b)
+    for i in range(A.n):
+        got = A.partial_word(i, wa)
+        assert (got and (got[0], A.unpack(got[1]))) == oracle_partial(A, i, a) == A.partial(i, a)
+
+
+def test_a_field_never_carries_into_its_neighbour():
+    # x1, x2, dx1, dx2: an exponent past the limit has no word, and a product that would carry raises
+    A = CONTEXTS[(2, "poly")].forms
+    for m in [(po._LIMIT + 1, 0, 0, 0), (1 << po._FIELD, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 2, 0), (1, 1)]:
+        with pytest.raises(ValueError, match="is no monomial of 4 exponents"):
+            A.pack(m)
+    with pytest.raises(ValueError, match=f"above {po._LIMIT}"):
+        A.mul_words(A.pack((0, po._LIMIT, 0, 0)), A.units[1])
+    with pytest.raises(ValueError, match=f"above {po._LIMIT}"):
+        A.mul_monomials((po._LIMIT, 0, 0, 0), (1, 0, 0, 0))
+    assert A.mul_monomials((po._LIMIT, 0, 0, 0), (0, po._LIMIT, 0, 0)) == (1, (po._LIMIT, po._LIMIT, 0, 0))
+    assert A.partial(1, (po._LIMIT, po._LIMIT, 0, 1)) == (po._LIMIT, (po._LIMIT, po._LIMIT - 1, 0, 1))
+    # the bracket's own product loop guards its fields too: [x1^h x2 ∂2, x1^h x2] holds x1^2h, past the limit
+    ctx, h = CONTEXTS[(2, "poly")], po._LIMIT // 2 + 1
+    _, apply = _bracket_columns(ctx, {(h, 1, 0, 1): Q(1)})
+    with pytest.raises(ValueError, match=f"above {po._LIMIT}"):
+        apply(ctx.vectors.pack((h, 1, 0, 0)))
+    within = schouten_odd_laplacian(ctx, {(h, 1, 0, 1): Q(1)}, {(20, 1, 0, 0): Q(1)})
+    assert apply(ctx.vectors.pack((20, 1, 0, 0))) == {ctx.vectors.pack((h + 20, 1, 0, 0)): 1} == _words_of(ctx.vectors, within)
+
+
 def monomials_by_filter(A, max_exponents, w_min, w_max):
     """Every monomial up to the exponent caps, then the weight filter: the enumeration ``FreeGCA.monomials`` pruned."""
     out = [()]
@@ -771,20 +838,21 @@ def test_schouten_matches_odd_laplacian_oracle(key, data):
     got = schouten(ctx, P, R)
     assert got == schouten_odd_laplacian(ctx, P, R)
     assert _all_fractions(got)
-    # the integer columns, one monomial at a time, over their denominator; a column may hold zeros
+    # the integer columns, one word at a time, over their denominator; a column may hold zeros
+    V = ctx.vectors
     den, apply = _bracket_columns(ctx, P)
     for m in R:
-        got = apply(m)
+        got = apply(V.pack(m))
         assert all(type(v) is int for v in got.values())
-        assert {mm: Q(v, den) for mm, v in got.items() if v} == schouten_odd_laplacian(ctx, P, {m: Q(1)})
+        assert {V.unpack(mm): Q(v, den) for mm, v in got.items() if v} == schouten_odd_laplacian(ctx, P, {m: Q(1)})
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(CONTEXTS)), st.data())
 def test_contraction_matches_chained_oracle(key, data):
-    # one form monomial at a time: an integer column of at most one entry; the
+    # one form word at a time: an integer column of at most one entry; the
     # Poisson bundles' action extends it over P, in Fractions and in P's order
-    from mixhom.calculus import _contraction_of
+    from mixhom.poisson import _contraction_of
 
     ctx = CONTEXTS[key]
     P = data.draw(elements(ctx.vectors))
@@ -793,8 +861,8 @@ def test_contraction_matches_chained_oracle(key, data):
     for om in forms:
         want: GCAElement = {}
         for m, c in P.items():
-            got = contract_monomial(ctx, m, om)
-            assert got == contract_monomial_chained(ctx, m, om)
+            got = contract_monomial(ctx, ctx.vectors.pack(m), ctx.forms.pack(om))
+            assert got == contract_words_chained(ctx, ctx.vectors.pack(m), ctx.forms.pack(om))
             assert len(got) <= 1 and all(type(v) is int for v in got.values())
             _accumulate(want, contract_monomial_chained(ctx, m, om), c)
         got = act(P, om)
@@ -814,8 +882,8 @@ def test_engine_matches_oracles_on_small_monomials():
             assert got == schouten_odd_laplacian(ctx, {m1: Q(2)}, {m2: Q(-1, 3)}), (side, m1, m2)
             nonzero += bool(got)
         for m, om in iproduct(monos, F.monomials([2] * 4, -math.inf, math.inf)):
-            got = contract_monomial(ctx, m, om)
-            assert got == contract_monomial_chained(ctx, m, om), (side, m, om)
+            got = contract_monomial(ctx, V.pack(m), F.pack(om))
+            assert {F.unpack(t): k for t, k in got.items()} == contract_monomial_chained(ctx, m, om), (side, m, om)
             contracted += bool(got)
     assert nonzero > 100 and contracted > 100
 
@@ -1190,6 +1258,293 @@ class TestDualContractOracle:
         assert got == {mono(F, dξ2=1): Q(-1), mono(F, ξ1=1, dξ2=2): Q(2)}
 
 
+# -- the tuple-path builders (oracles) --------------------------------------------
+#
+# The Poisson operators as they were built before they moved onto packed words: one exponent tuple at
+# a time, through the tuple ``FreeGCA.partial`` and ``mul_monomials``.  That code is kept here verbatim
+# as the differential oracle of the packed builders, with two edits: ``d_by_tuples`` unpacks the
+# generator's unit, now a word, and ``DualSide._columns`` is a function of the dual side.  The
+# Frobenius square reads η^!∘ι_m by pulling η^! back over a whole piece of forms.
+
+
+def d_by_tuples(ctx: PoissonContext, m: Monomial) -> dict[Monomial, int]:
+    """d of one form monomial, with integer coefficients; each coordinate gives its own monomial."""
+    F = ctx.forms
+    acc: dict[Monomial, int] = {}
+    for i in range(ctx.n):
+        got = F.partial(i, m)
+        if got is not None:
+            prod = F.mul_monomials(F.unpack(F.units[ctx.n + i]), got[1])
+            if prod is not None:
+                acc[prod[1]] = got[0] * prod[0]
+    return acc
+
+
+def contract_monomial_by_tuples(ctx: PoissonContext, P: Monomial, m: Monomial) -> dict[Monomial, int]:
+    """ι_P m for one polyvector monomial P and one form monomial m, as an integer column."""
+    F = ctx.forms
+    n = ctx.n
+    k = 1
+    for i in range(n, 2 * n):
+        for _ in range(P[i]):
+            got = F.partial(i, m)
+            if got is None:
+                return {}
+            k *= got[0]
+            m = got[1]
+    prod = F.mul_monomials(P[:n] + (0,) * n, m)
+    return {} if prod is None else {prod[1]: k * prod[0]}
+
+
+def contraction_of_by_tuples(ctx: PoissonContext):
+    """ι_P on one basis form, Σ c·ι_m over P's monomials: both Poisson bundles' action."""
+    return lambda P, label: _expand(P, lambda m: contract_monomial_by_tuples(ctx, m, label))
+
+
+def bracket_columns_by_tuples(ctx: PoissonContext, P: GCAElement):
+    """(den, m ↦ den·[P, m]): the bracket as integer columns, over one denominator den of P."""
+    V = ctx.vectors
+    n = ctx.n
+    den = _denominator(P.values())
+    # per coordinate i: the (signed integer, monomial) terms ∂_{θ_i}P meeting ∂_{g_i}m and ∂_{g_i}P meeting ∂_{θ_i}m
+    table: list[tuple[list, list]] = [([], []) for _ in range(n)]
+    for mp, cp in P.items():
+        if not cp:
+            continue
+        k = cp.numerator * (den // cp.denominator)
+        p_odd = V.degree(mp) % 2
+        s = k if p_odd else -k  # -(-1)^{|P|}
+        for i, (with_g, with_th) in enumerate(table):
+            th_p, g_p = V.partial(n + i, mp), V.partial(i, mp)
+            if th_p is not None:
+                with_g.append(((-s if V.odd[i] and (p_odd + V.odd[n + i]) % 2 else s) * th_p[0], th_p[1]))
+            if g_p is not None:
+                with_th.append(((-s if V.odd[n + i] and p_odd else s) * g_p[0], g_p[1]))
+
+    def apply(m: Monomial) -> dict[Monomial, int]:
+        acc: dict[Monomial, int] = {}
+        for i, (with_g, with_th) in enumerate(table):
+            for terms, right in ((with_g, V.partial(i, m)), (with_th, V.partial(n + i, m))):
+                if right is None:
+                    continue
+                kr, mr = right
+                for kl, ml in terms:
+                    prod = V.mul_monomials(ml, mr)
+                    if prod is not None:
+                        acc[prod[1]] = acc.get(prod[1], 0) + kl * kr * prod[0]
+        return acc
+
+    return den, apply
+
+
+def delta_matrix_by_tuples(ops, piece) -> ExactMatrix:
+    """``MultivectorOps.delta_matrix`` on the polyvector monomials themselves."""
+    den, delta = bracket_columns_by_tuples(ops.ctx, ops.pi)
+    D, om = piece
+    return operator_matrix(ops._pieces.get(piece, []), ops._pieces_ext.get((D - 1, om), []), delta, den,
+                           escape=WindowError)
+
+
+def square_by_tuples(labels, weight, maps, stop: int | None = None) -> list:
+    """The first ``stop`` failures (s, k), labels in order, of squares k: d_tgt(F(s)) ≠ sign(s)·F(d_src(s))."""
+    groups: dict = {}
+    for i, s in enumerate(labels):
+        groups.setdefault(weight(s), []).append((i, s))
+    bad = []
+    for group in groups.values():
+        squares = maps()
+        for i, s in group:
+            for k, (F, d_src, d_tgt, sign) in enumerate(squares):
+                diff: dict = {}
+                for t, c in F(s).items():
+                    _accumulate(diff, d_tgt(t), c)
+                e = -sign(s)
+                for u, c in d_src(s).items():
+                    _accumulate(diff, F(u), e * c)
+                if diff:
+                    bad.append((i, k, s))
+    return [(s, k) for _, k, s in sorted(bad)[:stop]]
+
+
+def form_columns_by_tuples(ctx: PoissonContext, pi: GCAElement, den: int):
+    """Cached integer columns on forms: (ι_P ω for a polyvector monomial P, dω, den·∂ω)."""
+    scaled = {P: c.numerator * (den // c.denominator) for P, c in pi.items()}
+    contract = cache(lambda P, m: contract_monomial_by_tuples(ctx, P, m))
+    d = cache(lambda m: d_by_tuples(ctx, m))
+
+    @cache
+    def iota(m):
+        out: dict[Monomial, int] = {}
+        for P, k in scaled.items():
+            _accumulate(out, contract(P, m), k)
+        return out
+
+    def boundary(m):
+        out: dict[Monomial, int] = {}
+        for t, c in d(m).items():
+            _accumulate(out, iota(t), c)
+        for t, c in iota(m).items():
+            _accumulate(out, d(t), -c)
+        return out
+
+    return contract, d, boundary
+
+
+def poisson_complex_by_tuples(ctx: PoissonContext, pi: dict, w_max: int):
+    """``mixed._poisson_complex`` on the form monomials themselves."""
+    F = ctx.forms
+    pieces: dict = {}
+    # odd generators are capped at exponent 1, so this lists either side's forms
+    for m in F.monomials([w_max] * (2 * ctx.n), 0, w_max):
+        pieces.setdefault((F.degree(m), F.weight(m)), []).append(m)
+    for labels in pieces.values():
+        labels.sort()
+    den = _denominator(pi.values())
+    b_mats, B_mats = {}, {}
+    for w in range(w_max + 1):
+        layer = {piece: labels for piece, labels in pieces.items() if piece[1] == w}
+        _, d, boundary = form_columns_by_tuples(ctx, pi, den)
+        B_mats.update(_mats_from_operator(layer, d, +1))
+        b_mats.update(_mats_from_operator(layer, boundary, -1, den))
+    return pieces, b_mats, B_mats
+
+
+def dual_columns_by_tuples(dual: DualSide, mats: dict, shift: int, den: int):
+    """den·T* as integer columns keyed by form, each matrix read once; ``mats`` maps (d, w) to (d + shift, w)."""
+    cols: dict[Monomial, dict[Monomial, int]] = {}
+    for (d, w), M in mats.items():
+        src, tgt = dual.pieces[(d, w)], dual.pieces[(d + shift, w)]
+        scale = den // M.den
+        for (i, j), v in M.num.items():
+            cols.setdefault(src[j], {})[tgt[i]] = scale * v
+    return lambda m: cols.get(m, {})
+
+
+def frobenius_poisson_check_by_pullback(dual: DualSide) -> FrobeniusPoissonReport:
+    """``frobenius_poisson_check`` with η^!∘ι_m pulled back over the whole piece of forms ι_m sends onto η^!."""
+    ctx = dual.ctx
+    V, n = ctx.vectors, ctx.n
+    top = (1,) * n + (0,) * n  # η^! picks the coefficient of ξ_1…ξ_n
+    if (n, n) not in dual.pieces:
+        raise ValueError(f"the dual side stops below the weight {n} of η^!")
+    den, delta = bracket_columns_by_tuples(ctx, dual.pi)
+    coboundary = dual_columns_by_tuples(dual, dual.b_mats, -1, den)
+
+    def contract(m):
+        # (-1)^{|m||η^!|} η^!∘ι_m, pulled back from the one piece of forms ι_m sends onto η^!
+        dp = V.degree(m)
+        return _pullback({top: 1}, dual.pieces.get((n + dp, n - V.weight(m)), ()),
+                         lambda om: contract_monomial_by_tuples(ctx, m, om), -1 if dp % 2 and n % 2 else 1)
+
+    bad = [m for m, _ in square_by_tuples(V.monomials([1] * n + [max(2, n)] * n, -math.inf, math.inf), V.weight,
+                                          lambda: [(cache(contract), delta, coboundary, lambda m: 1)], stop=9)]
+    # η^!∘ι_1 = η^! and [π, 1] = 0: the unit, the first label, fails exactly when δη^! ≠ 0
+    return FrobeniusPoissonReport(V.one not in bad, not bad,
+                                  [f"dual diagram fails on {V.format_monomial(m)}" for m in bad])
+
+
+def unimodularity_check_by_tuples(ctx: PoissonContext, pi: GCAElement, w_max: int = 4) -> UnimodularityReport:
+    """``unimodularity_check`` on the polyvector and form monomials themselves."""
+    check_jacobi(ctx, pi)
+    V, n = ctx.vectors, ctx.n
+    eta = (0,) * n + (1,) * n  # the volume form dx_1…dx_n
+    den, delta = bracket_columns_by_tuples(ctx, pi)
+
+    def maps():
+        contract, _, boundary = form_columns_by_tuples(ctx, pi, den)
+        return [(lambda m: contract(m, eta), delta, boundary, lambda m: 1 if sum(m[n:]) % 2 else -1)]
+
+    bad = [m for m, _ in square_by_tuples(V.monomials([w_max] * n + [1] * n, -math.inf, math.inf), V.weight, maps,
+                                          stop=9)]
+    # ι_1 η = η and [π, 1] = 0: the unit, the first label, fails exactly when ∂η ≠ 0
+    return UnimodularityReport(V.one not in bad, not bad, not modular_vector_field(ctx, pi),
+                               [f"diagram fails on {V.format_monomial(m)}" for m in bad])
+
+
+def check_chain_map_by_tuples(self, pi_coeffs, w_max: int = 4) -> list[str]:
+    """``PoissonIdentification.check_chain_map`` on the form monomials themselves; ``self`` is the identification."""
+    from mixhom.koszul import dual_bivector_coeffs
+
+    pi = po.quadratic_bivector(self.ctx_poly, pi_coeffs)
+    pid = po.quadratic_bivector(self.ctx_ext, dual_bivector_coeffs(pi_coeffs))
+    dual = po.DualSide(self.ctx_ext, pid, w_max=w_max)
+    den = _denominator([*pi.values(), *pid.values()])
+    coboundary = dual_columns_by_tuples(dual, dual.b_mats, -1, den)
+    d_star = dual_columns_by_tuples(dual, dual.B_mats, 1, 1)
+    F = self.ctx_poly.forms
+
+    def iso(m):
+        return {self.form_to_dual(m): self.coefficient(m)}
+
+    def maps():
+        _, d, boundary = form_columns_by_tuples(self.ctx_poly, pi, den)
+        return [(iso, boundary, coboundary, lambda m: 1), (iso, d, d_star, lambda m: 1)]
+
+    labels = F.monomials([w_max] * self.n + [1] * self.n, 0, w_max)
+    return [f"{('boundary', 'de Rham')[k]} fails at {F.format_monomial(m)}"
+            for m, k in square_by_tuples(labels, F.weight, maps)]
+
+
+def _words_of(A, column: dict) -> dict:
+    return {A.pack(t): c for t, c in column.items()}
+
+
+# π on each space: the circulant, its dual and a non-Poisson bivector with a real denominator
+PACKED_CASES = {
+    "poly2": (2, "poly", {(1, 2, 1, 2): Q(-5, 6), (1, 1, 1, 2): Q(2)}),
+    "ext2": (2, "ext", {(1, 2, 1, 2): Q(3, 4), (2, 2, 1, 2): Q(-1)}),
+    "poly3": (3, "poly", CIRCULANT),
+    "ext3": (3, "ext", swap_roles(CIRCULANT)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_CASES))
+def test_packed_builders_match_the_tuple_builders(case):
+    # d, ι, the bracket columns, ∂, the bundles' action and δ on words against the tuple path, exhaustively
+    # on a window of each space, columns compared on the words of the tuple columns
+    from mixhom.calculus import MultivectorOps
+    from mixhom.poisson import _contraction_of, _d, _form_columns
+
+    n, side, coeffs = PACKED_CASES[case]
+    ctx = PoissonContext.make(n, side)
+    F, V = ctx.forms, ctx.vectors
+    pi = quadratic_bivector(ctx, coeffs)
+    forms = F.monomials([3] * (2 * n), 0, 4)
+    vectors = V.monomials([2] * (2 * n), -2, 3)
+    den, apply = _bracket_columns(ctx, pi)
+    want_den, want_apply = bracket_columns_by_tuples(ctx, pi)
+    assert den == want_den
+    for m in vectors:
+        assert apply(V.pack(m)) == _words_of(V, want_apply(m)), m
+    act, want_act = _contraction_of(ctx), contraction_of_by_tuples(ctx)
+    for m in forms:
+        assert _d(ctx, F.pack(m)) == _words_of(F, d_by_tuples(ctx, m)), m
+        for P in vectors:
+            assert contract_monomial(ctx, V.pack(P), F.pack(m)) == _words_of(F, contract_monomial_by_tuples(ctx, P, m))
+        assert act(pi, m) == want_act(pi, m)
+    d, boundary = _form_columns(ctx, pi, den)
+    _, want_d, want_boundary = form_columns_by_tuples(ctx, pi, den)
+    for m in forms:
+        assert (d(F.pack(m)), boundary(F.pack(m))) == (_words_of(F, want_d(m)), _words_of(F, want_boundary(m))), m
+    ops = MultivectorOps(ctx, pi, -2, 3, 6)
+    assert all(ops.delta_matrix(piece) == delta_matrix_by_tuples(ops, piece) for piece in ops.pieces())
+    # coefficients of weight 4 at most: a δ that leaves the window raises on both paths, with the same
+    # message on the same tuple labels
+    ops = MultivectorOps(ctx, pi, -2, 3, 4)
+    escapes = 0
+    for piece in ops.pieces():
+        try:
+            want = delta_matrix_by_tuples(ops, piece)
+        except WindowError as exc:
+            escapes += 1
+            with pytest.raises(WindowError) as got:
+                ops.delta_matrix(piece)
+            assert str(got.value) == str(exc) and "leaves the target basis" in str(exc)
+        else:
+            assert ops.delta_matrix(piece) == want
+    assert escapes == {"poly2": 1, "poly3": 2}.get(case, 0)
+
+
 # -- the integer squares against the monomial loops they replaced --------------
 
 # the cli-batch bivectors at three scales, zero π, a non-unimodular π and one
@@ -1207,7 +1562,7 @@ SQUARE_CASES = {
 
 
 def assert_squares_match_the_monomial_loops(n: int, coeffs, w_max: int = 3):
-    """The three squares against the loops they replaced: whole reports, failure lists included.
+    """The three squares against the loops they replaced and the tuple path: whole reports, failure lists included.
 
     The windows are the CLI's: unimodularity and the identification at w_max,
     the Frobenius square on a dual side of weight n + 2.  Returns the number
@@ -1225,14 +1580,14 @@ def assert_squares_match_the_monomial_loops(n: int, coeffs, w_max: int = 3):
         assert str(got.value) == str(exc)
         primal = []
     else:
-        assert unimodularity_check(ctx, pi, w_max=w_max) == want
+        assert unimodularity_check(ctx, pi, w_max=w_max) == want == unimodularity_check_by_tuples(ctx, pi, w_max)
         primal = want.failures
     dual = DualSideByFunctionals(ctxe, quadratic_bivector(ctxe, swap_roles(coeffs)), w_max=n + 2)
     want_dual = frobenius_poisson_check_by_monomials(dual)
-    assert frobenius_poisson_check(dual) == want_dual
+    assert frobenius_poisson_check(dual) == want_dual == frobenius_poisson_check_by_pullback(dual)
     ident = koszul_poisson_identification(n)
     want_ident = check_chain_map_by_monomials(ident, coeffs, w_max=w_max)
-    assert ident.check_chain_map(coeffs, w_max=w_max) == want_ident
+    assert ident.check_chain_map(coeffs, w_max=w_max) == want_ident == check_chain_map_by_tuples(ident, coeffs, w_max)
     return len(primal) + len(want_dual.failures) + len(want_ident)
 
 
