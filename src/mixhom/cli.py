@@ -396,8 +396,8 @@ def task_hh(job: JobContext) -> dict:
 
 def task_hc_minus(job: JobContext) -> dict:
     hc = job.hc_minus
-    # HC before the LES check, so that its eliminations do not run while hc
-    # holds the π* and β columns the check memoizes
+    # HC before the LES check: it reads the prefix ranks HC⁻ left on the slice, and
+    # what it still eliminates runs before the check memoizes the π* and β columns
     cyclic = cyclic_homology(job.slice)
     les = job.les
     return {

@@ -261,7 +261,7 @@ class ExactMatrix:
     the rational view ``entries``.
     """
 
-    __slots__ = ("rows", "cols", "num", "den")
+    __slots__ = ("rows", "cols", "num", "den", "_by_col")
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction] | None = None):
         entries = entries or {}
@@ -269,6 +269,7 @@ class ExactMatrix:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i},{j}) out of range for {rows}x{cols}")
         self.rows, self.cols, self.num, self.den = rows, cols, *_over_one_denominator(entries)
+        self._by_col = None
 
     @classmethod
     def _integers(cls, rows: int, cols: int, num: dict[tuple[int, int], int], den: int) -> "ExactMatrix":
@@ -279,7 +280,7 @@ class ExactMatrix:
                 num = {k: v // g for k, v in num.items()}
                 den //= g
         M = object.__new__(cls)
-        M.rows, M.cols, M.num, M.den = rows, cols, num, den
+        M.rows, M.cols, M.num, M.den, M._by_col = rows, cols, num, den, None
         return M
 
     @classmethod
@@ -352,15 +353,21 @@ class ExactMatrix:
     def apply(self, row: Row) -> Row:
         """M·(num / den) for an integer row (num, den), as an integer row in lowest terms.
 
-        Raises DimensionMismatchError on an index outside the columns.
+        The entries are indexed by column on the first call (a matrix is not changed once built), so a call walks
+        only the columns in the row's support.  Raises DimensionMismatchError on an index outside the columns.
         """
         vec, dv = row
         if any(not 0 <= j < self.cols for j in vec):
             raise DimensionMismatchError("vector index outside the columns")
+        if self._by_col is None:
+            by_col = [[] for _ in range(self.cols)]
+            for (i, j), v in self.num.items():
+                by_col[j] += i, v
+            self._by_col = [tuple(entries) for entries in by_col]  # (row, value, row, value, ...) per column
         out: dict[int, int] = {}
-        for (i, j), v in self.num.items():
-            c = vec.get(j)
-            if c:
+        for j, c in vec.items():
+            entries = iter(self._by_col[j])
+            for i, v in zip(entries, entries):
                 out[i] = out.get(i, 0) + v * c
         return _lowest({i: c for i, c in out.items() if c}, self.den * dv)
 

@@ -16,18 +16,20 @@ dual; :class:`~mixhom.poisson.DualSide` holds the dual Poisson triple.
 
 Negative cyclic, cyclic and periodic homology are the homology of one
 u-stacked complex (C ⊗ u-powers, b + uB) over the u-ranges [0, N], [-K, 0]
-and [-N, N].  Every dimension comes from ranks: each u-stacked degree's
-rows at N + 1 are eliminated as they are built, with no matrix made, giving
-the rank at N on the way, so HC⁻ compares truncations N and N + 1 and flags
-unstable (degree, weight) pieces without a second elimination; b-homology
-is the u-range [0, 0].  A b-homology or HC⁻ piece gets a presentation only
-when a class in it is read.  The connecting map β follows the chain-level
-recipe: lift a b-cycle, apply b + uB, divide by u.
+and [-N, N]; b-homology is the u-range [0, 0].  Every dimension comes from
+ranks, with no matrix made: a stacked degree's rank depends only on the
+slice degrees its window covers, so one elimination from a start degree
+gives, block by block, the rank of every window starting there.  The slice
+memoizes these prefix ranks for HH, HC⁻ at N and N + 1, HC and HP alike.  A
+b-homology or HC⁻ piece gets a presentation only when a class in it is read.
+The connecting map β follows the chain-level recipe: lift a b-cycle, apply
+b + uB, divide by u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import lcm
 from types import MappingProxyType
 
@@ -71,7 +73,9 @@ class MixedComplexSlice:
         self.B_mats = B_mats
         self.name = name
         self._hh: dict[Piece, HomologyPresentation] = {}
-        self._B: dict[ClassKey, Row] = {}
+        self._B: dict[ClassKey, Row] = {}  # B on a b-homology class, as a class row
+        self._B_image: dict[ClassKey, Row] = {}  # B on its representative, as a chain row
+        self._ranks: dict[tuple[int, int], list[int]] = {}  # (weight, start degree): prefix ranks (``_u_dims``)
         self._validate()
 
     def dim(self, piece: Piece) -> int:
@@ -113,23 +117,28 @@ class MixedComplexSlice:
 
     def hh(self, piece: Piece) -> HomologyPresentation:
         if piece not in self._hh:
-            d, w = piece
-            self._hh[piece] = homology_presentation(self.b_matrix((d + 1, w)), self.b_matrix(piece))
+            self._hh[piece] = homology_presentation(self.b_matrix((piece[0] + 1, piece[1])), self.b_matrix(piece))
         return self._hh[piece]
 
     def hh_dims(self) -> dict[Piece, int]:
         """The b-homology dimension of every piece, from ranks: the u-range [0, 0] of ``_u_dims``."""
-        degrees = self.degrees()
-        return dict(sorted(_u_dims(self, 0, 0, min(degrees), max(degrees))[1].items())) if degrees else {}
+        degrees = self.degrees() or [0]  # an empty slice has no weights: ``_u_dims`` reads nothing
+        return dict(sorted(_u_dims(self, 0, 0, min(degrees), max(degrees))[1].items()))
+
+    def B_image(self, key: ClassKey) -> Row:
+        """B on a b-homology basis class's representative, as an integer chain row; kept until ``B_class`` reads it."""
+        if key not in self._B_image:
+            self._B_image[key] = self.B_matrix(key[0]).apply(self.hh(key[0]).cycle(key[1]))
+        return self._B_image[key]
 
     def B_class(self, key: ClassKey) -> Row:
         """B on one b-homology basis class, as a read-only class row; memoized."""
         got = self._B.get(key)
         if got is None:
-            (d, w), i = key
-            img = self.B_matrix((d, w)).apply(self.hh((d, w)).cycle(i))
-            target = (d + 1, w)
-            got = self._B[key] = _classes(target, self.hh(target), *img) if img[0] else ZERO_ROW
+            (d, w), _ = key
+            img = self.B_image(key)
+            del self._B_image[key]  # β reads the image first, if at all (``les_check``); the class row is kept here
+            got = self._B[key] = _classes((d + 1, w), self.hh((d + 1, w)), *img) if img[0] else ZERO_ROW
         return got
 
     def element_vector(self, piece: Piece, element: dict) -> dict:
@@ -263,9 +272,9 @@ class NegativeCyclic:
     A degree-d class has components x_i in degree d + 2i for u-powers
     i <= N; the truncated differential drops the u^{N+1} overflow, and the
     stabilization report marks the (degree, weight) pieces whose dimension
-    changes between truncation orders N and N+1; both come from ranks, in
-    one elimination of the stacked rows per degree (``_u_dims``).  A piece's presentation is
-    built the first time a class in it is read.
+    changes between truncation orders N and N+1; both come from the slice's
+    prefix ranks (``_u_dims``), shared with HH, HC and HP on it.  A piece's
+    presentation is built the first time a class in it is read.
 
     π* and β of the long exact sequence HC⁻ → HH → HC⁻ are taken on one
     basis class at a time and memoized here as read-only class rows
@@ -282,11 +291,8 @@ class NegativeCyclic:
     _beta: dict[ClassKey, Row] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        degrees = self.slice.degrees()
-        if not degrees:
-            return
-        lo, hi = min(degrees), max(degrees)
-        self._dims, upper = _u_dims(self.slice, 0, self.N + 1, lo - 2 * (self.N + 1), hi)
+        degrees = self.slice.degrees() or [0]  # an empty slice has no weights: ``_u_dims`` reads nothing
+        self._dims, upper = _u_dims(self.slice, 0, self.N + 1, min(degrees) - 2 * (self.N + 1), max(degrees))
         self.stable = {piece: dim == upper[piece] for piece, dim in self._dims.items()}
 
     def presentation(self, piece: Piece) -> HomologyPresentation:
@@ -295,15 +301,13 @@ class NegativeCyclic:
             if piece not in self._dims:
                 raise WindowError(f"no HC⁻ presentation at {piece}")
             d, w = piece
-            self._pres[piece] = homology_presentation(
-                _u_complex(self.slice, d + 1, w, 0, self.N), _u_complex(self.slice, d, w, 0, self.N)
-            )
+            self._pres[piece] = homology_presentation(_u_complex(self.slice, d + 1, w, 0, self.N),
+                                                      _u_complex(self.slice, d, w, 0, self.N))
         return self._pres[piece]
 
-    # basis of the truncated complex in degree d: pairs (i, index into piece)
     def stacked_basis(self, d: int, w: int, N: int | None = None) -> list[tuple[int, int]]:
-        N = self.N if N is None else N
-        return [(i, k) for i in range(N + 1) for k in range(self.slice.dim((d + 2 * i, w)))]
+        """The basis of the truncated complex in degree d: pairs (i, index into piece), i <= N (default self.N)."""
+        return [(i, k) for i in range((self.N if N is None else N) + 1) for k in range(self.slice.dim((d + 2 * i, w)))]
 
     def dims(self) -> dict[Piece, int]:
         return dict(sorted(self._dims.items()))
@@ -321,9 +325,8 @@ class NegativeCyclic:
         got = self._pi.get(key)
         if got is None:
             piece, i = key
-            # the u⁰ component comes first in the stacked basis
-            n0 = self.slice.dim(piece)
             num, den = self.presentation(piece).cycle(i)
+            n0 = self.slice.dim(piece)  # the u⁰ component comes first in the stacked basis
             got = self._pi[key] = _classes(piece, self.slice.hh(piece), {j: c for j, c in num.items() if j < n0}, den)
         return got
 
@@ -336,8 +339,8 @@ class NegativeCyclic:
         """
         got = self._beta.get(key)
         if got is None:
-            (d, w), i = key
-            img = self.slice.B_matrix((d, w)).apply(self.slice.hh((d, w)).cycle(i))
+            (d, w), _ = key
+            img = self.slice.B_image(key)
             # the u⁰ component comes first in the stacked basis
             got = self._beta[key] = _classes((d + 1, w), self.presentation((d + 1, w)), *img) if img[0] else ZERO_ROW
         return got
@@ -410,11 +413,9 @@ def les_check(hc: NegativeCyclic) -> LESReport:
 def _u_rows(sl: MixedComplexSlice, d: int, w: int, lo: int, hi: int) -> tuple[list[dict[int, int]], int, int]:
     """(rows, cols, den): the integer rows of den·(b + uB) from the stacked degree-d chains to the degree-(d-1) ones.
 
-    Component i (lo <= i <= hi) is the slice piece (d + 2i, w), stacked in
-    order of i, so component hi comes last: b acts on the diagonal and B
-    sends component i to i + 1; B out of component hi is dropped.  Rows come
-    in the order of their target components.  HC⁻ stacks [0, N], HC [-K, 0]
-    and HP [-N, N].
+    Component i (lo <= i <= hi) is the slice piece (d + 2i, w), stacked in order of i: b acts on the diagonal
+    and B sends component i to i + 1; B out of component hi is dropped.  Rows come in the order of their target
+    components.  HC⁻ stacks [0, N], HC [-K, 0] and HP [-N, N].
     """
     n_rows = cols = 0  # where component i starts in the target and source bases
     blocks = []  # (first row, first column, block)
@@ -446,40 +447,42 @@ def _u_dims(
 ) -> tuple[dict[Piece, int], dict[Piece, int]]:
     """Homology dimensions cols − rank(d_out) − rank(d_in) of the u-stacked complex over [lo, hi - 1] and [lo, hi].
 
-    The rows of each stacked degree are eliminated as ``_u_rows`` builds them, once for both ranks, and no
-    matrix is made.  Component hi comes last and nothing leaves it for a lower one, so the rows in components
-    lo..hi − 1 are the [lo, hi − 1] rows padded with zero columns: eliminating them first gives the rank at
-    hi − 1, and going on with the rows of component hi the rank at hi.  d∘d = 0 needs no check: out of
-    component i, (b + uB)² has the blocks b², bB + Bb and B², each zero by ``_validate`` (or out of a piece
-    with no chains).  Truncation drops only B out of the top component: it deletes whole blocks (bB with Bb)
-    and makes none, on every u-range.
+    Out of stacked degree d over [lo, top], let s be the first slice degree d + 2i (lo <= i <= top) with chains
+    in the weight and T the top one of its parity.  Row blocks below s or past T + 2 are zero, and dropping B out
+    of an empty top component is keeping B out of T, so the rank is that of the rows out of s, s + 2, …, t, with
+    t = min(d + 2·top, T + 2).  ``_u_rows`` from s puts row block j (b out of s + 2j, B out of s + 2j − 2) before
+    block j + 1 and sends nothing to a lower block, so len(echelon) after each block of one elimination from s
+    is the rank at each t.  The slice memoizes these prefix ranks per (weight, s); a call collects its windows
+    first and runs each start it lacks once, as far as its longest window.
+    d∘d = 0 needs no check: out of component i, (b + uB)² has the blocks b², bB + Bb and B², each zero by
+    ``_validate`` (or out of a piece with no chains).  Truncation drops only B out of the top component: it
+    deletes whole blocks (bB with Bb) and makes none, on every u-range.
     """
     lower, upper = {}, {}  # {piece: dimension} over [lo, hi - 1] and over [lo, hi]
-
-    def ranks(d: int, w: int) -> tuple[int, int, int]:
-        rows, cols, _ = _u_rows(sl, d, w, lo, hi)
-        split = len(rows) - sl.dim((d - 1 + 2 * hi, w))
-        echelon = _row_echelon(rows[:split])
-        return cols, len(echelon), len(_row_echelon(rows[split:], echelon))
-
     for w in sl.weights():
-        cols, *r_out = ranks(d_from, w)
-        for d in range(d_from, d_to + 1):
-            cols_in, *r_in = ranks(d + 1, w)
-            if cols:
-                upper[(d, w)] = cols - r_out[1] - r_in[1]
-                cols_lower = cols - sl.dim((d + 2 * hi, w))
-                if cols_lower:
-                    lower[(d, w)] = cols_lower - r_out[0] - r_in[0]
-            cols, r_out = cols_in, r_in
+        chains = [d for d, v in sorted(sl.pieces) if v == w]
+        windows = {}  # (d, top): (cols, s, prefix length) of the stacked degree-d chains over [lo, top]
+        for d in range(d_from, d_to + 2):
+            degs = [e for e in chains if (e - d) % 2 == 0]
+            for top in (hi - 1, hi):
+                inside = [e for e in degs if d + 2 * lo <= e <= d + 2 * top]
+                length = (min(d + 2 * top, degs[-1] + 2) - inside[0]) // 2 + 1 if inside else 0
+                windows[(d, top)] = sum(sl.dim((e, w)) for e in inside), inside[0] if inside else 0, length
+        for _, s, n in sorted(windows.values(), key=lambda window: -window[2]):  # longest first
+            if n > len(sl._ranks.get((w, s), ())):
+                rows, echelon = iter(_u_rows(sl, s, w, 0, n - 1)[0]), {}
+                blocks = (islice(rows, sl.dim((s - 1 + 2 * j, w))) for j in range(n))  # block j: into s − 1 + 2j
+                sl._ranks[(w, s)] = [len(_row_echelon(block, echelon)) for block in blocks]
+        rank = {at: sl._ranks[(w, s)][n - 1] if n else 0 for at, (_, s, n) in windows.items()}
+        for (d, top), (cols, _, _) in windows.items():
+            if cols and d <= d_to:
+                (upper if top == hi else lower)[(d, w)] = cols - rank[(d, top)] - rank[(d + 1, top)]
     return lower, upper
 
 
 def cyclic_homology(sl: MixedComplexSlice) -> dict[Piece, int]:
     """HC of the slice: (C[u,u⁻¹]/uC[u], b + uB), exact since C is bounded."""
-    degrees = sl.degrees()
-    if not degrees:
-        return {}
+    degrees = sl.degrees() or [0]  # an empty slice has no weights: ``_u_dims`` reads nothing
     d_lo, d_hi = min(degrees), max(degrees)
     d_top = d_hi + 2 * (d_hi - d_lo)
     # u-powers down to -K reach the lowest degree from every degree up to d_top + 1
@@ -498,14 +501,11 @@ def periodic_homology(sl: MixedComplexSlice, N: int) -> tuple[dict[Piece, int], 
     if not degrees:
         return {}, []
     d_lo, d_hi = min(degrees), max(degrees)
-    dims = _u_dims(sl, -N, N, d_lo - 2 * N, d_hi + 2 * N)[1]
     edge = [d for d in range(d_lo - 2 * N, d_hi + 2 * N + 1) if abs(d - d_lo) <= 2 or abs(d - d_hi) <= 2]
-    return dims, edge
+    return _u_dims(sl, -N, N, d_lo - 2 * N, d_hi + 2 * N)[1], edge
 
 
 def default_truncation(sl: MixedComplexSlice) -> int:
-    degrees = sl.degrees()
-    if not degrees:
-        return 1
+    degrees = sl.degrees() or [0]
     height = max(degrees) - min(degrees)
-    return height // 2 + (height % 2) + 1
+    return (height + 1) // 2 + 1

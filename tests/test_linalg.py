@@ -307,6 +307,26 @@ def test_kernel_vectors_really_in_kernel(rows):
     assert kernel_basis(M) == kernel_basis(ExactMatrix.from_rows(rows))
 
 
+def apply_by_scan(M, vec):
+    """M·vec for a sparse rational vector by a scan of every entry, in Fractions: the reference for ``apply``."""
+    out = {}
+    for (i, j), v in M.entries.items():
+        out[i] = out.get(i, 0) + v * vec.get(j, 0)
+    return {i: c for i, c in out.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(small_fracs, min_size=3, max_size=3), min_size=1, max_size=4),
+    st.lists(st.lists(small_fracs, min_size=3, max_size=3), min_size=1, max_size=3),
+)
+def test_apply_matches_a_scan_of_every_entry(rows, vectors):
+    # one matrix applied to several rows: the first call indexes its entries by column, the rest read the index
+    M = ExactMatrix.from_rows(rows)
+    for v in vectors:
+        assert apply_fractions(M, sparse_vec(v)) == apply_by_scan(M, sparse_vec(v))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.lists(small_fracs, min_size=4, max_size=4), min_size=1, max_size=3),

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from mixhom.algebra import make_exterior_algebra, make_truncated_polynomial_algebra
+from mixhom import koszul as ko
+from mixhom.algebra import (
+    exterior_presentation,
+    make_exterior_algebra,
+    make_truncated_polynomial_algebra,
+    polynomial_presentation,
+)
 from mixhom.linalg import ExactMatrix, _fractions, homology_presentation
 from mixhom.mixed import (
     LESReport,
@@ -484,15 +490,16 @@ def _hc_minus_matrix_oracle(sl, d, w, N):
     src = _stacked_basis_oracle(sl, d, w, N)
     tgt = _stacked_basis_oracle(sl, d - 1, w, N)
     tgt_idx = {t: i for i, t in enumerate(tgt)}
+    # the rational entries of b and B out of each component, read once per component
+    b_of = {i: sl.b_matrix((d + 2 * i, w)).entries for i in range(N + 1)}
+    B_of = {i: sl.B_matrix((d + 2 * i, w)).entries for i in range(N)}
     entries = {}
     for j, (i, k) in enumerate(src):
-        bm = sl.b_matrix((d + 2 * i, w))
-        for (r, c), v in bm.entries.items():
+        for (r, c), v in b_of[i].items():
             if c == k and (i, r) in tgt_idx:
                 entries[(tgt_idx[(i, r)], j)] = v
         if i + 1 <= N:
-            Bm = sl.B_matrix((d + 2 * i, w))
-            for (r, c), v in Bm.entries.items():
+            for (r, c), v in B_of[i].items():
                 if c == k and (i + 1, r) in tgt_idx:
                     entries[(tgt_idx[(i + 1, r)], j)] = v
     return ExactMatrix(len(tgt), len(src), entries)
@@ -803,11 +810,22 @@ def _u_sources():
     yield slice_from_poisson_dual(dual)
 
 
+_ORACLE_RANKS: dict = {}
+
+
+def _oracle_rank_once(M):
+    """``oracle_rank`` of a matrix, memoized on its contents: the u-oracles build equal windows many times over."""
+    key = (M.rows, M.cols, frozenset(M.num.items()), M.den)
+    if key not in _ORACLE_RANKS:
+        _ORACLE_RANKS[key] = oracle_rank(M)
+    return _ORACLE_RANKS[key]
+
+
 def _u_dims_oracle(sl, lo, hi, d_from, d_to):
     """Homology dimensions of the u-stacked complex over [lo, hi] alone, by Fraction elimination.
 
     The [lo, hi] matrix out of degree d is the HC⁻ matrix over [0, hi - lo]
-    out of degree d + 2·lo.
+    out of degree d + 2·lo, built on its own for every window.
     """
     dims = {}
     for w in sl.weights():
@@ -815,7 +833,7 @@ def _u_dims_oracle(sl, lo, hi, d_from, d_to):
             d_out = _hc_minus_matrix_oracle(sl, d + 2 * lo, w, hi - lo)
             if d_out.cols:
                 d_in = _hc_minus_matrix_oracle(sl, d + 1 + 2 * lo, w, hi - lo)
-                dims[(d, w)] = d_out.cols - oracle_rank(d_out) - oracle_rank(d_in)
+                dims[(d, w)] = d_out.cols - _oracle_rank_once(d_out) - _oracle_rank_once(d_in)
     return dims
 
 
@@ -854,7 +872,7 @@ class TestUComplexOracles:
             assert hc.stable == stable, sl.name
 
     def test_u_dims_halves_match_two_eliminations(self, sources):
-        # both truncations from one elimination per matrix, against each
+        # both truncations from the slice's prefix ranks, against each
         # truncation eliminated on its own, over the HC⁻, HC and HP ranges
         from mixhom.mixed import _u_dims
 
@@ -886,8 +904,20 @@ def hh_dims_oracle(sl):
             for (d, w) in sorted(sl.pieces)}
 
 
-def test_hh_dims_match_presentations():
-    for sl in [*_u_sources(), *(make() for make in CLI_BATCH_SLICES.values())]:
+def _koszul_slices(monkeypatch):
+    """The Koszul complex and both small-model slices of k[x, y] and Λ(2) to weight 4: the HH-only callers."""
+    built = []
+    make = ko._tensor_slice
+    monkeypatch.setattr(ko, "_tensor_slice", lambda *args: built.append(make(*args)) or built[-1])
+    for pres in (polynomial_presentation(2), exterior_presentation(2)):
+        ko.small_hochschild_models(ko.koszul_dual_algebra(pres, 4))
+    return built
+
+
+def test_hh_dims_match_presentations(monkeypatch):
+    koszul = _koszul_slices(monkeypatch)
+    assert [sl.name.split("(")[0] for sl in koszul] == ["koszul", "chain-model", "cochain-model"] * 2
+    for sl in [*_u_sources(), *(make() for make in CLI_BATCH_SLICES.values()), *koszul]:
         assert sl.hh_dims() == hh_dims_oracle(sl), sl.name
 
 
@@ -991,9 +1021,38 @@ def test_u_dims_match_the_matrix_path_on_every_u_range():
             assert any(got[1].values()), (sl.name, lo, hi)
 
 
+def gapped_slice():
+    """A slice whose weights skip a degree between two chain degrees of one parity.
+
+    Weight 0 has chains in degrees 0, 1, 4 and 5 (b(x) = a and B(c) = y in each pair), weight 1 in 0, 1, 3
+    and 4 (b(x) = a, B(z) = e): a stacked window's first chain degree and its clamped top differ from its ends.
+    """
+    M = ExactMatrix.from_rows
+    pieces = {(0, 0): ["a", "c"], (1, 0): ["x", "y"], (4, 0): ["a4", "c4"], (5, 0): ["x5", "y5"],
+              (0, 1): ["a"], (1, 1): ["x"], (3, 1): ["z"], (4, 1): ["e"]}
+    b = {(1, 0): M([[1, 0], [0, 0]]), (5, 0): M([[1, 0], [0, 0]]), (1, 1): M([[1]])}
+    B = {(0, 0): M([[0, 0], [0, 1]]), (4, 0): M([[0, 0], [0, 1]]), (3, 1): M([[1]])}
+    return MixedComplexSlice(pieces, b, B, "gapped")
+
+
+def test_u_dims_match_the_oracle_across_a_gap_in_the_chains():
+    # every u-range [lo, hi] with -4 <= lo <= 2 and hi - lo < 5, on one slice whose rank memo grows from
+    # range to range and on a fresh one
+    from mixhom.mixed import _u_dims
+
+    shared = gapped_slice()
+    for lo in range(-4, 3):
+        for hi in range(lo, lo + 5):
+            d_from, d_to = -2 * hi - 1, 5 - 2 * lo + 1
+            want = _u_dims_oracle(shared, lo, hi - 1, d_from, d_to), _u_dims_oracle(shared, lo, hi, d_from, d_to)
+            assert _u_dims(shared, lo, hi, d_from, d_to) == want, (lo, hi)
+            assert _u_dims(gapped_slice(), lo, hi, d_from, d_to) == want, (lo, hi)
+            assert any(want[1].values()), (lo, hi)
+
+
 def test_hc_minus_hc_and_hh_ranks_build_no_stacked_matrix(monkeypatch):
-    # the gravity-check primal slice (π, w 8): the ranks eliminate the stacked rows as they are built, and
-    # make as many row combinations as the arrival-order kernel on the built matrices did
+    # the gravity-check primal slice (π, w 8): the ranks eliminate the stacked rows as they are built, one
+    # elimination per (weight, start degree), and HC and HH read every rank they need off HC⁻'s prefixes
     from mixhom import linalg, mixed
 
     ctx = PoissonContext.make(3, "poly")
@@ -1012,9 +1071,9 @@ def test_hc_minus_hc_and_hh_ranks_build_no_stacked_matrix(monkeypatch):
     count(linalg, "_cancel")
     count(mixed, "_u_complex")
     hc = NegativeCyclic(sl, default_truncation(sl))
-    assert calls == {"_cancel": 2526, "_u_complex": 0}
+    assert calls == {"_cancel": 906, "_u_complex": 0}
     assert any(hc.dims().values()) and any(cyclic_homology(sl).values()) and any(sl.hh_dims().values())
-    assert calls == {"_cancel": 5228, "_u_complex": 0}
+    assert calls == {"_cancel": 906, "_u_complex": 0}
 
 
 # -- differential oracles: the coordinate-taking LES maps ---------------------------
@@ -1169,6 +1228,18 @@ def test_les_matches_oracle_on_cli_batch_slices(name):
     sl = CLI_BATCH_SLICES[name]()
     report = assert_les_matches_oracle(NegativeCyclic(sl, default_truncation(sl)))
     assert report.passed
+
+
+def test_les_check_applies_B_once_per_class(monkeypatch):
+    # β and B_class read one image of each representative: β first, then B_class, which drops it
+    sl = CLI_BATCH_SLICES["ext3"]()
+    hc = NegativeCyclic(sl, default_truncation(sl))
+    applied = []
+    apply = ExactMatrix.apply
+    monkeypatch.setattr(ExactMatrix, "apply", lambda M, row: applied.append(row) or apply(M, row))
+    assert les_check(hc).passed
+    assert len(applied) == len(hc._beta) == len(sl._B) > 0
+    assert set(hc._beta) == set(sl._B) and sl._B_image == {}
 
 
 def test_pi_star_outside_the_window_raises():
